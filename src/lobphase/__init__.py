@@ -15,11 +15,11 @@ from .analytics import (BinnedPi, VarpiSolution, kappa_uniform_exact,
                         solve_binned_pi, varpi_uniform_exact)
 from .book import (ORDINARY, ORDINARY_BINNED, STRICT_BINNED, ArrivalEffect,
                    BookInvariantError, BookState, MatchRule, Order,
-                   apply_arrival, counts)
+                   apply_arrival, match_arrivals)
 from .dist import (ArrivalSpec, BinPartition, PriceDist, cdf_table_dist,
                    dist_from_config, make_partition, piecewise_linear_dist,
                    quantile, refines, transform_to_uniform_bid, uniform_dist)
 from .sim import (ArrivalStream, KappaEstimate, Trace, empirical_pi,
-                  estimate_kappa, gen_arrivals, run)
+                  estimate_kappa, run)
 
 __version__ = "0.1.0"

@@ -4,14 +4,23 @@ Resting orders are price heaps (all prices pairwise distinct on the events we
 simulate), optionally backed by reservoirs: an infinite supply of bids or asks
 at a fixed price.  Executing against a reservoir never depletes it, and
 reservoir orders never enter the finite counters.
+
+`match_arrivals` is the event loop: it applies a whole arrival sequence and
+returns an `EventLog` that every driver and recorder reads.  `apply_arrival`
+applies one order at a time; it is the readable reference the loop is tested
+against.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .dist import BinPartition
 
@@ -24,10 +33,12 @@ __all__ = [
     "Order",
     "ArrivalEffect",
     "BookState",
+    "EventLog",
+    "JOINED",
+    "EXECUTED",
+    "RESERVOIR",
     "apply_arrival",
-    "counts",
-    "snapshot_rows",
-    "write_snapshot",
+    "match_arrivals",
 ]
 
 ORDINARY = "ordinary"
@@ -37,6 +48,11 @@ _KINDS = (ORDINARY, ORDINARY_BINNED, STRICT_BINNED)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+
+# EventLog outcome codes
+JOINED = 0        # the arrival rests in the book
+EXECUTED = 1      # it executed against the opposite best resting order
+RESERVOIR = 2     # it executed against the opposite reservoir
 
 
 class BookInvariantError(AssertionError):
@@ -72,10 +88,12 @@ class ArrivalEffect(NamedTuple):
 
 
 class BookState:
-    """Mutable book: bid/ask price multisets plus optional infinite reservoirs."""
+    """Mutable book: bid/ask price heaps plus optional infinite reservoirs.
 
-    __slots__ = ("_bid_heap", "_ask_heap", "_bid_set", "_ask_set",
-                 "_bid_dead", "_ask_dead", "bid_reservoir", "ask_reservoir")
+    Bids are stored negated so both heaps are min-heaps.
+    """
+
+    __slots__ = ("_bid_heap", "_ask_heap", "bid_reservoir", "ask_reservoir")
 
     def __init__(self, bids=(), asks=(), bid_reservoir: float | None = None,
                  ask_reservoir: float | None = None):
@@ -86,10 +104,6 @@ class BookState:
         self.ask_reservoir = ask_reservoir
         self._bid_heap: list[float] = []
         self._ask_heap: list[float] = []
-        self._bid_set: set[float] = set()
-        self._ask_set: set[float] = set()
-        self._bid_dead: set[float] = set()
-        self._ask_dead: set[float] = set()
         for p in bids:
             self.insert("bid", p)
         for p in asks:
@@ -99,44 +113,29 @@ class BookState:
 
     @property
     def n_bids(self) -> int:
-        return len(self._bid_set)
+        return len(self._bid_heap)
 
     @property
     def n_asks(self) -> int:
-        return len(self._ask_set)
-
-    def best_bid(self) -> float | None:
-        h, dead = self._bid_heap, self._bid_dead
-        while h and -h[0] in dead:
-            dead.discard(-heapq.heappop(h))
-        return -h[0] if h else None
-
-    def best_ask(self) -> float | None:
-        h, dead = self._ask_heap, self._ask_dead
-        while h and h[0] in dead:
-            dead.discard(heapq.heappop(h))
-        return h[0] if h else None
+        return len(self._ask_heap)
 
     def beta(self) -> float:
         """Highest bid including the reservoir; -inf when the side is empty."""
-        b = self.best_bid()
+        b = -self._bid_heap[0] if self._bid_heap else NEG_INF
         r = self.bid_reservoir
-        if b is None:
-            return r if r is not None else NEG_INF
         return b if r is None or b > r else r
 
     def alpha(self) -> float:
-        b = self.best_ask()
+        """Lowest ask including the reservoir; +inf when the side is empty."""
+        a = self._ask_heap[0] if self._ask_heap else POS_INF
         r = self.ask_reservoir
-        if b is None:
-            return r if r is not None else POS_INF
-        return b if r is None or b < r else r
+        return a if r is None or a < r else r
 
     def bids(self) -> list[float]:
-        return sorted(self._bid_set)
+        return sorted(-p for p in self._bid_heap)
 
     def asks(self) -> list[float]:
-        return sorted(self._ask_set)
+        return sorted(self._ask_heap)
 
     def clone(self) -> "BookState":
         c = BookState.__new__(BookState)
@@ -144,10 +143,6 @@ class BookState:
         c.ask_reservoir = self.ask_reservoir
         c._bid_heap = list(self._bid_heap)
         c._ask_heap = list(self._ask_heap)
-        c._bid_set = set(self._bid_set)
-        c._ask_set = set(self._ask_set)
-        c._bid_dead = set(self._bid_dead)
-        c._ask_dead = set(self._ask_dead)
         return c
 
     # -- mutations -------------------------------------------------------
@@ -155,124 +150,175 @@ class BookState:
     def insert(self, side: str, price: float) -> None:
         if not math.isfinite(price):
             raise BookInvariantError(f"non-finite price {price}")
-        if price in self._bid_set or price in self._ask_set:
+        if -price in self._bid_heap or price in self._ask_heap:
             raise BookInvariantError(f"duplicate price {price}")
         if side == "bid":
             heapq.heappush(self._bid_heap, -price)
-            self._bid_set.add(price)
         else:
             heapq.heappush(self._ask_heap, price)
-            self._ask_set.add(price)
 
     def pop_best(self, side: str) -> float:
         if side == "bid":
-            p = self.best_bid()
-            if p is None:
+            if not self._bid_heap:
                 raise BookInvariantError("pop from empty bid side")
-            heapq.heappop(self._bid_heap)
-            self._bid_set.discard(p)
-        else:
-            p = self.best_ask()
-            if p is None:
-                raise BookInvariantError("pop from empty ask side")
-            heapq.heappop(self._ask_heap)
-            self._ask_set.discard(p)
-        return p
-
-    def remove(self, side: str, price: float) -> None:
-        """Remove an arbitrary resting order (lazy heap deletion)."""
-        s = self._bid_set if side == "bid" else self._ask_set
-        if price not in s:
-            raise BookInvariantError(f"cannot remove absent {side} at {price}")
-        s.discard(price)
-        (self._bid_dead if side == "bid" else self._ask_dead).add(price)
+            return -heapq.heappop(self._bid_heap)
+        if not self._ask_heap:
+            raise BookInvariantError("pop from empty ask side")
+        return heapq.heappop(self._ask_heap)
 
 
 def apply_arrival(state: BookState, rule: MatchRule, order: Order) -> ArrivalEffect:
-    """Apply one arriving order under the rule; mutates state, returns the effect."""
+    """Apply one arriving order under the rule; mutates state, returns the effect.
+
+    The arrival meets the opposite best quote: it executes against it when
+    it crosses it (ordinary rule), when it crosses it or shares its bin
+    (ordinary binned) or when it crosses it from another bin (strict
+    binned), and otherwise joins its own side.
+    """
     side, price = order.side, order.price
-    kind = rule.kind
-    part = rule.partition
-
-    if side == "bid":
-        alpha = state.alpha()
-        if price == alpha:
-            raise BookInvariantError(f"bid price {price} collides with best ask")
-        if kind == ORDINARY:
-            execute = price > alpha
-        else:
-            same_bin = alpha != POS_INF and part.index(price) == part.index(alpha)
-            if kind == ORDINARY_BINNED:
-                execute = price > alpha or same_bin
-            else:
-                execute = price > alpha and not same_bin
-        if execute:
-            from_res = state.ask_reservoir is not None and alpha == state.ask_reservoir
-            if not from_res:
-                state.pop_best("ask")
-            eff = ArrivalEffect("executed", side, price, alpha, from_res,
-                                state.beta(), state.alpha())
-        else:
-            state.insert("bid", price)
-            eff = ArrivalEffect("joined", side, price, math.nan, False,
-                                state.beta(), state.alpha())
+    bid = side == "bid"
+    best = state.alpha() if bid else state.beta()
+    if price == best:
+        raise BookInvariantError(f"{side} price {price} collides with the opposite best")
+    crosses = price > best if bid else price < best
+    if rule.kind == ORDINARY:
+        execute = crosses
     else:
-        beta = state.beta()
-        if price == beta:
-            raise BookInvariantError(f"ask price {price} collides with best bid")
-        if kind == ORDINARY:
-            execute = price < beta
-        else:
-            same_bin = beta != NEG_INF and part.index(price) == part.index(beta)
-            if kind == ORDINARY_BINNED:
-                execute = price < beta or same_bin
-            else:
-                execute = price < beta and not same_bin
-        if execute:
-            from_res = state.bid_reservoir is not None and beta == state.bid_reservoir
-            if not from_res:
-                state.pop_best("bid")
-            eff = ArrivalEffect("executed", side, price, beta, from_res,
-                                state.beta(), state.alpha())
-        else:
-            state.insert("ask", price)
-            eff = ArrivalEffect("joined", side, price, math.nan, False,
-                                state.beta(), state.alpha())
-
-    _check_invariant(state, kind, part)
+        part = rule.partition
+        same_bin = math.isfinite(best) and part.index(price) == part.index(best)
+        execute = crosses or same_bin if rule.kind == ORDINARY_BINNED else \
+            crosses and not same_bin
+    if execute:
+        reservoir = state.ask_reservoir if bid else state.bid_reservoir
+        from_res = reservoir is not None and best == reservoir
+        if not from_res:
+            state.pop_best("ask" if bid else "bid")
+        eff = ArrivalEffect("executed", side, price, best, from_res,
+                            state.beta(), state.alpha())
+    else:
+        state.insert(side, price)
+        eff = ArrivalEffect("joined", side, price, math.nan, False,
+                            state.beta(), state.alpha())
+    _check_order(state.beta(), state.alpha(), rule)
     return eff
 
 
-def _check_invariant(state: BookState, kind: str, part: Optional[BinPartition]) -> None:
-    b, a = state.beta(), state.alpha()
-    if kind == STRICT_BINNED:
+def _check_order(beta, alpha, rule: MatchRule) -> None:
+    """The rule's ordering of best quotes (scalars, or arrays over events)."""
+    b, a = np.atleast_1d(beta), np.atleast_1d(alpha)
+    if rule.kind == STRICT_BINNED:
         # The strict rule lets prices cross inside one bin, so the ordering
         # holds at bin granularity only.
-        if b != NEG_INF and a != POS_INF and part.index(b) > part.index(a):
-            raise BookInvariantError(f"bid bin above ask bin: beta={b}, alpha={a}")
+        part = rule.partition
+        bad = (b != NEG_INF) & (a != POS_INF) & (part.index(b) > part.index(a))
     else:
-        if not b < a:
-            raise BookInvariantError(f"beta={b} >= alpha={a}")
+        bad = ~(b < a)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise BookInvariantError(f"best quotes out of order: beta={b[i]}, alpha={a[i]}"
+                                 + (f" after arrival {i}" if b.size > 1 else ""))
 
 
-def counts(state: BookState, p: float) -> tuple[int, int]:
-    """(#bids at prices <= p, #asks at prices >= p), reservoirs excluded."""
-    b = sum(1 for x in state._bid_set if x <= p)
-    a = sum(1 for x in state._ask_set if x >= p)
-    return b, a
+class EventLog(NamedTuple):
+    """What `match_arrivals` did: one entry per arrival, in arrival order."""
+
+    is_bid: np.ndarray
+    prices: np.ndarray
+    outcome: np.ndarray      # uint8: JOINED, EXECUTED or RESERVOIR
+    beta: np.ndarray         # best bid after the event (reservoir included)
+    alpha: np.ndarray        # best ask after the event
+    beta0: float             # best quotes before the first event
+    alpha0: float
+
+    def met(self) -> np.ndarray:
+        """The opposite best quote each arrival met: its counterparty if it executed."""
+        return np.where(self.is_bid, np.concatenate(([self.alpha0], self.alpha))[:-1],
+                        np.concatenate(([self.beta0], self.beta))[:-1])
+
+    def changes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(is_bid, price, sign) of the resting order each event adds or removes.
+
+        A join adds the arrival (sign +1); an execution removes the opposite
+        best order (sign -1); a reservoir execution changes nothing (sign 0).
+        """
+        executed = self.outcome == EXECUTED
+        sign = (self.outcome == JOINED).astype(np.int8) - executed
+        return self.is_bid ^ executed, np.where(executed, self.met(), self.prices), sign
 
 
-def snapshot_rows(state: BookState) -> list[tuple]:
-    """Book snapshot as (side, price[, 'inf']) rows for CSV export."""
-    rows: list[tuple] = [("bid", p) for p in state.bids()]
-    rows += [("ask", p) for p in state.asks()]
-    if state.bid_reservoir is not None:
-        rows.append(("bid", state.bid_reservoir, "inf"))
-    if state.ask_reservoir is not None:
-        rows.append(("ask", state.ask_reservoir, "inf"))
-    return rows
+def match_arrivals(state: BookState, rule: MatchRule, is_bid, prices) -> EventLog:
+    """Apply a whole arrival sequence to `state` (mutated) under the rule.
 
-
-def write_snapshot(state: BookState, path, meta: dict | None = None):
-    from .output import write_csv
-    return write_csv(path, ["side", "price", "count"], snapshot_rows(state), meta)
+    Gives the same book and the same effects as one `apply_arrival` call per
+    arrival, and rejects every input that loop rejects with the same
+    `BookInvariantError`: prices must be finite and pairwise distinct across
+    the arrivals and the resting book (checked up front, so a repeated price
+    fails even where the per-event loop would never meet it), an arrival may
+    not sit at the opposite best quote, and the rule's ordering of the best
+    quotes must hold after every event (both checked on the log).
+    """
+    is_bid = np.ascontiguousarray(is_bid, dtype=bool)
+    prices = np.ascontiguousarray(prices, dtype=float)
+    if not np.isfinite(prices).all():
+        raise BookInvariantError("non-finite arrival price")
+    every = np.sort(np.concatenate((prices, np.negative(state._bid_heap),
+                                    state._ask_heap)))
+    if (every[1:] == every[:-1]).any():
+        raise BookInvariantError("duplicate price among the arrivals and resting orders")
+    bids, asks = state._bid_heap, state._ask_heap
+    rb = NEG_INF if state.bid_reservoir is None else state.bid_reservoir
+    ra = POS_INF if state.ask_reservoir is None else state.ask_reservoir
+    beta0 = beta = state.beta()
+    alpha0 = alpha = state.alpha()
+    outcome, betas, alphas = bytearray(), array("d"), array("d")
+    put, put_beta, put_alpha = outcome.append, betas.append, alphas.append
+    push, pop = heapq.heappush, heapq.heappop
+    # The bins of the best quotes (-1 for an empty side) ride along with
+    # them.  A same-bin arrival executes under the ordinary binned rule and
+    # never executes under the strict one; the ordinary rule is the ordinary
+    # binned rule with each arrival in a bin of its own.
+    strict = rule.kind == STRICT_BINNED
+    if rule.kind == ORDINARY:
+        cuts, bins = [], np.arange(1, prices.size + 1)
+    else:
+        cuts, bins = rule.partition.boundaries.tolist(), rule.partition.index(prices)
+    bbin = bisect_right(cuts, beta) if beta != NEG_INF else -1
+    abin = bisect_right(cuts, alpha) if alpha != POS_INF else -1
+    for bid, p, k in zip(memoryview(is_bid), memoryview(prices), memoryview(bins)):
+        if bid:
+            if (p > alpha and k != abin) if strict else (p > alpha or k == abin):
+                if alpha == ra:
+                    put(RESERVOIR)
+                else:
+                    pop(asks)
+                    alpha = asks[0] if asks and asks[0] < ra else ra
+                    abin = bisect_right(cuts, alpha) if alpha != POS_INF else -1
+                    put(EXECUTED)
+            else:
+                push(bids, -p)
+                if p > beta:
+                    beta, bbin = p, k
+                put(JOINED)
+        elif (p < beta and k != bbin) if strict else (p < beta or k == bbin):
+            if beta == rb:
+                put(RESERVOIR)
+            else:
+                pop(bids)
+                beta = -bids[0] if bids and -bids[0] > rb else rb
+                bbin = bisect_right(cuts, beta) if beta != NEG_INF else -1
+                put(EXECUTED)
+        else:
+            push(asks, p)
+            if p < alpha:
+                alpha, abin = p, k
+            put(JOINED)
+        put_beta(beta)
+        put_alpha(alpha)
+    log = EventLog(is_bid, prices, np.frombuffer(outcome, dtype=np.uint8),
+                   np.frombuffer(betas), np.frombuffer(alphas), beta0, alpha0)
+    hit = np.flatnonzero(log.prices == log.met())
+    if hit.size:
+        raise BookInvariantError(f"arrival {hit[0]} at {log.prices[hit[0]]} collides "
+                                 "with the opposite best quote")
+    _check_order(log.beta, log.alpha, rule)
+    return log

@@ -151,6 +151,9 @@ def cmd_kappa(cfg: RunConfig) -> int:
                   f"(u_end={sol.u_end:.2e}, v_end={sol.v_end:.6f})")
             results["ode"] = (sol.kappa_b, sol.kappa_a)
         elif mode == "mc":
+            if cfg.n < 10:
+                raise ConfigError(f"--mode mc needs --n >= 10 for its 10 checkpoints, "
+                                  f"got {cfg.n}")
             trace = sim.run(MatchRule(ORDINARY), BookState(),
                             sim.ArrivalStream(cfg.seed, cfg.n, spec),
                             max(1, cfg.n // 100))

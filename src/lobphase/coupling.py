@@ -3,6 +3,9 @@
 Every check runs two (or three) books on the *same* realized arrivals and
 asserts an exact pathwise relation after every single arrival: these are
 almost-sure statements, so one violation on any seed is a failure, not noise.
+The relation depends only on the difference between the books, which
+changes only at the arrivals where the books act differently; each check
+evaluates it there and holds the verdict until the next such arrival.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from typing import Optional
 
 import numpy as np
 
+# apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
 from .book import (ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule, Order,
-                   apply_arrival)
+                   apply_arrival, match_arrivals)
 from .dist import (ArrivalSpec, BinPartition, make_partition, refines,
                    union_refinement)
-from .sim import (ArrivalStream, Arrivals, KappaEstimate, estimate_kappa,
+from .sim import (CHUNK, ArrivalStream, Arrivals, KappaEstimate, estimate_kappa,
                   field_generator, materialize, run_arrivals)
 
 __all__ = [
@@ -44,12 +48,14 @@ class CouplingReport:
     first_violation_index: Optional[int] = None
     details: list = field(default_factory=list)
 
-    def record(self, index: int, expected: str, observed: str) -> None:
+    def record(self, start: int, stop: int, expected: str, observed: str) -> None:
+        """One violation at each arrival index in [start, stop)."""
         if self.first_violation_index is None:
-            self.first_violation_index = index
-        self.violations += 1
-        if len(self.details) < MAX_DETAILS:
-            self.details.append((index, expected, observed))
+            self.first_violation_index = start
+        self.violations += stop - start
+        room = MAX_DETAILS - len(self.details)
+        self.details.extend((i, expected, observed)
+                            for i in range(start, min(stop, start + room)))
 
     @property
     def passed(self) -> bool:
@@ -80,17 +86,14 @@ class _Diff:
         else:
             d.pop(price, None)
 
-    def apply_effect(self, eff, sign: int) -> None:
-        # sign +1 for the perturbed book, -1 for the base book
-        if eff.outcome == "joined":
-            self.bump(eff.side, eff.price, sign)
-        elif not eff.counterparty_is_reservoir:
-            opp = "ask" if eff.side == "bid" else "bid"
-            self.bump(opp, eff.counterparty_price, -sign)
+    def apply(self, changes, i: int, sign: int) -> None:
+        """Event i of one book's `EventLog.changes()`; sign +1 perturbed, -1 base."""
+        is_bid, price, step = changes
+        if step[i]:
+            self.bump("bid" if is_bid[i] else "ask", float(price[i]), sign * int(step[i]))
 
     def size(self) -> int:
-        return sum(abs(v) for v in self.bids.values()) + \
-            sum(abs(v) for v in self.asks.values())
+        return sum(map(abs, [*self.bids.values(), *self.asks.values()]))
 
     def as_tuple(self):
         return (tuple(sorted(self.bids.items())), tuple(sorted(self.asks.items())))
@@ -98,18 +101,29 @@ class _Diff:
 
 def _classify_single(diff: _Diff, extra_side: str):
     """For the one-extra-order coupling: 'extra' / 'missing' / None (invalid)."""
-    opp = "asks" if extra_side == "bid" else "bids"
-    own = getattr(diff, extra_side + "s")
-    other = getattr(diff, opp)
-    if len(own) == 1 and not other:
-        ((p, c),) = own.items()
-        if c == 1:
-            return "extra", p
-    if len(other) == 1 and not own:
-        ((p, c),) = other.items()
-        if c == -1:
-            return "missing", p
+    own, other = (diff.bids, diff.asks) if extra_side == "bid" else (diff.asks, diff.bids)
+    if not other and list(own.values()) == [1]:
+        return "extra", next(iter(own))
+    if not own and list(other.values()) == [-1]:
+        return "missing", next(iter(other))
     return None, None
+
+
+def _changes(book: BookState, rule: MatchRule, arr: Arrivals, lo: int = 0,
+             hi: int | None = None):
+    """`EventLog.changes()` of arrivals lo..hi applied to `book` (mutated)."""
+    return match_arrivals(book, rule, arr.is_bid[lo:hi], arr.prices[lo:hi]).changes()
+
+
+def _differs(a, b) -> np.ndarray:
+    """Events at which two books add or remove different resting orders."""
+    (side_a, key_a, sign_a), (side_b, key_b, sign_b) = a, b
+    return (sign_a != sign_b) | ((sign_a != 0) & ((side_a != side_b) | (key_a != key_b)))
+
+
+def _runs(points: np.ndarray, n: int):
+    """(point, next point or n) pairs: the stretch over which a verdict holds."""
+    return zip(points.tolist(), np.append(points[1:], n).tolist())
 
 
 def check_extra_order(base: BookState, extra: Order, arrivals: Arrivals | ArrivalStream,
@@ -121,27 +135,25 @@ def check_extra_order(base: BookState, extra: Order, arrivals: Arrivals | Arriva
     the original price it never returns to an extra order at that price.
     """
     arr = materialize(arrivals) if isinstance(arrivals, ArrivalStream) else arrivals
-    left = base.clone()
     tilde = base.clone()
     tilde.insert(extra.side, extra.price)
+    ch_base = _changes(base.clone(), rule, arr)
+    ch_tilde = _changes(tilde, rule, arr)
     diff = _Diff()
     diff.bump(extra.side, extra.price, +1)
     report = CouplingReport("extra_order", seed, arr.n)
     left_original = False
-    for i in range(arr.n):
-        order = Order("bid" if arr.is_bid[i] else "ask", float(arr.prices[i]), i)
-        e_base = apply_arrival(left, rule, order)
-        e_tilde = apply_arrival(tilde, rule, order)
-        diff.apply_effect(e_tilde, +1)
-        diff.apply_effect(e_base, -1)
+    for i, stop in _runs(np.flatnonzero(_differs(ch_tilde, ch_base)), arr.n):
+        diff.apply(ch_tilde, i, +1)
+        diff.apply(ch_base, i, -1)
         kind, price = _classify_single(diff, extra.side)
         if kind is None:
-            report.record(i, "single extra/missing order", repr(diff.as_tuple()))
+            report.record(i, stop, "single extra/missing order", repr(diff.as_tuple()))
             continue
         if kind != "extra" or price != extra.price:
             left_original = True
         elif left_original:
-            report.record(i, "never back to the original extra order",
+            report.record(i, stop, "never back to the original extra order",
                           f"extra {extra.side} at {price}")
     return report
 
@@ -163,36 +175,38 @@ def check_bounded_perturbation(base: BookState, edits: list[Edit],
     if len(edits) > M:
         raise ValueError(f"{len(edits)} edits exceed the stated bound M={M}")
     arr = materialize(arrivals) if isinstance(arrivals, ArrivalStream) else arrivals
-    left = base.clone()
+    n = arr.n
+    report = CouplingReport("bounded_perturbation", seed, n)
+    if n == 0:
+        return report
+    ch_base = _changes(base.clone(), rule, arr)
+    # The tilde book runs in segments; an edit lands just before arrival
+    # max(index, 0), and one at or after the last arrival never lands.
     tilde = base.clone()
-    diff = _Diff()
     pending = sorted(edits, key=lambda e: e.index)
-    report = CouplingReport("bounded_perturbation", seed, arr.n)
-    nxt = 0
-
-    def apply_edits(i: int):
-        nonlocal nxt
-        while nxt < len(pending) and pending[nxt].index <= i:
-            e = pending[nxt]
+    cuts = sorted({0, n} | {e.index for e in pending if 0 < e.index < n})
+    edit_bumps: dict[int, list] = {}
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        for e in (e for e in pending if max(e.index, 0) == lo):
             if e.op == "add":
                 tilde.insert(e.side, e.price)
-                diff.bump(e.side, e.price, +1)
+                edit_bumps.setdefault(lo, []).append((e.side, e.price, +1))
             elif e.op == "remove_best":
-                p = tilde.pop_best(e.side)
-                diff.bump(e.side, p, -1)
+                edit_bumps.setdefault(lo, []).append((e.side, tilde.pop_best(e.side), -1))
             else:
                 raise ValueError(f"unknown edit op {e.op!r}")
-            nxt += 1
-
-    for i in range(arr.n):
-        apply_edits(i)
-        order = Order("bid" if arr.is_bid[i] else "ask", float(arr.prices[i]), i)
-        e_base = apply_arrival(left, rule, order)
-        e_tilde = apply_arrival(tilde, rule, order)
-        diff.apply_effect(e_tilde, +1)
-        diff.apply_effect(e_base, -1)
+        pieces.append(_changes(tilde, rule, arr, lo, hi))
+    ch_tilde = tuple(np.concatenate(parts) for parts in zip(*pieces))
+    points = np.union1d(np.flatnonzero(_differs(ch_tilde, ch_base)), list(edit_bumps))
+    diff = _Diff()
+    for i, stop in _runs(points.astype(np.intp), n):
+        for side, price, delta in edit_bumps.get(i, ()):
+            diff.bump(side, price, delta)
+        diff.apply(ch_tilde, i, +1)
+        diff.apply(ch_base, i, -1)
         if diff.size() > M:
-            report.record(i, f"diff size <= {M}", f"size {diff.size()}")
+            report.record(i, stop, f"diff size <= {M}", f"size {diff.size()}")
     return report
 
 
@@ -211,41 +225,43 @@ def check_refinement(fine: BinPartition, coarse: BinPartition, kind: str,
     if not refines(fine, coarse):
         raise ValueError("`fine` does not refine `coarse`")
     arr = materialize(arrivals) if isinstance(arrivals, ArrivalStream) else arrivals
-    rule_f = MatchRule(kind, fine)
-    rule_c = MatchRule(kind, coarse)
-    book_f = (initial.clone() if initial else BookState())
-    book_c = (initial.clone() if initial else BookState())
+    books = []
+    for part, w in ((fine, -1), (coarse, +1)):
+        is_bid, price, step = _changes(initial.clone() if initial else BookState(),
+                                       MatchRule(kind, part), arr)
+        books.append((is_bid, fine.index(price), w * step))
     n_bins = fine.n_bins
-    # d arrays hold (coarse - fine) per fine bin; ordinary demands every
-    # prefix (bids) / suffix (asks) of d to be <= 0, strict demands >= 0.
-    d_bid = np.zeros(n_bins, dtype=np.int64)
-    d_ask = np.zeros(n_bins, dtype=np.int64)
+    # d holds (coarse - fine) per fine bin; ordinary demands every prefix of
+    # d over bids (from the bottom) and over asks (from the top) to be <= 0,
+    # strict demands >= 0.  Only the arrivals where the books change
+    # different fine bins move d; each block of them gets the prefix sums of
+    # sign * d after every one.
     sign = 1 if kind == ORDINARY_BINNED else -1
-    bins = fine.index(arr.prices)
+    (side_f, bin_f, step_f), (side_c, bin_c, step_c) = books
+    points = np.flatnonzero(_differs((side_f, bin_f, -step_f), (side_c, bin_c, step_c)))
+    stops = np.append(points[1:], arr.n)
     name = f"refinement_{'ordinary' if kind == ORDINARY_BINNED else 'strict'}"
     report = CouplingReport(name, seed, arr.n)
-
-    def bump(d, k, delta):
-        d[k] += delta
-
-    for i in range(arr.n):
-        order = Order("bid" if arr.is_bid[i] else "ask", float(arr.prices[i]), i)
-        k_arr = int(bins[i])
-        for book, rule, w in ((book_f, rule_f, -1), (book_c, rule_c, +1)):
-            eff = apply_arrival(book, rule, order)
-            if eff.outcome == "joined":
-                bump(d_bid if order.side == "bid" else d_ask, k_arr, w)
-            elif not eff.counterparty_is_reservoir:
-                k_c = fine.index(eff.counterparty_price)
-                if order.side == "bid":
-                    bump(d_ask, k_c, -w)
-                else:
-                    bump(d_bid, k_c, -w)
-        pb = np.cumsum(sign * d_bid)
-        pa = np.cumsum(sign * d_ask[::-1])
-        if pb.max() > 0 or pa.max() > 0:
-            report.record(i, "coarse/fine count domination",
-                          f"max prefix excess bid={int(pb.max())} ask={int(pa.max())}")
+    prefix_b = np.zeros(n_bins, dtype=np.int64)
+    prefix_a = np.zeros(n_bins, dtype=np.int64)
+    for lo in range(0, points.size, CHUNK):
+        idx = points[lo:lo + CHUNK]
+        rows = np.arange(idx.size)
+        pb = np.zeros((idx.size, n_bins), dtype=np.int64)
+        pa = np.zeros((idx.size, n_bins), dtype=np.int64)
+        for is_bid, bins, step in books:
+            bid, k, v = is_bid[idx], bins[idx], sign * step[idx]
+            np.add.at(pb, (rows[bid], k[bid]), v[bid])
+            np.add.at(pa, (rows[~bid], n_bins - 1 - k[~bid]), v[~bid])
+        for p, carry in ((pb, prefix_b), (pa, prefix_a)):
+            np.cumsum(p, axis=1, out=p)
+            np.cumsum(p, axis=0, out=p)
+            p += carry
+        prefix_b, prefix_a = pb[-1].copy(), pa[-1].copy()
+        max_b, max_a = pb.max(axis=1), pa.max(axis=1)
+        for r in np.flatnonzero((max_b > 0) | (max_a > 0)):
+            report.record(int(idx[r]), int(stops[lo + r]), "coarse/fine count domination",
+                          f"max prefix excess bid={int(max_b[r])} ask={int(max_a[r])}")
     return report
 
 

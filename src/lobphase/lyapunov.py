@@ -23,9 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .book import BookState, MatchRule, Order, ORDINARY, ORDINARY_BINNED, apply_arrival
+# apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
+from .book import (ORDINARY, ORDINARY_BINNED, BookState, MatchRule, apply_arrival,
+                   match_arrivals)
 from .dist import ArrivalSpec, BinPartition, make_partition
-from .sim import ArrivalStream, materialize, run_arrivals
+from .sim import CHUNK, ArrivalStream, materialize, run_arrivals
 
 __all__ = [
     "REGIONS",
@@ -118,24 +120,29 @@ def region_bins(code: str) -> tuple[int, int]:
     return _REGION_BA[code]
 
 
-_CODE_BY_BA = {ba: code for code, ba in _REGION_BA.items()}
+_CODE_INDEX = np.full((6, 6), -1, dtype=np.intp)   # (b, a) -> index into REGIONS
+for _i, _code in enumerate(REGIONS):
+    _CODE_INDEX[_REGION_BA[_code]] = _i
 
 
 def region_of_pattern(x1: int, x2: int, x3: int) -> str:
     """Region code of a signed middle-bin state."""
-    b = 1
-    for i, v in ((3, x3), (2, x2), (1, x1)):
-        if v > 0:
-            b = i + 1
-            break
-    a = 5
-    for i, v in ((1, x1), (2, x2), (3, x3)):
-        if v < 0:
-            a = i + 1
-            break
-    if not b < a:
-        raise ValueError(f"inconsistent sign pattern ({x1}, {x2}, {x3})")
-    return _CODE_BY_BA[(b, a)]
+    return REGIONS[_region_codes(np.array([[x1, x2, x3]]))[0]]
+
+
+def _region_codes(x: np.ndarray) -> np.ndarray:
+    """Index into REGIONS of each signed middle-bin state (rows of x).
+
+    The highest bid sits in the highest positive bin (bin 1, the bid
+    reservoir, if none) and the lowest ask in the lowest negative one.
+    """
+    pos, neg = x > 0, x < 0
+    b = np.select([pos[:, 2], pos[:, 1], pos[:, 0]], [4, 3, 2], 1)
+    a = np.select([neg[:, 0], neg[:, 1], neg[:, 2]], [2, 3, 4], 5)
+    if (b >= a).any():
+        i = np.flatnonzero(b >= a)[0]
+        raise ValueError(f"inconsistent sign pattern {tuple(int(v) for v in x[i])}")
+    return _CODE_INDEX[b, a]
 
 
 def compatible(region_drift: str, region_normal: str) -> bool:
@@ -420,67 +427,53 @@ def simulate_5bin(eps: float, n_events: int, seed: int, K: float = 20.0,
     lo_mid = 0.5 * (0.2 + eps)          # inside bin 1
     hi_mid = 1.0 - lo_mid               # inside bin 5
     state = BookState(bid_reservoir=lo_mid, ask_reservoir=hi_mid)
-    rule = MatchRule(ORDINARY_BINNED, part)
     arr = materialize(ArrivalStream(seed, n_events, spec))
-    bins = part.index(arr.prices)
+    changed_bid, price, sign = match_arrivals(
+        state, MatchRule(ORDINARY_BINNED, part), arr.is_bid, arr.prices).changes()
+    # signed middle-bin count (bids positive): a join of a bid or the
+    # execution of an ask moves its bin up, mirrored for asks
+    delta = np.where(changed_bid, sign, -sign)
+    gbin = part.index(price)
     normals = [tuple(float(c) for c in v) for _, v in _SEVEN_NORMALS]
 
-    def gauge(x1: int, x2: int, x3: int) -> float:
-        return max(a * x1 + b * x2 + c * x3 for a, b, c in normals)
-
-    x1 = x2 = x3 = 0
+    n_codes = len(REGIONS)
+    visits = np.zeros(n_codes, dtype=np.int64)
+    visits_hi = np.zeros(n_codes, dtype=np.int64)
+    dx_sum = np.zeros((n_codes, 3))
+    dg_sum = np.zeros(n_codes)
+    dg_sq = np.zeros(n_codes)
+    above = np.zeros(n_events, dtype=bool)
+    x = np.zeros(3, dtype=np.int64)
     g = 0.0
-    stats = {code: RegionStats() for code in REGIONS if code != "000"}
-    excursions: list[int] = []
-    above = 0
-    is_bid, prices = arr.is_bid, arr.prices
-    for i in range(n_events):
-        side = "bid" if is_bid[i] else "ask"
-        code = region_of_pattern(x1, x2, x3)
-        eff = apply_arrival(state, rule, Order(side, float(prices[i]), i))
-        if eff.outcome == "joined":
-            gbin = bins[i]
-            delta = 1 if side == "bid" else -1
-        elif not eff.counterparty_is_reservoir:
-            gbin = part.index(eff.counterparty_price)
-            delta = 1 if side == "bid" else -1
-            # executing removes an opposite-side order: a bid arrival removes
-            # an ask (count moves up), an ask arrival removes a bid.
-        else:
-            gbin, delta = -1, 0
-        d1 = d2 = d3 = 0
-        if gbin == 1:
-            d1 = delta
-        elif gbin == 2:
-            d2 = delta
-        elif gbin == 3:
-            d3 = delta
-        x1 += d1
-        x2 += d2
-        x3 += d3
-        g_new = gauge(x1, x2, x3) if (d1 or d2 or d3) else g
-        if code != "000":
-            st = stats[code]
-            st.visits += 1
-            st.dx_sum[0] += d1
-            st.dx_sum[1] += d2
-            st.dx_sum[2] += d3
-            if g > K:
-                st.visits_hi += 1
-                dg = g_new - g
-                st.dgauge_sum += dg
-                st.dgauge_sq += dg * dg
-        if g > K:
-            above += 1
-        elif above:
-            excursions.append(above)
-            above = 0
-        g = g_new
-    if above:
-        excursions.append(above)
+    for lo in range(0, n_events, CHUNK):
+        hi = min(n_events, lo + CHUNK)
+        dx = np.stack([np.where(gbin[lo:hi] == k, delta[lo:hi], 0) for k in (1, 2, 3)],
+                      axis=1)
+        x_after = x + np.cumsum(dx, axis=0)
+        x_before = np.concatenate((x[None], x_after[:-1]))
+        code = _region_codes(x_before)
+        x1, x2, x3 = x_after.T.astype(float)
+        g_after = np.max([a * x1 + b * x2 + c * x3 for a, b, c in normals], axis=0)
+        g_before = np.concatenate(([g], g_after[:-1]))
+        high = g_before > K
+        above[lo:hi] = high
+        visits += np.bincount(code, minlength=n_codes)
+        visits_hi += np.bincount(code[high], minlength=n_codes)
+        for k in range(3):
+            dx_sum[:, k] += np.bincount(code, weights=dx[:, k], minlength=n_codes)
+        dg = (g_after - g_before)[high]
+        # add.at adds in event order, as the running sums it replaces did
+        np.add.at(dg_sum, code[high], dg)
+        np.add.at(dg_sq, code[high], dg * dg)
+        x, g = x_after[-1], g_after[-1]
+    stats = {code: RegionStats(int(visits[i]), dx_sum[i].copy(), int(visits_hi[i]),
+                               float(dg_sum[i]), float(dg_sq[i]))
+             for i, code in enumerate(REGIONS) if code != "000"}
+    edges = np.diff(np.concatenate(([0], above.astype(np.int8), [0])))
+    excursions = (np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)).tolist()
     return FiveBinReport(eps=eps, n_events=n_events, K=K, seed=seed,
                          regions=stats, excursion_lengths=excursions,
-                         final_state=(x1, x2, x3))
+                         final_state=tuple(int(v) for v in x))
 
 
 @dataclass(frozen=True)
@@ -518,36 +511,13 @@ def check_geometric_bound(x: float, y: float, spec: ArrivalSpec, n_events: int,
     rho_a = (Fa(y) - Fa(x)) / (1.0 - Fb(y))
 
     state = BookState(bid_reservoir=x, ask_reservoir=y)
-    rule = MatchRule(ORDINARY)
     arr = materialize(ArrivalStream(seed, n_events, spec))
-    n_mid_bids = n_mid_asks = 0
-    start = int(burn_in * n_events)
-    samples_b, samples_a = [], []
-    lo, hi = x, y
-    is_bid, prices = arr.is_bid, arr.prices
-    for i in range(n_events):
-        side = "bid" if is_bid[i] else "ask"
-        p = float(prices[i])
-        eff = apply_arrival(state, rule, Order(side, p, i))
-        if eff.outcome == "joined":
-            if lo < p < hi:
-                if side == "bid":
-                    n_mid_bids += 1
-                else:
-                    n_mid_asks += 1
-        elif not eff.counterparty_is_reservoir:
-            cp = eff.counterparty_price
-            if lo < cp < hi:
-                if side == "bid":
-                    n_mid_asks -= 1
-                else:
-                    n_mid_bids -= 1
-        if i >= start and (i - start) % sample_every == 0:
-            samples_b.append(n_mid_bids)
-            samples_a.append(n_mid_asks)
-
-    sb = np.asarray(samples_b)
-    sa = np.asarray(samples_a)
+    changed_bid, price, sign = match_arrivals(
+        state, MatchRule(ORDINARY), arr.is_bid, arr.prices).changes()
+    step = np.where((x < price) & (price < y), sign, 0)
+    at = np.arange(int(burn_in * n_events), n_events, sample_every)
+    sb = np.cumsum(np.where(changed_bid, step, 0))[at]
+    sa = np.cumsum(np.where(changed_bid, 0, step))[at]
     n = sb.size
 
     def tail_table(samples, rho):
@@ -594,16 +564,18 @@ def running_max_evidence(spec: ArrivalSpec, n_events: int, seed: int,
     ratio runmax(n) / runmax(n/2) read from the series (below sqrt(2) for
     growth exponent below 1/2, near 2 for a linearly filling band); the last
     jump index is reported too, and it lies in the first half exactly when
-    that ratio is 1.
+    that ratio is 1.  Without thresholds or bins the thresholds are exact for
+    uniform laws and found by `analytics.shoot_kappa` otherwise.
     """
     part = make_partition(n_bins, spec)
     if k_b is None or k_a is None:
         if thresholds is None:
+            from .analytics import kappa_uniform_exact, shoot_kappa
             if spec.bid_dist.kind == "uniform" and spec.ask_dist.kind == "uniform":
-                from .analytics import kappa_uniform_exact
                 thresholds = kappa_uniform_exact()
             else:
-                raise ValueError("pass thresholds=(kappa_b, kappa_a) or explicit bins")
+                sol = shoot_kappa(spec)
+                thresholds = (sol.kappa_b, sol.kappa_a)
         k_b = part.index(thresholds[0]) if k_b is None else k_b
         k_a = part.index(thresholds[1]) if k_a is None else k_a
     trace = run_arrivals(MatchRule(ORDINARY), BookState(),

@@ -10,11 +10,13 @@ can share one arrival stream across book variants bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from .book import (NEG_INF, POS_INF, BookState, MatchRule, Order, apply_arrival)
+# apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
+from .book import (EXECUTED, NEG_INF, POS_INF, RESERVOIR, BookState, MatchRule,
+                   apply_arrival, match_arrivals)
 from .dist import ArrivalSpec, BinPartition
 from .output import config_hash
 
@@ -24,7 +26,6 @@ __all__ = [
     "Trace",
     "KappaEstimate",
     "field_generator",
-    "gen_arrivals",
     "materialize",
     "reflected_arrivals",
     "run",
@@ -110,13 +111,6 @@ def materialize(stream: ArrivalStream) -> Arrivals:
                     meta={"seed": stream.seed, "time_mode": stream.time_mode})
 
 
-def gen_arrivals(stream: ArrivalStream) -> Iterator[Order]:
-    """Yield the stream as Order values (materialized internally)."""
-    arr = materialize(stream)
-    for i in range(arr.n):
-        yield Order("bid" if arr.is_bid[i] else "ask", float(arr.prices[i]), i)
-
-
 def reflected_arrivals(arr: Arrivals) -> Arrivals:
     """Mirror a stream through x -> 1 - x with sides swapped.
 
@@ -193,136 +187,105 @@ def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
                  top_max_offset: int = 10,
                  runmax_bins: Optional[tuple[int, int]] = None,
                  runmax_series: bool = False) -> Trace:
-    """Event loop over pre-materialized arrivals (shared-stream experiments)."""
+    """Match pre-materialized arrivals on a copy of `initial` and record the run.
+
+    Every recorder is a pass over the event log.  The binned recorders
+    (occupation, joint histogram, top shape, running max) bin the best
+    quotes with `record_partition` and run only when it is given.
+    """
     if record_every <= 0:
         record_every = max(1, arr.n)
-    part = record_partition if record_partition is not None else rule.partition
+    part = record_partition
+    if part is None and (record_joint or record_top_shape or runmax_bins is not None):
+        raise ValueError("binned recorders need a record_partition")
     state = initial.clone()
-    n = arr.n
-
-    cp_t, cp_b, cp_a, cp_beta, cp_alpha = [], [], [], [], []
-    nbins = part.n_bins if part is not None else 0
-    bins = part.index(arr.prices) if part is not None else None
-    occ_b = np.zeros((2, nbins)) if part is not None else None
-    occ_a = np.zeros((2, nbins)) if part is not None else None
-    occ_elapsed = np.zeros(2) if part is not None else None
-    joint = np.zeros((nbins, nbins), dtype=np.int64) if record_joint else None
-    top_sums = np.zeros((nbins, top_max_offset + 1), dtype=np.int64) if record_top_shape else None
-    top_visits = np.zeros(nbins, dtype=np.int64) if record_top_shape else None
-    bin_bid_counts = np.zeros(nbins, dtype=np.int64) if record_top_shape else None
-
-    do_runmax = runmax_bins is not None
-    if do_runmax and part is None:
-        raise ValueError("running-max recorder needs a partition")
-    k_b, k_a = runmax_bins if do_runmax else (0, 0)
-    mid_count = 0
-    run_max = 0
-    last_jump = -1
-    series = [] if (do_runmax and runmax_series) else None
-
-    bid_arrivals = ask_arrivals = bid_exec = ask_exec = res_exec = 0
-    half = n // 2
-    is_bid, prices, times = arr.is_bid, arr.prices, arr.times
-    t_prev = 0.0
-    if part is not None:
-        from bisect import bisect_right
-        bnds = part.boundaries.tolist()
-        beta_prev, beta_bin = NEG_INF, -1
-        alpha_prev, alpha_bin = POS_INF, -1
-
-    for i in range(n):
-        side = "bid" if is_bid[i] else "ask"
-        price = float(prices[i])
-        t = times[i]
-        if part is not None:
-            # the interval ending at this arrival belongs to the pre-arrival state
-            dt = t - t_prev
-            h = 0 if i < half else 1
-            occ_elapsed[h] += dt
-            if beta_bin >= 0:
-                occ_b[h, beta_bin] += dt
-            if alpha_bin >= 0:
-                occ_a[h, alpha_bin] += dt
-        eff = apply_arrival(state, rule, Order(side, price, i))
-        if side == "bid":
-            bid_arrivals += 1
-        else:
-            ask_arrivals += 1
-        if eff.outcome == "executed":
-            if eff.counterparty_is_reservoir:
-                res_exec += 1
-            elif side == "bid":
-                ask_exec += 1
-            else:
-                bid_exec += 1
-
-        if part is not None:
-            beta, alpha = eff.new_beta, eff.new_alpha
-            if beta != beta_prev:
-                beta_bin = bisect_right(bnds, beta) if beta != NEG_INF else -1
-                beta_prev = beta
-            if alpha != alpha_prev:
-                alpha_bin = bisect_right(bnds, alpha) if alpha != POS_INF else -1
-                alpha_prev = alpha
-            if joint is not None and beta_bin >= 0 and alpha_bin >= 0:
-                joint[beta_bin, alpha_bin] += 1
-            if record_top_shape:
-                if eff.outcome == "joined" and side == "bid":
-                    bin_bid_counts[bins[i]] += 1
-                elif (eff.outcome == "executed" and side == "ask"
-                      and not eff.counterparty_is_reservoir):
-                    bin_bid_counts[bisect_right(bnds, eff.counterparty_price)] -= 1
-                if beta_bin >= 0:
-                    top_visits[beta_bin] += 1
-                    lo = max(0, beta_bin - top_max_offset)
-                    top_sums[beta_bin, :beta_bin - lo + 1] += \
-                        bin_bid_counts[lo:beta_bin + 1][::-1]
-            if do_runmax:
-                if eff.outcome == "joined":
-                    pb = bins[i]
-                    if side == "bid" and pb > k_b:
-                        mid_count += 1
-                    elif side == "ask" and pb < k_a:
-                        mid_count += 1
-                elif not eff.counterparty_is_reservoir:
-                    cb = bisect_right(bnds, eff.counterparty_price)
-                    if side == "ask" and cb > k_b:      # a bid above k_b left
-                        mid_count -= 1
-                    elif side == "bid" and cb < k_a:    # an ask below k_a left
-                        mid_count -= 1
-                if mid_count > run_max:
-                    run_max = mid_count
-                    last_jump = i
-                if series is not None:
-                    series.append((t, mid_count, run_max))
-        t_prev = t
-
-        if (i + 1) % record_every == 0:
-            cp_t.append(t)
-            cp_b.append(state.n_bids)
-            cp_a.append(state.n_asks)
-            cp_beta.append(state.beta())
-            cp_alpha.append(state.alpha())
+    n_bids0, n_asks0 = state.n_bids, state.n_asks
+    log = match_arrivals(state, rule, arr.is_bid, arr.prices)
+    n, times = arr.n, arr.times
+    changed_bid, changed_price, sign = log.changes()
+    executed = log.outcome == EXECUTED
+    bid_arrivals = int(np.count_nonzero(arr.is_bid))
+    cp = np.arange(record_every - 1, n, record_every)
+    cp_bids = n_bids0 + np.cumsum(np.where(changed_bid, sign, 0))[cp]
+    cp_asks = n_asks0 + np.cumsum(np.where(changed_bid, 0, sign))[cp]
 
     trace = Trace(
         seed=seed, n_events=n, p_b=arr.p_b, record_every=record_every,
-        cp_time=np.asarray(cp_t), cp_bids=np.asarray(cp_b, dtype=np.int64),
-        cp_asks=np.asarray(cp_a, dtype=np.int64),
-        cp_beta=np.asarray(cp_beta), cp_alpha=np.asarray(cp_alpha),
-        bid_arrivals=bid_arrivals, ask_arrivals=ask_arrivals,
-        bid_exec_by_ask=bid_exec, ask_exec_by_bid=ask_exec,
-        reservoir_executions=res_exec,
+        cp_time=times[cp], cp_bids=cp_bids, cp_asks=cp_asks,
+        cp_beta=log.beta[cp], cp_alpha=log.alpha[cp],
+        bid_arrivals=bid_arrivals, ask_arrivals=n - bid_arrivals,
+        bid_exec_by_ask=int(np.count_nonzero(executed & ~arr.is_bid)),
+        ask_exec_by_bid=int(np.count_nonzero(executed & arr.is_bid)),
+        reservoir_executions=int(np.count_nonzero(log.outcome == RESERVOIR)),
         elapsed=float(times[-1]) if n else 0.0,
         final_bids=state.n_bids, final_asks=state.n_asks,
-        partition=part, occupation_b=occ_b, occupation_a=occ_a,
-        occupation_elapsed=occ_elapsed, joint_hist=joint,
-        top_shape_sums=top_sums, top_shape_visits=top_visits,
-        runmax_bins=runmax_bins if do_runmax else None,
-        runmax_last_jump=last_jump, runmax_value=run_max,
-        runmax_series=np.asarray(series) if series is not None else None,
-        meta={**arr.meta, "rule": rule.kind},
-    )
+        partition=part, meta={**arr.meta, "rule": rule.kind})
+    if part is None:
+        return trace
+
+    nbins = part.n_bins
+    beta_bin = np.where(log.beta == NEG_INF, -1, part.index(log.beta))
+    alpha_bin = np.where(log.alpha == POS_INF, -1, part.index(log.alpha))
+    # The interval ending at an arrival belongs to the state before it; the
+    # first interval is binned as an empty book whatever the initial book.
+    dt = np.diff(times, prepend=0.0)
+    half = (np.arange(n) >= n // 2).astype(np.intp)
+    pre_b = np.concatenate(([-1], beta_bin))[:-1]
+    pre_a = np.concatenate(([-1], alpha_bin))[:-1]
+    # bincount adds its weights in event order, as a running sum would.
+    trace.occupation_elapsed = np.bincount(half, weights=dt, minlength=2)
+    trace.occupation_b, trace.occupation_a = (
+        np.bincount(half[k >= 0] * nbins + k[k >= 0], weights=dt[k >= 0],
+                    minlength=2 * nbins).reshape(2, nbins)
+        for k in (pre_b, pre_a))
+    if record_joint:
+        both = (beta_bin >= 0) & (alpha_bin >= 0)
+        trace.joint_hist = np.bincount(beta_bin[both] * nbins + alpha_bin[both],
+                                       minlength=nbins * nbins).reshape(nbins, nbins)
+    changed_bin = part.index(changed_price)
+    if record_top_shape:
+        trace.top_shape_visits = np.bincount(beta_bin[beta_bin >= 0], minlength=nbins)
+        trace.top_shape_sums = _top_shape_sums(
+            beta_bin, changed_bin, np.where(changed_bid, sign, 0), nbins, top_max_offset)
+    if runmax_bins is not None:
+        k_b, k_a = runmax_bins
+        # the band: bids above bin k_b and asks below bin k_a
+        in_band = np.where(changed_bid, changed_bin > k_b, changed_bin < k_a)
+        count = np.cumsum(np.where(in_band, sign, 0))
+        run_max = np.maximum.accumulate(np.maximum(count, 0))
+        jumps = np.flatnonzero(count > np.concatenate(([0], run_max))[:-1])
+        trace.runmax_bins = runmax_bins
+        trace.runmax_value = int(run_max[-1]) if n else 0
+        trace.runmax_last_jump = int(jumps[-1]) if jumps.size else -1
+        if runmax_series:
+            trace.runmax_series = (np.column_stack((times, count, run_max)) if n
+                                   else np.empty(0))
     return trace
+
+
+CHUNK = 256   # events per block in the events x bins passes
+
+
+def _top_shape_sums(beta_bin: np.ndarray, bid_bin: np.ndarray, bid_step: np.ndarray,
+                    nbins: int, max_offset: int) -> np.ndarray:
+    """Per best-bid bin k, summed bid counts in bins k, k-1, ..., k-max_offset.
+
+    Resting bids are counted from the start of the run (initial orders
+    excluded); event i moves bin bid_bin[i] by bid_step[i].
+    """
+    sums = np.zeros((nbins, max_offset + 1), dtype=np.int64)
+    counts = np.zeros(nbins, dtype=np.int64)
+    for lo in range(0, beta_bin.size, CHUNK):
+        step = np.zeros((min(CHUNK, beta_bin.size - lo), nbins), dtype=np.int64)
+        rows = np.arange(step.shape[0])
+        step[rows, bid_bin[lo:lo + CHUNK]] = bid_step[lo:lo + CHUNK]
+        state = counts + np.cumsum(step, axis=0)
+        counts = state[-1]
+        b = beta_bin[lo:lo + CHUNK]
+        for j in range(max_offset + 1):
+            ok = b >= j
+            np.add.at(sums[:, j], b[ok], state[rows[ok], b[ok] - j])
+    return sums
 
 
 def estimate_kappa(trace: Trace, spec: ArrivalSpec) -> KappaEstimate:

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from lobphase.book import (NEG_INF, ORDINARY, ORDINARY_BINNED, POS_INF,
                            STRICT_BINNED, BookInvariantError, BookState,
-                           MatchRule, Order, apply_arrival, counts,
-                           snapshot_rows, write_snapshot)
+                           MatchRule, Order, apply_arrival)
 from lobphase.dist import BinPartition
 
 TENTH_BINS = BinPartition((0.0, 1.0), np.round(np.arange(0.1, 0.95, 0.1), 10))
@@ -16,6 +15,12 @@ TENTH_BINS = BinPartition((0.0, 1.0), np.round(np.arange(0.1, 0.95, 0.1), 10))
 
 def ordinary():
     return MatchRule(ORDINARY)
+
+
+def counts(state: BookState, p: float) -> tuple[int, int]:
+    """(#bids at prices <= p, #asks at prices >= p), reservoirs excluded."""
+    return (sum(1 for x in state.bids() if x <= p),
+            sum(1 for x in state.asks() if x >= p))
 
 
 class TestOrdinaryRule:
@@ -129,20 +134,6 @@ class TestCounts:
             # descending bids all join (each lies below the current best ask = +inf)
             apply_arrival(st_, ordinary(), Order("bid", 0.9 - i * 1e-3, i))
         assert counts(st_, 1.0) == (n, 0)
-
-    def test_snapshot_rows(self):
-        st_ = BookState(bids=[0.2], asks=[0.8], bid_reservoir=0.1, ask_reservoir=0.9)
-        rows = snapshot_rows(st_)
-        assert ("bid", 0.2) in rows and ("ask", 0.8) in rows
-        assert ("bid", 0.1, "inf") in rows and ("ask", 0.9, "inf") in rows
-
-    def test_snapshot_csv(self, tmp_path):
-        st_ = BookState(bids=[0.2], asks=[0.8], ask_reservoir=0.9)
-        path = write_snapshot(st_, tmp_path / "book.csv", {"seed": 1})
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# seed=1")
-        assert lines[1] == "side,price,count"
-        assert any(line.startswith("ask,0.9,inf") for line in lines)
 
 
 class TestInvariants:

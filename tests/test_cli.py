@@ -32,6 +32,11 @@ class TestKappaCommand:
         assert code == 2
         assert "uniform" in err
 
+    def test_mc_too_few_arrivals_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "kappa", "--mode", "mc", "--n", "5")
+        assert code == 2
+        assert "--n >= 10" in err and "mc:" not in out
+
     def test_compare_small(self, capsys):
         code, out, _ = run_cli(capsys, "kappa", "--compare", "--n", "200000",
                                "--seed", "7")
@@ -134,6 +139,17 @@ class TestOtherCommands:
                                "--out", str(tmp_path))
         assert code == 0
         assert (tmp_path / "running_max.csv").exists()
+        assert "last running-max jump" in out
+
+    def test_runmax_tent_law(self, capsys, tmp_path):
+        # non-uniform laws take the band from the shooting thresholds
+        tent = {"kind": "piecewise_linear", "x": [0, 0.5, 1], "y": [0, 2, 0]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dist_bid": tent, "dist_ask": tent}))
+        code, out, _ = run_cli(capsys, "runmax", "--config", str(cfg), "--n", "5000",
+                               "--seed", "1", "--out", str(tmp_path))
+        assert code == 0
+        assert len((tmp_path / "running_max.csv").read_text().splitlines()) == 5002
         assert "last running-max jump" in out
 
     def test_pi_small(self, capsys, tmp_path):
