@@ -198,9 +198,10 @@ def check_bounded_perturbation(base: BookState, edits: list[Edit],
                 raise ValueError(f"unknown edit op {e.op!r}")
         pieces.append(_changes(tilde, rule, arr, lo, hi))
     ch_tilde = tuple(np.concatenate(parts) for parts in zip(*pieces))
-    points = np.union1d(np.flatnonzero(_differs(ch_tilde, ch_base)), list(edit_bumps))
+    points = np.union1d(np.flatnonzero(_differs(ch_tilde, ch_base)),
+                        np.fromiter(edit_bumps, dtype=np.intp))
     diff = _Diff()
-    for i, stop in _runs(points.astype(np.intp), n):
+    for i, stop in _runs(points, n):
         for side, price, delta in edit_bumps.get(i, ()):
             diff.bump(side, price, delta)
         diff.apply(ch_tilde, i, +1)
@@ -226,10 +227,10 @@ def check_refinement(fine: BinPartition, coarse: BinPartition, kind: str,
         raise ValueError("`fine` does not refine `coarse`")
     arr = materialize(arrivals) if isinstance(arrivals, ArrivalStream) else arrivals
     books = []
-    for part, w in ((fine, -1), (coarse, +1)):
+    for part in (fine, coarse):
         is_bid, price, step = _changes(initial.clone() if initial else BookState(),
                                        MatchRule(kind, part), arr)
-        books.append((is_bid, fine.index(price), w * step))
+        books.append((is_bid, fine.index(price), step))
     n_bins = fine.n_bins
     # d holds (coarse - fine) per fine bin; ordinary demands every prefix of
     # d over bids (from the bottom) and over asks (from the top) to be <= 0,
@@ -237,8 +238,7 @@ def check_refinement(fine: BinPartition, coarse: BinPartition, kind: str,
     # different fine bins move d; each block of them gets the prefix sums of
     # sign * d after every one.
     sign = 1 if kind == ORDINARY_BINNED else -1
-    (side_f, bin_f, step_f), (side_c, bin_c, step_c) = books
-    points = np.flatnonzero(_differs((side_f, bin_f, -step_f), (side_c, bin_c, step_c)))
+    points = np.flatnonzero(_differs(*books))
     stops = np.append(points[1:], arr.n)
     name = f"refinement_{'ordinary' if kind == ORDINARY_BINNED else 'strict'}"
     report = CouplingReport(name, seed, arr.n)
@@ -249,8 +249,8 @@ def check_refinement(fine: BinPartition, coarse: BinPartition, kind: str,
         rows = np.arange(idx.size)
         pb = np.zeros((idx.size, n_bins), dtype=np.int64)
         pa = np.zeros((idx.size, n_bins), dtype=np.int64)
-        for is_bid, bins, step in books:
-            bid, k, v = is_bid[idx], bins[idx], sign * step[idx]
+        for (is_bid, bins, step), w in zip(books, (-sign, sign)):
+            bid, k, v = is_bid[idx], bins[idx], w * step[idx]
             np.add.at(pb, (rows[bid], k[bid]), v[bid])
             np.add.at(pa, (rows[~bid], n_bins - 1 - k[~bid]), v[~bid])
         for p, carry in ((pb, prefix_b), (pa, prefix_a)):
