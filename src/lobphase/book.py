@@ -279,12 +279,13 @@ def match_arrivals(state: BookState, rule: MatchRule, is_bid, prices) -> EventLo
     # binned rule with each arrival in a bin of its own.
     strict = rule.kind == STRICT_BINNED
     if rule.kind == ORDINARY:
-        cuts, bins = [], np.arange(1, prices.size + 1)
+        cuts, bins = [], range(1, prices.size + 1)
     else:
-        cuts, bins = rule.partition.boundaries.tolist(), rule.partition.index(prices)
+        cuts = rule.partition.boundaries.tolist()
+        bins = memoryview(rule.partition.index(prices))
     bbin = bisect_right(cuts, beta) if beta != NEG_INF else -1
     abin = bisect_right(cuts, alpha) if alpha != POS_INF else -1
-    for bid, p, k in zip(memoryview(is_bid), memoryview(prices), memoryview(bins)):
+    for bid, p, k in zip(memoryview(is_bid), memoryview(prices), bins):
         if bid:
             if (p > alpha and k != abin) if strict else (p > alpha or k == abin):
                 if alpha == ra:

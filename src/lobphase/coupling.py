@@ -53,9 +53,8 @@ class CouplingReport:
         if self.first_violation_index is None:
             self.first_violation_index = start
         self.violations += stop - start
-        room = MAX_DETAILS - len(self.details)
-        self.details.extend((i, expected, observed)
-                            for i in range(start, min(stop, start + room)))
+        last = min(stop, start + MAX_DETAILS - len(self.details))
+        self.details.extend((i, expected, observed) for i in range(start, last))
 
     @property
     def passed(self) -> bool:
