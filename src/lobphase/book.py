@@ -102,12 +102,9 @@ class BookState:
                 raise ValueError("bid reservoir must sit below ask reservoir")
         self.bid_reservoir = bid_reservoir
         self.ask_reservoir = ask_reservoir
-        self._bid_heap: list[float] = []
-        self._ask_heap: list[float] = []
-        for p in bids:
-            self.insert("bid", p)
-        for p in asks:
-            self.insert("ask", p)
+        self._bid_heap = sorted(-float(p) for p in bids)  # a sorted list is a heap
+        self._ask_heap = sorted(float(p) for p in asks)
+        _check_prices(np.concatenate((np.negative(self._bid_heap), self._ask_heap)))
 
     # -- queries ---------------------------------------------------------
 
@@ -148,10 +145,8 @@ class BookState:
     # -- mutations -------------------------------------------------------
 
     def insert(self, side: str, price: float) -> None:
-        if not math.isfinite(price):
-            raise BookInvariantError(f"non-finite price {price}")
-        if -price in self._bid_heap or price in self._ask_heap:
-            raise BookInvariantError(f"duplicate price {price}")
+        """Add one resting order; the price check costs O(book), so use it for edits."""
+        _check_prices(np.concatenate(([price], np.negative(self._bid_heap), self._ask_heap)))
         if side == "bid":
             heapq.heappush(self._bid_heap, -price)
         else:
@@ -201,6 +196,16 @@ def apply_arrival(state: BookState, rule: MatchRule, order: Order) -> ArrivalEff
                             state.beta(), state.alpha())
     _check_order(state.beta(), state.alpha(), rule)
     return eff
+
+
+def _check_prices(prices: np.ndarray) -> None:
+    """Prices must be finite and pairwise distinct (one sorted pass)."""
+    if not np.isfinite(prices).all():
+        raise BookInvariantError("non-finite price")
+    every = np.sort(prices)
+    repeated = every[1:][every[1:] == every[:-1]]
+    if repeated.size:
+        raise BookInvariantError(f"duplicate price {repeated[0]}")
 
 
 def _check_order(beta, alpha, rule: MatchRule) -> None:
@@ -259,12 +264,7 @@ def match_arrivals(state: BookState, rule: MatchRule, is_bid, prices) -> EventLo
     """
     is_bid = np.ascontiguousarray(is_bid, dtype=bool)
     prices = np.ascontiguousarray(prices, dtype=float)
-    if not np.isfinite(prices).all():
-        raise BookInvariantError("non-finite arrival price")
-    every = np.sort(np.concatenate((prices, np.negative(state._bid_heap),
-                                    state._ask_heap)))
-    if (every[1:] == every[:-1]).any():
-        raise BookInvariantError("duplicate price among the arrivals and resting orders")
+    _check_prices(np.concatenate((prices, np.negative(state._bid_heap), state._ask_heap)))
     bids, asks = state._bid_heap, state._ask_heap
     rb = NEG_INF if state.bid_reservoir is None else state.bid_reservoir
     ra = POS_INF if state.ask_reservoir is None else state.ask_reservoir
