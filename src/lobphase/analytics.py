@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .dist import ArrivalSpec, BinPartition
 
@@ -50,6 +51,10 @@ class ShootingError(RuntimeError):
 
 class SingularCoefficientError(RuntimeError):
     """ODE coefficient degenerates inside the integration interval."""
+
+
+class _Converged(Exception):
+    """Ends the root search early at args[0], a level where |u_end| <= tol."""
 
 
 def lambert_w_of_inv_e(tol: float = 1e-15, max_iter: int = 60) -> float:
@@ -108,6 +113,38 @@ def _check_coefficients(spec: ArrivalSpec, lo: float, hi: float, n_probe: int = 
             f"F_b={fb_cdf[bad[0]]:.6g})")
 
 
+def _coefficients(spec: ArrivalSpec, x):
+    """The ODE's coefficients c_u = -f_a / (1 - F_b) and c_v = f_b / F_a at x.
+
+    They depend on x alone, so every caller evaluates them on whole arrays of
+    abscissae: one law call per callable per array, never one per point.
+    """
+    bid, ask = spec.bid_dist, spec.ask_dist
+    return -ask.density(x) / (1.0 - bid.cdf(x)), bid.density(x) / ask.cdf(x)
+
+
+def _integrate_adaptive(spec: ArrivalSpec, lo: np.ndarray, hi: np.ndarray, s_eval,
+                        rtol: float, atol: float):
+    """DOP853 from every start level in `lo` at once on s in [0, 1].
+
+    Start level i runs on x = lo[i] + s * (hi[i] - lo[i]), so all of them
+    share one time axis and one call evaluates the coefficients for all.
+    Returns u and v at `s_eval`, one row per start level.
+    """
+    width = hi - lo
+    n = lo.size
+
+    def rhs(s, y):
+        c_u, c_v = _coefficients(spec, lo + s * width)
+        return np.concatenate([width * c_u * y[n:], width * c_v * y[:n]])
+
+    sol = solve_ivp(rhs, (0.0, 1.0), np.repeat([1.0, 0.0], n), method="DOP853",
+                    rtol=rtol, atol=atol, t_eval=s_eval)
+    if not sol.success:
+        raise SingularCoefficientError(f"integration failed: {sol.message}")
+    return sol.y[:n], sol.y[n:]
+
+
 def integrate_varpi(spec: ArrivalSpec, kappa_b: float, grid_n: int = 1000,
                     rtol: float = 1e-10, atol: float = 1e-12,
                     check: bool = True):
@@ -126,47 +163,47 @@ def integrate_varpi(spec: ArrivalSpec, kappa_b: float, grid_n: int = 1000,
     if check:
         _check_coefficients(spec, kappa_b, kappa_a)
 
-    f_a, f_b = spec.ask_dist.density, spec.bid_dist.density
-    F_a, F_b = spec.ask_dist.cdf, spec.bid_dist.cdf
-
-    def rhs(x, y):
-        u, v = y
-        du = -float(f_a(x)) / (1.0 - float(F_b(x))) * v
-        dv = float(f_b(x)) / float(F_a(x)) * u
-        return (du, dv)
-
     grid = np.linspace(kappa_b, kappa_a, grid_n)
     if spec.bid_dist.kind == "cdf_table" or spec.ask_dist.kind == "cdf_table":
-        u_path, v_path = _integrate_fixed(rhs, spec, kappa_b, kappa_a, grid)
+        u_path, v_path = _integrate_fixed(spec, kappa_b, kappa_a, grid)
     else:
-        sol = solve_ivp(rhs, (kappa_b, kappa_a), (1.0, 0.0), method="DOP853",
-                        rtol=rtol, atol=atol, t_eval=grid, dense_output=False)
-        if not sol.success:
-            raise SingularCoefficientError(f"integration failed: {sol.message}")
-        u_path, v_path = sol.y[0], sol.y[1]
+        u, v = _integrate_adaptive(spec, np.array([kappa_b]), np.array([kappa_a]),
+                                   np.linspace(0.0, 1.0, grid_n), rtol, atol)
+        u_path, v_path = u[0], v[0]
     return grid, u_path, v_path, float(u_path[-1])
 
 
-def _integrate_fixed(rhs, spec: ArrivalSpec, lo: float, hi: float,
-                     grid: np.ndarray, steps_per_cell: int = 8):
-    """Classical RK4 on the union of table knots and output grid points."""
+def _integrate_fixed(spec: ArrivalSpec, lo: float, hi: float, grid: np.ndarray,
+                     steps_per_cell: int = 8):
+    """Classical RK4 on the union of table knots and output grid points.
+
+    Each cell takes `steps_per_cell` steps of h = width / steps_per_cell.  The
+    stage abscissae x, x + h/2, x + h come first, all at once, with x
+    accumulated step by step from the cell's left end; the coefficients are
+    evaluated on them in one call and the recurrence runs on floats.
+    """
     mesh = np.unique(np.concatenate([grid, np.linspace(lo, hi, 4 * grid.size)]))
+    h = np.repeat(np.diff(mesh) / steps_per_cell, steps_per_cell)
+    steps = h.reshape(-1, steps_per_cell).copy()
+    steps[:, 0] = mesh[:-1]
+    x = np.cumsum(steps, axis=1).ravel()  # adds in sequence, like x += h
+    (c_u0, c_um, c_u1), (c_v0, c_vm, c_v1) = (
+        c.reshape(3, -1).tolist()
+        for c in _coefficients(spec, np.concatenate([x, x + h / 2, x + h])))
+    h = h.tolist()
     u = np.empty(mesh.size)
     v = np.empty(mesh.size)
-    u[0], v[0] = 1.0, 0.0
-    for i in range(mesh.size - 1):
-        x0, x1 = mesh[i], mesh[i + 1]
-        h = (x1 - x0) / steps_per_cell
-        uu, vv, x = u[i], v[i], x0
-        for _ in range(steps_per_cell):
-            k1 = rhs(x, (uu, vv))
-            k2 = rhs(x + h / 2, (uu + h / 2 * k1[0], vv + h / 2 * k1[1]))
-            k3 = rhs(x + h / 2, (uu + h / 2 * k2[0], vv + h / 2 * k2[1]))
-            k4 = rhs(x + h, (uu + h * k3[0], vv + h * k3[1]))
-            uu += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            vv += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            x += h
-        u[i + 1], v[i + 1] = uu, vv
+    u[0], v[0] = uu, vv = 1.0, 0.0
+    for i in range(1, mesh.size):
+        for j in range((i - 1) * steps_per_cell, i * steps_per_cell):
+            hj, half = h[j], h[j] / 2
+            k1u, k1v = c_u0[j] * vv, c_v0[j] * uu
+            k2u, k2v = c_um[j] * (vv + half * k1v), c_vm[j] * (uu + half * k1u)
+            k3u, k3v = c_um[j] * (vv + half * k2v), c_vm[j] * (uu + half * k2u)
+            k4u, k4v = c_u1[j] * (vv + hj * k3v), c_v1[j] * (uu + hj * k3u)
+            uu += hj / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+            vv += hj / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        u[i], v[i] = uu, vv
     sel = np.searchsorted(mesh, grid)
     return u[sel], v[sel]
 
@@ -187,13 +224,34 @@ class VarpiSolution:
     n_scan_brackets: int = 1
 
 
+def _scan(spec: ArrivalSpec, fb_lower: float, n_scan: int):
+    """Candidate thresholds kappa_i and u_end at each, from one integration.
+
+    The candidates sit at `n_scan` bid levels from 0.9 * fb_lower to just
+    below 1/2; those whose implied upper threshold does not exceed them are
+    dropped.  Their intervals nest, so one coefficient check on the widest
+    covers all of them.
+    """
+    levels = np.linspace(max(1e-4, 0.9 * fb_lower), 0.5 - 1e-4, n_scan)
+    kappas = np.asarray(spec.bid_dist.quantile(levels), dtype=float)
+    uppers = np.asarray(spec.ask_dist.quantile(1.0 - levels), dtype=float)
+    valid = uppers > kappas + 1e-12
+    if not np.any(valid):
+        raise ShootingError("no candidate level admits a threshold pair")
+    kappas, uppers = kappas[valid], uppers[valid]
+    _check_coefficients(spec, float(kappas[0]), float(uppers[0]))
+    u, _ = _integrate_adaptive(spec, kappas, uppers, [1.0], rtol=1e-6, atol=1e-12)
+    return kappas, u[:, 0]
+
+
 def shoot_kappa(spec: ArrivalSpec, tol: float = 1e-10, grid_n: int = 1000,
                 fb_lower: float | None = None, n_scan: int = 64) -> VarpiSolution:
     """Locate the bid threshold by shooting on u_end and reconstruct both densities.
 
-    Scans `n_scan` candidate levels for a sign change of u_end (verifying the
-    bracket is unique rather than assuming it), then bisects until
-    |u_end| <= tol.
+    Integrates all `n_scan` candidate levels in one vectorized system and
+    looks for a sign change of u_end (verifying the bracket is unique rather
+    than assuming it), then refines it with Brent's method until
+    |u_end| <= tol or the bracket is as narrow as floats allow.
     """
     if fb_lower is None:
         fb_lower = finiteness_lower_bound(spec)
@@ -201,24 +259,8 @@ def shoot_kappa(spec: ArrivalSpec, tol: float = 1e-10, grid_n: int = 1000,
             raise ShootingError(
                 "no positive finiteness certificate found for this spec; "
                 "pass fb_lower explicitly to override")
-    lo_level = max(1e-4, 0.9 * fb_lower)
-    levels = np.linspace(lo_level, 0.5 - 1e-4, n_scan)
-    kappas = np.asarray(spec.bid_dist.quantile(levels), dtype=float)
-    # keep only candidates whose implied upper threshold stays above them
-    uppers = np.asarray(spec.ask_dist.quantile(1.0 - levels), dtype=float)
-    valid = uppers > kappas + 1e-12
-    if not np.any(valid):
-        raise ShootingError("no candidate level admits a threshold pair")
-    levels, kappas = levels[valid], kappas[valid]
-
-    def u_end_at(kb: float, rtol: float) -> float:
-        return integrate_varpi(spec, kb, grid_n=64, rtol=rtol, atol=1e-12,
-                               check=False)[3]
-
-    _check_coefficients(spec, float(kappas[0]),
-                        float(spec.ask_dist.quantile(1.0 - levels[0])))
-    signs = np.array([u_end_at(k, 1e-6) for k in kappas])
-    flips = np.where(np.sign(signs[:-1]) * np.sign(signs[1:]) < 0)[0]
+    kappas, u_ends = _scan(spec, fb_lower, n_scan)
+    flips = np.where(np.sign(u_ends[:-1]) * np.sign(u_ends[1:]) < 0)[0]
     if flips.size == 0:
         raise ShootingError("no sign change of u_end in the scan window; "
                             "no finite threshold located")
@@ -227,19 +269,21 @@ def shoot_kappa(spec: ArrivalSpec, tol: float = 1e-10, grid_n: int = 1000,
         raise ShootingError(f"ambiguous shooting: {flips.size} sign changes "
                             f"in brackets {brackets}")
 
+    def u_end_at(kb: float) -> float:
+        u_end = integrate_varpi(spec, kb, grid_n=64, rtol=1e-10, atol=1e-12,
+                                check=False)[3]
+        if abs(u_end) <= tol:
+            raise _Converged(kb)
+        return u_end
+
     lo, hi = float(kappas[flips[0]]), float(kappas[flips[0] + 1])
-    f_lo = u_end_at(lo, 1e-10)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = u_end_at(mid, 1e-10)
-        if abs(f_mid) <= tol or hi - lo < 1e-15:
-            lo = hi = mid
-            break
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    kappa_b = 0.5 * (lo + hi)
+    try:
+        kappa_b = brentq(u_end_at, lo, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps)
+    except _Converged as hit:
+        kappa_b = hit.args[0]
+    except ValueError as exc:
+        raise ShootingError(f"refined u_end does not change sign on the scan "
+                            f"bracket [{lo}, {hi}]: {exc}") from exc
 
     grid, u, v, u_end = integrate_varpi(spec, kappa_b, grid_n=grid_n)
     kappa_a = float(grid[-1])

@@ -60,7 +60,8 @@ class RunConfig:
 
     @classmethod
     def load(cls, args: argparse.Namespace) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
+        types = {f.name: f.type for f in fields(cls)}
+        known = set(types)
         merged: dict = {}
         cfg_path = getattr(args, "config", None)
         if cfg_path:
@@ -76,7 +77,8 @@ class RunConfig:
             val = getattr(args, name, None)
             if val is not None:
                 merged[name] = val
-        cfg = cls(**merged)
+        cfg = cls(**{name: _checked(name, val, types[name])
+                     for name, val in merged.items()})
         if cfg.n < 0:
             raise ConfigError("n must be nonnegative")
         if cfg.rule not in (ORDINARY, ORDINARY_BINNED, STRICT_BINNED):
@@ -87,6 +89,32 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+_PLAIN = {"str": str, "bool": bool, "dict": dict}
+
+
+def _checked(name: str, val, kind: str):
+    """`val` as the field type `kind` names, or ConfigError.
+
+    Integral floats pass as ints (JSON writes 1e5 as a float); bools never
+    pass as numbers, and None only where the field is optional.
+    """
+    if val is None and kind.endswith("| None"):
+        return None
+    base = kind.removesuffix(" | None")
+    if base == "int" and not isinstance(val, bool):
+        if isinstance(val, int):
+            return val
+        if isinstance(val, float) and val.is_integer():
+            return int(val)
+    elif base == "float" and isinstance(val, (int, float)) and not isinstance(val, bool):
+        return float(val)
+    elif base == "list[int]" and isinstance(val, list):
+        return [_checked(f"{name} entry", v, "int") for v in val]
+    elif base in _PLAIN and isinstance(val, _PLAIN[base]):
+        return val
+    raise ConfigError(f"{name} must be {base}, got {val!r}")
 
 
 def build_spec(cfg: RunConfig) -> ArrivalSpec:
@@ -256,12 +284,20 @@ def cmd_check(cfg: RunConfig) -> int:
               f"{cert.eps_star} {status}")
     if cfg.suite in ("bounds", "all"):
         bound = analytics.lower_bound_3bin(cfg.x, cfg.y)
-        kb, _ = analytics.kappa_uniform_exact()
-        ok = float(bound) <= kb
+        fb_kappa = _threshold_mass(spec, cfg.tol)
+        ok = float(bound) <= fb_kappa
         failed |= not ok
-        print(f"[bounds/3bin] bound={bound} <= F_b(kappa_b)={kb:.4f} "
+        print(f"[bounds/3bin] bound={bound} <= F_b(kappa_b)={fb_kappa:.4f} "
               f"{'PASS' if ok else 'FAIL'}")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
+
+
+def _threshold_mass(spec: ArrivalSpec, tol: float) -> float:
+    """F_b(kappa_b): the closed form when both sides share one uniform law."""
+    bid, ask = spec.bid_dist, spec.ask_dist
+    if bid.kind == ask.kind == "uniform" and bid.support == ask.support:
+        return analytics.kappa_uniform_exact()[0]
+    return float(bid.cdf(analytics.shoot_kappa(spec, tol=tol).kappa_b))
 
 
 def cmd_lyapunov(cfg: RunConfig) -> int:

@@ -6,6 +6,8 @@ almost-sure statements, so one violation on any seed is a failure, not noise.
 The relation depends only on the difference between the books, which
 changes only at the arrivals where the books act differently; each check
 evaluates it there and holds the verdict until the next such arrival.
+The laws hold for finite books: a starting book with a reservoir is rejected
+with ValueError.
 """
 
 from __future__ import annotations
@@ -114,6 +116,17 @@ def _changes(book: BookState, rule: MatchRule, arr: Arrivals, lo: int = 0,
     return match_arrivals(book, rule, arr.is_bid[lo:hi], arr.prices[lo:hi]).changes()
 
 
+def _no_reservoirs(book: BookState, check: str) -> None:
+    """The coupling laws are stated for finite books; reservoirs break them.
+
+    An arrival that one book matches against a finite order can hit a
+    reservoir in the other, which removes nothing there, so the difference
+    between the books can vanish or grow in ways the laws rule out.
+    """
+    if book.bid_reservoir is not None or book.ask_reservoir is not None:
+        raise ValueError(f"{check} applies to books without reservoirs")
+
+
 def _differs(a, b) -> np.ndarray:
     """Events at which two books add or remove different resting orders."""
     (side_a, key_a, sign_a), (side_b, key_b, sign_b) = a, b
@@ -133,6 +146,7 @@ def check_extra_order(base: BookState, extra: Order, arrivals: Arrivals | Arriva
     missing ask (mirrored for an extra ask), and once the difference leaves
     the original price it never returns to an extra order at that price.
     """
+    _no_reservoirs(base, "check_extra_order")
     arr = materialize(arrivals) if isinstance(arrivals, ArrivalStream) else arrivals
     tilde = base.clone()
     tilde.insert(extra.side, extra.price)
@@ -173,6 +187,7 @@ def check_bounded_perturbation(base: BookState, edits: list[Edit],
     """At most M edited orders keep the books within M orders forever."""
     if len(edits) > M:
         raise ValueError(f"{len(edits)} edits exceed the stated bound M={M}")
+    _no_reservoirs(base, "check_bounded_perturbation")
     arr = materialize(arrivals) if isinstance(arrivals, ArrivalStream) else arrivals
     n = arr.n
     report = CouplingReport("bounded_perturbation", seed, n)
@@ -224,6 +239,8 @@ def check_refinement(fine: BinPartition, coarse: BinPartition, kind: str,
         raise ValueError("refinement check applies to binned rules")
     if not refines(fine, coarse):
         raise ValueError("`fine` does not refine `coarse`")
+    if initial is not None:
+        _no_reservoirs(initial, "check_refinement")
     arr = materialize(arrivals) if isinstance(arrivals, ArrivalStream) else arrivals
     books = []
     for part in (fine, coarse):

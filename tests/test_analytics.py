@@ -11,8 +11,63 @@ from lobphase.analytics import (ShootingError, finiteness_lower_bound,
                                 lambert_w_of_inv_e, lower_bound_3bin,
                                 shoot_kappa, solve_binned_pi,
                                 varpi_uniform_exact)
-from lobphase.dist import (ArrivalSpec, make_partition, piecewise_linear_dist,
-                           transform_to_uniform_bid, uniform_dist)
+from lobphase.dist import (ArrivalSpec, cdf_table_dist, make_partition,
+                           piecewise_linear_dist, transform_to_uniform_bid,
+                           uniform_dist)
+
+
+def uniform_table_spec() -> ArrivalSpec:
+    """The uniform law as a 17-row CDF table: same thresholds, RK4 path."""
+    xs = np.linspace(0.0, 1.0, 17)
+    return ArrivalSpec(cdf_table_dist(xs, xs), cdf_table_dist(xs, xs))
+
+
+def asymmetric_table_spec() -> ArrivalSpec:
+    """Different tabulated bid and ask laws, so no symmetry hides an error."""
+    bid = cdf_table_dist([0.0, 0.25, 0.5, 0.8, 1.0], [0.0, 0.2, 0.55, 0.85, 1.0])
+    ask = cdf_table_dist([0.0, 0.3, 0.6, 1.0], [0.0, 0.25, 0.7, 1.0])
+    return ArrivalSpec(bid, ask)
+
+
+def reference_rk4(spec: ArrivalSpec, kappa_b: float, grid_n: int,
+                  steps_per_cell: int = 8):
+    """The table path as a scalar-rhs RK4: four law calls per stage.
+
+    This is the readable form the array-coefficient `_integrate_fixed` must
+    reproduce bit for bit.
+    """
+    fb_level = float(spec.bid_dist.cdf(kappa_b))
+    kappa_a = float(spec.ask_dist.quantile(1.0 - fb_level))
+    f_a, f_b = spec.ask_dist.density, spec.bid_dist.density
+    F_a, F_b = spec.ask_dist.cdf, spec.bid_dist.cdf
+
+    def rhs(x, y):
+        u, v = y
+        du = -float(f_a(x)) / (1.0 - float(F_b(x))) * v
+        dv = float(f_b(x)) / float(F_a(x)) * u
+        return (du, dv)
+
+    grid = np.linspace(kappa_b, kappa_a, grid_n)
+    mesh = np.unique(np.concatenate([grid, np.linspace(kappa_b, kappa_a,
+                                                       4 * grid.size)]))
+    u = np.empty(mesh.size)
+    v = np.empty(mesh.size)
+    u[0], v[0] = 1.0, 0.0
+    for i in range(mesh.size - 1):
+        x0, x1 = mesh[i], mesh[i + 1]
+        h = (x1 - x0) / steps_per_cell
+        uu, vv, x = u[i], v[i], x0
+        for _ in range(steps_per_cell):
+            k1 = rhs(x, (uu, vv))
+            k2 = rhs(x + h / 2, (uu + h / 2 * k1[0], vv + h / 2 * k1[1]))
+            k3 = rhs(x + h / 2, (uu + h / 2 * k2[0], vv + h / 2 * k2[1]))
+            k4 = rhs(x + h, (uu + h * k3[0], vv + h * k3[1]))
+            uu += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            vv += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            x += h
+        u[i + 1], v[i + 1] = uu, vv
+    sel = np.searchsorted(mesh, grid)
+    return grid, u[sel], v[sel]
 
 
 class TestLambertFixedPoint:
@@ -127,12 +182,71 @@ class TestShooting:
         assert float(spec.bid_dist.cdf(sol.kappa_b)) == pytest.approx(
             tsol.kappa_b, abs=1e-5)
 
+    def test_window_without_sign_change_raises(self, uniform_spec):
+        # every candidate level sits above the uniform threshold mass 0.2178
+        with pytest.raises(ShootingError, match="no sign change"):
+            shoot_kappa(uniform_spec, fb_lower=0.4)
+
+    def test_density_gap_is_singular(self):
+        gap = piecewise_linear_dist([0, 0.4, 0.45, 0.55, 0.6, 1], [1, 1, 0, 0, 1, 1])
+        with pytest.raises(analytics.SingularCoefficientError):
+            shoot_kappa(ArrivalSpec(gap, gap), fb_lower=0.1)
+
     def test_no_certificate_raises(self):
         tri = piecewise_linear_dist([0.0, 1.0], [0.0, 2.0])
         spec = ArrivalSpec(tri, uniform_dist())
         assert finiteness_lower_bound(spec) is None
         with pytest.raises(ShootingError):
             shoot_kappa(spec, tol=1e-9)
+
+
+class TestScan:
+    """The one-system scan gives the signs of one integration per candidate."""
+
+    @pytest.mark.parametrize("name", ["uniform", "tent", "table", "asymmetric"])
+    def test_signs_match_per_candidate(self, name):
+        tent = piecewise_linear_dist([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
+        tri = piecewise_linear_dist([0.0, 1.0], [0.0, 2.0])
+        spec, fb_lower = {
+            "uniform": (ArrivalSpec(uniform_dist(), uniform_dist()), 1 / 9),
+            "tent": (ArrivalSpec(tent, tent), 0.05),
+            "table": (uniform_table_spec(), 1 / 9),
+            "asymmetric": (ArrivalSpec(tri, uniform_dist()), 0.03),
+        }[name]
+        kappas, u_ends = analytics._scan(spec, fb_lower, 64)
+        per_candidate = [integrate_varpi(spec, float(k), grid_n=64, rtol=1e-6,
+                                         atol=1e-12, check=False)[3]
+                         for k in kappas]
+        assert kappas.size > 32
+        np.testing.assert_array_equal(np.sign(u_ends), np.sign(per_candidate))
+        # one bracket, as shoot_kappa requires
+        assert np.count_nonzero(np.diff(np.sign(u_ends))) == 1
+
+
+class TestTablePath:
+    @pytest.mark.parametrize("kappa_b", [0.2, 0.2178, 0.26])
+    @pytest.mark.parametrize("grid_n", [64, 1000])
+    def test_bit_identical_to_scalar_rk4(self, kappa_b, grid_n):
+        spec = uniform_table_spec()
+        grid, u, v, u_end = integrate_varpi(spec, kappa_b, grid_n=grid_n)
+        ref_grid, ref_u, ref_v = reference_rk4(spec, kappa_b, grid_n)
+        assert np.array_equal(grid, ref_grid)
+        assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+        assert u_end == ref_u[-1]
+
+    @pytest.mark.parametrize("kappa_b", [0.18, 0.25, 0.3])
+    def test_bit_identical_asymmetric_tables(self, kappa_b):
+        spec = asymmetric_table_spec()
+        _, u, v, _ = integrate_varpi(spec, kappa_b, grid_n=64)
+        _, ref_u, ref_v = reference_rk4(spec, kappa_b, 64)
+        assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+
+    def test_shoot_on_table_matches_closed_form(self):
+        sol = shoot_kappa(uniform_table_spec(), tol=1e-10, n_scan=64)
+        kb, ka = kappa_uniform_exact()
+        assert abs(sol.kappa_b - kb) <= 1e-6
+        assert abs(sol.kappa_a - ka) <= 1e-6
+        assert abs(sol.v_end - 1.0) <= 1e-4
 
 
 class TestBinnedPi:

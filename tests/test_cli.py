@@ -92,12 +92,60 @@ class TestConfigFile:
         assert "volatility" in err
 
 
+class TestConfigTypes:
+    """Ill-typed config values are config errors (exit 2), not tracebacks."""
+
+    def _run(self, capsys, tmp_path, command, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        return run_cli(capsys, command, "--config", str(cfg),
+                       "--out", str(tmp_path / "o"))
+
+    def test_string_tol(self, capsys, tmp_path):
+        code, _, err = self._run(capsys, tmp_path, "ode", {"tol": "abc"})
+        assert code == 2 and "tol" in err
+
+    def test_string_eps(self, capsys, tmp_path):
+        code, _, err = self._run(capsys, tmp_path, "lyapunov", {"eps": "abc"})
+        assert code == 2 and "eps" in err
+
+    def test_fractional_bins(self, capsys, tmp_path):
+        code, _, err = self._run(capsys, tmp_path, "pi", {"bins": 2.5})
+        assert code == 2 and "bins" in err
+
+    def test_bool_as_int(self, capsys, tmp_path):
+        code, _, err = self._run(capsys, tmp_path, "simulate", {"n": True})
+        assert code == 2 and "n must be int" in err
+
+    def test_integral_float_is_an_int(self, capsys, tmp_path):
+        code, _, _ = self._run(capsys, tmp_path, "simulate", {"n": 2e3, "seeds": [1]})
+        assert code == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["n"] == 2000 and isinstance(summary["n"], int)
+
+
 class TestCheckCommand:
     def test_bounds_suite(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "check", "--suite", "bounds",
                                "--out", str(tmp_path))
         assert code == 0
         assert "PASS" in out
+
+    def test_bounds_suite_uses_configured_law(self, capsys, tmp_path):
+        # bids lean high, asks lean low: F_b(kappa_b) = 0.1523, not the
+        # uniform 0.2178, and a bound between the two must fail
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dist_bid": {"kind": "piecewise_linear", "x": [0, 1], "y": [0.8, 1.2]},
+            "dist_ask": {"kind": "piecewise_linear", "x": [0, 1], "y": [1.2, 0.8]}}))
+        code, out, _ = run_cli(capsys, "check", "--suite", "bounds",
+                               "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 0
+        assert "F_b(kappa_b)=0.1523 PASS" in out
+        code, out, _ = run_cli(capsys, "check", "--suite", "bounds", "--x", "0.35",
+                               "--y", "0.7", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 4
+        assert "bound=31/200 <= F_b(kappa_b)=0.1523 FAIL" in out
 
     def test_lyapunov_suite(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "check", "--suite", "lyapunov",
@@ -126,6 +174,22 @@ class TestOtherCommands:
         summary = json.loads((tmp_path / "ode_summary.json").read_text())
         assert abs(summary["kappa_b"] - 0.2178117) < 1e-5
         assert (tmp_path / "varpi.csv").exists()
+
+    def test_ode_on_cdf_table_file(self, capsys, tmp_path):
+        # the uniform law as a 17-row CSV table runs the RK4 path end to end
+        table = tmp_path / "table.csv"
+        table.write_text("price,cdf\n" + "".join(f"{k / 16},{k / 16}\n"
+                                                 for k in range(17)))
+        law = {"kind": "cdf_table", "path": str(table)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dist_bid": law, "dist_ask": law}))
+        code, _, _ = run_cli(capsys, "ode", "--config", str(cfg),
+                             "--out", str(tmp_path / "o"))
+        assert code == 0
+        summary = json.loads((tmp_path / "o" / "ode_summary.json").read_text())
+        assert abs(summary["kappa_b"] - 0.2178117) < 1e-6
+        assert abs(summary["v_end"] - 1.0) < 1e-4
+        assert len((tmp_path / "o" / "varpi.csv").read_text().splitlines()) == 1002
 
     def test_lyapunov_certificate_files(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "lyapunov", "--eps", "0.01",

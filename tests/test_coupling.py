@@ -116,6 +116,36 @@ class TestRefinement:
         assert tripped
 
 
+class TestReservoirBooksRejected:
+    """The laws are stated for finite books; with a reservoir they fail.
+
+    Both reproductions report violations when the checks accept them: the
+    extra-order one 19,975 from arrival 25, the refinement one 359 (ordinary)
+    and 12 (strict).
+    """
+
+    def test_extra_order(self, uniform_spec):
+        arr = sim.materialize(sim.ArrivalStream(1, 20_000, uniform_spec))
+        with pytest.raises(ValueError, match="reservoir"):
+            coupling.check_extra_order(BookState(bid_reservoir=0.3, ask_reservoir=0.7),
+                                       Order("bid", 0.5, -1), arr, MatchRule(ORDINARY))
+
+    def test_bounded_perturbation(self, arrivals_10k):
+        with pytest.raises(ValueError, match="reservoir"):
+            coupling.check_bounded_perturbation(
+                BookState(bid_reservoir=0.3), [Edit(0, "add", "bid", 0.5)],
+                arrivals_10k, MatchRule(ORDINARY), M=1)
+
+    @pytest.mark.parametrize("kind", [ORDINARY_BINNED, STRICT_BINNED])
+    def test_refinement(self, uniform_spec, kind):
+        arr = sim.materialize(sim.ArrivalStream(4, 3_000, uniform_spec))
+        book = BookState(bids=[0.11, 0.31], asks=[0.61, 0.83], ask_reservoir=0.55)
+        with pytest.raises(ValueError, match="reservoir"):
+            coupling.check_refinement(make_partition(10, uniform_spec),
+                                      make_partition(5, uniform_spec), kind, arr,
+                                      initial=book)
+
+
 class TestSandwich:
     @pytest.mark.slow
     def test_ordering_and_gap_shrinks(self, uniform_spec):
