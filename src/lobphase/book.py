@@ -6,19 +6,29 @@ at a fixed price.  Executing against a reservoir never depletes it, and
 reservoir orders never enter the finite counters.
 
 `match_arrivals` is the event loop: it applies a whole arrival sequence and
-returns an `EventLog` that every driver and recorder reads.  `apply_arrival`
-applies one order at a time; it is the readable reference the loop is tested
-against.
+returns an `EventLog` that every driver and recorder reads.  Its loop body is
+the C function in `_kernel.c`, compiled on first use and cached, or the Python
+loop `_match_py` where no compiler is available; `KERNEL` says which runs.
+`apply_arrival` applies one order at a time; it is the readable reference
+both loops are tested against.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import heapq
 import math
+import os
+import subprocess
+import sys
+import tempfile
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from functools import partial
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -260,16 +270,32 @@ def match_arrivals(state: BookState, rule: MatchRule, is_bid, prices) -> EventLo
     the arrivals and the resting book (checked up front, so a repeated price
     fails even where the per-event loop would never meet it), an arrival may
     not sit at the opposite best quote, and the rule's ordering of the best
-    quotes must hold after every event (both checked on the log).
+    quotes must hold after every event (both checked on the log).  The loop
+    itself runs compiled when a C compiler is available (see `KERNEL`).
     """
     is_bid = np.ascontiguousarray(is_bid, dtype=bool)
     prices = np.ascontiguousarray(prices, dtype=float)
     _check_prices(np.concatenate((prices, np.negative(state._bid_heap), state._ask_heap)))
+    beta0, alpha0 = state.beta(), state.alpha()
+    outcome, beta, alpha = _kernel().run(state, rule, is_bid, prices)
+    log = EventLog(is_bid, prices, outcome, beta, alpha, beta0, alpha0)
+    hit = np.flatnonzero(log.prices == log.met())
+    if hit.size:
+        raise BookInvariantError(f"arrival {hit[0]} at {log.prices[hit[0]]} collides "
+                                 "with the opposite best quote")
+    _check_order(log.beta, log.alpha, rule)
+    return log
+
+
+def _match_py(state: BookState, rule: MatchRule, is_bid: np.ndarray, prices: np.ndarray):
+    """The arrival loop in Python: (outcome, beta, alpha) arrays; the heaps change in place.
+
+    The reference for `_kernel.c` and the loop that runs without a compiler.
+    """
     bids, asks = state._bid_heap, state._ask_heap
     rb = NEG_INF if state.bid_reservoir is None else state.bid_reservoir
     ra = POS_INF if state.ask_reservoir is None else state.ask_reservoir
-    beta0 = beta = state.beta()
-    alpha0 = alpha = state.alpha()
+    beta, alpha = state.beta(), state.alpha()
     outcome, betas, alphas = bytearray(), array("d"), array("d")
     put, put_beta, put_alpha = outcome.append, betas.append, alphas.append
     push, pop = heapq.heappush, heapq.heappop
@@ -315,11 +341,107 @@ def match_arrivals(state: BookState, rule: MatchRule, is_bid, prices) -> EventLo
             put(JOINED)
         put_beta(beta)
         put_alpha(alpha)
-    log = EventLog(is_bid, prices, np.frombuffer(outcome, dtype=np.uint8),
-                   np.frombuffer(betas), np.frombuffer(alphas), beta0, alpha0)
-    hit = np.flatnonzero(log.prices == log.met())
-    if hit.size:
-        raise BookInvariantError(f"arrival {hit[0]} at {log.prices[hit[0]]} collides "
-                                 "with the opposite best quote")
-    _check_order(log.beta, log.alpha, rule)
-    return log
+    return (np.frombuffer(outcome, dtype=np.uint8), np.frombuffer(betas),
+            np.frombuffer(alphas))
+
+
+def _match_c(fn, state: BookState, rule: MatchRule, is_bid: np.ndarray, prices: np.ndarray):
+    """`_match_py` through the compiled `match` of `_kernel.c`."""
+    n, n_bid = prices.size, int(np.count_nonzero(is_bid))
+    nb, na = ctypes.c_long(len(state._bid_heap)), ctypes.c_long(len(state._ask_heap))
+    bids = np.empty(nb.value + n_bid)
+    asks = np.empty(na.value + n - n_bid)
+    bids[:nb.value], asks[:na.value] = state._bid_heap, state._ask_heap
+    if rule.kind == ORDINARY:
+        cuts, bins = np.empty(0), None
+    else:
+        cuts = np.ascontiguousarray(rule.partition.boundaries, dtype=float)
+        bins = np.ascontiguousarray(rule.partition.index(prices), dtype=np.int64)
+    outcome, beta, alpha = np.empty(n, dtype=np.uint8), np.empty(n), np.empty(n)
+    fn(n, is_bid.ctypes.data, prices.ctypes.data, None if bins is None else bins.ctypes.data,
+       cuts.ctypes.data, cuts.size, rule.kind == STRICT_BINNED,
+       NEG_INF if state.bid_reservoir is None else state.bid_reservoir,
+       POS_INF if state.ask_reservoir is None else state.ask_reservoir,
+       bids.ctypes.data, ctypes.byref(nb), asks.ctypes.data, ctypes.byref(na),
+       outcome.ctypes.data, beta.ctypes.data, alpha.ctypes.data)
+    state._bid_heap[:] = bids[:nb.value].tolist()
+    state._ask_heap[:] = asks[:na.value].tolist()
+    return outcome, beta, alpha
+
+
+class _Kernel(NamedTuple):
+    name: str                # "c" or "python"
+    run: Callable            # (state, rule, is_bid, prices) -> (outcome, beta, alpha)
+    library: Optional[Path]  # the compiled library, for the C kernel
+
+
+_SOURCE = Path(__file__).with_name("_kernel.c")
+_CC = "cc"
+_loaded: Optional[_Kernel] = None
+
+
+def _cache_dirs() -> tuple[Path, ...]:
+    """Where the compiled kernel is kept: the package's __pycache__, else a per-user temp dir."""
+    return _SOURCE.parent / "__pycache__", Path(tempfile.gettempdir()) / f"lobphase-{os.getuid()}"
+
+
+def _library() -> Path:
+    """The compiled kernel for this source and interpreter, built on first use.
+
+    The build goes to a temp file moved into place, so concurrent processes
+    never load a half-written library.  No -ffast-math: the loop compares
+    with +-inf and tests prices for equality.
+    """
+    source = _SOURCE.read_bytes()
+    tag = hashlib.sha256(source + sys.implementation.cache_tag.encode()).hexdigest()[:16]
+    name = f"_kernel-{tag}.so"
+    dirs = _cache_dirs()
+    for d in dirs:
+        if (d / name).is_file():
+            return d / name
+    for d in dirs:
+        try:
+            d.mkdir(mode=0o700, parents=True, exist_ok=True)
+            if d.stat().st_uid != os.getuid():
+                continue        # someone else's directory: never load what it holds
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=d)
+        except OSError:
+            continue
+        os.close(fd)
+        try:
+            subprocess.run([_CC, "-O2", "-shared", "-fPIC", "-o", tmp, str(_SOURCE)],
+                           check=True, capture_output=True, timeout=300)
+            os.replace(tmp, d / name)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return d / name
+    raise OSError(f"no writable directory for the compiled kernel among {dirs}")
+
+
+def _load_kernel() -> _Kernel:
+    """The compiled loop, or the Python loop if building or loading it fails."""
+    try:
+        library = _library()
+        fn = ctypes.CDLL(str(library)).match
+    except (OSError, subprocess.SubprocessError):
+        return _Kernel("python", _match_py, None)
+    p, n = ctypes.c_void_p, ctypes.c_long
+    fn.argtypes = [n, p, p, p, p, n, ctypes.c_int, ctypes.c_double, ctypes.c_double,
+                   p, ctypes.POINTER(n), p, ctypes.POINTER(n), p, p, p]
+    fn.restype = None
+    return _Kernel("c", partial(_match_c, fn), library)
+
+
+def _kernel() -> _Kernel:
+    global _loaded
+    if _loaded is None:
+        _loaded = _load_kernel()
+    return _loaded
+
+
+def __getattr__(name: str):
+    # KERNEL ("c" or "python") names the loop match_arrivals runs, loading it on first use.
+    if name == "KERNEL":
+        return _kernel().name
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

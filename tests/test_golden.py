@@ -3,7 +3,9 @@
 The digests were recorded with the per-event reference loop (one
 `apply_arrival` call per arrival).  Any change to the event loop, the
 recorders or the arrival draw that moves a single bit of a checkpoint,
-counter, occupation sum, histogram or series changes a digest.
+counter, occupation sum, histogram or series changes a digest.  Every run is
+checked under the loop `match_arrivals` loads (the compiled kernel where a C
+compiler is available) and again under the Python loop.
 """
 
 import hashlib
@@ -11,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from lobphase import sim
+from lobphase import book, sim
 from lobphase.book import ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule
 from lobphase.dist import make_partition
 
@@ -89,3 +91,24 @@ GOLDEN = {
 def test_golden_trace(name, uniform_spec):
     make, digest = GOLDEN[name]
     assert trace_digest(make(uniform_spec)) == digest
+
+
+@pytest.fixture
+def python_loop(monkeypatch):
+    monkeypatch.setattr(book, "_loaded", book._Kernel("python", book._match_py, None))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_trace_on_python_loop(name, uniform_spec, python_loop):
+    make, digest = GOLDEN[name]
+    assert book.KERNEL == "python"
+    assert trace_digest(make(uniform_spec)) == digest
+
+
+def test_golden_trace_without_compiler(monkeypatch, tmp_path, uniform_spec):
+    monkeypatch.setattr(book, "_cache_dirs", lambda: (tmp_path,))
+    monkeypatch.setattr(book, "_CC", str(tmp_path / "missing-cc"))
+    monkeypatch.setattr(book, "_loaded", None)
+    make, digest = GOLDEN["reservoirs"]
+    assert trace_digest(make(uniform_spec)) == digest
+    assert book.KERNEL == "python"

@@ -1,18 +1,24 @@
-"""Differential tests: the event loop `match_arrivals` against `apply_arrival`.
+"""Differential tests: the event loop `match_arrivals` against `apply_arrival`,
+and its compiled kernel against the Python loop.
 
 The loop must leave the same book and log the same effect for every arrival
 as a step-by-step replay through the reference, under all three rules, with
 and without reservoirs, from non-empty books and with prices on bin edges.
-Every input the replay rejects, the loop rejects too.
+Every input the replay rejects, the loop rejects too.  The C kernel must give
+the Python loop's arrays bit for bit and its heap lists element for element,
+and raise the same error on the same input.
 """
 
 import math
+import subprocess
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lobphase import book as book_module
 from lobphase.book import (EXECUTED, JOINED, ORDINARY, ORDINARY_BINNED, RESERVOIR,
                            STRICT_BINNED, BookInvariantError, BookState, MatchRule,
                            Order, apply_arrival, match_arrivals)
@@ -124,8 +130,7 @@ def test_segments_continue_the_book():
     assert (whole.bids(), whole.asks()) == (parts.bids(), parts.asks())
 
 
-@pytest.mark.parametrize("kind", sorted(RULES))
-@pytest.mark.parametrize("book, is_bid, px", [
+REJECTED = [
     # a bid at the best ask
     (BookState(asks=[0.55]), [True], [0.55]),
     # an ask at the bid reservoir
@@ -136,7 +141,11 @@ def test_segments_continue_the_book():
     (BookState(asks=[0.51]), [True], [math.nan]),
     # crossed initial book that the first arrival leaves crossed
     (BookState(bids=[0.61], asks=[0.52, 0.58]), [True], [0.015]),
-])
+]
+
+
+@pytest.mark.parametrize("kind", sorted(RULES))
+@pytest.mark.parametrize("book, is_bid, px", REJECTED)
 def test_both_paths_reject(kind, book, is_bid, px):
     assert not assert_same(RULES[kind], book, np.array(is_bid), np.array(px, dtype=float))
 
@@ -157,3 +166,94 @@ def test_empty_sequence():
     assert log.outcome.size == log.beta.size == 0
     assert log.beta0 == 0.4 and log.alpha0 == math.inf
     assert all(a.size == 0 for a in log.changes())
+
+
+# -- the compiled kernel against the Python loop -----------------------------
+
+PYTHON_LOOP = book_module._Kernel("python", book_module._match_py, None)
+
+
+@pytest.fixture(scope="module")
+def c_kernel():
+    kernel = book_module._load_kernel()
+    if kernel.name != "c":
+        pytest.skip("no C compiler: the compiled kernel cannot be built")
+    return kernel
+
+
+@contextmanager
+def running(kernel):
+    saved = book_module._loaded
+    book_module._loaded = kernel
+    try:
+        yield
+    finally:
+        book_module._loaded = saved
+
+
+def run_on(kernel, rule, book, is_bid, px):
+    """(log arrays as bytes or the error message, final heap lists) under one kernel."""
+    state = book.clone()
+    with running(kernel):
+        log, err = outcome_of(lambda: match_arrivals(state, rule, is_bid, px))
+    result = str(err) if err is not None else tuple(
+        (a.dtype.str, a.tobytes()) for a in (log.outcome, log.beta, log.alpha))
+    return result, (state._bid_heap, state._ask_heap)
+
+
+def assert_kernels_agree(c_kernel, rule, book, is_bid, px):
+    got, want = run_on(c_kernel, rule, book, is_bid, px), run_on(PYTHON_LOOP, rule, book,
+                                                                  is_bid, px)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    return not isinstance(got[0], str)
+
+
+@given(scenarios())
+@settings(max_examples=400, deadline=None)
+def test_c_kernel_matches_python_loop(c_kernel, scenario):
+    assert_kernels_agree(c_kernel, *scenario)
+
+
+@pytest.mark.parametrize("kind", sorted(RULES))
+@pytest.mark.parametrize("reservoirs", [(None, None), (0.33, 0.71)])
+def test_c_kernel_long_runs(c_kernel, kind, reservoirs):
+    rng = np.random.default_rng(11)
+    book = BookState(bids=rng.random(50) * 0.3, asks=0.7 + rng.random(50) * 0.3,
+                     bid_reservoir=reservoirs[0], ask_reservoir=reservoirs[1])
+    px = np.concatenate((EDGES, rng.random(20_000) * 0.98 + 0.01))
+    rng.shuffle(px)
+    assert assert_kernels_agree(c_kernel, RULES[kind], book, rng.random(px.size) < 0.5, px)
+
+
+@pytest.mark.parametrize("kind", sorted(RULES))
+@pytest.mark.parametrize("book, is_bid, px", REJECTED)
+def test_both_kernels_reject(c_kernel, kind, book, is_bid, px):
+    assert not assert_kernels_agree(c_kernel, RULES[kind], book, np.array(is_bid),
+                                    np.array(px, dtype=float))
+
+
+@pytest.mark.parametrize("cc", ["missing", "false", "true"])
+def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, cc):
+    # no compiler, a compiler that fails, and one that writes no library
+    monkeypatch.setattr(book_module, "_cache_dirs", lambda: (tmp_path,))
+    monkeypatch.setattr(book_module, "_CC", str(tmp_path / cc) if cc == "missing" else cc)
+    assert book_module._load_kernel() == PYTHON_LOOP
+
+
+def test_built_library_is_reused(monkeypatch, tmp_path):
+    # The first directory cannot be created, so the build lands in the second;
+    # the next load finds it there without calling the compiler.
+    (tmp_path / "file").write_text("")
+    dirs = (tmp_path / "file" / "cache", tmp_path / "user")
+    monkeypatch.setattr(book_module, "_cache_dirs", lambda: dirs)
+    first = book_module._load_kernel()
+    if first.name != "c":
+        pytest.skip("no C compiler: the compiled kernel cannot be built")
+    assert first.library.parent == dirs[1]
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran again")
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    again = book_module._load_kernel()
+    assert (again.name, again.library) == ("c", first.library)
