@@ -227,11 +227,13 @@ def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
     beta_bin = np.where(log.beta == NEG_INF, -1, part.index(log.beta))
     alpha_bin = np.where(log.alpha == POS_INF, -1, part.index(log.alpha))
     # The interval ending at an arrival belongs to the state before it; the
-    # first interval is binned as an empty book whatever the initial book.
+    # first interval belongs to the initial book.
     dt = np.diff(times, prepend=0.0)
     half = (np.arange(n) >= n // 2).astype(np.intp)
-    pre_b = np.concatenate(([-1], beta_bin))[:-1]
-    pre_a = np.concatenate(([-1], alpha_bin))[:-1]
+    beta0_bin = -1 if log.beta0 == NEG_INF else part.index(log.beta0)
+    alpha0_bin = -1 if log.alpha0 == POS_INF else part.index(log.alpha0)
+    pre_b = np.concatenate(([beta0_bin], beta_bin))[:-1]
+    pre_a = np.concatenate(([alpha0_bin], alpha_bin))[:-1]
     # bincount adds its weights in event order, as a running sum would.
     trace.occupation_elapsed = np.bincount(half, weights=dt, minlength=2)
     trace.occupation_b, trace.occupation_a = (

@@ -152,6 +152,20 @@ class TestEmpiricalPi:
         assert pi_a.sum() <= 1.0 + 1e-9
         assert np.all(pi_b >= 0) and np.all(pi_a >= 0)
 
+    def test_first_interval_binned_with_initial_book(self, uniform_spec):
+        # Reservoirs keep both quotes in the book from the start, so every
+        # interval, the first included, lands in some bin on both sides.
+        part = make_partition(10, uniform_spec)
+        book = BookState(bids=[0.3], asks=[0.75], bid_reservoir=0.2, ask_reservoir=0.8)
+        tr = sim.run(MatchRule(ORDINARY), book, sim.ArrivalStream(4, 1000, uniform_spec),
+                     10, record_partition=part)
+        assert np.array_equal(tr.occupation_b.sum(axis=1), tr.occupation_elapsed)
+        assert np.array_equal(tr.occupation_a.sum(axis=1), tr.occupation_elapsed)
+        one = sim.run(MatchRule(ORDINARY), book, sim.ArrivalStream(4, 1, uniform_spec),
+                      1, record_partition=part)
+        assert one.occupation_b[1, part.index(0.3)] == 0.5
+        assert one.occupation_a[1, part.index(0.75)] == 0.5
+
     def test_zero_elapsed_rejected(self, uniform_spec):
         part = make_partition(10, uniform_spec)
         tr = sim.run(MatchRule(ORDINARY), BookState(),
