@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytics, coupling, lyapunov, sim
+from . import analytics, book, coupling, lyapunov, sim
 from .book import (ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookInvariantError,
                    BookState, MatchRule)
 from .dist import ArrivalSpec, dist_from_config, make_partition, uniform_dist
@@ -152,13 +152,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
                        Fb_kappa_hat=est.Fb_kappa_hat, stderr_proxy=est.stderr_proxy)
         print(f"kappa_b_hat={est.kappa_b_hat:.4f} kappa_a_hat={est.kappa_a_hat:.4f}")
     write_json(outdir / "summary.json", summary)
+    print(f"kernel: {book.KERNEL}")
     print(f"wrote outputs to {outdir}/")
     return EXIT_OK
 
 
 def cmd_kappa(cfg: RunConfig) -> int:
     spec = build_spec(cfg)
-    is_uniform = (spec.bid_dist.kind == "uniform" and spec.ask_dist.kind == "uniform")
+    bid, ask = spec.bid_dist, spec.ask_dist
+    is_uniform = bid.kind == ask.kind == "uniform"
     results: dict[str, tuple[float, float]] = {}
     modes = ("exact", "ode", "mc") if cfg.compare else (cfg.mode,)
     for mode in modes:
@@ -168,7 +170,12 @@ def cmd_kappa(cfg: RunConfig) -> int:
                     continue
                 print("exact mode requires uniform/uniform arrivals", file=sys.stderr)
                 return EXIT_CONFIG
-            kb, ka = analytics.kappa_uniform_exact()
+            if bid.support != ask.support:
+                raise ConfigError(f"exact mode needs one uniform support for both sides, "
+                                  f"got bids on {bid.support} and asks on {ask.support}")
+            # The closed form is for [0, 1]; the thresholds move with the support.
+            lo, hi = bid.support
+            kb, ka = (lo + (hi - lo) * k for k in analytics.kappa_uniform_exact())
             w = analytics.lambert_w_of_inv_e()
             print(f"exact: kappa_b={kb:.6f} kappa_a={ka:.6f} "
                   f"(fixed-point residual {abs(w*np.exp(w)-np.exp(-1)):.2e})")
@@ -188,6 +195,7 @@ def cmd_kappa(cfg: RunConfig) -> int:
             est = sim.estimate_kappa(trace, spec)
             print(f"mc:    kappa_b={est.kappa_b_hat:.6f} kappa_a={est.kappa_a_hat:.6f} "
                   f"(n={cfg.n}, seed={cfg.seed})")
+            print(f"kernel: {book.KERNEL}")
             results["mc"] = (est.kappa_b_hat, est.kappa_a_hat)
         else:
             print(f"unknown mode {mode!r}", file=sys.stderr)

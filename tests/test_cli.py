@@ -32,6 +32,30 @@ class TestKappaCommand:
         assert code == 2
         assert "uniform" in err
 
+    def test_exact_mode_scales_to_shared_uniform_support(self, capsys, tmp_path):
+        law = {"kind": "uniform", "lo": 0.2, "hi": 0.8}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dist_bid": law, "dist_ask": law}))
+        code, out, _ = run_cli(capsys, "kappa", "--mode", "exact", "--config", str(cfg))
+        assert code == 0
+        assert "kappa_b=0.330687" in out and "kappa_a=0.669313" in out
+        code, out, _ = run_cli(capsys, "kappa", "--mode", "ode", "--config", str(cfg))
+        assert "kappa_b=0.330687" in out
+
+    def test_exact_mode_rejects_different_uniform_supports(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dist_bid": {"kind": "uniform", "lo": 0.2, "hi": 0.8}}))
+        for mode in (["--mode", "exact"], ["--compare", "--n", "1000"]):
+            code, out, err = run_cli(capsys, "kappa", *mode, "--config", str(cfg))
+            assert code == 2
+            assert "one uniform support" in err and "exact:" not in out
+
+    def test_mc_names_kernel(self, capsys):
+        from lobphase import book
+        code, out, _ = run_cli(capsys, "kappa", "--mode", "mc", "--n", "2000")
+        assert code == 0
+        assert f"kernel: {book.KERNEL}\n" in out
+
     def test_mc_too_few_arrivals_is_config_error(self, capsys):
         code, out, err = run_cli(capsys, "kappa", "--mode", "mc", "--n", "5")
         assert code == 2
@@ -55,6 +79,8 @@ class TestSimulateCommand:
         first = (tmp_path / "occupation.csv").read_text().splitlines()[0]
         assert first.startswith("# seed=7 config=")
         assert "kappa_b_hat" in out
+        assert "kernel: c\n" in out or "kernel: python\n" in out
+        assert "kernel" not in json.loads((tmp_path / "summary.json").read_text())
 
     def test_empty_run(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "simulate", "--n", "0",

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lobphase import book as book_module
+from lobphase import sim
 from lobphase.book import (EXECUTED, JOINED, ORDINARY, ORDINARY_BINNED, RESERVOIR,
                            STRICT_BINNED, BookInvariantError, BookState, MatchRule,
                            Order, apply_arrival, match_arrivals)
@@ -257,3 +258,28 @@ def test_built_library_is_reused(monkeypatch, tmp_path):
     monkeypatch.setattr(subprocess, "run", no_compiler)
     again = book_module._load_kernel()
     assert (again.name, again.library) == ("c", first.library)
+
+
+@pytest.mark.parametrize("kernel", ["c", "python"])
+@pytest.mark.parametrize("kind", [ORDINARY_BINNED, STRICT_BINNED])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reflection_symmetry(request, kernel, kind, seed, uniform_spec):
+    # x -> 1 - x with sides swapped, on an uneven partition and its mirror
+    # image, maps the run to its mirror image: same outcomes, beta <-> 1 - alpha.
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.uniform(0.02, 0.98, 15))
+    part, mirror = BinPartition((0.0, 1.0), cuts), BinPartition((0.0, 1.0), 1.0 - cuts[::-1])
+    arr = sim.materialize(sim.ArrivalStream(seed, 20_000, uniform_spec))
+    refl = sim.reflected_arrivals(arr)
+    bids, asks = np.array([0.1, 0.25]), np.array([0.8, 0.9])
+    book = BookState(bids=bids, asks=asks, bid_reservoir=0.05)
+    book_r = BookState(bids=1.0 - asks, asks=1.0 - bids, ask_reservoir=1.0 - 0.05)
+    loop = PYTHON_LOOP if kernel == "python" else request.getfixturevalue("c_kernel")
+    with running(loop):
+        log = match_arrivals(book, MatchRule(kind, part), arr.is_bid, arr.prices)
+        log_r = match_arrivals(book_r, MatchRule(kind, mirror), refl.is_bid, refl.prices)
+    assert np.array_equal(log.outcome, log_r.outcome)
+    assert np.array_equal(log_r.beta, 1.0 - log.alpha)
+    assert np.array_equal(log_r.alpha, 1.0 - log.beta)
+    assert (book_r.bids(), book_r.asks()) == (sorted(1.0 - p for p in book.asks()),
+                                              sorted(1.0 - p for p in book.bids()))
