@@ -4,8 +4,6 @@
  * heapq's sift logic on double heaps (bids negated), so the outcome, beta
  * and alpha arrays and the final heaps equal the Python ones element for
  * element.  bins is NULL for the ordinary rule, where arrival i has bin i+1.
- * Build without -ffast-math: the loop compares against +-inf and tests
- * equality of prices.
  */
 #include <math.h>
 #include <stdint.h>

@@ -421,6 +421,8 @@ def _library() -> Path:
 
 def _load_kernel() -> _Kernel:
     """The compiled loop, or the Python loop if building or loading it fails."""
+    if os.name != "posix":      # the cache relies on POSIX file ownership
+        return _Kernel("python", _match_py, None)
     try:
         library = _library()
         fn = ctypes.CDLL(str(library)).match
