@@ -242,6 +242,11 @@ def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, cc):
     assert book_module._load_kernel() == PYTHON_LOOP
 
 
+def test_non_posix_platform_runs_python(monkeypatch):
+    monkeypatch.setattr(book_module.os, "name", "nt")
+    assert book_module._load_kernel() == PYTHON_LOOP
+
+
 def test_built_library_is_reused(monkeypatch, tmp_path):
     # The first directory cannot be created, so the build lands in the second;
     # the next load finds it there without calling the compiler.
