@@ -20,6 +20,7 @@ import hashlib
 import heapq
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -377,6 +378,8 @@ class _Kernel(NamedTuple):
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CC = "cc"
+_FLAGS = ("-O2", "-shared", "-fPIC")    # no -ffast-math: the loop compares with +-inf
+                                        # and tests prices for equality
 _loaded: Optional[_Kernel] = None
 
 
@@ -385,38 +388,55 @@ def _cache_dirs() -> tuple[Path, ...]:
     return _SOURCE.parent / "__pycache__", Path(tempfile.gettempdir()) / f"lobphase-{os.getuid()}"
 
 
-def _library() -> Path:
-    """The compiled kernel for this source and interpreter, built on first use.
+def _library_name() -> str:
+    """The cached library's name, a hash of all that goes into building it."""
+    key = [_SOURCE.read_bytes(), sys.implementation.cache_tag.encode(),
+           os.uname().machine.encode(), *(flag.encode() for flag in _FLAGS)]
+    digest = hashlib.sha256(b"\0".join(key)).hexdigest()
+    return f"_kernel-{digest[:16]}.so"
 
-    The build goes to a temp file moved into place, so concurrent processes
-    never load a half-written library.  No -ffast-math: the loop compares
-    with +-inf and tests prices for equality.
+
+def _private(path: Path, is_kind: Callable[[int], bool]) -> bool:
+    """Whether no other user can have written `path`: it is ours, not a symlink,
+    of the kind `is_kind` tests for, and not writable by group or others."""
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return False
+    return is_kind(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+def _library() -> Path:
+    """The compiled kernel for this source, interpreter and machine, built on first use.
+
+    Only a directory and a library no other user can write are loaded or
+    built in.  The build goes to a temp file that must load before it is
+    moved into place, so no process loads a half-written or broken library.
     """
-    source = _SOURCE.read_bytes()
-    tag = hashlib.sha256(source + sys.implementation.cache_tag.encode()).hexdigest()[:16]
-    name = f"_kernel-{tag}.so"
-    dirs = _cache_dirs()
+    name, dirs = _library_name(), _cache_dirs()
     for d in dirs:
-        if (d / name).is_file():
+        if _private(d, stat.S_ISDIR) and _private(d / name, stat.S_ISREG):
             return d / name
     for d in dirs:
         try:
             d.mkdir(mode=0o700, parents=True, exist_ok=True)
-            if d.stat().st_uid != os.getuid():
-                continue        # someone else's directory: never load what it holds
+            if not _private(d, stat.S_ISDIR):
+                continue
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=d)
         except OSError:
             continue
         os.close(fd)
         try:
-            subprocess.run([_CC, "-O2", "-shared", "-fPIC", "-o", tmp, str(_SOURCE)],
+            subprocess.run([_CC, *_FLAGS, "-o", tmp, str(_SOURCE)],
                            check=True, capture_output=True, timeout=300)
+            os.chmod(tmp, 0o755)        # whatever the umask, or it is never loaded
+            ctypes.CDLL(tmp).match      # raises unless it loads and exports match
             os.replace(tmp, d / name)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         return d / name
-    raise OSError(f"no writable directory for the compiled kernel among {dirs}")
+    raise OSError(f"no private directory for the compiled kernel among {dirs}")
 
 
 def _load_kernel() -> _Kernel:
@@ -426,7 +446,7 @@ def _load_kernel() -> _Kernel:
     try:
         library = _library()
         fn = ctypes.CDLL(str(library)).match
-    except (OSError, subprocess.SubprocessError):
+    except (OSError, AttributeError, subprocess.SubprocessError):
         return _Kernel("python", _match_py, None)
     p, n = ctypes.c_void_p, ctypes.c_long
     fn.argtypes = [n, p, p, p, p, n, ctypes.c_int, ctypes.c_double, ctypes.c_double,

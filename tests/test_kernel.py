@@ -234,12 +234,68 @@ def test_both_kernels_reject(c_kernel, kind, book, is_bid, px):
                                     np.array(px, dtype=float))
 
 
-@pytest.mark.parametrize("cc", ["missing", "false", "true"])
+@pytest.mark.parametrize("cc", ["false", "true"])
 def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, cc):
-    # no compiler, a compiler that fails, and one that writes no library
+    # a compiler that fails, and one that writes no library: nothing is cached
+    # (tests/test_golden.py runs without a compiler at all)
     monkeypatch.setattr(book_module, "_cache_dirs", lambda: (tmp_path,))
-    monkeypatch.setattr(book_module, "_CC", str(tmp_path / cc) if cc == "missing" else cc)
+    monkeypatch.setattr(book_module, "_CC", cc)
     assert book_module._load_kernel() == PYTHON_LOOP
+    assert list(tmp_path.iterdir()) == []
+
+
+def foreign_owner(monkeypatch, cache):
+    uid = book_module.os.getuid()
+    monkeypatch.setattr(book_module.os, "getuid", lambda: uid + 1)
+
+
+def group_writable_directory(monkeypatch, cache):
+    cache.chmod(0o770)
+
+
+def symlinked_directory(monkeypatch, cache):
+    link = cache.with_name("link")
+    link.symlink_to(cache)
+    monkeypatch.setattr(book_module, "_cache_dirs", lambda: (link,))
+
+
+@pytest.mark.parametrize("exposed", [foreign_owner, group_writable_directory,
+                                     symlinked_directory])
+def test_library_others_could_write_is_not_loaded(monkeypatch, tmp_path, exposed):
+    # A working library sits in a cache directory another user could have
+    # written to: it is neither loaded nor rebuilt there.
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(book_module, "_cache_dirs", lambda: (cache,))
+    if book_module._load_kernel().name != "c":
+        pytest.skip("no C compiler: the compiled kernel cannot be built")
+    exposed(monkeypatch, cache)
+    assert book_module._load_kernel() == PYTHON_LOOP
+    assert len(list(cache.iterdir())) == 1
+
+
+def test_library_others_could_write_is_rebuilt(monkeypatch, tmp_path):
+    # in a directory of our own, a world-writable library is replaced, not loaded
+    monkeypatch.setattr(book_module, "_cache_dirs", lambda: (tmp_path,))
+    first = book_module._load_kernel()
+    if first.name != "c":
+        pytest.skip("no C compiler: the compiled kernel cannot be built")
+    first.library.chmod(0o757)
+    planted = first.library.stat().st_ino
+    again = book_module._load_kernel()
+    assert (again.name, again.library) == ("c", first.library)
+    assert again.library.stat().st_ino != planted
+    assert not again.library.stat().st_mode & 0o022
+
+
+def test_library_name_covers_machine_and_flags(monkeypatch):
+    name = book_module._library_name()
+    monkeypatch.setattr(book_module, "_FLAGS", book_module._FLAGS + ("-march=native",))
+    assert book_module._library_name() != name
+    monkeypatch.undo()
+    uname = book_module.os.uname()
+    monkeypatch.setattr(book_module.os, "uname",
+                        lambda: type("uname", (), {"machine": uname.machine + "-other"}))
+    assert book_module._library_name() != name
 
 
 def test_non_posix_platform_runs_python(monkeypatch):
