@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from lobphase import book, sim
+from lobphase import book, lyapunov, sim
 from lobphase.book import ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule
 from lobphase.dist import make_partition
 
@@ -115,3 +115,37 @@ def test_golden_trace_without_compiler(monkeypatch, tmp_path, uniform_spec):
     make, digest = GOLDEN["reservoirs"]
     assert trace_digest(make(uniform_spec)) == digest
     assert book.KERNEL == "python"
+
+
+def five_bin_digest(rep) -> str:
+    h = hashlib.sha256()
+    for code, st in rep.regions.items():
+        h.update(f"{code}{st.visits},{st.visits_hi},".encode())
+        h.update(st.dx_sum.tobytes())
+        h.update(f"{float(st.dgauge_sum).hex()},{float(st.dgauge_sq).hex()}".encode())
+    h.update(repr(rep.excursion_lengths).encode())
+    h.update(repr(rep.final_state).encode())
+    return h.hexdigest()
+
+
+# (eps, n_events, K) -> sha256 of simulate_5bin's region statistics,
+# excursion lengths and final state at seed 4.  The short runs straddle a
+# 256-event boundary and use a low K so that their gauge sums are not empty.
+FIVE_BIN_GOLDEN = {
+    (0.01, 0, 20.0):
+        "a28ef624af07415cfb9cdafdfee556ee49fe915f2cd369ba6ceb9d4297ac3206",
+    (0.01, 255, 1.0):
+        "dce1e87c7eb2dcbb10f3ecd751ce5e20137ad8cf96645f79b1085adb0c516a29",
+    (0.01, 257, 1.0):
+        "2be51d08c3df6c0c25e4f978a184db4c64adc9fa7e236ed4d243faddae475409",
+    (0.01, 200_000, 20.0):
+        "31583d7e4d371d24c6e952ff11864b734b76f0fdff652477aac2fb3aaa2701f0",
+    (0.1, 200_000, 20.0):
+        "0bfc44e4e4995f74770fe99167be31e3d4d37ceddeaf5ae4fb3e319458a90dc4",
+}
+
+
+@pytest.mark.parametrize("eps, n, K", sorted(FIVE_BIN_GOLDEN))
+def test_golden_five_bin(eps, n, K):
+    rep = lyapunov.simulate_5bin(eps, n, seed=4, K=K)
+    assert five_bin_digest(rep) == FIVE_BIN_GOLDEN[eps, n, K]
