@@ -26,6 +26,7 @@ import sys
 import tempfile
 from array import array
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -412,6 +413,8 @@ def _library() -> Path:
     Only a directory and a library no other user can write are loaded or
     built in.  The build goes to a temp file that must load before it is
     moved into place, so no process loads a half-written or broken library.
+    A new build removes our libraries of other sources, flags or interpreters
+    from its directory.
     """
     name, dirs = _library_name(), _cache_dirs()
     for d in dirs:
@@ -435,6 +438,10 @@ def _library() -> Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        with suppress(OSError):     # a stale library left behind does no harm
+            for old in d.glob("_kernel-*.so"):
+                if old.name != name and _private(old, stat.S_ISREG):
+                    old.unlink()
         return d / name
     raise OSError(f"no private directory for the compiled kernel among {dirs}")
 

@@ -287,6 +287,16 @@ def test_library_others_could_write_is_rebuilt(monkeypatch, tmp_path):
     assert not again.library.stat().st_mode & 0o022
 
 
+def test_build_removes_stale_libraries(monkeypatch, tmp_path):
+    monkeypatch.setattr(book_module, "_cache_dirs", lambda: (tmp_path,))
+    stale = tmp_path / "_kernel-0123456789abcdef.so"
+    stale.write_bytes(b"")
+    stale.chmod(0o755)
+    if book_module._load_kernel().name != "c":
+        pytest.skip("no C compiler: the compiled kernel cannot be built")
+    assert [p.name for p in tmp_path.iterdir()] == [book_module._library_name()]
+
+
 def test_library_name_covers_machine_and_flags(monkeypatch):
     name = book_module._library_name()
     monkeypatch.setattr(book_module, "_FLAGS", book_module._FLAGS + ("-march=native",))
