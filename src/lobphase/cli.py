@@ -85,6 +85,8 @@ class RunConfig:
             raise ConfigError(f"unknown rule {cfg.rule!r}")
         if cfg.bins < 2:
             raise ConfigError("bins must be at least 2")
+        if cfg.tol <= 0:
+            raise ConfigError("tol must be positive")
         return cfg
 
     def as_dict(self) -> dict:
@@ -401,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except ValueError as exc:       # a library's ValueError is a bad option value
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BookInvariantError as exc:

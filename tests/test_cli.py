@@ -150,6 +150,16 @@ class TestConfigTypes:
         assert summary["n"] == 2000 and isinstance(summary["n"], int)
 
 
+@pytest.mark.parametrize("argv", [
+    "bound3 --x 2 --y 0.5", "bound3 --x 0.6 --y 0.4", "lyapunov --eps 0.3",
+    "check --suite lyapunov --eps 0.5", "couple --bins 3", "ode --tol -1", "ode --tol 0",
+])
+def test_out_of_range_value_is_config_error(capsys, tmp_path, argv):
+    code, _, err = run_cli(capsys, *argv.split(), "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 class TestCheckCommand:
     def test_bounds_suite(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "check", "--suite", "bounds",
