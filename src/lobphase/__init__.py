@@ -18,7 +18,7 @@ from .book import (ORDINARY, ORDINARY_BINNED, STRICT_BINNED, ArrivalEffect,
                    apply_arrival, match_arrivals)
 from .dist import (ArrivalSpec, BinPartition, PriceDist, cdf_table_dist,
                    dist_from_config, make_partition, piecewise_linear_dist,
-                   quantile, refines, transform_to_uniform_bid, uniform_dist)
+                   refines, transform_to_uniform_bid, uniform_dist)
 from .sim import (ArrivalStream, KappaEstimate, Trace, empirical_pi,
                   estimate_kappa, run)
 

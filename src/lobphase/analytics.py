@@ -57,12 +57,12 @@ class _Converged(Exception):
     """Ends the root search early at args[0], a level where |u_end| <= tol."""
 
 
-def lambert_w_of_inv_e(tol: float = 1e-15, max_iter: int = 60) -> float:
+def lambert_w_of_inv_e() -> float:
     """The unique w > 0 with w * e^w = e^{-1}, by safeguarded Newton from 0.25."""
     target = math.exp(-1.0)
     lo, hi = 0.0, 1.0  # g is increasing on [0, 1] and brackets the target
     w = 0.25
-    for _ in range(max_iter):
+    for _ in range(60):
         g = w * math.exp(w) - target
         if g > 0:
             hi = w
@@ -72,7 +72,7 @@ def lambert_w_of_inv_e(tol: float = 1e-15, max_iter: int = 60) -> float:
         w_new = w - step
         if not lo < w_new < hi:
             w_new = 0.5 * (lo + hi)
-        if abs(w_new - w) < tol * max(1.0, abs(w)):
+        if abs(w_new - w) < 1e-15 * max(1.0, abs(w)):
             w = w_new
             break
         w = w_new
@@ -221,7 +221,6 @@ class VarpiSolution:
     mass_a: float
     u_end: float
     v_end: float
-    n_scan_brackets: int = 1
 
 
 def _scan(spec: ArrivalSpec, fb_lower: float, n_scan: int):
@@ -315,7 +314,7 @@ class BinnedPi:
 
 
 def solve_binned_pi(spec: ArrivalSpec, partition: BinPartition, k_b: int, k_a: int,
-                    Fb_kappa: float, norm_weight: float = 100.0) -> BinnedPi:
+                    Fb_kappa: float) -> BinnedPi:
     """Solve the per-bin balance equations on the support [k_b, k_a].
 
     For each interior bin, arrivals balance departures; the two threshold
@@ -361,10 +360,8 @@ def solve_binned_pi(spec: ArrivalSpec, partition: BinPartition, k_b: int, k_a: i
         M[row, i:m] = a[k]          # a(k) * sum_{l >= k} pi_b(l)
         rhs[row] = a[k] - (rhs_a if k == k_a else 0.0)
         row += 1
-    M[row, :m] = norm_weight        # heavy weight keeps total mass pinned
-    rhs[row] = norm_weight
-    M[row + 1, m:] = norm_weight
-    rhs[row + 1] = norm_weight
+    M[row, :m] = M[row + 1, m:] = 100.0   # heavy weight keeps total mass pinned
+    rhs[row:] = 100.0
 
     sol = lsq_linear(M, rhs, bounds=(0.0, np.inf))
     z = sol.x
@@ -403,21 +400,21 @@ def lower_bound_3bin(X, Y) -> Fraction:
     return num / den
 
 
-def finiteness_lower_bound(spec: ArrivalSpec, n_grid: int = 199,
-                           pairing_tol: float = 1e-6) -> float | None:
+def finiteness_lower_bound(spec: ArrivalSpec) -> float | None:
     """Best 3-bin certificate over a grid of cut pairs, or None if none applies.
 
-    Scans levels X = F_b(x), solving y from F_b(x) = 1 - F_a(y) and keeping
-    pairs that also satisfy the mirrored condition F_b(y) = 1 - F_a(x).
+    Scans 199 levels X = F_b(x) in [0.02, 0.49], solving y from
+    F_b(x) = 1 - F_a(y) and keeping pairs that also satisfy the mirrored
+    condition F_b(y) = 1 - F_a(x) to within 1e-6.
     """
     best = None
-    for X in np.linspace(0.02, 0.49, n_grid):
+    for X in np.linspace(0.02, 0.49, 199):
         x = float(spec.bid_dist.quantile(X))
         y = float(spec.ask_dist.quantile(1.0 - X))
         if not x < y:
             continue
         Yb = float(spec.bid_dist.cdf(y))
-        if abs(Yb - (1.0 - float(spec.ask_dist.cdf(x)))) > pairing_tol:
+        if abs(Yb - (1.0 - float(spec.ask_dist.cdf(x)))) > 1e-6:
             continue
         if not X < Yb < 1.0:
             continue

@@ -23,7 +23,7 @@ from .book import (ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule, Order,
 from .dist import (ArrivalSpec, BinPartition, make_partition, refines,
                    union_refinement)
 from .sim import (CHUNK, ArrivalStream, Arrivals, KappaEstimate, estimate_kappa,
-                  field_generator, materialize, run_arrivals)
+                  materialize, run_arrivals)
 
 __all__ = [
     "CouplingReport",
@@ -33,8 +33,6 @@ __all__ = [
     "check_refinement",
     "estimate_sandwich",
     "SandwichEstimates",
-    "perturb_arrivals",
-    "PerturbResult",
     "report_rows",
 ]
 
@@ -314,104 +312,3 @@ def estimate_sandwich(n_bins: int, spec: ArrivalSpec, n_events: int,
         kappa_fine=estimate_kappa(traces["fine"], spec),
         kappa_coarse=estimate_kappa(traces["coarse"], spec),
         n_bins_fine=fine.n_bins, n_bins_coarse=coarse.n_bins)
-
-
-@dataclass(frozen=True)
-class PerturbResult:
-    arrivals_a: Arrivals
-    arrivals_b: Arrivals
-    diff_rate: float          # uncoupled fraction of all realized arrivals
-    uncoupled_per_time: float
-    uncoupled_analytic: float
-    n_common: int
-    n_a_only: int
-    n_b_only: int
-    horizon: float
-
-
-def _intensity(spec: ArrivalSpec, is_bid: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    """Arrival intensity on (side, price): total rate 2 split by side probability."""
-    out = np.where(
-        is_bid,
-        2.0 * spec.p_b * np.asarray(spec.bid_dist.density(prices), dtype=float),
-        2.0 * (1.0 - spec.p_b) * np.asarray(spec.ask_dist.density(prices), dtype=float))
-    return out
-
-
-def perturb_arrivals(spec_a: ArrivalSpec, spec_b: ArrivalSpec, n_events: int,
-                     seed: int = 0) -> PerturbResult:
-    """Maximal coupling of two arrival processes.
-
-    Candidate events are drawn from the envelope intensity; each accepted
-    event lands in both streams with the pointwise min/max probability and
-    otherwise only in the stream with the larger intensity there.  The
-    realized uncoupled rate bounds how far downstream threshold estimates can
-    drift apart (each uncoupled arrival is one bounded perturbation).
-    """
-    horizon = n_events / 2.0  # each stream has total rate 2
-    if n_events == 0:
-        empty = Arrivals(np.zeros(0, bool), np.zeros(0), np.zeros(0), spec_a.p_b)
-        empty_b = Arrivals(np.zeros(0, bool), np.zeros(0), np.zeros(0), spec_b.p_b)
-        return PerturbResult(empty, empty_b, 0.0, 0.0,
-                             _analytic_uncoupled(spec_a, spec_b), 0, 0, 0, 0.0)
-    gen_time = field_generator(seed, "couple_time")
-    n_cand = int(gen_time.poisson(4.0 * horizon))
-    times = np.sort(gen_time.random(n_cand)) * horizon
-    pick_a = field_generator(seed, "couple_pick").random(n_cand) < 0.5
-    u_side = field_generator(seed, "couple_side").random(n_cand)
-    u_price = field_generator(seed, "couple_price").random(n_cand)
-    u_accept = field_generator(seed, "couple_accept").random(n_cand)
-    u_class = field_generator(seed, "couple_class").random(n_cand)
-
-    is_bid = np.where(pick_a, u_side < spec_a.p_b, u_side < spec_b.p_b)
-    prices = np.empty(n_cand)
-    for picked, spec in ((pick_a, spec_a), (~pick_a, spec_b)):
-        bid_sel = picked & is_bid
-        ask_sel = picked & ~is_bid
-        prices[bid_sel] = np.asarray(spec.bid_dist.quantile(u_price[bid_sel]), dtype=float)
-        prices[ask_sel] = np.asarray(spec.ask_dist.quantile(u_price[ask_sel]), dtype=float)
-
-    lam_a = _intensity(spec_a, is_bid, prices)
-    lam_b = _intensity(spec_b, is_bid, prices)
-    lam_max = np.maximum(lam_a, lam_b)
-    lam_min = np.minimum(lam_a, lam_b)
-    envelope = lam_a + lam_b
-    accepted = u_accept * envelope < lam_max
-    common = accepted & (u_class * lam_max < lam_min)
-    a_only = accepted & ~common & (lam_a > lam_b)
-    b_only = accepted & ~common & ~(lam_a > lam_b)
-
-    in_a = common | a_only
-    in_b = common | b_only
-    arr_a = Arrivals(is_bid[in_a], prices[in_a], times[in_a], spec_a.p_b,
-                     meta={"seed": seed, "coupled": "A"})
-    arr_b = Arrivals(is_bid[in_b], prices[in_b], times[in_b], spec_b.p_b,
-                     meta={"seed": seed, "coupled": "B"})
-    n_common = int(common.sum())
-    n_a_only = int(a_only.sum())
-    n_b_only = int(b_only.sum())
-    total = arr_a.n + arr_b.n
-    return PerturbResult(
-        arrivals_a=arr_a, arrivals_b=arr_b,
-        diff_rate=(n_a_only + n_b_only) / max(1, total),
-        uncoupled_per_time=(n_a_only + n_b_only) / horizon,
-        uncoupled_analytic=_analytic_uncoupled(spec_a, spec_b),
-        n_common=n_common, n_a_only=n_a_only, n_b_only=n_b_only,
-        horizon=horizon)
-
-
-def _analytic_uncoupled(spec_a: ArrivalSpec, spec_b: ArrivalSpec,
-                        n_grid: int = 4097) -> float:
-    """Integral of |intensity difference| over both sides (uncoupled rate)."""
-    lo = min(spec_a.bid_dist.support[0], spec_b.bid_dist.support[0],
-             spec_a.ask_dist.support[0], spec_b.ask_dist.support[0])
-    hi = max(spec_a.bid_dist.support[1], spec_b.bid_dist.support[1],
-             spec_a.ask_dist.support[1], spec_b.ask_dist.support[1])
-    xs = np.linspace(lo, hi, n_grid)
-    total = 0.0
-    for side in (True, False):
-        flags = np.full(xs.shape, side)
-        la = _intensity(spec_a, flags, xs)
-        lb = _intensity(spec_b, flags, xs)
-        total += float(np.trapezoid(np.abs(la - lb), xs))
-    return total

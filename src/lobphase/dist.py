@@ -24,7 +24,6 @@ __all__ = [
     "piecewise_linear_dist",
     "cdf_table_dist",
     "dist_from_config",
-    "quantile",
     "transform_to_uniform_bid",
     "make_partition",
     "refines",
@@ -204,16 +203,7 @@ def _read_cdf_csv(path) -> tuple[list[float], list[float]]:
     return xs, fs
 
 
-def quantile(dist: PriceDist, u) -> float | np.ndarray:
-    """Q(u) with domain check; F(Q(u)) = u for continuous strictly increasing F."""
-    arr = np.asarray(u, dtype=float)
-    if np.any((arr < 0) | (arr > 1)):
-        raise ValueError(f"quantile argument outside [0, 1]: {u}")
-    out = dist.quantile(arr)
-    return float(out) if np.isscalar(u) or np.ndim(u) == 0 else out
-
-
-def transform_to_uniform_bid(spec: ArrivalSpec, check_points: int = 101) -> ArrivalSpec:
+def transform_to_uniform_bid(spec: ArrivalSpec) -> ArrivalSpec:
     """Push prices through the bid CDF so bids become uniform on [0, 1].
 
     The ask law becomes its pushforward under x -> F_b(x); matching decisions
@@ -224,7 +214,7 @@ def transform_to_uniform_bid(spec: ArrivalSpec, check_points: int = 101) -> Arri
     fb_pdf, fa_pdf = spec.bid_dist.density, spec.ask_dist.density
 
     lo, hi = spec.bid_dist.support
-    probe = fb(np.linspace(lo, hi, check_points))
+    probe = fb(np.linspace(lo, hi, 101))
     if np.any(np.diff(probe) <= 0):
         raise ValueError("bid CDF is not strictly increasing on its support; "
                          "cannot invert the coordinate change")

@@ -27,7 +27,7 @@ import numpy as np
 from .book import (ORDINARY, ORDINARY_BINNED, BookState, MatchRule, apply_arrival,
                    match_arrivals)
 from .dist import ArrivalSpec, BinPartition, make_partition
-from .sim import CHUNK, ArrivalStream, materialize, run_arrivals
+from .sim import ArrivalStream, materialize, run_arrivals
 
 __all__ = [
     "REGIONS",
@@ -42,7 +42,6 @@ __all__ = [
     "enumerated_drift",
     "certify_drift",
     "DriftCertificate",
-    "lyapunov_value",
     "polytope_gauge",
     "LEVEL_VERTICES",
     "LEVEL_FACES",
@@ -123,11 +122,6 @@ def region_bins(code: str) -> tuple[int, int]:
 _CODE_INDEX = np.full((6, 6), -1, dtype=np.intp)   # (b, a) -> index into REGIONS
 for _i, _code in enumerate(REGIONS):
     _CODE_INDEX[_REGION_BA[_code]] = _i
-
-
-def region_of_pattern(x1: int, x2: int, x3: int) -> str:
-    """Region code of a signed middle-bin state."""
-    return REGIONS[_region_codes(np.array([[x1, x2, x3]]))[0]]
 
 
 def _region_codes(x: np.ndarray) -> np.ndarray:
@@ -275,17 +269,6 @@ def certify_drift(eps_max, drifts: dict[str, AffineVec] | None = None,
 _SEVEN_NORMALS = tuple(NORMALS.items())  # seven distinct labeled vectors
 
 
-def lyapunov_value(x) -> Fraction:
-    """min over the seven published normals of <x, v>, in exact arithmetic.
-
-    This is the published min form; note it is nonpositive everywhere (the
-    normal set contains v and -v), so the polytope gauge below is what the
-    level-set geometry actually uses.
-    """
-    xv = tuple(F(c) for c in x)
-    return min(sum(a * b for a, b in zip(xv, v)) for _, v in _SEVEN_NORMALS)
-
-
 def polytope_gauge(x) -> Fraction:
     """max over the seven published normals of <x, v>: the Minkowski gauge of
     the published level polytope.  Positively homogeneous, and equal to 1
@@ -430,42 +413,28 @@ def simulate_5bin(eps: float, n_events: int, seed: int, K: float = 20.0,
     arr = materialize(ArrivalStream(seed, n_events, spec))
     changed_bid, price, sign = match_arrivals(
         state, MatchRule(ORDINARY_BINNED, part), arr.is_bid, arr.prices).changes()
-    # signed middle-bin count (bids positive): a join of a bid or the
-    # execution of an ask moves its bin up, mirrored for asks
-    delta = np.where(changed_bid, sign, -sign)
+    # signed middle-bin state (bids positive) before every event, then the
+    # final state: a join of a bid or the execution of an ask moves its bin
+    # up, mirrored for asks
     gbin = part.index(price)
-    normals = [tuple(float(c) for c in v) for _, v in _SEVEN_NORMALS]
-
+    mid = (1 <= gbin) & (gbin <= 3)
+    x = np.zeros((n_events + 1, 3), dtype=np.int64)
+    x[1:][mid, gbin[mid] - 1] = np.where(changed_bid, sign, -sign)[mid]
+    np.cumsum(x, axis=0, out=x)
+    code = _region_codes(x[:-1])
+    x1, x2, x3 = x.T.astype(float)
+    g = np.full(n_events + 1, -np.inf)      # the polytope gauge of each state
+    for _, (a, b, c) in _SEVEN_NORMALS:
+        np.maximum(g, float(a) * x1 + float(b) * x2 + float(c) * x3, out=g)
+    above = g[:-1] > K
+    dg = np.diff(g)[above]
     n_codes = len(REGIONS)
-    visits = np.zeros(n_codes, dtype=np.int64)
-    visits_hi = np.zeros(n_codes, dtype=np.int64)
-    dx_sum = np.zeros((n_codes, 3))
-    dg_sum = np.zeros(n_codes)
-    dg_sq = np.zeros(n_codes)
-    above = np.zeros(n_events, dtype=bool)
-    x = np.zeros(3, dtype=np.int64)
-    g = 0.0
-    for lo in range(0, n_events, CHUNK):
-        hi = min(n_events, lo + CHUNK)
-        dx = np.stack([np.where(gbin[lo:hi] == k, delta[lo:hi], 0) for k in (1, 2, 3)],
-                      axis=1)
-        x_after = x + np.cumsum(dx, axis=0)
-        x_before = np.concatenate((x[None], x_after[:-1]))
-        code = _region_codes(x_before)
-        x1, x2, x3 = x_after.T.astype(float)
-        g_after = np.max([a * x1 + b * x2 + c * x3 for a, b, c in normals], axis=0)
-        g_before = np.concatenate(([g], g_after[:-1]))
-        high = g_before > K
-        above[lo:hi] = high
-        visits += np.bincount(code, minlength=n_codes)
-        visits_hi += np.bincount(code[high], minlength=n_codes)
-        for k in range(3):
-            dx_sum[:, k] += np.bincount(code, weights=dx[:, k], minlength=n_codes)
-        dg = (g_after - g_before)[high]
-        # add.at adds in event order, as the running sums it replaces did
-        np.add.at(dg_sum, code[high], dg)
-        np.add.at(dg_sq, code[high], dg * dg)
-        x, g = x_after[-1], g_after[-1]
+    visits = np.bincount(code, minlength=n_codes)
+    visits_hi = np.bincount(code[above], minlength=n_codes)
+    dx_sum = np.stack([np.bincount(code, weights=np.diff(x[:, k]), minlength=n_codes)
+                       for k in range(3)], axis=1)
+    dg_sum = np.bincount(code[above], weights=dg, minlength=n_codes)
+    dg_sq = np.bincount(code[above], weights=dg * dg, minlength=n_codes)
     stats = {code: RegionStats(int(visits[i]), dx_sum[i].copy(), int(visits_hi[i]),
                                float(dg_sum[i]), float(dg_sq[i]))
              for i, code in enumerate(REGIONS) if code != "000"}
@@ -473,7 +442,7 @@ def simulate_5bin(eps: float, n_events: int, seed: int, K: float = 20.0,
     excursions = (np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)).tolist()
     return FiveBinReport(eps=eps, n_events=n_events, K=K, seed=seed,
                          regions=stats, excursion_lengths=excursions,
-                         final_state=tuple(int(v) for v in x))
+                         final_state=tuple(int(v) for v in x[-1]))
 
 
 @dataclass(frozen=True)
@@ -492,14 +461,14 @@ class GeomBoundReport:
 
 
 def check_geometric_bound(x: float, y: float, spec: ArrivalSpec, n_events: int,
-                          seed: int, burn_in: float = 0.5, sample_every: int = 50,
-                          m_max: int = 12) -> GeomBoundReport:
+                          seed: int) -> GeomBoundReport:
     """Mid-region order counts are stochastically below geometric tails.
 
     With infinite bids resting at x and infinite asks at y, bids inside (x, y)
     arrive at rate F_b(y) - F_b(x) and depart at rate at least F_a(x), so
     their count is dominated by a geometric law with ratio rho; mirrored for
-    asks.  Tested on spaced post-burn-in samples with 3-sigma binomial slack.
+    asks.  Tested for m = 1..12 on every 50th arrival of the second half, with
+    3-sigma binomial slack.
     """
     Fb = lambda p: float(spec.bid_dist.cdf(p))
     Fa = lambda p: float(spec.ask_dist.cdf(p))
@@ -515,14 +484,14 @@ def check_geometric_bound(x: float, y: float, spec: ArrivalSpec, n_events: int,
     changed_bid, price, sign = match_arrivals(
         state, MatchRule(ORDINARY), arr.is_bid, arr.prices).changes()
     step = np.where((x < price) & (price < y), sign, 0)
-    at = np.arange(int(burn_in * n_events), n_events, sample_every)
+    at = np.arange(n_events // 2, n_events, 50)
     sb = np.cumsum(np.where(changed_bid, step, 0))[at]
     sa = np.cumsum(np.where(changed_bid, 0, step))[at]
     n = sb.size
 
     def tail_table(samples, rho):
         rows, ok = [], True
-        for m in range(1, m_max + 1):
+        for m in range(1, 13):
             emp = float(np.mean(samples >= m))
             bound = rho ** m
             slack = 3.0 * math.sqrt(bound * (1.0 - bound) / n)
@@ -551,8 +520,7 @@ class RunMaxEvidence:
 
 
 def running_max_evidence(spec: ArrivalSpec, n_events: int, seed: int,
-                         n_bins: int = 100, thresholds: tuple[float, float] | None = None,
-                         k_b: int | None = None, k_a: int | None = None,
+                         n_bins: int = 100, k_b: int | None = None, k_a: int | None = None,
                          series: bool = False) -> RunMaxEvidence:
     """Running maximum of the transient-band order count.
 
@@ -564,18 +532,17 @@ def running_max_evidence(spec: ArrivalSpec, n_events: int, seed: int,
     ratio runmax(n) / runmax(n/2) read from the series (below sqrt(2) for
     growth exponent below 1/2, near 2 for a linearly filling band); the last
     jump index is reported too, and it lies in the first half exactly when
-    that ratio is 1.  Without thresholds or bins the thresholds are exact for
-    uniform laws and found by `analytics.shoot_kappa` otherwise.
+    that ratio is 1.  Bins not given are those holding the thresholds, exact
+    for uniform laws and found by `analytics.shoot_kappa` otherwise.
     """
     part = make_partition(n_bins, spec)
     if k_b is None or k_a is None:
-        if thresholds is None:
-            from .analytics import kappa_uniform_exact, shoot_kappa
-            if spec.bid_dist.kind == "uniform" and spec.ask_dist.kind == "uniform":
-                thresholds = kappa_uniform_exact()
-            else:
-                sol = shoot_kappa(spec)
-                thresholds = (sol.kappa_b, sol.kappa_a)
+        from .analytics import kappa_uniform_exact, shoot_kappa
+        if spec.bid_dist.kind == "uniform" and spec.ask_dist.kind == "uniform":
+            thresholds = kappa_uniform_exact()
+        else:
+            sol = shoot_kappa(spec)
+            thresholds = (sol.kappa_b, sol.kappa_a)
         k_b = part.index(thresholds[0]) if k_b is None else k_b
         k_a = part.index(thresholds[1]) if k_a is None else k_a
     trace = run_arrivals(MatchRule(ORDINARY), BookState(),

@@ -45,12 +45,6 @@ FIELD_TAGS = {
     "side": 1,
     "price": 2,
     "gap": 3,
-    "couple_time": 11,
-    "couple_pick": 12,
-    "couple_side": 13,
-    "couple_price": 14,
-    "couple_accept": 15,
-    "couple_class": 16,
 }
 
 
@@ -184,7 +178,6 @@ def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
                  record_partition: Optional[BinPartition] = None,
                  record_joint: bool = False,
                  record_top_shape: bool = False,
-                 top_max_offset: int = 10,
                  runmax_bins: Optional[tuple[int, int]] = None,
                  runmax_series: bool = False) -> Trace:
     """Match pre-materialized arrivals on a copy of `initial` and record the run.
@@ -248,7 +241,7 @@ def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
     if record_top_shape:
         trace.top_shape_visits = np.bincount(beta_bin[beta_bin >= 0], minlength=nbins)
         trace.top_shape_sums = _top_shape_sums(
-            beta_bin, changed_bin, np.where(changed_bid, sign, 0), nbins, top_max_offset)
+            beta_bin, changed_bin, np.where(changed_bid, sign, 0), nbins)
     if runmax_bins is not None:
         k_b, k_a = runmax_bins
         # the band: bids above bin k_b and asks below bin k_a
@@ -266,16 +259,17 @@ def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
 
 
 CHUNK = 256   # events per block in the events x bins passes
+TOP_MAX_OFFSET = 10
 
 
 def _top_shape_sums(beta_bin: np.ndarray, bid_bin: np.ndarray, bid_step: np.ndarray,
-                    nbins: int, max_offset: int) -> np.ndarray:
-    """Per best-bid bin k, summed bid counts in bins k, k-1, ..., k-max_offset.
+                    nbins: int) -> np.ndarray:
+    """Per best-bid bin k, summed bid counts in bins k, k-1, ..., k-TOP_MAX_OFFSET.
 
     Resting bids are counted from the start of the run (initial orders
     excluded); event i moves bin bid_bin[i] by bid_step[i].
     """
-    sums = np.zeros((nbins, max_offset + 1), dtype=np.int64)
+    sums = np.zeros((nbins, TOP_MAX_OFFSET + 1), dtype=np.int64)
     counts = np.zeros(nbins, dtype=np.int64)
     for lo in range(0, beta_bin.size, CHUNK):
         step = np.zeros((min(CHUNK, beta_bin.size - lo), nbins), dtype=np.int64)
@@ -284,7 +278,7 @@ def _top_shape_sums(beta_bin: np.ndarray, bid_bin: np.ndarray, bid_step: np.ndar
         state = counts + np.cumsum(step, axis=0)
         counts = state[-1]
         b = beta_bin[lo:lo + CHUNK]
-        for j in range(max_offset + 1):
+        for j in range(TOP_MAX_OFFSET + 1):
             ok = b >= j
             np.add.at(sums[:, j], b[ok], state[rows[ok], b[ok] - j])
     return sums

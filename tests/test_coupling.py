@@ -5,8 +5,7 @@ from lobphase import coupling, sim
 from lobphase.book import (ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookState,
                            MatchRule, Order)
 from lobphase.coupling import Edit
-from lobphase.dist import (ArrivalSpec, make_partition, piecewise_linear_dist,
-                           uniform_dist)
+from lobphase.dist import make_partition
 
 
 @pytest.fixture(scope="module")
@@ -170,34 +169,6 @@ class TestSandwich:
         with pytest.raises(ValueError):
             coupling.estimate_sandwich(3, uniform_spec, 100, 0)
 
-
-class TestPerturbArrivals:
-    def test_identical_specs_fully_coupled(self, uniform_spec):
-        r = coupling.perturb_arrivals(uniform_spec, uniform_spec, 20_000, seed=4)
-        assert r.diff_rate == 0.0
-        assert np.array_equal(r.arrivals_a.prices, r.arrivals_b.prices)
-        assert np.array_equal(r.arrivals_a.times, r.arrivals_b.times)
-
-    def test_empty(self, uniform_spec):
-        r = coupling.perturb_arrivals(uniform_spec, uniform_spec, 0, seed=4)
-        assert r.arrivals_a.n == 0 and r.arrivals_b.n == 0
-
-    @pytest.mark.slow
-    def test_mixture_rate_and_threshold_bound(self, uniform_spec):
-        # 5% triangular admixture on the bid side: f_B = 0.95 + 0.1 x
-        mix = ArrivalSpec(piecewise_linear_dist([0.0, 1.0], [0.95, 1.05]),
-                          uniform_dist())
-        r = coupling.perturb_arrivals(uniform_spec, mix, 200_000, seed=4)
-        # analytic uncoupled intensity: int |f_A - f_B| = 0.025 over bids
-        assert r.uncoupled_analytic == pytest.approx(0.025, abs=1e-4)
-        assert r.uncoupled_per_time == pytest.approx(r.uncoupled_analytic, rel=0.2)
-        ra = sim.run_arrivals(MatchRule(ORDINARY), BookState(), r.arrivals_a,
-                              max(1, r.arrivals_a.n // 100), seed=4)
-        rb = sim.run_arrivals(MatchRule(ORDINARY), BookState(), r.arrivals_b,
-                              max(1, r.arrivals_b.n // 100), seed=4)
-        fa = sim.estimate_kappa(ra, uniform_spec).Fb_kappa_hat
-        fb = sim.estimate_kappa(rb, mix).Fb_kappa_hat
-        assert abs(fa - fb) <= r.uncoupled_per_time + 0.02
 
 
 def test_report_rows_format(uniform_spec, arrivals_10k):

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from lobphase.dist import (ArrivalSpec, BinPartition, PriceDist, cdf_table_dist,
                            dist_from_config, make_partition, piecewise_linear_dist,
-                           quantile, refines, transform_to_uniform_bid,
+                           refines, transform_to_uniform_bid,
                            uniform_dist, union_refinement)
 
 
@@ -28,15 +28,15 @@ def triangular_dist() -> PriceDist:
 
 class TestQuantile:
     def test_uniform_identity(self):
-        assert quantile(uniform_dist(), 0.3) == pytest.approx(0.3, abs=1e-15)
+        assert uniform_dist().quantile(0.3) == pytest.approx(0.3, abs=1e-15)
 
     def test_uniform_endpoint(self):
-        assert quantile(uniform_dist(), 0.0) == 0.0
+        assert uniform_dist().quantile(0.0) == 0.0
 
     def test_triangular_quarter(self):
         # oracle: F(x) = x^2, so Q(0.25) solves x^2 = 0.25
         expected = math.sqrt(0.25)
-        assert quantile(triangular_dist(), 0.25) == pytest.approx(expected, abs=1e-12)
+        assert triangular_dist().quantile(0.25) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("dist", [
         uniform_dist(),
@@ -56,9 +56,9 @@ class TestQuantile:
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            quantile(uniform_dist(), 1.5)
+            triangular_dist().quantile(1.5)
         with pytest.raises(ValueError):
-            quantile(uniform_dist(), -0.1)
+            triangular_dist().quantile(-0.1)
 
     @pytest.mark.parametrize("dist", [
         uniform_dist(),

@@ -3,16 +3,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lobphase import lyapunov
-from lobphase.dist import ArrivalSpec, uniform_dist
-from lobphase.lyapunov import (DRIFT_REGIONS, LEVEL_FACES, LEVEL_VERTICES,
+from lobphase.lyapunov import (DRIFT_REGIONS, LEVEL_VERTICES,
                                NORMAL_BY_REGION, PUBLISHED_DRIFTS, certify_drift,
                                check_geometric_bound, compatible, drift_dot,
-                               enumerated_drift_affine, lyapunov_value,
-                               polytope_gauge, region_bins, region_of_pattern,
+                               enumerated_drift_affine, polytope_gauge, region_bins,
                                running_max_evidence, simulate_5bin,
                                verify_level_fixture)
 
@@ -31,15 +27,13 @@ class TestRegions:
         assert region_bins("+0-") == (2, 4)
 
     def test_pattern_identification(self):
-        assert region_of_pattern(0, 1, 1) == "+++"   # 0++ not distinguished
-        assert region_of_pattern(1, 0, 1) == "+++"
-        assert region_of_pattern(1, 0, -1) == "+0-"
-        assert region_of_pattern(0, 0, 0) == "000"
-        assert region_of_pattern(-2, 0, 0) == "---"
+        x = np.array([(0, 1, 1), (1, 0, 1), (1, 0, -1), (0, 0, 0), (-2, 0, 0)])
+        codes = [lyapunov.REGIONS[i] for i in lyapunov._region_codes(x)]
+        assert codes == ["+++", "+++", "+0-", "000", "---"]   # 0++ not distinguished
 
     def test_inconsistent_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            region_of_pattern(-1, 0, 1)  # asks left of bids
+        with pytest.raises(ValueError, match="inconsistent"):
+            lyapunov._region_codes(np.array([(1, 1, 1), (-1, 0, 1)]))  # asks left of bids
 
     def test_compatible(self):
         assert compatible("+++", "++0")
@@ -141,34 +135,6 @@ class TestEnumeratedDrift:
         assert all(v1 < 0 for _, _, _, v1, _ in good.entries)
         bad = certify_drift(F(1, 100), drifts=table)
         assert not bad.passed
-
-
-class TestLyapunovValue:
-    def test_origin(self):
-        assert lyapunov_value((0, 0, 0)) == 0
-
-    def test_example_vector(self):
-        # includes <x, v(++-)> = 3 and <x, v(0--)> = -1
-        assert lyapunov_value((1, 1, -1)) == F(-1)
-
-    def test_positive_homogeneity(self):
-        assert lyapunov_value((2, 2, -2)) == 2 * lyapunov_value((1, 1, -1))
-
-    @given(st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8)))
-    @settings(max_examples=200, deadline=None)
-    def test_unit_jump_lipschitz(self, x):
-        # jumps of the book state move one coordinate by one; the value moves
-        # at most by the largest normal's l1 norm (here 9, from (-2,-3,-4))
-        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            y = tuple(a + b for a, b in zip(x, e))
-            assert abs(lyapunov_value(y) - lyapunov_value(x)) <= 9
-
-    def test_min_form_is_nonpositive(self):
-        # the published min over normals containing v and -v can never exceed 0
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            x = tuple(int(v) for v in rng.integers(-20, 20, 3))
-            assert lyapunov_value(x) <= 0
 
 
 class TestPolytopeFixture:
