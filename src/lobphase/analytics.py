@@ -14,7 +14,11 @@ arrival law:
 
 and kappa_b is the unique level at which u vanishes exactly at
 kappa_a = Q_a(1 - F_b(kappa_b)); v(kappa_a) = 1 comes out as a free
-normalization check.
+normalization check.  `shoot_kappa` integrates the system's fundamental matrix
+once, densely, over its widest candidate window, for every law including
+tabulated ones; the scan, each root-search step and the returned densities
+are read off that one solution.  `integrate_varpi` integrates from a single
+level, adaptively for smooth laws and with fixed-step RK4 for tables.
 """
 
 from __future__ import annotations
@@ -123,26 +127,23 @@ def _coefficients(spec: ArrivalSpec, x):
     return -ask.density(x) / (1.0 - bid.cdf(x)), bid.density(x) / ask.cdf(x)
 
 
-def _integrate_adaptive(spec: ArrivalSpec, lo: np.ndarray, hi: np.ndarray, s_eval,
-                        rtol: float, atol: float):
-    """DOP853 from every start level in `lo` at once on s in [0, 1].
+def _integrate_adaptive(spec: ArrivalSpec, lo: float, hi: float, y0, rtol: float,
+                        atol: float, **kw):
+    """DOP853 for (u, v) from x = lo to hi; `kw` goes to `solve_ivp`.
 
-    Start level i runs on x = lo[i] + s * (hi[i] - lo[i]), so all of them
-    share one time axis and one call evaluates the coefficients for all.
-    Returns u and v at `s_eval`, one row per start level.
+    `y0` lists the u-components of the start vectors, then their
+    v-components, so one coefficient call per stage serves all of them.
     """
-    width = hi - lo
-    n = lo.size
+    n = len(y0) // 2
 
-    def rhs(s, y):
-        c_u, c_v = _coefficients(spec, lo + s * width)
-        return np.concatenate([width * c_u * y[n:], width * c_v * y[:n]])
+    def rhs(x, y):
+        c_u, c_v = _coefficients(spec, x)
+        return np.concatenate([c_u * y[n:], c_v * y[:n]])
 
-    sol = solve_ivp(rhs, (0.0, 1.0), np.repeat([1.0, 0.0], n), method="DOP853",
-                    rtol=rtol, atol=atol, t_eval=s_eval)
+    sol = solve_ivp(rhs, (lo, hi), y0, method="DOP853", rtol=rtol, atol=atol, **kw)
     if not sol.success:
         raise SingularCoefficientError(f"integration failed: {sol.message}")
-    return sol.y[:n], sol.y[n:]
+    return sol
 
 
 def integrate_varpi(spec: ArrivalSpec, kappa_b: float, grid_n: int = 1000,
@@ -167,9 +168,8 @@ def integrate_varpi(spec: ArrivalSpec, kappa_b: float, grid_n: int = 1000,
     if spec.bid_dist.kind == "cdf_table" or spec.ask_dist.kind == "cdf_table":
         u_path, v_path = _integrate_fixed(spec, kappa_b, kappa_a, grid)
     else:
-        u, v = _integrate_adaptive(spec, np.array([kappa_b]), np.array([kappa_a]),
-                                   np.linspace(0.0, 1.0, grid_n), rtol, atol)
-        u_path, v_path = u[0], v[0]
+        u_path, v_path = _integrate_adaptive(spec, kappa_b, kappa_a, [1.0, 0.0],
+                                             rtol, atol, t_eval=grid).y
     return grid, u_path, v_path, float(u_path[-1])
 
 
@@ -223,13 +223,16 @@ class VarpiSolution:
     v_end: float
 
 
-def _scan(spec: ArrivalSpec, fb_lower: float, n_scan: int):
-    """Candidate thresholds kappa_i and u_end at each, from one integration.
+def _dense_scan(spec: ArrivalSpec, fb_lower: float, n_scan: int):
+    """Candidate levels kappa_i, u_end at each, and paths(k, x), from one solve.
 
     The candidates sit at `n_scan` bid levels from 0.9 * fb_lower to just
     below 1/2; those whose implied upper threshold does not exceed them are
-    dropped.  Their intervals nest, so one coefficient check on the widest
-    covers all of them.
+    dropped.  Their intervals nest, so the fundamental matrix Phi (the identity
+    at the widest one's left end) covers all of them.  The system is linear
+    with zero trace, so det Phi = 1 and Phi^-1 is its adjugate: paths(k, x)
+    gives u and v at x of Phi(x) Phi(k)^-1 (1, 0), the solution started at k,
+    with k and x broadcast against each other.
     """
     levels = np.linspace(max(1e-4, 0.9 * fb_lower), 0.5 - 1e-4, n_scan)
     kappas = np.asarray(spec.bid_dist.quantile(levels), dtype=float)
@@ -238,19 +241,27 @@ def _scan(spec: ArrivalSpec, fb_lower: float, n_scan: int):
     if not np.any(valid):
         raise ShootingError("no candidate level admits a threshold pair")
     kappas, uppers = kappas[valid], uppers[valid]
-    _check_coefficients(spec, float(kappas[0]), float(uppers[0]))
-    u, _ = _integrate_adaptive(spec, kappas, uppers, [1.0], rtol=1e-6, atol=1e-12)
-    return kappas, u[:, 0]
+    lo, hi = float(kappas[0]), float(uppers[0])
+    _check_coefficients(spec, lo, hi)
+    phi = _integrate_adaptive(spec, lo, hi, [1.0, 0.0, 0.0, 1.0], rtol=1e-12,
+                              atol=1e-14, dense_output=True).sol
+
+    def paths(k, x):
+        (u1, u2, v1, v2), (_, _, v1k, v2k) = phi(x), phi(k)
+        return u1 * v2k - u2 * v1k, v1 * v2k - v2 * v1k
+
+    return kappas, paths(kappas, uppers)[0], paths
 
 
 def shoot_kappa(spec: ArrivalSpec, tol: float = 1e-10, grid_n: int = 1000,
                 fb_lower: float | None = None, n_scan: int = 64) -> VarpiSolution:
     """Locate the bid threshold by shooting on u_end and reconstruct both densities.
 
-    Integrates all `n_scan` candidate levels in one vectorized system and
-    looks for a sign change of u_end (verifying the bracket is unique rather
-    than assuming it), then refines it with Brent's method until
-    |u_end| <= tol or the bracket is as narrow as floats allow.
+    One dense integration of the fundamental matrix over the widest candidate
+    window gives u_end at all `n_scan` candidate levels.  A sign change is
+    looked for (verifying the bracket is unique rather than assuming it) and
+    refined with Brent's method on the same solution until |u_end| <= tol or
+    the bracket is as narrow as floats allow; both densities come from it too.
     """
     if fb_lower is None:
         fb_lower = finiteness_lower_bound(spec)
@@ -258,7 +269,7 @@ def shoot_kappa(spec: ArrivalSpec, tol: float = 1e-10, grid_n: int = 1000,
             raise ShootingError(
                 "no positive finiteness certificate found for this spec; "
                 "pass fb_lower explicitly to override")
-    kappas, u_ends = _scan(spec, fb_lower, n_scan)
+    kappas, u_ends, paths = _dense_scan(spec, fb_lower, n_scan)
     flips = np.where(np.sign(u_ends[:-1]) * np.sign(u_ends[1:]) < 0)[0]
     if flips.size == 0:
         raise ShootingError("no sign change of u_end in the scan window; "
@@ -268,9 +279,11 @@ def shoot_kappa(spec: ArrivalSpec, tol: float = 1e-10, grid_n: int = 1000,
         raise ShootingError(f"ambiguous shooting: {flips.size} sign changes "
                             f"in brackets {brackets}")
 
+    def upper(kb: float) -> float:
+        return float(spec.ask_dist.quantile(1.0 - float(spec.bid_dist.cdf(kb))))
+
     def u_end_at(kb: float) -> float:
-        u_end = integrate_varpi(spec, kb, grid_n=64, rtol=1e-10, atol=1e-12,
-                                check=False)[3]
+        u_end = float(paths(kb, upper(kb))[0])
         if abs(u_end) <= tol:
             raise _Converged(kb)
         return u_end
@@ -284,8 +297,9 @@ def shoot_kappa(spec: ArrivalSpec, tol: float = 1e-10, grid_n: int = 1000,
         raise ShootingError(f"refined u_end does not change sign on the scan "
                             f"bracket [{lo}, {hi}]: {exc}") from exc
 
-    grid, u, v, u_end = integrate_varpi(spec, kappa_b, grid_n=grid_n)
-    kappa_a = float(grid[-1])
+    grid = np.linspace(kappa_b, upper(kappa_b), grid_n)
+    u, v = paths(kappa_b, grid)
+    u[0], v[0] = 1.0, 0.0
     Fa = np.asarray(spec.ask_dist.cdf(grid), dtype=float)
     Fb = np.asarray(spec.bid_dist.cdf(grid), dtype=float)
     varpi_b = u / Fa
@@ -295,10 +309,10 @@ def shoot_kappa(spec: ArrivalSpec, tol: float = 1e-10, grid_n: int = 1000,
     fa_pdf = np.asarray(spec.ask_dist.density(grid), dtype=float)
     mass_b = float(np.trapezoid(varpi_b * fb_pdf, grid))
     mass_a = float(np.trapezoid(varpi_a * fa_pdf, grid))
-    return VarpiSolution(kappa_b=kappa_b, kappa_a=kappa_a, grid=grid,
+    return VarpiSolution(kappa_b=kappa_b, kappa_a=float(grid[-1]), grid=grid,
                          varpi_b=varpi_b, varpi_a=varpi_a,
                          mass_b=mass_b, mass_a=mass_a,
-                         u_end=u_end, v_end=float(v[-1]))
+                         u_end=float(u[-1]), v_end=float(v[-1]))
 
 
 @dataclass(frozen=True)
@@ -405,20 +419,13 @@ def finiteness_lower_bound(spec: ArrivalSpec) -> float | None:
 
     Scans 199 levels X = F_b(x) in [0.02, 0.49], solving y from
     F_b(x) = 1 - F_a(y) and keeping pairs that also satisfy the mirrored
-    condition F_b(y) = 1 - F_a(x) to within 1e-6.
+    condition F_b(y) = 1 - F_a(x) to within 1e-6.  One law call per array.
     """
-    best = None
-    for X in np.linspace(0.02, 0.49, 199):
-        x = float(spec.bid_dist.quantile(X))
-        y = float(spec.ask_dist.quantile(1.0 - X))
-        if not x < y:
-            continue
-        Yb = float(spec.bid_dist.cdf(y))
-        if abs(Yb - (1.0 - float(spec.ask_dist.cdf(x)))) > 1e-6:
-            continue
-        if not X < Yb < 1.0:
-            continue
-        val = float(lower_bound_3bin(float(X), Yb))
-        if best is None or val > best:
-            best = val
-    return best
+    X = np.linspace(0.02, 0.49, 199)
+    x = np.asarray(spec.bid_dist.quantile(X), dtype=float)
+    y = np.asarray(spec.ask_dist.quantile(1.0 - X), dtype=float)
+    Yb = np.asarray(spec.bid_dist.cdf(y), dtype=float)
+    Fa_x = np.asarray(spec.ask_dist.cdf(x), dtype=float)
+    keep = (x < y) & (np.abs(Yb - (1.0 - Fa_x)) <= 1e-6) & (X < Yb) & (Yb < 1.0)
+    return max((float(lower_bound_3bin(float(a), float(b)))
+                for a, b in zip(X[keep], Yb[keep])), default=None)

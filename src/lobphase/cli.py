@@ -195,6 +195,11 @@ def cmd_kappa(cfg: RunConfig) -> int:
                             sim.ArrivalStream(cfg.seed, cfg.n, spec),
                             max(1, cfg.n // 100))
             est = sim.estimate_kappa(trace, spec)
+            if est.Fb_kappa_hat <= 0 or est.Fa_kappa_hat <= 0:
+                print(f"mc estimate degenerate: a tail ratio is zero (F_b="
+                      f"{est.Fb_kappa_hat:g}, F_a={est.Fa_kappa_hat:g}) after "
+                      f"{cfg.n} arrivals; raise --n", file=sys.stderr)
+                return EXIT_RUNTIME
             print(f"mc:    kappa_b={est.kappa_b_hat:.6f} kappa_a={est.kappa_a_hat:.6f} "
                   f"(n={cfg.n}, seed={cfg.seed})")
             print(f"kernel: {book.KERNEL}")
@@ -259,6 +264,8 @@ def cmd_check(cfg: RunConfig) -> int:
     spec = build_spec(cfg)
     seeds = cfg.seeds or [cfg.seed]
     failed = False
+    if cfg.suite in ("coupling", "all") and cfg.n < 1:
+        raise ConfigError(f"the coupling suite needs --n >= 1 arrivals, got {cfg.n}")
     if cfg.suite in ("coupling", "all"):
         from .book import Order
         fine = make_partition(max(cfg.bins, 10), spec)

@@ -200,27 +200,53 @@ class TestShooting:
             shoot_kappa(spec, tol=1e-9)
 
 
-class TestScan:
-    """The one-system scan gives the signs of one integration per candidate."""
+def scan_spec(name: str) -> tuple[ArrivalSpec, float]:
+    """A spec and the fb_lower to shoot it with."""
+    tent = piecewise_linear_dist([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
+    tri = piecewise_linear_dist([0.0, 1.0], [0.0, 2.0])
+    return {
+        "uniform": (ArrivalSpec(uniform_dist(), uniform_dist()), 1 / 9),
+        "tent": (ArrivalSpec(tent, tent), 0.05),
+        "table": (uniform_table_spec(), 1 / 9),
+        "asymmetric": (ArrivalSpec(tri, uniform_dist()), 0.03),
+    }[name]
+
+
+class TestDenseScan:
+    """One dense fundamental-matrix solve stands in for one solve per start level."""
 
     @pytest.mark.parametrize("name", ["uniform", "tent", "table", "asymmetric"])
-    def test_signs_match_per_candidate(self, name):
-        tent = piecewise_linear_dist([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
-        tri = piecewise_linear_dist([0.0, 1.0], [0.0, 2.0])
-        spec, fb_lower = {
-            "uniform": (ArrivalSpec(uniform_dist(), uniform_dist()), 1 / 9),
-            "tent": (ArrivalSpec(tent, tent), 0.05),
-            "table": (uniform_table_spec(), 1 / 9),
-            "asymmetric": (ArrivalSpec(tri, uniform_dist()), 0.03),
-        }[name]
-        kappas, u_ends = analytics._scan(spec, fb_lower, 64)
-        per_candidate = [integrate_varpi(spec, float(k), grid_n=64, rtol=1e-6,
-                                         atol=1e-12, check=False)[3]
-                         for k in kappas]
+    def test_u_end_matches_per_candidate(self, name):
+        spec, fb_lower = scan_spec(name)
+        kappas, u_ends, _ = analytics._dense_scan(spec, fb_lower, 64)
+        per_candidate = np.array([
+            integrate_varpi(spec, float(k), grid_n=64, rtol=1e-12, check=False)[3]
+            for k in kappas])
         assert kappas.size > 32
+        assert np.max(np.abs(u_ends - per_candidate)) <= 1e-8
         np.testing.assert_array_equal(np.sign(u_ends), np.sign(per_candidate))
         # one bracket, as shoot_kappa requires
         assert np.count_nonzero(np.diff(np.sign(u_ends))) == 1
+
+    @pytest.mark.parametrize("name", ["uniform", "tent", "table", "asymmetric"])
+    def test_densities_match_integrate_varpi(self, name):
+        spec, fb_lower = scan_spec(name)
+        sol = shoot_kappa(spec, fb_lower=fb_lower, grid_n=200)
+        grid, u, v, _ = integrate_varpi(spec, sol.kappa_b, grid_n=200, rtol=1e-12)
+        assert np.array_equal(sol.grid, grid)
+        u_shot = sol.varpi_b * np.asarray(spec.ask_dist.cdf(grid), dtype=float)
+        v_shot = sol.varpi_a * (1.0 - np.asarray(spec.bid_dist.cdf(grid), dtype=float))
+        assert np.max(np.abs(u_shot - u)) <= 1e-8
+        assert np.max(np.abs(v_shot - v)) <= 1e-8
+
+    def test_tent_threshold_meets_tol(self):
+        # the kink of the tent density at 1/2 cost the single-level solves
+        # their accuracy: u_end was 7.6e-10 at the threshold they returned
+        tent, _ = scan_spec("tent")
+        sol = shoot_kappa(tent, tol=1e-10)
+        u_end = integrate_varpi(tent, sol.kappa_b, grid_n=64, rtol=1e-13,
+                                atol=1e-15, check=False)[3]
+        assert abs(u_end) <= 1e-10
 
 
 class TestTablePath:
@@ -300,6 +326,45 @@ class TestBinnedPi:
         part = make_partition(10, uniform_spec)
         with pytest.raises(ValueError):
             solve_binned_pi(uniform_spec, part, 5, 3, 0.2)
+
+
+def reference_finiteness(spec: ArrivalSpec) -> float | None:
+    """The certificate scan as a scalar loop: four law calls per level.
+
+    This is the readable form the array version must reproduce exactly.
+    """
+    best = None
+    for X in np.linspace(0.02, 0.49, 199):
+        x = float(spec.bid_dist.quantile(X))
+        y = float(spec.ask_dist.quantile(1.0 - X))
+        if not x < y:
+            continue
+        Yb = float(spec.bid_dist.cdf(y))
+        if abs(Yb - (1.0 - float(spec.ask_dist.cdf(x)))) > 1e-6:
+            continue
+        if not X < Yb < 1.0:
+            continue
+        val = float(lower_bound_3bin(float(X), Yb))
+        if best is None or val > best:
+            best = val
+    return best
+
+
+class TestFinitenessLowerBound:
+    @pytest.mark.parametrize("name", ["uniform", "tent", "table", "asymmetric",
+                                      "asymmetric_uniformized", "uniform_inner",
+                                      "leaning"])
+    def test_equals_scalar_loop(self, name):
+        if name == "asymmetric_uniformized":
+            spec = transform_to_uniform_bid(scan_spec("asymmetric")[0])
+        elif name == "uniform_inner":
+            spec = ArrivalSpec(uniform_dist(0.2, 0.8), uniform_dist(0.2, 0.8))
+        elif name == "leaning":  # bids lean high, asks low: a bound below 1/9
+            spec = ArrivalSpec(piecewise_linear_dist([0, 1], [0.8, 1.2]),
+                               piecewise_linear_dist([0, 1], [1.2, 0.8]))
+        else:
+            spec = scan_spec(name)[0]
+        assert finiteness_lower_bound(spec) == reference_finiteness(spec)
 
 
 class TestLowerBound3Bin:

@@ -61,6 +61,14 @@ class TestKappaCommand:
         assert code == 2
         assert "--n >= 10" in err and "mc:" not in out
 
+    def test_mc_degenerate_estimate_is_refused(self, capsys):
+        # 20 arrivals leave the bid tail ratio at 0, which would print kappa_b=0
+        code, out, err = run_cli(capsys, "kappa", "--mode", "mc", "--n", "20",
+                                 "--seed", "0")
+        assert code == 3
+        assert "tail ratio is zero" in err and "raise --n" in err
+        assert "mc:" not in out
+
     def test_compare_small(self, capsys):
         code, out, _ = run_cli(capsys, "kappa", "--compare", "--n", "200000",
                                "--seed", "7")
@@ -188,6 +196,15 @@ class TestCheckCommand:
                                "--eps", "0.01", "--out", str(tmp_path))
         assert code == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize("suite", ["coupling", "all"])
+    def test_coupling_suite_without_arrivals_is_config_error(self, capsys, tmp_path,
+                                                             suite):
+        code, out, err = run_cli(capsys, "check", "--suite", suite, "--n", "0",
+                                 "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("config error:") and "--n >= 1" in err
+        assert out == ""
 
     def test_coupling_suite_small(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "check", "--suite", "coupling",
