@@ -1,9 +1,12 @@
-/* The arrival loop of lobphase.book.match_arrivals, compiled.
+/* Two passes of lobphase.book, compiled.
  *
- * Mirrors book._match_py step for step: the same tests in the same order,
- * heapq's sift logic on double heaps (bids negated), so the outcome, beta
- * and alpha arrays and the final heaps equal the Python ones element for
- * element.  bins is NULL for the ordinary rule, where arrival i has bin i+1.
+ * match, the arrival loop of match_arrivals, mirrors book._match_py step for
+ * step: the same tests in the same order, heapq's sift logic on double heaps
+ * (bids negated), so the outcome, beta and alpha arrays and the final heaps
+ * equal the Python ones element for element.  bins is NULL for the ordinary
+ * rule, where arrival i has bin i+1.
+ *
+ * top_shape is the top-shape recorder of book._top_shape_sums in one pass.
  */
 #include <math.h>
 #include <stdint.h>
@@ -91,5 +94,22 @@ void match(long n, const uint8_t *is_bid, const double *prices, const int64_t *b
         }
         beta_out[i] = beta;
         alpha_out[i] = alpha;
+    }
+}
+
+/* Event i moves the resting-bid count of bin bid_bin[i] by bid_step[i]; then,
+ * with the best bid in bin b = beta_bin[i], it adds counts[b - j] to
+ * sums[b][j] for j = 0..min(max_offset, b): nothing when the bid side is
+ * empty (b = -1).  counts (nbins) and sums (nbins x (max_offset + 1),
+ * row-major) start zeroed; integer sums are exact, so they equal the Python
+ * pass's in any order. */
+void top_shape(long n, const int64_t *beta_bin, const int64_t *bid_bin,
+               const int64_t *bid_step, long max_offset, int64_t *counts,
+               int64_t *sums) {
+    for (long i = 0; i < n; i++) {
+        int64_t b = beta_bin[i];
+        counts[bid_bin[i]] += bid_step[i];
+        for (long j = 0; j <= max_offset && j <= b; j++)
+            sums[b * (max_offset + 1) + j] += counts[b - j];
     }
 }

@@ -10,7 +10,9 @@ returns an `EventLog` that every driver and recorder reads.  Its loop body is
 the C function in `_kernel.c`, compiled on first use and cached, or the Python
 loop `_match_py` where no compiler is available; `KERNEL` says which runs.
 `apply_arrival` applies one order at a time; it is the readable reference
-both loops are tested against.
+both loops are tested against.  The same library carries the top-shape
+recorder's pass over the log, with the numpy `_top_shape_sums` as its
+reference and fallback.
 """
 
 from __future__ import annotations
@@ -371,10 +373,60 @@ def _match_c(fn, state: BookState, rule: MatchRule, is_bid: np.ndarray, prices: 
     return outcome, beta, alpha
 
 
+CHUNK = 256   # events per block in the events x bins passes
+TOP_MAX_OFFSET = 10
+
+
+def _top_shape_sums(beta_bin: np.ndarray, bid_bin: np.ndarray, bid_step: np.ndarray,
+                    nbins: int) -> np.ndarray:
+    """Per best-bid bin k, summed bid counts in bins k, k-1, ..., k-TOP_MAX_OFFSET.
+
+    Resting bids are counted from the start of the run (initial orders
+    excluded); event i moves bin bid_bin[i] by bid_step[i].  The reference
+    for `top_shape` in `_kernel.c` and the pass that runs without a compiler.
+    """
+    sums = np.zeros((nbins, TOP_MAX_OFFSET + 1), dtype=np.int64)
+    counts = np.zeros(nbins, dtype=np.int64)
+    for lo in range(0, beta_bin.size, CHUNK):
+        step = np.zeros((min(CHUNK, beta_bin.size - lo), nbins), dtype=np.int64)
+        rows = np.arange(step.shape[0])
+        step[rows, bid_bin[lo:lo + CHUNK]] = bid_step[lo:lo + CHUNK]
+        state = counts + np.cumsum(step, axis=0)
+        counts = state[-1]
+        b = beta_bin[lo:lo + CHUNK]
+        for j in range(TOP_MAX_OFFSET + 1):
+            ok = b >= j
+            np.add.at(sums[:, j], b[ok], state[rows[ok], b[ok] - j])
+    return sums
+
+
+def _top_shape_c(fn, beta_bin: np.ndarray, bid_bin: np.ndarray, bid_step: np.ndarray,
+                 nbins: int) -> np.ndarray:
+    """`_top_shape_sums` through the compiled `top_shape` of `_kernel.c`."""
+    beta_bin, bid_bin, bid_step = (np.ascontiguousarray(a, dtype=np.int64)
+                                   for a in (beta_bin, bid_bin, bid_step))
+    n = beta_bin.size
+    if not bid_bin.size == bid_step.size == n:
+        raise ValueError("top-shape inputs differ in length")
+    # the C pass indexes with these bins unchecked
+    if n and not (-1 <= beta_bin.min() and beta_bin.max() < nbins
+                  and 0 <= bid_bin.min() and bid_bin.max() < nbins):
+        raise ValueError(f"top-shape bins outside 0..{nbins - 1}")
+    counts = np.zeros(nbins, dtype=np.int64)
+    sums = np.zeros((nbins, TOP_MAX_OFFSET + 1), dtype=np.int64)
+    fn(n, beta_bin.ctypes.data, bid_bin.ctypes.data, bid_step.ctypes.data,
+       TOP_MAX_OFFSET, counts.ctypes.data, sums.ctypes.data)
+    return sums
+
+
 class _Kernel(NamedTuple):
     name: str                # "c" or "python"
     run: Callable            # (state, rule, is_bid, prices) -> (outcome, beta, alpha)
+    top_shape: Callable      # (beta_bin, bid_bin, bid_step, nbins) -> sums
     library: Optional[Path]  # the compiled library, for the C kernel
+
+
+_PYTHON_KERNEL = _Kernel("python", _match_py, _top_shape_sums, None)
 
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -433,7 +485,8 @@ def _library() -> Path:
             subprocess.run([_CC, *_FLAGS, "-o", tmp, str(_SOURCE)],
                            check=True, capture_output=True, timeout=300)
             os.chmod(tmp, 0o755)        # whatever the umask, or it is never loaded
-            ctypes.CDLL(tmp).match      # raises unless it loads and exports match
+            lib = ctypes.CDLL(tmp)      # raises unless it loads and exports both
+            lib.match, lib.top_shape
             os.replace(tmp, d / name)
         finally:
             if os.path.exists(tmp):
@@ -447,19 +500,21 @@ def _library() -> Path:
 
 
 def _load_kernel() -> _Kernel:
-    """The compiled loop, or the Python loop if building or loading it fails."""
+    """The compiled passes, or the Python ones if building or loading them fails."""
     if os.name != "posix":      # the cache relies on POSIX file ownership
-        return _Kernel("python", _match_py, None)
+        return _PYTHON_KERNEL
     try:
         library = _library()
-        fn = ctypes.CDLL(str(library)).match
+        lib = ctypes.CDLL(str(library))
+        match, top_shape = lib.match, lib.top_shape
     except (OSError, AttributeError, subprocess.SubprocessError):
-        return _Kernel("python", _match_py, None)
+        return _PYTHON_KERNEL
     p, n = ctypes.c_void_p, ctypes.c_long
-    fn.argtypes = [n, p, p, p, p, n, ctypes.c_int, ctypes.c_double, ctypes.c_double,
-                   p, ctypes.POINTER(n), p, ctypes.POINTER(n), p, p, p]
-    fn.restype = None
-    return _Kernel("c", partial(_match_c, fn), library)
+    match.argtypes = [n, p, p, p, p, n, ctypes.c_int, ctypes.c_double, ctypes.c_double,
+                      p, ctypes.POINTER(n), p, ctypes.POINTER(n), p, p, p]
+    top_shape.argtypes = [n, p, p, p, n, p, p]
+    match.restype = top_shape.restype = None
+    return _Kernel("c", partial(_match_c, match), partial(_top_shape_c, top_shape), library)
 
 
 def _kernel() -> _Kernel:

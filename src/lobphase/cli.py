@@ -30,6 +30,8 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_CHECK_FAILED = 4
 
+SUITES = ("coupling", "lyapunov", "bounds", "all")
+
 
 class ConfigError(ValueError):
     pass
@@ -83,6 +85,8 @@ class RunConfig:
             raise ConfigError("n must be nonnegative")
         if cfg.rule not in (ORDINARY, ORDINARY_BINNED, STRICT_BINNED):
             raise ConfigError(f"unknown rule {cfg.rule!r}")
+        if cfg.suite not in SUITES:
+            raise ConfigError(f"unknown suite {cfg.suite!r}; use one of {', '.join(SUITES)}")
         if cfg.bins < 2:
             raise ConfigError("bins must be at least 2")
         if cfg.tol <= 0:

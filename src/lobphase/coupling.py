@@ -18,12 +18,12 @@ from typing import Optional
 import numpy as np
 
 # apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
-from .book import (ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule, Order,
+from .book import (CHUNK, ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule, Order,
                    apply_arrival, match_arrivals)
 from .dist import (ArrivalSpec, BinPartition, make_partition, refines,
                    union_refinement)
-from .sim import (CHUNK, ArrivalStream, Arrivals, KappaEstimate, estimate_kappa,
-                  materialize, run_arrivals)
+from .sim import (ArrivalStream, Arrivals, KappaEstimate, estimate_kappa, materialize,
+                  run_arrivals)
 
 __all__ = [
     "CouplingReport",

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 # apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
-from .book import (EXECUTED, NEG_INF, POS_INF, RESERVOIR, BookState, MatchRule,
+from .book import (EXECUTED, NEG_INF, POS_INF, RESERVOIR, BookState, MatchRule, _kernel,
                    apply_arrival, match_arrivals)
 from .dist import ArrivalSpec, BinPartition
 from .output import config_hash
@@ -240,7 +240,7 @@ def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
     changed_bin = part.index(changed_price)
     if record_top_shape:
         trace.top_shape_visits = np.bincount(beta_bin[beta_bin >= 0], minlength=nbins)
-        trace.top_shape_sums = _top_shape_sums(
+        trace.top_shape_sums = _kernel().top_shape(
             beta_bin, changed_bin, np.where(changed_bid, sign, 0), nbins)
     if runmax_bins is not None:
         k_b, k_a = runmax_bins
@@ -256,32 +256,6 @@ def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
             trace.runmax_series = (np.column_stack((times, count, run_max)) if n
                                    else np.empty(0))
     return trace
-
-
-CHUNK = 256   # events per block in the events x bins passes
-TOP_MAX_OFFSET = 10
-
-
-def _top_shape_sums(beta_bin: np.ndarray, bid_bin: np.ndarray, bid_step: np.ndarray,
-                    nbins: int) -> np.ndarray:
-    """Per best-bid bin k, summed bid counts in bins k, k-1, ..., k-TOP_MAX_OFFSET.
-
-    Resting bids are counted from the start of the run (initial orders
-    excluded); event i moves bin bid_bin[i] by bid_step[i].
-    """
-    sums = np.zeros((nbins, TOP_MAX_OFFSET + 1), dtype=np.int64)
-    counts = np.zeros(nbins, dtype=np.int64)
-    for lo in range(0, beta_bin.size, CHUNK):
-        step = np.zeros((min(CHUNK, beta_bin.size - lo), nbins), dtype=np.int64)
-        rows = np.arange(step.shape[0])
-        step[rows, bid_bin[lo:lo + CHUNK]] = bid_step[lo:lo + CHUNK]
-        state = counts + np.cumsum(step, axis=0)
-        counts = state[-1]
-        b = beta_bin[lo:lo + CHUNK]
-        for j in range(TOP_MAX_OFFSET + 1):
-            ok = b >= j
-            np.add.at(sums[:, j], b[ok], state[rows[ok], b[ok] - j])
-    return sums
 
 
 def estimate_kappa(trace: Trace, spec: ArrivalSpec) -> KappaEstimate:
@@ -350,7 +324,8 @@ def write_trace_csvs(trace: Trace, outdir, cfg: dict | None = None) -> list:
             f"{outdir}/occupation.csv", ["bin_lo", "bin_hi", "pi_b", "pi_a"],
             zip(edges[:-1], edges[1:], pi_b, pi_a), meta))
     if trace.joint_hist is not None:
-        rows = ((i, j, int(m)) for (i, j), m in np.ndenumerate(trace.joint_hist) if m)
+        i, j = np.nonzero(trace.joint_hist)     # row-major, as the cells are laid out
+        rows = zip(i.tolist(), j.tolist(), trace.joint_hist[i, j].tolist())
         written.append(write_csv(
             f"{outdir}/joint.csv", ["bin_beta", "bin_alpha", "mass"], rows, meta))
     if trace.top_shape_sums is not None:

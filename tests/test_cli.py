@@ -206,6 +206,19 @@ class TestCheckCommand:
         assert err.startswith("config error:") and "--n >= 1" in err
         assert out == ""
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unknown_suite_is_config_error(self, capsys, tmp_path, source):
+        if source == "flag":
+            args = ("--suite", "bogus")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"suite": "bogus"}))
+            args = ("--config", str(cfg))
+        code, out, err = run_cli(capsys, "check", *args, "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("config error:") and "bogus" in err
+        assert out == ""
+
     def test_coupling_suite_small(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "check", "--suite", "coupling",
                                "--n", "5000", "--seeds", "1", "2",

@@ -4,8 +4,10 @@ The digests were recorded with the per-event reference loop (one
 `apply_arrival` call per arrival).  Any change to the event loop, the
 recorders or the arrival draw that moves a single bit of a checkpoint,
 counter, occupation sum, histogram or series changes a digest.  Every run is
-checked under the loop `match_arrivals` loads (the compiled kernel where a C
-compiler is available) and again under the Python loop.
+checked under the kernel `match_arrivals` loads (the compiled one where a C
+compiler is available) and again under the Python loop and the numpy
+top-shape pass, so the digests that record top shape pin both of its
+implementations.
 """
 
 import hashlib
@@ -98,13 +100,13 @@ def test_golden_trace(name, uniform_spec):
 
 @pytest.fixture
 def python_loop(monkeypatch):
-    monkeypatch.setattr(book, "_loaded", book._Kernel("python", book._match_py, None))
+    monkeypatch.setattr(book, "_loaded", book._PYTHON_KERNEL)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_trace_on_python_loop(name, uniform_spec, python_loop):
     make, digest = GOLDEN[name]
-    assert book.KERNEL == "python"
+    assert book._kernel() == book._PYTHON_KERNEL
     assert trace_digest(make(uniform_spec)) == digest
 
 
@@ -112,9 +114,9 @@ def test_golden_trace_without_compiler(monkeypatch, tmp_path, uniform_spec):
     monkeypatch.setattr(book, "_cache_dirs", lambda: (tmp_path,))
     monkeypatch.setattr(book, "_CC", str(tmp_path / "missing-cc"))
     monkeypatch.setattr(book, "_loaded", None)
-    make, digest = GOLDEN["reservoirs"]
+    make, digest = GOLDEN["strict_poisson"]     # reservoirs and top shape
     assert trace_digest(make(uniform_spec)) == digest
-    assert book.KERNEL == "python"
+    assert book._kernel() == book._PYTHON_KERNEL
 
 
 def five_bin_digest(rep) -> str:

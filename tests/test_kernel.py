@@ -1,12 +1,13 @@
 """Differential tests: the event loop `match_arrivals` against `apply_arrival`,
-and its compiled kernel against the Python loop.
+and its compiled kernel against the Python loop and the numpy top-shape pass.
 
 The loop must leave the same book and log the same effect for every arrival
 as a step-by-step replay through the reference, under all three rules, with
 and without reservoirs, from non-empty books and with prices on bin edges.
 Every input the replay rejects, the loop rejects too.  The C kernel must give
 the Python loop's arrays bit for bit and its heap lists element for element,
-and raise the same error on the same input.
+and raise the same error on the same input; its top-shape pass must give the
+numpy `_top_shape_sums` bytes and dtype.
 """
 
 import math
@@ -171,7 +172,7 @@ def test_empty_sequence():
 
 # -- the compiled kernel against the Python loop -----------------------------
 
-PYTHON_LOOP = book_module._Kernel("python", book_module._match_py, None)
+PYTHON_LOOP = book_module._PYTHON_KERNEL
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +233,76 @@ def test_c_kernel_long_runs(c_kernel, kind, reservoirs):
 def test_both_kernels_reject(c_kernel, kind, book, is_bid, px):
     assert not assert_kernels_agree(c_kernel, RULES[kind], book, np.array(is_bid),
                                     np.array(px, dtype=float))
+
+
+def top_shape_on(kernel, rule, book, is_bid, px, part):
+    """run_arrivals' top-shape sums as (dtype, shape, bytes), or the error message."""
+    arr = sim.Arrivals(is_bid, px, 0.5 * np.arange(1, px.size + 1), 0.5)
+    with running(kernel):
+        trace, err = outcome_of(lambda: sim.run_arrivals(
+            rule, book, arr, 0, record_partition=part, record_top_shape=True))
+    if err is not None:
+        return str(err), None
+    sums = trace.top_shape_sums
+    return (sums.dtype.str, sums.shape, sums.tobytes()), trace.top_shape_visits
+
+
+def assert_top_shapes_agree(c_kernel, rule, book, is_bid, px, part):
+    """The C top-shape pass against the numpy one, both after the C loop."""
+    numpy_pass = c_kernel._replace(top_shape=book_module._top_shape_sums)
+    got, visits = top_shape_on(c_kernel, rule, book, is_bid, px, part)
+    want, _ = top_shape_on(numpy_pass, rule, book, is_bid, px, part)
+    assert got == want
+    return visits
+
+
+# 10 bins, where every row is cut short by j <= b, and 50 bins that share the
+# rule's bin edges
+RECORD_PARTS = (TENTH_BINS,
+                BinPartition((0.0, 1.0), np.round(np.arange(0.02, 0.985, 0.02), 10)))
+
+
+@given(scenarios(), st.sampled_from(RECORD_PARTS))
+@settings(max_examples=400, deadline=None)
+def test_c_top_shape_matches_numpy(c_kernel, scenario, part):
+    assert_top_shapes_agree(c_kernel, *scenario, part)
+
+
+HUNDREDTH_BINS = BinPartition((0.0, 1.0), np.round(np.arange(0.01, 0.995, 0.01), 10))
+
+
+@pytest.mark.parametrize("kind", sorted(RULES))
+@pytest.mark.parametrize("regime", ["empty_bid_side", "low_best_bid"])
+def test_c_top_shape_long_runs(c_kernel, kind, regime):
+    rng = np.random.default_rng(5)
+    n = 20_000
+    if regime == "empty_bid_side":
+        # every 1000 arrivals end with 200 asks below every bid, which empty the
+        # bid side for stretches of hundreds of arrivals
+        low_ask = np.arange(n) % 1000 >= 800
+        is_bid = ~low_ask & (rng.random(n) < 0.5)
+        px = np.where(low_ask, rng.random(n) * 0.05, 0.1 + rng.random(n) * 0.9)
+        book = BookState()
+    else:
+        # bids below 0.1: the best bid sits in bins 0..9 of 100, and rows are cut short
+        is_bid = rng.random(n) < 0.5
+        px = np.where(is_bid, rng.random(n) * 0.1, 0.05 + rng.random(n) * 0.95)
+        book = BookState(bids=[0.001], asks=[0.9995], ask_reservoir=0.9999)
+    visits = assert_top_shapes_agree(c_kernel, RULES[kind], book, is_bid, px,
+                                     HUNDREDTH_BINS)
+    if regime == "empty_bid_side":
+        assert 0.2 * n < visits.sum() < 0.8 * n
+    else:
+        assert visits.sum() > 0 and not visits[book_module.TOP_MAX_OFFSET:].any()
+
+
+def test_top_shape_rejects_bins_out_of_range(c_kernel):
+    ok = np.zeros(3, dtype=np.int64)
+    for beta_bin, bid_bin in [(ok - 2, ok), (ok + 4, ok), (ok, ok - 1), (ok, ok + 4)]:
+        with pytest.raises(ValueError, match="outside 0..3"):
+            c_kernel.top_shape(beta_bin, bid_bin, ok, 4)
+    with pytest.raises(ValueError, match="length"):
+        c_kernel.top_shape(ok, ok[:2], ok, 4)
 
 
 @pytest.mark.parametrize("cc", ["false", "true"])
