@@ -14,11 +14,11 @@ arrival law:
 
 and kappa_b is the unique level at which u vanishes exactly at
 kappa_a = Q_a(1 - F_b(kappa_b)); v(kappa_a) = 1 comes out as a free
-normalization check.  `shoot_kappa` integrates the system's fundamental matrix
-once, densely, over its widest candidate window, for every law including
-tabulated ones; the scan, each root-search step and the returned densities
-are read off that one solution.  `integrate_varpi` integrates from a single
-level, adaptively for smooth laws and with fixed-step RK4 for tables.
+normalization check.  Every law, tabulated ones included, goes through one
+adaptive DOP853 integrator.  `shoot_kappa` integrates the system's fundamental
+matrix with it once, densely, over its widest candidate window; the scan, each
+root-search step and the returned densities are read off that one solution.
+`integrate_varpi` integrates (u, v) from a single level.
 """
 
 from __future__ import annotations
@@ -117,27 +117,20 @@ def _check_coefficients(spec: ArrivalSpec, lo: float, hi: float, n_probe: int = 
             f"F_b={fb_cdf[bad[0]]:.6g})")
 
 
-def _coefficients(spec: ArrivalSpec, x):
-    """The ODE's coefficients c_u = -f_a / (1 - F_b) and c_v = f_b / F_a at x.
-
-    They depend on x alone, so every caller evaluates them on whole arrays of
-    abscissae: one law call per callable per array, never one per point.
-    """
-    bid, ask = spec.bid_dist, spec.ask_dist
-    return -ask.density(x) / (1.0 - bid.cdf(x)), bid.density(x) / ask.cdf(x)
-
-
 def _integrate_adaptive(spec: ArrivalSpec, lo: float, hi: float, y0, rtol: float,
                         atol: float, **kw):
     """DOP853 for (u, v) from x = lo to hi; `kw` goes to `solve_ivp`.
 
     `y0` lists the u-components of the start vectors, then their
-    v-components, so one coefficient call per stage serves all of them.
+    v-components.  The coefficients c_u = -f_a / (1 - F_b) and c_v = f_b / F_a
+    depend on x alone, so one law call per callable per stage serves them all.
     """
     n = len(y0) // 2
+    bid, ask = spec.bid_dist, spec.ask_dist
 
     def rhs(x, y):
-        c_u, c_v = _coefficients(spec, x)
+        c_u = -ask.density(x) / (1.0 - bid.cdf(x))
+        c_v = bid.density(x) / ask.cdf(x)
         return np.concatenate([c_u * y[n:], c_v * y[:n]])
 
     sol = solve_ivp(rhs, (lo, hi), y0, method="DOP853", rtol=rtol, atol=atol, **kw)
@@ -151,9 +144,9 @@ def integrate_varpi(spec: ArrivalSpec, kappa_b: float, grid_n: int = 1000,
                     check: bool = True):
     """Integrate (u, v) from kappa_b to kappa_a(kappa_b); returns paths and u_end.
 
-    Smooth laws go through an adaptive high-order Runge-Kutta integrator;
-    tabulated CDFs have kinked coefficients, so those step segment-by-segment
-    with a fixed-step classical RK4 between table knots.
+    The paths are read at `grid_n` evenly spaced points, the ends included.
+    DOP853's step control also handles the kinked coefficients of tabulated
+    and piecewise-linear laws: it shortens the steps around each knot.
     """
     fb_level = float(spec.bid_dist.cdf(kappa_b))
     if not 0.0 < fb_level < 0.5:
@@ -165,47 +158,9 @@ def integrate_varpi(spec: ArrivalSpec, kappa_b: float, grid_n: int = 1000,
         _check_coefficients(spec, kappa_b, kappa_a)
 
     grid = np.linspace(kappa_b, kappa_a, grid_n)
-    if spec.bid_dist.kind == "cdf_table" or spec.ask_dist.kind == "cdf_table":
-        u_path, v_path = _integrate_fixed(spec, kappa_b, kappa_a, grid)
-    else:
-        u_path, v_path = _integrate_adaptive(spec, kappa_b, kappa_a, [1.0, 0.0],
-                                             rtol, atol, t_eval=grid).y
+    u_path, v_path = _integrate_adaptive(spec, kappa_b, kappa_a, [1.0, 0.0],
+                                         rtol, atol, t_eval=grid).y
     return grid, u_path, v_path, float(u_path[-1])
-
-
-def _integrate_fixed(spec: ArrivalSpec, lo: float, hi: float, grid: np.ndarray,
-                     steps_per_cell: int = 8):
-    """Classical RK4 on the union of table knots and output grid points.
-
-    Each cell takes `steps_per_cell` steps of h = width / steps_per_cell.  The
-    stage abscissae x, x + h/2, x + h come first, all at once, with x
-    accumulated step by step from the cell's left end; the coefficients are
-    evaluated on them in one call and the recurrence runs on floats.
-    """
-    mesh = np.unique(np.concatenate([grid, np.linspace(lo, hi, 4 * grid.size)]))
-    h = np.repeat(np.diff(mesh) / steps_per_cell, steps_per_cell)
-    steps = h.reshape(-1, steps_per_cell).copy()
-    steps[:, 0] = mesh[:-1]
-    x = np.cumsum(steps, axis=1).ravel()  # adds in sequence, like x += h
-    (c_u0, c_um, c_u1), (c_v0, c_vm, c_v1) = (
-        c.reshape(3, -1).tolist()
-        for c in _coefficients(spec, np.concatenate([x, x + h / 2, x + h])))
-    h = h.tolist()
-    u = np.empty(mesh.size)
-    v = np.empty(mesh.size)
-    u[0], v[0] = uu, vv = 1.0, 0.0
-    for i in range(1, mesh.size):
-        for j in range((i - 1) * steps_per_cell, i * steps_per_cell):
-            hj, half = h[j], h[j] / 2
-            k1u, k1v = c_u0[j] * vv, c_v0[j] * uu
-            k2u, k2v = c_um[j] * (vv + half * k1v), c_vm[j] * (uu + half * k1u)
-            k3u, k3v = c_um[j] * (vv + half * k2v), c_vm[j] * (uu + half * k2u)
-            k4u, k4v = c_u1[j] * (vv + hj * k3v), c_v1[j] * (uu + hj * k3u)
-            uu += hj / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-            vv += hj / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        u[i], v[i] = uu, vv
-    sel = np.searchsorted(mesh, grid)
-    return u[sel], v[sel]
 
 
 @dataclass(frozen=True)

@@ -248,11 +248,7 @@ class EventLog(NamedTuple):
     alpha: np.ndarray        # best ask after the event
     beta0: float             # best quotes before the first event
     alpha0: float
-
-    def met(self) -> np.ndarray:
-        """The opposite best quote each arrival met: its counterparty if it executed."""
-        return np.where(self.is_bid, np.concatenate(([self.alpha0], self.alpha))[:-1],
-                        np.concatenate(([self.beta0], self.beta))[:-1])
+    met: np.ndarray          # opposite best quote each arrival met
 
     def changes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(is_bid, price, sign) of the resting order each event adds or removes.
@@ -262,7 +258,7 @@ class EventLog(NamedTuple):
         """
         executed = self.outcome == EXECUTED
         sign = (self.outcome == JOINED).astype(np.int8) - executed
-        return self.is_bid ^ executed, np.where(executed, self.met(), self.prices), sign
+        return self.is_bid ^ executed, np.where(executed, self.met, self.prices), sign
 
 
 def match_arrivals(state: BookState, rule: MatchRule, is_bid, prices) -> EventLog:
@@ -282,13 +278,14 @@ def match_arrivals(state: BookState, rule: MatchRule, is_bid, prices) -> EventLo
     _check_prices(np.concatenate((prices, np.negative(state._bid_heap), state._ask_heap)))
     beta0, alpha0 = state.beta(), state.alpha()
     outcome, beta, alpha = _kernel().run(state, rule, is_bid, prices)
-    log = EventLog(is_bid, prices, outcome, beta, alpha, beta0, alpha0)
-    hit = np.flatnonzero(log.prices == log.met())
+    met = np.where(is_bid, np.concatenate(([alpha0], alpha))[:-1],
+                   np.concatenate(([beta0], beta))[:-1])
+    hit = np.flatnonzero(prices == met)
     if hit.size:
-        raise BookInvariantError(f"arrival {hit[0]} at {log.prices[hit[0]]} collides "
+        raise BookInvariantError(f"arrival {hit[0]} at {prices[hit[0]]} collides "
                                  "with the opposite best quote")
-    _check_order(log.beta, log.alpha, rule)
-    return log
+    _check_order(beta, alpha, rule)
+    return EventLog(is_bid, prices, outcome, beta, alpha, beta0, alpha0, met)
 
 
 def _match_py(state: BookState, rule: MatchRule, is_bid: np.ndarray, prices: np.ndarray):

@@ -346,6 +346,11 @@ def cmd_bound3(cfg: RunConfig) -> int:
 def cmd_couple(cfg: RunConfig) -> int:
     spec = build_spec(cfg)
     sw = coupling.estimate_sandwich(cfg.bins, spec, cfg.n, cfg.seed)
+    estimates = (sw.kappa_strict, sw.kappa_fine, sw.kappa_coarse)
+    if any(e.Fb_kappa_hat <= 0 or e.Fa_kappa_hat <= 0 for e in estimates):
+        print(f"sandwich estimate degenerate: a tail ratio is zero after {cfg.n} "
+              "arrivals; raise --n", file=sys.stderr)
+        return EXIT_RUNTIME
     print(f"kappa_b estimates with {sw.n_bins_fine} fine / {sw.n_bins_coarse} "
           f"coarse bins (n={cfg.n}, seed={cfg.seed}):")
     print(f"  strict   {sw.kappa_strict.kappa_b_hat:.4f}")
@@ -414,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg)
-    except ValueError as exc:       # a library's ValueError is a bad option value
+    except (ValueError, OSError) as exc:    # a bad option value, or an unusable path
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BookInvariantError as exc:

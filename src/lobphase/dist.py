@@ -103,7 +103,7 @@ def piecewise_linear_dist(xs, ys) -> PriceDist:
     cum[-1] = 1.0
 
     def _seg(x):
-        return np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+        return np.searchsorted(xs[1:-1], x, side="right")
 
     def density(x):
         x = np.asarray(x, dtype=float)
@@ -121,7 +121,7 @@ def piecewise_linear_dist(xs, ys) -> PriceDist:
         u = np.asarray(u, dtype=float)
         if np.any((u < 0) | (u > 1)):
             raise ValueError("quantile argument outside [0, 1]")
-        i = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, xs.size - 2)
+        i = np.searchsorted(cum[1:-1], u, side="right")
         t = u - cum[i]
         y0, s = ys[i], slopes[i]
         lin = np.divide(t, y0, out=np.zeros_like(t), where=y0 > 0)
@@ -155,7 +155,7 @@ def cdf_table_dist(xs, cdf_values) -> PriceDist:
 
     def density(x):
         x = np.asarray(x, dtype=float)
-        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+        i = np.searchsorted(xs[1:-1], x, side="right")
         inside = (x >= xs[0]) & (x <= xs[-1])
         return np.where(inside, slopes[i], 0.0)
 

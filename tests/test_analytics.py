@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.special import lambertw
 
 from lobphase import analytics
@@ -17,57 +18,46 @@ from lobphase.dist import (ArrivalSpec, cdf_table_dist, make_partition,
 
 
 def uniform_table_spec() -> ArrivalSpec:
-    """The uniform law as a 17-row CDF table: same thresholds, RK4 path."""
+    """The uniform law as a 17-row CDF table: its density is 1 between knots."""
     xs = np.linspace(0.0, 1.0, 17)
     return ArrivalSpec(cdf_table_dist(xs, xs), cdf_table_dist(xs, xs))
 
 
+ASYMMETRIC_BID = ([0.0, 0.25, 0.5, 0.8, 1.0], [0.0, 0.2, 0.55, 0.85, 1.0])
+ASYMMETRIC_ASK = ([0.0, 0.3, 0.6, 1.0], [0.0, 0.25, 0.7, 1.0])
+
+
 def asymmetric_table_spec() -> ArrivalSpec:
     """Different tabulated bid and ask laws, so no symmetry hides an error."""
-    bid = cdf_table_dist([0.0, 0.25, 0.5, 0.8, 1.0], [0.0, 0.2, 0.55, 0.85, 1.0])
-    ask = cdf_table_dist([0.0, 0.3, 0.6, 1.0], [0.0, 0.25, 0.7, 1.0])
-    return ArrivalSpec(bid, ask)
+    return ArrivalSpec(cdf_table_dist(*ASYMMETRIC_BID), cdf_table_dist(*ASYMMETRIC_ASK))
 
 
-def reference_rk4(spec: ArrivalSpec, kappa_b: float, grid_n: int,
-                  steps_per_cell: int = 8):
-    """The table path as a scalar-rhs RK4: four law calls per stage.
+def knot_restarted_reference(kappa_b: float, grid_n: int):
+    """(u, v) of `asymmetric_table_spec` by DOP853 restarted at every knot and grid point.
 
-    This is the readable form the array-coefficient `_integrate_fixed` must
-    reproduce bit for bit.
+    The grid is `integrate_varpi`'s.  A table's density is constant between
+    its knots, so each cell reads it once, at the cell's midpoint: no step
+    meets a jump in the coefficients.
     """
-    fb_level = float(spec.bid_dist.cdf(kappa_b))
-    kappa_a = float(spec.ask_dist.quantile(1.0 - fb_level))
-    f_a, f_b = spec.ask_dist.density, spec.bid_dist.density
+    spec = asymmetric_table_spec()
     F_a, F_b = spec.ask_dist.cdf, spec.bid_dist.cdf
-
-    def rhs(x, y):
-        u, v = y
-        du = -float(f_a(x)) / (1.0 - float(F_b(x))) * v
-        dv = float(f_b(x)) / float(F_a(x)) * u
-        return (du, dv)
-
+    kappa_a = float(spec.ask_dist.quantile(1.0 - float(F_b(kappa_b))))
     grid = np.linspace(kappa_b, kappa_a, grid_n)
-    mesh = np.unique(np.concatenate([grid, np.linspace(kappa_b, kappa_a,
-                                                       4 * grid.size)]))
-    u = np.empty(mesh.size)
-    v = np.empty(mesh.size)
-    u[0], v[0] = 1.0, 0.0
-    for i in range(mesh.size - 1):
-        x0, x1 = mesh[i], mesh[i + 1]
-        h = (x1 - x0) / steps_per_cell
-        uu, vv, x = u[i], v[i], x0
-        for _ in range(steps_per_cell):
-            k1 = rhs(x, (uu, vv))
-            k2 = rhs(x + h / 2, (uu + h / 2 * k1[0], vv + h / 2 * k1[1]))
-            k3 = rhs(x + h / 2, (uu + h / 2 * k2[0], vv + h / 2 * k2[1]))
-            k4 = rhs(x + h, (uu + h * k3[0], vv + h * k3[1]))
-            uu += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            vv += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            x += h
-        u[i + 1], v[i + 1] = uu, vv
-    sel = np.searchsorted(mesh, grid)
-    return grid, u[sel], v[sel]
+    knots = np.array(ASYMMETRIC_BID[0] + ASYMMETRIC_ASK[0])
+    mesh = np.union1d(grid, knots[(knots > kappa_b) & (knots < kappa_a)])
+    y = np.array([1.0, 0.0])
+    path = [y]
+    for x0, x1 in zip(mesh[:-1], mesh[1:]):
+        mid = (x0 + x1) / 2
+        f_a, f_b = float(spec.ask_dist.density(mid)), float(spec.bid_dist.density(mid))
+
+        def rhs(x, y):
+            return (-f_a / (1.0 - float(F_b(x))) * y[1], f_b / float(F_a(x)) * y[0])
+
+        y = solve_ivp(rhs, (x0, x1), y, method="DOP853", rtol=1e-13,
+                      atol=1e-15).y[:, -1]
+        path.append(y)
+    return np.array(path)[np.searchsorted(mesh, grid)].T
 
 
 class TestLambertFixedPoint:
@@ -250,22 +240,20 @@ class TestDenseScan:
 
 
 class TestTablePath:
-    @pytest.mark.parametrize("kappa_b", [0.2, 0.2178, 0.26])
-    @pytest.mark.parametrize("grid_n", [64, 1000])
-    def test_bit_identical_to_scalar_rk4(self, kappa_b, grid_n):
-        spec = uniform_table_spec()
-        grid, u, v, u_end = integrate_varpi(spec, kappa_b, grid_n=grid_n)
-        ref_grid, ref_u, ref_v = reference_rk4(spec, kappa_b, grid_n)
-        assert np.array_equal(grid, ref_grid)
-        assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
-        assert u_end == ref_u[-1]
-
     @pytest.mark.parametrize("kappa_b", [0.18, 0.25, 0.3])
-    def test_bit_identical_asymmetric_tables(self, kappa_b):
-        spec = asymmetric_table_spec()
-        _, u, v, _ = integrate_varpi(spec, kappa_b, grid_n=64)
-        _, ref_u, ref_v = reference_rk4(spec, kappa_b, 64)
-        assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+    def test_kinked_tables_match_knot_restarted_reference(self, kappa_b):
+        _, u, v, _ = integrate_varpi(asymmetric_table_spec(), kappa_b, grid_n=64)
+        ref_u, ref_v = knot_restarted_reference(kappa_b, 64)
+        assert np.max(np.abs(u - ref_u)) <= 1e-8
+        assert np.max(np.abs(v - ref_v)) <= 1e-8
+
+    @pytest.mark.parametrize("kappa_b", [0.2, 0.2178, 0.26])
+    def test_uniform_table_equals_uniform_law(self, kappa_b):
+        _, u, v, _ = integrate_varpi(uniform_table_spec(), kappa_b)
+        _, ref_u, ref_v, _ = integrate_varpi(
+            ArrivalSpec(uniform_dist(), uniform_dist()), kappa_b)
+        assert np.max(np.abs(u - ref_u)) <= 1e-10
+        assert np.max(np.abs(v - ref_v)) <= 1e-10
 
     def test_shoot_on_table_matches_closed_form(self):
         sol = shoot_kappa(uniform_table_spec(), tol=1e-10, n_scan=64)

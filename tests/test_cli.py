@@ -168,6 +168,24 @@ def test_out_of_range_value_is_config_error(capsys, tmp_path, argv):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "simulate --n 100 --out {file}/o", "ode --out {file}/o", "pi --bins 20 --out {file}/o",
+    "lyapunov --out {file}/o", "runmax --n 100 --out {file}/o",
+    "check --suite coupling --n 100 --out {file}/o", "ode --config {cfg} --out {tmp}/o",
+])
+def test_unusable_path_is_config_error(capsys, tmp_path, argv):
+    # an output directory under a regular file, or a CDF table that is not there
+    (tmp_path / "file").write_text("")
+    law = {"kind": "cdf_table", "path": str(tmp_path / "missing.csv")}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dist_bid": law, "dist_ask": law}))
+    code, _, err = run_cli(capsys, *argv.format(file=tmp_path / "file", cfg=cfg,
+                                                tmp=tmp_path).split())
+    assert code == 2
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert str(tmp_path / ("missing.csv" if "{cfg}" in argv else "file")) in err
+
+
 class TestCheckCommand:
     def test_bounds_suite(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "check", "--suite", "bounds",
@@ -242,7 +260,7 @@ class TestOtherCommands:
         assert (tmp_path / "varpi.csv").exists()
 
     def test_ode_on_cdf_table_file(self, capsys, tmp_path):
-        # the uniform law as a 17-row CSV table runs the RK4 path end to end
+        # the uniform law as a 17-row CSV table, read and shot end to end
         table = tmp_path / "table.csv"
         table.write_text("price,cdf\n" + "".join(f"{k / 16},{k / 16}\n"
                                                  for k in range(17)))
@@ -292,3 +310,10 @@ class TestOtherCommands:
                                "--seed", "2")
         assert code == 0
         assert "strict" in out
+
+    def test_couple_degenerate_estimate_is_refused(self, capsys):
+        # 10 arrivals leave every tail ratio at 0, which would print 0.0000 thrice
+        code, out, err = run_cli(capsys, "couple", "--n", "10", "--bins", "4")
+        assert code == 3
+        assert "tail ratio is zero" in err and "raise --n" in err
+        assert out == ""
