@@ -14,22 +14,26 @@ arrival law:
 
 and kappa_b is the unique level at which u vanishes exactly at
 kappa_a = Q_a(1 - F_b(kappa_b)); v(kappa_a) = 1 comes out as a free
-normalization check.  Every law, tabulated ones included, goes through one
-adaptive DOP853 integrator.  `shoot_kappa` integrates the system's fundamental
-matrix with it once, densely, over its widest candidate window; the scan, each
-root-search step and the returned densities are read off that one solution.
-`integrate_varpi` integrates (u, v) from a single level.
+normalization check.  The system is linear, (u, v)' = A(x) (u, v) with a
+traceless A that depends on x alone, so every law, tabulated ones included,
+goes through one adaptive sixth-order Magnus integrator: it samples A only at
+fixed quadrature nodes, batched into one law call per callable, and its
+propagators have determinant one.  `shoot_kappa` builds the system's
+fundamental matrix with it once over its widest candidate window; the scan,
+each root-search step and the returned densities are read off that one
+solution.  `integrate_varpi` reads (u, v) from a single level off it.  scipy
+is imported only where it is used, by Brent's root search and the balance
+solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .dist import ArrivalSpec, BinPartition
 
@@ -117,26 +121,139 @@ def _check_coefficients(spec: ArrivalSpec, lo: float, hi: float, n_probe: int = 
             f"F_b={fb_cdf[bad[0]]:.6g})")
 
 
-def _integrate_adaptive(spec: ArrivalSpec, lo: float, hi: float, y0, rtol: float,
-                        atol: float, **kw):
-    """DOP853 for (u, v) from x = lo to hi; `kw` goes to `solve_ivp`.
+# Gauss-Legendre (3 points) and Gauss-Lobatto (4 points) rules on [0, 1]: nodes
+# and weights.  Both are exact for polynomials of degree 5.
+_GAUSS = (0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0,
+          np.array([5.0, 8.0, 5.0]) / 18.0)
+_LOBATTO = (0.5 + np.array([-0.5, -0.1 * math.sqrt(5.0), 0.1 * math.sqrt(5.0), 0.5]),
+            np.array([1.0, 5.0, 5.0, 1.0]) / 12.0)
+_INITIAL_PANELS = 8
+_MAX_PANELS = 1 << 16
+# |z| below which cosh(sqrt z) and sinh(sqrt z) / sqrt z are summed as series:
+# sum z^k / (2k)! and sum z^k / (2k+1)! for k < 8, exact to rounding there.
+_SERIES_Z = 0.25
+_COSH_TERMS = [1.0 / math.factorial(2 * k) for k in range(7, -1, -1)]
+_SINHC_TERMS = [1.0 / math.factorial(2 * k + 1) for k in range(7, -1, -1)]
 
-    `y0` lists the u-components of the start vectors, then their
-    v-components.  The coefficients c_u = -f_a / (1 - F_b) and c_v = f_b / F_a
-    depend on x alone, so one law call per callable per stage serves them all.
+
+def _bracket(x, y):
+    """[x, y] of traceless 2x2 matrices [[a, b], [c, -a]] stored as (a, b, c)."""
+    a1, b1, c1 = x
+    a2, b2, c2 = y
+    return np.array([b1 * c2 - b2 * c1, 2.0 * (a1 * b2 - a2 * b1),
+                     2.0 * (c1 * a2 - a1 * c2)])
+
+
+def _omega(c_u, c_v, h, rule):
+    """Sixth-order Magnus exponent of A = [[0, c_u], [c_v, 0]] over each panel.
+
+    `c_u` and `c_v` hold the coefficients at `rule`'s nodes (last axis), `h`
+    the panel widths.  The rule gives the moments B_j = h sum_i w_i
+    (t_i - 1/2)^j A_i, and the combination of them in Blanes, Casas, Oteo &
+    Ros (Phys. Rep. 470, 2009) is Omega to O(h^7).
     """
-    n = len(y0) // 2
+    nodes, weights = rule
+    s = nodes - 0.5
+    B0, B1, B2 = (np.array([np.zeros_like(h), h * (c_u @ (weights * s ** j)),
+                            h * (c_v @ (weights * s ** j))]) for j in range(3))
+    a1, a2, a3 = 2.25 * B0 - 15.0 * B2, 12.0 * B1, 180.0 * B2 - 15.0 * B0
+    c1 = _bracket(a1, a2)
+    c2 = _bracket(a1, 2.0 * a3 + c1) / -60.0
+    return B0 + _bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+
+
+def _expm(w):
+    """exp of traceless (a, b, c) in closed form, as (..., 2, 2); its det is 1.
+
+    With z = a^2 + bc, Omega^2 = z I, so exp(Omega) = C I + S Omega, where
+    C = cosh(sqrt z) and S = sinh(sqrt z) / sqrt z (cos and sin if z < 0).
+    """
+    a, b, c = w
+    z = a * a + b * c
+    r = np.sqrt(np.abs(z))
+    small = np.abs(z) < _SERIES_Z
+    r_safe = np.where(small, 1.0, r)
+    big_c = np.where(z > 0, np.cosh(r_safe), np.cos(r_safe))
+    big_s = np.where(z > 0, np.sinh(r_safe), np.sin(r_safe)) / r_safe
+    C = np.where(small, np.polyval(_COSH_TERMS, z), big_c)
+    S = np.where(small, np.polyval(_SINHC_TERMS, z), big_s)
+    return np.stack([np.stack([C + S * a, S * b], -1),
+                     np.stack([S * c, C - S * a], -1)], -2)
+
+
+def _integrate_adaptive(spec: ArrivalSpec, lo: float, hi: float, rtol: float,
+                        atol: float):
+    """Fundamental matrix Phi of (u, v) from x = lo, as a function of x.
+
+    A sixth-order Magnus integrator over panels of [lo, hi].  The coefficients
+    c_u = -f_a / (1 - F_b) and c_v = f_b / F_a depend on x alone, so each
+    round of refinement reads them at the Gauss and Lobatto nodes of every
+    pending panel with one law call per callable, and bisects the panels where
+    the two Omega estimates differ by more than atol + rtol * max|Omega|.  A
+    panel's error is thus bounded in proportion to its length, and Phi's
+    relative error by about rtol times the integral of |c_u| + |c_v|.  The
+    Lobatto rule samples both panel ends (one float inside them, to read a
+    table's density from the panel's side of a knot), so a jump anywhere in
+    a panel is seen.  Phi at the panel ends is a running product of the
+    panel propagators; the returned phi(x) takes one Gauss-rule Magnus step
+    from the start of x's panel and gives Phi(x) with shape x.shape + (2, 2).
+    Phi(lo) is exactly the identity and det Phi = 1 to rounding.
+    """
     bid, ask = spec.bid_dist, spec.ask_dist
 
-    def rhs(x, y):
-        c_u = -ask.density(x) / (1.0 - bid.cdf(x))
-        c_v = bid.density(x) / ask.cdf(x)
-        return np.concatenate([c_u * y[n:], c_v * y[:n]])
+    def coefficients(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c_u = -ask.density(x) / (1.0 - bid.cdf(x))
+            c_v = bid.density(x) / ask.cdf(x)
+        if not (np.all(np.isfinite(c_u)) and np.all(np.isfinite(c_v))):
+            raise SingularCoefficientError(
+                f"non-finite ODE coefficient in [{lo:.6g}, {hi:.6g}]")
+        return c_u, c_v
 
-    sol = solve_ivp(rhs, (lo, hi), y0, method="DOP853", rtol=rtol, atol=atol, **kw)
-    if not sol.success:
-        raise SingularCoefficientError(f"integration failed: {sol.message}")
-    return sol
+    edges = np.linspace(lo, hi, _INITIAL_PANELS + 1)
+    left, right = edges[:-1], edges[1:]
+    done_left, done_omega = [], []
+    n_gauss = len(_GAUSS[0])
+    while left.size:
+        h = right - left
+        x_lob = left[:, None] + h[:, None] * _LOBATTO[0]
+        x_lob[:, 0], x_lob[:, -1] = np.nextafter(left, right), np.nextafter(right, left)
+        c_u, c_v = coefficients(
+            np.concatenate([left[:, None] + h[:, None] * _GAUSS[0], x_lob], -1))
+        w = _omega(c_u[:, :n_gauss], c_v[:, :n_gauss], h, _GAUSS)
+        w_lob = _omega(c_u[:, n_gauss:], c_v[:, n_gauss:], h, _LOBATTO)
+        ok = np.max(np.abs(w - w_lob), 0) <= atol + rtol * np.max(np.abs(w), 0)
+        done_left.append(left[ok])
+        done_omega.append(w[:, ok])
+        left, right = left[~ok], right[~ok]
+        mid = 0.5 * (left + right)
+        if np.any((mid <= left) | (mid >= right)) or (
+                sum(map(len, done_left)) + 2 * left.size > _MAX_PANELS):
+            raise SingularCoefficientError(
+                f"step control cannot reach rtol={rtol:g}, atol={atol:g} near "
+                f"x={left[0]:.6g}")
+        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
+
+    starts = np.concatenate(done_left)
+    order = np.argsort(starts)
+    starts = starts[order]
+    props = _expm(np.concatenate(done_omega, -1)[:, order]).tolist()
+    p, q, r, s = 1.0, 0.0, 0.0, 1.0
+    running = [(p, q, r, s)]
+    for (e00, e01), (e10, e11) in props[:-1]:
+        p, q, r, s = e00 * p + e01 * r, e00 * q + e01 * s, e10 * p + e11 * r, e10 * q + e11 * s
+        running.append((p, q, r, s))
+    at_starts = np.array(running).reshape(-1, 2, 2)
+
+    def phi(x):
+        x = np.asarray(x, dtype=float)
+        k = np.clip(np.searchsorted(starts, x, side="right") - 1, 0, starts.size - 1)
+        a = starts[k]
+        h = x - a
+        c_u, c_v = coefficients(a[..., None] + h[..., None] * _GAUSS[0])
+        return _expm(_omega(c_u, c_v, h, _GAUSS)) @ at_starts[k]
+
+    return phi
 
 
 def integrate_varpi(spec: ArrivalSpec, kappa_b: float, grid_n: int = 1000,
@@ -144,9 +261,11 @@ def integrate_varpi(spec: ArrivalSpec, kappa_b: float, grid_n: int = 1000,
                     check: bool = True):
     """Integrate (u, v) from kappa_b to kappa_a(kappa_b); returns paths and u_end.
 
-    The paths are read at `grid_n` evenly spaced points, the ends included.
-    DOP853's step control also handles the kinked coefficients of tabulated
-    and piecewise-linear laws: it shortens the steps around each knot.
+    The paths are read at `grid_n` evenly spaced points, the ends included,
+    from the Magnus integrator's fundamental matrix; `rtol` and `atol` bound
+    its error.  Its step control also handles the kinked coefficients of
+    tabulated and piecewise-linear laws: it bisects the panels around each
+    knot until the jump no longer matters at the tolerance.
     """
     fb_level = float(spec.bid_dist.cdf(kappa_b))
     if not 0.0 < fb_level < 0.5:
@@ -158,8 +277,8 @@ def integrate_varpi(spec: ArrivalSpec, kappa_b: float, grid_n: int = 1000,
         _check_coefficients(spec, kappa_b, kappa_a)
 
     grid = np.linspace(kappa_b, kappa_a, grid_n)
-    u_path, v_path = _integrate_adaptive(spec, kappa_b, kappa_a, [1.0, 0.0],
-                                         rtol, atol, t_eval=grid).y
+    phi = _integrate_adaptive(spec, kappa_b, kappa_a, rtol, atol)(grid)
+    u_path, v_path = phi[:, 0, 0], phi[:, 1, 0]
     return grid, u_path, v_path, float(u_path[-1])
 
 
@@ -198,12 +317,13 @@ def _dense_scan(spec: ArrivalSpec, fb_lower: float, n_scan: int):
     kappas, uppers = kappas[valid], uppers[valid]
     lo, hi = float(kappas[0]), float(uppers[0])
     _check_coefficients(spec, lo, hi)
-    phi = _integrate_adaptive(spec, lo, hi, [1.0, 0.0, 0.0, 1.0], rtol=1e-12,
-                              atol=1e-14, dense_output=True).sol
+    phi = _integrate_adaptive(spec, lo, hi, rtol=1e-12, atol=1e-14)
 
     def paths(k, x):
-        (u1, u2, v1, v2), (_, _, v1k, v2k) = phi(x), phi(k)
-        return u1 * v2k - u2 * v1k, v1 * v2k - v2 * v1k
+        at_x, at_k = phi(np.stack(np.broadcast_arrays(x, k)))
+        s_u, s_v = at_k[..., 1, 1], -at_k[..., 1, 0]     # Phi(k)^-1 (1, 0)
+        return (at_x[..., 0, 0] * s_u + at_x[..., 0, 1] * s_v,
+                at_x[..., 1, 0] * s_u + at_x[..., 1, 1] * s_v)
 
     return kappas, paths(kappas, uppers)[0], paths
 
@@ -212,12 +332,14 @@ def shoot_kappa(spec: ArrivalSpec, tol: float = 1e-10, grid_n: int = 1000,
                 fb_lower: float | None = None, n_scan: int = 64) -> VarpiSolution:
     """Locate the bid threshold by shooting on u_end and reconstruct both densities.
 
-    One dense integration of the fundamental matrix over the widest candidate
+    One integration of the fundamental matrix over the widest candidate
     window gives u_end at all `n_scan` candidate levels.  A sign change is
     looked for (verifying the bracket is unique rather than assuming it) and
     refined with Brent's method on the same solution until |u_end| <= tol or
     the bracket is as narrow as floats allow; both densities come from it too.
     """
+    from scipy.optimize import brentq
+
     if fb_lower is None:
         fb_lower = finiteness_lower_bound(spec)
         if fb_lower is None or fb_lower <= 0:
@@ -375,6 +497,10 @@ def finiteness_lower_bound(spec: ArrivalSpec) -> float | None:
     Scans 199 levels X = F_b(x) in [0.02, 0.49], solving y from
     F_b(x) = 1 - F_a(y) and keeping pairs that also satisfy the mirrored
     condition F_b(y) = 1 - F_a(x) to within 1e-6.  One law call per array.
+    Each pair's bound is `lower_bound_3bin`'s, exactly: with X = p/q and
+    Y = r/s read as their decimal literals, it is
+    (2p(q-p)s - (s-r)q^2) / (q((q-2p)s + rq)), and the largest is picked by
+    cross-multiplying these integers.
     """
     X = np.linspace(0.02, 0.49, 199)
     x = np.asarray(spec.bid_dist.quantile(X), dtype=float)
@@ -382,5 +508,11 @@ def finiteness_lower_bound(spec: ArrivalSpec) -> float | None:
     Yb = np.asarray(spec.bid_dist.cdf(y), dtype=float)
     Fa_x = np.asarray(spec.ask_dist.cdf(x), dtype=float)
     keep = (x < y) & (np.abs(Yb - (1.0 - Fa_x)) <= 1e-6) & (X < Yb) & (Yb < 1.0)
-    return max((float(lower_bound_3bin(float(a), float(b)))
-                for a, b in zip(X[keep], Yb[keep])), default=None)
+    best = None
+    for a, b in zip(X[keep].tolist(), Yb[keep].tolist()):
+        p, q = Decimal(repr(a)).as_integer_ratio()
+        r, s = Decimal(repr(b)).as_integer_ratio()
+        num, den = 2 * p * (q - p) * s - (s - r) * q * q, q * ((q - 2 * p) * s + r * q)
+        if best is None or num * best[1] > best[0] * den:
+            best = num, den
+    return None if best is None else float(Fraction(*best))

@@ -89,8 +89,10 @@ class RunConfig:
             raise ConfigError(f"unknown suite {cfg.suite!r}; use one of {', '.join(SUITES)}")
         if cfg.bins < 2:
             raise ConfigError("bins must be at least 2")
-        if cfg.tol <= 0:
-            raise ConfigError("tol must be positive")
+        if not 0 < cfg.tol < 1:
+            raise ConfigError(f"tol must be in (0, 1), got {cfg.tol}")
+        if cfg.record_every < 0:
+            raise ConfigError("record_every must be nonnegative")
         return cfg
 
     def as_dict(self) -> dict:

@@ -12,7 +12,7 @@ from lobphase.analytics import (ShootingError, finiteness_lower_bound,
                                 lambert_w_of_inv_e, lower_bound_3bin,
                                 shoot_kappa, solve_binned_pi,
                                 varpi_uniform_exact)
-from lobphase.dist import (ArrivalSpec, cdf_table_dist, make_partition,
+from lobphase.dist import (ArrivalSpec, PriceDist, cdf_table_dist, make_partition,
                            piecewise_linear_dist, transform_to_uniform_bid,
                            uniform_dist)
 
@@ -32,18 +32,20 @@ def asymmetric_table_spec() -> ArrivalSpec:
     return ArrivalSpec(cdf_table_dist(*ASYMMETRIC_BID), cdf_table_dist(*ASYMMETRIC_ASK))
 
 
-def knot_restarted_reference(kappa_b: float, grid_n: int):
-    """(u, v) of `asymmetric_table_spec` by DOP853 restarted at every knot and grid point.
+def knot_restarted_reference(kappa_b: float, grid_n: int,
+                             tables=(ASYMMETRIC_BID, ASYMMETRIC_ASK)):
+    """(u, v) of the bid and ask CDF `tables` by DOP853 restarted at every knot and grid point.
 
     The grid is `integrate_varpi`'s.  A table's density is constant between
     its knots, so each cell reads it once, at the cell's midpoint: no step
     meets a jump in the coefficients.
     """
-    spec = asymmetric_table_spec()
+    bid, ask = tables
+    spec = ArrivalSpec(cdf_table_dist(*bid), cdf_table_dist(*ask))
     F_a, F_b = spec.ask_dist.cdf, spec.bid_dist.cdf
     kappa_a = float(spec.ask_dist.quantile(1.0 - float(F_b(kappa_b))))
     grid = np.linspace(kappa_b, kappa_a, grid_n)
-    knots = np.array(ASYMMETRIC_BID[0] + ASYMMETRIC_ASK[0])
+    knots = np.array(list(bid[0]) + list(ask[0]))
     mesh = np.union1d(grid, knots[(knots > kappa_b) & (knots < kappa_a)])
     y = np.array([1.0, 0.0])
     path = [y]
@@ -237,6 +239,94 @@ class TestDenseScan:
         u_end = integrate_varpi(tent, sol.kappa_b, grid_n=64, rtol=1e-13,
                                 atol=1e-15, check=False)[3]
         assert abs(u_end) <= 1e-10
+
+
+def dop853_phi(spec: ArrivalSpec, lo: float, hi: float, xs) -> np.ndarray:
+    """Phi at `xs` by one DOP853 solve of the four-component system from lo."""
+    bid, ask = spec.bid_dist, spec.ask_dist
+
+    def rhs(x, y):
+        c_u = -float(ask.density(x)) / (1.0 - float(bid.cdf(x)))
+        c_v = float(bid.density(x)) / float(ask.cdf(x))
+        return [c_u * y[2], c_u * y[3], c_v * y[0], c_v * y[1]]
+
+    y = solve_ivp(rhs, (lo, hi), [1.0, 0.0, 0.0, 1.0], method="DOP853",
+                  rtol=1e-13, atol=1e-16, t_eval=xs).y
+    return y.T.reshape(-1, 2, 2)
+
+
+def counting_spec(spec: ArrivalSpec) -> tuple[ArrivalSpec, list]:
+    """`spec` with every law callable counting its calls into the returned list."""
+    calls = []
+
+    def counted(f):
+        def call(x):
+            calls.append(1)
+            return f(x)
+        return call
+
+    def law(d):
+        return PriceDist(counted(d.density), counted(d.cdf), counted(d.quantile),
+                         d.support, d.kind)
+
+    return ArrivalSpec(law(spec.bid_dist), law(spec.ask_dist)), calls
+
+
+class TestMagnusIntegrator:
+    """`_integrate_adaptive`'s Phi against an independent DOP853 solve."""
+
+    @pytest.mark.parametrize("name", ["uniform", "tent", "table", "asymmetric_table",
+                                      "asymmetric"])
+    def test_phi_matches_dop853(self, name):
+        spec = (asymmetric_table_spec() if name == "asymmetric_table"
+                else scan_spec(name)[0])
+        lo = float(spec.bid_dist.quantile(0.08))
+        hi = float(spec.ask_dist.quantile(0.92))
+        xs = np.linspace(lo, hi, 400)
+        phi = analytics._integrate_adaptive(spec, lo, hi, rtol=1e-12, atol=1e-14)(xs)
+        assert phi.shape == (400, 2, 2)
+        assert np.max(np.abs(phi - dop853_phi(spec, lo, hi, xs))) <= 1e-10
+        assert np.array_equal(phi[0], np.eye(2))
+        assert np.max(np.abs(np.linalg.det(phi) - 1.0)) <= 1e-12
+
+    def test_knot_near_panel_end_is_seen(self):
+        # The ask density jumps 3% of a width before the end of an initial
+        # panel, past the last Gauss node (at 89%): only the Lobatto end node
+        # sees the jump there.
+        kappa_b, kappa_a = 0.25, 0.75
+        knot = kappa_b + (kappa_a - kappa_b) * (3 + 0.97) / analytics._INITIAL_PANELS
+        tables = (([0.0, 1.0], [0.0, 1.0]), ([0.0, knot, kappa_a, 1.0], [0.0, 0.3, 0.75, 1.0]))
+        spec = ArrivalSpec(cdf_table_dist(*tables[0]), cdf_table_dist(*tables[1]))
+        grid, u, v, _ = integrate_varpi(spec, kappa_b, grid_n=64)
+        assert grid[-1] == kappa_a
+        ref_u, ref_v = knot_restarted_reference(kappa_b, 64, tables)
+        assert np.max(np.abs(u - ref_u)) <= 1e-8
+        assert np.max(np.abs(v - ref_v)) <= 1e-8
+
+    def test_knot_at_range_end_costs_no_refinement(self):
+        # kappa_a = 0.6 is a knot of the ask table.  The Lobatto end nodes sit
+        # one float inside the panel, so they read the density on the
+        # panel's side of it; read at the knot itself, they would see a jump
+        # that no bisection removes, and the refinement would run on until
+        # the last panel was narrower than atol (about 35 more rounds).
+        spec, calls = counting_spec(ArrivalSpec(
+            cdf_table_dist([0.0, 1.0], [0.0, 1.0]),
+            cdf_table_dist([0.0, 0.6, 1.0], [0.0, 0.75, 1.0])))
+        grid, *_ = integrate_varpi(spec, 0.25, grid_n=64)
+        assert grid[-1] == 0.6
+        assert len(calls) <= 40
+
+    @pytest.mark.parametrize("name", ["uniform", "tent", "table"])
+    def test_dense_scan_batches_law_calls(self, name):
+        # DOP853 called the four coefficient callables at each of its
+        # 575-713 stages; the Magnus rounds call each once per round
+        spec, calls = counting_spec(scan_spec(name)[0])
+        analytics._dense_scan(spec, scan_spec(name)[1], 64)
+        assert len(calls) <= 80
+
+    def test_unreachable_tolerance_is_singular(self, uniform_spec):
+        with pytest.raises(analytics.SingularCoefficientError, match="cannot reach"):
+            analytics._integrate_adaptive(uniform_spec, 0.2, 0.8, rtol=0.0, atol=0.0)
 
 
 class TestTablePath:

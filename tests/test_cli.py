@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lobphase
 from lobphase.cli import main
 
 
@@ -158,9 +163,22 @@ class TestConfigTypes:
         assert summary["n"] == 2000 and isinstance(summary["n"], int)
 
 
+def test_import_does_not_load_scipy():
+    # scipy is imported inside the functions that use it (shooting, the
+    # balance solve), so the event-loop commands start without loading it
+    src = Path(lobphase.__file__).resolve().parents[1]
+    code = ("import sys, lobphase, lobphase.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv", [
     "bound3 --x 2 --y 0.5", "bound3 --x 0.6 --y 0.4", "lyapunov --eps 0.3",
     "check --suite lyapunov --eps 0.5", "couple --bins 3", "ode --tol -1", "ode --tol 0",
+    "ode --tol 1", "ode --tol inf", "ode --tol nan", "pi --tol 2",
+    "simulate --n 100 --record-every -5",
 ])
 def test_out_of_range_value_is_config_error(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, *argv.split(), "--out", str(tmp_path))
