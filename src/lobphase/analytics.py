@@ -194,7 +194,7 @@ def _integrate_adaptive(spec: ArrivalSpec, lo: float, hi: float, rtol: float,
     relative error by about rtol times the integral of |c_u| + |c_v|.  The
     Lobatto rule samples both panel ends (one float inside them, to read a
     table's density from the panel's side of a knot), so a jump anywhere in
-    a panel is seen.  Phi at the panel ends is a running product of the
+    a panel is seen.  Phi at the panel starts is a running product of the
     panel propagators; the returned phi(x) takes one Gauss-rule Magnus step
     from the start of x's panel and gives Phi(x) with shape x.shape + (2, 2).
     Phi(lo) is exactly the identity and det Phi = 1 to rounding.

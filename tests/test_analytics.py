@@ -318,8 +318,8 @@ class TestMagnusIntegrator:
 
     @pytest.mark.parametrize("name", ["uniform", "tent", "table"])
     def test_dense_scan_batches_law_calls(self, name):
-        # DOP853 called the four coefficient callables at each of its
-        # 575-713 stages; the Magnus rounds call each once per round
+        # each refinement round calls every law callable once on an array;
+        # calls per integration stage would number in the thousands
         spec, calls = counting_spec(scan_spec(name)[0])
         analytics._dense_scan(spec, scan_spec(name)[1], 64)
         assert len(calls) <= 80
