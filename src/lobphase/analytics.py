@@ -21,9 +21,10 @@ fixed quadrature nodes, batched into one law call per callable, and its
 propagators have determinant one.  `shoot_kappa` builds the system's
 fundamental matrix with it once over its widest candidate window; the scan,
 each root-search step and the returned densities are read off that one
-solution.  `integrate_varpi` reads (u, v) from a single level off it.  scipy
-is imported only where it is used, by Brent's root search and the balance
-solve.
+solution, and an Illinois root search started from the scan's own bracket
+values finds the level.  `integrate_varpi` reads (u, v) from a single level
+off it.  The balance equations are solved by least squares with the two
+threshold-bin unknowns pinned at zero.  Only numpy is used.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "BinnedPi",
     "ShootingError",
     "SingularCoefficientError",
+    "InfeasibleBalanceError",
     "lambert_w_of_inv_e",
     "kappa_uniform_exact",
     "varpi_uniform_exact",
@@ -61,8 +63,8 @@ class SingularCoefficientError(RuntimeError):
     """ODE coefficient degenerates inside the integration interval."""
 
 
-class _Converged(Exception):
-    """Ends the root search early at args[0], a level where |u_end| <= tol."""
+class InfeasibleBalanceError(RuntimeError):
+    """The balance solve returned a negative entry or a mass away from one."""
 
 
 def lambert_w_of_inv_e() -> float:
@@ -185,7 +187,9 @@ def _integrate_adaptive(spec: ArrivalSpec, lo: float, hi: float, rtol: float,
                         atol: float):
     """Fundamental matrix Phi of (u, v) from x = lo, as a function of x.
 
-    A sixth-order Magnus integrator over panels of [lo, hi].  The coefficients
+    A sixth-order Magnus integrator over panels of [lo, hi]: eight equal ones
+    to start, cut again at the laws' knots inside the range, so a table's
+    density jumps sit on panel ends.  The coefficients
     c_u = -f_a / (1 - F_b) and c_v = f_b / F_a depend on x alone, so each
     round of refinement reads them at the Gauss and Lobatto nodes of every
     pending panel with one law call per callable, and bisects the panels where
@@ -194,9 +198,10 @@ def _integrate_adaptive(spec: ArrivalSpec, lo: float, hi: float, rtol: float,
     relative error by about rtol times the integral of |c_u| + |c_v|.  The
     Lobatto rule samples both panel ends (one float inside them, to read a
     table's density from the panel's side of a knot), so a jump anywhere in
-    a panel is seen.  Phi at the panel starts is a running product of the
-    panel propagators; the returned phi(x) takes one Gauss-rule Magnus step
-    from the start of x's panel and gives Phi(x) with shape x.shape + (2, 2).
+    a panel, as in a law that lists no knots, is seen.  Phi at the panel
+    starts is a running product of the panel propagators; the returned
+    phi(x) takes one Gauss-rule Magnus step from the start of x's panel and
+    gives Phi(x) with shape x.shape + (2, 2).
     Phi(lo) is exactly the identity and det Phi = 1 to rounding.
     """
     bid, ask = spec.bid_dist, spec.ask_dist
@@ -210,7 +215,8 @@ def _integrate_adaptive(spec: ArrivalSpec, lo: float, hi: float, rtol: float,
                 f"non-finite ODE coefficient in [{lo:.6g}, {hi:.6g}]")
         return c_u, c_v
 
-    edges = np.linspace(lo, hi, _INITIAL_PANELS + 1)
+    knots = [k for k in bid.knots + ask.knots if lo < k < hi]
+    edges = np.union1d(np.linspace(lo, hi, _INITIAL_PANELS + 1), knots)
     left, right = edges[:-1], edges[1:]
     done_left, done_omega = [], []
     n_gauss = len(_GAUSS[0])
@@ -263,9 +269,10 @@ def integrate_varpi(spec: ArrivalSpec, kappa_b: float, grid_n: int = 1000,
 
     The paths are read at `grid_n` evenly spaced points, the ends included,
     from the Magnus integrator's fundamental matrix; `rtol` and `atol` bound
-    its error.  Its step control also handles the kinked coefficients of
-    tabulated and piecewise-linear laws: it bisects the panels around each
-    knot until the jump no longer matters at the tolerance.
+    its error.  Tabulated and piecewise-linear laws list their knots, where
+    the coefficients jump or kink; the integrator's panels start there, so no
+    panel straddles one.  A law without a knot list is handled by bisecting
+    the panels around each jump until it no longer matters at the tolerance.
     """
     fb_level = float(spec.bid_dist.cdf(kappa_b))
     if not 0.0 < fb_level < 0.5:
@@ -328,6 +335,39 @@ def _dense_scan(spec: ArrivalSpec, fb_lower: float, n_scan: int):
     return kappas, paths(kappas, uppers)[0], paths
 
 
+def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
+    """A root of f in [lo, hi] by Illinois regula falsi; f_lo and f_hi differ in sign.
+
+    The ends' values are given, so f is evaluated only inside the bracket.  The
+    secant step through the bracket ends halves the value kept at an end that
+    two steps in a row leave in place (Dowell & Jarratt, BIT 11, 1971), which
+    makes convergence superlinear from both sides.  Stops at the first step
+    with |f| <= tol, or when the bracket is narrower than 1e-13 + 4 eps |x|.
+    """
+    eps = float(np.finfo(float).eps)
+    kept = 0            # +1: lo was kept by the last step, -1: hi was
+    for _ in range(200):
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if abs(fx) <= tol:
+            return x
+        if (fx > 0) == (f_hi > 0):
+            hi, f_hi = x, fx
+            if kept == 1:
+                f_lo *= 0.5
+            kept = 1
+        else:
+            lo, f_lo = x, fx
+            if kept == -1:
+                f_hi *= 0.5
+            kept = -1
+        if hi - lo <= 1e-13 + 4.0 * eps * abs(x):
+            return x
+    raise ShootingError(f"root search did not converge on [{lo}, {hi}]")
+
+
 def shoot_kappa(spec: ArrivalSpec, tol: float = 1e-10, grid_n: int = 1000,
                 fb_lower: float | None = None, n_scan: int = 64) -> VarpiSolution:
     """Locate the bid threshold by shooting on u_end and reconstruct both densities.
@@ -335,11 +375,11 @@ def shoot_kappa(spec: ArrivalSpec, tol: float = 1e-10, grid_n: int = 1000,
     One integration of the fundamental matrix over the widest candidate
     window gives u_end at all `n_scan` candidate levels.  A sign change is
     looked for (verifying the bracket is unique rather than assuming it) and
-    refined with Brent's method on the same solution until |u_end| <= tol or
-    the bracket is as narrow as floats allow; both densities come from it too.
+    refined by `_illinois` on the same solution, started from the scan's
+    u_end at the bracket ends, until |u_end| <= tol at a level inside the
+    bracket or the bracket is as narrow as floats allow; both densities come
+    from it too.
     """
-    from scipy.optimize import brentq
-
     if fb_lower is None:
         fb_lower = finiteness_lower_bound(spec)
         if fb_lower is None or fb_lower <= 0:
@@ -360,19 +400,11 @@ def shoot_kappa(spec: ArrivalSpec, tol: float = 1e-10, grid_n: int = 1000,
         return float(spec.ask_dist.quantile(1.0 - float(spec.bid_dist.cdf(kb))))
 
     def u_end_at(kb: float) -> float:
-        u_end = float(paths(kb, upper(kb))[0])
-        if abs(u_end) <= tol:
-            raise _Converged(kb)
-        return u_end
+        return float(paths(kb, upper(kb))[0])
 
-    lo, hi = float(kappas[flips[0]]), float(kappas[flips[0] + 1])
-    try:
-        kappa_b = brentq(u_end_at, lo, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps)
-    except _Converged as hit:
-        kappa_b = hit.args[0]
-    except ValueError as exc:
-        raise ShootingError(f"refined u_end does not change sign on the scan "
-                            f"bracket [{lo}, {hi}]: {exc}") from exc
+    i = flips[0]
+    kappa_b = _illinois(u_end_at, float(kappas[i]), float(kappas[i + 1]),
+                        float(u_ends[i]), float(u_ends[i + 1]), tol)
 
     grid = np.linspace(kappa_b, upper(kappa_b), grid_n)
     u, v = paths(kappa_b, grid)
@@ -410,19 +442,21 @@ def solve_binned_pi(spec: ArrivalSpec, partition: BinPartition, k_b: int, k_a: i
 
     For each interior bin, arrivals balance departures; the two threshold
     bins absorb the unfulfilled mass, and both measures are closed by total
-    mass one.  The stacked system is linear but nearly singular, and its
-    near-null direction loads on the threshold bins, where the theory forces
-    the measures to vanish anyway; a threshold mass taken from the continuum
-    solution (off by O(1/N) from the binned book's own) would be amplified
-    catastrophically by a plain solve.  Nonnegativity-constrained least
-    squares pins that direction instead.  The returned residual is the
-    largest violation among the balance rows; it reflects the input's
-    O(1/N) inconsistency, not solver error.
+    mass one (rows weighted by 100, so the masses hold while the balance rows
+    absorb the misfit).  The stacked system is nearly singular, and its
+    near-null direction loads on pi_b(k_a) and pi_a(k_b), the bid measure at
+    the ask threshold and the ask measure at the bid threshold; a threshold
+    mass taken from the continuum solution (off by O(1/N) from the binned
+    book's own) drives a plain solve along it, piling most of one measure
+    into the far threshold bin.  The theory forces both entries to vanish, so
+    they are pinned at zero and the rest is solved by least squares.  The
+    returned residual is the largest violation among the balance rows; it
+    reflects the input's O(1/N) inconsistency, not solver error.  An entry
+    below -1e-12 or a mass off one by more than 1e-3 raises
+    InfeasibleBalanceError.
     """
     if not 0 <= k_b < k_a < partition.n_bins:
         raise ValueError(f"need 0 <= k_b < k_a < n_bins, got ({k_b}, {k_a})")
-    from scipy.optimize import lsq_linear
-
     b = partition.masses(spec.bid_dist)
     a = partition.masses(spec.ask_dist)
     edges = partition.edges
@@ -430,40 +464,38 @@ def solve_binned_pi(spec: ArrivalSpec, partition: BinPartition, k_b: int, k_a: i
     rhs_a = float(spec.ask_dist.cdf(edges[k_a + 1])) - (1.0 - Fb_kappa)
     n = partition.n_bins
     m = k_a - k_b + 1
+    bid, ask = np.arange(m - 1), np.arange(1, m)   # support offsets of the rows
 
-    # cumulative arrival masses entering the departure rates
-    A_le = np.cumsum(a)
-    B_ge = np.cumsum(b[::-1])[::-1]
-
-    # unknowns z = [pi_b(k_b..k_a), pi_a(k_b..k_a)]
+    # unknowns z = [pi_b(k_b..k_a), pi_a(k_b..k_a)]; rows 0..m-2 balance the
+    # bid side on bins k_b..k_a-1, rows m-1..2m-3 the ask side on k_b+1..k_a,
+    # and the last two close the masses
     M = np.zeros((2 * m, 2 * m))
-    rhs = np.zeros(2 * m)
-    row = 0
-    for k in range(k_b, k_a):       # bid balance, threshold bin included
-        i = k - k_b
-        M[row, i] = A_le[k]
-        M[row, m:m + i + 1] = b[k]  # b(k) * sum_{l <= k} pi_a(l)
-        rhs[row] = b[k] - (rhs_b if k == k_b else 0.0)
-        row += 1
-    for k in range(k_b + 1, k_a + 1):   # ask balance, threshold bin included
-        i = k - k_b
-        M[row, m + i] = B_ge[k]
-        M[row, i:m] = a[k]          # a(k) * sum_{l >= k} pi_b(l)
-        rhs[row] = a[k] - (rhs_a if k == k_a else 0.0)
-        row += 1
-    M[row, :m] = M[row + 1, m:] = 100.0   # heavy weight keeps total mass pinned
-    rhs[row:] = 100.0
+    ones = np.ones((m, m))
+    # bid row k: A(<= k) pi_b(k) + b(k) sum_{l <= k} pi_a(l) = b(k)
+    M[bid, bid] = np.cumsum(a)[k_b + bid]
+    M[:m - 1, m:] = np.tril(ones)[:-1] * b[k_b + bid, None]
+    # ask row k: B(>= k) pi_a(k) + a(k) sum_{l >= k} pi_b(l) = a(k)
+    M[m - 1 + bid, m + ask] = np.cumsum(b[::-1])[::-1][k_b + ask]
+    M[m - 1:2 * m - 2, :m] = np.triu(ones)[1:] * a[k_b + ask, None]
+    M[-2, :m] = M[-1, m:] = 100.0
+    rhs = np.concatenate([b[k_b:k_a], a[k_b + 1:k_a + 1], [100.0, 100.0]])
+    rhs[0] -= rhs_b
+    rhs[2 * m - 3] -= rhs_a
 
-    sol = lsq_linear(M, rhs, bounds=(0.0, np.inf))
-    z = sol.x
+    free = np.ones(2 * m, dtype=bool)
+    free[[m - 1, m]] = False                        # pi_b(k_a) = pi_a(k_b) = 0
+    z = np.zeros(2 * m)
+    z[free] = np.linalg.lstsq(M[:, free], rhs, rcond=None)[0]
     pi_b = np.zeros(n)
     pi_a = np.zeros(n)
     pi_b[k_b:k_a + 1] = z[:m]
     pi_a[k_b:k_a + 1] = z[m:]
 
-    if abs(pi_b.sum() - 1.0) > 1e-3 or abs(pi_a.sum() - 1.0) > 1e-3:
-        raise RuntimeError(
-            f"balance system infeasible: masses {pi_b.sum():.4f}, {pi_a.sum():.4f}")
+    if (z.min() < -1e-12 or abs(pi_b.sum() - 1.0) > 1e-3
+            or abs(pi_a.sum() - 1.0) > 1e-3):
+        raise InfeasibleBalanceError(
+            f"balance system infeasible on bins [{k_b}, {k_a}]: masses "
+            f"{pi_b.sum():.4f}, {pi_a.sum():.4f}, minimum entry {z.min():.3g}")
     residual = float(np.max(np.abs((M @ z - rhs)[:-2])))
     return BinnedPi(k_b=k_b, k_a=k_a, pi_b=pi_b, pi_a=pi_a, Fb_kappa=Fb_kappa,
                     residual=residual)

@@ -427,7 +427,8 @@ def main(argv: list[str] | None = None) -> int:
     except BookInvariantError as exc:
         print(f"runtime assertion failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (analytics.ShootingError, analytics.SingularCoefficientError) as exc:
+    except (analytics.ShootingError, analytics.SingularCoefficientError,
+            analytics.InfeasibleBalanceError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

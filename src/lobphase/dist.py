@@ -36,13 +36,18 @@ BOUNDARY_MERGE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PriceDist:
-    """A continuous price law given by (density, cdf, quantile) on a closed support."""
+    """A continuous price law given by (density, cdf, quantile) on a closed support.
+
+    `knots` lists the interior prices where the density jumps or kinks
+    (empty for a smooth law); integrators start their panels there.
+    """
 
     density: Callable
     cdf: Callable
     quantile: Callable
     support: tuple[float, float]
     kind: str = "custom"
+    knots: tuple[float, ...] = ()
 
     def __post_init__(self):
         lo, hi = self.support
@@ -81,6 +86,11 @@ def uniform_dist(lo: float = 0.0, hi: float = 1.0) -> PriceDist:
         return lo + u * width
 
     return PriceDist(density, cdf, quantile_fn, (lo, hi), kind="uniform")
+
+
+def _kinks(xs: np.ndarray, slopes: np.ndarray) -> tuple[float, ...]:
+    """Interior knots of a piecewise-polynomial law where `slopes` changes."""
+    return tuple(xs[1:-1][slopes[1:] != slopes[:-1]].tolist())
 
 
 def piecewise_linear_dist(xs, ys) -> PriceDist:
@@ -131,7 +141,7 @@ def piecewise_linear_dist(xs, ys) -> PriceDist:
         return np.clip(xs[i] + d, xs[0], xs[-1])
 
     return PriceDist(density, cdf, quantile_fn, (float(xs[0]), float(xs[-1])),
-                     kind="piecewise_linear")
+                     kind="piecewise_linear", knots=_kinks(xs, slopes))
 
 
 def cdf_table_dist(xs, cdf_values) -> PriceDist:
@@ -169,7 +179,7 @@ def cdf_table_dist(xs, cdf_values) -> PriceDist:
         return np.interp(u, fs, xs)
 
     return PriceDist(density, cdf, quantile_fn, (float(xs[0]), float(xs[-1])),
-                     kind="cdf_table")
+                     kind="cdf_table", knots=_kinks(xs, slopes))
 
 
 def dist_from_config(cfg: dict) -> PriceDist:

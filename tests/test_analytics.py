@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,12 +8,13 @@ from scipy.integrate import solve_ivp
 from scipy.special import lambertw
 
 from lobphase import analytics
-from lobphase.analytics import (ShootingError, finiteness_lower_bound,
+from lobphase.analytics import (InfeasibleBalanceError, ShootingError,
+                                finiteness_lower_bound,
                                 integrate_varpi, kappa_uniform_exact,
                                 lambert_w_of_inv_e, lower_bound_3bin,
                                 shoot_kappa, solve_binned_pi,
                                 varpi_uniform_exact)
-from lobphase.dist import (ArrivalSpec, PriceDist, cdf_table_dist, make_partition,
+from lobphase.dist import (ArrivalSpec, cdf_table_dist, make_partition,
                            piecewise_linear_dist, transform_to_uniform_bid,
                            uniform_dist)
 
@@ -174,6 +176,22 @@ class TestShooting:
         assert float(spec.bid_dist.cdf(sol.kappa_b)) == pytest.approx(
             tsol.kappa_b, abs=1e-5)
 
+    def test_root_search_stays_inside_bracket(self):
+        # The bracket ends' values are given, so every evaluation is an
+        # interior step; the Illinois halving keeps convergence superlinear
+        # on a convex function, where plain regula falsi creeps in from one
+        # side.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.expm1(x) - 1.0
+
+        x = analytics._illinois(f, 0.0, 4.0, -1.0, math.expm1(4.0) - 1.0, 0.0)
+        assert abs(x - math.log(2.0)) <= 1e-13
+        assert all(0.0 < c < 4.0 for c in calls)
+        assert len(calls) <= 12
+
     def test_window_without_sign_change_raises(self, uniform_spec):
         # every candidate level sits above the uniform threshold mass 0.2178
         with pytest.raises(ShootingError, match="no sign change"):
@@ -266,8 +284,8 @@ def counting_spec(spec: ArrivalSpec) -> tuple[ArrivalSpec, list]:
         return call
 
     def law(d):
-        return PriceDist(counted(d.density), counted(d.cdf), counted(d.quantile),
-                         d.support, d.kind)
+        return dataclasses.replace(d, density=counted(d.density), cdf=counted(d.cdf),
+                                   quantile=counted(d.quantile))
 
     return ArrivalSpec(law(spec.bid_dist), law(spec.ask_dist)), calls
 
@@ -334,6 +352,17 @@ class TestTablePath:
     def test_kinked_tables_match_knot_restarted_reference(self, kappa_b):
         _, u, v, _ = integrate_varpi(asymmetric_table_spec(), kappa_b, grid_n=64)
         ref_u, ref_v = knot_restarted_reference(kappa_b, 64)
+        assert np.max(np.abs(u - ref_u)) <= 1e-8
+        assert np.max(np.abs(v - ref_v)) <= 1e-8
+
+    def test_knots_start_panels(self):
+        # Both tables list their kinks, so the integrator's panels start at
+        # them; bisecting towards the three density jumps inside the range
+        # instead takes about 150 law calls.
+        spec, calls = counting_spec(asymmetric_table_spec())
+        _, u, v, _ = integrate_varpi(spec, 0.25, grid_n=64)
+        assert len(calls) <= 40
+        ref_u, ref_v = knot_restarted_reference(0.25, 64)
         assert np.max(np.abs(u - ref_u)) <= 1e-8
         assert np.max(np.abs(v - ref_v)) <= 1e-8
 
@@ -404,6 +433,45 @@ class TestBinnedPi:
         part = make_partition(10, uniform_spec)
         with pytest.raises(ValueError):
             solve_binned_pi(uniform_spec, part, 5, 3, 0.2)
+
+    def test_no_bin_count_collapses_on_uniform_law(self, uniform_spec):
+        # A solve that leaves the near-null direction free can pile most of
+        # the bid mass into the ask-threshold bin; at 20 bins the worst ratio
+        # error of a sound solve is 0.102.
+        kb, ka = kappa_uniform_exact()
+        errs = {}
+        for n in range(20, 201, 5):
+            part = make_partition(n, uniform_spec)
+            k_b, k_a = part.index(kb), part.index(ka)
+            res = solve_binned_pi(uniform_spec, part, k_b, k_a,
+                                  float(uniform_spec.bid_dist.cdf(kb)))
+            b = part.masses(uniform_spec.bid_dist)
+            centers = 0.5 * (part.edges[:-1] + part.edges[1:])
+            inner = np.arange(k_b + 1, k_a)
+            errs[n] = np.max(np.abs(res.pi_b[inner] / b[inner]
+                                    - varpi_uniform_exact(centers[inner])))
+        assert max(errs.values()) <= 0.11, errs
+
+    @pytest.mark.parametrize("n", [40, 60, 100, 200])
+    def test_tent_threshold_bin_empty(self, n):
+        tent = piecewise_linear_dist([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
+        spec = ArrivalSpec(tent, tent)
+        sol = shoot_kappa(spec)
+        part = make_partition(n, spec)
+        res = solve_binned_pi(spec, part, part.index(sol.kappa_b),
+                              part.index(sol.kappa_a),
+                              float(spec.bid_dist.cdf(sol.kappa_b)))
+        a = part.masses(spec.ask_dist)
+        b = part.masses(spec.bid_dist)
+        assert res.pi_b[res.k_a] / b[res.k_a] <= 2.0 * float(np.max(a))
+        assert np.all(res.pi_b >= 0) and np.all(res.pi_a >= 0)
+
+    def test_inconsistent_input_raises(self, uniform_spec):
+        # the support [1, 18] is far wider than the continuum thresholds'
+        # bins (4, 15): least squares answers with an entry of -0.82, which
+        # the solver's own check refuses
+        with pytest.raises(InfeasibleBalanceError, match="minimum entry"):
+            solve_binned_pi(uniform_spec, make_partition(20, uniform_spec), 1, 18, 0.2)
 
 
 def reference_finiteness(spec: ArrivalSpec) -> float | None:

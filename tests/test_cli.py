@@ -164,10 +164,16 @@ class TestConfigTypes:
 
 
 def test_import_does_not_load_scipy():
-    # scipy is imported inside the functions that use it (shooting, the
-    # balance solve), so the event-loop commands start without loading it
+    # the package needs only numpy: importing it, shooting the thresholds and
+    # solving the balance equations load no scipy module
     src = Path(lobphase.__file__).resolve().parents[1]
     code = ("import sys, lobphase, lobphase.cli; "
+            "from lobphase import analytics, dist; "
+            "spec = dist.ArrivalSpec(dist.uniform_dist(), dist.uniform_dist()); "
+            "sol = analytics.shoot_kappa(spec); "
+            "part = dist.make_partition(40, spec); "
+            "analytics.solve_binned_pi(spec, part, part.index(sol.kappa_b), "
+            "part.index(sol.kappa_a), float(spec.bid_dist.cdf(sol.kappa_b))); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
@@ -322,6 +328,29 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "pi", "--bins", "20", "--out", str(tmp_path))
         assert code == 0
         assert (tmp_path / "binned_pi.csv").exists()
+
+    def test_pi_infeasible_solve_exits_3(self, capsys, tmp_path, monkeypatch):
+        # The solve is asked about a support far wider than the thresholds'
+        # bins; its answer has a negative entry, which its own check refuses.
+        from lobphase import analytics
+        solve = analytics.solve_binned_pi
+        monkeypatch.setattr(analytics, "solve_binned_pi",
+                            lambda spec, part, k_b, k_a, fb: solve(spec, part, 1, 18, 0.2))
+        code, out, err = run_cli(capsys, "pi", "--bins", "20", "--out", str(tmp_path))
+        assert code == 3
+        assert err.startswith("solver error: balance system infeasible")
+        assert "Traceback" not in err and out == ""
+        assert not (tmp_path / "binned_pi.csv").exists()
+
+    def test_ode_loose_tol_stops_inside_the_bracket(self, capsys, tmp_path):
+        # |u_end| <= 0.5 already holds at the scan bracket's ends (the end
+        # 0.21425714 is 3.6e-3 from the threshold); the root search stops at
+        # its first step inside the bracket instead
+        from lobphase.analytics import kappa_uniform_exact
+        code, out, _ = run_cli(capsys, "ode", "--tol", "0.5", "--out", str(tmp_path))
+        assert code == 0
+        kappa_b = float(out.split("kappa_b=")[1].split()[0])
+        assert abs(kappa_b - kappa_uniform_exact()[0]) <= 1e-3
 
     def test_couple_runs(self, capsys):
         code, out, _ = run_cli(capsys, "couple", "--bins", "8", "--n", "50000",
