@@ -451,9 +451,13 @@ def solve_binned_pi(spec: ArrivalSpec, partition: BinPartition, k_b: int, k_a: i
     into the far threshold bin.  The theory forces both entries to vanish, so
     they are pinned at zero and the rest is solved by least squares.  The
     returned residual is the largest violation among the balance rows; it
-    reflects the input's O(1/N) inconsistency, not solver error.  An entry
-    below -1e-12 or a mass off one by more than 1e-3 raises
-    InfeasibleBalanceError.
+    reflects the input's O(1/N) inconsistency, not solver error.  Where the
+    density ratio vanishes, as the ask's does at the bid threshold of an
+    asymmetric law, that misfit can leave an entry slightly below zero; an
+    entry no further below than the residual is pinned at zero as well and
+    the rest solved again, which moves no balance row by more than the
+    misfit it already has.  An entry still below -1e-12 or a mass off one
+    by more than 1e-3 raises InfeasibleBalanceError.
     """
     if not 0 <= k_b < k_a < partition.n_bins:
         raise ValueError(f"need 0 <= k_b < k_a < n_bins, got ({k_b}, {k_a})")
@@ -484,8 +488,16 @@ def solve_binned_pi(spec: ArrivalSpec, partition: BinPartition, k_b: int, k_a: i
 
     free = np.ones(2 * m, dtype=bool)
     free[[m - 1, m]] = False                        # pi_b(k_a) = pi_a(k_b) = 0
-    z = np.zeros(2 * m)
-    z[free] = np.linalg.lstsq(M[:, free], rhs, rcond=None)[0]
+    while True:
+        z = np.zeros(2 * m)
+        z[free] = np.linalg.lstsq(M[:, free], rhs, rcond=None)[0]
+        residual = float(np.max(np.abs((M @ z - rhs)[:-2])))
+        # an entry whose value is within the balance misfit of zero is pinned
+        # there too; an entry below zero by more is left for the check
+        dip = (z < 0.0) & (z >= -residual)
+        if not np.any(dip):
+            break
+        free &= ~dip
     pi_b = np.zeros(n)
     pi_a = np.zeros(n)
     pi_b[k_b:k_a + 1] = z[:m]
@@ -496,7 +508,6 @@ def solve_binned_pi(spec: ArrivalSpec, partition: BinPartition, k_b: int, k_a: i
         raise InfeasibleBalanceError(
             f"balance system infeasible on bins [{k_b}, {k_a}]: masses "
             f"{pi_b.sum():.4f}, {pi_a.sum():.4f}, minimum entry {z.min():.3g}")
-    residual = float(np.max(np.abs((M @ z - rhs)[:-2])))
     return BinnedPi(k_b=k_b, k_a=k_a, pi_b=pi_b, pi_a=pi_a, Fb_kappa=Fb_kappa,
                     residual=residual)
 

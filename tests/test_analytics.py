@@ -290,14 +290,28 @@ def counting_spec(spec: ArrivalSpec) -> tuple[ArrivalSpec, list]:
     return ArrivalSpec(law(spec.bid_dist), law(spec.ask_dist)), calls
 
 
+def without_knots(spec: ArrivalSpec) -> ArrivalSpec:
+    """`spec` with both laws' knot lists emptied, as for a law that lists none.
+
+    The integrator then has no panel edge at a table's density jumps and must
+    find them by its error control alone.
+    """
+    return ArrivalSpec(dataclasses.replace(spec.bid_dist, knots=()),
+                       dataclasses.replace(spec.ask_dist, knots=()))
+
+
 class TestMagnusIntegrator:
     """`_integrate_adaptive`'s Phi against an independent DOP853 solve."""
 
     @pytest.mark.parametrize("name", ["uniform", "tent", "table", "asymmetric_table",
-                                      "asymmetric"])
+                                      "asymmetric", "tent_no_knots",
+                                      "asymmetric_table_no_knots"])
     def test_phi_matches_dop853(self, name):
-        spec = (asymmetric_table_spec() if name == "asymmetric_table"
-                else scan_spec(name)[0])
+        base = name.removesuffix("_no_knots")
+        spec = (asymmetric_table_spec() if base == "asymmetric_table"
+                else scan_spec(base)[0])
+        if base != name:
+            spec = without_knots(spec)
         lo = float(spec.bid_dist.quantile(0.08))
         hi = float(spec.ask_dist.quantile(0.92))
         xs = np.linspace(lo, hi, 400)
@@ -309,12 +323,13 @@ class TestMagnusIntegrator:
 
     def test_knot_near_panel_end_is_seen(self):
         # The ask density jumps 3% of a width before the end of an initial
-        # panel, past the last Gauss node (at 89%): only the Lobatto end node
-        # sees the jump there.
+        # panel, past the last Gauss node (at 89%): with no knot list to
+        # start a panel there, only the Lobatto end node sees the jump.
         kappa_b, kappa_a = 0.25, 0.75
         knot = kappa_b + (kappa_a - kappa_b) * (3 + 0.97) / analytics._INITIAL_PANELS
         tables = (([0.0, 1.0], [0.0, 1.0]), ([0.0, knot, kappa_a, 1.0], [0.0, 0.3, 0.75, 1.0]))
-        spec = ArrivalSpec(cdf_table_dist(*tables[0]), cdf_table_dist(*tables[1]))
+        spec = without_knots(ArrivalSpec(cdf_table_dist(*tables[0]),
+                                         cdf_table_dist(*tables[1])))
         grid, u, v, _ = integrate_varpi(spec, kappa_b, grid_n=64)
         assert grid[-1] == kappa_a
         ref_u, ref_v = knot_restarted_reference(kappa_b, 64, tables)
@@ -351,6 +366,16 @@ class TestTablePath:
     @pytest.mark.parametrize("kappa_b", [0.18, 0.25, 0.3])
     def test_kinked_tables_match_knot_restarted_reference(self, kappa_b):
         _, u, v, _ = integrate_varpi(asymmetric_table_spec(), kappa_b, grid_n=64)
+        ref_u, ref_v = knot_restarted_reference(kappa_b, 64)
+        assert np.max(np.abs(u - ref_u)) <= 1e-8
+        assert np.max(np.abs(v - ref_v)) <= 1e-8
+
+    @pytest.mark.parametrize("kappa_b", [0.18, 0.25, 0.3])
+    def test_knotless_tables_match_knot_restarted_reference(self, kappa_b):
+        # the same tables with no knot list: the error control alone has to
+        # find the density jumps and bisect towards them
+        _, u, v, _ = integrate_varpi(without_knots(asymmetric_table_spec()), kappa_b,
+                                     grid_n=64)
         ref_u, ref_v = knot_restarted_reference(kappa_b, 64)
         assert np.max(np.abs(u - ref_u)) <= 1e-8
         assert np.max(np.abs(v - ref_v)) <= 1e-8
@@ -465,6 +490,24 @@ class TestBinnedPi:
         b = part.masses(spec.bid_dist)
         assert res.pi_b[res.k_a] / b[res.k_a] <= 2.0 * float(np.max(a))
         assert np.all(res.pi_b >= 0) and np.all(res.pi_a >= 0)
+
+    @pytest.mark.parametrize("n", [20, 40, 55, 67, 100])
+    @pytest.mark.parametrize("name", ["table", "asymmetric_table", "asymmetric"])
+    def test_table_and_asymmetric_laws_stay_nonnegative(self, name, n):
+        # On the asymmetric law (triangular bid, uniform ask) the ask ratio
+        # vanishes at the bid threshold, and least squares alone leaves
+        # pi_a(k_b + 1) down to -4.5e-6 at 40 bins, within the balance
+        # misfit of 7.6e-4; such entries are pinned at zero, not refused.
+        spec, fb_lower = ((asymmetric_table_spec(), 0.05) if name == "asymmetric_table"
+                          else scan_spec(name))
+        sol = shoot_kappa(spec, fb_lower=fb_lower)
+        part = make_partition(n, spec)
+        res = solve_binned_pi(spec, part, part.index(sol.kappa_b),
+                              part.index(sol.kappa_a),
+                              float(spec.bid_dist.cdf(sol.kappa_b)))
+        assert np.all(res.pi_b >= 0) and np.all(res.pi_a >= 0)
+        assert res.pi_b.sum() == pytest.approx(1.0, abs=1e-3)
+        assert res.pi_a.sum() == pytest.approx(1.0, abs=1e-3)
 
     def test_inconsistent_input_raises(self, uniform_spec):
         # the support [1, 18] is far wider than the continuum thresholds'
