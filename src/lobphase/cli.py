@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands cover every experiment: simulate, kappa, ode, pi, check,
-lyapunov, bound3, couple, runmax.  Options may come from flags or a JSON
-config file (flags win); outputs are plain CSVs plus one JSON summary per
-run, each stamped with the seed and a config hash.
+lyapunov, bound3, couple, runmax.  Each accepts only the `RunConfig` fields
+that `_COMMANDS` says it reads, as flags or as keys of a JSON config file
+(flags win; the laws `dist_bid` and `dist_ask` come from the file only).
+Outputs are plain CSVs plus one JSON summary per run, each stamped with a
+config hash and, where the run draws arrivals, the seed.
 
 Exit codes: 0 success, 2 config error, 3 runtime assertion, 4 check failure.
 """
@@ -13,16 +15,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from . import analytics, book, coupling, lyapunov, sim
 from .book import (ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookInvariantError,
-                   BookState, MatchRule)
-from .dist import ArrivalSpec, dist_from_config, make_partition, uniform_dist
+                   BookState, MatchRule, Order)
+from .dist import ArrivalSpec, dist_from_config, make_partition
 from .output import config_hash, write_csv, write_json
 
 EXIT_OK = 0
@@ -30,63 +33,69 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_CHECK_FAILED = 4
 
-SUITES = ("coupling", "lyapunov", "bounds", "all")
+CHOICES = {"rule": (ORDINARY, ORDINARY_BINNED, STRICT_BINNED),
+           "mode": ("exact", "ode", "mc"),
+           "suite": ("coupling", "lyapunov", "bounds", "all"),
+           "time_mode": (sim.EVENT_COUNT, sim.POISSON)}
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _opt(default, doc: str):
+    return field(default=default, metadata={"help": doc})
+
+
 @dataclass
 class RunConfig:
-    """Validated run options; unknown config-file keys are rejected."""
+    """Validated run options; a subcommand accepts only the fields it reads."""
 
-    dist: str = "uniform"
     dist_bid: dict | None = None
     dist_ask: dict | None = None
     rule: str = ORDINARY
-    n: int = 100_000
-    bins: int = 100
-    seed: int = 0
-    seeds: list[int] | None = None
-    record_every: int = 0
-    eps: float = 0.01
-    out: str = "out"
+    n: int = _opt(100_000, "number of arrivals")
+    bins: int = _opt(100, "partition size N")
+    seed: int = _opt(0, "random seed, in [0, 2**64)")
+    seeds: list[int] | None = _opt(None, "seed list for the coupling suite")
+    record_every: int = _opt(0, "checkpoint spacing in arrivals; 0 for n/100")
+    eps: float = _opt(0.01, "bin asymmetry for the 5-bin model")
+    out: str = _opt("out", "output directory")
     mode: str = "exact"
-    compare: bool = False
+    compare: bool = _opt(False, "run every mode and compare the thresholds")
     suite: str = "all"
-    x: float = 0.4
-    y: float = 0.6
-    tol: float = 1e-10
-    time_mode: str = "event_count"
+    x: float = _opt(0.4, "lower cut for bounds")
+    y: float = _opt(0.6, "upper cut for bounds")
+    tol: float = _opt(1e-10, "shooting tolerance on u_end")
+    time_mode: str = sim.EVENT_COUNT
 
     @classmethod
-    def load(cls, args: argparse.Namespace) -> "RunConfig":
+    def load(cls, args: argparse.Namespace, reads: frozenset[str]) -> "RunConfig":
+        """Merge the config file under the flags; refuse keys outside `reads`."""
         types = {f.name: f.type for f in fields(cls)}
-        known = set(types)
         merged: dict = {}
-        cfg_path = getattr(args, "config", None)
-        if cfg_path:
+        if args.config:
             try:
-                file_cfg = json.loads(Path(cfg_path).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+                file_cfg = dict(json.loads(Path(args.config).read_text()))
+            except (OSError, TypeError, ValueError) as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
-            unknown = set(file_cfg) - known
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            unread = set(file_cfg) - reads
+            if unread:
+                raise ConfigError(f"config keys that {args.command} does not read: "
+                                  f"{sorted(unread)}")
             merged.update(file_cfg)
-        for name in known:
-            val = getattr(args, name, None)
-            if val is not None:
-                merged[name] = val
+        merged.update((name, getattr(args, name)) for name in reads
+                      if getattr(args, name, None) is not None)
         cfg = cls(**{name: _checked(name, val, types[name])
                      for name, val in merged.items()})
         if cfg.n < 0:
             raise ConfigError("n must be nonnegative")
-        if cfg.rule not in (ORDINARY, ORDINARY_BINNED, STRICT_BINNED):
-            raise ConfigError(f"unknown rule {cfg.rule!r}")
-        if cfg.suite not in SUITES:
-            raise ConfigError(f"unknown suite {cfg.suite!r}; use one of {', '.join(SUITES)}")
+        if not all(0 <= s < 2**64 for s in [cfg.seed, *(cfg.seeds or ())]):
+            raise ConfigError("seed and seeds must lie in [0, 2**64)")
+        for name, allowed in CHOICES.items():
+            if getattr(cfg, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(cfg, name)!r}; "
+                                  f"use one of {', '.join(allowed)}")
         if cfg.bins < 2:
             raise ConfigError("bins must be at least 2")
         if not 0 < cfg.tol < 1:
@@ -99,7 +108,9 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_PLAIN = {"str": str, "bool": bool, "dict": dict}
+# The Python type of a field's value, or of its entries for a list.
+_TYPES = {"int": int, "float": float, "str": str, "bool": bool, "dict": dict,
+          "list[int]": int}
 
 
 def _checked(name: str, val, kind: str):
@@ -120,32 +131,22 @@ def _checked(name: str, val, kind: str):
         return float(val)
     elif base == "list[int]" and isinstance(val, list):
         return [_checked(f"{name} entry", v, "int") for v in val]
-    elif base in _PLAIN and isinstance(val, _PLAIN[base]):
+    elif base in ("str", "bool", "dict") and isinstance(val, _TYPES[base]):
         return val
     raise ConfigError(f"{name} must be {base}, got {val!r}")
 
 
 def build_spec(cfg: RunConfig) -> ArrivalSpec:
-    if cfg.dist_bid or cfg.dist_ask:
-        bid = dist_from_config(cfg.dist_bid or {"kind": "uniform"})
-        ask = dist_from_config(cfg.dist_ask or {"kind": "uniform"})
-        return ArrivalSpec(bid, ask)
-    if cfg.dist == "uniform":
-        return ArrivalSpec(uniform_dist(), uniform_dist())
-    raise ConfigError(f"unknown --dist {cfg.dist!r}; use a config file for "
-                      "piecewise_linear or cdf_table laws")
-
-
-def build_rule(cfg: RunConfig, spec: ArrivalSpec) -> MatchRule:
-    if cfg.rule == ORDINARY:
-        return MatchRule(ORDINARY)
-    return MatchRule(cfg.rule, make_partition(cfg.bins, spec))
+    """The configured laws; a side the config file gives no law is uniform on [0, 1]."""
+    uniform = {"kind": "uniform"}
+    return ArrivalSpec(dist_from_config(cfg.dist_bid or uniform),
+                       dist_from_config(cfg.dist_ask or uniform))
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     spec = build_spec(cfg)
-    rule = build_rule(cfg, spec)
-    part = rule.partition or make_partition(cfg.bins, spec)
+    part = make_partition(cfg.bins, spec)
+    rule = MatchRule(cfg.rule, None if cfg.rule == ORDINARY else part)
     stream = sim.ArrivalStream(cfg.seed, cfg.n, spec, cfg.time_mode)
     trace = sim.run(rule, BookState(), stream,
                     cfg.record_every or max(1, cfg.n // 100),
@@ -168,16 +169,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_kappa(cfg: RunConfig) -> int:
     spec = build_spec(cfg)
     bid, ask = spec.bid_dist, spec.ask_dist
-    is_uniform = bid.kind == ask.kind == "uniform"
     results: dict[str, tuple[float, float]] = {}
     modes = ("exact", "ode", "mc") if cfg.compare else (cfg.mode,)
     for mode in modes:
         if mode == "exact":
-            if not is_uniform:
+            if not bid.kind == ask.kind == "uniform":
                 if cfg.compare:
                     continue
-                print("exact mode requires uniform/uniform arrivals", file=sys.stderr)
-                return EXIT_CONFIG
+                raise ConfigError("exact mode requires uniform/uniform arrivals")
             if bid.support != ask.support:
                 raise ConfigError(f"exact mode needs one uniform support for both sides, "
                                   f"got bids on {bid.support} and asks on {ask.support}")
@@ -193,7 +192,7 @@ def cmd_kappa(cfg: RunConfig) -> int:
             print(f"ode:   kappa_b={sol.kappa_b:.6f} kappa_a={sol.kappa_a:.6f} "
                   f"(u_end={sol.u_end:.2e}, v_end={sol.v_end:.6f})")
             results["ode"] = (sol.kappa_b, sol.kappa_a)
-        elif mode == "mc":
+        else:
             if cfg.n < 10:
                 raise ConfigError(f"--mode mc needs --n >= 10 for its 10 checkpoints, "
                                   f"got {cfg.n}")
@@ -210,19 +209,13 @@ def cmd_kappa(cfg: RunConfig) -> int:
                   f"(n={cfg.n}, seed={cfg.seed})")
             print(f"kernel: {book.KERNEL}")
             results["mc"] = (est.kappa_b_hat, est.kappa_a_hat)
-        else:
-            print(f"unknown mode {mode!r}", file=sys.stderr)
-            return EXIT_CONFIG
     if cfg.compare:
-        labels = sorted(results)
         ok = True
-        for i, a in enumerate(labels):
-            for b in labels[i + 1:]:
-                d = abs(results[a][0] - results[b][0])
-                tol = 0.02 if "mc" in (a, b) else 1e-5
-                status = "PASS" if d <= tol else "FAIL"
-                ok &= d <= tol
-                print(f"|{a} - {b}| = {d:.6f} (tol {tol}) {status}")
+        for a, b in combinations(sorted(results), 2):
+            d = abs(results[a][0] - results[b][0])
+            tol = 0.02 if "mc" in (a, b) else 1e-5
+            ok &= d <= tol
+            print(f"|{a} - {b}| = {d:.6f} (tol {tol}) {'PASS' if d <= tol else 'FAIL'}")
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -237,7 +230,7 @@ def cmd_ode(cfg: RunConfig) -> int:
               ["x", "varpi_b", "varpi_a", "density_b", "density_a"],
               zip(sol.grid, sol.varpi_b, sol.varpi_a, sol.varpi_b * fb,
                   sol.varpi_a * fa),
-              {"seed": cfg.seed, "config": config_hash(cfg.as_dict())})
+              {"config": config_hash(cfg.as_dict())})
     write_json(outdir / "ode_summary.json", {
         "kappa_b": sol.kappa_b, "kappa_a": sol.kappa_a,
         "u_end": sol.u_end, "v_end": sol.v_end,
@@ -252,15 +245,14 @@ def cmd_pi(cfg: RunConfig) -> int:
     spec = build_spec(cfg)
     part = make_partition(cfg.bins, spec)
     sol = analytics.shoot_kappa(spec, tol=cfg.tol)
-    k_b = part.index(sol.kappa_b)
-    k_a = part.index(sol.kappa_a)
+    k_b, k_a = part.index(sol.kappa_b), part.index(sol.kappa_a)
     fb_kappa = float(spec.bid_dist.cdf(sol.kappa_b))
     binned = analytics.solve_binned_pi(spec, part, k_b, k_a, fb_kappa)
     edges = part.edges
     write_csv(Path(cfg.out) / "binned_pi.csv",
               ["bin_lo", "bin_hi", "pi_b", "pi_a"],
               zip(edges[:-1], edges[1:], binned.pi_b, binned.pi_a),
-              {"seed": cfg.seed, "config": config_hash(cfg.as_dict())})
+              {"config": config_hash(cfg.as_dict())})
     print(f"solved {cfg.bins}-bin occupation system: residual="
           f"{binned.residual:.2e}")
     return EXIT_OK
@@ -270,10 +262,9 @@ def cmd_check(cfg: RunConfig) -> int:
     spec = build_spec(cfg)
     seeds = cfg.seeds or [cfg.seed]
     failed = False
-    if cfg.suite in ("coupling", "all") and cfg.n < 1:
-        raise ConfigError(f"the coupling suite needs --n >= 1 arrivals, got {cfg.n}")
     if cfg.suite in ("coupling", "all"):
-        from .book import Order
+        if cfg.n < 1:
+            raise ConfigError(f"the coupling suite needs --n >= 1 arrivals, got {cfg.n}")
         fine = make_partition(max(cfg.bins, 10), spec)
         coarse = make_partition(max(cfg.bins // 10, 2), spec)
         rows = []
@@ -362,6 +353,8 @@ def cmd_couple(cfg: RunConfig) -> int:
 
 
 def cmd_runmax(cfg: RunConfig) -> int:
+    if cfg.n < 1:
+        raise ConfigError(f"runmax needs --n >= 1 arrivals, got {cfg.n}")
     spec = build_spec(cfg)
     ev = lyapunov.running_max_evidence(spec, cfg.n, cfg.seed, n_bins=cfg.bins,
                                        series=True)
@@ -372,55 +365,50 @@ def cmd_runmax(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "kappa": cmd_kappa,
-    "ode": cmd_ode,
-    "pi": cmd_pi,
-    "check": cmd_check,
-    "lyapunov": cmd_lyapunov,
-    "bound3": cmd_bound3,
-    "couple": cmd_couple,
-    "runmax": cmd_runmax,
-}
+# Each subcommand and the RunConfig fields it reads: its flags, and the keys
+# its config file may set.  Every command that calls build_spec reads the laws.
+_LAWS = " dist_bid dist_ask"
+_COMMANDS = {name: (cmd, frozenset(reads.split())) for name, (cmd, reads) in {
+    "simulate": (cmd_simulate, "rule n bins seed record_every time_mode out" + _LAWS),
+    "kappa": (cmd_kappa, "mode compare tol n seed" + _LAWS),
+    "ode": (cmd_ode, "tol out" + _LAWS),
+    "pi": (cmd_pi, "bins tol out" + _LAWS),
+    "check": (cmd_check, "suite n bins seed seeds eps x y tol out" + _LAWS),
+    "lyapunov": (cmd_lyapunov, "eps out"),
+    "bound3": (cmd_bound3, "x y"),
+    "couple": (cmd_couple, "bins n seed" + _LAWS),
+    "runmax": (cmd_runmax, "n seed bins out" + _LAWS),
+}.items()}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--dist", help="arrival law shorthand (uniform)")
-    p.add_argument("--rule", help="ordinary | ordinary_binned | strict_binned")
-    p.add_argument("--n", type=int, help="number of arrivals")
-    p.add_argument("--bins", type=int, help="partition size N")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--seeds", type=int, nargs="+", help="seed list for suites")
-    p.add_argument("--record-every", dest="record_every", type=int)
-    p.add_argument("--eps", type=float, help="bin asymmetry for the 5-bin model")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--mode", help="kappa mode: mc | ode | exact")
-    p.add_argument("--compare", action="store_const", const=True, default=None)
-    p.add_argument("--suite", help="check suite: coupling | lyapunov | bounds | all")
-    p.add_argument("--x", type=float, help="lower cut for bounds")
-    p.add_argument("--y", type=float, help="upper cut for bounds")
-    p.add_argument("--tol", type=float, help="shooting tolerance on u_end")
-    p.add_argument("--time-mode", dest="time_mode",
-                   help="event_count | poisson timestamps")
-
-
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """One subparser per command, with a flag for each non-dict field it reads."""
     parser = argparse.ArgumentParser(
         prog="lobphase",
         description="Phase-transition analytics for a state-independent limit order book")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        _add_common(sub.add_parser(name))
-    args = parser.parse_args(argv)
+    for name, (_, reads) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for f in fields(RunConfig):
+            kind = f.type.removesuffix(" | None")
+            if f.name not in reads or kind == "dict":
+                continue
+            flag = "--" + f.name.replace("_", "-")
+            doc = " | ".join(CHOICES[f.name]) if f.name in CHOICES else f.metadata["help"]
+            if kind == "bool":
+                p.add_argument(flag, action="store_const", const=True, help=doc)
+                continue
+            p.add_argument(flag, type=_TYPES[kind], nargs="+" if kind.startswith("list") else None,
+                           help=doc if f.default is None else f"{doc} (default {f.default})")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    command, reads = _COMMANDS[args.command]
     try:
-        cfg = RunConfig.load(args)
-    except (ConfigError, TypeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](cfg)
+        return command(RunConfig.load(args, reads))
     except (ValueError, OSError) as exc:    # a bad option value, or an unusable path
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

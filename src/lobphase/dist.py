@@ -217,7 +217,8 @@ def transform_to_uniform_bid(spec: ArrivalSpec) -> ArrivalSpec:
     """Push prices through the bid CDF so bids become uniform on [0, 1].
 
     The ask law becomes its pushforward under x -> F_b(x); matching decisions
-    depend only on price order, so book dynamics are unchanged.
+    depend only on price order, so book dynamics are unchanged.  Its knots are
+    the images F_b(k) of both laws' knots k.
     """
     fb, qb = spec.bid_dist.cdf, spec.bid_dist.quantile
     fa_cdf, qa = spec.ask_dist.cdf, spec.ask_dist.quantile
@@ -241,8 +242,21 @@ def transform_to_uniform_bid(spec: ArrivalSpec) -> ArrivalSpec:
         den = np.asarray(fb_pdf(x), dtype=float)
         return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
-    ask = PriceDist(density, cdf, quantile_fn, (0.0, 1.0), kind="pushforward")
+    knots = sorted({_pushed_knot(k, fb, qb)
+                    for k in spec.bid_dist.knots + spec.ask_dist.knots})
+    ask = PriceDist(density, cdf, quantile_fn, (0.0, 1.0), kind="pushforward",
+                    knots=tuple(u for u in knots if 0.0 < u < 1.0))
     return ArrivalSpec(uniform_dist(0.0, 1.0), ask, spec.p_b)
+
+
+def _pushed_knot(k: float, fb: Callable, qb: Callable) -> float:
+    """F_b(k), moved by ulps until Q_b maps its two float neighbours to either side of k."""
+    u = float(fb(k))
+    while u > 0.0 and qb(np.nextafter(u, 0.0)) >= k:
+        u = float(np.nextafter(u, 0.0))
+    while u < 1.0 and qb(np.nextafter(u, 1.0)) < k:
+        u = float(np.nextafter(u, 1.0))
+    return u
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ __all__ = [
     "compatible",
     "drift_dot",
     "enumerated_drift_affine",
-    "enumerated_drift",
     "certify_drift",
     "DriftCertificate",
     "polytope_gauge",
@@ -197,11 +196,6 @@ def enumerated_drift_affine(code: str) -> AffineVec:
         else:
             add(j, -1, mass)          # joins as an ask
     return tuple(coords)  # type: ignore[return-value]
-
-
-def enumerated_drift(code: str, eps) -> tuple[Fraction, Fraction, Fraction]:
-    e = F(eps)
-    return tuple(c0 + c1 * e for c0, c1 in enumerated_drift_affine(code))  # type: ignore
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ FIELD_TAGS = {
 
 def field_generator(seed: int, tag: str) -> np.random.Generator:
     """Counter-based generator for one named field of one seeded experiment."""
-    key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(FIELD_TAGS[tag])])
+    key = np.array([np.uint64(seed), np.uint64(FIELD_TAGS[tag])])
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -64,6 +64,8 @@ class ArrivalStream:
     time_mode: str = EVENT_COUNT
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.n_events < 0:
             raise ValueError("n_events must be nonnegative")
         if self.time_mode not in (EVENT_COUNT, POISSON):

@@ -391,6 +391,23 @@ class TestTablePath:
         assert np.max(np.abs(u - ref_u)) <= 1e-8
         assert np.max(np.abs(v - ref_v)) <= 1e-8
 
+    # F_b maps the ask knots 0.2 and 0.7 of this table to 0.16000000000000003
+    # and 0.75, each one float off the point where Q_b crosses the knot
+    @pytest.mark.parametrize("ask", [ASYMMETRIC_ASK, ([0.0, 0.2, 0.7, 1.0],
+                                                      [0.0, 0.15, 0.75, 1.0])],
+                             ids=["asymmetric", "knots_an_ulp_off"])
+    def test_transformed_tables_list_their_knots(self, ask):
+        # The pushforward ask law lists F_b of both laws' knots, moved to
+        # the float where its density jumps; without a knot list the
+        # integrator bisects towards each jump (about 150 law calls), and
+        # with an unmoved knot towards the jump an ulp away (144).
+        spec = ArrivalSpec(cdf_table_dist(*ASYMMETRIC_BID), cdf_table_dist(*ask))
+        tspec, calls = counting_spec(transform_to_uniform_bid(spec))
+        *_, u_end = integrate_varpi(tspec, float(spec.bid_dist.cdf(0.2)), grid_n=64)
+        assert len(calls) <= 40
+        *_, ref = integrate_varpi(spec, 0.2, grid_n=64)
+        assert abs(u_end - ref) <= 1e-9
+
     @pytest.mark.parametrize("kappa_b", [0.2, 0.2178, 0.26])
     def test_uniform_table_equals_uniform_law(self, kappa_b):
         _, u, v, _ = integrate_varpi(uniform_table_spec(), kappa_b)

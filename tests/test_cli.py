@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lobphase
-from lobphase.cli import main
+from lobphase.cli import RunConfig, main
 
 
 def run_cli(capsys, *argv):
@@ -157,10 +158,15 @@ class TestConfigTypes:
         assert code == 2 and "n must be int" in err
 
     def test_integral_float_is_an_int(self, capsys, tmp_path):
-        code, _, _ = self._run(capsys, tmp_path, "simulate", {"n": 2e3, "seeds": [1]})
+        code, _, _ = self._run(capsys, tmp_path, "simulate", {"n": 2e3})
         assert code == 0
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["n"] == 2000 and isinstance(summary["n"], int)
+        # a list[int] field takes integral floats entry by entry
+        code, out, _ = self._run(capsys, tmp_path, "check",
+                                 {"suite": "coupling", "n": 100, "seeds": [1.0, 2e0]})
+        assert code == 0
+        assert "seed=1 " in out and "seed=2 " in out and "seed=1.0" not in out
 
 
 def test_import_does_not_load_scipy():
@@ -187,7 +193,9 @@ def test_import_does_not_load_scipy():
     "simulate --n 100 --record-every -5",
 ])
 def test_out_of_range_value_is_config_error(capsys, tmp_path, argv):
-    code, _, err = run_cli(capsys, *argv.split(), "--out", str(tmp_path))
+    # --out only where the command reads it, so each case fails on the value it names
+    out = () if argv.split()[0] in ("bound3", "couple") else ("--out", str(tmp_path))
+    code, _, err = run_cli(capsys, *argv.split(), *out)
     assert code == 2
     assert err.startswith("config error:") and "Traceback" not in err
 
@@ -208,6 +216,96 @@ def test_unusable_path_is_config_error(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("config error:") and "Traceback" not in err
     assert str(tmp_path / ("missing.csv" if "{cfg}" in argv else "file")) in err
+
+
+# Every option each subcommand reads, with a value that the command must
+# refuse (exit 2, 3 or 4).  Arguments after the value set the context in which
+# the option is read: the suite, or a small run whose output path is unusable.
+# An option that a command accepted but ignored would exit 0 here.
+BAD_VALUES = {
+    "simulate": {"--rule": "fifo", "--n": "-1", "--bins": "1", "--seed": "-1",
+                 "--record-every": "-5", "--time-mode": "bogus", "--out": "{file}/o --n 100"},
+    "kappa": {"--mode": "bogus", "--tol": "2", "--n": "-1", "--seed": "-1"},
+    "ode": {"--tol": "0", "--out": "{file}/o"},
+    "pi": {"--bins": "1", "--tol": "1", "--out": "{file}/o"},
+    "check": {"--suite": "bogus", "--n": "-1", "--bins": "1", "--seed": "-1",
+              "--seeds": "1 -1", "--eps": "0.5 --suite lyapunov", "--x": "2 --suite bounds",
+              "--y": "0.1 --suite bounds", "--tol": "inf",
+              "--out": "{file}/o --suite coupling --n 100"},
+    "lyapunov": {"--eps": "0.3", "--out": "{file}/o"},
+    "bound3": {"--x": "2", "--y": "0.1"},
+    "couple": {"--bins": "3", "--n": "-1", "--seed": "-1"},
+    "runmax": {"--n": "0", "--seed": "-1", "--bins": "1", "--out": "{file}/o --n 100"},
+}
+# --compare takes no value, so it has no bad one
+FLAG_ONLY = {"kappa": {"--compare"}}
+LAW_READERS = {"simulate", "kappa", "ode", "pi", "check", "couple", "runmax"}
+
+
+def read_flags(command: str) -> set[str]:
+    return set(BAD_VALUES[command]) | FLAG_ONLY.get(command, set())
+
+
+# --dist was an option of every command; its one legal value was the default
+ALL_FLAGS = set().union(*map(read_flags, BAD_VALUES)) | {"--dist"}
+
+
+def exit_code(capsys, argv: list[str]) -> tuple[int, str]:
+    """`main`'s exit status, argparse's usage errors included, and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", list(BAD_VALUES))
+    def test_help_lists_only_the_options_read(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == read_flags(command) | {"--help", "--config"}
+
+    @pytest.mark.parametrize("command", list(BAD_VALUES))
+    def test_unread_flag_is_a_usage_error(self, capsys, command):
+        for flag in sorted(ALL_FLAGS - read_flags(command)):
+            argv = [command, flag] + ([] if flag == "--compare" else ["1"])
+            code, err = exit_code(capsys, argv)
+            assert code == 2, argv
+            assert "unrecognized arguments" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", list(BAD_VALUES))
+    def test_unread_config_key_is_config_error(self, capsys, tmp_path, command):
+        keys = {f.lstrip("-").replace("-", "_") for f in ALL_FLAGS - read_flags(command)}
+        if command not in LAW_READERS:
+            keys |= {"dist_bid", "dist_ask"}
+        cfg = tmp_path / "cfg.json"
+        for key in sorted(keys):
+            value = "uniform" if key == "dist" else getattr(RunConfig(), key)
+            cfg.write_text(json.dumps({key: value}))
+            code, err = exit_code(capsys, [command, "--config", str(cfg)])
+            assert code == 2, key
+            assert err.startswith("config error:") and key in err
+
+    @pytest.mark.parametrize("argv", [f"{c} {flag} {value}"
+                                      for c, cases in BAD_VALUES.items()
+                                      for flag, value in cases.items()])
+    def test_bad_value_of_a_read_option_fails(self, capsys, tmp_path, argv):
+        (tmp_path / "file").write_text("")
+        code, err = exit_code(capsys, argv.format(file=tmp_path / "file").split())
+        assert code in (2, 3, 4)
+        assert err.startswith(("config error:", "solver error:", "runtime assertion"))
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", sorted(LAW_READERS))
+    def test_bad_law_is_config_error(self, capsys, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        for side in ("dist_bid", "dist_ask"):
+            cfg.write_text(json.dumps({side: {"kind": "bogus"}}))
+            code, err = exit_code(capsys, [command, "--config", str(cfg)])
+            assert code == 2 and "bogus" in err, side
 
 
 class TestCheckCommand:

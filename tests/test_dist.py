@@ -110,6 +110,17 @@ class TestTransform:
                           - out.bid_dist.cdf(spec.bid_dist.cdf(a)))
             assert abs(orig - image) < 1e-10
 
+    def test_pushforward_lists_both_laws_knots(self):
+        # tent bids kink at 0.5 (F_b = 0.5); the ask table's knots 0.2 and 0.7
+        # map to F_b = 0.08 and 0.82, each the float where Q_b crosses it
+        spec = ArrivalSpec(piecewise_linear_dist([0, 0.5, 1], [0, 2, 0]),
+                           cdf_table_dist([0, 0.2, 0.7, 1], [0, 0.15, 0.75, 1]))
+        out = transform_to_uniform_bid(spec)
+        assert out.ask_dist.knots == pytest.approx([0.08, 0.5, 0.82], abs=1e-15)
+        qb = spec.bid_dist.quantile
+        for u, k in zip(out.ask_dist.knots, [0.2, 0.5, 0.7]):
+            assert qb(np.nextafter(u, 0)) < k <= qb(np.nextafter(u, 1))
+
     def test_flat_cdf_rejected(self):
         flat = PriceDist(
             density=lambda x: np.where(np.asarray(x) < 0.5, 2.0, 0.0),

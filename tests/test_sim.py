@@ -30,6 +30,18 @@ class TestArrivalStream:
         b = sim.materialize(sim.ArrivalStream(2, 100, uniform_spec))
         assert not np.array_equal(a.prices, b.prices)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_philox_key_range_is_refused(self, uniform_spec, seed):
+        # masked to 64 bits, -1 would draw the stream of 2**64 - 1 and 2**64
+        # the stream of 0, and the outputs would be stamped with the wrong seed
+        with pytest.raises(ValueError, match="seed must be in"):
+            sim.ArrivalStream(seed, 5, uniform_spec)
+
+    def test_largest_seed_draws_its_own_stream(self, uniform_spec):
+        top = sim.materialize(sim.ArrivalStream(2**64 - 1, 100, uniform_spec))
+        zero = sim.materialize(sim.ArrivalStream(0, 100, uniform_spec))
+        assert not np.array_equal(top.prices, zero.prices)
+
     def test_bid_fraction_five_sigma(self, uniform_spec):
         arr = sim.materialize(sim.ArrivalStream(3, 1_000_000, uniform_spec))
         # binomial: 5 sigma = 5 * sqrt(1/4/n) = 0.0025
