@@ -3,7 +3,8 @@
 Three independent routes are provided and cross-checked by the test suite:
 a closed form for uniform arrivals (via the Lambert-W fixed point), a shooting
 method on an equivalent first-order ODE system for general arrival laws, and
-the per-bin occupation-measure balance equations.
+the per-bin occupation-measure balance equations.  `thresholds` alone picks
+between the first two, for every caller that needs the threshold prices.
 
 The ODE system integrates u = F_a * w_b and v = cumulative bid mass of w_b,
 where w_b is the density ratio of the best-bid location against the bid
@@ -49,6 +50,7 @@ __all__ = [
     "varpi_uniform_exact",
     "integrate_varpi",
     "shoot_kappa",
+    "thresholds",
     "solve_binned_pi",
     "lower_bound_3bin",
     "finiteness_lower_bound",
@@ -263,8 +265,7 @@ def _integrate_adaptive(spec: ArrivalSpec, lo: float, hi: float, rtol: float,
 
 
 def integrate_varpi(spec: ArrivalSpec, kappa_b: float, grid_n: int = 1000,
-                    rtol: float = 1e-10, atol: float = 1e-12,
-                    check: bool = True):
+                    rtol: float = 1e-10, atol: float = 1e-12):
     """Integrate (u, v) from kappa_b to kappa_a(kappa_b); returns paths and u_end.
 
     The paths are read at `grid_n` evenly spaced points, the ends included,
@@ -280,8 +281,7 @@ def integrate_varpi(spec: ArrivalSpec, kappa_b: float, grid_n: int = 1000,
     kappa_a = float(spec.ask_dist.quantile(1.0 - fb_level))
     if not kappa_a > kappa_b:
         raise ValueError("implied upper threshold does not exceed kappa_b")
-    if check:
-        _check_coefficients(spec, kappa_b, kappa_a)
+    _check_coefficients(spec, kappa_b, kappa_a)
 
     grid = np.linspace(kappa_b, kappa_a, grid_n)
     phi = _integrate_adaptive(spec, kappa_b, kappa_a, rtol, atol)(grid)
@@ -422,6 +422,18 @@ def shoot_kappa(spec: ArrivalSpec, tol: float = 1e-10, grid_n: int = 1000,
                          varpi_b=varpi_b, varpi_a=varpi_a,
                          mass_b=mass_b, mass_a=mass_a,
                          u_end=float(u[-1]), v_end=float(v[-1]))
+
+
+def thresholds(spec: ArrivalSpec, tol: float = 1e-10) -> tuple[float, float]:
+    """(kappa_b, kappa_a): the closed form, scaled to the support, where both sides
+    share one uniform law; `shoot_kappa`'s thresholds otherwise.
+    """
+    bid, ask = spec.bid_dist, spec.ask_dist
+    if bid.kind == ask.kind == "uniform" and bid.support == ask.support:
+        lo, hi = bid.support
+        return tuple(lo + (hi - lo) * k for k in kappa_uniform_exact())
+    sol = shoot_kappa(spec, tol=tol)
+    return sol.kappa_b, sol.kappa_a
 
 
 @dataclass(frozen=True)

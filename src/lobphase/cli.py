@@ -180,9 +180,7 @@ def cmd_kappa(cfg: RunConfig) -> int:
             if bid.support != ask.support:
                 raise ConfigError(f"exact mode needs one uniform support for both sides, "
                                   f"got bids on {bid.support} and asks on {ask.support}")
-            # The closed form is for [0, 1]; the thresholds move with the support.
-            lo, hi = bid.support
-            kb, ka = (lo + (hi - lo) * k for k in analytics.kappa_uniform_exact())
+            kb, ka = analytics.thresholds(spec)
             w = analytics.lambert_w_of_inv_e()
             print(f"exact: kappa_b={kb:.6f} kappa_a={ka:.6f} "
                   f"(fixed-point residual {abs(w*np.exp(w)-np.exp(-1)):.2e})")
@@ -298,20 +296,12 @@ def cmd_check(cfg: RunConfig) -> int:
               f"{cert.eps_star} {status}")
     if cfg.suite in ("bounds", "all"):
         bound = analytics.lower_bound_3bin(cfg.x, cfg.y)
-        fb_kappa = _threshold_mass(spec, cfg.tol)
+        fb_kappa = float(spec.bid_dist.cdf(analytics.thresholds(spec, cfg.tol)[0]))
         ok = float(bound) <= fb_kappa
         failed |= not ok
         print(f"[bounds/3bin] bound={bound} <= F_b(kappa_b)={fb_kappa:.4f} "
               f"{'PASS' if ok else 'FAIL'}")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
-
-
-def _threshold_mass(spec: ArrivalSpec, tol: float) -> float:
-    """F_b(kappa_b): the closed form when both sides share one uniform law."""
-    bid, ask = spec.bid_dist, spec.ask_dist
-    if bid.kind == ask.kind == "uniform" and bid.support == ask.support:
-        return analytics.kappa_uniform_exact()[0]
-    return float(bid.cdf(analytics.shoot_kappa(spec, tol=tol).kappa_b))
 
 
 def cmd_lyapunov(cfg: RunConfig) -> int:

@@ -136,7 +136,7 @@ def _runs(points: np.ndarray, n: int):
     return zip(points.tolist(), np.append(points[1:], n).tolist())
 
 
-def check_extra_order(base: BookState, extra: Order, arrivals: Arrivals | ArrivalStream,
+def check_extra_order(base: BookState, extra: Order, arrivals: Arrivals,
                       rule: MatchRule, seed: int = 0) -> CouplingReport:
     """One extra resting order must stay a single-order difference forever.
 
@@ -145,16 +145,15 @@ def check_extra_order(base: BookState, extra: Order, arrivals: Arrivals | Arriva
     the original price it never returns to an extra order at that price.
     """
     _no_reservoirs(base, "check_extra_order")
-    arr = materialize(arrivals) if isinstance(arrivals, ArrivalStream) else arrivals
     tilde = base.clone()
     tilde.insert(extra.side, extra.price)
-    ch_base = _changes(base.clone(), rule, arr)
-    ch_tilde = _changes(tilde, rule, arr)
+    ch_base = _changes(base.clone(), rule, arrivals)
+    ch_tilde = _changes(tilde, rule, arrivals)
     diff = _Diff()
     diff.bump(extra.side, extra.price, +1)
-    report = CouplingReport("extra_order", seed, arr.n)
+    report = CouplingReport("extra_order", seed, arrivals.n)
     left_original = False
-    for i, stop in _runs(np.flatnonzero(_differs(ch_tilde, ch_base)), arr.n):
+    for i, stop in _runs(np.flatnonzero(_differs(ch_tilde, ch_base)), arrivals.n):
         diff.apply(ch_tilde, i, +1)
         diff.apply(ch_base, i, -1)
         kind, price = _classify_single(diff, extra.side)
@@ -179,19 +178,17 @@ class Edit:
     price: float | None = None
 
 
-def check_bounded_perturbation(base: BookState, edits: list[Edit],
-                               arrivals: Arrivals | ArrivalStream, rule: MatchRule,
-                               M: int, seed: int = 0) -> CouplingReport:
+def check_bounded_perturbation(base: BookState, edits: list[Edit], arrivals: Arrivals,
+                               rule: MatchRule, M: int, seed: int = 0) -> CouplingReport:
     """At most M edited orders keep the books within M orders forever."""
     if len(edits) > M:
         raise ValueError(f"{len(edits)} edits exceed the stated bound M={M}")
     _no_reservoirs(base, "check_bounded_perturbation")
-    arr = materialize(arrivals) if isinstance(arrivals, ArrivalStream) else arrivals
-    n = arr.n
+    n = arrivals.n
     report = CouplingReport("bounded_perturbation", seed, n)
     if n == 0:
         return report
-    ch_base = _changes(base.clone(), rule, arr)
+    ch_base = _changes(base.clone(), rule, arrivals)
     # The tilde book runs in segments; an edit lands just before arrival
     # max(index, 0), and one at or after the last arrival never lands.
     tilde = base.clone()
@@ -208,7 +205,7 @@ def check_bounded_perturbation(base: BookState, edits: list[Edit],
                 edit_bumps.setdefault(lo, []).append((e.side, tilde.pop_best(e.side), -1))
             else:
                 raise ValueError(f"unknown edit op {e.op!r}")
-        pieces.append(_changes(tilde, rule, arr, lo, hi))
+        pieces.append(_changes(tilde, rule, arrivals, lo, hi))
     ch_tilde = tuple(np.concatenate(parts) for parts in zip(*pieces))
     points = np.union1d(np.flatnonzero(_differs(ch_tilde, ch_base)),
                         np.fromiter(edit_bumps, dtype=np.intp))
@@ -223,9 +220,8 @@ def check_bounded_perturbation(base: BookState, edits: list[Edit],
     return report
 
 
-def check_refinement(fine: BinPartition, coarse: BinPartition, kind: str,
-                     arrivals: Arrivals | ArrivalStream, seed: int = 0,
-                     initial: BookState | None = None) -> CouplingReport:
+def check_refinement(fine: BinPartition, coarse: BinPartition, kind: str, arrivals: Arrivals,
+                     seed: int = 0, initial: BookState | None = None) -> CouplingReport:
     """Count-domination between a finer and a coarser binned book.
 
     With the ordinary binned rule the coarser book holds pointwise fewer
@@ -239,11 +235,10 @@ def check_refinement(fine: BinPartition, coarse: BinPartition, kind: str,
         raise ValueError("`fine` does not refine `coarse`")
     if initial is not None:
         _no_reservoirs(initial, "check_refinement")
-    arr = materialize(arrivals) if isinstance(arrivals, ArrivalStream) else arrivals
     books = []
     for part in (fine, coarse):
         is_bid, price, step = _changes(initial.clone() if initial else BookState(),
-                                       MatchRule(kind, part), arr)
+                                       MatchRule(kind, part), arrivals)
         books.append((is_bid, fine.index(price), step))
     n_bins = fine.n_bins
     # d holds (coarse - fine) per fine bin; ordinary demands every prefix of
@@ -253,9 +248,9 @@ def check_refinement(fine: BinPartition, coarse: BinPartition, kind: str,
     # sign * d after every one.
     sign = 1 if kind == ORDINARY_BINNED else -1
     points = np.flatnonzero(_differs(*books))
-    stops = np.append(points[1:], arr.n)
+    stops = np.append(points[1:], arrivals.n)
     name = f"refinement_{'ordinary' if kind == ORDINARY_BINNED else 'strict'}"
-    report = CouplingReport(name, seed, arr.n)
+    report = CouplingReport(name, seed, arrivals.n)
     prefix_b = np.zeros(n_bins, dtype=np.int64)
     prefix_a = np.zeros(n_bins, dtype=np.int64)
     for lo in range(0, points.size, CHUNK):

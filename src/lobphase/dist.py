@@ -3,7 +3,9 @@
 A price law is a (density, cdf, quantile) triple on a closed support with a
 continuous, strictly increasing CDF.  Three builtins cover the cases needed in
 practice: uniform, piecewise-linear density, and tabulated CDF with monotone
-interpolation.  All callables accept scalars or numpy arrays.
+interpolation.  All callables accept scalars or numpy arrays.  Bin partitions
+are built by `make_partition` and `union_refinement` and compared by `refines`;
+all three count cuts as one by the same rule, `_merged`.
 """
 
 from __future__ import annotations
@@ -182,20 +184,30 @@ def cdf_table_dist(xs, cdf_values) -> PriceDist:
                      kind="cdf_table", knots=_kinks(xs, slopes))
 
 
+# The key sets besides `kind` that a config law of each kind may carry.
+_LAW_KEYS = {"uniform": ("lo hi", "lo", "hi", ""), "piecewise_linear": ("x y",),
+             "cdf_table": ("path", "x cdf")}
+
+
 def dist_from_config(cfg: dict) -> PriceDist:
-    """Build a PriceDist from a config document {kind: ..., params...}."""
+    """Build a PriceDist from a config document {kind: ..., params...}.
+
+    ValueError if the kind is unknown or its keys are none of its `_LAW_KEYS` sets.
+    """
     kind = cfg.get("kind")
+    if not isinstance(kind, str) or kind not in _LAW_KEYS:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    keys = set(cfg) - {"kind"}
+    if keys not in [set(form.split()) for form in _LAW_KEYS[kind]]:
+        raise ValueError(f"a {kind} law takes one of the key sets "
+                         f"{' | '.join(map(repr, _LAW_KEYS[kind]))}, got {sorted(keys)}")
     if kind == "uniform":
         return uniform_dist(float(cfg.get("lo", 0.0)), float(cfg.get("hi", 1.0)))
     if kind == "piecewise_linear":
         return piecewise_linear_dist(cfg["x"], cfg["y"])
-    if kind == "cdf_table":
-        if "path" in cfg:
-            xs, fs = _read_cdf_csv(cfg["path"])
-        else:
-            xs, fs = cfg["x"], cfg["cdf"]
-        return cdf_table_dist(xs, fs)
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    if "path" in cfg:
+        return cdf_table_dist(*_read_cdf_csv(cfg["path"]))
+    return cdf_table_dist(cfg["x"], cfg["cdf"])
 
 
 def _read_cdf_csv(path) -> tuple[list[float], list[float]]:
@@ -320,43 +332,26 @@ def make_partition(n_bins: int, spec: ArrivalSpec) -> BinPartition:
         np.asarray(spec.bid_dist.quantile(levels), dtype=float),
         np.asarray(spec.ask_dist.quantile(levels), dtype=float),
     ])
-    cuts.sort()
-    merged = []
-    for c in cuts:
-        if c <= BOUNDARY_MERGE_TOL or c >= 1.0 - BOUNDARY_MERGE_TOL:
-            continue
-        if not merged or c - merged[-1] > BOUNDARY_MERGE_TOL:
-            merged.append(c)
-    return BinPartition((0.0, 1.0), np.asarray(merged))
+    inner = cuts[(cuts > BOUNDARY_MERGE_TOL) & (cuts < 1.0 - BOUNDARY_MERGE_TOL)]
+    return BinPartition((0.0, 1.0), _merged(inner))
 
 
 def refines(fine: BinPartition, coarse: BinPartition) -> bool:
-    """True iff every boundary of `coarse` is (within tolerance) a boundary of `fine`."""
-    if not np.allclose(fine.support, coarse.support, atol=BOUNDARY_MERGE_TOL):
-        raise ValueError("partitions live on different supports")
-    if coarse.boundaries.size == 0:
-        return True
-    if fine.boundaries.size == 0:
-        return False
-    pos = np.searchsorted(fine.boundaries, coarse.boundaries)
-    for c, i in zip(coarse.boundaries, pos):
-        near = []
-        if i < fine.boundaries.size:
-            near.append(abs(fine.boundaries[i] - c))
-        if i > 0:
-            near.append(abs(fine.boundaries[i - 1] - c))
-        if min(near) > BOUNDARY_MERGE_TOL:
-            return False
-    return True
+    """True iff every cut of `coarse` merges into a cut of `fine` (`_merged`'s rule)."""
+    return union_refinement(fine, coarse).n_bins == fine.n_bins
 
 
 def union_refinement(a: BinPartition, b: BinPartition) -> BinPartition:
     """Coarsest partition refining both arguments (boundary-set union)."""
     if not np.allclose(a.support, b.support, atol=BOUNDARY_MERGE_TOL):
         raise ValueError("partitions live on different supports")
-    cuts = np.sort(np.concatenate([a.boundaries, b.boundaries]))
-    merged = []
-    for c in cuts:
-        if not merged or c - merged[-1] > BOUNDARY_MERGE_TOL:
-            merged.append(c)
-    return BinPartition(a.support, np.asarray(merged))
+    return BinPartition(a.support, _merged(np.concatenate([a.boundaries, b.boundaries])))
+
+
+def _merged(cuts: np.ndarray) -> np.ndarray:
+    """`cuts` sorted, less each cut within BOUNDARY_MERGE_TOL of the last one kept."""
+    kept: list[float] = []
+    for c in np.sort(cuts).tolist():
+        if not kept or c - kept[-1] > BOUNDARY_MERGE_TOL:
+            kept.append(c)
+    return np.asarray(kept)

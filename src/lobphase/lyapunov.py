@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .analytics import thresholds
 # apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
 from .book import (ORDINARY, ORDINARY_BINNED, BookState, MatchRule, apply_arrival,
                    match_arrivals)
@@ -526,19 +527,13 @@ def running_max_evidence(spec: ArrivalSpec, n_events: int, seed: int,
     ratio runmax(n) / runmax(n/2) read from the series (below sqrt(2) for
     growth exponent below 1/2, near 2 for a linearly filling band); the last
     jump index is reported too, and it lies in the first half exactly when
-    that ratio is 1.  Bins not given are those holding the thresholds, exact
-    for uniform laws and found by `analytics.shoot_kappa` otherwise.
+    that ratio is 1.  Bins not given are those holding `analytics.thresholds`.
     """
     part = make_partition(n_bins, spec)
     if k_b is None or k_a is None:
-        from .analytics import kappa_uniform_exact, shoot_kappa
-        if spec.bid_dist.kind == "uniform" and spec.ask_dist.kind == "uniform":
-            thresholds = kappa_uniform_exact()
-        else:
-            sol = shoot_kappa(spec)
-            thresholds = (sol.kappa_b, sol.kappa_a)
-        k_b = part.index(thresholds[0]) if k_b is None else k_b
-        k_a = part.index(thresholds[1]) if k_a is None else k_a
+        kappa_b, kappa_a = thresholds(spec)
+        k_b = part.index(kappa_b) if k_b is None else k_b
+        k_a = part.index(kappa_a) if k_a is None else k_a
     trace = run_arrivals(MatchRule(ORDINARY), BookState(),
                          materialize(ArrivalStream(seed, n_events, spec)),
                          record_every=max(1, n_events // 10), seed=seed,

@@ -9,7 +9,7 @@ can share one arrival stream across book variants bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -80,7 +80,6 @@ class Arrivals:
     prices: np.ndarray
     times: np.ndarray
     p_b: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -103,8 +102,7 @@ def materialize(stream: ArrivalStream) -> Arrivals:
         times = 0.5 * np.arange(1, n + 1, dtype=float)
     else:
         times = np.cumsum(field_generator(stream.seed, "gap").exponential(0.5, n))
-    return Arrivals(is_bid, prices, times, spec.p_b,
-                    meta={"seed": stream.seed, "time_mode": stream.time_mode})
+    return Arrivals(is_bid, prices, times, spec.p_b)
 
 
 def reflected_arrivals(arr: Arrivals) -> Arrivals:
@@ -113,8 +111,7 @@ def reflected_arrivals(arr: Arrivals) -> Arrivals:
     For symmetric arrival laws the reflected stream drives the reflected
     trajectory exactly, which makes bid/ask statistics exchangeable.
     """
-    return Arrivals(~arr.is_bid, 1.0 - arr.prices, arr.times.copy(), 1.0 - arr.p_b,
-                    meta={**arr.meta, "reflected": True})
+    return Arrivals(~arr.is_bid, 1.0 - arr.prices, arr.times.copy(), 1.0 - arr.p_b)
 
 
 @dataclass
@@ -154,7 +151,6 @@ class Trace:
     runmax_last_jump: int = -1
     runmax_value: int = 0
     runmax_series: Optional[np.ndarray] = None  # columns (t, count, running max)
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -213,8 +209,7 @@ def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
         ask_exec_by_bid=int(np.count_nonzero(executed & arr.is_bid)),
         reservoir_executions=int(np.count_nonzero(log.outcome == RESERVOIR)),
         elapsed=float(times[-1]) if n else 0.0,
-        final_bids=state.n_bids, final_asks=state.n_asks,
-        partition=part, meta={**arr.meta, "rule": rule.kind})
+        final_bids=state.n_bids, final_asks=state.n_asks, partition=part)
     if part is None:
         return trace
 
@@ -310,10 +305,10 @@ def empirical_pi(trace: Trace, burn_in: bool = True) -> tuple[np.ndarray, np.nda
     return occ_b / elapsed, occ_a / elapsed
 
 
-def write_trace_csvs(trace: Trace, outdir, cfg: dict | None = None) -> list:
+def write_trace_csvs(trace: Trace, outdir, cfg: dict) -> list:
     """Emit checkpoint/occupation/joint/top-shape CSVs for one trace."""
     from .output import write_csv  # local import keeps module load light
-    meta = {"seed": trace.seed, "config": config_hash(cfg or trace.meta)}
+    meta = {"seed": trace.seed, "config": config_hash(cfg)}
     written = []
     written.append(write_csv(
         f"{outdir}/checkpoints.csv", ["T", "B_inf", "A_inf", "beta", "alpha"],
@@ -339,8 +334,4 @@ def write_trace_csvs(trace: Trace, outdir, cfg: dict | None = None) -> list:
         written.append(write_csv(
             f"{outdir}/top_shape.csv", ["offset", "mean_bids"],
             enumerate(means), meta))
-    if trace.runmax_series is not None:
-        written.append(write_csv(
-            f"{outdir}/running_max.csv", ["t", "count", "running_max"],
-            trace.runmax_series, meta))
     return written

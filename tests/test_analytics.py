@@ -230,7 +230,7 @@ class TestDenseScan:
         spec, fb_lower = scan_spec(name)
         kappas, u_ends, _ = analytics._dense_scan(spec, fb_lower, 64)
         per_candidate = np.array([
-            integrate_varpi(spec, float(k), grid_n=64, rtol=1e-12, check=False)[3]
+            integrate_varpi(spec, float(k), grid_n=64, rtol=1e-12)[3]
             for k in kappas])
         assert kappas.size > 32
         assert np.max(np.abs(u_ends - per_candidate)) <= 1e-8
@@ -254,8 +254,7 @@ class TestDenseScan:
         # their accuracy: u_end was 7.6e-10 at the threshold they returned
         tent, _ = scan_spec("tent")
         sol = shoot_kappa(tent, tol=1e-10)
-        u_end = integrate_varpi(tent, sol.kappa_b, grid_n=64, rtol=1e-13,
-                                atol=1e-15, check=False)[3]
+        u_end = integrate_varpi(tent, sol.kappa_b, grid_n=64, rtol=1e-13, atol=1e-15)[3]
         assert abs(u_end) <= 1e-10
 
 

@@ -200,6 +200,27 @@ def test_out_of_range_value_is_config_error(capsys, tmp_path, argv):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("law", [
+    {"kind": "piecewise_linear"},                           # missing x and y
+    {"kind": "piecewise_linear", "x": [0, 1]},              # missing y
+    {"kind": "cdf_table", "x": [0, 1]},                     # missing cdf
+    {"kind": "cdf_table"},                                  # neither form
+    {"kind": "uniform", "extra": 3},                        # unknown key
+    {"kind": "piecewise_linear", "x": [0, 1], "y": [1, 1], "lo": 0},     # unknown key
+    {"kind": "cdf_table", "path": "t.csv", "x": [0, 1], "cdf": [0, 1]},  # both forms
+    {"kind": "gaussian"},                                   # unknown kind
+    {"lo": 0.2},                                            # no kind
+    {"kind": ["uniform"]},                                  # kind not a string
+])
+def test_bad_config_law_is_config_error(capsys, tmp_path, law):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dist_bid": law}))
+    code, _, err = run_cli(capsys, "ode", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert str(law.get("kind")) in err          # the error names the kind
+
+
 @pytest.mark.parametrize("argv", [
     "simulate --n 100 --out {file}/o", "ode --out {file}/o", "pi --bins 20 --out {file}/o",
     "lyapunov --out {file}/o", "runmax --n 100 --out {file}/o",

@@ -118,9 +118,7 @@ class TestRefinement:
 class TestReservoirBooksRejected:
     """The laws are stated for finite books; with a reservoir they fail.
 
-    Both reproductions report violations when the checks accept them: the
-    extra-order one 19,975 from arrival 25, the refinement one 359 (ordinary)
-    and 12 (strict).
+    `TestViolationsReported` runs the same books with the refusal disabled.
     """
 
     def test_extra_order(self, uniform_spec):
@@ -143,6 +141,39 @@ class TestReservoirBooksRejected:
             coupling.check_refinement(make_partition(10, uniform_spec),
                                       make_partition(5, uniform_spec), kind, arr,
                                       initial=book)
+
+
+class TestViolationsReported:
+    """What the checks report on books that break the laws.
+
+    The books of `TestReservoirBooksRejected`, with the reservoir refusal
+    disabled so that the checks run on them.
+    """
+
+    @pytest.fixture(autouse=True)
+    def accept_reservoirs(self, monkeypatch):
+        monkeypatch.setattr(coupling, "_no_reservoirs", lambda book, check: None)
+
+    def test_extra_order(self, uniform_spec):
+        arr = sim.materialize(sim.ArrivalStream(1, 20_000, uniform_spec))
+        r = coupling.check_extra_order(BookState(bid_reservoir=0.3, ask_reservoir=0.7),
+                                       Order("bid", 0.5, -1), arr, MatchRule(ORDINARY))
+        assert (r.violations, r.first_violation_index) == (19_975, 25)
+        assert len(r.details) == coupling.MAX_DETAILS == 20
+        assert r.details[0] == (25, "single extra/missing order", "((), ())")
+        assert not r.passed
+
+    @pytest.mark.parametrize("kind, violations, first", [
+        (ORDINARY_BINNED, 359, 5), (STRICT_BINNED, 12, 94)])
+    def test_refinement(self, uniform_spec, kind, violations, first):
+        arr = sim.materialize(sim.ArrivalStream(4, 3_000, uniform_spec))
+        book = BookState(bids=[0.11, 0.31], asks=[0.61, 0.83], ask_reservoir=0.55)
+        r = coupling.check_refinement(make_partition(10, uniform_spec),
+                                      make_partition(5, uniform_spec), kind, arr,
+                                      initial=book)
+        assert (r.violations, r.first_violation_index) == (violations, first)
+        assert len(r.details) == min(violations, coupling.MAX_DETAILS)
+        assert r.details[0][0] == first
 
 
 class TestSandwich:

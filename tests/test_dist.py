@@ -189,6 +189,18 @@ class TestRefines:
         assert refines(make_partition(8, uniform_spec),
                        make_partition(4, uniform_spec))
 
+    @pytest.mark.parametrize("offset, expected", [(5e-13, True), (-5e-13, True),
+                                                  (5e-12, False), (-5e-12, False)])
+    def test_cut_within_merge_tolerance_counts_as_one(self, offset, expected):
+        fine = BinPartition((0, 1), np.array([0.25, 0.5, 0.75]))
+        coarse = BinPartition((0, 1), np.array([0.5 + offset]))
+        assert refines(fine, coarse) is expected
+
+    def test_mismatched_supports_raise(self):
+        fine = BinPartition((0, 1), np.array([0.25, 0.5, 0.75]))
+        with pytest.raises(ValueError, match="supports"):
+            refines(fine, BinPartition((0, 2), np.array([0.5])))
+
     def test_union_refines_both(self, uniform_spec):
         a = make_partition(6, uniform_spec)
         b = BinPartition((0, 1), np.array([0.21, 0.77]))
