@@ -1,4 +1,4 @@
-/* Two passes of lobphase.book, compiled.
+/* Three passes of lobphase.book, compiled.
  *
  * match, the arrival loop of match_arrivals, mirrors book._match_py step for
  * step: the same tests in the same order, heapq's sift logic on double heaps
@@ -6,7 +6,8 @@
  * equal the Python ones element for element.  bins is NULL for the ordinary
  * rule, where arrival i has bin i+1.
  *
- * top_shape is the top-shape recorder of book._top_shape_sums in one pass.
+ * top_shape is the top-shape recorder of book._top_shape_sums in one pass, and
+ * refinement the domination pass of book._refinement_maxima.
  */
 #include <math.h>
 #include <stdint.h>
@@ -111,5 +112,41 @@ void top_shape(long n, const int64_t *beta_bin, const int64_t *bid_bin,
         counts[bid_bin[i]] += bid_step[i];
         for (long j = 0; j <= max_offset && j <= b; j++)
             sums[b * (max_offset + 1) + j] += counts[b - j];
+    }
+}
+
+/* Point i carries two changes, 2i and 2i + 1: change j moves the bid count
+ * (is_bid[j]) or the ask count of bin bins[j] by steps[j].  After both, the
+ * largest prefix sum of the bid counts from bin 0 up goes to max_b[i], and of
+ * the ask counts from bin nbins - 1 down to max_a[i]; a side that neither
+ * change touched keeps its last maximum.  bid and ask (nbins each) start
+ * zeroed, so each maximum starts at 0. */
+void refinement(long n, const uint8_t *is_bid, const int64_t *bins, const int64_t *steps,
+                long nbins, int64_t *bid, int64_t *ask, int64_t *max_b, int64_t *max_a) {
+    int64_t best_b = 0, best_a = 0;
+    for (long i = 0; i < n; i++) {
+        int moved_b = 0, moved_a = 0;
+        for (long j = 2 * i; j < 2 * i + 2; j++) {
+            if (is_bid[j]) { bid[bins[j]] += steps[j]; moved_b = 1; }
+            else { ask[bins[j]] += steps[j]; moved_a = 1; }
+        }
+        if (moved_b) {
+            int64_t s = 0;
+            best_b = INT64_MIN;
+            for (long k = 0; k < nbins; k++) {
+                s += bid[k];
+                if (s > best_b) best_b = s;
+            }
+        }
+        if (moved_a) {
+            int64_t s = 0;
+            best_a = INT64_MIN;
+            for (long k = nbins - 1; k >= 0; k--) {
+                s += ask[k];
+                if (s > best_a) best_a = s;
+            }
+        }
+        max_b[i] = best_b;
+        max_a[i] = best_a;
     }
 }

@@ -10,9 +10,10 @@ returns an `EventLog` that every driver and recorder reads.  Its loop body is
 the C function in `_kernel.c`, compiled on first use and cached, or the Python
 loop `_match_py` where no compiler is available; `KERNEL` says which runs.
 `apply_arrival` applies one order at a time; it is the readable reference
-both loops are tested against.  The same library carries the top-shape
-recorder's pass over the log, with the numpy `_top_shape_sums` as its
-reference and fallback.
+both loops are tested against.  The same library carries two passes over
+logs: the top-shape recorder's, with the numpy `_top_shape_sums` as its
+reference and fallback, and the refinement check's domination pass, with
+the numpy `_refinement_maxima`.
 """
 
 from __future__ import annotations
@@ -416,14 +417,64 @@ def _top_shape_c(fn, beta_bin: np.ndarray, bid_bin: np.ndarray, bid_step: np.nda
     return sums
 
 
+def _refinement_maxima(is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
+                       nbins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest bottom-up bid and top-down ask prefix sums of per-bin counts, per point.
+
+    Row i of the (n, 2) inputs is point i's two changes: change j moves the
+    bid count (is_bid[i, j]) or the ask count of bin bins[i, j] by
+    steps[i, j].  After both, max_b[i] is the largest prefix sum of the bid
+    counts from bin 0 up and max_a[i] that of the ask counts from bin
+    nbins - 1 down; the counts start at zero.  The reference for
+    `refinement` in `_kernel.c` and the pass that runs without a compiler.
+    """
+    n = is_bid.shape[0]
+    max_b, max_a = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    prefix_b = np.zeros(nbins, dtype=np.int64)
+    prefix_a = np.zeros(nbins, dtype=np.int64)
+    for lo in range(0, n, CHUNK):
+        bid, k, v = is_bid[lo:lo + CHUNK], bins[lo:lo + CHUNK], steps[lo:lo + CHUNK]
+        rows = np.broadcast_to(np.arange(bid.shape[0])[:, None], bid.shape)
+        pb = np.zeros((bid.shape[0], nbins), dtype=np.int64)
+        pa = np.zeros_like(pb)
+        np.add.at(pb, (rows[bid], k[bid]), v[bid])
+        np.add.at(pa, (rows[~bid], nbins - 1 - k[~bid]), v[~bid])
+        for p, carry in ((pb, prefix_b), (pa, prefix_a)):
+            np.cumsum(p, axis=1, out=p)
+            np.cumsum(p, axis=0, out=p)
+            p += carry
+        prefix_b, prefix_a = pb[-1].copy(), pa[-1].copy()
+        max_b[lo:lo + CHUNK], max_a[lo:lo + CHUNK] = pb.max(axis=1), pa.max(axis=1)
+    return max_b, max_a
+
+
+def _refinement_c(fn, is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
+                  nbins: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_refinement_maxima` through the compiled `refinement` of `_kernel.c`."""
+    is_bid = np.ascontiguousarray(is_bid, dtype=bool)
+    bins, steps = (np.ascontiguousarray(a, dtype=np.int64) for a in (bins, steps))
+    n = len(is_bid)
+    if not is_bid.shape == bins.shape == steps.shape == (n, 2):
+        raise ValueError("refinement inputs must have one shape (n, 2)")
+    # the C pass indexes with these bins unchecked
+    if n and not (0 <= bins.min() and bins.max() < nbins):
+        raise ValueError(f"refinement bins outside 0..{nbins - 1}")
+    counts = np.zeros((2, nbins), dtype=np.int64)
+    max_b, max_a = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    fn(n, is_bid.ctypes.data, bins.ctypes.data, steps.ctypes.data, nbins,
+       counts[0].ctypes.data, counts[1].ctypes.data, max_b.ctypes.data, max_a.ctypes.data)
+    return max_b, max_a
+
+
 class _Kernel(NamedTuple):
     name: str                # "c" or "python"
     run: Callable            # (state, rule, is_bid, prices) -> (outcome, beta, alpha)
     top_shape: Callable      # (beta_bin, bid_bin, bid_step, nbins) -> sums
+    refinement: Callable     # (is_bid, bins, steps, nbins) -> (max_b, max_a)
     library: Optional[Path]  # the compiled library, for the C kernel
 
 
-_PYTHON_KERNEL = _Kernel("python", _match_py, _top_shape_sums, None)
+_PYTHON_KERNEL = _Kernel("python", _match_py, _top_shape_sums, _refinement_maxima, None)
 
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -482,8 +533,8 @@ def _library() -> Path:
             subprocess.run([_CC, *_FLAGS, "-o", tmp, str(_SOURCE)],
                            check=True, capture_output=True, timeout=300)
             os.chmod(tmp, 0o755)        # whatever the umask, or it is never loaded
-            lib = ctypes.CDLL(tmp)      # raises unless it loads and exports both
-            lib.match, lib.top_shape
+            lib = ctypes.CDLL(tmp)      # raises unless it loads and exports all three
+            lib.match, lib.top_shape, lib.refinement
             os.replace(tmp, d / name)
         finally:
             if os.path.exists(tmp):
@@ -503,15 +554,17 @@ def _load_kernel() -> _Kernel:
     try:
         library = _library()
         lib = ctypes.CDLL(str(library))
-        match, top_shape = lib.match, lib.top_shape
+        match, top_shape, refinement = lib.match, lib.top_shape, lib.refinement
     except (OSError, AttributeError, subprocess.SubprocessError):
         return _PYTHON_KERNEL
     p, n = ctypes.c_void_p, ctypes.c_long
     match.argtypes = [n, p, p, p, p, n, ctypes.c_int, ctypes.c_double, ctypes.c_double,
                       p, ctypes.POINTER(n), p, ctypes.POINTER(n), p, p, p]
     top_shape.argtypes = [n, p, p, p, n, p, p]
-    match.restype = top_shape.restype = None
-    return _Kernel("c", partial(_match_c, match), partial(_top_shape_c, top_shape), library)
+    refinement.argtypes = [n, p, p, p, n, p, p, p, p]
+    match.restype = top_shape.restype = refinement.restype = None
+    return _Kernel("c", partial(_match_c, match), partial(_top_shape_c, top_shape),
+                   partial(_refinement_c, refinement), library)
 
 
 def _kernel() -> _Kernel:

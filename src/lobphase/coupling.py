@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 # apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
-from .book import (CHUNK, ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule, Order,
+from .book import (ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule, Order, _kernel,
                    apply_arrival, match_arrivals)
 from .dist import (ArrivalSpec, BinPartition, make_partition, refines,
                    union_refinement)
@@ -240,37 +240,22 @@ def check_refinement(fine: BinPartition, coarse: BinPartition, kind: str, arriva
         is_bid, price, step = _changes(initial.clone() if initial else BookState(),
                                        MatchRule(kind, part), arrivals)
         books.append((is_bid, fine.index(price), step))
-    n_bins = fine.n_bins
     # d holds (coarse - fine) per fine bin; ordinary demands every prefix of
     # d over bids (from the bottom) and over asks (from the top) to be <= 0,
-    # strict demands >= 0.  Only the arrivals where the books change
-    # different fine bins move d; each block of them gets the prefix sums of
-    # sign * d after every one.
+    # strict demands >= 0.  Only the points where the books change different
+    # fine bins move d; each moves it by both books' changes, weighted so that
+    # a positive prefix of sign * d is a violation.
     sign = 1 if kind == ORDINARY_BINNED else -1
     points = np.flatnonzero(_differs(*books))
+    is_bid, bins, steps = (np.column_stack((f[points], c[points])) for f, c in zip(*books))
+    max_b, max_a = _kernel().refinement(is_bid, bins, steps * np.array([-sign, sign]),
+                                        fine.n_bins)
     stops = np.append(points[1:], arrivals.n)
     name = f"refinement_{'ordinary' if kind == ORDINARY_BINNED else 'strict'}"
     report = CouplingReport(name, seed, arrivals.n)
-    prefix_b = np.zeros(n_bins, dtype=np.int64)
-    prefix_a = np.zeros(n_bins, dtype=np.int64)
-    for lo in range(0, points.size, CHUNK):
-        idx = points[lo:lo + CHUNK]
-        rows = np.arange(idx.size)
-        pb = np.zeros((idx.size, n_bins), dtype=np.int64)
-        pa = np.zeros((idx.size, n_bins), dtype=np.int64)
-        for (is_bid, bins, step), w in zip(books, (-sign, sign)):
-            bid, k, v = is_bid[idx], bins[idx], w * step[idx]
-            np.add.at(pb, (rows[bid], k[bid]), v[bid])
-            np.add.at(pa, (rows[~bid], n_bins - 1 - k[~bid]), v[~bid])
-        for p, carry in ((pb, prefix_b), (pa, prefix_a)):
-            np.cumsum(p, axis=1, out=p)
-            np.cumsum(p, axis=0, out=p)
-            p += carry
-        prefix_b, prefix_a = pb[-1].copy(), pa[-1].copy()
-        max_b, max_a = pb.max(axis=1), pa.max(axis=1)
-        for r in np.flatnonzero((max_b > 0) | (max_a > 0)):
-            report.record(int(idx[r]), int(stops[lo + r]), "coarse/fine count domination",
-                          f"max prefix excess bid={int(max_b[r])} ask={int(max_a[r])}")
+    for r in np.flatnonzero((max_b > 0) | (max_a > 0)):
+        report.record(int(points[r]), int(stops[r]), "coarse/fine count domination",
+                      f"max prefix excess bid={int(max_b[r])} ask={int(max_a[r])}")
     return report
 
 

@@ -192,7 +192,8 @@ _LAW_KEYS = {"uniform": ("lo hi", "lo", "hi", ""), "piecewise_linear": ("x y",),
 def dist_from_config(cfg: dict) -> PriceDist:
     """Build a PriceDist from a config document {kind: ..., params...}.
 
-    ValueError if the kind is unknown or its keys are none of its `_LAW_KEYS` sets.
+    ValueError if the kind is unknown, its keys are none of its `_LAW_KEYS`
+    sets or a value has the wrong type (such as a list for `lo`).
     """
     kind = cfg.get("kind")
     if not isinstance(kind, str) or kind not in _LAW_KEYS:
@@ -201,13 +202,16 @@ def dist_from_config(cfg: dict) -> PriceDist:
     if keys not in [set(form.split()) for form in _LAW_KEYS[kind]]:
         raise ValueError(f"a {kind} law takes one of the key sets "
                          f"{' | '.join(map(repr, _LAW_KEYS[kind]))}, got {sorted(keys)}")
-    if kind == "uniform":
-        return uniform_dist(float(cfg.get("lo", 0.0)), float(cfg.get("hi", 1.0)))
-    if kind == "piecewise_linear":
-        return piecewise_linear_dist(cfg["x"], cfg["y"])
-    if "path" in cfg:
-        return cdf_table_dist(*_read_cdf_csv(cfg["path"]))
-    return cdf_table_dist(cfg["x"], cfg["cdf"])
+    try:
+        if kind == "uniform":
+            return uniform_dist(float(cfg.get("lo", 0.0)), float(cfg.get("hi", 1.0)))
+        if kind == "piecewise_linear":
+            return piecewise_linear_dist(cfg["x"], cfg["y"])
+        if "path" in cfg:
+            return cdf_table_dist(*_read_cdf_csv(cfg["path"]))
+        return cdf_table_dist(cfg["x"], cfg["cdf"])
+    except TypeError as exc:
+        raise ValueError(f"a {kind} law has a value of the wrong type: {exc}") from None
 
 
 def _read_cdf_csv(path) -> tuple[list[float], list[float]]:
@@ -271,6 +275,10 @@ def _pushed_knot(k: float, fb: Callable, qb: Callable) -> float:
     return u
 
 
+# Cells per bin of the table that `BinPartition.index` looks prices up in.
+_CELLS_PER_BIN = 4
+
+
 @dataclass(frozen=True)
 class BinPartition:
     """Partition of a closed support into left-closed bins.
@@ -287,8 +295,23 @@ class BinPartition:
         object.__setattr__(self, "boundaries", b)
         object.__setattr__(self, "_blist", b.tolist())
         lo, hi = self.support
-        if b.size and (np.any(np.diff(b) <= 0) or b[0] <= lo or b[-1] >= hi):
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ValueError(f"degenerate support {self.support}")
+        if b.size and not (np.all(np.diff(b) > 0) and lo < b[0] and b[-1] < hi):
             raise ValueError("boundaries must be strictly increasing, interior to support")
+        # The lookup table of `index`: n_cells equal cells of the support, one
+        # for its right end and one for NaN.  `_cell` is monotone in the price,
+        # so cut b_j lies at or below every price of cell c exactly when it
+        # falls in a cell below c or is the least float of cell c; the table
+        # holds the count of such cuts, the bin of the cell's least float.
+        n_cells = _CELLS_PER_BIN * (b.size + 1)
+        object.__setattr__(self, "_scale", n_cells / (hi - lo))
+        object.__setattr__(self, "_nan_cell", n_cells + 1.5)
+        cell = self._cell(b)
+        cell -= self._cell(np.nextafter(b, -np.inf)) < cell
+        object.__setattr__(self, "_table", np.searchsorted(cell, np.arange(n_cells + 2)))
+        # the cut above each bin; NaN above the last, which no price reaches
+        object.__setattr__(self, "_upper", np.append(b, np.nan))
 
     @property
     def n_bins(self) -> int:
@@ -299,11 +322,34 @@ class BinPartition:
         lo, hi = self.support
         return np.concatenate([[lo], self.boundaries, [hi]])
 
+    def _cell(self, x: np.ndarray) -> np.ndarray:
+        """Lookup-table cell of each price: monotone in the price, NaN in the last cell."""
+        lo, hi = self.support
+        t = np.clip(x, lo, hi)
+        t -= lo
+        t *= self._scale
+        np.fmin(t, self._nan_cell, out=t)
+        return t.astype(np.intp)
+
     def index(self, price):
-        """Bin containing `price`; boundary points resolve to the right bin."""
+        """Bin containing `price`; boundary points resolve to the right bin.
+
+        A scalar is bisected.  An array gives `np.searchsorted(boundaries,
+        price, side="right")` exactly, in values, dtype and shape, for every
+        float (NaN goes to the last bin, as searchsorted sorts it): each price
+        starts at the bin of its table cell's least float and steps up past
+        the cuts of its cell that lie at or below it.
+        """
         if np.ndim(price) == 0:
             return bisect_right(self._blist, price)
-        return np.searchsorted(self.boundaries, price, side="right")
+        x = np.asarray(price, dtype=float)
+        shape, x = x.shape, x.ravel()
+        k = self._table.take(self._cell(x))
+        todo = np.flatnonzero(x >= self._upper.take(k))
+        while todo.size:
+            k[todo] += 1
+            todo = todo[x[todo] >= self._upper.take(k[todo])]
+        return k.reshape(shape)
 
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)

@@ -211,6 +211,9 @@ def test_out_of_range_value_is_config_error(capsys, tmp_path, argv):
     {"kind": "gaussian"},                                   # unknown kind
     {"lo": 0.2},                                            # no kind
     {"kind": ["uniform"]},                                  # kind not a string
+    {"kind": "uniform", "lo": [1]},                         # values of the wrong type
+    {"kind": "piecewise_linear", "x": [0, 1], "y": {"a": 1}},
+    {"kind": "cdf_table", "path": 5},
 ])
 def test_bad_config_law_is_config_error(capsys, tmp_path, law):
     cfg = tmp_path / "cfg.json"

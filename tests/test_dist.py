@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -166,6 +167,68 @@ class TestMakePartition:
         assert part.index(0.25) == 1       # boundary goes to the right bin
         assert part.index(0.2499999) == 0
         assert part.index(1.0) == 3        # last bin closed
+
+
+TENT = piecewise_linear_dist([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
+TABLE_17 = cdf_table_dist(np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 17))
+INDEX_LAWS = {
+    "uniform": ArrivalSpec(uniform_dist(), uniform_dist()),
+    "tent": ArrivalSpec(TENT, TENT),
+    "table": ArrivalSpec(TABLE_17, TABLE_17),
+    "triangular_bid": transform_to_uniform_bid(ArrivalSpec(triangular_dist(), uniform_dist())),
+}
+# 0, 1, prices outside the support, infinities and NaN
+SPECIAL_PRICES = np.array([0.0, -0.0, 1.0, -0.5, 1.5, -1e308, 1e308, np.nextafter(0.0, 1.0),
+                           np.nextafter(1.0, 0.0), -np.inf, np.inf, np.nan])
+
+
+@functools.lru_cache(maxsize=None)
+def law_partition(n_bins: int, law: str) -> BinPartition:
+    return make_partition(n_bins, INDEX_LAWS[law])
+
+
+inner_cuts = st.floats(0.001, 0.99, allow_subnormal=False)
+index_partitions = st.one_of(
+    st.builds(law_partition, st.integers(2, 200), st.sampled_from(sorted(INDEX_LAWS))),
+    inner_cuts.map(lambda c: BinPartition((0.0, 1.0), [c])),
+    # a cluster of cuts 1e-12 apart, so a price steps past up to 12 cuts of one cell
+    st.builds(lambda c, k: BinPartition((0.0, 1.0), c + 1e-12 * np.arange(k)),
+              inner_cuts, st.integers(2, 12)),
+)
+
+
+def assert_index_is_searchsorted(part: BinPartition, prices) -> None:
+    got = part.index(prices)
+    want = np.searchsorted(part.boundaries, prices, side="right")
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(got, want)
+
+
+@given(index_partitions, st.lists(st.floats(), max_size=40))
+@settings(max_examples=400, deadline=None)
+def test_index_is_searchsorted(part, drawn):
+    b = part.boundaries
+    prices = np.concatenate((b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                             SPECIAL_PRICES, drawn))
+    assert_index_is_searchsorted(part, prices)
+    assert_index_is_searchsorted(part, np.stack((prices, prices[::-1])))
+    assert_index_is_searchsorted(part, prices[:0])
+    assert_index_is_searchsorted(part, np.empty((0, 3)))
+
+
+@pytest.mark.parametrize("law", sorted(INDEX_LAWS))
+@pytest.mark.parametrize("n_bins", [10, 100, 200])
+def test_index_is_searchsorted_on_arrival_prices(law, n_bins):
+    spec, rng = INDEX_LAWS[law], np.random.default_rng(n_bins)
+    prices = np.concatenate((spec.bid_dist.quantile(rng.random(10_000)),
+                             spec.ask_dist.quantile(rng.random(10_000))))
+    assert_index_is_searchsorted(law_partition(n_bins, law), prices)
+
+
+@pytest.mark.parametrize("support", [(0.0, np.inf), (1.0, 1.0), (2.0, 1.0), (np.nan, 1.0)])
+def test_degenerate_support_rejected(support):
+    with pytest.raises(ValueError, match="support"):
+        BinPartition(support, np.array([]))
 
 
 class TestRefines:

@@ -1,13 +1,15 @@
 """Differential tests: the event loop `match_arrivals` against `apply_arrival`,
-and its compiled kernel against the Python loop and the numpy top-shape pass.
+and its compiled kernel against the Python loop and the numpy top-shape and
+refinement passes.
 
 The loop must leave the same book and log the same effect for every arrival
 as a step-by-step replay through the reference, under all three rules, with
 and without reservoirs, from non-empty books and with prices on bin edges.
 Every input the replay rejects, the loop rejects too.  The C kernel must give
 the Python loop's arrays bit for bit and its heap lists element for element,
-and raise the same error on the same input; its top-shape pass must give the
-numpy `_top_shape_sums` bytes and dtype.
+and raise the same error on the same input; its top-shape and refinement
+passes must give the bytes and dtypes of the numpy `_top_shape_sums` and
+`_refinement_maxima`.
 """
 
 import math
@@ -24,7 +26,8 @@ from lobphase import sim
 from lobphase.book import (EXECUTED, JOINED, ORDINARY, ORDINARY_BINNED, RESERVOIR,
                            STRICT_BINNED, BookInvariantError, BookState, MatchRule,
                            Order, apply_arrival, match_arrivals)
-from lobphase.dist import BinPartition
+from lobphase import coupling
+from lobphase.dist import ArrivalSpec, BinPartition, make_partition, uniform_dist
 
 TENTH_BINS = BinPartition((0.0, 1.0), np.round(np.arange(0.1, 0.95, 0.1), 10))
 EDGES = TENTH_BINS.boundaries.tolist()
@@ -305,14 +308,111 @@ def test_top_shape_rejects_bins_out_of_range(c_kernel):
         c_kernel.top_shape(ok, ok[:2], ok, 4)
 
 
+@st.composite
+def refinement_points(draw):
+    """(is_bid, bins, steps, nbins): two changes per point, as check_refinement passes them.
+
+    Steps in {-1, 0} keep every prefix sum at or below 0 (no violation);
+    steps in {-1, 0, 1} give violations on most runs.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nbins, n = draw(st.integers(2, 200)), draw(st.integers(0, 700))
+    top = draw(st.sampled_from([0, 1]))
+    return (rng.random((n, 2)) < 0.5, rng.integers(0, nbins, (n, 2)),
+            rng.integers(-1, top + 1, (n, 2)), nbins)
+
+
+def as_bytes(arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@given(refinement_points())
+@settings(max_examples=300, deadline=None)
+def test_c_refinement_matches_numpy(c_kernel, points):
+    # up to 700 points, so the numpy pass carries its prefix sums across blocks
+    assert as_bytes(c_kernel.refinement(*points)) == \
+        as_bytes(book_module._refinement_maxima(*points))
+
+
+def test_refinement_rejects_bins_out_of_range(c_kernel):
+    ok = np.zeros((3, 2), dtype=np.int64)
+    is_bid = ok.astype(bool)
+    for bins in (ok - 1, ok + 4):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            c_kernel.refinement(is_bid, bins, ok, 4)
+    for bad in (ok[:2], ok[:, :1], ok.ravel()):
+        with pytest.raises(ValueError, match="shape"):
+            c_kernel.refinement(is_bid, bad, ok, 4)
+
+
+def coupling_reports(kernel):
+    """Refinement reports of the clean criterion-5 runs and of the reservoir books
+    that `tests/test_coupling.py::TestViolationsReported` pins, under one kernel."""
+    spec = ArrivalSpec(uniform_dist(), uniform_dist())
+    fine, coarse = make_partition(100, spec), make_partition(10, spec)
+    clean = sim.materialize(sim.ArrivalStream(1, 20_000, spec))
+    pinned = sim.materialize(sim.ArrivalStream(4, 3_000, spec))
+    book = BookState(bids=[0.11, 0.31], asks=[0.61, 0.83], ask_reservoir=0.55)
+    with running(kernel):
+        return {kind: (coupling.check_refinement(fine, coarse, kind, clean),
+                       coupling.check_refinement(make_partition(10, spec),
+                                                 make_partition(5, spec), kind, pinned,
+                                                 initial=book))
+                for kind in (ORDINARY_BINNED, STRICT_BINNED)}
+
+
+@pytest.fixture
+def reservoir_books_accepted(monkeypatch):
+    monkeypatch.setattr(coupling, "_no_reservoirs", lambda book, check: None)
+
+
+@pytest.mark.parametrize("kernel", ["c", "python"])
+def test_pinned_refinement_counts_under_both_kernels(request, reservoir_books_accepted,
+                                                     kernel):
+    loop = PYTHON_LOOP if kernel == "python" else request.getfixturevalue("c_kernel")
+    reports = coupling_reports(loop)
+    for kind, violations, first in ((ORDINARY_BINNED, 359, 5), (STRICT_BINNED, 12, 94)):
+        clean, pinned = reports[kind]
+        assert clean.passed and clean.details == []
+        assert (pinned.violations, pinned.first_violation_index) == (violations, first)
+        assert len(pinned.details) == min(violations, coupling.MAX_DETAILS)
+
+
+def test_c_refinement_reports_equal_numpy_pass(c_kernel, reservoir_books_accepted):
+    # every report field, details included, after the same C loop
+    numpy_pass = c_kernel._replace(refinement=book_module._refinement_maxima)
+    assert coupling_reports(c_kernel) == coupling_reports(numpy_pass)
+
+
 @pytest.mark.parametrize("cc", ["false", "true"])
 def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, cc):
     # a compiler that fails, and one that writes no library: nothing is cached
-    # (tests/test_golden.py runs without a compiler at all)
+    # (tests/test_golden.py runs without a compiler at all), and all three
+    # passes run in numpy
     monkeypatch.setattr(book_module, "_cache_dirs", lambda: (tmp_path,))
     monkeypatch.setattr(book_module, "_CC", cc)
-    assert book_module._load_kernel() == PYTHON_LOOP
+    kernel = book_module._load_kernel()
+    assert kernel == PYTHON_LOOP
+    assert (kernel.run, kernel.top_shape, kernel.refinement) == (
+        book_module._match_py, book_module._top_shape_sums, book_module._refinement_maxima)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("export", ["match", "top_shape", "refinement"])
+def test_library_lacking_an_export_is_neither_cached_nor_loaded(monkeypatch, tmp_path,
+                                                               export):
+    # the source builds, but its library lacks one of the three exports
+    monkeypatch.setattr(book_module, "_cache_dirs", lambda: (tmp_path / "whole",))
+    if book_module._load_kernel().name != "c":
+        pytest.skip("no C compiler: the compiled kernel cannot be built")
+    source = tmp_path / "_kernel.c"
+    text = book_module._SOURCE.read_text()
+    source.write_text(text.replace(f"void {export}(", f"void {export}_renamed("))
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(book_module, "_SOURCE", source)
+    monkeypatch.setattr(book_module, "_cache_dirs", lambda: (cache,))
+    assert book_module._load_kernel() == PYTHON_LOOP
+    assert list(cache.iterdir()) == []
 
 
 def foreign_owner(monkeypatch, cache):
