@@ -22,11 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lobphase import book as book_module
+from lobphase import coupling
 from lobphase import sim
 from lobphase.book import (EXECUTED, JOINED, ORDINARY, ORDINARY_BINNED, RESERVOIR,
                            STRICT_BINNED, BookInvariantError, BookState, MatchRule,
                            Order, apply_arrival, match_arrivals)
-from lobphase import coupling
 from lobphase.dist import ArrivalSpec, BinPartition, make_partition, uniform_dist
 
 TENTH_BINS = BinPartition((0.0, 1.0), np.round(np.arange(0.1, 0.95, 0.1), 10))
