@@ -23,7 +23,7 @@ TRACE_FIELDS = ("cp_time", "cp_bids", "cp_asks", "cp_beta", "cp_alpha",
                 "bid_arrivals", "ask_arrivals", "bid_exec_by_ask", "ask_exec_by_bid",
                 "reservoir_executions", "elapsed", "final_bids", "final_asks",
                 "occupation_b", "occupation_a", "occupation_elapsed", "joint_hist",
-                "top_shape_sums", "top_shape_visits", "runmax_bins",
+                "top_shape_sums", "top_shape_visits",
                 "runmax_last_jump", "runmax_value", "runmax_series")
 
 
@@ -63,7 +63,7 @@ def _reservoirs(spec):
     part = make_partition(20, spec)
     return sim.run(MatchRule(ORDINARY), BookState(bid_reservoir=0.4, ask_reservoir=0.6),
                    sim.ArrivalStream(11, 100_000, spec), 1000,
-                   record_partition=part, record_joint=True,
+                   record_partition=part, record_joint=True, record_top_shape=True,
                    runmax_bins=(8, 11), runmax_series=True)
 
 
@@ -79,16 +79,18 @@ def _strict_poisson(spec):
 # name -> (run, sha256 of its trace fields).  The reservoirs and
 # strict_poisson digests were re-recorded when the occupation recorder began
 # to bin the first inter-arrival interval with the initial book's best
-# quotes (it had binned it as an empty book); no other field moved.
+# quotes (it had binned it as an empty book); no other field moved.  All
+# four were re-recorded when `runmax_bins`, an echo of an input, left the
+# fields and the reservoirs run began to record top shape too.
 GOLDEN = {
     "ordinary_1e6": (
-        _ordinary_1e6, "106aed7dac23b3bd27cdf2334e7fcb83e5b4163957c4e6d04c620cbfdb83d82b"),
+        _ordinary_1e6, "02c9ccf12bfc799c9cc022544605d282e815b00a0efa870cdf9933b10c6e06bb"),
     "binned_recorders": (
-        _binned_recorders, "4bce51818ab1d2017adbbf059db1565500fd632f21d5091731c30d17bc535a97"),
+        _binned_recorders, "9745fa7790c6efc04c721d71f7c1914ebd2abd744302969d2d50c641f02cb4c6"),
     "reservoirs": (
-        _reservoirs, "51b3470038dbf937930e32f4db0d1f9b73c33b135057b6b73f8c6065caef3289"),
+        _reservoirs, "efcdc42eccda13960c52bab0e2d57779360bf09007105be26f7db46172059829"),
     "strict_poisson": (
-        _strict_poisson, "6b0da4571ce28eafef49c18323d4c291a3b68cb17c9d4d33e574bbb2baae6c9a"),
+        _strict_poisson, "316cecf4b31ed6dc74876b04397b45337b6bc5d21918a6b373abaa5cd3c813ee"),
 }
 
 
@@ -151,3 +153,30 @@ FIVE_BIN_GOLDEN = {
 def test_golden_five_bin(eps, n, K):
     rep = lyapunov.simulate_5bin(eps, n, seed=4, K=K)
     assert five_bin_digest(rep) == FIVE_BIN_GOLDEN[eps, n, K]
+
+
+def runmax_digest(evidence) -> str:
+    h = hashlib.sha256()
+    for ev in evidence:
+        h.update(repr((int(ev.k_b), int(ev.k_a), ev.last_jump_index, ev.max_value)).encode())
+        h.update(f"{ev.series.dtype.str}{ev.series.shape}".encode())
+        h.update(np.ascontiguousarray(ev.series).tobytes())
+    return h.hexdigest()
+
+
+# (k_b, k_a) -> sha256 of running_max_evidence's bins, last jump, maximum
+# and series over seeds 0-2 at 20k arrivals and 100 bins: the bins holding
+# the thresholds, a control band, the whole book and an empty band.
+RUNMAX_GOLDEN = {
+    (None, None): "2a91a5c2b86e74d483c4b73e7e052c214a6afc25fd449157a8a7b53ffe783b52",
+    (10, 89): "7d053fb7a6f1fce9685ce2697a382112c65ce5a70ddc4af8f6f5b636a75085b4",
+    (-1, 100): "bebb5cd5c4b89f539031af5388da462f9712715fe4461e0214eb8a0f341478fb",
+    (99, 0): "e0dd3b0a7ddcc204c1a3847bf64ee68cd8422b1680e377d98874576912e1bed7",
+}
+
+
+@pytest.mark.parametrize("k_b, k_a", list(RUNMAX_GOLDEN))
+def test_golden_running_max(k_b, k_a, uniform_spec):
+    evidence = [lyapunov.running_max_evidence(uniform_spec, 20_000, seed, k_b=k_b, k_a=k_a,
+                                              series=True) for seed in range(3)]
+    assert runmax_digest(evidence) == RUNMAX_GOLDEN[k_b, k_a]

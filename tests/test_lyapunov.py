@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lobphase import lyapunov
+from lobphase.dist import make_partition
 from lobphase.lyapunov import (DRIFT_REGIONS, LEVEL_VERTICES,
                                NORMAL_BY_REGION, PUBLISHED_DRIFTS, certify_drift,
                                check_geometric_bound, compatible, drift_dot,
@@ -257,3 +258,23 @@ class TestRunningMax:
         ev = running_max_evidence(uniform_spec, 5_000, seed=1, series=True)
         assert ev.series.shape == (5_000, 3)
         assert np.all(np.diff(ev.series[:, 2]) >= 0)  # running max is monotone
+
+
+def band_prices(part, k_b, k_a):
+    """The cut at or above which a bid lies above bin k_b, and the cut below
+    which an ask lies below bin k_a; +-inf past either end."""
+    cuts = np.concatenate(([-np.inf], part.boundaries, [np.inf]))
+    return cuts[np.clip(k_b + 1, 0, cuts.size - 1)], cuts[np.clip(k_a, 0, cuts.size - 1)]
+
+
+@pytest.mark.parametrize("n_bins", [2, 10, 100, 200])
+def test_band_prices_match_bins(n_bins, uniform_spec, rng):
+    part = make_partition(n_bins, uniform_spec)
+    cuts = part.boundaries
+    prices = np.concatenate((cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
+                             [0.0, 1.0], rng.random(1000)))
+    bins = part.index(prices)
+    for k in range(-2, part.n_bins + 2):
+        lo, hi = band_prices(part, k, k)
+        assert np.array_equal(prices >= lo, bins > k), k
+        assert np.array_equal(prices < hi, bins < k), k
