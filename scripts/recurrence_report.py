@@ -65,8 +65,7 @@ def main() -> None:
     trace = sim.run(MatchRule(ORDINARY_BINNED, part),
                     BookState(bid_reservoir=lo, ask_reservoir=1.0 - lo),
                     sim.ArrivalStream(args.seed, args.n, spec),
-                    max(1, args.n // 100), record_partition=part,
-                    record_joint=True, record_top_shape=True)
+                    max(1, args.n // 100), record_partition=part)
     sim.write_trace_csvs(trace, out, vars(args))
     print(f"wrote occupation, joint and top-shape histograms to {out}/")
 

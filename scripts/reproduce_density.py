@@ -31,7 +31,7 @@ def main() -> None:
     trace = sim.run(MatchRule(ORDINARY), BookState(),
                     sim.ArrivalStream(args.seed, args.n, spec),
                     max(1, args.n // 100), record_partition=part)
-    pi_b, pi_a = sim.empirical_pi(trace, burn_in=True)
+    pi_b, pi_a = sim.empirical_pi(trace)
 
     sol = analytics.shoot_kappa(spec, tol=1e-10)
     centers = 0.5 * (part.edges[:-1] + part.edges[1:])

@@ -271,13 +271,15 @@ def match_arrivals(state: BookState, rule: MatchRule, is_bid, prices) -> EventLo
     the arrivals and the resting book (checked up front, so a repeated price
     fails even where the per-event loop would never meet it), an arrival may
     not sit at the opposite best quote, and the rule's ordering of the best
-    quotes must hold after every event (both checked on the log).  The loop
-    itself runs compiled when a C compiler is available (see `KERNEL`).
+    quotes must hold in the starting book (checked up front) and after every
+    event (checked on the log).  The loop itself runs compiled when a C
+    compiler is available (see `KERNEL`).
     """
     is_bid = np.ascontiguousarray(is_bid, dtype=bool)
     prices = np.ascontiguousarray(prices, dtype=float)
     _check_prices(np.concatenate((prices, np.negative(state._bid_heap), state._ask_heap)))
     beta0, alpha0 = state.beta(), state.alpha()
+    _check_order(beta0, alpha0, rule)
     outcome, beta, alpha = _kernel().run(state, rule, is_bid, prices)
     met = np.where(is_bid, np.concatenate(([alpha0], alpha))[:-1],
                    np.concatenate(([beta0], beta))[:-1])

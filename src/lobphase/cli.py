@@ -39,6 +39,14 @@ CHOICES = {"rule": (ORDINARY, ORDINARY_BINNED, STRICT_BINNED),
            "time_mode": (sim.EVENT_COUNT, sim.POISSON)}
 
 
+# The coupling suite's perturbation, criterion 5's: four orders added to the
+# empty book, then the best ask removed before arrival 500.  Every edit
+# leaves the book uncrossed.
+_PERTURBATION = [coupling.Edit(0, "add", "bid", 0.31), coupling.Edit(0, "add", "bid", 0.905),
+                coupling.Edit(0, "add", "ask", 0.91), coupling.Edit(0, "add", "ask", 0.955),
+                coupling.Edit(500, "remove_best", "ask")]
+
+
 class ConfigError(ValueError):
     pass
 
@@ -149,9 +157,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     rule = MatchRule(cfg.rule, None if cfg.rule == ORDINARY else part)
     stream = sim.ArrivalStream(cfg.seed, cfg.n, spec, cfg.time_mode)
     trace = sim.run(rule, BookState(), stream,
-                    cfg.record_every or max(1, cfg.n // 100),
-                    record_partition=part, record_joint=True,
-                    record_top_shape=True)
+                    cfg.record_every or max(1, cfg.n // 100), record_partition=part)
     outdir = Path(cfg.out)
     sim.write_trace_csvs(trace, outdir, cfg.as_dict())
     summary = {"seed": cfg.seed, "n": cfg.n, "config": config_hash(cfg.as_dict())}
@@ -271,12 +277,8 @@ def cmd_check(cfg: RunConfig) -> int:
             reports = [
                 coupling.check_extra_order(BookState(), Order("bid", 0.9, -1),
                                            arr, MatchRule(ORDINARY), seed=s),
-                coupling.check_bounded_perturbation(
-                    BookState(),
-                    [coupling.Edit(0, "add", "bid", 0.31),
-                     coupling.Edit(0, "add", "bid", 0.905),
-                     coupling.Edit(min(100, cfg.n), "add", "ask", 0.61)],
-                    arr, MatchRule(ORDINARY), M=3, seed=s),
+                coupling.check_bounded_perturbation(BookState(), _PERTURBATION, arr,
+                                                    MatchRule(ORDINARY), M=5, seed=s),
                 coupling.check_refinement(fine, coarse, ORDINARY_BINNED, arr, seed=s),
                 coupling.check_refinement(fine, coarse, STRICT_BINNED, arr, seed=s),
             ]

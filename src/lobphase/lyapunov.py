@@ -465,6 +465,8 @@ def check_geometric_bound(x: float, y: float, spec: ArrivalSpec, n_events: int,
     asks.  Tested for m = 1..12 on every 50th arrival of the second half, with
     3-sigma binomial slack.
     """
+    if n_events < 1:
+        raise ValueError(f"no samples: the tail test needs n_events >= 1, got {n_events}")
     Fb = lambda p: float(spec.bid_dist.cdf(p))
     Fa = lambda p: float(spec.ask_dist.cdf(p))
     if not Fb(y) < Fb(x) + Fa(x):
@@ -514,6 +516,15 @@ class RunMaxEvidence:
     series: Optional[np.ndarray]
 
 
+def _band_prices(part: BinPartition, k_b: int, k_a: int) -> tuple[float, float]:
+    """(lo, hi) with a price at or above lo exactly when its bin lies above
+    k_b, and below hi exactly when its bin lies below k_a; +-inf past either
+    end of the cuts."""
+    cuts = np.concatenate(([-np.inf], part.boundaries, [np.inf]))
+    top = cuts.size - 1
+    return float(cuts[min(max(k_b + 1, 0), top)]), float(cuts[min(max(k_a, 0), top)])
+
+
 def running_max_evidence(spec: ArrivalSpec, n_events: int, seed: int,
                          n_bins: int = 100, k_b: int | None = None, k_a: int | None = None,
                          series: bool = False) -> RunMaxEvidence:
@@ -528,6 +539,7 @@ def running_max_evidence(spec: ArrivalSpec, n_events: int, seed: int,
     growth exponent below 1/2, near 2 for a linearly filling band); the last
     jump index is reported too, and it lies in the first half exactly when
     that ratio is 1.  Bins not given are those holding `analytics.thresholds`.
+    The count compares prices with the cuts that bound the band's bins.
     """
     part = make_partition(n_bins, spec)
     if k_b is None or k_a is None:
@@ -537,10 +549,9 @@ def running_max_evidence(spec: ArrivalSpec, n_events: int, seed: int,
     trace = run_arrivals(MatchRule(ORDINARY), BookState(),
                          materialize(ArrivalStream(seed, n_events, spec)),
                          record_every=max(1, n_events // 10), seed=seed,
-                         record_partition=part, runmax_bins=(k_b, k_a),
-                         runmax_series=series)
+                         runmax_band=_band_prices(part, k_b, k_a))
     frac = trace.runmax_last_jump / n_events if n_events else 0.0
     return RunMaxEvidence(k_b=k_b, k_a=k_a, n_events=n_events, seed=seed,
                           last_jump_index=trace.runmax_last_jump,
                           last_jump_fraction=frac, max_value=trace.runmax_value,
-                          series=trace.runmax_series)
+                          series=trace.runmax_series if series else None)

@@ -146,8 +146,7 @@ class Trace:
     joint_hist: Optional[np.ndarray] = None
     top_shape_sums: Optional[np.ndarray] = None
     top_shape_visits: Optional[np.ndarray] = None
-    # running-max recorder
-    runmax_bins: Optional[tuple[int, int]] = None
+    # running-max recorder (set when a price band was supplied)
     runmax_last_jump: int = -1
     runmax_value: int = 0
     runmax_series: Optional[np.ndarray] = None  # columns (t, count, running max)
@@ -174,21 +173,18 @@ def run(rule: MatchRule, initial: BookState, stream: ArrivalStream,
 def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
                  record_every: int, *, seed: int = 0,
                  record_partition: Optional[BinPartition] = None,
-                 record_joint: bool = False,
-                 record_top_shape: bool = False,
-                 runmax_bins: Optional[tuple[int, int]] = None,
-                 runmax_series: bool = False) -> Trace:
+                 runmax_band: Optional[tuple[float, float]] = None) -> Trace:
     """Match pre-materialized arrivals on a copy of `initial` and record the run.
 
-    Every recorder is a pass over the event log.  The binned recorders
-    (occupation, joint histogram, top shape, running max) bin the best
-    quotes with `record_partition` and run only when it is given.
+    Every recorder is a pass over the event log.  With `record_partition`
+    the binned recorders run: occupation, joint histogram and top shape of
+    the best quotes' bins.  With `runmax_band=(lo, hi)` the running maximum
+    counts resting bids priced at or above `lo` and asks priced below `hi`,
+    and keeps its series.
     """
     if record_every <= 0:
         record_every = max(1, arr.n)
     part = record_partition
-    if part is None and (record_joint or record_top_shape or runmax_bins is not None):
-        raise ValueError("binned recorders need a record_partition")
     state = initial.clone()
     n_bids0, n_asks0 = state.n_bids, state.n_asks
     log = match_arrivals(state, rule, arr.is_bid, arr.prices)
@@ -210,6 +206,16 @@ def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
         reservoir_executions=int(np.count_nonzero(log.outcome == RESERVOIR)),
         elapsed=float(times[-1]) if n else 0.0,
         final_bids=state.n_bids, final_asks=state.n_asks, partition=part)
+    if runmax_band is not None:
+        lo, hi = runmax_band
+        in_band = np.where(changed_bid, changed_price >= lo, changed_price < hi)
+        count = np.cumsum(np.where(in_band, sign, 0))
+        run_max = np.maximum.accumulate(np.maximum(count, 0))
+        jumps = np.flatnonzero(count > np.concatenate(([0], run_max))[:-1])
+        trace.runmax_value = int(run_max[-1]) if n else 0
+        trace.runmax_last_jump = int(jumps[-1]) if jumps.size else -1
+        trace.runmax_series = (np.column_stack((times, count, run_max)) if n
+                               else np.empty(0))
     if part is None:
         return trace
 
@@ -230,28 +236,12 @@ def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
         np.bincount(half[k >= 0] * nbins + k[k >= 0], weights=dt[k >= 0],
                     minlength=2 * nbins).reshape(2, nbins)
         for k in (pre_b, pre_a))
-    if record_joint:
-        both = (beta_bin >= 0) & (alpha_bin >= 0)
-        trace.joint_hist = np.bincount(beta_bin[both] * nbins + alpha_bin[both],
-                                       minlength=nbins * nbins).reshape(nbins, nbins)
-    changed_bin = part.index(changed_price)
-    if record_top_shape:
-        trace.top_shape_visits = np.bincount(beta_bin[beta_bin >= 0], minlength=nbins)
-        trace.top_shape_sums = _kernel().top_shape(
-            beta_bin, changed_bin, np.where(changed_bid, sign, 0), nbins)
-    if runmax_bins is not None:
-        k_b, k_a = runmax_bins
-        # the band: bids above bin k_b and asks below bin k_a
-        in_band = np.where(changed_bid, changed_bin > k_b, changed_bin < k_a)
-        count = np.cumsum(np.where(in_band, sign, 0))
-        run_max = np.maximum.accumulate(np.maximum(count, 0))
-        jumps = np.flatnonzero(count > np.concatenate(([0], run_max))[:-1])
-        trace.runmax_bins = runmax_bins
-        trace.runmax_value = int(run_max[-1]) if n else 0
-        trace.runmax_last_jump = int(jumps[-1]) if jumps.size else -1
-        if runmax_series:
-            trace.runmax_series = (np.column_stack((times, count, run_max)) if n
-                                   else np.empty(0))
+    both = (beta_bin >= 0) & (alpha_bin >= 0)
+    trace.joint_hist = np.bincount(beta_bin[both] * nbins + alpha_bin[both],
+                                   minlength=nbins * nbins).reshape(nbins, nbins)
+    trace.top_shape_visits = np.bincount(beta_bin[beta_bin >= 0], minlength=nbins)
+    trace.top_shape_sums = _kernel().top_shape(
+        beta_bin, part.index(changed_price), np.where(changed_bid, sign, 0), nbins)
     return trace
 
 
@@ -284,25 +274,19 @@ def estimate_kappa(trace: Trace, spec: ArrivalSpec) -> KappaEstimate:
     )
 
 
-def empirical_pi(trace: Trace, burn_in: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Occupation measures of the best-bid/best-ask bins, normalized by time.
+def empirical_pi(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
+    """Occupation measures of the best-bid/best-ask bins over the second half
+    of the run (the first half is burn-in), normalized by time.
 
     Normalization is by elapsed time, not by the measure's own mass: time the
     best quote spends outside the book (empty side) is real missing mass.
-    By default the first half of the run is discarded as burn-in.
     """
     if trace.occupation_b is None:
         raise ValueError("trace carries no occupation recorder")
-    if burn_in:
-        elapsed = float(trace.occupation_elapsed[1])
-        occ_b, occ_a = trace.occupation_b[1], trace.occupation_a[1]
-    else:
-        elapsed = float(trace.occupation_elapsed.sum())
-        occ_b = trace.occupation_b.sum(axis=0)
-        occ_a = trace.occupation_a.sum(axis=0)
+    elapsed = float(trace.occupation_elapsed[1])
     if elapsed <= 0:
         raise ValueError("zero elapsed time in the occupation window")
-    return occ_b / elapsed, occ_a / elapsed
+    return trace.occupation_b[1] / elapsed, trace.occupation_a[1] / elapsed
 
 
 def write_trace_csvs(trace: Trace, outdir, cfg: dict) -> list:
@@ -314,24 +298,23 @@ def write_trace_csvs(trace: Trace, outdir, cfg: dict) -> list:
         f"{outdir}/checkpoints.csv", ["T", "B_inf", "A_inf", "beta", "alpha"],
         zip(trace.cp_time, trace.cp_bids, trace.cp_asks, trace.cp_beta, trace.cp_alpha),
         meta))
-    if trace.occupation_b is not None and trace.n_events:
+    if trace.partition is None:
+        return written
+    if trace.n_events:
         pi_b, pi_a = empirical_pi(trace)
         edges = trace.partition.edges
         written.append(write_csv(
             f"{outdir}/occupation.csv", ["bin_lo", "bin_hi", "pi_b", "pi_a"],
             zip(edges[:-1], edges[1:], pi_b, pi_a), meta))
-    if trace.joint_hist is not None:
-        i, j = np.nonzero(trace.joint_hist)     # row-major, as the cells are laid out
-        rows = zip(i.tolist(), j.tolist(), trace.joint_hist[i, j].tolist())
-        written.append(write_csv(
-            f"{outdir}/joint.csv", ["bin_beta", "bin_alpha", "mass"], rows, meta))
-    if trace.top_shape_sums is not None:
-        visits = trace.top_shape_visits
-        hi_bins = visits.size // 2  # condition on the best bid sitting in the upper half
-        sel = np.arange(visits.size) >= hi_bins
-        tot = max(1, int(visits[sel].sum()))
-        means = trace.top_shape_sums[sel].sum(axis=0) / tot
-        written.append(write_csv(
-            f"{outdir}/top_shape.csv", ["offset", "mean_bids"],
-            enumerate(means), meta))
+    i, j = np.nonzero(trace.joint_hist)     # row-major, as the cells are laid out
+    rows = zip(i.tolist(), j.tolist(), trace.joint_hist[i, j].tolist())
+    written.append(write_csv(
+        f"{outdir}/joint.csv", ["bin_beta", "bin_alpha", "mass"], rows, meta))
+    visits = trace.top_shape_visits
+    hi_bins = visits.size // 2  # condition on the best bid sitting in the upper half
+    sel = np.arange(visits.size) >= hi_bins
+    tot = max(1, int(visits[sel].sum()))
+    means = trace.top_shape_sums[sel].sum(axis=0) / tot
+    written.append(write_csv(
+        f"{outdir}/top_shape.csv", ["offset", "mean_bids"], enumerate(means), meta))
     return written

@@ -103,7 +103,7 @@ def test_criterion_4_density_figure(spec):
     trace = sim.run(MatchRule(ORDINARY), BookState(),
                     sim.ArrivalStream(7, N_MC, spec), N_MC // 100,
                     record_partition=part)
-    pi_b, _ = sim.empirical_pi(trace, burn_in=True)
+    pi_b, _ = sim.empirical_pi(trace)
     kb, ka = analytics.kappa_uniform_exact()
 
     def antiderivative(x):

@@ -383,6 +383,14 @@ class TestCheckCommand:
         assert err.startswith("config error:") and "bogus" in err
         assert out == ""
 
+    @pytest.mark.parametrize("seed", ["4", "7", "15"])
+    def test_coupling_suite_keeps_its_book_uncrossed(self, capsys, tmp_path, seed):
+        # an ask added at 0.61 before arrival 100 once crossed these seeds' books
+        code, out, err = run_cli(capsys, "check", "--suite", "coupling", "--seed", seed,
+                                 "--n", "2000", "--out", str(tmp_path))
+        assert code == 0, err
+        assert out.count("PASS") == 4 and "FAIL" not in out
+
     def test_coupling_suite_small(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "check", "--suite", "coupling",
                                "--n", "5000", "--seeds", "1", "2",

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lobphase import coupling, sim
-from lobphase.book import (ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookState,
-                           MatchRule, Order)
+from lobphase.book import (ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookInvariantError,
+                           BookState, MatchRule, Order)
 from lobphase.coupling import Edit
 from lobphase.dist import make_partition
 
@@ -62,6 +62,16 @@ class TestBoundedPerturbation:
         r = coupling.check_bounded_perturbation(BookState(), [], arrivals_10k,
                                                 MatchRule(ORDINARY), M=0)
         assert r.passed
+
+    def test_edit_that_crosses_the_book_is_refused(self, uniform_spec):
+        # On seed 7 an ask added at 0.61 before arrival 100 lands under a
+        # best bid above it, and arrival 100 uncrosses the book again.
+        arr = sim.materialize(sim.ArrivalStream(7, 2000, uniform_spec))
+        edits = [Edit(0, "add", "bid", 0.31), Edit(0, "add", "bid", 0.905),
+                 Edit(100, "add", "ask", 0.61)]
+        with pytest.raises(BookInvariantError, match="out of order"):
+            coupling.check_bounded_perturbation(BookState(), edits, arr,
+                                                MatchRule(ORDINARY), M=3)
 
     def test_edit_count_over_m_rejected(self, arrivals_10k):
         with pytest.raises(ValueError):

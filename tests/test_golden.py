@@ -55,16 +55,14 @@ def _binned_recorders(spec):
     part = make_partition(100, spec)
     return sim.run(MatchRule(ORDINARY_BINNED, part), BookState(),
                    sim.ArrivalStream(3, 60_000, spec), 600,
-                   record_partition=part, record_joint=True, record_top_shape=True,
-                   runmax_bins=(21, 78), runmax_series=True)
+                   record_partition=part, runmax_band=lyapunov._band_prices(part, 21, 78))
 
 
 def _reservoirs(spec):
     part = make_partition(20, spec)
     return sim.run(MatchRule(ORDINARY), BookState(bid_reservoir=0.4, ask_reservoir=0.6),
                    sim.ArrivalStream(11, 100_000, spec), 1000,
-                   record_partition=part, record_joint=True, record_top_shape=True,
-                   runmax_bins=(8, 11), runmax_series=True)
+                   record_partition=part, runmax_band=lyapunov._band_prices(part, 8, 11))
 
 
 def _strict_poisson(spec):
@@ -73,7 +71,7 @@ def _strict_poisson(spec):
                    BookState(bids=[0.05, 0.3], asks=[0.7, 0.92],
                              bid_reservoir=0.02, ask_reservoir=0.98),
                    sim.ArrivalStream(5, 50_000, spec, time_mode="poisson"), 500,
-                   record_partition=part, record_joint=True, record_top_shape=True)
+                   record_partition=part)
 
 
 # name -> (run, sha256 of its trace fields).  The reservoirs and

@@ -38,7 +38,11 @@ prices = st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1.0))
 
 
 def replay(state, rule, is_bid, px):
-    """Reference log: (outcome code, beta, alpha, changed side, changed price, sign)."""
+    """Reference log: (outcome code, beta, alpha, changed side, changed price, sign).
+
+    The book must start in the rule's order of the best quotes.
+    """
+    book_module._check_order(state.beta(), state.alpha(), rule)
     rows = []
     for i, (bid, p) in enumerate(zip(is_bid, px)):
         side = "bid" if bid else "ask"
@@ -146,6 +150,10 @@ REJECTED = [
     (BookState(asks=[0.51]), [True], [math.nan]),
     # crossed initial book that the first arrival leaves crossed
     (BookState(bids=[0.61], asks=[0.52, 0.58]), [True], [0.015]),
+    # crossed initial book and no arrival
+    (BookState(bids=[0.6], asks=[0.4]), [], []),
+    # crossed initial book that the first arrival uncrosses
+    (BookState(bids=[0.6], asks=[0.4]), [True], [0.5]),
 ]
 
 
@@ -163,6 +171,16 @@ def test_repeated_or_non_finite_prices_rejected_up_front(px):
     with pytest.raises(BookInvariantError):
         match_arrivals(BookState(bids=[0.2]), RULES[ORDINARY],
                        np.array([True] * len(px)), np.array(px))
+
+
+# A strict binned book may cross inside one bin, with or without arrivals.
+CROSSED_IN_BIN = [([], []), ([True, False], [0.05, 0.93])]
+
+
+@pytest.mark.parametrize("is_bid, px", CROSSED_IN_BIN)
+def test_strict_book_crossed_inside_a_bin_is_accepted(is_bid, px):
+    assert assert_same(RULES[STRICT_BINNED], BookState(bids=[0.57], asks=[0.53]),
+                       np.array(is_bid, dtype=bool), np.array(px, dtype=float))
 
 
 def test_empty_sequence():
@@ -238,12 +256,19 @@ def test_both_kernels_reject(c_kernel, kind, book, is_bid, px):
                                     np.array(px, dtype=float))
 
 
+@pytest.mark.parametrize("is_bid, px", CROSSED_IN_BIN)
+def test_both_kernels_accept_a_strict_book_crossed_inside_a_bin(c_kernel, is_bid, px):
+    assert assert_kernels_agree(c_kernel, RULES[STRICT_BINNED],
+                                BookState(bids=[0.57], asks=[0.53]),
+                                np.array(is_bid, dtype=bool), np.array(px, dtype=float))
+
+
 def top_shape_on(kernel, rule, book, is_bid, px, part):
     """run_arrivals' top-shape sums as (dtype, shape, bytes), or the error message."""
     arr = sim.Arrivals(is_bid, px, 0.5 * np.arange(1, px.size + 1), 0.5)
     with running(kernel):
         trace, err = outcome_of(lambda: sim.run_arrivals(
-            rule, book, arr, 0, record_partition=part, record_top_shape=True))
+            rule, book, arr, 0, record_partition=part))
     if err is not None:
         return str(err), None
     sums = trace.top_shape_sums

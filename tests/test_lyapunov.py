@@ -242,6 +242,11 @@ class TestGeometricBound:
         with pytest.raises(ValueError):
             check_geometric_bound(0.1, 0.9, uniform_spec, 1000, seed=0)
 
+    def test_no_arrivals_is_refused(self, uniform_spec):
+        with pytest.raises(ValueError, match="no samples"):
+            check_geometric_bound(0.4, 0.6, uniform_spec, 0, seed=0)
+        assert check_geometric_bound(0.4, 0.6, uniform_spec, 1, seed=0).n_samples == 1
+
 
 class TestRunningMax:
     def test_empty_run(self, uniform_spec):
@@ -260,13 +265,6 @@ class TestRunningMax:
         assert np.all(np.diff(ev.series[:, 2]) >= 0)  # running max is monotone
 
 
-def band_prices(part, k_b, k_a):
-    """The cut at or above which a bid lies above bin k_b, and the cut below
-    which an ask lies below bin k_a; +-inf past either end."""
-    cuts = np.concatenate(([-np.inf], part.boundaries, [np.inf]))
-    return cuts[np.clip(k_b + 1, 0, cuts.size - 1)], cuts[np.clip(k_a, 0, cuts.size - 1)]
-
-
 @pytest.mark.parametrize("n_bins", [2, 10, 100, 200])
 def test_band_prices_match_bins(n_bins, uniform_spec, rng):
     part = make_partition(n_bins, uniform_spec)
@@ -275,6 +273,6 @@ def test_band_prices_match_bins(n_bins, uniform_spec, rng):
                              [0.0, 1.0], rng.random(1000)))
     bins = part.index(prices)
     for k in range(-2, part.n_bins + 2):
-        lo, hi = band_prices(part, k, k)
+        lo, hi = lyapunov._band_prices(part, k, k)
         assert np.array_equal(prices >= lo, bins > k), k
         assert np.array_equal(prices < hi, bins < k), k

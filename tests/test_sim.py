@@ -84,7 +84,7 @@ class TestRun:
 
     def test_bit_identical_traces(self, uniform_spec):
         part = make_partition(20, uniform_spec)
-        kw = dict(record_partition=part, record_joint=True)
+        kw = dict(record_partition=part)
         t1 = sim.run(MatchRule(ORDINARY), BookState(),
                      sim.ArrivalStream(9, 50_000, uniform_spec), 1000, **kw)
         t2 = sim.run(MatchRule(ORDINARY), BookState(),
@@ -187,13 +187,27 @@ class TestEmpiricalPi:
             sim.empirical_pi(tr)
 
 
+class TestRunningMaxBand:
+    def test_band_edges_in_prices(self):
+        # a bid at lo and an ask just below hi count; a bid just below lo and
+        # an ask at hi do not; the last ask executes the bid at lo
+        px = np.array([0.3, np.nextafter(0.3, 0), 0.7, np.nextafter(0.7, 0), 0.25])
+        is_bid = np.array([True, True, False, False, False])
+        arr = sim.Arrivals(is_bid, px, 0.5 * np.arange(1, 6), 0.5)
+        tr = sim.run_arrivals(MatchRule(ORDINARY), BookState(), arr, 1,
+                              runmax_band=(0.3, 0.7))
+        assert tr.runmax_series[:, 1].tolist() == [1, 1, 1, 2, 1]
+        assert tr.runmax_series[:, 2].tolist() == [1, 1, 1, 2, 2]
+        assert (tr.runmax_last_jump, tr.runmax_value) == (3, 2)
+        assert tr.partition is None and tr.occupation_b is None
+
+
 class TestTraceExport:
     def test_csv_outputs(self, tmp_path, uniform_spec):
         part = make_partition(10, uniform_spec)
         tr = sim.run(MatchRule(ORDINARY), BookState(),
                      sim.ArrivalStream(3, 20_000, uniform_spec), 200,
-                     record_partition=part, record_joint=True,
-                     record_top_shape=True)
+                     record_partition=part)
         files = sim.write_trace_csvs(tr, tmp_path, {"n": 20_000})
         assert len(files) >= 4
         text = (tmp_path / "checkpoints.csv").read_text()
