@@ -3,8 +3,10 @@
  * match, the arrival loop of match_arrivals, mirrors book._match_py step for
  * step: the same tests in the same order, heapq's sift logic on double heaps
  * (bids negated), so the outcome, beta and alpha arrays and the final heaps
- * equal the Python ones element for element.  bins is NULL for the ordinary
- * rule, where arrival i has bin i+1.
+ * equal the Python ones element for element.  It runs one chunk of arrivals
+ * on heaps sized for the whole run, whose lengths nb and na it updates.
+ * bins is NULL for the ordinary rule, where arrival i of the chunk has bin
+ * i+1.
  *
  * top_shape is the top-shape recorder of book._top_shape_sums in one pass, and
  * refinement the domination pass of book._refinement_maxima.
@@ -102,8 +104,9 @@ void match(long n, const uint8_t *is_bid, const double *prices, const int64_t *b
  * with the best bid in bin b = beta_bin[i], it adds counts[b - j] to
  * sums[b][j] for j = 0..min(max_offset, b): nothing when the bid side is
  * empty (b = -1).  counts (nbins) and sums (nbins x (max_offset + 1),
- * row-major) start zeroed; integer sums are exact, so they equal the Python
- * pass's in any order. */
+ * row-major) carry over from the previous chunk of the run, zeroed before
+ * the first; integer sums are exact, so they equal the Python pass's in any
+ * order. */
 void top_shape(long n, const int64_t *beta_bin, const int64_t *bid_bin,
                const int64_t *bid_step, long max_offset, int64_t *counts,
                int64_t *sums) {

@@ -5,10 +5,11 @@ simulate), optionally backed by reservoirs: an infinite supply of bids or asks
 at a fixed price.  Executing against a reservoir never depletes it, and
 reservoir orders never enter the finite counters.
 
-`match_arrivals` is the event loop: it applies a whole arrival sequence and
-returns an `EventLog` that every driver and recorder reads.  Its loop body is
-the C function in `_kernel.c`, compiled on first use and cached, or the Python
-loop `_match_py` where no compiler is available; `KERNEL` says which runs.
+`match_chunks` is the event loop: it applies an arrival sequence a chunk at
+a time and yields each chunk's `EventLog`; `match_arrivals` runs it as one
+chunk and returns the whole log.  Its loop body is the C function in
+`_kernel.c`, compiled on first use and cached, or the Python loop
+`_match_py` where no compiler is available; `KERNEL` says which runs.
 `apply_arrival` applies one order at a time; it is the readable reference
 both loops are tested against.  The same library carries two passes over
 logs: the top-shape recorder's, with the numpy `_top_shape_sums` as its
@@ -33,7 +34,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -54,6 +55,7 @@ __all__ = [
     "RESERVOIR",
     "apply_arrival",
     "match_arrivals",
+    "match_chunks",
 ]
 
 ORDINARY = "ordinary"
@@ -214,17 +216,18 @@ def apply_arrival(state: BookState, rule: MatchRule, order: Order) -> ArrivalEff
 
 
 def _check_prices(prices: np.ndarray) -> None:
-    """Prices must be finite and pairwise distinct (one sorted pass)."""
+    """Prices must be finite and pairwise distinct (one sort, in place, of `prices`)."""
     if not np.isfinite(prices).all():
         raise BookInvariantError("non-finite price")
-    every = np.sort(prices)
-    repeated = every[1:][every[1:] == every[:-1]]
+    prices.sort()
+    repeated = prices[1:][prices[1:] == prices[:-1]]
     if repeated.size:
         raise BookInvariantError(f"duplicate price {repeated[0]}")
 
 
-def _check_order(beta, alpha, rule: MatchRule) -> None:
-    """The rule's ordering of best quotes (scalars, or arrays over events)."""
+def _check_order(beta, alpha, rule: MatchRule, first: Optional[int] = None) -> None:
+    """The rule's ordering of best quotes: of one book (scalars), or after each
+    event of a chunk whose first arrival is arrival `first` (arrays)."""
     b, a = np.atleast_1d(beta), np.atleast_1d(alpha)
     if rule.kind == STRICT_BINNED:
         # The strict rule lets prices cross inside one bin, so the ordering
@@ -234,9 +237,9 @@ def _check_order(beta, alpha, rule: MatchRule) -> None:
     else:
         bad = ~(b < a)
     if bad.any():
-        i = np.flatnonzero(bad)[0]
+        i = int(np.argmax(bad))
         raise BookInvariantError(f"best quotes out of order: beta={b[i]}, alpha={a[i]}"
-                                 + (f" after arrival {i}" if b.size > 1 else ""))
+                                 + ("" if first is None else f" after arrival {first + i}"))
 
 
 class EventLog(NamedTuple):
@@ -267,41 +270,96 @@ def match_arrivals(state: BookState, rule: MatchRule, is_bid, prices) -> EventLo
 
     Gives the same book and the same effects as one `apply_arrival` call per
     arrival, and rejects every input that loop rejects with the same
-    `BookInvariantError`: prices must be finite and pairwise distinct across
-    the arrivals and the resting book (checked up front, so a repeated price
-    fails even where the per-event loop would never meet it), an arrival may
-    not sit at the opposite best quote, and the rule's ordering of the best
-    quotes must hold in the starting book (checked up front) and after every
-    event (checked on the log).  The loop itself runs compiled when a C
-    compiler is available (see `KERNEL`).
+    `BookInvariantError` (see `match_chunks`, run here as one chunk).
+    """
+    [(_, log)] = match_chunks(state, rule, is_bid, prices, max(1, np.size(prices)))
+    return log
+
+
+class _Heaps:
+    """A book's two heaps as float64 arrays (bids negated) with their lengths,
+    sized once for the resting orders plus every arrival of the side, and its
+    reservoirs (+-inf for none)."""
+
+    __slots__ = ("bids", "asks", "nb", "na", "rb", "ra")
+
+    def __init__(self, state: BookState, n_bid: int, n_ask: int):
+        self.nb, self.na = ctypes.c_long(state.n_bids), ctypes.c_long(state.n_asks)
+        self.bids = np.empty(self.nb.value + n_bid)
+        self.asks = np.empty(self.na.value + n_ask)
+        self.bids[:self.nb.value], self.asks[:self.na.value] = state._bid_heap, state._ask_heap
+        self.rb = NEG_INF if state.bid_reservoir is None else state.bid_reservoir
+        self.ra = POS_INF if state.ask_reservoir is None else state.ask_reservoir
+
+    def store(self, state: BookState) -> None:
+        state._bid_heap[:] = self.bids[:self.nb.value].tolist()
+        state._ask_heap[:] = self.asks[:self.na.value].tolist()
+
+
+def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
+                 size: int) -> Iterator[tuple[int, EventLog]]:
+    """Apply an arrival sequence to `state` `size` arrivals at a time; yield
+    (index of the chunk's first arrival, the chunk's `EventLog`).
+
+    The log's outcome, beta, alpha and met arrays are buffers that the next
+    chunk overwrites, so a reader copies what it keeps.  `state` holds the
+    new book once the last chunk is read, or once a chunk fails.  Prices must
+    be finite and pairwise distinct across the arrivals and the resting book
+    (checked up front, so a repeated price fails even where the per-event
+    loop would never meet it), and the rule's ordering of the best quotes
+    must hold in the starting book (checked up front).  After each chunk, no
+    arrival may have sat at the opposite best quote, and the ordering must
+    hold after every event; both errors name the arrival by its index in the
+    whole sequence.  Zero arrivals give one empty chunk.
     """
     is_bid = np.ascontiguousarray(is_bid, dtype=bool)
     prices = np.ascontiguousarray(prices, dtype=float)
     _check_prices(np.concatenate((prices, np.negative(state._bid_heap), state._ask_heap)))
     beta0, alpha0 = state.beta(), state.alpha()
     _check_order(beta0, alpha0, rule)
-    outcome, beta, alpha = _kernel().run(state, rule, is_bid, prices)
-    met = np.where(is_bid, np.concatenate(([alpha0], alpha))[:-1],
-                   np.concatenate(([beta0], beta))[:-1])
-    hit = np.flatnonzero(prices == met)
-    if hit.size:
-        raise BookInvariantError(f"arrival {hit[0]} at {prices[hit[0]]} collides "
-                                 "with the opposite best quote")
-    _check_order(beta, alpha, rule)
-    return EventLog(is_bid, prices, outcome, beta, alpha, beta0, alpha0, met)
+    n, n_bid = prices.size, int(np.count_nonzero(is_bid))
+    m = min(size, n)
+    outcome = np.empty(m, dtype=np.uint8)
+    beta, alpha, met = np.empty(m), np.empty(m), np.empty(m)
+    run = _kernel().run
+    heaps = _Heaps(state, n_bid, n - n_bid)
+    try:
+        for lo in range(0, max(n, 1), size):
+            bid, px = is_bid[lo:lo + size], prices[lo:lo + size]
+            k = px.size
+            log = EventLog(bid, px, outcome[:k], beta[:k], alpha[:k], beta0, alpha0, met[:k])
+            if not k:
+                yield lo, log
+                break
+            run(heaps, rule, bid, px, log.outcome, log.beta, log.alpha)
+            # the opposite best quote each arrival met: the one before it
+            log.met[0] = alpha0 if bid[0] else beta0
+            np.copyto(log.met[1:], log.beta[:-1])
+            np.copyto(log.met[1:], log.alpha[:-1], where=bid[1:])
+            hit = px == log.met
+            if hit.any():
+                i = int(np.argmax(hit))
+                raise BookInvariantError(f"arrival {lo + i} at {px[i]} collides "
+                                         "with the opposite best quote")
+            _check_order(log.beta, log.alpha, rule, first=lo)
+            yield lo, log
+            beta0, alpha0 = float(log.beta[-1]), float(log.alpha[-1])
+    finally:
+        heaps.store(state)
 
 
-def _match_py(state: BookState, rule: MatchRule, is_bid: np.ndarray, prices: np.ndarray):
-    """The arrival loop in Python: (outcome, beta, alpha) arrays; the heaps change in place.
+def _match_py(heaps: _Heaps, rule: MatchRule, is_bid: np.ndarray, prices: np.ndarray,
+              outcome: np.ndarray, betas: np.ndarray, alphas: np.ndarray) -> None:
+    """The arrival loop in Python: fills outcome, betas and alphas, and changes the heaps.
 
     The reference for `_kernel.c` and the loop that runs without a compiler.
     """
-    bids, asks = state._bid_heap, state._ask_heap
-    rb = NEG_INF if state.bid_reservoir is None else state.bid_reservoir
-    ra = POS_INF if state.ask_reservoir is None else state.ask_reservoir
-    beta, alpha = state.beta(), state.alpha()
-    outcome, betas, alphas = bytearray(), array("d"), array("d")
-    put, put_beta, put_alpha = outcome.append, betas.append, alphas.append
+    bids, asks = heaps.bids[:heaps.nb.value].tolist(), heaps.asks[:heaps.na.value].tolist()
+    rb, ra = heaps.rb, heaps.ra
+    beta = -bids[0] if bids and -bids[0] > rb else rb
+    alpha = asks[0] if asks and asks[0] < ra else ra
+    out, out_beta, out_alpha = bytearray(), array("d"), array("d")
+    put, put_beta, put_alpha = out.append, out_beta.append, out_alpha.append
     push, pop = heapq.heappush, heapq.heappop
     # The bins of the best quotes (-1 for an empty side) ride along with
     # them.  A same-bin arrival executes under the ordinary binned rule and
@@ -345,78 +403,75 @@ def _match_py(state: BookState, rule: MatchRule, is_bid: np.ndarray, prices: np.
             put(JOINED)
         put_beta(beta)
         put_alpha(alpha)
-    return (np.frombuffer(outcome, dtype=np.uint8), np.frombuffer(betas),
-            np.frombuffer(alphas))
+    outcome[:] = np.frombuffer(out, dtype=np.uint8)
+    betas[:], alphas[:] = np.frombuffer(out_beta), np.frombuffer(out_alpha)
+    heaps.bids[:len(bids)], heaps.asks[:len(asks)] = bids, asks
+    heaps.nb.value, heaps.na.value = len(bids), len(asks)
 
 
-def _match_c(fn, state: BookState, rule: MatchRule, is_bid: np.ndarray, prices: np.ndarray):
-    """`_match_py` through the compiled `match` of `_kernel.c`."""
-    n, n_bid = prices.size, int(np.count_nonzero(is_bid))
-    nb, na = ctypes.c_long(len(state._bid_heap)), ctypes.c_long(len(state._ask_heap))
-    bids = np.empty(nb.value + n_bid)
-    asks = np.empty(na.value + n - n_bid)
-    bids[:nb.value], asks[:na.value] = state._bid_heap, state._ask_heap
+_NO_CUTS = np.empty(0)
+
+
+def _match_c(fn, heaps: _Heaps, rule: MatchRule, is_bid: np.ndarray, prices: np.ndarray,
+             outcome: np.ndarray, beta: np.ndarray, alpha: np.ndarray) -> None:
+    """`_match_py` through the compiled `match` of `_kernel.c`, on the heaps in place."""
     if rule.kind == ORDINARY:
-        cuts, bins = np.empty(0), None
+        cuts, bins = _NO_CUTS, None
     else:
         cuts = np.ascontiguousarray(rule.partition.boundaries, dtype=float)
         bins = np.ascontiguousarray(rule.partition.index(prices), dtype=np.int64)
-    outcome, beta, alpha = np.empty(n, dtype=np.uint8), np.empty(n), np.empty(n)
-    fn(n, is_bid.ctypes.data, prices.ctypes.data, None if bins is None else bins.ctypes.data,
-       cuts.ctypes.data, cuts.size, rule.kind == STRICT_BINNED,
-       NEG_INF if state.bid_reservoir is None else state.bid_reservoir,
-       POS_INF if state.ask_reservoir is None else state.ask_reservoir,
-       bids.ctypes.data, ctypes.byref(nb), asks.ctypes.data, ctypes.byref(na),
-       outcome.ctypes.data, beta.ctypes.data, alpha.ctypes.data)
-    state._bid_heap[:] = bids[:nb.value].tolist()
-    state._ask_heap[:] = asks[:na.value].tolist()
-    return outcome, beta, alpha
+    fn(prices.size, is_bid.ctypes.data, prices.ctypes.data,
+       None if bins is None else bins.ctypes.data, cuts.ctypes.data, cuts.size,
+       rule.kind == STRICT_BINNED, heaps.rb, heaps.ra,
+       heaps.bids.ctypes.data, ctypes.byref(heaps.nb), heaps.asks.ctypes.data,
+       ctypes.byref(heaps.na), outcome.ctypes.data, beta.ctypes.data, alpha.ctypes.data)
 
 
-CHUNK = 256   # events per block in the events x bins passes
+BLOCK = 256   # events per block in the numpy events x bins passes
 TOP_MAX_OFFSET = 10
 
 
 def _top_shape_sums(beta_bin: np.ndarray, bid_bin: np.ndarray, bid_step: np.ndarray,
-                    nbins: int) -> np.ndarray:
-    """Per best-bid bin k, summed bid counts in bins k, k-1, ..., k-TOP_MAX_OFFSET.
+                    counts: np.ndarray, sums: np.ndarray) -> None:
+    """Per best-bid bin k, add the bid counts in bins k, k-1, ..., k-TOP_MAX_OFFSET
+    after each event to row k of `sums` (n_bins x (TOP_MAX_OFFSET + 1)).
 
-    Resting bids are counted from the start of the run (initial orders
-    excluded); event i moves bin bid_bin[i] by bid_step[i].  The reference
-    for `top_shape` in `_kernel.c` and the pass that runs without a compiler.
+    `counts` holds the resting-bid count per bin before the first event and
+    is carried to after the last (initial orders excluded); event i moves
+    bin bid_bin[i] by bid_step[i].  The reference for `top_shape` in
+    `_kernel.c` and the pass that runs without a compiler.
     """
-    sums = np.zeros((nbins, TOP_MAX_OFFSET + 1), dtype=np.int64)
-    counts = np.zeros(nbins, dtype=np.int64)
-    for lo in range(0, beta_bin.size, CHUNK):
-        step = np.zeros((min(CHUNK, beta_bin.size - lo), nbins), dtype=np.int64)
+    nbins = counts.size
+    for lo in range(0, beta_bin.size, BLOCK):
+        step = np.zeros((min(BLOCK, beta_bin.size - lo), nbins), dtype=np.int64)
         rows = np.arange(step.shape[0])
-        step[rows, bid_bin[lo:lo + CHUNK]] = bid_step[lo:lo + CHUNK]
+        step[rows, bid_bin[lo:lo + BLOCK]] = bid_step[lo:lo + BLOCK]
         state = counts + np.cumsum(step, axis=0)
-        counts = state[-1]
-        b = beta_bin[lo:lo + CHUNK]
+        counts[:] = state[-1]
+        b = beta_bin[lo:lo + BLOCK]
         for j in range(TOP_MAX_OFFSET + 1):
             ok = b >= j
             np.add.at(sums[:, j], b[ok], state[rows[ok], b[ok] - j])
-    return sums
 
 
 def _top_shape_c(fn, beta_bin: np.ndarray, bid_bin: np.ndarray, bid_step: np.ndarray,
-                 nbins: int) -> np.ndarray:
+                 counts: np.ndarray, sums: np.ndarray) -> None:
     """`_top_shape_sums` through the compiled `top_shape` of `_kernel.c`."""
     beta_bin, bid_bin, bid_step = (np.ascontiguousarray(a, dtype=np.int64)
                                    for a in (beta_bin, bid_bin, bid_step))
-    n = beta_bin.size
+    n, nbins = beta_bin.size, counts.size
     if not bid_bin.size == bid_step.size == n:
         raise ValueError("top-shape inputs differ in length")
-    # the C pass indexes with these bins unchecked
+    # the C pass indexes with these bins and writes through these arrays unchecked
     if n and not (-1 <= beta_bin.min() and beta_bin.max() < nbins
                   and 0 <= bid_bin.min() and bid_bin.max() < nbins):
         raise ValueError(f"top-shape bins outside 0..{nbins - 1}")
-    counts = np.zeros(nbins, dtype=np.int64)
-    sums = np.zeros((nbins, TOP_MAX_OFFSET + 1), dtype=np.int64)
+    if not (counts.dtype == sums.dtype == np.int64 and counts.flags.c_contiguous
+            and sums.flags.c_contiguous and sums.shape == (nbins, TOP_MAX_OFFSET + 1)):
+        raise ValueError("top-shape counts and sums must be contiguous int64 arrays "
+                         f"of shapes ({nbins},) and ({nbins}, {TOP_MAX_OFFSET + 1})")
     fn(n, beta_bin.ctypes.data, bid_bin.ctypes.data, bid_step.ctypes.data,
        TOP_MAX_OFFSET, counts.ctypes.data, sums.ctypes.data)
-    return sums
 
 
 def _refinement_maxima(is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
@@ -434,8 +489,8 @@ def _refinement_maxima(is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
     max_b, max_a = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     prefix_b = np.zeros(nbins, dtype=np.int64)
     prefix_a = np.zeros(nbins, dtype=np.int64)
-    for lo in range(0, n, CHUNK):
-        bid, k, v = is_bid[lo:lo + CHUNK], bins[lo:lo + CHUNK], steps[lo:lo + CHUNK]
+    for lo in range(0, n, BLOCK):
+        bid, k, v = is_bid[lo:lo + BLOCK], bins[lo:lo + BLOCK], steps[lo:lo + BLOCK]
         rows = np.broadcast_to(np.arange(bid.shape[0])[:, None], bid.shape)
         pb = np.zeros((bid.shape[0], nbins), dtype=np.int64)
         pa = np.zeros_like(pb)
@@ -446,7 +501,7 @@ def _refinement_maxima(is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
             np.cumsum(p, axis=0, out=p)
             p += carry
         prefix_b, prefix_a = pb[-1].copy(), pa[-1].copy()
-        max_b[lo:lo + CHUNK], max_a[lo:lo + CHUNK] = pb.max(axis=1), pa.max(axis=1)
+        max_b[lo:lo + BLOCK], max_a[lo:lo + BLOCK] = pb.max(axis=1), pa.max(axis=1)
     return max_b, max_a
 
 
@@ -470,8 +525,8 @@ def _refinement_c(fn, is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
 
 class _Kernel(NamedTuple):
     name: str                # "c" or "python"
-    run: Callable            # (state, rule, is_bid, prices) -> (outcome, beta, alpha)
-    top_shape: Callable      # (beta_bin, bid_bin, bid_step, nbins) -> sums
+    run: Callable            # (heaps, rule, is_bid, prices, outcome, beta, alpha) -> None
+    top_shape: Callable      # (beta_bin, bid_bin, bid_step, counts, sums) -> None
     refinement: Callable     # (is_bid, bins, steps, nbins) -> (max_b, max_a)
     library: Optional[Path]  # the compiled library, for the C kernel
 

@@ -152,6 +152,8 @@ def build_spec(cfg: RunConfig) -> ArrivalSpec:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    if cfg.n < 1:
+        raise ConfigError(f"simulate needs --n >= 1 arrivals, got {cfg.n}")
     spec = build_spec(cfg)
     part = make_partition(cfg.bins, spec)
     rule = MatchRule(cfg.rule, None if cfg.rule == ORDINARY else part)
@@ -161,7 +163,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     outdir = Path(cfg.out)
     sim.write_trace_csvs(trace, outdir, cfg.as_dict())
     summary = {"seed": cfg.seed, "n": cfg.n, "config": config_hash(cfg.as_dict())}
-    if cfg.n and trace.cp_time.size >= 10:
+    if trace.cp_time.size >= 10:
         est = sim.estimate_kappa(trace, spec)
         summary.update(kappa_b_hat=est.kappa_b_hat, kappa_a_hat=est.kappa_a_hat,
                        Fb_kappa_hat=est.Fb_kappa_hat, stderr_proxy=est.stderr_proxy)

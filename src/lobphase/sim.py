@@ -4,7 +4,9 @@ measures.
 
 Randomness comes from counter-based Philox streams keyed by (seed, field tag),
 so the same seed always reproduces the same arrivals and coupled experiments
-can share one arrival stream across book variants bit-for-bit.
+can share one arrival stream across book variants bit-for-bit.  Arrivals are
+drawn, and runs matched and recorded, `CHUNK` arrivals at a time in reused
+buffers; every result equals that of one whole-run pass bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 # apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
-from .book import (EXECUTED, NEG_INF, POS_INF, RESERVOIR, BookState, MatchRule, _kernel,
-                   apply_arrival, match_arrivals)
+from .book import (EXECUTED, NEG_INF, POS_INF, RESERVOIR, TOP_MAX_OFFSET, BookState,
+                   EventLog, MatchRule, _kernel, apply_arrival, match_chunks)
 from .dist import ArrivalSpec, BinPartition
 from .output import config_hash
 
@@ -37,6 +39,11 @@ __all__ = [
 
 EVENT_COUNT = "event_count"
 POISSON = "poisson"
+
+# Arrivals drawn, matched and recorded at a time.  A chunk's temporaries
+# (128 KiB per float64 array) are reused from the allocator's free lists
+# instead of being mapped and faulted in afresh for every pass over a run.
+CHUNK = 16_384
 
 # Field tags for the splittable generator: one independent Philox stream per
 # (seed, tag) pair.  New experiment-level fields get new tags so adding a
@@ -87,21 +94,43 @@ class Arrivals:
 
 
 def materialize(stream: ArrivalStream) -> Arrivals:
-    """Draw the full arrival arrays for a stream (deterministic in the seed)."""
+    """Draw the full arrival arrays for a stream (deterministic in the seed).
+
+    Each field is drawn `CHUNK` values at a time into one scratch buffer;
+    Philox draws taken in chunks equal one whole draw bit for bit.
+    """
     n = stream.n_events
     spec = stream.spec
-    is_bid = field_generator(stream.seed, "side").random(n) < spec.p_b
-    u = field_generator(stream.seed, "price").random(n)
-    prices = np.empty(n, dtype=float)
-    prices[is_bid] = np.asarray(spec.bid_dist.quantile(u[is_bid]), dtype=float)
-    prices[~is_bid] = np.asarray(spec.ask_dist.quantile(u[~is_bid]), dtype=float)
-    if n and np.unique(prices).size != n:
+    side = field_generator(stream.seed, "side")
+    price = field_generator(stream.seed, "price")
+    is_bid, prices = np.empty(n, dtype=bool), np.empty(n)
+    u = np.empty(min(n, CHUNK))
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        bid, out, uk = is_bid[lo:hi], prices[lo:hi], u[:hi - lo]
+        np.less(side.random(out=uk), spec.p_b, out=bid)
+        price.random(out=uk)
+        # index arrays, as a random boolean mask gathers and scatters slowly
+        at_bid, at_ask = np.flatnonzero(bid), np.flatnonzero(~bid)
+        out[at_bid] = spec.bid_dist.quantile(uk[at_bid])
+        out[at_ask] = spec.ask_dist.quantile(uk[at_ask])
+    every = np.sort(prices)
+    if (every[1:] == every[:-1]).any():
         raise ValueError("arrival prices collide; price laws must be continuous")
     if stream.time_mode == EVENT_COUNT:
         # t_n = n/2 matches rate-1 bid and rate-1 ask arrivals in expectation.
         times = 0.5 * np.arange(1, n + 1, dtype=float)
     else:
-        times = np.cumsum(field_generator(stream.seed, "gap").exponential(0.5, n))
+        # Exponential(0.5) gaps, summed in order from the carried time as
+        # one cumsum over the run would.
+        gap = field_generator(stream.seed, "gap")
+        times, t = np.empty(n), 0.0
+        for lo in range(0, n, CHUNK):
+            hi = min(lo + CHUNK, n)
+            uk = gap.standard_exponential(out=u[:hi - lo])
+            uk *= 0.5
+            uk[0] += t
+            t = np.cumsum(uk, out=times[lo:hi])[-1]
     return Arrivals(is_bid, prices, times, spec.p_b)
 
 
@@ -176,73 +205,158 @@ def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
                  runmax_band: Optional[tuple[float, float]] = None) -> Trace:
     """Match pre-materialized arrivals on a copy of `initial` and record the run.
 
-    Every recorder is a pass over the event log.  With `record_partition`
-    the binned recorders run: occupation, joint histogram and top shape of
-    the best quotes' bins.  With `runmax_band=(lo, hi)` the running maximum
-    counts resting bids priced at or above `lo` and asks priced below `hi`,
-    and keeps its series.
+    The run is matched `CHUNK` arrivals at a time, and each recorder folds
+    every chunk's event log into the trace, carrying its state to the next
+    chunk.  With `record_partition` the binned recorders run: occupation,
+    joint histogram and top shape of the best quotes' bins.  With
+    `runmax_band=(lo, hi)` the running maximum counts resting bids priced at
+    or above `lo` and asks priced below `hi`, and keeps its series.
     """
     if record_every <= 0:
         record_every = max(1, arr.n)
-    part = record_partition
     state = initial.clone()
-    n_bids0, n_asks0 = state.n_bids, state.n_asks
-    log = match_arrivals(state, rule, arr.is_bid, arr.prices)
     n, times = arr.n, arr.times
-    changed_bid, changed_price, sign = log.changes()
-    executed = log.outcome == EXECUTED
     bid_arrivals = int(np.count_nonzero(arr.is_bid))
     cp = np.arange(record_every - 1, n, record_every)
-    cp_bids = n_bids0 + np.cumsum(np.where(changed_bid, sign, 0))[cp]
-    cp_asks = n_asks0 + np.cumsum(np.where(changed_bid, 0, sign))[cp]
-
     trace = Trace(
         seed=seed, n_events=n, p_b=arr.p_b, record_every=record_every,
-        cp_time=times[cp], cp_bids=cp_bids, cp_asks=cp_asks,
-        cp_beta=log.beta[cp], cp_alpha=log.alpha[cp],
-        bid_arrivals=bid_arrivals, ask_arrivals=n - bid_arrivals,
-        bid_exec_by_ask=int(np.count_nonzero(executed & ~arr.is_bid)),
-        ask_exec_by_bid=int(np.count_nonzero(executed & arr.is_bid)),
-        reservoir_executions=int(np.count_nonzero(log.outcome == RESERVOIR)),
-        elapsed=float(times[-1]) if n else 0.0,
-        final_bids=state.n_bids, final_asks=state.n_asks, partition=part)
+        cp_time=times[cp], cp_bids=np.empty(cp.size, dtype=np.int64),
+        cp_asks=np.empty(cp.size, dtype=np.int64), cp_beta=np.empty(cp.size),
+        cp_alpha=np.empty(cp.size), bid_arrivals=bid_arrivals,
+        ask_arrivals=n - bid_arrivals, elapsed=float(times[-1]) if n else 0.0,
+        partition=record_partition)
+    recorders = [_Checkpoints(trace, state, cp)]
     if runmax_band is not None:
-        lo, hi = runmax_band
-        in_band = np.where(changed_bid, changed_price >= lo, changed_price < hi)
-        count = np.cumsum(np.where(in_band, sign, 0))
-        run_max = np.maximum.accumulate(np.maximum(count, 0))
-        jumps = np.flatnonzero(count > np.concatenate(([0], run_max))[:-1])
-        trace.runmax_value = int(run_max[-1]) if n else 0
-        trace.runmax_last_jump = int(jumps[-1]) if jumps.size else -1
-        trace.runmax_series = (np.column_stack((times, count, run_max)) if n
-                               else np.empty(0))
-    if part is None:
-        return trace
-
-    nbins = part.n_bins
-    beta_bin = np.where(log.beta == NEG_INF, -1, part.index(log.beta))
-    alpha_bin = np.where(log.alpha == POS_INF, -1, part.index(log.alpha))
-    # The interval ending at an arrival belongs to the state before it; the
-    # first interval belongs to the initial book.
-    dt = np.diff(times, prepend=0.0)
-    half = (np.arange(n) >= n // 2).astype(np.intp)
-    beta0_bin = -1 if log.beta0 == NEG_INF else part.index(log.beta0)
-    alpha0_bin = -1 if log.alpha0 == POS_INF else part.index(log.alpha0)
-    pre_b = np.concatenate(([beta0_bin], beta_bin))[:-1]
-    pre_a = np.concatenate(([alpha0_bin], alpha_bin))[:-1]
-    # bincount adds its weights in event order, as a running sum would.
-    trace.occupation_elapsed = np.bincount(half, weights=dt, minlength=2)
-    trace.occupation_b, trace.occupation_a = (
-        np.bincount(half[k >= 0] * nbins + k[k >= 0], weights=dt[k >= 0],
-                    minlength=2 * nbins).reshape(2, nbins)
-        for k in (pre_b, pre_a))
-    both = (beta_bin >= 0) & (alpha_bin >= 0)
-    trace.joint_hist = np.bincount(beta_bin[both] * nbins + alpha_bin[both],
-                                   minlength=nbins * nbins).reshape(nbins, nbins)
-    trace.top_shape_visits = np.bincount(beta_bin[beta_bin >= 0], minlength=nbins)
-    trace.top_shape_sums = _kernel().top_shape(
-        beta_bin, part.index(changed_price), np.where(changed_bid, sign, 0), nbins)
+        recorders.append(_RunningMax(trace, runmax_band, times))
+    if record_partition is not None:
+        recorders.append(_Binned(trace, state, times))
+    for lo, log in match_chunks(state, rule, arr.is_bid, arr.prices, CHUNK):
+        if log.outcome.size:
+            changes = log.changes()
+            for recorder in recorders:
+                recorder.fold(lo, log, changes)
+    trace.final_bids, trace.final_asks = state.n_bids, state.n_asks
     return trace
+
+
+# Each recorder folds the chunks of one run into its trace, in order:
+# `fold(lo, log, changes)` takes the log of arrivals lo, lo + 1, ... and its
+# `changes()`.
+
+
+class _Checkpoints:
+    """Book sizes and best quotes at the checkpoints, and the execution counters."""
+
+    def __init__(self, trace: Trace, state: BookState, cp: np.ndarray):
+        self.trace, self.cp = trace, cp
+        self.bids, self.asks = state.n_bids, state.n_asks   # before the next chunk
+
+    def fold(self, lo: int, log: EventLog, changes) -> None:
+        tr = self.trace
+        changed_bid, _, sign = changes
+        i, j = np.searchsorted(self.cp, (lo, lo + sign.size))
+        at = self.cp[i:j] - lo
+        bid_step = sign * changed_bid
+        bids = self.bids + np.cumsum(bid_step)
+        asks = self.asks + np.cumsum(sign - bid_step)
+        tr.cp_bids[i:j], tr.cp_asks[i:j] = bids[at], asks[at]
+        tr.cp_beta[i:j], tr.cp_alpha[i:j] = log.beta[at], log.alpha[at]
+        self.bids, self.asks = int(bids[-1]), int(asks[-1])
+        executed = log.outcome == EXECUTED
+        by_bid = int(np.count_nonzero(executed & log.is_bid))
+        tr.ask_exec_by_bid += by_bid
+        tr.bid_exec_by_ask += int(np.count_nonzero(executed)) - by_bid
+        tr.reservoir_executions += int(np.count_nonzero(log.outcome == RESERVOIR))
+
+
+class _RunningMax:
+    """The count of resting orders in a price band, its running maximum, the
+    last event that raised the maximum, and the series (t, count, maximum)."""
+
+    def __init__(self, trace: Trace, band: tuple[float, float], times: np.ndarray):
+        self.trace, self.times = trace, times
+        self.lo, self.hi = band
+        self.count = 0
+        trace.runmax_series = np.empty((times.size, 3)) if times.size else np.empty(0)
+
+    def fold(self, lo: int, log: EventLog, changes) -> None:
+        tr = self.trace
+        changed_bid, price, sign = changes
+        in_band = np.where(changed_bid, price >= self.lo, price < self.hi)
+        count = self.count + np.cumsum(sign * in_band)
+        run_max = np.maximum.accumulate(np.maximum(count, tr.runmax_value))
+        raised = count[1:] > run_max[:-1]
+        if raised.any():
+            tr.runmax_last_jump = lo + raised.size - int(np.argmax(raised[::-1]))
+        elif count[0] > tr.runmax_value:
+            tr.runmax_last_jump = lo
+        series = tr.runmax_series[lo:lo + count.size]
+        series[:, 0], series[:, 1], series[:, 2] = self.times[lo:lo + count.size], count, run_max
+        self.count, tr.runmax_value = int(count[-1]), int(run_max[-1])
+
+
+class _Binned:
+    """Occupation of the best quotes' bins in each half of the run, their
+    joint histogram, and the top shape."""
+
+    def __init__(self, trace: Trace, state: BookState, times: np.ndarray):
+        part = trace.partition
+        nbins = part.n_bins
+        self.trace, self.times = trace, times
+        # The bins of the best quotes before the next event, and its time: the
+        # interval ending at an arrival belongs to the state before it, and
+        # the first interval to the initial book.
+        beta, alpha = state.beta(), state.alpha()
+        self.pre_b = -1 if beta == NEG_INF else part.index(beta)
+        self.pre_a = -1 if alpha == POS_INF else part.index(alpha)
+        self.t = 0.0
+        # Time sums per (elapsed | best bid | best ask, half of the run, bin + 1):
+        # cell 0 of a quote's row takes the time its side is empty, and of the
+        # elapsed row all the time.
+        self.time_sums = np.zeros((3, 2, nbins + 1))
+        self.counts = np.zeros(nbins, dtype=np.int64)    # resting bids per bin
+        trace.occupation_elapsed = np.zeros(2)
+        trace.occupation_b, trace.occupation_a = np.zeros((2, nbins)), np.zeros((2, nbins))
+        trace.joint_hist = np.zeros((nbins, nbins), dtype=np.intp)
+        trace.top_shape_visits = np.zeros(nbins, dtype=np.intp)
+        trace.top_shape_sums = np.zeros((nbins, TOP_MAX_OFFSET + 1), dtype=np.int64)
+
+    def fold(self, lo: int, log: EventLog, changes) -> None:
+        tr, part = self.trace, self.trace.partition
+        nbins, k = part.n_bins, log.beta.size
+        beta_bin = np.where(log.beta == NEG_INF, -1, part.index(log.beta))
+        alpha_bin = np.where(log.alpha == POS_INF, -1, part.index(log.alpha))
+        dt = np.diff(self.times[lo:lo + k], prepend=self.t)
+        row = (np.arange(lo, lo + k) >= tr.n_events // 2) * (nbins + 1)
+        pre_b = np.concatenate(([self.pre_b + 1], beta_bin[:-1] + 1))
+        pre_a = np.concatenate(([self.pre_a + 1], alpha_bin[:-1] + 1))
+        sums = _add_in_order(self.time_sums, (row, row + 2 * (nbins + 1) + pre_b,
+                                              row + 4 * (nbins + 1) + pre_a), dt)
+        self.time_sums = sums
+        tr.occupation_elapsed = sums[0, :, 0].copy()
+        tr.occupation_b, tr.occupation_a = sums[1, :, 1:].copy(), sums[2, :, 1:].copy()
+        both = (beta_bin >= 0) & (alpha_bin >= 0)
+        tr.joint_hist += np.bincount(beta_bin[both] * nbins + alpha_bin[both],
+                                     minlength=nbins * nbins).reshape(nbins, nbins)
+        tr.top_shape_visits += np.bincount(beta_bin[beta_bin >= 0], minlength=nbins)
+        changed_bid, price, sign = changes
+        _kernel().top_shape(beta_bin, part.index(price), sign * changed_bid, self.counts,
+                            tr.top_shape_sums)
+        self.pre_b, self.pre_a, self.t = beta_bin[-1], alpha_bin[-1], self.times[lo + k - 1]
+
+
+def _add_in_order(sums: np.ndarray, cells: tuple, weights: np.ndarray) -> np.ndarray:
+    """`sums` plus `weights` added to each array of flat cells in `cells`,
+    every sum in event order.
+
+    bincount adds its weights in order, as a running sum would, so the
+    carried sums go first: every sum is then added exactly as in one
+    bincount over the whole run.
+    """
+    flat = sums.ravel()
+    return np.bincount(np.concatenate((np.arange(flat.size), *cells)),
+                       weights=np.concatenate((flat, *(weights,) * len(cells))),
+                       minlength=flat.size).reshape(sums.shape)
 
 
 def estimate_kappa(trace: Trace, spec: ArrivalSpec) -> KappaEstimate:

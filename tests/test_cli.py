@@ -97,10 +97,12 @@ class TestSimulateCommand:
         assert "kernel" not in json.loads((tmp_path / "summary.json").read_text())
 
     def test_empty_run(self, capsys, tmp_path):
-        code, _, _ = run_cli(capsys, "simulate", "--n", "0",
-                             "--out", str(tmp_path))
-        assert code == 0
-        assert (tmp_path / "checkpoints.csv").exists()
+        # zero arrivals is a config error, as for runmax and the coupling suite
+        code, out, err = run_cli(capsys, "simulate", "--n", "0",
+                                 "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("config error:") and "--n >= 1" in err
+        assert out == "" and list(tmp_path.iterdir()) == []
 
     def test_missing_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,7 @@ import pytest
 
 from lobphase import book, lyapunov, sim
 from lobphase.book import ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule
-from lobphase.dist import make_partition
+from lobphase.dist import ArrivalSpec, make_partition, uniform_dist
 
 TRACE_FIELDS = ("cp_time", "cp_bids", "cp_asks", "cp_beta", "cp_alpha",
                 "bid_arrivals", "ask_arrivals", "bid_exec_by_ask", "ask_exec_by_bid",
@@ -46,31 +46,32 @@ def trace_digest(trace) -> str:
     return h.hexdigest()
 
 
-def _ordinary_1e6(spec):
-    return sim.run(MatchRule(ORDINARY), BookState(),
-                   sim.ArrivalStream(7, 1_000_000, spec), 10_000)
+# Each run takes its length n, with a checkpoint every n // 100 arrivals.
+
+def _ordinary_1e6(spec, n=1_000_000):
+    return sim.run(MatchRule(ORDINARY), BookState(), sim.ArrivalStream(7, n, spec), n // 100)
 
 
-def _binned_recorders(spec):
+def _binned_recorders(spec, n=60_000):
     part = make_partition(100, spec)
     return sim.run(MatchRule(ORDINARY_BINNED, part), BookState(),
-                   sim.ArrivalStream(3, 60_000, spec), 600,
+                   sim.ArrivalStream(3, n, spec), n // 100,
                    record_partition=part, runmax_band=lyapunov._band_prices(part, 21, 78))
 
 
-def _reservoirs(spec):
+def _reservoirs(spec, n=100_000):
     part = make_partition(20, spec)
     return sim.run(MatchRule(ORDINARY), BookState(bid_reservoir=0.4, ask_reservoir=0.6),
-                   sim.ArrivalStream(11, 100_000, spec), 1000,
+                   sim.ArrivalStream(11, n, spec), n // 100,
                    record_partition=part, runmax_band=lyapunov._band_prices(part, 8, 11))
 
 
-def _strict_poisson(spec):
+def _strict_poisson(spec, n=50_000):
     part = make_partition(20, spec)
     return sim.run(MatchRule(STRICT_BINNED, part),
                    BookState(bids=[0.05, 0.3], asks=[0.7, 0.92],
                              bid_reservoir=0.02, ask_reservoir=0.98),
-                   sim.ArrivalStream(5, 50_000, spec, time_mode="poisson"), 500,
+                   sim.ArrivalStream(5, n, spec, time_mode="poisson"), n // 100,
                    record_partition=part)
 
 
@@ -178,3 +179,129 @@ def test_golden_running_max(k_b, k_a, uniform_spec):
     evidence = [lyapunov.running_max_evidence(uniform_spec, 20_000, seed, k_b=k_b, k_a=k_a,
                                               series=True) for seed in range(3)]
     assert runmax_digest(evidence) == RUNMAX_GOLDEN[k_b, k_a]
+
+
+# -- the chunked loop ----------------------------------------------------------
+#
+# sim.run draws, matches and records `sim.CHUNK` arrivals at a time.  Every
+# golden run must give the same digest whatever the chunk size: one arrival
+# per chunk, seven, 4096 and one chunk for the whole run, under both kernels.
+# Where many chunks would be slow the runs are shortened; their digests below
+# were recorded with the whole-run recorder passes that the chunked fold
+# replaced.  The 1e6-arrival run is shortened to 1e5 throughout.
+
+WHOLE = 2**62       # one chunk, whatever the run's length
+CHUNKED_LENGTHS = {1: 600, 7: 3000, 4096: None, WHOLE: None}    # None: the golden length
+SHORT_GOLDEN = {
+    ("binned_recorders", 600): "1140d1ce7f0eb35a741a7645d37e17c01af0e82059096c3ee4a1adca9335bfa3",
+    ("binned_recorders", 3000): "db350d037813bdaf6d384fd21d0be483e5d5f842c616b0abb5e1538d0daa353e",
+    ("ordinary_1e6", 600): "14a9fe87c4bcb58359a4181109925d370d6a2a936ddea9219f8a3bd75212d7e0",
+    ("ordinary_1e6", 3000): "05fd328d7c89ab0f17d148c6288957e7d9d1f573c931bb9866963f769297145c",
+    ("ordinary_1e6", 100_000):
+        "00d5202a264383bc357b54c2eac3c56974358b1630d2da591d158d3b623882d4",
+    ("reservoirs", 600): "592da874c4e0405491744d2bd4daae6ae37ad9a6551ce9570b002c06f92bf46d",
+    ("reservoirs", 3000): "21408e40c064fa744d9c49bdf90554ef52edc4cbe3ef277bf1d1f9a2b925cbd7",
+    ("strict_poisson", 600): "2231022e33b4b5b2287b3b3f99f46419e6402c35b8d3c961349f213d648d4152",
+    ("strict_poisson", 3000): "7e14bc6fb68f1a7e301bbc36807ed0ce703d6f0fa4c216d72b95b14ac4b37436",
+}
+# (k_b, k_a, n) -> RUNMAX_GOLDEN's digest with the runs shortened to n arrivals
+SHORT_RUNMAX_GOLDEN = {
+    (None, None, 600): "261bafafcaad0e0df3f5bf15aae3a01dbc4ac6d4d3c1bde23eafa176648f1fe8",
+    (None, None, 3000): "727cc95450def989ca1644fbe83c42141626ecb9a86043c389577472aa5423e7",
+    (10, 89, 600): "e59227e289a7f4e8f651f3a6b0636f254b73c91df85ca412a8ce19c4a7733aec",
+    (10, 89, 3000): "82becc64d64122b54f23e39097de7c9c5938409ddaee7159bde98d42a0aae0f6",
+    (-1, 100, 600): "aef9d26daf0907ac224ea2b4b658fd38c1ca2eba090424e9e2ea083f8c2b7b48",
+    (-1, 100, 3000): "b5508be02c0f479ae672778f071b1a4b49a802c27a5b8811d206cb65443f122f",
+    (99, 0, 600): "e3bdeb83b237e25ed97a05688d4f4bf346334ca3c0c6c264bbd42a928d918f8f",
+    (99, 0, 3000): "959cce57a03dcce57e7cb939631c15af8620d5f9168679d7ab85f63016f3d179",
+}
+
+
+@pytest.fixture(params=["c", "python"])
+def kernel(request, monkeypatch):
+    """Run the test under the compiled kernel or the Python loop."""
+    if request.param == "python":
+        monkeypatch.setattr(book, "_loaded", book._PYTHON_KERNEL)
+    elif book._kernel().name != "c":
+        pytest.skip("no C compiler: the compiled kernel cannot be built")
+    return request.param
+
+
+@pytest.fixture(params=list(CHUNKED_LENGTHS), ids=lambda c: "whole" if c == WHOLE else str(c))
+def chunk(request, monkeypatch):
+    monkeypatch.setattr(sim, "CHUNK", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_chunked_golden_trace(name, chunk, kernel, uniform_spec):
+    make, digest = GOLDEN[name]
+    n = CHUNKED_LENGTHS[chunk] or (100_000 if name == "ordinary_1e6" else None)
+    if n is not None:
+        digest = SHORT_GOLDEN[name, n]
+    assert trace_digest(make(uniform_spec) if n is None else make(uniform_spec, n)) == digest
+
+
+@pytest.mark.parametrize("k_b, k_a", list(RUNMAX_GOLDEN))
+def test_chunked_golden_running_max(k_b, k_a, chunk, kernel, uniform_spec):
+    n = CHUNKED_LENGTHS[chunk]
+    digest = RUNMAX_GOLDEN[k_b, k_a] if n is None else SHORT_RUNMAX_GOLDEN[k_b, k_a, n]
+    evidence = [lyapunov.running_max_evidence(uniform_spec, n or 20_000, seed, k_b=k_b,
+                                              k_a=k_a, series=True) for seed in range(3)]
+    assert runmax_digest(evidence) == digest
+
+
+def first_of_a_chunk(chunk: int) -> int:
+    """The first arrival of the third chunk, or of the only one."""
+    return 0 if chunk == WHOLE else 2 * chunk
+
+
+def reservoir_collision(at: int, n: int = 3 * 4096 + 5) -> sim.Arrivals:
+    """Arrivals that never cross the bid reservoir at 0.5 (bids below it, asks
+    above it), but for an ask at exactly 0.5, arrival `at`."""
+    rng = np.random.default_rng(8)
+    is_bid = rng.random(n) < 0.5
+    prices = np.where(is_bid, 0.5 * rng.random(n), 0.5 + 0.5 * rng.random(n))
+    prices[prices == 0.5] = 0.75
+    is_bid[at], prices[at] = False, 0.5
+    return sim.Arrivals(is_bid, prices, 0.5 * np.arange(1, n + 1), 0.5)
+
+
+def test_chunked_collision_names_the_global_arrival(chunk, kernel):
+    at = first_of_a_chunk(chunk)
+    arr = reservoir_collision(at)
+    expected = f"arrival {at} at 0.5 collides with the opposite best quote"
+    with pytest.raises(book.BookInvariantError) as whole:
+        book.match_arrivals(BookState(bid_reservoir=0.5), MatchRule(ORDINARY),
+                            arr.is_bid, arr.prices)
+    with pytest.raises(book.BookInvariantError) as chunked:
+        sim.run_arrivals(MatchRule(ORDINARY), BookState(bid_reservoir=0.5), arr, 100)
+    assert str(chunked.value) == str(whole.value) == expected
+
+
+def test_chunked_crossed_book_names_the_global_arrival(chunk, kernel, monkeypatch):
+    # A loop that reports the book crossed after arrival `at`, the first of a
+    # chunk: the order check after each chunk must name it by its index in
+    # the whole run.
+    at = first_of_a_chunk(chunk)
+    loop = book._kernel()
+
+    def crossing(heaps, rule, is_bid, prices, outcome, beta, alpha):
+        loop.run(heaps, rule, is_bid, prices, outcome, beta, alpha)
+        start = done[0]
+        done[0] += prices.size
+        if start <= at < done[0]:
+            beta[at - start] = alpha[at - start]
+
+    monkeypatch.setattr(book, "_loaded", loop._replace(run=crossing))
+    arr = sim.materialize(sim.ArrivalStream(2, 3 * 4096 + 5, ArrivalSpec(uniform_dist(),
+                                                                         uniform_dist())))
+    messages = []
+    for call in (lambda: book.match_arrivals(BookState(), MatchRule(ORDINARY), arr.is_bid,
+                                             arr.prices),
+                 lambda: sim.run_arrivals(MatchRule(ORDINARY), BookState(), arr, 100)):
+        done = [0]
+        with pytest.raises(book.BookInvariantError, match="out of order") as err:
+            call()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and messages[0].endswith(f"after arrival {at}")

@@ -89,14 +89,19 @@ def scenarios(draw):
     pool = draw(st.lists(prices, min_size=0, max_size=80, unique=True))
     n_bids = draw(st.integers(0, min(4, len(pool))))
     n_asks = draw(st.integers(0, min(4, len(pool) - n_bids)))
-    book_bids, book_asks = pool[:n_bids], pool[n_bids:n_bids + n_asks]
+    resting = sorted(pool[:n_bids + n_asks])
     arrivals = pool[n_bids + n_asks:]
     is_bid = draw(st.lists(st.booleans(), min_size=len(arrivals), max_size=len(arrivals)))
     reservoirs = draw(st.one_of(
         st.none(),
         st.lists(st.sampled_from(EDGES), min_size=2, max_size=2, unique=True).map(sorted)))
     rb, ra = reservoirs if reservoirs else (None, None)
-    book = BookState(bids=book_bids, asks=book_asks, bid_reservoir=rb, ask_reservoir=ra)
+    # The book starts in order: its bids lie below its asks and the ask
+    # reservoir, and its asks above the bid reservoir.  Crossed books are
+    # in REJECTED.
+    book = BookState(bids=[p for p in resting[:n_bids] if ra is None or p < ra],
+                     asks=[p for p in resting[n_bids:] if rb is None or p > rb],
+                     bid_reservoir=rb, ask_reservoir=ra)
     kind = draw(st.sampled_from(sorted(RULES)))
     return RULES[kind], book, np.array(is_bid, dtype=bool), np.array(arrivals, dtype=float)
 
@@ -324,13 +329,23 @@ def test_c_top_shape_long_runs(c_kernel, kind, regime):
         assert visits.sum() > 0 and not visits[book_module.TOP_MAX_OFFSET:].any()
 
 
+def top_shape_state(nbins):
+    """Zeroed (counts, sums) for a top-shape pass over nbins bins."""
+    return (np.zeros(nbins, dtype=np.int64),
+            np.zeros((nbins, book_module.TOP_MAX_OFFSET + 1), dtype=np.int64))
+
+
 def test_top_shape_rejects_bins_out_of_range(c_kernel):
     ok = np.zeros(3, dtype=np.int64)
     for beta_bin, bid_bin in [(ok - 2, ok), (ok + 4, ok), (ok, ok - 1), (ok, ok + 4)]:
         with pytest.raises(ValueError, match="outside 0..3"):
-            c_kernel.top_shape(beta_bin, bid_bin, ok, 4)
+            c_kernel.top_shape(beta_bin, bid_bin, ok, *top_shape_state(4))
     with pytest.raises(ValueError, match="length"):
-        c_kernel.top_shape(ok, ok[:2], ok, 4)
+        c_kernel.top_shape(ok, ok[:2], ok, *top_shape_state(4))
+    counts, sums = top_shape_state(4)
+    for bad in ((counts.astype(np.int32), sums), (counts, sums[:3]), (counts, sums.T)):
+        with pytest.raises(ValueError, match="contiguous int64"):
+            c_kernel.top_shape(ok, ok, ok, *bad)
 
 
 @st.composite
