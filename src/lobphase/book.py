@@ -409,14 +409,11 @@ def _match_py(heaps: _Heaps, rule: MatchRule, is_bid: np.ndarray, prices: np.nda
     heaps.nb.value, heaps.na.value = len(bids), len(asks)
 
 
-_NO_CUTS = np.empty(0)
-
-
 def _match_c(fn, heaps: _Heaps, rule: MatchRule, is_bid: np.ndarray, prices: np.ndarray,
              outcome: np.ndarray, beta: np.ndarray, alpha: np.ndarray) -> None:
     """`_match_py` through the compiled `match` of `_kernel.c`, on the heaps in place."""
     if rule.kind == ORDINARY:
-        cuts, bins = _NO_CUTS, None
+        cuts, bins = np.empty(0), None
     else:
         cuts = np.ascontiguousarray(rule.partition.boundaries, dtype=float)
         bins = np.ascontiguousarray(rule.partition.index(prices), dtype=np.int64)

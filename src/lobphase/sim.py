@@ -285,11 +285,9 @@ class _RunningMax:
         in_band = np.where(changed_bid, price >= self.lo, price < self.hi)
         count = self.count + np.cumsum(sign * in_band)
         run_max = np.maximum.accumulate(np.maximum(count, tr.runmax_value))
-        raised = count[1:] > run_max[:-1]
-        if raised.any():
-            tr.runmax_last_jump = lo + raised.size - int(np.argmax(raised[::-1]))
-        elif count[0] > tr.runmax_value:
-            tr.runmax_last_jump = lo
+        jumps = np.flatnonzero(count > np.concatenate(([tr.runmax_value], run_max[:-1])))
+        if jumps.size:
+            tr.runmax_last_jump = lo + int(jumps[-1])
         series = tr.runmax_series[lo:lo + count.size]
         series[:, 0], series[:, 1], series[:, 2] = self.times[lo:lo + count.size], count, run_max
         self.count, tr.runmax_value = int(count[-1]), int(run_max[-1])

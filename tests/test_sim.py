@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -68,6 +69,28 @@ class TestArrivalStream:
     def test_empty_stream(self, uniform_spec):
         arr = sim.materialize(sim.ArrivalStream(0, 0, uniform_spec))
         assert arr.n == 0
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("mode", [sim.EVENT_COUNT, sim.POISSON])
+    def test_chunked_draws_equal_one_whole_draw(self, monkeypatch, uniform_spec, chunk,
+                                                mode):
+        n = 5000
+        is_bid = sim.field_generator(9, "side").random(n) < 0.5
+        prices = sim.field_generator(9, "price").random(n)     # the quantile on [0, 1]
+        times = (np.cumsum(sim.field_generator(9, "gap").exponential(0.5, n))
+                 if mode == sim.POISSON else 0.5 * np.arange(1, n + 1))
+        monkeypatch.setattr(sim, "CHUNK", chunk)
+        arr = sim.materialize(sim.ArrivalStream(9, n, uniform_spec, mode))
+        for got, want in ((arr.is_bid, is_bid), (arr.prices, prices), (arr.times, times)):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+    @pytest.mark.parametrize("chunk", [7, sim.CHUNK])
+    def test_repeated_price_is_refused(self, monkeypatch, chunk):
+        # 101 possible prices: 200 arrivals repeat one, within a chunk or across
+        coarse = dataclasses.replace(uniform_dist(), quantile=lambda u: np.round(u, 2))
+        monkeypatch.setattr(sim, "CHUNK", chunk)
+        with pytest.raises(ValueError, match="arrival prices collide"):
+            sim.materialize(sim.ArrivalStream(0, 200, ArrivalSpec(coarse, coarse)))
 
 
 class TestRun:
