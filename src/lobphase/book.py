@@ -279,9 +279,10 @@ def match_arrivals(state: BookState, rule: MatchRule, is_bid, prices) -> EventLo
 class _Heaps:
     """A book's two heaps as float64 arrays (bids negated) with their lengths,
     sized once for the resting orders plus every arrival of the side, and its
-    reservoirs (+-inf for none)."""
+    reservoirs (+-inf for none).  The Python loop moves the heaps into `lists`
+    (bids, asks) on its first chunk and keeps them there for the call."""
 
-    __slots__ = ("bids", "asks", "nb", "na", "rb", "ra")
+    __slots__ = ("bids", "asks", "nb", "na", "rb", "ra", "lists")
 
     def __init__(self, state: BookState, n_bid: int, n_ask: int):
         self.nb, self.na = ctypes.c_long(state.n_bids), ctypes.c_long(state.n_asks)
@@ -290,10 +291,12 @@ class _Heaps:
         self.bids[:self.nb.value], self.asks[:self.na.value] = state._bid_heap, state._ask_heap
         self.rb = NEG_INF if state.bid_reservoir is None else state.bid_reservoir
         self.ra = POS_INF if state.ask_reservoir is None else state.ask_reservoir
+        self.lists = None
 
     def store(self, state: BookState) -> None:
-        state._bid_heap[:] = self.bids[:self.nb.value].tolist()
-        state._ask_heap[:] = self.asks[:self.na.value].tolist()
+        bids, asks = self.lists or (self.bids[:self.nb.value].tolist(),
+                                    self.asks[:self.na.value].tolist())
+        state._bid_heap[:], state._ask_heap[:] = bids, asks
 
 
 def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
@@ -354,7 +357,10 @@ def _match_py(heaps: _Heaps, rule: MatchRule, is_bid: np.ndarray, prices: np.nda
 
     The reference for `_kernel.c` and the loop that runs without a compiler.
     """
-    bids, asks = heaps.bids[:heaps.nb.value].tolist(), heaps.asks[:heaps.na.value].tolist()
+    if heaps.lists is None:
+        heaps.lists = (heaps.bids[:heaps.nb.value].tolist(),
+                       heaps.asks[:heaps.na.value].tolist())
+    bids, asks = heaps.lists
     rb, ra = heaps.rb, heaps.ra
     beta = -bids[0] if bids and -bids[0] > rb else rb
     alpha = asks[0] if asks and asks[0] < ra else ra
@@ -405,8 +411,6 @@ def _match_py(heaps: _Heaps, rule: MatchRule, is_bid: np.ndarray, prices: np.nda
         put_alpha(alpha)
     outcome[:] = np.frombuffer(out, dtype=np.uint8)
     betas[:], alphas[:] = np.frombuffer(out_beta), np.frombuffer(out_alpha)
-    heaps.bids[:len(bids)], heaps.asks[:len(asks)] = bids, asks
-    heaps.nb.value, heaps.na.value = len(bids), len(asks)
 
 
 def _match_c(fn, heaps: _Heaps, rule: MatchRule, is_bid: np.ndarray, prices: np.ndarray,
