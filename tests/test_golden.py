@@ -262,7 +262,6 @@ def reservoir_collision(at: int, n: int = 3 * 4096 + 5) -> sim.Arrivals:
     rng = np.random.default_rng(8)
     is_bid = rng.random(n) < 0.5
     prices = np.where(is_bid, 0.5 * rng.random(n), 0.5 + 0.5 * rng.random(n))
-    prices[prices == 0.5] = 0.75
     is_bid[at], prices[at] = False, 0.5
     return sim.Arrivals(is_bid, prices, 0.5 * np.arange(1, n + 1), 0.5)
 
