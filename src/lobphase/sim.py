@@ -289,7 +289,8 @@ class _RunningMax:
         if jumps.size:
             tr.runmax_last_jump = lo + int(jumps[-1])
         series = tr.runmax_series[lo:lo + count.size]
-        series[:, 0], series[:, 1], series[:, 2] = self.times[lo:lo + count.size], count, run_max
+        series[:, 0] = self.times[lo:lo + count.size]
+        series[:, 1], series[:, 2] = count, run_max
         self.count, tr.runmax_value = int(count[-1]), int(run_max[-1])
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from lobphase import book, lyapunov, sim
 from lobphase.book import ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule
-from lobphase.dist import ArrivalSpec, make_partition, uniform_dist
+from lobphase.dist import make_partition
 
 TRACE_FIELDS = ("cp_time", "cp_bids", "cp_asks", "cp_beta", "cp_alpha",
                 "bid_arrivals", "ask_arrivals", "bid_exec_by_ask", "ask_exec_by_bid",
@@ -278,7 +278,8 @@ def test_chunked_collision_names_the_global_arrival(chunk, kernel):
     assert str(chunked.value) == str(whole.value) == expected
 
 
-def test_chunked_crossed_book_names_the_global_arrival(chunk, kernel, monkeypatch):
+def test_chunked_crossed_book_names_the_global_arrival(chunk, kernel, monkeypatch,
+                                                       uniform_spec):
     # A loop that reports the book crossed after arrival `at`, the first of a
     # chunk: the order check after each chunk must name it by its index in
     # the whole run.
@@ -293,8 +294,7 @@ def test_chunked_crossed_book_names_the_global_arrival(chunk, kernel, monkeypatc
             beta[at - start] = alpha[at - start]
 
     monkeypatch.setattr(book, "_loaded", loop._replace(run=crossing))
-    arr = sim.materialize(sim.ArrivalStream(2, 3 * 4096 + 5, ArrivalSpec(uniform_dist(),
-                                                                         uniform_dist())))
+    arr = sim.materialize(sim.ArrivalStream(2, 3 * 4096 + 5, uniform_spec))
     messages = []
     for call in (lambda: book.match_arrivals(BookState(), MatchRule(ORDINARY), arr.is_bid,
                                              arr.prices),
