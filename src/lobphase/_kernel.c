@@ -1,4 +1,4 @@
-/* Three passes of lobphase.book, compiled.
+/* Four passes of lobphase, compiled.
  *
  * match, the arrival loop of match_arrivals, mirrors book._match_py step for
  * step: the same tests in the same order, heapq's sift logic on double heaps
@@ -8,8 +8,11 @@
  * bins is NULL for the ordinary rule, where arrival i of the chunk has bin
  * i+1.
  *
- * top_shape is the top-shape recorder of book._top_shape_sums in one pass, and
- * refinement the domination pass of book._refinement_maxima.
+ * binned is the binned recorder of book._binned_sums, five_bin the pass of
+ * book._five_bin_sums and refinement the domination pass of
+ * book._refinement_maxima.  Every float sum is added to in the order the
+ * numpy pass adds to it, and the build forbids contracting a*b + c into one
+ * fused multiply-add, so the sums equal the numpy ones bit for bit.
  */
 #include <math.h>
 #include <stdint.h>
@@ -100,22 +103,99 @@ void match(long n, const uint8_t *is_bid, const double *prices, const int64_t *b
     }
 }
 
-/* Event i moves the resting-bid count of bin bid_bin[i] by bid_step[i]; then,
- * with the best bid in bin b = beta_bin[i], it adds counts[b - j] to
- * sums[b][j] for j = 0..min(max_offset, b): nothing when the bid side is
- * empty (b = -1).  counts (nbins) and sums (nbins x (max_offset + 1),
- * row-major) carry over from the previous chunk of the run, zeroed before
- * the first; integer sums are exact, so they equal the Python pass's in any
- * order. */
-void top_shape(long n, const int64_t *beta_bin, const int64_t *bid_bin,
-               const int64_t *bid_step, long max_offset, int64_t *counts,
-               int64_t *sums) {
+/* One chunk of the binned recorder.  Event i ends the interval dt = times[i]
+ * - t, t the time of the event before it (t0 for the first), spent in the
+ * state before it, whose best bid and ask lie in bins pre[0] and pre[1] (-1
+ * for an empty side).  dt goes to the cells (half of the run, bin + 1) of the
+ * elapsed row (cell 0), the best-bid row and the best-ask row of time (3 x 2 x
+ * (nbins + 1)), the second half from event `half` on.  After the event the
+ * best bid and ask lie in bins b and a: beta_bin[i] and alpha_bin[i], or -1
+ * where beta[i] = -inf or alpha[i] = +inf.  visits[b] counts it when the bid
+ * side holds orders and joint[b][a] when both do.  A change of a bid moves
+ * the resting-bid count of bin price_bin[i] by sign[i]; then sums[b][j] adds
+ * counts[b - j] for j = 0..min(max_offset, b).  pre, time, joint, visits,
+ * counts and sums carry over from the previous chunk of the run, all zeroed
+ * before the first but pre. */
+void binned(long n, const double *times, double t, long half, const double *beta,
+            const double *alpha, const int64_t *beta_bin, const int64_t *alpha_bin,
+            const int64_t *price_bin, const uint8_t *changed_bid, const int8_t *sign,
+            long nbins, long max_offset, int64_t *pre, double *time, int64_t *joint,
+            int64_t *visits, int64_t *counts, int64_t *sums) {
+    long row = nbins + 1;
+    int64_t pre_b = pre[0], pre_a = pre[1];
     for (long i = 0; i < n; i++) {
-        int64_t b = beta_bin[i];
-        counts[bid_bin[i]] += bid_step[i];
+        double dt = times[i] - t, *cells = i < half ? time : time + row;
+        cells[0] += dt;
+        cells[2 * row + pre_b + 1] += dt;
+        cells[4 * row + pre_a + 1] += dt;
+        t = times[i];
+        int64_t b = beta[i] == -INFINITY ? -1 : beta_bin[i];
+        int64_t a = alpha[i] == INFINITY ? -1 : alpha_bin[i];
+        if (b >= 0) {
+            visits[b]++;
+            if (a >= 0) joint[b * nbins + a]++;
+        }
+        if (changed_bid[i]) counts[price_bin[i]] += sign[i];
         for (long j = 0; j <= max_offset && j <= b; j++)
             sums[b * (max_offset + 1) + j] += counts[b - j];
+        pre_b = b;
+        pre_a = a;
     }
+    pre[0] = pre_b;
+    pre[1] = pre_a;
+}
+
+/* The largest of the m products <x, normals[j]>: the polytope gauge. */
+static double gauge(const double *normals, long m, const int64_t *x) {
+    double g = -INFINITY;
+    for (long j = 0; j < m; j++) {
+        const double *v = normals + 3 * j;
+        double s = v[0] * (double)x[0] + v[1] * (double)x[1] + v[2] * (double)x[2];
+        if (s > g) g = s;
+    }
+    return g;
+}
+
+/* The five-bin book's state x is the signed order count (bids positive) of
+ * its middle bins 1..3; change i moves bin bins[i], if a middle one, by
+ * sign[i] for a bid and -sign[i] for an ask.  The state before each change
+ * lies in cell 6 b + a, b the highest bin holding bids (1, the bid
+ * reservoir's, if no middle bin does) and a the lowest holding asks (5 if
+ * none).  The cell's visits count it and its dx_sum row adds the change to
+ * x.  Where the state's gauge exceeds K, above[i] is set, and the cell's
+ * visits_hi counts it and dgauge_sum and dgauge_sq add the gauge's change and
+ * its square.  x starts at 0 and ends at the final state.  Returns -1, or the
+ * first change whose state has b >= a, where the pass stops with x at that
+ * state. */
+long five_bin(long n, const int64_t *bins, const uint8_t *changed_bid, const int8_t *sign,
+              const double *normals, long m, double K, int64_t *x, int64_t *visits,
+              double *dx_sum, int64_t *visits_hi, double *dgauge_sum, double *dgauge_sq,
+              uint8_t *above) {
+    x[0] = x[1] = x[2] = 0;
+    double g = gauge(normals, m, x);
+    for (long i = 0; i < n; i++) {
+        int b = x[2] > 0 ? 4 : x[1] > 0 ? 3 : x[0] > 0 ? 2 : 1;
+        int a = x[0] < 0 ? 2 : x[1] < 0 ? 3 : x[2] < 0 ? 4 : 5;
+        if (b >= a) return i;
+        long cell = 6 * b + a;
+        int64_t k = bins[i];
+        visits[cell]++;
+        if (1 <= k && k <= 3) {
+            int64_t dx = changed_bid[i] ? sign[i] : -sign[i];
+            x[k - 1] += dx;
+            dx_sum[3 * cell + k - 1] += (double)dx;
+        }
+        double next = gauge(normals, m, x);
+        above[i] = g > K;
+        if (above[i]) {
+            double dg = next - g;
+            visits_hi[cell]++;
+            dgauge_sum[cell] += dg;
+            dgauge_sq[cell] += dg * dg;
+        }
+        g = next;
+    }
+    return -1;
 }
 
 /* Point i carries two changes, 2i and 2i + 1: change j moves the bid count

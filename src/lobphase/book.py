@@ -11,10 +11,11 @@ chunk and returns the whole log.  Its loop body is the C function in
 `_kernel.c`, compiled on first use and cached, or the Python loop
 `_match_py` where no compiler is available; `KERNEL` says which runs.
 `apply_arrival` applies one order at a time; it is the readable reference
-both loops are tested against.  The same library carries two passes over
-logs: the top-shape recorder's, with the numpy `_top_shape_sums` as its
-reference and fallback, and the refinement check's domination pass, with
-the numpy `_refinement_maxima`.
+both loops are tested against.  The same library carries three passes over
+logs, each with a numpy pass as its reference and fallback: the binned
+recorder of `sim.run_arrivals` (`_binned_sums`), the five-bin book's region
+pass of `lyapunov.simulate_5bin` (`_five_bin_sums`) and the refinement
+check's domination pass (`_refinement_maxima`).
 """
 
 from __future__ import annotations
@@ -430,6 +431,81 @@ def _match_c(fn, heaps: _Heaps, rule: MatchRule, is_bid: np.ndarray, prices: np.
 
 BLOCK = 256   # events per block in the numpy events x bins passes
 TOP_MAX_OFFSET = 10
+FIVE_BIN_CELLS = 36     # the five-bin region pass's cells 6 b + a, b and a in 1..5
+
+
+class BinnedSums(NamedTuple):
+    """What the binned recorder carries from chunk to chunk of a run; `binned`
+    changes every array in place."""
+
+    pre: np.ndarray     # bins of the best bid and ask before the next event, -1 if empty
+    time: np.ndarray    # time per (elapsed | best bid | best ask, half of the run, bin + 1)
+    joint: np.ndarray   # events per (best-bid bin, best-ask bin), both sides held
+    visits: np.ndarray  # events per best-bid bin, the bid side held
+    counts: np.ndarray  # resting bids per bin, initial orders excluded
+    top: np.ndarray     # per best-bid bin b, the bid counts of bins b, b - 1, ... summed
+
+    @staticmethod
+    def layout(nbins: int) -> tuple:
+        """(dtype, shape) of each field for `nbins` bins."""
+        i8 = np.dtype(np.int64)
+        return ((i8, (2,)), (np.dtype(float), (3, 2, nbins + 1)), (i8, (nbins, nbins)),
+                (i8, (nbins,)), (i8, (nbins,)), (i8, (nbins, TOP_MAX_OFFSET + 1)))
+
+    @classmethod
+    def zeros(cls, nbins: int, pre_b: int, pre_a: int) -> "BinnedSums":
+        sums = cls(*(np.zeros(shape, dtype) for dtype, shape in cls.layout(nbins)))
+        sums.pre[:] = pre_b, pre_a
+        return sums
+
+
+def _binned_sums(sums: BinnedSums, times: np.ndarray, t0: float, half: int,
+                 beta: np.ndarray, alpha: np.ndarray, beta_bin: np.ndarray,
+                 alpha_bin: np.ndarray, price_bin: np.ndarray, changed_bid: np.ndarray,
+                 sign: np.ndarray) -> None:
+    """Fold one chunk of a run's events into `sums`.
+
+    Event i ends the interval from the previous event's time (t0 for the
+    first) to times[i], spent in the state before it, which sums.pre holds
+    for the first event; events from `half` on fall in the run's second half.
+    After event i the best quotes are beta[i] and alpha[i] in bins
+    beta_bin[i] and alpha_bin[i] (-1 where a side is empty), and the resting
+    order it changes lies in bin price_bin[i] with (changed_bid, sign) of
+    `EventLog.changes`.  The reference for `binned` in `_kernel.c` and the
+    pass that runs without a compiler.
+    """
+    nbins, k = sums.visits.size, times.size
+    if not k:
+        return
+    b = np.where(beta == NEG_INF, -1, beta_bin)
+    a = np.where(alpha == POS_INF, -1, alpha_bin)
+    dt = np.diff(times, prepend=t0)
+    row = (np.arange(k) >= half) * (nbins + 1)
+    pre_b = np.concatenate((sums.pre[:1], b[:-1])) + 1
+    pre_a = np.concatenate((sums.pre[1:], a[:-1])) + 1
+    sums.time[...] = _add_in_order(sums.time, (row, row + 2 * (nbins + 1) + pre_b,
+                                               row + 4 * (nbins + 1) + pre_a), dt)
+    both = (b >= 0) & (a >= 0)
+    joint, visits = sums.joint, sums.visits
+    joint += np.bincount(b[both] * nbins + a[both],
+                         minlength=nbins * nbins).reshape(nbins, nbins)
+    visits += np.bincount(b[b >= 0], minlength=nbins)
+    _top_shape_sums(b, price_bin, sign * changed_bid, sums.counts, sums.top)
+    sums.pre[:] = b[-1], a[-1]
+
+
+def _add_in_order(sums: np.ndarray, cells: tuple, weights: np.ndarray) -> np.ndarray:
+    """`sums` plus `weights` added to each array of flat cells in `cells`,
+    every sum in event order.
+
+    bincount adds its weights in order, as a running sum would, so the
+    carried sums go first: every sum is then added exactly as in one
+    bincount over the whole run.
+    """
+    flat = sums.ravel()
+    return np.bincount(np.concatenate((np.arange(flat.size), *cells)),
+                       weights=np.concatenate((flat, *(weights,) * len(cells))),
+                       minlength=flat.size).reshape(sums.shape)
 
 
 def _top_shape_sums(beta_bin: np.ndarray, bid_bin: np.ndarray, bid_step: np.ndarray,
@@ -438,9 +514,8 @@ def _top_shape_sums(beta_bin: np.ndarray, bid_bin: np.ndarray, bid_step: np.ndar
     after each event to row k of `sums` (n_bins x (TOP_MAX_OFFSET + 1)).
 
     `counts` holds the resting-bid count per bin before the first event and
-    is carried to after the last (initial orders excluded); event i moves
-    bin bid_bin[i] by bid_step[i].  The reference for `top_shape` in
-    `_kernel.c` and the pass that runs without a compiler.
+    is carried to after the last; event i moves bin bid_bin[i] by
+    bid_step[i].  The top-shape part of `_binned_sums`.
     """
     nbins = counts.size
     for lo in range(0, beta_bin.size, BLOCK):
@@ -455,24 +530,129 @@ def _top_shape_sums(beta_bin: np.ndarray, bid_bin: np.ndarray, bid_step: np.ndar
             np.add.at(sums[:, j], b[ok], state[rows[ok], b[ok] - j])
 
 
-def _top_shape_c(fn, beta_bin: np.ndarray, bid_bin: np.ndarray, bid_step: np.ndarray,
-                 counts: np.ndarray, sums: np.ndarray) -> None:
-    """`_top_shape_sums` through the compiled `top_shape` of `_kernel.c`."""
-    beta_bin, bid_bin, bid_step = (np.ascontiguousarray(a, dtype=np.int64)
-                                   for a in (beta_bin, bid_bin, bid_step))
-    n, nbins = beta_bin.size, counts.size
-    if not bid_bin.size == bid_step.size == n:
-        raise ValueError("top-shape inputs differ in length")
+def _below(nbins: int, *bins: np.ndarray) -> bool:
+    """Whether every bin in the int64 arrays `bins` lies in 0..nbins-1."""
+    # viewed as unsigned, a negative bin is larger than any bin count
+    return all(not k.size or k.view(np.uint64).max() < nbins for k in bins)
+
+
+def _binned_c(fn, sums: BinnedSums, times: np.ndarray, t0: float, half: int,
+              beta: np.ndarray, alpha: np.ndarray, beta_bin: np.ndarray,
+              alpha_bin: np.ndarray, price_bin: np.ndarray, changed_bid: np.ndarray,
+              sign: np.ndarray) -> None:
+    """`_binned_sums` through the compiled `binned` of `_kernel.c`."""
+    times, beta, alpha = (np.ascontiguousarray(a, dtype=float) for a in (times, beta, alpha))
+    beta_bin, alpha_bin, price_bin = (np.ascontiguousarray(a, dtype=np.int64)
+                                      for a in (beta_bin, alpha_bin, price_bin))
+    changed_bid = np.ascontiguousarray(changed_bid, dtype=bool)
+    sign = np.ascontiguousarray(sign, dtype=np.int8)
+    n, nbins = times.size, sums.visits.size
+    if not all(a.shape == (n,) for a in (beta, alpha, beta_bin, alpha_bin, price_bin,
+                                          changed_bid, sign)):
+        raise ValueError("binned inputs differ in length")
     # the C pass indexes with these bins and writes through these arrays unchecked
-    if n and not (-1 <= beta_bin.min() and beta_bin.max() < nbins
-                  and 0 <= bid_bin.min() and bid_bin.max() < nbins):
-        raise ValueError(f"top-shape bins outside 0..{nbins - 1}")
-    if not (counts.dtype == sums.dtype == np.int64 and counts.flags.c_contiguous
-            and sums.flags.c_contiguous and sums.shape == (nbins, TOP_MAX_OFFSET + 1)):
-        raise ValueError("top-shape counts and sums must be contiguous int64 arrays "
-                         f"of shapes ({nbins},) and ({nbins}, {TOP_MAX_OFFSET + 1})")
-    fn(n, beta_bin.ctypes.data, bid_bin.ctypes.data, bid_step.ctypes.data,
-       TOP_MAX_OFFSET, counts.ctypes.data, sums.ctypes.data)
+    if any(a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous
+           for a, (dtype, shape) in zip(sums, BinnedSums.layout(nbins))):
+        raise ValueError(f"binned sums must be contiguous arrays laid out as "
+                         f"BinnedSums.layout({nbins}) gives")
+    if not (_below(nbins, beta_bin, alpha_bin, price_bin) and _below(nbins + 1, sums.pre + 1)):
+        raise ValueError(f"binned bins outside 0..{nbins - 1}")
+    fn(n, times.ctypes.data, t0, half, beta.ctypes.data, alpha.ctypes.data,
+       beta_bin.ctypes.data, alpha_bin.ctypes.data, price_bin.ctypes.data,
+       changed_bid.ctypes.data, sign.ctypes.data, nbins, TOP_MAX_OFFSET,
+       *(a.ctypes.data for a in sums))
+
+
+class FiveBinSums(NamedTuple):
+    """The five-bin region pass: per cell 6 b + a of `_five_bin_cells`, the
+    visits, the summed change of the state and, at states whose gauge exceeds
+    K, the visits and the summed change of the gauge and of its square; per
+    change, whether the gauge before it exceeds K; and the final state."""
+
+    visits: np.ndarray
+    dx_sum: np.ndarray
+    visits_hi: np.ndarray
+    dgauge_sum: np.ndarray
+    dgauge_sq: np.ndarray
+    above: np.ndarray
+    final: np.ndarray
+
+
+def _five_bin_cells(x: np.ndarray) -> np.ndarray:
+    """Cell 6 b + a of each signed middle-bin state (rows of x, bids positive).
+
+    b is the highest bin holding bids (bin 1, the bid reservoir's, if no
+    middle bin does) and a the lowest holding asks (bin 5 if none).
+    """
+    pos, neg = x > 0, x < 0
+    b = np.select([pos[:, 2], pos[:, 1], pos[:, 0]], [4, 3, 2], 1)
+    a = np.select([neg[:, 0], neg[:, 1], neg[:, 2]], [2, 3, 4], 5)
+    if (b >= a).any():
+        i = np.flatnonzero(b >= a)[0]
+        raise ValueError(f"inconsistent sign pattern {tuple(int(v) for v in x[i])}")
+    return 6 * b + a
+
+
+def _five_bin_sums(bins: np.ndarray, changed_bid: np.ndarray, sign: np.ndarray,
+                   normals: np.ndarray, K: float) -> FiveBinSums:
+    """The region pass over the five-bin book's changes.
+
+    The state is the signed order count of the middle bins 1..3, starting at
+    zero; change i moves bin bins[i], if a middle one, by sign[i] for a bid
+    and -sign[i] for an ask (with `EventLog.changes`'s changed_bid and sign).
+    The gauge of a state is the largest product with a row of `normals`
+    (m x 3).  The reference for `five_bin` in `_kernel.c` and the pass that
+    runs without a compiler.
+    """
+    n = bins.size
+    mid = (1 <= bins) & (bins <= 3)
+    x = np.zeros((n + 1, 3), dtype=np.int64)
+    x[1:][mid, bins[mid] - 1] = np.where(changed_bid, sign, -sign)[mid]
+    np.cumsum(x, axis=0, out=x)
+    cell = _five_bin_cells(x[:-1])
+    x1, x2, x3 = x.T.astype(float)
+    g = np.full(n + 1, -np.inf)
+    for a, b, c in normals:
+        np.maximum(g, a * x1 + b * x2 + c * x3, out=g)
+    above = g[:-1] > K
+    dg = np.diff(g)[above]
+
+    def count(cells, weights=None):
+        # float sums even of no cells, where bincount gives int64 zeros
+        sums = np.bincount(cells, weights=weights, minlength=FIVE_BIN_CELLS)
+        return sums if weights is None else sums.astype(float)
+
+    dx_sum = np.stack([count(cell, np.diff(x[:, k])) for k in range(3)], axis=1)
+    return FiveBinSums(count(cell), dx_sum, count(cell[above]), count(cell[above], dg),
+                       count(cell[above], dg * dg), above, x[-1])
+
+
+def _five_bin_c(fn, bins: np.ndarray, changed_bid: np.ndarray, sign: np.ndarray,
+                normals: np.ndarray, K: float) -> FiveBinSums:
+    """`_five_bin_sums` through the compiled `five_bin` of `_kernel.c`."""
+    bins = np.ascontiguousarray(bins, dtype=np.int64)
+    changed_bid = np.ascontiguousarray(changed_bid, dtype=bool)
+    sign = np.ascontiguousarray(sign, dtype=np.int8)
+    normals = np.ascontiguousarray(normals, dtype=float)
+    n = bins.size
+    if not changed_bid.shape == sign.shape == bins.shape == (n,):
+        raise ValueError("five-bin inputs differ in length")
+    if normals.ndim != 2 or normals.shape[1] != 3:
+        raise ValueError("five-bin normals must have shape (m, 3)")
+    # the C pass indexes with these bins unchecked
+    if not _below(5, bins):
+        raise ValueError("five-bin bins outside 0..4")
+    cells, i8 = FIVE_BIN_CELLS, np.int64
+    out = FiveBinSums(np.zeros(cells, i8), np.zeros((cells, 3)), np.zeros(cells, i8),
+                      np.zeros(cells), np.zeros(cells), np.empty(n, dtype=bool),
+                      np.empty(3, i8))
+    stop = fn(n, bins.ctypes.data, changed_bid.ctypes.data, sign.ctypes.data,
+              normals.ctypes.data, len(normals), float(K), out.final.ctypes.data,
+              out.visits.ctypes.data, out.dx_sum.ctypes.data, out.visits_hi.ctypes.data,
+              out.dgauge_sum.ctypes.data, out.dgauge_sq.ctypes.data, out.above.ctypes.data)
+    if stop >= 0:
+        raise ValueError(f"inconsistent sign pattern {tuple(out.final.tolist())}")
+    return out
 
 
 def _refinement_maxima(is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
@@ -527,18 +707,22 @@ def _refinement_c(fn, is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
 class _Kernel(NamedTuple):
     name: str                # "c" or "python"
     run: Callable            # (heaps, rule, is_bid, prices, outcome, beta, alpha) -> None
-    top_shape: Callable      # (beta_bin, bid_bin, bid_step, counts, sums) -> None
+    binned: Callable         # (sums, times, t0, half, beta, alpha, three bins, changes) -> None
+    five_bin: Callable       # (bins, changed_bid, sign, normals, K) -> FiveBinSums
     refinement: Callable     # (is_bid, bins, steps, nbins) -> (max_b, max_a)
     library: Optional[Path]  # the compiled library, for the C kernel
 
 
-_PYTHON_KERNEL = _Kernel("python", _match_py, _top_shape_sums, _refinement_maxima, None)
+_EXPORTS = ("match", "binned", "five_bin", "refinement")
+_PYTHON_KERNEL = _Kernel("python", _match_py, _binned_sums, _five_bin_sums,
+                         _refinement_maxima, None)
 
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CC = "cc"
-_FLAGS = ("-O2", "-shared", "-fPIC")    # no -ffast-math: the loop compares with +-inf
-                                        # and tests prices for equality
+# No -ffast-math: the loop compares with +-inf and tests prices for equality.
+# No fused multiply-adds, which would round the five-bin gauge unlike numpy.
+_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _loaded: Optional[_Kernel] = None
 
 
@@ -591,8 +775,9 @@ def _library() -> Path:
             subprocess.run([_CC, *_FLAGS, "-o", tmp, str(_SOURCE)],
                            check=True, capture_output=True, timeout=300)
             os.chmod(tmp, 0o755)        # whatever the umask, or it is never loaded
-            lib = ctypes.CDLL(tmp)      # raises unless it loads and exports all three
-            lib.match, lib.top_shape, lib.refinement
+            lib = ctypes.CDLL(tmp)      # raises unless it loads and exports all four
+            for export in _EXPORTS:
+                getattr(lib, export)
             os.replace(tmp, d / name)
         finally:
             if os.path.exists(tmp):
@@ -612,17 +797,20 @@ def _load_kernel() -> _Kernel:
     try:
         library = _library()
         lib = ctypes.CDLL(str(library))
-        match, top_shape, refinement = lib.match, lib.top_shape, lib.refinement
+        match, binned, five_bin, refinement = (getattr(lib, e) for e in _EXPORTS)
     except (OSError, AttributeError, subprocess.SubprocessError):
         return _PYTHON_KERNEL
-    p, n = ctypes.c_void_p, ctypes.c_long
-    match.argtypes = [n, p, p, p, p, n, ctypes.c_int, ctypes.c_double, ctypes.c_double,
-                      p, ctypes.POINTER(n), p, ctypes.POINTER(n), p, p, p]
-    top_shape.argtypes = [n, p, p, p, n, p, p]
+    p, n, d = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    match.argtypes = [n, p, p, p, p, n, ctypes.c_int, d, d, p, ctypes.POINTER(n), p,
+                      ctypes.POINTER(n), p, p, p]
+    binned.argtypes = [n, p, d, n, p, p, p, p, p, p, p, n, n, p, p, p, p, p, p]
+    five_bin.argtypes = [n, p, p, p, p, n, d, p, p, p, p, p, p, p]
     refinement.argtypes = [n, p, p, p, n, p, p, p, p]
-    match.restype = top_shape.restype = refinement.restype = None
-    return _Kernel("c", partial(_match_c, match), partial(_top_shape_c, top_shape),
-                   partial(_refinement_c, refinement), library)
+    match.restype = binned.restype = refinement.restype = None
+    five_bin.restype = n
+    return _Kernel("c", partial(_match_c, match), partial(_binned_c, binned),
+                   partial(_five_bin_c, five_bin), partial(_refinement_c, refinement),
+                   library)
 
 
 def _kernel() -> _Kernel:

@@ -129,17 +129,31 @@ def piecewise_linear_dist(xs, ys) -> PriceDist:
         d = np.clip(x, xs[0], xs[-1]) - xs[i]
         return np.clip(cum[i] + ys[i] * d + 0.5 * slopes[i] * d * d, 0.0, 1.0)
 
+    # Mass t into segment i lies d past its left knot, where y0 d + s d^2 / 2 = t
+    # (y0 = ys[i], s = slopes[i]).  Where the density is flat to 1e-14 of y0
+    # the segment is linear, d = t / y0, and d = 0 on a zero density (t / inf);
+    # elsewhere d = (sqrt(y0^2 + 2 s t) - y0) / s.
+    y0 = ys[:-1]
+    quadratic = ~(np.abs(slopes) * dx < 1e-14 * np.maximum(y0, 1e-300))
+    every_quadratic = bool(quadratic.all())
+    y_lin = np.where(y0 > 0, y0, np.inf)
+    y_sq, two_s = y0 * y0, 2 * slopes
+
+    def root(i, t):
+        return (np.sqrt(np.maximum(y_sq[i] + two_s[i] * t, 0.0)) - y0[i]) / slopes[i]
+
     def quantile_fn(u):
         u = np.asarray(u, dtype=float)
         if np.any((u < 0) | (u > 1)):
             raise ValueError("quantile argument outside [0, 1]")
         i = np.searchsorted(cum[1:-1], u, side="right")
         t = u - cum[i]
-        y0, s = ys[i], slopes[i]
-        lin = np.divide(t, y0, out=np.zeros_like(t), where=y0 > 0)
-        disc = np.maximum(y0 * y0 + 2 * s * t, 0.0)
-        quad = np.divide(np.sqrt(disc) - y0, s, out=lin.copy(), where=s != 0)
-        d = np.where(np.abs(s) * dx[i] < 1e-14 * np.maximum(y0, 1e-300), lin, quad)
+        if every_quadratic:
+            d = root(i, t)
+        else:
+            d, quad = np.asarray(t / y_lin[i]), quadratic[i]
+            if quad.any():
+                d[quad] = root(i[quad], t[quad])
         return np.clip(xs[i] + d, xs[0], xs[-1])
 
     return PriceDist(density, cdf, quantile_fn, (float(xs[0]), float(xs[-1])),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .analytics import thresholds
 # apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
-from .book import (ORDINARY, ORDINARY_BINNED, BookState, MatchRule, apply_arrival,
+from .book import (ORDINARY, ORDINARY_BINNED, BookState, MatchRule, _kernel, apply_arrival,
                    match_arrivals)
 from .dist import ArrivalSpec, BinPartition, make_partition
 from .sim import ArrivalStream, materialize, run_arrivals
@@ -119,24 +119,8 @@ def region_bins(code: str) -> tuple[int, int]:
     return _REGION_BA[code]
 
 
-_CODE_INDEX = np.full((6, 6), -1, dtype=np.intp)   # (b, a) -> index into REGIONS
-for _i, _code in enumerate(REGIONS):
-    _CODE_INDEX[_REGION_BA[_code]] = _i
-
-
-def _region_codes(x: np.ndarray) -> np.ndarray:
-    """Index into REGIONS of each signed middle-bin state (rows of x).
-
-    The highest bid sits in the highest positive bin (bin 1, the bid
-    reservoir, if none) and the lowest ask in the lowest negative one.
-    """
-    pos, neg = x > 0, x < 0
-    b = np.select([pos[:, 2], pos[:, 1], pos[:, 0]], [4, 3, 2], 1)
-    a = np.select([neg[:, 0], neg[:, 1], neg[:, 2]], [2, 3, 4], 5)
-    if (b >= a).any():
-        i = np.flatnonzero(b >= a)[0]
-        raise ValueError(f"inconsistent sign pattern {tuple(int(v) for v in x[i])}")
-    return _CODE_INDEX[b, a]
+# Each region's cell 6 b + a in the five-bin region pass (`book._five_bin_cells`).
+_REGION_CELLS = tuple(6 * b + a for b, a in (_REGION_BA[code] for code in REGIONS))
 
 
 def compatible(region_drift: str, region_normal: str) -> bool:
@@ -262,6 +246,7 @@ def certify_drift(eps_max, drifts: dict[str, AffineVec] | None = None,
 # Level-set fixture
 
 _SEVEN_NORMALS = tuple(NORMALS.items())  # seven distinct labeled vectors
+_GAUGE_NORMALS = np.array([[float(c) for c in v] for _, v in _SEVEN_NORMALS])
 
 
 def polytope_gauge(x) -> Fraction:
@@ -408,36 +393,18 @@ def simulate_5bin(eps: float, n_events: int, seed: int, K: float = 20.0,
     arr = materialize(ArrivalStream(seed, n_events, spec))
     changed_bid, price, sign = match_arrivals(
         state, MatchRule(ORDINARY_BINNED, part), arr.is_bid, arr.prices).changes()
-    # signed middle-bin state (bids positive) before every event, then the
-    # final state: a join of a bid or the execution of an ask moves its bin
-    # up, mirrored for asks
-    gbin = part.index(price)
-    mid = (1 <= gbin) & (gbin <= 3)
-    x = np.zeros((n_events + 1, 3), dtype=np.int64)
-    x[1:][mid, gbin[mid] - 1] = np.where(changed_bid, sign, -sign)[mid]
-    np.cumsum(x, axis=0, out=x)
-    code = _region_codes(x[:-1])
-    x1, x2, x3 = x.T.astype(float)
-    g = np.full(n_events + 1, -np.inf)      # the polytope gauge of each state
-    for _, (a, b, c) in _SEVEN_NORMALS:
-        np.maximum(g, float(a) * x1 + float(b) * x2 + float(c) * x3, out=g)
-    above = g[:-1] > K
-    dg = np.diff(g)[above]
-    n_codes = len(REGIONS)
-    visits = np.bincount(code, minlength=n_codes)
-    visits_hi = np.bincount(code[above], minlength=n_codes)
-    dx_sum = np.stack([np.bincount(code, weights=np.diff(x[:, k]), minlength=n_codes)
-                       for k in range(3)], axis=1)
-    dg_sum = np.bincount(code[above], weights=dg, minlength=n_codes)
-    dg_sq = np.bincount(code[above], weights=dg * dg, minlength=n_codes)
-    stats = {code: RegionStats(int(visits[i]), dx_sum[i].copy(), int(visits_hi[i]),
-                               float(dg_sum[i]), float(dg_sq[i]))
-             for i, code in enumerate(REGIONS) if code != "000"}
-    edges = np.diff(np.concatenate(([0], above.astype(np.int8), [0])))
+    # the signed middle-bin state: a join of a bid or the execution of an ask
+    # moves its bin up, mirrored for asks
+    sums = _kernel().five_bin(part.index(price), changed_bid, sign, _GAUGE_NORMALS, K)
+    stats = {code: RegionStats(int(sums.visits[c]), sums.dx_sum[c].copy(),
+                               int(sums.visits_hi[c]), float(sums.dgauge_sum[c]),
+                               float(sums.dgauge_sq[c]))
+             for code, c in zip(REGIONS, _REGION_CELLS) if code != "000"}
+    edges = np.diff(np.concatenate(([0], sums.above.astype(np.int8), [0])))
     excursions = (np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)).tolist()
     return FiveBinReport(eps=eps, n_events=n_events, K=K, seed=seed,
                          regions=stats, excursion_lengths=excursions,
-                         final_state=tuple(int(v) for v in x[-1]))
+                         final_state=tuple(int(v) for v in sums.final))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 # apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
-from .book import (EXECUTED, NEG_INF, POS_INF, RESERVOIR, TOP_MAX_OFFSET, BookState,
-                   EventLog, MatchRule, _kernel, apply_arrival, match_chunks)
+from .book import (EXECUTED, NEG_INF, POS_INF, RESERVOIR, BinnedSums, BookState, EventLog,
+                   MatchRule, _kernel, apply_arrival, match_chunks)
 from .dist import ArrivalSpec, BinPartition
 from .output import config_hash
 
@@ -300,62 +300,34 @@ class _Binned:
 
     def __init__(self, trace: Trace, state: BookState, times: np.ndarray):
         part = trace.partition
-        nbins = part.n_bins
         self.trace, self.times = trace, times
-        # The bins of the best quotes before the next event, and its time: the
-        # interval ending at an arrival belongs to the state before it, and
-        # the first interval to the initial book.
+        # The interval ending at an arrival belongs to the state before it,
+        # and the first interval to the initial book.
         beta, alpha = state.beta(), state.alpha()
-        self.pre_b = -1 if beta == NEG_INF else part.index(beta)
-        self.pre_a = -1 if alpha == POS_INF else part.index(alpha)
-        self.t = 0.0
-        # Time sums per (elapsed | best bid | best ask, half of the run, bin + 1):
-        # cell 0 of a quote's row takes the time its side is empty, and of the
-        # elapsed row all the time.
-        self.time_sums = np.zeros((3, 2, nbins + 1))
-        self.counts = np.zeros(nbins, dtype=np.int64)    # resting bids per bin
-        trace.occupation_elapsed = np.zeros(2)
-        trace.occupation_b, trace.occupation_a = np.zeros((2, nbins)), np.zeros((2, nbins))
-        trace.joint_hist = np.zeros((nbins, nbins), dtype=np.intp)
-        trace.top_shape_visits = np.zeros(nbins, dtype=np.intp)
-        trace.top_shape_sums = np.zeros((nbins, TOP_MAX_OFFSET + 1), dtype=np.int64)
+        self.sums = BinnedSums.zeros(part.n_bins,
+                                     -1 if beta == NEG_INF else part.index(beta),
+                                     -1 if alpha == POS_INF else part.index(alpha))
+        self.t = 0.0    # the time of the last event folded
+        trace.joint_hist, trace.top_shape_visits = self.sums.joint, self.sums.visits
+        trace.top_shape_sums = self.sums.top
+        self._occupation()
 
     def fold(self, lo: int, log: EventLog, changes) -> None:
         tr, part = self.trace, self.trace.partition
-        nbins, k = part.n_bins, log.beta.size
-        beta_bin = np.where(log.beta == NEG_INF, -1, part.index(log.beta))
-        alpha_bin = np.where(log.alpha == POS_INF, -1, part.index(log.alpha))
-        dt = np.diff(self.times[lo:lo + k], prepend=self.t)
-        row = (np.arange(lo, lo + k) >= tr.n_events // 2) * (nbins + 1)
-        pre_b = np.concatenate(([self.pre_b + 1], beta_bin[:-1] + 1))
-        pre_a = np.concatenate(([self.pre_a + 1], alpha_bin[:-1] + 1))
-        sums = _add_in_order(self.time_sums, (row, row + 2 * (nbins + 1) + pre_b,
-                                              row + 4 * (nbins + 1) + pre_a), dt)
-        self.time_sums = sums
-        tr.occupation_elapsed = sums[0, :, 0].copy()
-        tr.occupation_b, tr.occupation_a = sums[1, :, 1:].copy(), sums[2, :, 1:].copy()
-        both = (beta_bin >= 0) & (alpha_bin >= 0)
-        tr.joint_hist += np.bincount(beta_bin[both] * nbins + alpha_bin[both],
-                                     minlength=nbins * nbins).reshape(nbins, nbins)
-        tr.top_shape_visits += np.bincount(beta_bin[beta_bin >= 0], minlength=nbins)
         changed_bid, price, sign = changes
-        _kernel().top_shape(beta_bin, part.index(price), sign * changed_bid, self.counts,
-                            tr.top_shape_sums)
-        self.pre_b, self.pre_a, self.t = beta_bin[-1], alpha_bin[-1], self.times[lo + k - 1]
+        times = self.times[lo:lo + price.size]
+        _kernel().binned(self.sums, times, self.t, tr.n_events // 2 - lo, log.beta, log.alpha,
+                         part.index(log.beta), part.index(log.alpha), part.index(price),
+                         changed_bid, sign)
+        self.t = times[-1]
+        self._occupation()
 
-
-def _add_in_order(sums: np.ndarray, cells: tuple, weights: np.ndarray) -> np.ndarray:
-    """`sums` plus `weights` added to each array of flat cells in `cells`,
-    every sum in event order.
-
-    bincount adds its weights in order, as a running sum would, so the
-    carried sums go first: every sum is then added exactly as in one
-    bincount over the whole run.
-    """
-    flat = sums.ravel()
-    return np.bincount(np.concatenate((np.arange(flat.size), *cells)),
-                       weights=np.concatenate((flat, *(weights,) * len(cells))),
-                       minlength=flat.size).reshape(sums.shape)
+    def _occupation(self) -> None:
+        # cell 0 of a quote's row holds the time its side is empty, and of the
+        # elapsed row all the time
+        tr, time = self.trace, self.sums.time
+        tr.occupation_elapsed = time[0, :, 0].copy()
+        tr.occupation_b, tr.occupation_a = time[1, :, 1:].copy(), time[2, :, 1:].copy()
 
 
 def estimate_kappa(trace: Trace, spec: ArrivalSpec) -> KappaEstimate:

@@ -81,6 +81,49 @@ class TestQuantile:
         assert abs(float(d.cdf(d.quantile(u))) - u) < 1e-10
 
 
+def reference_quantile(xs, ys):
+    """The piecewise-linear quantile as it was written before each segment's
+    branch was chosen once per law: both branches through masked divisions,
+    then a select.  Returns the quantile and the CDF at the knots."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    ys = ys / float(np.trapezoid(ys, xs))
+    dx = np.diff(xs)
+    slopes = np.diff(ys) / dx
+    cum = np.concatenate([[0.0], np.cumsum((ys[:-1] + ys[1:]) / 2 * dx)])
+    cum[-1] = 1.0
+
+    def quantile_fn(u):
+        u = np.asarray(u, dtype=float)
+        i = np.searchsorted(cum[1:-1], u, side="right")
+        t = u - cum[i]
+        y0, s = ys[i], slopes[i]
+        lin = np.divide(t, y0, out=np.zeros_like(t), where=y0 > 0)
+        disc = np.maximum(y0 * y0 + 2 * s * t, 0.0)
+        quad = np.divide(np.sqrt(disc) - y0, s, out=lin.copy(), where=s != 0)
+        d = np.where(np.abs(s) * dx[i] < 1e-14 * np.maximum(y0, 1e-300), lin, quad)
+        return np.clip(xs[i] + d, xs[0], xs[-1])
+
+    return quantile_fn, cum
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([0.0, 0.5, 1.0], [0.0, 2.0, 0.0]),                 # the tent: quadratic only
+    ([0.0, 0.3, 0.6, 1.0], [1.0, 1.0, 2.0, 0.5]),       # a flat first segment
+    ([0.0, 0.2, 0.5, 1.0], [0.0, 0.0, 1.5, 1.5]),       # zero density, then flat
+    ([0.0, 0.4, 1.0], [0.0, 1.0, 1.0]),                 # density from zero, then flat
+    ([0.0, 0.5, 0.8, 1.0], [1.0, 1.0, 0.0, 0.0]),       # flat, falling, zero at the end
+], ids=["tent", "flat_segment", "zero_then_flat", "from_zero", "zero_at_the_end"])
+def test_quantile_equals_both_branch_expression(xs, ys):
+    reference, cum = reference_quantile(xs, ys)
+    law = piecewise_linear_dist(xs, ys)
+    knots = np.clip(np.concatenate((cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0))),
+                    0.0, 1.0)
+    us = np.concatenate((np.random.default_rng(17).random(100_000), knots))
+    assert law.quantile(us).tobytes() == reference(us).tobytes()
+    for u in knots:     # one price at a time takes the scalar path
+        assert float(law.quantile(u)).hex() == float(reference(u)).hex()
+
+
 class TestTransform:
     def test_uniform_fixed_point(self, uniform_spec):
         out = transform_to_uniform_bid(uniform_spec)

@@ -6,8 +6,8 @@ recorders or the arrival draw that moves a single bit of a checkpoint,
 counter, occupation sum, histogram or series changes a digest.  Every run is
 checked under the kernel `match_arrivals` loads (the compiled one where a C
 compiler is available) and again under the Python loop and the numpy
-top-shape pass, so the digests that record top shape pin both of its
-implementations.
+recorder passes, so the digests of the binned recorders and of the five-bin
+pass pin both of their implementations.
 """
 
 import hashlib
@@ -150,6 +150,12 @@ FIVE_BIN_GOLDEN = {
 
 @pytest.mark.parametrize("eps, n, K", sorted(FIVE_BIN_GOLDEN))
 def test_golden_five_bin(eps, n, K):
+    rep = lyapunov.simulate_5bin(eps, n, seed=4, K=K)
+    assert five_bin_digest(rep) == FIVE_BIN_GOLDEN[eps, n, K]
+
+
+@pytest.mark.parametrize("eps, n, K", sorted(FIVE_BIN_GOLDEN))
+def test_golden_five_bin_on_python_loop(eps, n, K, python_loop):
     rep = lyapunov.simulate_5bin(eps, n, seed=4, K=K)
     assert five_bin_digest(rep) == FIVE_BIN_GOLDEN[eps, n, K]
 

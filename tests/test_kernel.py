@@ -7,9 +7,9 @@ as a step-by-step replay through the reference, under all three rules, with
 and without reservoirs, from non-empty books and with prices on bin edges.
 Every input the replay rejects, the loop rejects too.  The C kernel must give
 the Python loop's arrays bit for bit and its heap lists element for element,
-and raise the same error on the same input; its top-shape and refinement
-passes must give the bytes and dtypes of the numpy `_top_shape_sums` and
-`_refinement_maxima`.
+and raise the same error on the same input; its binned-recorder and
+refinement passes must give the bytes and dtypes of the numpy `_binned_sums`
+and `_refinement_maxima` (the five-bin pass is tested in test_lyapunov.py).
 """
 
 import math
@@ -268,37 +268,63 @@ def test_both_kernels_accept_a_strict_book_crossed_inside_a_bin(c_kernel, is_bid
                                 np.array(is_bid, dtype=bool), np.array(px, dtype=float))
 
 
-def top_shape_on(kernel, rule, book, is_bid, px, part):
-    """run_arrivals' top-shape sums as (dtype, shape, bytes), or the error message."""
-    arr = sim.Arrivals(is_bid, px, 0.5 * np.arange(1, px.size + 1), 0.5)
-    with running(kernel):
-        trace, err = outcome_of(lambda: sim.run_arrivals(
-            rule, book, arr, 0, record_partition=part))
+BINNED_FIELDS = ("occupation_b", "occupation_a", "occupation_elapsed", "joint_hist",
+                 "top_shape_sums", "top_shape_visits")
+
+
+def as_bytes(arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def binned_on(kernel, rule, book, arr, part, chunk):
+    """run_arrivals' binned recorder fields as (dtype, shape, bytes), or the
+    error message, with the run matched `chunk` arrivals at a time."""
+    saved, sim.CHUNK = sim.CHUNK, chunk
+    try:
+        with running(kernel):
+            trace, err = outcome_of(lambda: sim.run_arrivals(
+                rule, book, arr, 0, record_partition=part))
+    finally:
+        sim.CHUNK = saved
     if err is not None:
         return str(err), None
-    sums = trace.top_shape_sums
-    return (sums.dtype.str, sums.shape, sums.tobytes()), trace.top_shape_visits
+    return as_bytes(getattr(trace, name) for name in BINNED_FIELDS), trace.top_shape_visits
 
 
-def assert_top_shapes_agree(c_kernel, rule, book, is_bid, px, part):
-    """The C top-shape pass against the numpy one, both after the C loop."""
-    numpy_pass = c_kernel._replace(top_shape=book_module._top_shape_sums)
-    got, visits = top_shape_on(c_kernel, rule, book, is_bid, px, part)
-    want, _ = top_shape_on(numpy_pass, rule, book, is_bid, px, part)
+def assert_binned_agree(c_kernel, rule, book, arr, part, chunk):
+    """The C binned pass against the numpy one, both after the C loop."""
+    numpy_pass = c_kernel._replace(binned=book_module._binned_sums)
+    got, visits = binned_on(c_kernel, rule, book, arr, part, chunk)
+    want, _ = binned_on(numpy_pass, rule, book, arr, part, chunk)
     assert got == want
     return visits
+
+
+def arrivals(is_bid, px, poisson_seed=None):
+    """Arrivals at times 0.5, 1, 1.5, ..., or at Poisson times from a seed."""
+    n = px.size
+    if poisson_seed is None:
+        times = 0.5 * np.arange(1, n + 1)
+    else:
+        times = np.cumsum(np.random.default_rng(poisson_seed).exponential(0.5, n))
+    return sim.Arrivals(is_bid, px, times, 0.5)
 
 
 # 10 bins, where every row is cut short by j <= b, and 50 bins that share the
 # rule's bin edges
 RECORD_PARTS = (TENTH_BINS,
                 BinPartition((0.0, 1.0), np.round(np.arange(0.02, 0.985, 0.02), 10)))
+WHOLE = 2**62       # one chunk, whatever the run's length
 
 
-@given(scenarios(), st.sampled_from(RECORD_PARTS))
+@given(scenarios(), st.sampled_from(RECORD_PARTS), st.sampled_from([1, 3, 7, WHOLE]),
+       st.one_of(st.none(), st.integers(0, 2**32 - 1)))
 @settings(max_examples=400, deadline=None)
-def test_c_top_shape_matches_numpy(c_kernel, scenario, part):
-    assert_top_shapes_agree(c_kernel, *scenario, part)
+def test_c_top_shape_matches_numpy(c_kernel, scenario, part, chunk, poisson_seed):
+    # every field of the binned recorder, top shape included; with chunks of
+    # 3 or 7 the run's second half mostly starts inside a chunk
+    rule, book, is_bid, px = scenario
+    assert_binned_agree(c_kernel, rule, book, arrivals(is_bid, px, poisson_seed), part, chunk)
 
 
 HUNDREDTH_BINS = BinPartition((0.0, 1.0), np.round(np.arange(0.01, 0.995, 0.01), 10))
@@ -307,6 +333,7 @@ HUNDREDTH_BINS = BinPartition((0.0, 1.0), np.round(np.arange(0.01, 0.995, 0.01),
 @pytest.mark.parametrize("kind", sorted(RULES))
 @pytest.mark.parametrize("regime", ["empty_bid_side", "low_best_bid"])
 def test_c_top_shape_long_runs(c_kernel, kind, regime):
+    # chunks of 4096, so the second half starts inside the third chunk
     rng = np.random.default_rng(5)
     n = 20_000
     if regime == "empty_bid_side":
@@ -315,37 +342,59 @@ def test_c_top_shape_long_runs(c_kernel, kind, regime):
         low_ask = np.arange(n) % 1000 >= 800
         is_bid = ~low_ask & (rng.random(n) < 0.5)
         px = np.where(low_ask, rng.random(n) * 0.05, 0.1 + rng.random(n) * 0.9)
-        book = BookState()
+        book, arr = BookState(), arrivals(is_bid, px)
     else:
-        # bids below 0.1: the best bid sits in bins 0..9 of 100, and rows are cut short
+        # bids below 0.1: the best bid sits in bins 0..9 of 100, and rows are
+        # cut short; a reservoir book at Poisson times
         is_bid = rng.random(n) < 0.5
         px = np.where(is_bid, rng.random(n) * 0.1, 0.05 + rng.random(n) * 0.95)
         book = BookState(bids=[0.001], asks=[0.9995], ask_reservoir=0.9999)
-    visits = assert_top_shapes_agree(c_kernel, RULES[kind], book, is_bid, px,
-                                     HUNDREDTH_BINS)
+        arr = arrivals(is_bid, px, poisson_seed=6)
+    visits = assert_binned_agree(c_kernel, RULES[kind], book, arr, HUNDREDTH_BINS, 4096)
     if regime == "empty_bid_side":
         assert 0.2 * n < visits.sum() < 0.8 * n
     else:
         assert visits.sum() > 0 and not visits[book_module.TOP_MAX_OFFSET:].any()
 
 
-def top_shape_state(nbins):
-    """Zeroed (counts, sums) for a top-shape pass over nbins bins."""
-    return (np.zeros(nbins, dtype=np.int64),
-            np.zeros((nbins, book_module.TOP_MAX_OFFSET + 1), dtype=np.int64))
-
-
-def test_top_shape_rejects_bins_out_of_range(c_kernel):
+def binned_call(kernel, sums=None, **replaced):
+    """One call of a kernel's binned pass on three events in empty books over
+    four bins, with the arguments named in `replaced` replaced."""
     ok = np.zeros(3, dtype=np.int64)
-    for beta_bin, bid_bin in [(ok - 2, ok), (ok + 4, ok), (ok, ok - 1), (ok, ok + 4)]:
+    args = dict(times=np.array([0.5, 1.0, 1.5]), t0=0.0, half=1, beta=np.full(3, -np.inf),
+                alpha=np.full(3, np.inf), beta_bin=ok, alpha_bin=ok, price_bin=ok,
+                changed_bid=ok.astype(bool), sign=ok.astype(np.int8))
+    args.update(replaced)
+    if sums is None:
+        sums = book_module.BinnedSums.zeros(4, -1, -1)
+    kernel.binned(sums, **args)
+    return sums
+
+
+def test_binned_rejects_bins_out_of_range(c_kernel):
+    ok = np.zeros(3, dtype=np.int64)
+    for name in ("beta_bin", "alpha_bin", "price_bin"):
+        for bad in (ok - 1, ok + 4):
+            with pytest.raises(ValueError, match="outside 0..3"):
+                binned_call(c_kernel, **{name: bad})
+    for pre in ((-2, 0), (0, 4)):
+        sums = book_module.BinnedSums.zeros(4, *pre)
         with pytest.raises(ValueError, match="outside 0..3"):
-            c_kernel.top_shape(beta_bin, bid_bin, ok, *top_shape_state(4))
+            binned_call(c_kernel, sums=sums)
     with pytest.raises(ValueError, match="length"):
-        c_kernel.top_shape(ok, ok[:2], ok, *top_shape_state(4))
-    counts, sums = top_shape_state(4)
-    for bad in ((counts.astype(np.int32), sums), (counts, sums[:3]), (counts, sums.T)):
-        with pytest.raises(ValueError, match="contiguous int64"):
-            c_kernel.top_shape(ok, ok, ok, *bad)
+        binned_call(c_kernel, price_bin=ok[:2])
+    good = book_module.BinnedSums.zeros(4, -1, -1)
+    for field, bad in (("counts", good.counts.astype(np.int32)), ("top", good.top[:3]),
+                       ("joint", np.zeros((4, 8), dtype=np.int64)[:, ::2]),
+                       ("time", good.time.astype(np.float32))):
+        with pytest.raises(ValueError, match="contiguous arrays"):
+            binned_call(c_kernel, sums=good._replace(**{field: bad}))
+    # in range, both passes give the same sums
+    sums = [binned_call(k, beta=np.array([0.3, -np.inf, 0.6]), beta_bin=np.array([1, 3, 2]),
+                        price_bin=np.array([1, 0, 2]), changed_bid=np.ones(3, dtype=bool),
+                        sign=np.array([1, -1, 1], dtype=np.int8))
+            for k in (c_kernel, PYTHON_LOOP)]
+    assert as_bytes(sums[0]) == as_bytes(sums[1])
 
 
 @st.composite
@@ -360,10 +409,6 @@ def refinement_points(draw):
     top = draw(st.sampled_from([0, 1]))
     return (rng.random((n, 2)) < 0.5, rng.integers(0, nbins, (n, 2)),
             rng.integers(-1, top + 1, (n, 2)), nbins)
-
-
-def as_bytes(arrays):
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
 @given(refinement_points())
@@ -427,27 +472,31 @@ def test_c_refinement_reports_equal_numpy_pass(c_kernel, reservoir_books_accepte
 @pytest.mark.parametrize("cc", ["false", "true"])
 def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, cc):
     # a compiler that fails, and one that writes no library: nothing is cached
-    # (tests/test_golden.py runs without a compiler at all), and all three
-    # passes run in numpy
+    # (tests/test_golden.py runs without a compiler at all), and all four
+    # passes run in Python and numpy
     monkeypatch.setattr(book_module, "_cache_dirs", lambda: (tmp_path,))
     monkeypatch.setattr(book_module, "_CC", cc)
     kernel = book_module._load_kernel()
     assert kernel == PYTHON_LOOP
-    assert (kernel.run, kernel.top_shape, kernel.refinement) == (
-        book_module._match_py, book_module._top_shape_sums, book_module._refinement_maxima)
+    assert (kernel.run, kernel.binned, kernel.five_bin, kernel.refinement) == (
+        book_module._match_py, book_module._binned_sums, book_module._five_bin_sums,
+        book_module._refinement_maxima)
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("export", ["match", "top_shape", "refinement"])
+@pytest.mark.parametrize("export", ["match", "binned", "five_bin", "refinement"])
 def test_library_lacking_an_export_is_neither_cached_nor_loaded(monkeypatch, tmp_path,
                                                                export):
-    # the source builds, but its library lacks one of the three exports
+    # the source builds, but its library lacks one of the four exports
+    assert export in book_module._EXPORTS
     monkeypatch.setattr(book_module, "_cache_dirs", lambda: (tmp_path / "whole",))
     if book_module._load_kernel().name != "c":
         pytest.skip("no C compiler: the compiled kernel cannot be built")
     source = tmp_path / "_kernel.c"
     text = book_module._SOURCE.read_text()
-    source.write_text(text.replace(f"void {export}(", f"void {export}_renamed("))
+    renamed = text.replace(f" {export}(long n,", f" {export}_renamed(long n,")
+    assert renamed != text
+    source.write_text(renamed)
     cache = tmp_path / "cache"
     monkeypatch.setattr(book_module, "_SOURCE", source)
     monkeypatch.setattr(book_module, "_cache_dirs", lambda: (cache,))

@@ -1,17 +1,19 @@
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from lobphase import lyapunov
-from lobphase.dist import make_partition
+from lobphase import book, lyapunov
+from lobphase.dist import ArrivalSpec, make_partition, uniform_dist
 from lobphase.lyapunov import (DRIFT_REGIONS, LEVEL_VERTICES,
                                NORMAL_BY_REGION, PUBLISHED_DRIFTS, certify_drift,
                                check_geometric_bound, compatible, drift_dot,
                                enumerated_drift_affine, polytope_gauge, region_bins,
                                running_max_evidence, simulate_5bin,
                                verify_level_fixture)
+from lobphase.sim import ArrivalStream, materialize
 
 
 def enum_table():
@@ -29,12 +31,13 @@ class TestRegions:
 
     def test_pattern_identification(self):
         x = np.array([(0, 1, 1), (1, 0, 1), (1, 0, -1), (0, 0, 0), (-2, 0, 0)])
-        codes = [lyapunov.REGIONS[i] for i in lyapunov._region_codes(x)]
+        codes = [lyapunov.REGIONS[lyapunov._REGION_CELLS.index(c)]
+                 for c in book._five_bin_cells(x)]
         assert codes == ["+++", "+++", "+0-", "000", "---"]   # 0++ not distinguished
 
     def test_inconsistent_pattern_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            lyapunov._region_codes(np.array([(1, 1, 1), (-1, 0, 1)]))  # asks left of bids
+            book._five_bin_cells(np.array([(1, 1, 1), (-1, 0, 1)]))  # asks left of bids
 
     def test_compatible(self):
         assert compatible("+++", "++0")
@@ -219,6 +222,66 @@ class TestFiveBinSimulation:
                 seen += 1
                 assert stt.mean_dgauge() + 3 * stt.se_dgauge() < 0, code
         assert seen >= 1
+
+
+def five_bin_changes(eps, n, seed):
+    """(bins, changed_bid, sign) of simulate_5bin's run, as it passes them."""
+    part = lyapunov.five_bin_partition(eps)
+    lo_mid = 0.5 * (0.2 + eps)
+    state = book.BookState(bid_reservoir=lo_mid, ask_reservoir=1.0 - lo_mid)
+    arr = materialize(ArrivalStream(seed, n, ArrivalSpec(uniform_dist(), uniform_dist())))
+    changed_bid, price, sign = book.match_arrivals(
+        state, book.MatchRule(book.ORDINARY_BINNED, part), arr.is_bid, arr.prices).changes()
+    return part.index(price), changed_bid, sign
+
+
+@pytest.fixture(scope="module")
+def c_kernel():
+    kernel = book._load_kernel()
+    if kernel.name != "c":
+        pytest.skip("no C compiler: the compiled kernel cannot be built")
+    return kernel
+
+
+def as_bytes(sums):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in sums]
+
+
+# K = -1 puts every state above K, K = 0 all but the origin, and 1e9 none
+@pytest.mark.parametrize("eps, n, seed", [(0.01, 50_000, 4), (0.1, 50_000, 11),
+                                          (0.05, 257, 2), (0.01, 0, 1)])
+@pytest.mark.parametrize("K", [-1.0, 0.0, 1.0, 20.0, 1e9])
+def test_c_five_bin_matches_numpy(c_kernel, eps, n, seed, K):
+    changes = five_bin_changes(eps, n, seed)
+    got = c_kernel.five_bin(*changes, lyapunov._GAUGE_NORMALS, K)
+    want = book._five_bin_sums(*changes, lyapunov._GAUGE_NORMALS, K)
+    assert as_bytes(got) == as_bytes(want)
+    if n and K == 1e9:
+        assert not got.above.any() and not got.visits_hi.any()
+    if n and K == -1.0:
+        assert got.above.all()
+
+
+def test_five_bin_rejects_bins_out_of_range(c_kernel):
+    bins, changed_bid, sign = (np.array([2, 1, 3]), np.ones(3, dtype=bool),
+                               np.ones(3, dtype=np.int8))
+    for bad in (bins - 3, bins + 2):
+        with pytest.raises(ValueError, match="outside 0..4"):
+            c_kernel.five_bin(bad, changed_bid, sign, lyapunov._GAUGE_NORMALS, 0.0)
+    with pytest.raises(ValueError, match="length"):
+        c_kernel.five_bin(bins[:2], changed_bid, sign, lyapunov._GAUGE_NORMALS, 0.0)
+    with pytest.raises(ValueError, match="shape"):
+        c_kernel.five_bin(bins, changed_bid, sign, lyapunov._GAUGE_NORMALS[:, :2], 0.0)
+
+
+def test_both_five_bin_passes_reject_an_inconsistent_state(c_kernel):
+    # a bid joins bin 3, then an ask joins bin 2 below it: the third change
+    # starts from bids above asks
+    bins, changed_bid = np.array([3, 2, 1]), np.array([True, False, True])
+    sign = np.ones(3, dtype=np.int8)
+    for five_bin in (c_kernel.five_bin, book._five_bin_sums):
+        with pytest.raises(ValueError, match=re.escape("inconsistent sign pattern (0, -1, 1)")):
+            five_bin(bins, changed_bid, sign, lyapunov._GAUGE_NORMALS, 0.0)
 
 
 class TestGeometricBound:
