@@ -1,9 +1,14 @@
 """Order-book state machine for ordinary, ordinary-binned, and strict-binned matching.
 
-Resting orders are price heaps (all prices pairwise distinct on the events we
-simulate), optionally backed by reservoirs: an infinite supply of bids or asks
-at a fixed price.  Executing against a reservoir never depletes it, and
-reservoir orders never enter the finite counters.
+Resting orders are price heaps, optionally backed by reservoirs: an infinite
+supply of bids or asks at a fixed price.  Executing against a reservoir never
+depletes it, and reservoir orders never enter the finite counters.
+
+Prices must be finite, and they may repeat.  The one tie the book refuses is
+an arrival priced exactly at the opposite best quote, reservoir included
+(`BookInvariantError`); the paper's continuous laws give it probability zero.
+A resting order priced at its own side's reservoir sits behind it: the
+reservoir is met first.
 
 `match_chunks` is the event loop: it applies an arrival sequence a chunk at
 a time and yields each chunk's `EventLog`; `match_arrivals` runs it as one
@@ -74,7 +79,8 @@ RESERVOIR = 2     # it executed against the opposite reservoir
 
 
 class BookInvariantError(AssertionError):
-    """A book invariant failed; indicates a bug or degenerate (duplicate-price) input."""
+    """A book invariant failed: a bug, a non-finite price, or an arrival priced
+    exactly at the opposite best quote."""
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,8 @@ class BookState:
         self.ask_reservoir = ask_reservoir
         self._bid_heap = sorted(-float(p) for p in bids)  # a sorted list is a heap
         self._ask_heap = sorted(float(p) for p in asks)
-        _check_prices(np.concatenate((np.negative(self._bid_heap), self._ask_heap)))
+        if not (np.isfinite(self._bid_heap).all() and np.isfinite(self._ask_heap).all()):
+            raise BookInvariantError("non-finite resting price")
 
     # -- queries ---------------------------------------------------------
 
@@ -163,8 +170,9 @@ class BookState:
     # -- mutations -------------------------------------------------------
 
     def insert(self, side: str, price: float) -> None:
-        """Add one resting order; the price check costs O(book), so use it for edits."""
-        _check_prices(np.concatenate(([price], np.negative(self._bid_heap), self._ask_heap)))
+        """Add one resting order at a finite price, in O(log book)."""
+        if not math.isfinite(price):
+            raise BookInvariantError(f"non-finite price {price}")
         if side == "bid":
             heapq.heappush(self._bid_heap, -price)
         else:
@@ -186,7 +194,8 @@ def apply_arrival(state: BookState, rule: MatchRule, order: Order) -> ArrivalEff
     The arrival meets the opposite best quote: it executes against it when
     it crosses it (ordinary rule), when it crosses it or shares its bin
     (ordinary binned) or when it crosses it from another bin (strict
-    binned), and otherwise joins its own side.
+    binned), and otherwise joins its own side.  An arrival priced exactly at
+    that quote raises `BookInvariantError`.
     """
     side, price = order.side, order.price
     bid = side == "bid"
@@ -214,16 +223,6 @@ def apply_arrival(state: BookState, rule: MatchRule, order: Order) -> ArrivalEff
                             state.beta(), state.alpha())
     _check_order(state.beta(), state.alpha(), rule)
     return eff
-
-
-def _check_prices(prices: np.ndarray) -> None:
-    """Prices must be finite and pairwise distinct (one sort, in place, of `prices`)."""
-    if not np.isfinite(prices).all():
-        raise BookInvariantError("non-finite price")
-    prices.sort()
-    repeated = prices[1:][prices[1:] == prices[:-1]]
-    if repeated.size:
-        raise BookInvariantError(f"duplicate price {repeated[0]}")
 
 
 def _check_order(beta, alpha, rule: MatchRule, first: Optional[int] = None) -> None:
@@ -307,18 +306,19 @@ def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
 
     The log's outcome, beta, alpha and met arrays are buffers that the next
     chunk overwrites, so a reader copies what it keeps.  `state` holds the
-    new book once the last chunk is read, or once a chunk fails.  Prices must
-    be finite and pairwise distinct across the arrivals and the resting book
-    (checked up front, so a repeated price fails even where the per-event
-    loop would never meet it), and the rule's ordering of the best quotes
-    must hold in the starting book (checked up front).  After each chunk, no
-    arrival may have sat at the opposite best quote, and the ordering must
-    hold after every event; both errors name the arrival by its index in the
-    whole sequence.  Zero arrivals give one empty chunk.
+    new book once the last chunk is read, or once a chunk fails.  Arrival
+    prices must be finite and the rule's ordering of the best quotes must
+    hold in the starting book; both are checked up front, before any event.
+    Prices may repeat.  After each chunk, no arrival may have sat at the
+    opposite best quote, and the ordering must hold after every event; both
+    errors name the arrival by its index in the whole sequence.  Zero
+    arrivals give one empty chunk.
     """
     is_bid = np.ascontiguousarray(is_bid, dtype=bool)
     prices = np.ascontiguousarray(prices, dtype=float)
-    _check_prices(np.concatenate((prices, np.negative(state._bid_heap), state._ask_heap)))
+    if not np.isfinite(prices).all():
+        i = int(np.argmin(np.isfinite(prices)))
+        raise BookInvariantError(f"arrival {i} at non-finite price {prices[i]}")
     beta0, alpha0 = state.beta(), state.alpha()
     _check_order(beta0, alpha0, rule)
     n, n_bid = prices.size, int(np.count_nonzero(is_bid))

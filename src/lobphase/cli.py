@@ -331,6 +331,8 @@ def cmd_bound3(cfg: RunConfig) -> int:
 
 
 def cmd_couple(cfg: RunConfig) -> int:
+    if cfg.n < 10:
+        raise ConfigError(f"couple needs --n >= 10 for its 10 checkpoints, got {cfg.n}")
     spec = build_spec(cfg)
     sw = coupling.estimate_sandwich(cfg.bins, spec, cfg.n, cfg.seed)
     estimates = (sw.kappa_strict, sw.kappa_fine, sw.kappa_coarse)

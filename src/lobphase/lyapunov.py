@@ -42,7 +42,6 @@ __all__ = [
     "enumerated_drift_affine",
     "certify_drift",
     "DriftCertificate",
-    "polytope_gauge",
     "LEVEL_VERTICES",
     "LEVEL_FACES",
     "verify_level_fixture",
@@ -247,14 +246,6 @@ def certify_drift(eps_max, drifts: dict[str, AffineVec] | None = None,
 
 _SEVEN_NORMALS = tuple(NORMALS.items())  # seven distinct labeled vectors
 _GAUGE_NORMALS = np.array([[float(c) for c in v] for _, v in _SEVEN_NORMALS])
-
-
-def polytope_gauge(x) -> Fraction:
-    """max over the seven published normals of <x, v>: the Minkowski gauge of
-    the published level polytope.  Positively homogeneous, and equal to 1
-    exactly on the polytope boundary."""
-    xv = tuple(F(c) for c in x)
-    return max(sum(a * b for a, b in zip(xv, v)) for _, v in _SEVEN_NORMALS)
 
 
 LEVEL_VERTICES: tuple[tuple[Fraction, Fraction, Fraction], ...] = tuple(

@@ -29,7 +29,6 @@ __all__ = [
     "KappaEstimate",
     "field_generator",
     "materialize",
-    "reflected_arrivals",
     "run",
     "run_arrivals",
     "estimate_kappa",
@@ -97,7 +96,9 @@ def materialize(stream: ArrivalStream) -> Arrivals:
     """Draw the full arrival arrays for a stream (deterministic in the seed).
 
     Each field is drawn `CHUNK` values at a time into one scratch buffer;
-    Philox draws taken in chunks equal one whole draw bit for bit.
+    Philox draws taken in chunks equal one whole draw bit for bit.  Prices
+    may repeat (53-bit draws repeat at the birthday rate, about n**2 / 2**54
+    pairs in n draws); the book's tie rule says which ties it refuses.
     """
     n = stream.n_events
     spec = stream.spec
@@ -114,9 +115,6 @@ def materialize(stream: ArrivalStream) -> Arrivals:
         at_bid, at_ask = np.flatnonzero(bid), np.flatnonzero(~bid)
         out[at_bid] = spec.bid_dist.quantile(uk[at_bid])
         out[at_ask] = spec.ask_dist.quantile(uk[at_ask])
-    every = np.sort(prices)
-    if (every[1:] == every[:-1]).any():
-        raise ValueError("arrival prices collide; price laws must be continuous")
     if stream.time_mode == EVENT_COUNT:
         # t_n = n/2 matches rate-1 bid and rate-1 ask arrivals in expectation.
         times = 0.5 * np.arange(1, n + 1, dtype=float)
@@ -132,15 +130,6 @@ def materialize(stream: ArrivalStream) -> Arrivals:
             uk[0] += t
             t = np.cumsum(uk, out=times[lo:hi])[-1]
     return Arrivals(is_bid, prices, times, spec.p_b)
-
-
-def reflected_arrivals(arr: Arrivals) -> Arrivals:
-    """Mirror a stream through x -> 1 - x with sides swapped.
-
-    For symmetric arrival laws the reflected stream drives the reflected
-    trajectory exactly, which makes bid/ask statistics exchangeable.
-    """
-    return Arrivals(~arr.is_bid, 1.0 - arr.prices, arr.times.copy(), 1.0 - arr.p_b)
 
 
 @dataclass

@@ -114,6 +114,14 @@ class TestReservoirs:
         assert not eff.counterparty_is_reservoir
         assert st_.n_bids == 0
 
+    def test_bid_at_reservoir_rests_behind_it(self):
+        # a tie with the same side's reservoir: the reservoir is met first
+        st_ = BookState(bid_reservoir=0.4, ask_reservoir=0.6)
+        apply_arrival(st_, ordinary(), Order("bid", 0.4, 0))
+        eff = apply_arrival(st_, ordinary(), Order("ask", 0.3, 1))
+        assert eff.counterparty_is_reservoir and eff.counterparty_price == 0.4
+        assert st_.bids() == [0.4]
+
     def test_reservoir_ordering_enforced(self):
         with pytest.raises(ValueError):
             BookState(bid_reservoir=0.7, ask_reservoir=0.3)
@@ -137,10 +145,20 @@ class TestCounts:
 
 
 class TestInvariants:
-    def test_duplicate_price_rejected(self):
+    def test_duplicate_price_joins(self):
+        st_ = BookState(bids=[0.3], asks=[0.8])
+        eff = apply_arrival(st_, ordinary(), Order("bid", 0.3, 0))
+        assert eff.outcome == "joined"
+        assert st_.bids() == [0.3, 0.3] and st_.beta() == 0.3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_price_rejected(self, bad):
+        with pytest.raises(BookInvariantError, match="non-finite"):
+            BookState(asks=[0.5, bad])
         st_ = BookState(bids=[0.3])
-        with pytest.raises(BookInvariantError):
-            apply_arrival(st_, ordinary(), Order("bid", 0.3, 0))
+        with pytest.raises(BookInvariantError, match="non-finite"):
+            st_.insert("bid", bad)
+        assert st_.bids() == [0.3]
 
     def test_collision_with_best_rejected(self):
         st_ = BookState(asks=[0.5])

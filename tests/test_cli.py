@@ -490,6 +490,11 @@ class TestOtherCommands:
         assert code == 0
         assert "strict" in out
 
+    def test_couple_too_few_arrivals_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "couple", "--n", "5", "--bins", "4")
+        assert code == 2
+        assert "--n >= 10" in err and out == ""
+
     def test_couple_degenerate_estimate_is_refused(self, capsys):
         # 10 arrivals leave every tail ratio at 0, which would print 0.0000 thrice
         code, out, err = run_cli(capsys, "couple", "--n", "10", "--bins", "4")

@@ -12,6 +12,7 @@ refinement passes must give the bytes and dtypes of the numpy `_binned_sums`
 and `_refinement_maxima` (the five-bin pass is tested in test_lyapunov.py).
 """
 
+import dataclasses
 import math
 import subprocess
 from contextlib import contextmanager
@@ -28,6 +29,8 @@ from lobphase.book import (EXECUTED, JOINED, ORDINARY, ORDINARY_BINNED, RESERVOI
                            STRICT_BINNED, BookInvariantError, BookState, MatchRule,
                            Order, apply_arrival, match_arrivals)
 from lobphase.dist import ArrivalSpec, BinPartition, make_partition, uniform_dist
+
+from helpers import reflected_arrivals
 
 TENTH_BINS = BinPartition((0.0, 1.0), np.round(np.arange(0.1, 0.95, 0.1), 10))
 EDGES = TENTH_BINS.boundaries.tolist()
@@ -86,7 +89,9 @@ def assert_same(rule, book, is_bid, px):
 
 @st.composite
 def scenarios(draw):
-    pool = draw(st.lists(prices, min_size=0, max_size=80, unique=True))
+    # Prices may repeat: a resting price, an executed one, a quote of the
+    # other side deeper than its best, or a reservoir's.
+    pool = draw(st.lists(prices, min_size=0, max_size=80))
     n_bids = draw(st.integers(0, min(4, len(pool))))
     n_asks = draw(st.integers(0, min(4, len(pool) - n_bids)))
     resting = sorted(pool[:n_bids + n_asks])
@@ -97,10 +102,12 @@ def scenarios(draw):
         st.lists(st.sampled_from(EDGES), min_size=2, max_size=2, unique=True).map(sorted)))
     rb, ra = reservoirs if reservoirs else (None, None)
     # The book starts in order: its bids lie below its asks and the ask
-    # reservoir, and its asks above the bid reservoir.  Crossed books are
-    # in REJECTED.
-    book = BookState(bids=[p for p in resting[:n_bids] if ra is None or p < ra],
-                     asks=[p for p in resting[n_bids:] if rb is None or p > rb],
+    # reservoir, and its asks above its bids and the bid reservoir.  Crossed
+    # books are in REJECTED.
+    bids = [p for p in resting[:n_bids] if ra is None or p < ra]
+    book = BookState(bids=bids,
+                     asks=[p for p in resting[n_bids:] if (rb is None or p > rb)
+                           and not (bids and p == bids[-1])],
                      bid_reservoir=rb, ask_reservoir=ra)
     kind = draw(st.sampled_from(sorted(RULES)))
     return RULES[kind], book, np.array(is_bid, dtype=bool), np.array(arrivals, dtype=float)
@@ -149,8 +156,8 @@ REJECTED = [
     (BookState(asks=[0.55]), [True], [0.55]),
     # an ask at the bid reservoir
     (BookState(bid_reservoir=0.35, ask_reservoir=0.75), [False, False], [0.62, 0.35]),
-    # a bid joining at the price of a resting bid below the best
-    (BookState(bids=[0.12, 0.33], asks=[0.91]), [True, True], [0.05, 0.12]),
+    # an ask at a resting bid's price, once an execution makes that bid the best
+    (BookState(bids=[0.2, 0.3], asks=[0.9]), [False, False], [0.25, 0.2]),
     # a non-finite bid that would join
     (BookState(asks=[0.51]), [True], [math.nan]),
     # crossed initial book that the first arrival leaves crossed
@@ -168,14 +175,35 @@ def test_both_paths_reject(kind, book, is_bid, px):
     assert not assert_same(RULES[kind], book, np.array(is_bid), np.array(px, dtype=float))
 
 
-@pytest.mark.parametrize("px", [[0.3, 0.6, 0.3], [0.3, np.inf], [0.4, 0.2]])
-def test_repeated_or_non_finite_prices_rejected_up_front(px):
-    # Stricter than the replay: a repeated price fails even if the first one
-    # executed (and an infinite bid even if it would execute), since the
-    # loop checks the whole sequence and the resting book before matching.
-    with pytest.raises(BookInvariantError):
-        match_arrivals(BookState(bids=[0.2]), RULES[ORDINARY],
-                       np.array([True] * len(px)), np.array(px))
+# Repeated prices that never meet the opposite best quote at their own price
+REPEATED = [
+    # a bid joining at the price of a resting bid below the best
+    (BookState(bids=[0.12, 0.33], asks=[0.91]), [True, True], [0.05, 0.12]),
+    # a bid repeating an earlier arrival
+    (BookState(bids=[0.2]), [True, True, True], [0.3, 0.6, 0.3]),
+    # an ask at the price of an ask that a bid executed
+    (BookState(bids=[0.2], asks=[0.55]), [True, False], [0.6, 0.55]),
+    # a bid at the price of an ask deeper than the best (strict: joins in its bin)
+    (BookState(asks=[0.53, 0.57]), [True], [0.57]),
+    # a bid at its own reservoir, which an ask then meets first
+    (BookState(bid_reservoir=0.35, ask_reservoir=0.75), [True, False], [0.35, 0.2]),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(RULES))
+@pytest.mark.parametrize("book, is_bid, px", REPEATED)
+def test_both_paths_accept_repeated_prices(kind, book, is_bid, px):
+    assert assert_same(RULES[kind], book, np.array(is_bid), np.array(px, dtype=float))
+
+
+@pytest.mark.parametrize("px", [[0.3, np.inf], [0.3, np.nan], [0.3, -np.inf]])
+def test_non_finite_prices_rejected_up_front(px):
+    # Stricter than the replay, which accepts an infinite bid that executes:
+    # the loop checks every arrival before the first event.
+    book = BookState(bids=[0.2], asks=[0.9])
+    with pytest.raises(BookInvariantError, match="arrival 1 at non-finite price"):
+        match_arrivals(book, RULES[ORDINARY], np.array([True] * len(px)), np.array(px))
+    assert (book.bids(), book.asks()) == ([0.2], [0.9])
 
 
 # A strict binned book may cross inside one bin, with or without arrivals.
@@ -261,11 +289,49 @@ def test_both_kernels_reject(c_kernel, kind, book, is_bid, px):
                                     np.array(px, dtype=float))
 
 
+@pytest.mark.parametrize("kind", sorted(RULES))
+@pytest.mark.parametrize("book, is_bid, px", REPEATED)
+def test_both_kernels_accept_repeated_prices(c_kernel, kind, book, is_bid, px):
+    assert assert_kernels_agree(c_kernel, RULES[kind], book, np.array(is_bid),
+                                np.array(px, dtype=float))
+
+
 @pytest.mark.parametrize("is_bid, px", CROSSED_IN_BIN)
 def test_both_kernels_accept_a_strict_book_crossed_inside_a_bin(c_kernel, is_bid, px):
     assert assert_kernels_agree(c_kernel, RULES[STRICT_BINNED],
                                 BookState(bids=[0.57], asks=[0.53]),
                                 np.array(is_bid, dtype=bool), np.array(px, dtype=float))
+
+
+# 101 bid prices k/100 and 101 ask prices half a tick above them: a stream
+# repeats many prices, within a chunk and across, but no arrival can meet an
+# opposite quote at its own price.
+COARSE_BIDS = dataclasses.replace(uniform_dist(), quantile=lambda u: np.round(u, 2))
+COARSE_ASKS = dataclasses.replace(uniform_dist(), quantile=lambda u: np.round(u, 2) + 0.005)
+
+
+@pytest.mark.parametrize("kernel", ["c", "python"])
+@pytest.mark.parametrize("chunk", [7, 16_384])
+@pytest.mark.parametrize("kind", sorted(RULES))
+@pytest.mark.parametrize("reservoirs", [(None, None), (0.3, 0.7 + 0.005)])
+def test_coarse_law_runs_as_the_replay(request, monkeypatch, kernel, chunk, kind, reservoirs):
+    monkeypatch.setattr(sim, "CHUNK", chunk)
+    arr = sim.materialize(sim.ArrivalStream(0, 400, ArrivalSpec(COARSE_BIDS, COARSE_ASKS)))
+    assert np.unique(arr.prices).size < arr.n / 2
+    # the bid reservoir shares its price with a resting bid, the ask
+    # reservoir with a resting ask
+    book = BookState(bids=[0.1, 0.3], asks=[0.7 + 0.005, 0.9 + 0.005],
+                     bid_reservoir=reservoirs[0], ask_reservoir=reservoirs[1])
+    rows = replay(book.clone(), RULES[kind], arr.is_bid, arr.prices)
+    loop = PYTHON_LOOP if kernel == "python" else request.getfixturevalue("c_kernel")
+    with running(loop):
+        trace = sim.run_arrivals(RULES[kind], book, arr, 1)
+    outcome, beta, alpha, changed_bid, _, sign = (np.array(c) for c in zip(*rows))
+    assert trace.cp_beta.tolist() == beta.tolist()
+    assert trace.cp_alpha.tolist() == alpha.tolist()
+    assert trace.cp_bids.tolist() == (2 + np.cumsum(sign * changed_bid)).tolist()
+    assert trace.cp_asks.tolist() == (2 + np.cumsum(sign * ~changed_bid)).tolist()
+    assert trace.reservoir_executions == np.count_nonzero(outcome == RESERVOIR)
 
 
 BINNED_FIELDS = ("occupation_b", "occupation_a", "occupation_elapsed", "joint_hist",
@@ -601,7 +667,7 @@ def test_reflection_symmetry(request, kernel, kind, seed, uniform_spec):
     cuts = np.sort(rng.uniform(0.02, 0.98, 15))
     part, mirror = BinPartition((0.0, 1.0), cuts), BinPartition((0.0, 1.0), 1.0 - cuts[::-1])
     arr = sim.materialize(sim.ArrivalStream(seed, 20_000, uniform_spec))
-    refl = sim.reflected_arrivals(arr)
+    refl = reflected_arrivals(arr)
     bids, asks = np.array([0.1, 0.25]), np.array([0.8, 0.9])
     book = BookState(bids=bids, asks=asks, bid_reservoir=0.05)
     book_r = BookState(bids=1.0 - asks, asks=1.0 - bids, ask_reservoir=1.0 - 0.05)

@@ -10,10 +10,12 @@ from lobphase.dist import ArrivalSpec, make_partition, uniform_dist
 from lobphase.lyapunov import (DRIFT_REGIONS, LEVEL_VERTICES,
                                NORMAL_BY_REGION, PUBLISHED_DRIFTS, certify_drift,
                                check_geometric_bound, compatible, drift_dot,
-                               enumerated_drift_affine, polytope_gauge, region_bins,
+                               enumerated_drift_affine, region_bins,
                                running_max_evidence, simulate_5bin,
                                verify_level_fixture)
 from lobphase.sim import ArrivalStream, materialize
+
+from helpers import polytope_gauge
 
 
 def enum_table():

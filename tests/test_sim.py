@@ -1,13 +1,12 @@
-import dataclasses
-import math
-
 import numpy as np
 import pytest
 
 from lobphase import sim
 from lobphase.analytics import kappa_uniform_exact, varpi_uniform_exact
 from lobphase.book import ORDINARY, BookState, MatchRule
-from lobphase.dist import ArrivalSpec, make_partition, uniform_dist
+from lobphase.dist import make_partition
+
+from helpers import reflected_arrivals
 
 
 @pytest.fixture(scope="module")
@@ -84,14 +83,6 @@ class TestArrivalStream:
         for got, want in ((arr.is_bid, is_bid), (arr.prices, prices), (arr.times, times)):
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
-    @pytest.mark.parametrize("chunk", [7, sim.CHUNK])
-    def test_repeated_price_is_refused(self, monkeypatch, chunk):
-        # 101 possible prices: 200 arrivals repeat one, within a chunk or across
-        coarse = dataclasses.replace(uniform_dist(), quantile=lambda u: np.round(u, 2))
-        monkeypatch.setattr(sim, "CHUNK", chunk)
-        with pytest.raises(ValueError, match="arrival prices collide"):
-            sim.materialize(sim.ArrivalStream(0, 200, ArrivalSpec(coarse, coarse)))
-
 
 class TestRun:
     def test_empty_run(self, uniform_spec):
@@ -129,7 +120,7 @@ class TestRun:
 
     def test_reflection_exchangeability(self, uniform_spec):
         arr = sim.materialize(sim.ArrivalStream(5, 100_000, uniform_spec))
-        refl = sim.reflected_arrivals(arr)
+        refl = reflected_arrivals(arr)
         t = sim.run_arrivals(MatchRule(ORDINARY), BookState(), arr, 1000)
         tr = sim.run_arrivals(MatchRule(ORDINARY), BookState(), refl, 1000)
         assert np.array_equal(t.cp_bids, tr.cp_asks)
