@@ -2,11 +2,10 @@
  *
  * match, the arrival loop of match_arrivals, mirrors book._match_py step for
  * step: the same tests in the same order, heapq's sift logic on double heaps
- * (bids negated), so the outcome, beta and alpha arrays and the final heaps
- * equal the Python ones element for element.  It runs one chunk of arrivals
- * on heaps sized for the whole run, whose lengths nb and na it updates.
- * bins is NULL for the ordinary rule, where arrival i of the chunk has bin
- * i+1.
+ * (bids negated), so the event log's arrays and the final heaps equal the
+ * Python ones element for element.  It runs one chunk of arrivals on heaps
+ * sized for the whole run, whose lengths nb and na it updates.  bins is NULL
+ * for the ordinary rule, where arrival i of the chunk has bin i+1.
  *
  * binned is the binned recorder of book._binned_sums, five_bin the pass of
  * book._five_bin_sums and refinement the domination pass of
@@ -58,49 +57,64 @@ static int64_t bin_of(const double *cuts, long ncuts, double x, double empty) {
     return lo;
 }
 
-void match(long n, const uint8_t *is_bid, const double *prices, const int64_t *bins,
+/* Event i's log: its outcome, the best quotes after it, the side, price and
+ * sign (+1 joined, -1 executed, 0 reservoir) of the resting order it changes,
+ * and the heap lengths after it.  Returns the first arrival priced exactly at
+ * the opposite best quote, or -1; the loop runs on past it. */
+long match(long n, const uint8_t *is_bid, const double *prices, const int64_t *bins,
            const double *cuts, long ncuts, int strict, double rb, double ra,
            double *bids, long *nb, double *asks, long *na,
-           uint8_t *outcome, double *beta_out, double *alpha_out) {
+           uint8_t *outcome, double *beta_out, double *alpha_out, uint8_t *changed_bid,
+           double *price, int8_t *sign, int64_t *n_bids, int64_t *n_asks) {
     double beta = *nb && -bids[0] > rb ? -bids[0] : rb;
     double alpha = *na && asks[0] < ra ? asks[0] : ra;
     int64_t bbin = bin_of(cuts, ncuts, beta, -INFINITY);
     int64_t abin = bin_of(cuts, ncuts, alpha, INFINITY);
+    long tie = -1;
     for (long i = 0; i < n; i++) {
         double p = prices[i];
         int64_t k = bins ? bins[i] : i + 1;
-        if (is_bid[i]) {
+        uint8_t bid = is_bid[i];
+        if (tie < 0 && p == (bid ? alpha : beta)) tie = i;
+        changed_bid[i] = bid;
+        price[i] = p;
+        if (bid) {
             if (strict ? (p > alpha && k != abin) : (p > alpha || k == abin)) {
                 if (alpha == ra) {
-                    outcome[i] = 2;
+                    outcome[i] = 2; sign[i] = 0;
                 } else {
+                    changed_bid[i] = 0; price[i] = alpha;
                     pop(asks, na);
                     alpha = *na && asks[0] < ra ? asks[0] : ra;
                     abin = bin_of(cuts, ncuts, alpha, INFINITY);
-                    outcome[i] = 1;
+                    outcome[i] = 1; sign[i] = -1;
                 }
             } else {
                 push(bids, nb, -p);
                 if (p > beta) { beta = p; bbin = k; }
-                outcome[i] = 0;
+                outcome[i] = 0; sign[i] = 1;
             }
         } else if (strict ? (p < beta && k != bbin) : (p < beta || k == bbin)) {
             if (beta == rb) {
-                outcome[i] = 2;
+                outcome[i] = 2; sign[i] = 0;
             } else {
+                changed_bid[i] = 1; price[i] = beta;
                 pop(bids, nb);
                 beta = *nb && -bids[0] > rb ? -bids[0] : rb;
                 bbin = bin_of(cuts, ncuts, beta, -INFINITY);
-                outcome[i] = 1;
+                outcome[i] = 1; sign[i] = -1;
             }
         } else {
             push(asks, na, p);
             if (p < alpha) { alpha = p; abin = k; }
-            outcome[i] = 0;
+            outcome[i] = 0; sign[i] = 1;
         }
         beta_out[i] = beta;
         alpha_out[i] = alpha;
+        n_bids[i] = *nb;
+        n_asks[i] = *na;
     }
+    return tie;
 }
 
 /* One chunk of the binned recorder.  Event i ends the interval dt = times[i]

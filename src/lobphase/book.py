@@ -243,26 +243,30 @@ def _check_order(beta, alpha, rule: MatchRule, first: Optional[int] = None) -> N
 
 
 class EventLog(NamedTuple):
-    """What `match_arrivals` did: one entry per arrival, in arrival order."""
+    """What `match_arrivals` did: one entry per arrival, in arrival order.
+
+    Each event changes at most one resting order: a join adds the arrival
+    (sign +1), an execution removes the opposite best order (sign -1) and a
+    reservoir execution changes nothing (sign 0, with the arrival's side and
+    price).  The fields from `outcome` on are what the loop writes, in the
+    order of the arguments of `_kernel.c`'s `match`.
+    """
 
     is_bid: np.ndarray
     prices: np.ndarray
+    beta0: float             # best quotes before the first event
+    alpha0: float
     outcome: np.ndarray      # uint8: JOINED, EXECUTED or RESERVOIR
     beta: np.ndarray         # best bid after the event (reservoir included)
     alpha: np.ndarray        # best ask after the event
-    beta0: float             # best quotes before the first event
-    alpha0: float
-    met: np.ndarray          # opposite best quote each arrival met
+    changed_bid: np.ndarray  # bool: the order the event changes is a bid
+    price: np.ndarray        # that order's price
+    sign: np.ndarray         # int8: +1 added, -1 removed, 0 no change
+    n_bids: np.ndarray       # int64: resting bids after the event, reservoir excluded
+    n_asks: np.ndarray       # int64: resting asks after the event
 
-    def changes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(is_bid, price, sign) of the resting order each event adds or removes.
 
-        A join adds the arrival (sign +1); an execution removes the opposite
-        best order (sign -1); a reservoir execution changes nothing (sign 0).
-        """
-        executed = self.outcome == EXECUTED
-        sign = (self.outcome == JOINED).astype(np.int8) - executed
-        return self.is_bid ^ executed, np.where(executed, self.met, self.prices), sign
+_LOG_DTYPES = (np.uint8, float, float, bool, float, np.int8, np.int64, np.int64)
 
 
 def match_arrivals(state: BookState, rule: MatchRule, is_bid, prices) -> EventLog:
@@ -304,8 +308,8 @@ def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
     """Apply an arrival sequence to `state` `size` arrivals at a time; yield
     (index of the chunk's first arrival, the chunk's `EventLog`).
 
-    The log's outcome, beta, alpha and met arrays are buffers that the next
-    chunk overwrites, so a reader copies what it keeps.  `state` holds the
+    The log's arrays from `outcome` on are buffers that the next chunk
+    overwrites, so a reader copies what it keeps.  `state` holds the
     new book once the last chunk is read, or once a chunk fails.  Arrival
     prices must be finite and the rule's ordering of the best quotes must
     hold in the starting book; both are checked up front, before any event.
@@ -322,28 +326,19 @@ def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
     beta0, alpha0 = state.beta(), state.alpha()
     _check_order(beta0, alpha0, rule)
     n, n_bid = prices.size, int(np.count_nonzero(is_bid))
-    m = min(size, n)
-    outcome = np.empty(m, dtype=np.uint8)
-    beta, alpha, met = np.empty(m), np.empty(m), np.empty(m)
+    buffers = [np.empty(min(size, n), dtype) for dtype in _LOG_DTYPES]
     run = _kernel().run
     heaps = _Heaps(state, n_bid, n - n_bid)
     try:
         for lo in range(0, max(n, 1), size):
             bid, px = is_bid[lo:lo + size], prices[lo:lo + size]
-            k = px.size
-            log = EventLog(bid, px, outcome[:k], beta[:k], alpha[:k], beta0, alpha0, met[:k])
-            if not k:
+            log = EventLog(bid, px, beta0, alpha0, *(b[:px.size] for b in buffers))
+            if not px.size:
                 yield lo, log
                 break
-            run(heaps, rule, bid, px, log.outcome, log.beta, log.alpha)
-            # the opposite best quote each arrival met: the one before it
-            log.met[0] = alpha0 if bid[0] else beta0
-            np.copyto(log.met[1:], log.beta[:-1])
-            np.copyto(log.met[1:], log.alpha[:-1], where=bid[1:])
-            hit = px == log.met
-            if hit.any():
-                i = int(np.argmax(hit))
-                raise BookInvariantError(f"arrival {lo + i} at {px[i]} collides "
+            tie = run(heaps, rule, log)
+            if tie >= 0:
+                raise BookInvariantError(f"arrival {lo + tie} at {px[tie]} collides "
                                          "with the opposite best quote")
             _check_order(log.beta, log.alpha, rule, first=lo)
             yield lo, log
@@ -352,9 +347,9 @@ def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
         heaps.store(state)
 
 
-def _match_py(heaps: _Heaps, rule: MatchRule, is_bid: np.ndarray, prices: np.ndarray,
-              outcome: np.ndarray, betas: np.ndarray, alphas: np.ndarray) -> None:
-    """The arrival loop in Python: fills outcome, betas and alphas, and changes the heaps.
+def _match_py(heaps: _Heaps, rule: MatchRule, log: EventLog) -> int:
+    """The arrival loop in Python: fills the log's arrays, changes the heaps and
+    returns the first arrival priced exactly at the opposite best quote, or -1.
 
     The reference for `_kernel.c` and the loop that runs without a compiler.
     """
@@ -365,68 +360,82 @@ def _match_py(heaps: _Heaps, rule: MatchRule, is_bid: np.ndarray, prices: np.nda
     rb, ra = heaps.rb, heaps.ra
     beta = -bids[0] if bids and -bids[0] > rb else rb
     alpha = asks[0] if asks and asks[0] < ra else ra
-    out, out_beta, out_alpha = bytearray(), array("d"), array("d")
-    put, put_beta, put_alpha = out.append, out_beta.append, out_alpha.append
+    # Per event: the int8 bytes (outcome, changed_bid, sign) of its kind; beta,
+    # alpha and the changed order's price; n_bids and n_asks.
+    codes, quotes, sizes = bytearray(), array("d"), array("q")
+    put, put_quote, put_size = codes.extend, quotes.append, sizes.append
+    join_bid, join_ask = bytes((JOINED, 1, 1)), bytes((JOINED, 0, 1))
+    hit_ask, hit_bid = bytes((EXECUTED, 0, 255)), bytes((EXECUTED, 1, 255))
+    res_bid, res_ask = bytes((RESERVOIR, 1, 0)), bytes((RESERVOIR, 0, 0))
     push, pop = heapq.heappush, heapq.heappop
+    tie = -1
     # The bins of the best quotes (-1 for an empty side) ride along with
     # them.  A same-bin arrival executes under the ordinary binned rule and
     # never executes under the strict one; the ordinary rule is the ordinary
     # binned rule with each arrival in a bin of its own.
     strict = rule.kind == STRICT_BINNED
     if rule.kind == ORDINARY:
-        cuts, bins = [], range(1, prices.size + 1)
+        cuts, bins = [], range(1, log.prices.size + 1)
     else:
         cuts = rule.partition.boundaries.tolist()
-        bins = memoryview(rule.partition.index(prices))
+        bins = memoryview(rule.partition.index(log.prices))
     bbin = bisect_right(cuts, beta) if beta != NEG_INF else -1
     abin = bisect_right(cuts, alpha) if alpha != POS_INF else -1
-    for bid, p, k in zip(memoryview(is_bid), memoryview(prices), bins):
+    # p ends each event as the price of the order it changes
+    for bid, p, k in zip(memoryview(log.is_bid), memoryview(log.prices), bins):
+        if p == (alpha if bid else beta) and tie < 0:
+            tie = len(codes) // 3     # this arrival's index
         if bid:
             if (p > alpha and k != abin) if strict else (p > alpha or k == abin):
                 if alpha == ra:
-                    put(RESERVOIR)
+                    put(res_bid)
                 else:
-                    pop(asks)
+                    p = pop(asks)
                     alpha = asks[0] if asks and asks[0] < ra else ra
                     abin = bisect_right(cuts, alpha) if alpha != POS_INF else -1
-                    put(EXECUTED)
+                    put(hit_ask)
             else:
                 push(bids, -p)
                 if p > beta:
                     beta, bbin = p, k
-                put(JOINED)
+                put(join_bid)
         elif (p < beta and k != bbin) if strict else (p < beta or k == bbin):
             if beta == rb:
-                put(RESERVOIR)
+                put(res_ask)
             else:
-                pop(bids)
+                p = -pop(bids)
                 beta = -bids[0] if bids and -bids[0] > rb else rb
                 bbin = bisect_right(cuts, beta) if beta != NEG_INF else -1
-                put(EXECUTED)
+                put(hit_bid)
         else:
             push(asks, p)
             if p < alpha:
                 alpha, abin = p, k
-            put(JOINED)
-        put_beta(beta)
-        put_alpha(alpha)
-    outcome[:] = np.frombuffer(out, dtype=np.uint8)
-    betas[:], alphas[:] = np.frombuffer(out_beta), np.frombuffer(out_alpha)
+            put(join_ask)
+        put_quote(beta)
+        put_quote(alpha)
+        put_quote(p)
+        put_size(len(bids))
+        put_size(len(asks))
+    small = np.frombuffer(codes, np.int8).reshape(-1, 3)
+    log.outcome[:], log.changed_bid[:], log.sign[:] = small.T
+    log.beta[:], log.alpha[:], log.price[:] = np.frombuffer(quotes).reshape(-1, 3).T
+    log.n_bids[:], log.n_asks[:] = np.frombuffer(sizes, np.int64).reshape(-1, 2).T
+    return tie
 
 
-def _match_c(fn, heaps: _Heaps, rule: MatchRule, is_bid: np.ndarray, prices: np.ndarray,
-             outcome: np.ndarray, beta: np.ndarray, alpha: np.ndarray) -> None:
+def _match_c(fn, heaps: _Heaps, rule: MatchRule, log: EventLog) -> int:
     """`_match_py` through the compiled `match` of `_kernel.c`, on the heaps in place."""
     if rule.kind == ORDINARY:
         cuts, bins = np.empty(0), None
     else:
         cuts = np.ascontiguousarray(rule.partition.boundaries, dtype=float)
-        bins = np.ascontiguousarray(rule.partition.index(prices), dtype=np.int64)
-    fn(prices.size, is_bid.ctypes.data, prices.ctypes.data,
-       None if bins is None else bins.ctypes.data, cuts.ctypes.data, cuts.size,
-       rule.kind == STRICT_BINNED, heaps.rb, heaps.ra,
-       heaps.bids.ctypes.data, ctypes.byref(heaps.nb), heaps.asks.ctypes.data,
-       ctypes.byref(heaps.na), outcome.ctypes.data, beta.ctypes.data, alpha.ctypes.data)
+        bins = np.ascontiguousarray(rule.partition.index(log.prices), dtype=np.int64)
+    return fn(log.prices.size, log.is_bid.ctypes.data, log.prices.ctypes.data,
+              None if bins is None else bins.ctypes.data, cuts.ctypes.data, cuts.size,
+              rule.kind == STRICT_BINNED, heaps.rb, heaps.ra,
+              heaps.bids.ctypes.data, ctypes.byref(heaps.nb), heaps.asks.ctypes.data,
+              ctypes.byref(heaps.na), *(a.ctypes.data for a in log[4:]))
 
 
 BLOCK = 256   # events per block in the numpy events x bins passes
@@ -706,7 +715,7 @@ def _refinement_c(fn, is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
 
 class _Kernel(NamedTuple):
     name: str                # "c" or "python"
-    run: Callable            # (heaps, rule, is_bid, prices, outcome, beta, alpha) -> None
+    run: Callable            # (heaps, rule, log) -> first opposite-best tie, or -1
     binned: Callable         # (sums, times, t0, half, beta, alpha, three bins, changes) -> None
     five_bin: Callable       # (bins, changed_bid, sign, normals, K) -> FiveBinSums
     refinement: Callable     # (is_bid, bins, steps, nbins) -> (max_b, max_a)
@@ -802,12 +811,12 @@ def _load_kernel() -> _Kernel:
         return _PYTHON_KERNEL
     p, n, d = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     match.argtypes = [n, p, p, p, p, n, ctypes.c_int, d, d, p, ctypes.POINTER(n), p,
-                      ctypes.POINTER(n), p, p, p]
+                      ctypes.POINTER(n), *[p] * len(_LOG_DTYPES)]
     binned.argtypes = [n, p, d, n, p, p, p, p, p, p, p, n, n, p, p, p, p, p, p]
     five_bin.argtypes = [n, p, p, p, p, n, d, p, p, p, p, p, p, p]
     refinement.argtypes = [n, p, p, p, n, p, p, p, p]
-    match.restype = binned.restype = refinement.restype = None
-    five_bin.restype = n
+    binned.restype = refinement.restype = None
+    match.restype = five_bin.restype = n
     return _Kernel("c", partial(_match_c, match), partial(_binned_c, binned),
                    partial(_five_bin_c, five_bin), partial(_refinement_c, refinement),
                    library)

@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -333,6 +334,8 @@ def cmd_bound3(cfg: RunConfig) -> int:
 def cmd_couple(cfg: RunConfig) -> int:
     if cfg.n < 10:
         raise ConfigError(f"couple needs --n >= 10 for its 10 checkpoints, got {cfg.n}")
+    if cfg.bins < 4:
+        raise ConfigError(f"couple needs --bins >= 4, got {cfg.bins}")
     spec = build_spec(cfg)
     sw = coupling.estimate_sandwich(cfg.bins, spec, cfg.n, cfg.seed)
     estimates = (sw.kappa_strict, sw.kappa_fine, sw.kappa_coarse)
@@ -377,8 +380,10 @@ _COMMANDS = {name: (cmd, frozenset(reads.split())) for name, (cmd, reads) in {
 }.items()}
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
-    """One subparser per command, with a flag for each non-dict field it reads."""
+    """One subparser per command, with a flag for each non-dict field it reads;
+    built once per process, since parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lobphase",
         description="Phase-transition analytics for a state-independent limit order book")

@@ -86,7 +86,7 @@ class _Diff:
             d.pop(price, None)
 
     def apply(self, changes, i: int, sign: int) -> None:
-        """Event i of one book's `EventLog.changes()`; sign +1 perturbed, -1 base."""
+        """Event i of one book's `_changes`; sign +1 perturbed, -1 base."""
         is_bid, price, step = changes
         if step[i]:
             self.bump("bid" if is_bid[i] else "ask", float(price[i]), sign * int(step[i]))
@@ -110,8 +110,10 @@ def _classify_single(diff: _Diff, extra_side: str):
 
 def _changes(book: BookState, rule: MatchRule, arr: Arrivals, lo: int = 0,
              hi: int | None = None):
-    """`EventLog.changes()` of arrivals lo..hi applied to `book` (mutated)."""
-    return match_arrivals(book, rule, arr.is_bid[lo:hi], arr.prices[lo:hi]).changes()
+    """(changed_bid, price, sign) of the `EventLog` of arrivals lo..hi applied to
+    `book` (mutated)."""
+    log = match_arrivals(book, rule, arr.is_bid[lo:hi], arr.prices[lo:hi])
+    return log.changed_bid, log.price, log.sign
 
 
 def _no_reservoirs(book: BookState, check: str) -> None:

@@ -382,11 +382,11 @@ def simulate_5bin(eps: float, n_events: int, seed: int, K: float = 20.0,
     hi_mid = 1.0 - lo_mid               # inside bin 5
     state = BookState(bid_reservoir=lo_mid, ask_reservoir=hi_mid)
     arr = materialize(ArrivalStream(seed, n_events, spec))
-    changed_bid, price, sign = match_arrivals(
-        state, MatchRule(ORDINARY_BINNED, part), arr.is_bid, arr.prices).changes()
+    log = match_arrivals(state, MatchRule(ORDINARY_BINNED, part), arr.is_bid, arr.prices)
     # the signed middle-bin state: a join of a bid or the execution of an ask
     # moves its bin up, mirrored for asks
-    sums = _kernel().five_bin(part.index(price), changed_bid, sign, _GAUGE_NORMALS, K)
+    sums = _kernel().five_bin(part.index(log.price), log.changed_bid, log.sign,
+                              _GAUGE_NORMALS, K)
     stats = {code: RegionStats(int(sums.visits[c]), sums.dx_sum[c].copy(),
                                int(sums.visits_hi[c]), float(sums.dgauge_sum[c]),
                                float(sums.dgauge_sq[c]))
@@ -436,12 +436,11 @@ def check_geometric_bound(x: float, y: float, spec: ArrivalSpec, n_events: int,
 
     state = BookState(bid_reservoir=x, ask_reservoir=y)
     arr = materialize(ArrivalStream(seed, n_events, spec))
-    changed_bid, price, sign = match_arrivals(
-        state, MatchRule(ORDINARY), arr.is_bid, arr.prices).changes()
-    step = np.where((x < price) & (price < y), sign, 0)
+    log = match_arrivals(state, MatchRule(ORDINARY), arr.is_bid, arr.prices)
+    step = np.where((x < log.price) & (log.price < y), log.sign, 0)
     at = np.arange(n_events // 2, n_events, 50)
-    sb = np.cumsum(np.where(changed_bid, step, 0))[at]
-    sa = np.cumsum(np.where(changed_bid, 0, step))[at]
+    sb = np.cumsum(np.where(log.changed_bid, step, 0))[at]
+    sa = np.cumsum(np.where(log.changed_bid, 0, step))[at]
     n = sb.size
 
     def tail_table(samples, rho):

@@ -214,43 +214,35 @@ def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
         cp_alpha=np.empty(cp.size), bid_arrivals=bid_arrivals,
         ask_arrivals=n - bid_arrivals, elapsed=float(times[-1]) if n else 0.0,
         partition=record_partition)
-    recorders = [_Checkpoints(trace, state, cp)]
+    recorders = [_Checkpoints(trace, cp)]
     if runmax_band is not None:
         recorders.append(_RunningMax(trace, runmax_band, times))
     if record_partition is not None:
         recorders.append(_Binned(trace, state, times))
     for lo, log in match_chunks(state, rule, arr.is_bid, arr.prices, CHUNK):
         if log.outcome.size:
-            changes = log.changes()
             for recorder in recorders:
-                recorder.fold(lo, log, changes)
+                recorder.fold(lo, log)
     trace.final_bids, trace.final_asks = state.n_bids, state.n_asks
     return trace
 
 
 # Each recorder folds the chunks of one run into its trace, in order:
-# `fold(lo, log, changes)` takes the log of arrivals lo, lo + 1, ... and its
-# `changes()`.
+# `fold(lo, log)` takes the log of arrivals lo, lo + 1, ...
 
 
 class _Checkpoints:
     """Book sizes and best quotes at the checkpoints, and the execution counters."""
 
-    def __init__(self, trace: Trace, state: BookState, cp: np.ndarray):
+    def __init__(self, trace: Trace, cp: np.ndarray):
         self.trace, self.cp = trace, cp
-        self.bids, self.asks = state.n_bids, state.n_asks   # before the next chunk
 
-    def fold(self, lo: int, log: EventLog, changes) -> None:
+    def fold(self, lo: int, log: EventLog) -> None:
         tr = self.trace
-        changed_bid, _, sign = changes
-        i, j = np.searchsorted(self.cp, (lo, lo + sign.size))
+        i, j = np.searchsorted(self.cp, (lo, lo + log.sign.size))
         at = self.cp[i:j] - lo
-        bid_step = sign * changed_bid
-        bids = self.bids + np.cumsum(bid_step)
-        asks = self.asks + np.cumsum(sign - bid_step)
-        tr.cp_bids[i:j], tr.cp_asks[i:j] = bids[at], asks[at]
+        tr.cp_bids[i:j], tr.cp_asks[i:j] = log.n_bids[at], log.n_asks[at]
         tr.cp_beta[i:j], tr.cp_alpha[i:j] = log.beta[at], log.alpha[at]
-        self.bids, self.asks = int(bids[-1]), int(asks[-1])
         executed = log.outcome == EXECUTED
         by_bid = int(np.count_nonzero(executed & log.is_bid))
         tr.ask_exec_by_bid += by_bid
@@ -268,11 +260,10 @@ class _RunningMax:
         self.count = 0
         trace.runmax_series = np.empty((times.size, 3)) if times.size else np.empty(0)
 
-    def fold(self, lo: int, log: EventLog, changes) -> None:
+    def fold(self, lo: int, log: EventLog) -> None:
         tr = self.trace
-        changed_bid, price, sign = changes
-        in_band = np.where(changed_bid, price >= self.lo, price < self.hi)
-        count = self.count + np.cumsum(sign * in_band)
+        in_band = np.where(log.changed_bid, log.price >= self.lo, log.price < self.hi)
+        count = self.count + np.cumsum(log.sign * in_band)
         run_max = np.maximum.accumulate(np.maximum(count, tr.runmax_value))
         jumps = np.flatnonzero(count > np.concatenate(([tr.runmax_value], run_max[:-1])))
         if jumps.size:
@@ -301,13 +292,12 @@ class _Binned:
         trace.top_shape_sums = self.sums.top
         self._occupation()
 
-    def fold(self, lo: int, log: EventLog, changes) -> None:
+    def fold(self, lo: int, log: EventLog) -> None:
         tr, part = self.trace, self.trace.partition
-        changed_bid, price, sign = changes
-        times = self.times[lo:lo + price.size]
+        times = self.times[lo:lo + log.price.size]
         _kernel().binned(self.sums, times, self.t, tr.n_events // 2 - lo, log.beta, log.alpha,
-                         part.index(log.beta), part.index(log.alpha), part.index(price),
-                         changed_bid, sign)
+                         part.index(log.beta), part.index(log.alpha), part.index(log.price),
+                         log.changed_bid, log.sign)
         self.t = times[-1]
         self._occupation()
 

@@ -96,6 +96,15 @@ class TestSimulateCommand:
         assert "kernel: c\n" in out or "kernel: python\n" in out
         assert "kernel" not in json.loads((tmp_path / "summary.json").read_text())
 
+    def test_calls_in_one_process_share_no_options(self, capsys, tmp_path):
+        # the parser is built once per process; a flag of one call must not
+        # reach the next
+        for seed, argv in ((5, ["--seed", "5"]), (0, [])):
+            code, _, _ = run_cli(capsys, "simulate", "--n", "2000", *argv,
+                                 "--out", str(tmp_path / str(seed)))
+            assert code == 0
+            assert json.loads((tmp_path / str(seed) / "summary.json").read_text())["seed"] == seed
+
     def test_empty_run(self, capsys, tmp_path):
         # zero arrivals is a config error, as for runmax and the coupling suite
         code, out, err = run_cli(capsys, "simulate", "--n", "0",
@@ -494,6 +503,11 @@ class TestOtherCommands:
         code, out, err = run_cli(capsys, "couple", "--n", "5", "--bins", "4")
         assert code == 2
         assert "--n >= 10" in err and out == ""
+
+    def test_couple_too_few_bins_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "couple", "--n", "50", "--bins", "3")
+        assert code == 2
+        assert err == "config error: couple needs --bins >= 4, got 3\n" and out == ""
 
     def test_couple_degenerate_estimate_is_refused(self, capsys):
         # 10 arrivals leave every tail ratio at 0, which would print 0.0000 thrice

@@ -292,12 +292,13 @@ def test_chunked_crossed_book_names_the_global_arrival(chunk, kernel, monkeypatc
     at = first_of_a_chunk(chunk)
     loop = book._kernel()
 
-    def crossing(heaps, rule, is_bid, prices, outcome, beta, alpha):
-        loop.run(heaps, rule, is_bid, prices, outcome, beta, alpha)
+    def crossing(heaps, rule, log):
+        tie = loop.run(heaps, rule, log)
         start = done[0]
-        done[0] += prices.size
+        done[0] += log.prices.size
         if start <= at < done[0]:
-            beta[at - start] = alpha[at - start]
+            log.beta[at - start] = log.alpha[at - start]
+        return tie
 
     monkeypatch.setattr(book, "_loaded", loop._replace(run=crossing))
     arr = sim.materialize(sim.ArrivalStream(2, 3 * 4096 + 5, uniform_spec))

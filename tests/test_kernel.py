@@ -41,7 +41,8 @@ prices = st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1.0))
 
 
 def replay(state, rule, is_bid, px):
-    """Reference log: (outcome code, beta, alpha, changed side, changed price, sign).
+    """Reference log: (outcome code, beta, alpha, changed side, changed price, sign,
+    resting bids, resting asks).
 
     The book must start in the rule's order of the best quotes.
     """
@@ -51,19 +52,22 @@ def replay(state, rule, is_bid, px):
         side = "bid" if bid else "ask"
         eff = apply_arrival(state, rule, Order(side, float(p), i))
         if eff.outcome == "joined":
-            rows.append((JOINED, eff.new_beta, eff.new_alpha, bid, float(p), 1))
+            code, changed_bid, price, sign = JOINED, bid, float(p), 1
         elif eff.counterparty_is_reservoir:
-            rows.append((RESERVOIR, eff.new_beta, eff.new_alpha, bid, float(p), 0))
+            code, changed_bid, price, sign = RESERVOIR, bid, float(p), 0
         else:
-            rows.append((EXECUTED, eff.new_beta, eff.new_alpha, not bid,
-                         eff.counterparty_price, -1))
+            code, changed_bid, price, sign = EXECUTED, not bid, eff.counterparty_price, -1
+        rows.append((code, eff.new_beta, eff.new_alpha, changed_bid, price, sign,
+                     state.n_bids, state.n_asks))
     return rows
 
 
+# The arrays the loop writes, as the columns of replay's rows
+LOG_FIELDS = ("outcome", "beta", "alpha", "changed_bid", "price", "sign", "n_bids", "n_asks")
+
+
 def kernel_rows(log):
-    changed_bid, price, sign = log.changes()
-    return list(zip(log.outcome.tolist(), log.beta.tolist(), log.alpha.tolist(),
-                    changed_bid.tolist(), price.tolist(), sign.tolist()))
+    return list(zip(*(getattr(log, name).tolist() for name in LOG_FIELDS)))
 
 
 def outcome_of(fn):
@@ -221,7 +225,7 @@ def test_empty_sequence():
                          np.zeros(0, dtype=bool), np.zeros(0))
     assert log.outcome.size == log.beta.size == 0
     assert log.beta0 == 0.4 and log.alpha0 == math.inf
-    assert all(a.size == 0 for a in log.changes())
+    assert all(getattr(log, name).size == 0 for name in LOG_FIELDS)
 
 
 # -- the compiled kernel against the Python loop -----------------------------
@@ -253,7 +257,7 @@ def run_on(kernel, rule, book, is_bid, px):
     with running(kernel):
         log, err = outcome_of(lambda: match_arrivals(state, rule, is_bid, px))
     result = str(err) if err is not None else tuple(
-        (a.dtype.str, a.tobytes()) for a in (log.outcome, log.beta, log.alpha))
+        (a.dtype.str, a.tobytes()) for a in (getattr(log, name) for name in LOG_FIELDS))
     return result, (state._bid_heap, state._ask_heap)
 
 
@@ -296,6 +300,18 @@ def test_both_kernels_accept_repeated_prices(c_kernel, kind, book, is_bid, px):
                                 np.array(px, dtype=float))
 
 
+def test_both_kernels_name_the_first_of_two_ties(c_kernel):
+    # Arrival 1 is an ask at the best bid 0.6, which then also leaves the
+    # book crossed; arrival 2 executes that bid, and arrival 3 is an ask at
+    # the next best bid 0.2.  Without the first tie the second is named.
+    book, is_bid = BookState(bids=[0.2], asks=[0.8]), np.array([True, False, False, False])
+    for first, want in ((0.6, "arrival 1 at 0.6"), (0.61, "arrival 3 at 0.2")):
+        px = np.array([0.6, first, 0.4, 0.2])
+        for kernel in (c_kernel, PYTHON_LOOP):
+            message, _ = run_on(kernel, RULES[ORDINARY], book, is_bid, px)
+            assert message == f"{want} collides with the opposite best quote"
+
+
 @pytest.mark.parametrize("is_bid, px", CROSSED_IN_BIN)
 def test_both_kernels_accept_a_strict_book_crossed_inside_a_bin(c_kernel, is_bid, px):
     assert assert_kernels_agree(c_kernel, RULES[STRICT_BINNED],
@@ -326,7 +342,7 @@ def test_coarse_law_runs_as_the_replay(request, monkeypatch, kernel, chunk, kind
     loop = PYTHON_LOOP if kernel == "python" else request.getfixturevalue("c_kernel")
     with running(loop):
         trace = sim.run_arrivals(RULES[kind], book, arr, 1)
-    outcome, beta, alpha, changed_bid, _, sign = (np.array(c) for c in zip(*rows))
+    outcome, beta, alpha, changed_bid, _, sign, _, _ = (np.array(c) for c in zip(*rows))
     assert trace.cp_beta.tolist() == beta.tolist()
     assert trace.cp_alpha.tolist() == alpha.tolist()
     assert trace.cp_bids.tolist() == (2 + np.cumsum(sign * changed_bid)).tolist()

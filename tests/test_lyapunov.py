@@ -232,9 +232,9 @@ def five_bin_changes(eps, n, seed):
     lo_mid = 0.5 * (0.2 + eps)
     state = book.BookState(bid_reservoir=lo_mid, ask_reservoir=1.0 - lo_mid)
     arr = materialize(ArrivalStream(seed, n, ArrivalSpec(uniform_dist(), uniform_dist())))
-    changed_bid, price, sign = book.match_arrivals(
-        state, book.MatchRule(book.ORDINARY_BINNED, part), arr.is_bid, arr.prices).changes()
-    return part.index(price), changed_bid, sign
+    log = book.match_arrivals(state, book.MatchRule(book.ORDINARY_BINNED, part), arr.is_bid,
+                              arr.prices)
+    return part.index(log.price), log.changed_bid, log.sign
 
 
 @pytest.fixture(scope="module")
