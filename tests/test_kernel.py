@@ -342,11 +342,11 @@ def test_coarse_law_runs_as_the_replay(request, monkeypatch, kernel, chunk, kind
     loop = PYTHON_LOOP if kernel == "python" else request.getfixturevalue("c_kernel")
     with running(loop):
         trace = sim.run_arrivals(RULES[kind], book, arr, 1)
-    outcome, beta, alpha, changed_bid, _, sign, _, _ = (np.array(c) for c in zip(*rows))
+    outcome, beta, alpha, _, _, _, n_bids, n_asks = (np.array(c) for c in zip(*rows))
     assert trace.cp_beta.tolist() == beta.tolist()
     assert trace.cp_alpha.tolist() == alpha.tolist()
-    assert trace.cp_bids.tolist() == (2 + np.cumsum(sign * changed_bid)).tolist()
-    assert trace.cp_asks.tolist() == (2 + np.cumsum(sign * ~changed_bid)).tolist()
+    assert trace.cp_bids.tolist() == n_bids.tolist()
+    assert trace.cp_asks.tolist() == n_asks.tolist()
     assert trace.reservoir_executions == np.count_nonzero(outcome == RESERVOIR)
 
 
