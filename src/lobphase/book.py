@@ -314,9 +314,9 @@ def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
     prices must be finite and the rule's ordering of the best quotes must
     hold in the starting book; both are checked up front, before any event.
     Prices may repeat.  After each chunk, no arrival may have sat at the
-    opposite best quote, and the ordering must hold after every event; both
-    errors name the arrival by its index in the whole sequence.  Zero
-    arrivals give one empty chunk.
+    opposite best quote (the loop returns the first that did), and the
+    ordering must hold after every event; both errors name the arrival by
+    its index in the whole sequence.  Zero arrivals give one empty chunk.
     """
     is_bid = np.ascontiguousarray(is_bid, dtype=bool)
     prices = np.ascontiguousarray(prices, dtype=float)
