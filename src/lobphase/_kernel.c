@@ -1,11 +1,12 @@
 /* Four passes of lobphase, compiled.
  *
  * match, the arrival loop of match_arrivals, mirrors book._match_py step for
- * step: the same tests in the same order, heapq's sift logic on double heaps
- * (bids negated), so the event log's arrays and the final heaps equal the
- * Python ones element for element.  It runs one chunk of arrivals on heaps
- * sized for the whole run, whose lengths nb and na it updates.  bins is NULL
- * for the ordinary rule, where arrival i of the chunk has bin i+1.
+ * step: the same tests in the same order, on double heaps (bids negated), so
+ * the event log's arrays equal the Python ones bit for bit and the final
+ * heaps hold the same book, each a valid heap, though not in heapq's layout.
+ * It runs one chunk of arrivals on heaps sized for the whole run, whose
+ * lengths nb and na it updates.  bins is NULL for the ordinary rule, where
+ * arrival i of the chunk has bin i+1.
  *
  * binned is the binned recorder of book._binned_sums, five_bin the pass of
  * book._five_bin_sums and refinement the domination pass of
@@ -15,6 +16,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 static void sift_down(double *h, long start, long pos) {
     double item = h[pos];
@@ -46,6 +48,67 @@ static void push(double *h, long *n, double x) {
     sift_down(h, 0, (*n)++);
 }
 
+/* One side of the book during a match call.  Keys are prices, bids negated,
+ * so the smallest key is the best order.  The best orders sit in a short
+ * sorted run, hot, best last, and the rest in the binary heap `heap` of
+ * length n, with every hot key <= cut <= every heap key.  Most joins land
+ * within a few places of the best, and every execution takes the best, so
+ * neither climbs over the orders buried deep in the book. */
+#define HOT 128
+
+struct side {
+    double *heap;
+    long n, nhot;
+    double cut;
+    double hot[HOT];
+};
+
+static void open_side(struct side *s, double *heap, long n) {
+    s->heap = heap;
+    s->n = n;
+    s->nhot = 0;
+    s->cut = n ? heap[0] : INFINITY;
+}
+
+static long size(const struct side *s) { return s->n + s->nhot; }
+
+/* the best key; the side must hold an order */
+static double best(const struct side *s) { return s->nhot ? s->hot[s->nhot - 1] : s->heap[0]; }
+
+static void join(struct side *s, double key) {
+    if (key < s->cut && s->nhot == HOT) {
+        /* the run is full: its worse half goes onto the heap */
+        for (long j = 0; j < HOT / 2; j++) push(s->heap, &s->n, s->hot[j]);
+        s->nhot = HOT - HOT / 2;
+        memmove(s->hot, s->hot + HOT / 2, s->nhot * sizeof(double));
+        s->cut = s->hot[0];
+    }
+    if (!(key < s->cut)) {
+        push(s->heap, &s->n, key);
+        return;
+    }
+    long j = s->nhot++;
+    for (; j > 0 && s->hot[j - 1] < key; j--) s->hot[j] = s->hot[j - 1];
+    s->hot[j] = key;
+}
+
+/* removes the best order; the side must hold one */
+static void take(struct side *s) {
+    if (s->nhot) {
+        s->nhot--;
+    } else {
+        s->cut = s->heap[0];
+        pop(s->heap, &s->n);
+    }
+}
+
+/* pushes the run onto the heap and returns the heap's length */
+static long close_side(struct side *s) {
+    for (long j = 0; j < s->nhot; j++) push(s->heap, &s->n, s->hot[j]);
+    s->nhot = 0;
+    return s->n;
+}
+
 /* bisect_right(cuts, x), or -1 for an empty side's quote */
 static int64_t bin_of(const double *cuts, long ncuts, double x, double empty) {
     long lo = 0, hi = ncuts;
@@ -66,8 +129,11 @@ long match(long n, const uint8_t *is_bid, const double *prices, const int64_t *b
            double *bids, long *nb, double *asks, long *na,
            uint8_t *outcome, double *beta_out, double *alpha_out, uint8_t *changed_bid,
            double *price, int8_t *sign, int64_t *n_bids, int64_t *n_asks) {
-    double beta = *nb && -bids[0] > rb ? -bids[0] : rb;
-    double alpha = *na && asks[0] < ra ? asks[0] : ra;
+    struct side b, a;
+    open_side(&b, bids, *nb);
+    open_side(&a, asks, *na);
+    double beta = size(&b) && -best(&b) > rb ? -best(&b) : rb;
+    double alpha = size(&a) && best(&a) < ra ? best(&a) : ra;
     int64_t bbin = bin_of(cuts, ncuts, beta, -INFINITY);
     int64_t abin = bin_of(cuts, ncuts, alpha, INFINITY);
     long tie = -1;
@@ -84,13 +150,13 @@ long match(long n, const uint8_t *is_bid, const double *prices, const int64_t *b
                     outcome[i] = 2; sign[i] = 0;
                 } else {
                     changed_bid[i] = 0; price[i] = alpha;
-                    pop(asks, na);
-                    alpha = *na && asks[0] < ra ? asks[0] : ra;
+                    take(&a);
+                    alpha = size(&a) && best(&a) < ra ? best(&a) : ra;
                     abin = bin_of(cuts, ncuts, alpha, INFINITY);
                     outcome[i] = 1; sign[i] = -1;
                 }
             } else {
-                push(bids, nb, -p);
+                join(&b, -p);
                 if (p > beta) { beta = p; bbin = k; }
                 outcome[i] = 0; sign[i] = 1;
             }
@@ -99,21 +165,23 @@ long match(long n, const uint8_t *is_bid, const double *prices, const int64_t *b
                 outcome[i] = 2; sign[i] = 0;
             } else {
                 changed_bid[i] = 1; price[i] = beta;
-                pop(bids, nb);
-                beta = *nb && -bids[0] > rb ? -bids[0] : rb;
+                take(&b);
+                beta = size(&b) && -best(&b) > rb ? -best(&b) : rb;
                 bbin = bin_of(cuts, ncuts, beta, -INFINITY);
                 outcome[i] = 1; sign[i] = -1;
             }
         } else {
-            push(asks, na, p);
+            join(&a, p);
             if (p < alpha) { alpha = p; abin = k; }
             outcome[i] = 0; sign[i] = 1;
         }
         beta_out[i] = beta;
         alpha_out[i] = alpha;
-        n_bids[i] = *nb;
-        n_asks[i] = *na;
+        n_bids[i] = size(&b);
+        n_asks[i] = size(&a);
     }
+    *nb = close_side(&b);
+    *na = close_side(&a);
     return tie;
 }
 

@@ -126,8 +126,9 @@ class BookState:
                 raise ValueError("bid reservoir must sit below ask reservoir")
         self.bid_reservoir = bid_reservoir
         self.ask_reservoir = ask_reservoir
-        self._bid_heap = sorted(-float(p) for p in bids)  # a sorted list is a heap
-        self._ask_heap = sorted(float(p) for p in asks)
+        # a sorted list is a heap; + 0.0 turns -0.0 into 0.0
+        self._bid_heap = sorted(-(float(p) + 0.0) for p in bids)
+        self._ask_heap = sorted(float(p) + 0.0 for p in asks)
         if not (np.isfinite(self._bid_heap).all() and np.isfinite(self._ask_heap).all()):
             raise BookInvariantError("non-finite resting price")
 
@@ -170,9 +171,10 @@ class BookState:
     # -- mutations -------------------------------------------------------
 
     def insert(self, side: str, price: float) -> None:
-        """Add one resting order at a finite price, in O(log book)."""
+        """Add one resting order at a finite price, in O(log book); -0.0 rests as 0.0."""
         if not math.isfinite(price):
             raise BookInvariantError(f"non-finite price {price}")
+        price += 0.0
         if side == "bid":
             heapq.heappush(self._bid_heap, -price)
         else:
@@ -284,9 +286,10 @@ class _Heaps:
     """A book's two heaps as float64 arrays (bids negated) with their lengths,
     sized once for the resting orders plus every arrival of the side, and its
     reservoirs (+-inf for none).  The Python loop moves the heaps into `lists`
-    (bids, asks) on its first chunk and keeps them there for the call."""
+    (bids, asks) on its first chunk and keeps them there for the call; the C
+    loop keeps the pointers it passes in `c_args`."""
 
-    __slots__ = ("bids", "asks", "nb", "na", "rb", "ra", "lists")
+    __slots__ = ("bids", "asks", "nb", "na", "rb", "ra", "lists", "c_args")
 
     def __init__(self, state: BookState, n_bid: int, n_ask: int):
         self.nb, self.na = ctypes.c_long(state.n_bids), ctypes.c_long(state.n_asks)
@@ -295,7 +298,7 @@ class _Heaps:
         self.bids[:self.nb.value], self.asks[:self.na.value] = state._bid_heap, state._ask_heap
         self.rb = NEG_INF if state.bid_reservoir is None else state.bid_reservoir
         self.ra = POS_INF if state.ask_reservoir is None else state.ask_reservoir
-        self.lists = None
+        self.lists = self.c_args = None
 
     def store(self, state: BookState) -> None:
         bids, asks = self.lists or (self.bids[:self.nb.value].tolist(),
@@ -313,7 +316,9 @@ def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
     new book once the last chunk is read, or once a chunk fails.  Arrival
     prices must be finite and the rule's ordering of the best quotes must
     hold in the starting book; both are checked up front, before any event.
-    Prices may repeat.  After each chunk, no arrival may have sat at the
+    Prices may repeat, and -0.0 is read as 0.0, so that equal prices are
+    equal bytes and the order in which a loop meets them cannot show in the
+    log.  After each chunk, no arrival may have sat at the
     opposite best quote (the loop returns the first that did), and the
     ordering must hold after every event; both errors name the arrival by
     its index in the whole sequence.  Zero arrivals give one empty chunk.
@@ -323,6 +328,8 @@ def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
     if not np.isfinite(prices).all():
         i = int(np.argmin(np.isfinite(prices)))
         raise BookInvariantError(f"arrival {i} at non-finite price {prices[i]}")
+    if np.signbit(prices[prices == 0]).any():
+        prices = prices + 0.0
     beta0, alpha0 = state.beta(), state.alpha()
     _check_order(beta0, alpha0, rule)
     n, n_bid = prices.size, int(np.count_nonzero(is_bid))
@@ -425,17 +432,29 @@ def _match_py(heaps: _Heaps, rule: MatchRule, log: EventLog) -> int:
 
 
 def _match_c(fn, heaps: _Heaps, rule: MatchRule, log: EventLog) -> int:
-    """`_match_py` through the compiled `match` of `_kernel.c`, on the heaps in place."""
-    if rule.kind == ORDINARY:
-        cuts, bins = np.empty(0), None
-    else:
-        cuts = np.ascontiguousarray(rule.partition.boundaries, dtype=float)
-        bins = np.ascontiguousarray(rule.partition.index(log.prices), dtype=np.int64)
-    return fn(log.prices.size, log.is_bid.ctypes.data, log.prices.ctypes.data,
-              None if bins is None else bins.ctypes.data, cuts.ctypes.data, cuts.size,
-              rule.kind == STRICT_BINNED, heaps.rb, heaps.ra,
-              heaps.bids.ctypes.data, ctypes.byref(heaps.nb), heaps.asks.ctypes.data,
-              ctypes.byref(heaps.na), *(a.ctypes.data for a in log[4:]))
+    """`_match_py` through the compiled `match` of `_kernel.c`, on the heaps in place.
+
+    The pointers are taken once per `match_chunks` call, on its first chunk:
+    every chunk's log is a view of the same eight buffers, and each chunk's
+    arrivals follow the previous chunk's in the call's arrays.
+    """
+    n = log.prices.size
+    if heaps.c_args is None:
+        cuts = np.empty(0) if rule.kind == ORDINARY else \
+            np.ascontiguousarray(rule.partition.boundaries, dtype=float)
+        # the next chunk's is_bid and prices, then cuts, kept alive, and the
+        # arguments after bins, which stay the same for the call
+        heaps.c_args = [log.is_bid.ctypes.data, log.prices.ctypes.data, cuts, (
+            cuts.ctypes.data, cuts.size, rule.kind == STRICT_BINNED, heaps.rb, heaps.ra,
+            heaps.bids.ctypes.data, ctypes.byref(heaps.nb), heaps.asks.ctypes.data,
+            ctypes.byref(heaps.na), *(a.ctypes.data for a in log[4:]))]
+    args = heaps.c_args
+    bins = None if rule.kind == ORDINARY else \
+        np.ascontiguousarray(rule.partition.index(log.prices), dtype=np.int64)
+    tie = fn(n, args[0], args[1], None if bins is None else bins.ctypes.data, *args[3])
+    args[0] += n * log.is_bid.itemsize
+    args[1] += n * log.prices.itemsize
+    return tie
 
 
 BLOCK = 256   # events per block in the numpy events x bins passes

@@ -26,9 +26,9 @@ import numpy as np
 from .analytics import thresholds
 # apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
 from .book import (ORDINARY, ORDINARY_BINNED, BookState, MatchRule, _kernel, apply_arrival,
-                   match_arrivals)
+                   match_arrivals, match_chunks)
 from .dist import ArrivalSpec, BinPartition, make_partition
-from .sim import ArrivalStream, materialize, run_arrivals
+from .sim import CHUNK, ArrivalStream, materialize, run_arrivals
 
 __all__ = [
     "REGIONS",
@@ -421,7 +421,7 @@ def check_geometric_bound(x: float, y: float, spec: ArrivalSpec, n_events: int,
     arrive at rate F_b(y) - F_b(x) and depart at rate at least F_a(x), so
     their count is dominated by a geometric law with ratio rho; mirrored for
     asks.  Tested for m = 1..12 on every 50th arrival of the second half, with
-    3-sigma binomial slack.
+    3-sigma binomial slack.  The run is matched `CHUNK` arrivals at a time.
     """
     if n_events < 1:
         raise ValueError(f"no samples: the tail test needs n_events >= 1, got {n_events}")
@@ -436,12 +436,17 @@ def check_geometric_bound(x: float, y: float, spec: ArrivalSpec, n_events: int,
 
     state = BookState(bid_reservoir=x, ask_reservoir=y)
     arr = materialize(ArrivalStream(seed, n_events, spec))
-    log = match_arrivals(state, MatchRule(ORDINARY), arr.is_bid, arr.prices)
-    step = np.where((x < log.price) & (log.price < y), log.sign, 0)
     at = np.arange(n_events // 2, n_events, 50)
-    sb = np.cumsum(np.where(log.changed_bid, step, 0))[at]
-    sa = np.cumsum(np.where(log.changed_bid, 0, step))[at]
-    n = sb.size
+    n = at.size
+    sb, sa = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    nb = na = 0     # the bids and asks inside (x, y) before the chunk
+    for lo, log in match_chunks(state, MatchRule(ORDINARY), arr.is_bid, arr.prices, CHUNK):
+        step = np.where((x < log.price) & (log.price < y), log.sign, 0)
+        cb = nb + np.cumsum(np.where(log.changed_bid, step, 0))
+        ca = na + np.cumsum(np.where(log.changed_bid, 0, step))
+        i, j = np.searchsorted(at, (lo, lo + step.size))
+        sb[i:j], sa[i:j] = cb[at[i:j] - lo], ca[at[i:j] - lo]
+        nb, na = int(cb[-1]), int(ca[-1])
 
     def tail_table(samples, rho):
         rows, ok = [], True

@@ -6,14 +6,15 @@ The loop must leave the same book and log the same effect for every arrival
 as a step-by-step replay through the reference, under all three rules, with
 and without reservoirs, from non-empty books and with prices on bin edges.
 Every input the replay rejects, the loop rejects too.  The C kernel must give
-the Python loop's arrays bit for bit and its heap lists element for element,
-and raise the same error on the same input; its binned-recorder and
+the Python loop's arrays bit for bit and the same book, each side stored as a
+valid heap, and raise the same error on the same input; its binned-recorder and
 refinement passes must give the bytes and dtypes of the numpy `_binned_sums`
 and `_refinement_maxima` (the five-bin pass is tested in test_lyapunov.py).
 """
 
 import dataclasses
 import math
+import re
 import subprocess
 from contextlib import contextmanager
 
@@ -251,14 +252,26 @@ def running(kernel):
         book_module._loaded = saved
 
 
+def is_heap(keys):
+    return all(keys[(i - 1) // 2] <= keys[i] for i in range(1, len(keys)))
+
+
 def run_on(kernel, rule, book, is_bid, px):
-    """(log arrays as bytes or the error message, final heap lists) under one kernel."""
+    """(log arrays as bytes or the error message, final book as bytes) under one kernel."""
     state = book.clone()
     with running(kernel):
         log, err = outcome_of(lambda: match_arrivals(state, rule, is_bid, px))
     result = str(err) if err is not None else tuple(
         (a.dtype.str, a.tobytes()) for a in (getattr(log, name) for name in LOG_FIELDS))
-    return result, (state._bid_heap, state._ask_heap)
+    return result, book_bytes(state)
+
+
+def book_bytes(state):
+    """Both sides' sorted prices as bytes, once both stored lists are checked
+    to be heaps: the C loop keeps each side's best orders apart from its heap,
+    so it leaves the Python loop's book in another heap layout."""
+    assert is_heap(state._bid_heap) and is_heap(state._ask_heap)
+    return np.array(state.bids()).tobytes(), np.array(state.asks()).tobytes()
 
 
 def assert_kernels_agree(c_kernel, rule, book, is_bid, px):
@@ -317,6 +330,66 @@ def test_both_kernels_accept_a_strict_book_crossed_inside_a_bin(c_kernel, is_bid
     assert assert_kernels_agree(c_kernel, RULES[STRICT_BINNED],
                                 BookState(bids=[0.57], asks=[0.53]),
                                 np.array(is_bid, dtype=bool), np.array(px, dtype=float))
+
+
+WHOLE = 2**62       # one chunk, whatever the run's length
+# The C loop holds each side's best orders in a sorted run of this length
+# above a heap of the rest, split at a cutoff price.
+HOT = int(re.search(r"#define HOT (\d+)", book_module._SOURCE.read_text())[1])
+
+
+def boundary_run(seed):
+    """(book, is_bid, px) that drive both sides' runs over the cutoff and back.
+
+    More than 3 * HOT ever-better bids, each price three times, overflow the
+    bid run again and again, so equal prices straddle the cutoff; as many
+    ever-better asks do the same on the other side.  Then asks below every
+    bid execute them all, through the heap too, mixed with bids at prices
+    already seen; then bids above every ask do the same to the asks.  The
+    book holds bids at 0.0 and -0.0, and bids at both arrive.
+    """
+    rng = np.random.default_rng(seed)
+    levels = np.linspace(0.05, 0.35, HOT + 7)
+    rising = np.repeat(levels, 3)
+    falling = 1.0 - rising
+    zeros = np.array([0.0, -0.0, -0.0, 0.0])
+    seen = rng.choice(np.concatenate((levels, zeros)), HOT)
+    n_bids = 4 + rising.size + zeros.size + seen.size
+    hits = np.concatenate((np.full(n_bids + 10, -0.5), seen))
+    order = rng.permutation(hits.size)
+    px = np.concatenate((rising, zeros, falling, hits[order], np.full(falling.size + 10, 1.1)))
+    is_bid = np.concatenate((np.ones(rising.size + zeros.size, dtype=bool),
+                             np.zeros(falling.size, dtype=bool), order >= n_bids + 10,
+                             np.ones(falling.size + 10, dtype=bool)))
+    return BookState(bids=[0.0, -0.0, 0.01, -0.0]), is_bid, px
+
+
+def chunks_on(kernel, rule, book, is_bid, px, size):
+    """Every chunk's log arrays as bytes and the final book as bytes, matched
+    `size` arrivals at a time under one kernel."""
+    state = book.clone()
+    with running(kernel):
+        logs = [tuple(getattr(log, name).tobytes() for name in LOG_FIELDS)
+                for _, log in book_module.match_chunks(state, rule, is_bid, px, size)]
+    return logs, book_bytes(state)
+
+
+@pytest.mark.parametrize("size", [1, 7, WHOLE], ids=["1", "7", "whole"])
+@pytest.mark.parametrize("kind", sorted(RULES))
+@pytest.mark.parametrize("reservoirs", [(None, None), (-0.25, 1.25)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_kernels_agree_across_the_hot_run_cutoff(c_kernel, size, kind, reservoirs, seed):
+    book, is_bid, px = boundary_run(seed)
+    book.bid_reservoir, book.ask_reservoir = reservoirs
+    got = chunks_on(c_kernel, RULES[kind], book, is_bid, px, size)
+    assert got == chunks_on(PYTHON_LOOP, RULES[kind], book, is_bid, px, size)
+    # The run does what boundary_run says: each side holds more than 3 * HOT
+    # orders, and where asks can execute bids in bin 0, every zero bid goes.
+    log = match_arrivals(book.clone(), RULES[kind], is_bid, px)
+    assert min(log.n_bids.max(), log.n_asks.max()) > 3 * HOT
+    zeros = 3 + np.count_nonzero(is_bid & (px == 0))
+    hit = np.count_nonzero((log.sign == -1) & log.changed_bid & (log.price == 0))
+    assert hit == (0 if kind == STRICT_BINNED else zeros)
 
 
 # 101 bid prices k/100 and 101 ask prices half a tick above them: a stream
@@ -396,7 +469,6 @@ def arrivals(is_bid, px, poisson_seed=None):
 # rule's bin edges
 RECORD_PARTS = (TENTH_BINS,
                 BinPartition((0.0, 1.0), np.round(np.arange(0.02, 0.985, 0.02), 10)))
-WHOLE = 2**62       # one chunk, whatever the run's length
 
 
 @given(scenarios(), st.sampled_from(RECORD_PARTS), st.sampled_from([1, 3, 7, WHOLE]),
@@ -549,6 +621,13 @@ def test_c_refinement_reports_equal_numpy_pass(c_kernel, reservoir_books_accepte
     # every report field, details included, after the same C loop
     numpy_pass = c_kernel._replace(refinement=book_module._refinement_maxima)
     assert coupling_reports(c_kernel) == coupling_reports(numpy_pass)
+
+
+def test_kernel_compiles_without_warnings(c_kernel, tmp_path):
+    done = subprocess.run([book_module._CC, *book_module._FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "kernel.so"), str(book_module._SOURCE)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("cc", ["false", "true"])

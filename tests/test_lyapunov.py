@@ -303,6 +303,13 @@ class TestGeometricBound:
         empirical_ge1 = rep.bid_tail[0][1]
         assert empirical_ge1 <= 0.05
 
+    @pytest.mark.parametrize("chunk", [7, 4096, 2**62])
+    def test_report_does_not_depend_on_the_chunk(self, uniform_spec, monkeypatch, chunk):
+        # checkpoints every 50 arrivals fall on, after and before chunk edges
+        want = check_geometric_bound(0.4, 0.6, uniform_spec, 20_001, seed=3)
+        monkeypatch.setattr(lyapunov, "CHUNK", chunk)
+        assert check_geometric_bound(0.4, 0.6, uniform_spec, 20_001, seed=3) == want
+
     def test_precondition_violation_raises(self, uniform_spec):
         with pytest.raises(ValueError):
             check_geometric_bound(0.1, 0.9, uniform_spec, 1000, seed=0)
