@@ -1,4 +1,8 @@
-/* Four passes of lobphase, compiled.
+/* Five passes of lobphase, compiled.
+ *
+ * draw splits a chunk of arrivals between the sides and prices each by its
+ * side's built-in quantile, with the expression and tables of dist.py's
+ * quantile objects, so its prices equal the numpy ones bit for bit.
  *
  * match, the arrival loop of match_arrivals, mirrors book._match_py step for
  * step: the same tests in the same order, on double heaps (bids negated), so
@@ -17,6 +21,84 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+/* A built-in price law's quantile: the fields of dist.py's quantile object. */
+enum { UNIFORM, PIECEWISE, TABLE };
+
+struct law {
+    long kind, n;                   /* n knots, or rows of the table */
+    double lo, width;               /* uniform */
+    const double *xs, *cdf;         /* the knots and the CDF there (table: xs, fs) */
+    const double *y0, *y_lin, *y_sq, *two_s, *slopes;    /* per segment, piecewise */
+    const uint8_t *quadratic;
+};
+
+/* bisect_right(a, x): the count of the n sorted a that are <= x.  Without
+ * a branch on the comparison, which a random x would mispredict. */
+static long bisect_right(const double *a, long n, double x) {
+    const double *base = a;
+    if (n == 0) return 0;
+    while (n > 1) {
+        long half = n / 2;
+        base = x < base[half] ? base : base + half;
+        n -= half;
+    }
+    return (base - a) + !(x < *base);
+}
+
+/* _PiecewiseQuantile: segment i = bisect_right(cdf[1:-1], u), then
+ * np.maximum (NaN or the larger, 0.0 on a tie) and np.clip as numpy has them */
+static double piecewise(const struct law *q, double u) {
+    long i = bisect_right(q->cdf + 1, q->n - 2, u);
+    double t = u - q->cdf[i], d;
+    if (q->quadratic[i]) {
+        double r = q->y_sq[i] + q->two_s[i] * t;
+        d = (sqrt(isnan(r) || r > 0.0 ? r : 0.0) - q->y0[i]) / q->slopes[i];
+    } else {
+        d = t / q->y_lin[i];
+    }
+    double x = q->xs[i] + d, lo = q->xs[0], hi = q->xs[q->n - 1];
+    x = x < lo ? lo : x;
+    return x > hi ? hi : x;
+}
+
+/* np.interp(u, fs, xs), step for step as numpy computes it */
+static double table(const struct law *q, double u) {
+    const double *fs = q->cdf, *xs = q->xs;
+    long n = q->n;
+    if (isnan(u)) return u;
+    if (u < fs[0]) return xs[0];
+    if (u > fs[n - 1]) return xs[n - 1];
+    long j = bisect_right(fs, n, u) - 1;
+    if (j == n - 1 || fs[j] == u) return xs[j];
+    double slope = (xs[j + 1] - xs[j]) / (fs[j + 1] - fs[j]);
+    double x = slope * (u - fs[j]) + xs[j];
+    if (isnan(x)) {
+        x = slope * (u - fs[j + 1]) + xs[j + 1];
+        if (isnan(x) && xs[j] == xs[j + 1]) x = xs[j];
+    }
+    return x;
+}
+
+static double quantile(const struct law *q, double u) {
+    switch (q->kind) {
+    case UNIFORM: return q->lo + u * q->width;
+    case PIECEWISE: return piecewise(q, u);
+    default: return table(q, u);
+    }
+}
+
+/* Arrival i is a bid when side_u[i] < p_b and is priced at its side's
+ * quantile of price_u[i]. */
+void draw(long n, const double *side_u, const double *price_u, double p_b,
+          const struct law *bid_law, const struct law *ask_law, uint8_t *is_bid,
+          double *prices) {
+    for (long i = 0; i < n; i++) {
+        uint8_t bid = side_u[i] < p_b;
+        is_bid[i] = bid;
+        prices[i] = quantile(bid ? bid_law : ask_law, price_u[i]);
+    }
+}
 
 static void sift_down(double *h, long start, long pos) {
     double item = h[pos];
@@ -111,13 +193,7 @@ static long close_side(struct side *s) {
 
 /* bisect_right(cuts, x), or -1 for an empty side's quote */
 static int64_t bin_of(const double *cuts, long ncuts, double x, double empty) {
-    long lo = 0, hi = ncuts;
-    if (x == empty) return -1;
-    while (lo < hi) {
-        long mid = (lo + hi) / 2;
-        if (x < cuts[mid]) hi = mid; else lo = mid + 1;
-    }
-    return lo;
+    return x == empty ? -1 : bisect_right(cuts, ncuts, x);
 }
 
 /* Event i's log: its outcome, the best quotes after it, the side, price and

@@ -26,6 +26,9 @@ solution, and an Illinois root search started from the scan's own bracket
 values finds the level.  `integrate_varpi` reads (u, v) from a single level
 off it.  The balance equations are solved by least squares with the two
 threshold-bin unknowns pinned at zero.  Only numpy is used.
+
+Every route solves the model with equal bid and ask rates: the public
+functions taking a spec raise ValueError for any `p_b` but 0.5.
 """
 
 from __future__ import annotations
@@ -111,6 +114,12 @@ def varpi_uniform_exact(x) -> float | np.ndarray:
     arr = np.clip(arr, kappa, kappa_a)
     val = (1.0 - kappa) * (1.0 / arr + np.log((1.0 - arr) / arr))
     return float(val) if np.ndim(x) == 0 else val
+
+
+def _check_equal_rates(spec: ArrivalSpec) -> None:
+    if spec.p_b != 0.5:
+        raise ValueError(f"p_b={spec.p_b}: the analytic routes solve equal bid and ask "
+                         "rates only (p_b = 0.5)")
 
 
 def _check_coefficients(spec: ArrivalSpec, lo: float, hi: float, n_probe: int = 513):
@@ -275,6 +284,7 @@ def integrate_varpi(spec: ArrivalSpec, kappa_b: float, grid_n: int = 1000,
     panel straddles one.  A law without a knot list is handled by bisecting
     the panels around each jump until it no longer matters at the tolerance.
     """
+    _check_equal_rates(spec)
     fb_level = float(spec.bid_dist.cdf(kappa_b))
     if not 0.0 < fb_level < 0.5:
         raise ValueError(f"F_b(kappa_b)={fb_level:.4g} outside (0, 1/2)")
@@ -380,6 +390,7 @@ def shoot_kappa(spec: ArrivalSpec, tol: float = 1e-10, grid_n: int = 1000,
     bracket or the bracket is as narrow as floats allow; both densities come
     from it too.
     """
+    _check_equal_rates(spec)
     if fb_lower is None:
         fb_lower = finiteness_lower_bound(spec)
         if fb_lower is None or fb_lower <= 0:
@@ -428,6 +439,7 @@ def thresholds(spec: ArrivalSpec, tol: float = 1e-10) -> tuple[float, float]:
     """(kappa_b, kappa_a): the closed form, scaled to the support, where both sides
     share one uniform law; `shoot_kappa`'s thresholds otherwise.
     """
+    _check_equal_rates(spec)
     bid, ask = spec.bid_dist, spec.ask_dist
     if bid.kind == ask.kind == "uniform" and bid.support == ask.support:
         lo, hi = bid.support
@@ -471,6 +483,7 @@ def solve_binned_pi(spec: ArrivalSpec, partition: BinPartition, k_b: int, k_a: i
     misfit it already has.  An entry still below -1e-12 or a mass off one
     by more than 1e-3 raises InfeasibleBalanceError.
     """
+    _check_equal_rates(spec)
     if not 0 <= k_b < k_a < partition.n_bins:
         raise ValueError(f"need 0 <= k_b < k_a < n_bins, got ({k_b}, {k_a})")
     b = partition.masses(spec.bid_dist)
@@ -557,6 +570,7 @@ def finiteness_lower_bound(spec: ArrivalSpec) -> float | None:
     (2p(q-p)s - (s-r)q^2) / (q((q-2p)s + rq)), and the largest is picked by
     cross-multiplying these integers.
     """
+    _check_equal_rates(spec)
     X = np.linspace(0.02, 0.49, 199)
     x = np.asarray(spec.bid_dist.quantile(X), dtype=float)
     y = np.asarray(spec.ask_dist.quantile(1.0 - X), dtype=float)

@@ -34,6 +34,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import weakref
 from array import array
 from bisect import bisect_right
 from contextlib import suppress
@@ -44,7 +45,8 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .dist import BinPartition
+from .dist import (ArrivalSpec, BinPartition, _PiecewiseQuantile, _TableQuantile,
+                   _UniformQuantile)
 
 __all__ = [
     "ORDINARY",
@@ -732,18 +734,90 @@ def _refinement_c(fn, is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
     return max_b, max_a
 
 
+def _draw_py(spec: ArrivalSpec, side_u: np.ndarray, price_u: np.ndarray,
+             is_bid: np.ndarray, prices: np.ndarray) -> None:
+    """One chunk of arrivals from its two uniform draws: arrival i is a bid when
+    side_u[i] < spec.p_b, priced at its side's quantile of price_u[i].
+
+    Each side's quantile is called once, on its arrivals' draws.  The
+    reference for `draw` in `_kernel.c` and the draw of every law it does
+    not know.
+    """
+    np.less(side_u, spec.p_b, out=is_bid)
+    # index arrays, as a random boolean mask gathers and scatters slowly
+    at_bid, at_ask = np.flatnonzero(is_bid), np.flatnonzero(~is_bid)
+    prices[at_bid] = spec.bid_dist.quantile(price_u[at_bid])
+    prices[at_ask] = spec.ask_dist.quantile(price_u[at_ask])
+
+
+class _Law(ctypes.Structure):
+    """`struct law` of `_kernel.c`: a built-in quantile's fields."""
+
+    UNIFORM, PIECEWISE, TABLE = range(3)     # its kinds, as the C enum numbers them
+    _p = ctypes.c_void_p
+    _fields_ = [("kind", ctypes.c_long), ("n", ctypes.c_long), ("lo", ctypes.c_double),
+                ("width", ctypes.c_double), ("xs", _p), ("cdf", _p), ("y0", _p),
+                ("y_lin", _p), ("y_sq", _p), ("two_s", _p), ("slopes", _p),
+                ("quadratic", _p)]
+
+
+_c_laws = weakref.WeakKeyDictionary()     # built-in quantile -> its _Law, built once
+
+
+def _c_law(q) -> Optional[_Law]:
+    """The C form of the built-in quantile `q`, or None for any other callable.
+
+    Its pointers are into q's own arrays, which live as long as q.
+    """
+    kind = type(q)
+    if kind not in (_UniformQuantile, _PiecewiseQuantile, _TableQuantile):
+        return None
+    law = _c_laws.get(q)
+    if law is None:
+        if kind is _UniformQuantile:
+            law = _Law(_Law.UNIFORM, 0, q.lo, q.width)
+        elif kind is _PiecewiseQuantile:
+            law = _Law(_Law.PIECEWISE, q.xs.size, 0.0, 0.0, *(a.ctypes.data for a in (
+                q.xs, q.cum, q.y0, q.y_lin, q.y_sq, q.two_s, q.slopes, q.quadratic)))
+        else:
+            law = _Law(_Law.TABLE, q.xs.size, 0.0, 0.0, q.xs.ctypes.data, q.fs.ctypes.data)
+        _c_laws[q] = law
+    return law
+
+
+def _draw_c(fn, spec: ArrivalSpec, side_u: np.ndarray, price_u: np.ndarray,
+            is_bid: np.ndarray, prices: np.ndarray) -> None:
+    """`_draw_py` through the compiled `draw` of `_kernel.c`, where both laws
+    are built-in; `_draw_py` otherwise, so a wrapped quantile is called."""
+    laws = _c_law(spec.bid_dist.quantile), _c_law(spec.ask_dist.quantile)
+    if None in laws:
+        _draw_py(spec, side_u, price_u, is_bid, prices)
+        return
+    side_u, price_u = (np.ascontiguousarray(a, dtype=float) for a in (side_u, price_u))
+    n = side_u.size
+    # the C pass writes through these unchecked
+    if not (side_u.shape == price_u.shape == is_bid.shape == prices.shape == (n,)
+            and is_bid.dtype == bool and prices.dtype == float
+            and is_bid.flags.c_contiguous and prices.flags.c_contiguous):
+        raise ValueError("draw takes equal-length 1-d uniforms and contiguous bool and "
+                         "float outputs")
+    fn(n, side_u.ctypes.data, price_u.ctypes.data, spec.p_b, ctypes.byref(laws[0]),
+       ctypes.byref(laws[1]), is_bid.ctypes.data, prices.ctypes.data)
+
+
 class _Kernel(NamedTuple):
     name: str                # "c" or "python"
     run: Callable            # (heaps, rule, log) -> first opposite-best tie, or -1
     binned: Callable         # (sums, times, t0, half, beta, alpha, three bins, changes) -> None
     five_bin: Callable       # (bins, changed_bid, sign, normals, K) -> FiveBinSums
     refinement: Callable     # (is_bid, bins, steps, nbins) -> (max_b, max_a)
+    draw: Callable           # (spec, side_u, price_u, is_bid out, prices out) -> None
     library: Optional[Path]  # the compiled library, for the C kernel
 
 
-_EXPORTS = ("match", "binned", "five_bin", "refinement")
+_EXPORTS = ("match", "binned", "five_bin", "refinement", "draw")
 _PYTHON_KERNEL = _Kernel("python", _match_py, _binned_sums, _five_bin_sums,
-                         _refinement_maxima, None)
+                         _refinement_maxima, _draw_py, None)
 
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -803,7 +877,7 @@ def _library() -> Path:
             subprocess.run([_CC, *_FLAGS, "-o", tmp, str(_SOURCE)],
                            check=True, capture_output=True, timeout=300)
             os.chmod(tmp, 0o755)        # whatever the umask, or it is never loaded
-            lib = ctypes.CDLL(tmp)      # raises unless it loads and exports all four
+            lib = ctypes.CDLL(tmp)      # raises unless it loads and has every export
             for export in _EXPORTS:
                 getattr(lib, export)
             os.replace(tmp, d / name)
@@ -825,7 +899,7 @@ def _load_kernel() -> _Kernel:
     try:
         library = _library()
         lib = ctypes.CDLL(str(library))
-        match, binned, five_bin, refinement = (getattr(lib, e) for e in _EXPORTS)
+        match, binned, five_bin, refinement, draw = (getattr(lib, e) for e in _EXPORTS)
     except (OSError, AttributeError, subprocess.SubprocessError):
         return _PYTHON_KERNEL
     p, n, d = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
@@ -834,11 +908,12 @@ def _load_kernel() -> _Kernel:
     binned.argtypes = [n, p, d, n, p, p, p, p, p, p, p, n, n, p, p, p, p, p, p]
     five_bin.argtypes = [n, p, p, p, p, n, d, p, p, p, p, p, p, p]
     refinement.argtypes = [n, p, p, p, n, p, p, p, p]
-    binned.restype = refinement.restype = None
+    draw.argtypes = [n, p, p, d, p, p, p, p]
+    binned.restype = refinement.restype = draw.restype = None
     match.restype = five_bin.restype = n
     return _Kernel("c", partial(_match_c, match), partial(_binned_c, binned),
                    partial(_five_bin_c, five_bin), partial(_refinement_c, refinement),
-                   library)
+                   partial(_draw_c, draw), library)
 
 
 def _kernel() -> _Kernel:

@@ -3,9 +3,11 @@
 A price law is a (density, cdf, quantile) triple on a closed support with a
 continuous, strictly increasing CDF.  Three builtins cover the cases needed in
 practice: uniform, piecewise-linear density, and tabulated CDF with monotone
-interpolation.  All callables accept scalars or numpy arrays.  Bin partitions
-are built by `make_partition` and `union_refinement` and compared by `refines`;
-all three count cuts as one by the same rule, `_merged`.
+interpolation.  All callables accept scalars or numpy arrays; the builtins'
+quantiles are objects holding their tables, which the compiled arrival draw
+reads too (`book._draw_c`).  Bin partitions are built by `make_partition` and
+`union_refinement` and compared by `refines`; all three count cuts as one by
+the same rule, `_merged`.
 """
 
 from __future__ import annotations
@@ -83,11 +85,29 @@ def uniform_dist(lo: float = 0.0, hi: float = 1.0) -> PriceDist:
         x = np.asarray(x, dtype=float)
         return np.clip((x - lo) / width, 0.0, 1.0)
 
-    def quantile_fn(u):
-        u = np.asarray(u, dtype=float)
-        return lo + u * width
+    return PriceDist(density, cdf, _UniformQuantile(float(lo), float(width)), (lo, hi),
+                     kind="uniform")
 
-    return PriceDist(density, cdf, quantile_fn, (lo, hi), kind="uniform")
+
+# The built-in laws' quantiles are objects that keep the tables they read, so
+# that the compiled draw applies the same expression to the same tables.  Only
+# these three types are drawn in C; any other quantile callable, a wrapped one
+# included, is called.
+
+class _UniformQuantile:
+    """u -> lo + u * width."""
+
+    def __init__(self, lo: float, width: float):
+        self.lo, self.width = lo, width
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        return self.lo + u * self.width
+
+
+def _check_unit(u: np.ndarray) -> None:
+    if np.any((u < 0) | (u > 1)):
+        raise ValueError("quantile argument outside [0, 1]")
 
 
 def _kinks(xs: np.ndarray, slopes: np.ndarray) -> tuple[float, ...]:
@@ -101,8 +121,9 @@ def piecewise_linear_dist(xs, ys) -> PriceDist:
     The CDF is piecewise quadratic and inverted segment-by-segment, so the
     quantile is exact up to float rounding.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    # contiguous copies of our own, as the compiled draw reads the quantile's
+    xs = np.array(xs, dtype=float)
+    ys = np.array(ys, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or not np.all(np.diff(xs) > 0):
         raise ValueError("knot abscissae must be strictly increasing, at least two")
     if np.any(ys < 0) or not np.any(ys > 0):
@@ -129,35 +150,43 @@ def piecewise_linear_dist(xs, ys) -> PriceDist:
         d = np.clip(x, xs[0], xs[-1]) - xs[i]
         return np.clip(cum[i] + ys[i] * d + 0.5 * slopes[i] * d * d, 0.0, 1.0)
 
-    # Mass t into segment i lies d past its left knot, where y0 d + s d^2 / 2 = t
-    # (y0 = ys[i], s = slopes[i]).  Where the density is flat to 1e-14 of y0
-    # the segment is linear, d = t / y0, and d = 0 on a zero density (t / inf);
-    # elsewhere d = (sqrt(y0^2 + 2 s t) - y0) / s.
-    y0 = ys[:-1]
-    quadratic = ~(np.abs(slopes) * dx < 1e-14 * np.maximum(y0, 1e-300))
-    every_quadratic = bool(quadratic.all())
-    y_lin = np.where(y0 > 0, y0, np.inf)
-    y_sq, two_s = y0 * y0, 2 * slopes
+    return PriceDist(density, cdf, _PiecewiseQuantile(xs, cum, ys[:-1], slopes),
+                     (float(xs[0]), float(xs[-1])), kind="piecewise_linear",
+                     knots=_kinks(xs, slopes))
 
-    def root(i, t):
-        return (np.sqrt(np.maximum(y_sq[i] + two_s[i] * t, 0.0)) - y0[i]) / slopes[i]
 
-    def quantile_fn(u):
+class _PiecewiseQuantile:
+    """The quantile of a piecewise-linear density: on segment i, from knot
+    xs[i] with CDF cum[i], density y0[i] and slope slopes[i]."""
+
+    def __init__(self, xs: np.ndarray, cum: np.ndarray, y0: np.ndarray, slopes: np.ndarray):
+        self.xs, self.cum, self.y0, self.slopes = xs, cum, y0, slopes
+        # Mass t into segment i lies d past its left knot, where y0 d + s d^2 / 2
+        # = t (s = slopes[i]).  Where the density is flat to 1e-14 of y0 the
+        # segment is linear, d = t / y0, and d = 0 on a zero density (t / inf);
+        # elsewhere d = (sqrt(y0^2 + 2 s t) - y0) / s.
+        self.quadratic = ~(np.abs(slopes) * np.diff(xs) < 1e-14 * np.maximum(y0, 1e-300))
+        self.every_quadratic = bool(self.quadratic.all())
+        self.y_lin = np.where(y0 > 0, y0, np.inf)
+        self.y_sq, self.two_s = y0 * y0, 2 * slopes
+
+    def _root(self, i, t):
+        return (np.sqrt(np.maximum(self.y_sq[i] + self.two_s[i] * t, 0.0))
+                - self.y0[i]) / self.slopes[i]
+
+    def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        if np.any((u < 0) | (u > 1)):
-            raise ValueError("quantile argument outside [0, 1]")
+        _check_unit(u)
+        xs, cum = self.xs, self.cum
         i = np.searchsorted(cum[1:-1], u, side="right")
         t = u - cum[i]
-        if every_quadratic:
-            d = root(i, t)
+        if self.every_quadratic:
+            d = self._root(i, t)
         else:
-            d, quad = np.asarray(t / y_lin[i]), quadratic[i]
+            d, quad = np.asarray(t / self.y_lin[i]), self.quadratic[i]
             if quad.any():
-                d[quad] = root(i[quad], t[quad])
+                d[quad] = self._root(i[quad], t[quad])
         return np.clip(xs[i] + d, xs[0], xs[-1])
-
-    return PriceDist(density, cdf, quantile_fn, (float(xs[0]), float(xs[-1])),
-                     kind="piecewise_linear", knots=_kinks(xs, slopes))
 
 
 def cdf_table_dist(xs, cdf_values) -> PriceDist:
@@ -167,15 +196,15 @@ def cdf_table_dist(xs, cdf_values) -> PriceDist:
     0 to 1 (within 1e-9, then pinned exactly).  Density is the piecewise
     constant derivative.
     """
-    xs = np.asarray(xs, dtype=float)
-    fs = np.asarray(cdf_values, dtype=float)
+    # contiguous copies of our own, as the compiled draw reads the quantile's
+    xs = np.array(xs, dtype=float)
+    fs = np.array(cdf_values, dtype=float)
     if xs.size < 2 or xs.shape != fs.shape:
         raise ValueError("CDF table needs two equal-length columns, at least two rows")
     if not (np.all(np.diff(xs) > 0) and np.all(np.diff(fs) > 0)):
         raise ValueError("CDF table columns must be strictly increasing")
     if abs(fs[0]) > 1e-9 or abs(fs[-1] - 1.0) > 1e-9:
         raise ValueError("CDF table must run from 0 to 1")
-    fs = fs.copy()
     fs[0], fs[-1] = 0.0, 1.0
     slopes = np.diff(fs) / np.diff(xs)
 
@@ -188,14 +217,20 @@ def cdf_table_dist(xs, cdf_values) -> PriceDist:
     def cdf(x):
         return np.interp(np.asarray(x, dtype=float), xs, fs)
 
-    def quantile_fn(u):
-        u = np.asarray(u, dtype=float)
-        if np.any((u < 0) | (u > 1)):
-            raise ValueError("quantile argument outside [0, 1]")
-        return np.interp(u, fs, xs)
-
-    return PriceDist(density, cdf, quantile_fn, (float(xs[0]), float(xs[-1])),
+    return PriceDist(density, cdf, _TableQuantile(xs, fs), (float(xs[0]), float(xs[-1])),
                      kind="cdf_table", knots=_kinks(xs, slopes))
+
+
+class _TableQuantile:
+    """The quantile of a CDF table: u -> np.interp(u, fs, xs)."""
+
+    def __init__(self, xs: np.ndarray, fs: np.ndarray):
+        self.xs, self.fs = xs, fs
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        _check_unit(u)
+        return np.interp(u, self.fs, self.xs)
 
 
 # The key sets besides `kind` that a config law of each kind may carry.

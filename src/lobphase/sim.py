@@ -95,26 +95,25 @@ class Arrivals:
 def materialize(stream: ArrivalStream) -> Arrivals:
     """Draw the full arrival arrays for a stream (deterministic in the seed).
 
-    Each field is drawn `CHUNK` values at a time into one scratch buffer;
-    Philox draws taken in chunks equal one whole draw bit for bit.  Prices
-    may repeat (53-bit draws repeat at the birthday rate, about n**2 / 2**54
-    pairs in n draws); the book's tie rule says which ties it refuses.
+    Each chunk of `CHUNK` arrivals takes `CHUNK` uniforms from the side
+    stream and `CHUNK` from the price stream, into two scratch buffers;
+    Philox draws taken in chunks equal one whole draw bit for bit.  The
+    kernel's `draw` turns them into sides and prices: in C for the built-in
+    laws, and otherwise by calling each side's quantile once per chunk (see
+    `book._draw_py`); both give the same bytes.  Prices may repeat (53-bit
+    draws repeat at the birthday rate, about n**2 / 2**54 pairs in n draws);
+    the book's tie rule says which ties it refuses.
     """
     n = stream.n_events
     spec = stream.spec
     side = field_generator(stream.seed, "side")
     price = field_generator(stream.seed, "price")
     is_bid, prices = np.empty(n, dtype=bool), np.empty(n)
-    u = np.empty(min(n, CHUNK))
+    side_u, price_u = np.empty(min(n, CHUNK)), np.empty(min(n, CHUNK))
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
-        bid, out, uk = is_bid[lo:hi], prices[lo:hi], u[:hi - lo]
-        np.less(side.random(out=uk), spec.p_b, out=bid)
-        price.random(out=uk)
-        # index arrays, as a random boolean mask gathers and scatters slowly
-        at_bid, at_ask = np.flatnonzero(bid), np.flatnonzero(~bid)
-        out[at_bid] = spec.bid_dist.quantile(uk[at_bid])
-        out[at_ask] = spec.ask_dist.quantile(uk[at_ask])
+        _kernel().draw(spec, side.random(out=side_u[:hi - lo]),
+                       price.random(out=price_u[:hi - lo]), is_bid[lo:hi], prices[lo:hi])
     if stream.time_mode == EVENT_COUNT:
         # t_n = n/2 matches rate-1 bid and rate-1 ask arrivals in expectation.
         times = 0.5 * np.arange(1, n + 1, dtype=float)
@@ -125,7 +124,7 @@ def materialize(stream: ArrivalStream) -> Arrivals:
         times, t = np.empty(n), 0.0
         for lo in range(0, n, CHUNK):
             hi = min(lo + CHUNK, n)
-            uk = gap.standard_exponential(out=u[:hi - lo])
+            uk = gap.standard_exponential(out=side_u[:hi - lo])
             uk *= 0.5
             uk[0] += t
             t = np.cumsum(uk, out=times[lo:hi])[-1]

@@ -17,6 +17,7 @@ from lobphase.analytics import (InfeasibleBalanceError, ShootingError,
 from lobphase.dist import (ArrivalSpec, cdf_table_dist, make_partition,
                            piecewise_linear_dist, transform_to_uniform_bid,
                            uniform_dist)
+from lobphase.lyapunov import running_max_evidence
 
 
 def uniform_table_spec() -> ArrivalSpec:
@@ -599,3 +600,34 @@ class TestLowerBound3Bin:
     def test_uniform_certificate_value(self, uniform_spec):
         # best symmetric pair is X=1/3, giving 1/9
         assert finiteness_lower_bound(uniform_spec) == pytest.approx(1 / 9, abs=1e-3)
+
+
+class TestUnequalRates:
+    """The analytic routes solve equal rates only; p_b = 0.3 simulates kappa_b
+    near 0.023, so an equal-rate answer (0.2178) would be silently wrong."""
+
+    CALLS = {
+        "thresholds": lambda spec: analytics.thresholds(spec),
+        "shoot_kappa": lambda spec: shoot_kappa(spec),
+        "integrate_varpi": lambda spec: integrate_varpi(spec, 0.25),
+        "solve_binned_pi": lambda spec: solve_binned_pi(
+            spec, make_partition(20, ArrivalSpec(spec.bid_dist, spec.ask_dist)), 4, 15, 0.22),
+        "finiteness_lower_bound": lambda spec: finiteness_lower_bound(spec),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    @pytest.mark.parametrize("p_b", [0.3, 0.7, 0.5000000000000001])
+    def test_refused(self, name, p_b):
+        spec = ArrivalSpec(uniform_dist(), uniform_dist(), p_b)
+        with pytest.raises(ValueError, match=f"p_b={p_b}"):
+            self.CALLS[name](spec)
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_equal_rates_accepted(self, name):
+        self.CALLS[name](ArrivalSpec(uniform_dist(), uniform_dist(), 0.5))
+
+    def test_running_max_evidence_refuses_through_thresholds(self):
+        spec = ArrivalSpec(uniform_dist(), uniform_dist(), 0.3)
+        with pytest.raises(ValueError, match="p_b=0.3"):
+            running_max_evidence(spec, 100, 0)
+        assert running_max_evidence(spec, 100, 0, k_b=20, k_a=79).k_b == 20

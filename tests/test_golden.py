@@ -15,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from lobphase import book, lyapunov, sim
+from lobphase import book, dist, lyapunov, sim
 from lobphase.book import ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule
 from lobphase.dist import make_partition
 
@@ -311,3 +311,88 @@ def test_chunked_crossed_book_names_the_global_arrival(chunk, kernel, monkeypatc
             call()
         messages.append(str(err.value))
     assert messages[0] == messages[1] and messages[0].endswith(f"after arrival {at}")
+
+
+# -- the arrival draw ------------------------------------------------------------
+#
+# sha256 of `sim.materialize`'s three arrays for each law kind, recorded with
+# the numpy draw (one quantile call per side and chunk).  The built-in laws
+# draw in C where the compiled kernel loads; the pushforward and custom laws
+# always call their quantile.  Every case is checked under both kernels and
+# with no compiler.
+
+SHIFTED = dist.uniform_dist(2.5, 4.0)
+TENT = dist.piecewise_linear_dist([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
+# a flat segment, a zero-density one and asymmetric knots
+STEPPED = dist.piecewise_linear_dist([0.0, 0.2, 0.45, 0.6, 0.8, 1.0],
+                                     [1.0, 1.0, 0.0, 0.0, 3.0, 0.5])
+TABLE_17 = dist.cdf_table_dist(np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 17))
+UNEVEN = dist.cdf_table_dist([0.0, 0.1, 0.35, 0.4, 0.8, 1.0],
+                             [0.0, 0.05, 0.5, 0.55, 0.9, 1.0])
+SQUARE = dist.PriceDist(lambda x: 2.0 * np.asarray(x), lambda x: np.asarray(x) ** 2,
+                        lambda u: np.sqrt(np.asarray(u, dtype=float)), (0.0, 1.0))
+DRAW_LAWS = {
+    "uniform": dist.ArrivalSpec(dist.uniform_dist(), dist.uniform_dist()),
+    "shifted": dist.ArrivalSpec(SHIFTED, dist.uniform_dist(-1.0, 0.5)),
+    "tent": dist.ArrivalSpec(TENT, TENT),
+    "stepped": dist.ArrivalSpec(STEPPED, TENT),
+    "table_17": dist.ArrivalSpec(TABLE_17, TABLE_17),
+    "uneven": dist.ArrivalSpec(UNEVEN, STEPPED),
+    "pushforward": dist.transform_to_uniform_bid(dist.ArrivalSpec(TENT, UNEVEN)),
+    "custom": dist.ArrivalSpec(SQUARE, TABLE_17),
+}
+C1 = sim.CHUNK + 1
+# (law, n, p_b, time mode) -> sha256 of is_bid, prices and times at seed 9
+DRAW_GOLDEN = {
+    ("uniform", 0, 0.5, "event_count"):
+        "944b25cf2c7a4b7c5da6ddb66ec22dc6e28fec1de58a34c3a86fee6c28431a3c",
+    ("uniform", 1, 0.5, "event_count"):
+        "d56d7133295018699fbdb57c08ca95af32b3b70ce95c883a95e7f927278605bd",
+    ("uniform", sim.CHUNK, 0.5, "event_count"):
+        "3282d8126a9a78d1b4728f95a2196aedc398ccce444f7cca9186ec2bdd78b776",
+    ("uniform", C1, 0.5, "event_count"):
+        "454950e60c35f624a43e405c9a30a3ba42d376f2e8005991dca231677feac285",
+    ("shifted", C1, 0.5, "event_count"):
+        "0a27089ca980b9bf31b43131b9d9b9e9da989de7f90cbe2f2d18a6eb60cdf56e",
+    ("tent", C1, 0.5, "event_count"):
+        "1fb122c2a213b6b87a8fba74c5ccf0937c0d1ad0891c3def96523fa85608c7b6",
+    ("tent", C1, 0.3, "poisson"):
+        "4ee4bfa79a59ce349e505208083e20bd8b0ac482be0a47d9799a859039cd8aee",
+    ("stepped", C1, 0.5, "event_count"):
+        "9d3e026809759eca450173308d8a08605c1ad350f42835c320a4719c15fc711f",
+    ("table_17", C1, 0.5, "event_count"):
+        "454950e60c35f624a43e405c9a30a3ba42d376f2e8005991dca231677feac285",
+    ("table_17", 1, 0.3, "poisson"):
+        "4300107b3acbd111d3bc338a4fe863f488526a6f75ff438489ad330776a52340",
+    ("uneven", C1, 0.3, "event_count"):
+        "5f2da1516839799e5068602f38963f5f8243a58c791a109214f1a59935ae5600",
+    ("pushforward", C1, 0.5, "event_count"):
+        "a49b65849cba2e9358eb9917ab09dd6893788760708b13dedcaaa4569187b582",
+    ("custom", C1, 0.5, "poisson"):
+        "f261c87e473fde0716c0855d00c8125e1e5c31ec2ecf90363177ccbb16bb7167",
+}
+
+
+def draw_digest(law: str, n: int, p_b: float, time_mode: str) -> str:
+    spec = DRAW_LAWS[law]
+    spec = dist.ArrivalSpec(spec.bid_dist, spec.ask_dist, p_b)
+    arr = sim.materialize(sim.ArrivalStream(9, n, spec, time_mode))
+    h = hashlib.sha256()
+    for a in (arr.is_bid, arr.prices, arr.times):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(DRAW_GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_golden_draw(case, kernel):
+    assert draw_digest(*case) == DRAW_GOLDEN[case]
+
+
+def test_golden_draw_without_compiler(monkeypatch, tmp_path):
+    monkeypatch.setattr(book, "_cache_dirs", lambda: (tmp_path,))
+    monkeypatch.setattr(book, "_CC", str(tmp_path / "missing-cc"))
+    monkeypatch.setattr(book, "_loaded", None)
+    for case, digest in DRAW_GOLDEN.items():
+        assert draw_digest(*case) == digest, case
+    assert book._kernel() == book._PYTHON_KERNEL

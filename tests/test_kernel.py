@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lobphase import book as book_module
@@ -29,7 +29,8 @@ from lobphase import sim
 from lobphase.book import (EXECUTED, JOINED, ORDINARY, ORDINARY_BINNED, RESERVOIR,
                            STRICT_BINNED, BookInvariantError, BookState, MatchRule,
                            Order, apply_arrival, match_arrivals)
-from lobphase.dist import ArrivalSpec, BinPartition, make_partition, uniform_dist
+from lobphase.dist import (ArrivalSpec, BinPartition, cdf_table_dist, make_partition,
+                           piecewise_linear_dist, uniform_dist)
 
 from helpers import reflected_arrivals
 
@@ -584,6 +585,122 @@ def test_refinement_rejects_bins_out_of_range(c_kernel):
             c_kernel.refinement(is_bid, bad, ok, 4)
 
 
+# -- the arrival draw ---------------------------------------------------------
+
+# knot counts, so that the bisections run over one cut, a few and many
+knot_counts = st.sampled_from([2, 3, 4, 5, 9, 17])
+unit_floats = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def increasing(draw, size):
+    """`size` strictly increasing floats from a start in [-5, 5], unevenly spaced."""
+    start = draw(st.floats(-5.0, 5.0))
+    gaps = draw(st.lists(st.floats(1e-3, 2.0), min_size=size - 1, max_size=size - 1))
+    return start + np.concatenate(([0.0], np.cumsum(gaps)))
+
+
+@st.composite
+def piecewise_laws(draw):
+    # densities with flat and zero segments: repeated values and runs of 0
+    n = draw(knot_counts)
+    levels = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 10.0)
+    ys = draw(st.lists(levels, min_size=n, max_size=n))
+    assume(any(y > 0 for y in ys))
+    return piecewise_linear_dist(draw(increasing(n)), ys)
+
+
+@st.composite
+def table_laws(draw):
+    n = draw(knot_counts)
+    fs = draw(increasing(n))
+    fs = (fs - fs[0]) / (fs[-1] - fs[0])
+    fs[-1] = 1.0
+    assume(np.all(np.diff(fs) > 0))
+    return cdf_table_dist(draw(increasing(n)), fs)
+
+
+@st.composite
+def uniform_laws(draw):
+    lo, width = draw(st.floats(-100.0, 100.0)), draw(st.floats(1e-3, 50.0))
+    return uniform_dist(lo, lo + width)
+
+
+def knot_draws(law) -> list:
+    """The CDF at each knot (the table's rows) and its two neighbouring floats,
+    each in [0, 1) as a uniform draw is."""
+    q = law.quantile
+    cdf = getattr(q, "cum", getattr(q, "fs", np.array([0.0, 1.0])))
+    near = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)))
+    return near[(near >= 0.0) & (near < 1.0)].tolist()
+
+
+laws = st.one_of(piecewise_laws(), table_laws(), uniform_laws())
+
+
+@st.composite
+def draw_inputs(draw):
+    """(spec, side_u, price_u): each price draw of interest on both sides, then
+    random draws, the side draws including p_b and its lower neighbour."""
+    spec = ArrivalSpec(draw(laws), draw(laws), draw(st.sampled_from([0.5, 0.3]) | unit_floats
+                                                  .filter(lambda p: p > 0.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edge = [0.0, np.nextafter(1.0, 0.0), *draw(st.lists(unit_floats, max_size=5)),
+            *knot_draws(spec.bid_dist), *knot_draws(spec.ask_dist)]
+    n = draw(st.integers(0, 300))
+    price_u = np.concatenate((edge, edge, rng.random(n)))
+    p_b = spec.p_b
+    side_u = np.concatenate(([0.0] * len(edge), [np.nextafter(1.0, 0.0)] * len(edge),
+                             rng.choice([p_b, np.nextafter(p_b, 0.0), 0.0], n)
+                             if draw(st.booleans()) else rng.random(n)))
+    return spec, side_u, price_u
+
+
+def drawn(kernel, spec, side_u, price_u):
+    is_bid, prices = np.empty(side_u.size, dtype=bool), np.empty(side_u.size)
+    # a segment of subnormal density overflows t / y0 to inf, which the clip
+    # takes to the support's end; numpy warns of it, C does the same silently
+    with np.errstate(over="ignore"):
+        kernel.draw(spec, side_u, price_u, is_bid, prices)
+    return is_bid.tobytes(), prices.tobytes()
+
+
+@given(draw_inputs())
+@settings(max_examples=300, deadline=None)
+def test_c_draw_matches_numpy(c_kernel, inputs):
+    assert drawn(c_kernel, *inputs) == drawn(PYTHON_LOOP, *inputs)
+
+
+def test_c_draw_calls_wrapped_and_custom_quantiles(c_kernel):
+    # a wrapped built-in quantile keeps its law's kind, but it must be called
+    tent = piecewise_linear_dist([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
+    calls = []
+
+    def counted(u):
+        calls.append(u.size)
+        return tent.quantile(u)
+
+    wrapped = dataclasses.replace(tent, quantile=counted)
+    assert wrapped.kind == "piecewise_linear"
+    rng = np.random.default_rng(3)
+    side_u, price_u = rng.random(1000), rng.random(1000)
+    for spec in (ArrivalSpec(wrapped, tent), ArrivalSpec(tent, wrapped)):
+        calls.clear()
+        assert drawn(c_kernel, spec, side_u, price_u) == drawn(PYTHON_LOOP, spec, side_u,
+                                                               price_u)
+        assert calls and sum(calls) == 2 * ((side_u < 0.5) == (spec.bid_dist is wrapped)).sum()
+
+
+def test_draw_rejects_bad_outputs(c_kernel):
+    spec = ArrivalSpec(uniform_dist(), uniform_dist())
+    u = np.full(4, 0.25)
+    for is_bid, prices in ((np.empty(3, dtype=bool), np.empty(4)),
+                           (np.empty(4, dtype=np.int8), np.empty(4)),
+                           (np.empty(4, dtype=bool), np.empty(8)[::2])):
+        with pytest.raises(ValueError, match="draw"):
+            c_kernel.draw(spec, u, u, is_bid, prices)
+
+
 def coupling_reports(kernel):
     """Refinement reports of the clean criterion-5 runs and of the reservoir books
     that `tests/test_coupling.py::TestViolationsReported` pins, under one kernel."""
@@ -633,22 +750,22 @@ def test_kernel_compiles_without_warnings(c_kernel, tmp_path):
 @pytest.mark.parametrize("cc", ["false", "true"])
 def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, cc):
     # a compiler that fails, and one that writes no library: nothing is cached
-    # (tests/test_golden.py runs without a compiler at all), and all four
-    # passes run in Python and numpy
+    # (tests/test_golden.py runs without a compiler at all), and every pass
+    # runs in Python and numpy
     monkeypatch.setattr(book_module, "_cache_dirs", lambda: (tmp_path,))
     monkeypatch.setattr(book_module, "_CC", cc)
     kernel = book_module._load_kernel()
     assert kernel == PYTHON_LOOP
-    assert (kernel.run, kernel.binned, kernel.five_bin, kernel.refinement) == (
+    assert (kernel.run, kernel.binned, kernel.five_bin, kernel.refinement, kernel.draw) == (
         book_module._match_py, book_module._binned_sums, book_module._five_bin_sums,
-        book_module._refinement_maxima)
+        book_module._refinement_maxima, book_module._draw_py)
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("export", ["match", "binned", "five_bin", "refinement"])
+@pytest.mark.parametrize("export", ["match", "binned", "five_bin", "refinement", "draw"])
 def test_library_lacking_an_export_is_neither_cached_nor_loaded(monkeypatch, tmp_path,
                                                                export):
-    # the source builds, but its library lacks one of the four exports
+    # the source builds, but its library lacks one of its exports
     assert export in book_module._EXPORTS
     monkeypatch.setattr(book_module, "_cache_dirs", lambda: (tmp_path / "whole",))
     if book_module._load_kernel().name != "c":

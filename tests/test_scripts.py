@@ -4,11 +4,14 @@ Each script runs in-process on its own command line and must write every
 file it promises; this catches a script left behind by an API change.
 """
 
+import json
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
+
+from lobphase import book, sim
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -32,3 +35,21 @@ def test_script_writes_its_outputs(monkeypatch, tmp_path, name, argv, files):
     run_script(monkeypatch, name, *argv, "--out", str(tmp_path))
     for f in files:
         assert len((tmp_path / f).read_text().splitlines()) > 1, f
+
+
+def test_bench_records_both_layers(monkeypatch, tmp_path):
+    # the match loop over two chunks, and the loaded kernel restored after
+    monkeypatch.setattr(sim, "CHUNK", 300)
+    loaded = book._kernel()
+    run_script(monkeypatch, "bench.py", "--n-draw", "1000", "--match-sizes", "500",
+               "--repeats", "1", "--out", str(tmp_path))
+    assert book._kernel() is loaded
+    record = json.loads((tmp_path / "bench.json").read_text())
+    assert record["machine"]["kernel"] == loaded.name
+    assert set(record["machine"]) == {"cpu_model", "nproc", "python", "numpy", "kernel"}
+    draw = record["materialize_ns_per_arrival"]["laws"]
+    assert set(draw) == {"uniform", "tent", "table"}
+    compiled = loaded.name == "c"
+    for row in draw.values():
+        assert row["numpy"] > 0 and (row["c"] > 0 if compiled else row["c"] is None)
+    assert list(record["match_loop_ns_per_arrival"]) == ["500"]
