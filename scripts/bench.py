@@ -6,7 +6,7 @@ process:
 
 - `sim.materialize` on the uniform, tent and 17-row table laws (both sides on
   the law, p_b = 0.5), under the compiled kernel's `draw` and under the numpy
-  draw `book._draw_py`, with the same match loop loaded;
+  draw `book._draw_py`, taking turns call by call;
 - the compiled `match` loop alone: the kernel's `run` timed around each chunk
   of `book.match_chunks` on uniform arrivals, ordinary rule, empty book.
 
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from lobphase import book, sim
-from lobphase.book import BookState, MatchRule, ORDINARY
+from lobphase.book import ORDINARY, BookState, MatchRule
 from lobphase.dist import ArrivalSpec, cdf_table_dist, piecewise_linear_dist, uniform_dist
 
 
@@ -62,15 +62,19 @@ def median_ns(seconds: list, n: int) -> float:
     return round(1e9 * statistics.median(seconds) / n, 2)
 
 
-def time_materialize(kernel, spec: ArrivalSpec, n: int, repeats: int, seed: int) -> float:
+def time_materialize(kernels: dict, spec: ArrivalSpec, n: int, repeats: int,
+                     seed: int) -> dict:
+    """ns per arrival of `materialize` under each named kernel, the kernels
+    taking turns call by call, so that the machine's drift falls on each."""
     stream = sim.ArrivalStream(seed, n, spec)
-    book._loaded = kernel
-    seconds = []
+    seconds = {name: [] for name in kernels}
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        sim.materialize(stream)
-        seconds.append(time.perf_counter() - t0)
-    return median_ns(seconds, n)
+        for name, kernel in kernels.items():
+            book._loaded = kernel
+            t0 = time.perf_counter()
+            sim.materialize(stream)
+            seconds[name].append(time.perf_counter() - t0)
+    return {name: median_ns(s, n) for name, s in seconds.items()}
 
 
 def time_match(kernel, n: int, repeats: int, seed: int) -> float:
@@ -109,12 +113,13 @@ def main() -> None:
 
     loaded = book._kernel()
     compiled = loaded if loaded.name == "c" else None
-    numpy_draw = loaded._replace(draw=book._PYTHON_KERNEL.draw)
+    # the same match loop under both draws
+    kernels = {"c": compiled, "numpy": loaded._replace(draw=book._PYTHON_KERNEL.draw)}
+    if compiled is None:
+        del kernels["c"]
     try:
-        draw = {name: {"c": compiled and time_materialize(compiled, spec, args.n_draw,
-                                                          args.repeats, args.seed),
-                       "numpy": time_materialize(numpy_draw, spec, args.n_draw,
-                                                 args.repeats, args.seed)}
+        draw = {name: {"c": None, **time_materialize(kernels, spec, args.n_draw,
+                                                     args.repeats, args.seed)}
                 for name, spec in laws().items()}
         match = {str(n): compiled and time_match(compiled, n, args.repeats, args.seed)
                  for n in sizes}

@@ -46,8 +46,9 @@ static long bisect_right(const double *a, long n, double x) {
     return (base - a) + !(x < *base);
 }
 
-/* _PiecewiseQuantile: segment i = bisect_right(cdf[1:-1], u), then
- * np.maximum (NaN or the larger, 0.0 on a tie) and np.clip as numpy has them */
+/* _PiecewiseQuantile's expression for segment i = bisect_right(cdf[1:-1], u).
+ * As numpy's, the root's np.maximum(r, 0.0) keeps r only when it is NaN or
+ * above 0 (so -0.0 gives 0.0), and the clip keeps x on a tie with a bound. */
 static double piecewise(const struct law *q, double u) {
     long i = bisect_right(q->cdf + 1, q->n - 2, u);
     double t = u - q->cdf[i], d;

@@ -16,11 +16,12 @@ chunk and returns the whole log.  Its loop body is the C function in
 `_kernel.c`, compiled on first use and cached, or the Python loop
 `_match_py` where no compiler is available; `KERNEL` says which runs.
 `apply_arrival` applies one order at a time; it is the readable reference
-both loops are tested against.  The same library carries three passes over
-logs, each with a numpy pass as its reference and fallback: the binned
-recorder of `sim.run_arrivals` (`_binned_sums`), the five-bin book's region
-pass of `lyapunov.simulate_5bin` (`_five_bin_sums`) and the refinement
-check's domination pass (`_refinement_maxima`).
+both loops are tested against.  The same library carries the other exports
+of `_EXPORTS`, each with a numpy pass as its reference and fallback: the
+binned recorder of `sim.run_arrivals` (`_binned_sums`), the five-bin book's
+region pass of `lyapunov.simulate_5bin` (`_five_bin_sums`), the refinement
+check's domination pass (`_refinement_maxima`) and the arrival draw of
+`sim.materialize` (`_draw_py`).
 """
 
 from __future__ import annotations
@@ -761,13 +762,14 @@ class _Law(ctypes.Structure):
                 ("quadratic", _p)]
 
 
-_c_laws = weakref.WeakKeyDictionary()     # built-in quantile -> its _Law, built once
+# built-in quantile -> its _Law: a memo, as building one takes microseconds
+_c_laws = weakref.WeakKeyDictionary()
 
 
 def _c_law(q) -> Optional[_Law]:
     """The C form of the built-in quantile `q`, or None for any other callable.
 
-    Its pointers are into q's own arrays, which live as long as q.
+    Its pointers are into q's arrays, which it keeps alive.
     """
     kind = type(q)
     if kind not in (_UniformQuantile, _PiecewiseQuantile, _TableQuantile):
@@ -775,12 +777,14 @@ def _c_law(q) -> Optional[_Law]:
     law = _c_laws.get(q)
     if law is None:
         if kind is _UniformQuantile:
-            law = _Law(_Law.UNIFORM, 0, q.lo, q.width)
+            law, arrays = _Law(_Law.UNIFORM, 0, q.lo, q.width), ()
         elif kind is _PiecewiseQuantile:
-            law = _Law(_Law.PIECEWISE, q.xs.size, 0.0, 0.0, *(a.ctypes.data for a in (
-                q.xs, q.cum, q.y0, q.y_lin, q.y_sq, q.two_s, q.slopes, q.quadratic)))
+            arrays = q.xs, q.cum, q.y0, q.y_lin, q.y_sq, q.two_s, q.slopes, q.quadratic
+            law = _Law(_Law.PIECEWISE, q.xs.size, 0.0, 0.0, *(a.ctypes.data for a in arrays))
         else:
-            law = _Law(_Law.TABLE, q.xs.size, 0.0, 0.0, q.xs.ctypes.data, q.fs.ctypes.data)
+            arrays = q.xs, q.fs
+            law = _Law(_Law.TABLE, q.xs.size, 0.0, 0.0, *(a.ctypes.data for a in arrays))
+        law.arrays = arrays
         _c_laws[q] = law
     return law
 

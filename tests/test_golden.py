@@ -342,7 +342,9 @@ DRAW_LAWS = {
     "custom": dist.ArrivalSpec(SQUARE, TABLE_17),
 }
 C1 = sim.CHUNK + 1
-# (law, n, p_b, time mode) -> sha256 of is_bid, prices and times at seed 9
+# (law, n, p_b, time mode) -> sha256 of is_bid, prices and times at seed 9.
+# TABLE_17 is the uniform law as a table, and its interpolation gives back
+# every draw exactly, so its digest at C1 is the uniform law's.
 DRAW_GOLDEN = {
     ("uniform", 0, 0.5, "event_count"):
         "944b25cf2c7a4b7c5da6ddb66ec22dc6e28fec1de58a34c3a86fee6c28431a3c",
