@@ -4,9 +4,9 @@
 Two layers, each in ns per arrival, the median over --repeats calls in this
 process:
 
-- `sim.materialize` on the uniform, tent and 17-row table laws (both sides on
-  the law, p_b = 0.5), under the compiled kernel's `draw` and under the numpy
-  draw `book._draw_py`, taking turns call by call;
+- `sim.materialize` on the uniform and tent laws (both sides on the law,
+  p_b = 0.5), under the compiled kernel's `draw` and under the numpy draw
+  `book._draw_py`, taking turns call by call;
 - the compiled `match` loop alone: the kernel's `run` timed around each chunk
   of `book.match_chunks` on uniform arrivals, ordinary rule, empty book.
 
@@ -30,15 +30,15 @@ import numpy as np
 
 from lobphase import book, sim
 from lobphase.book import ORDINARY, BookState, MatchRule
-from lobphase.dist import ArrivalSpec, cdf_table_dist, piecewise_linear_dist, uniform_dist
+from lobphase.dist import ArrivalSpec, piecewise_linear_dist, uniform_dist
+
+SEED = 1    # of every stream drawn
 
 
 def laws() -> dict:
     tent = piecewise_linear_dist([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
-    xs = np.linspace(0.0, 1.0, 17)
-    table = cdf_table_dist(xs, xs)
     return {"uniform": ArrivalSpec(uniform_dist(), uniform_dist()),
-            "tent": ArrivalSpec(tent, tent), "table": ArrivalSpec(table, table)}
+            "tent": ArrivalSpec(tent, tent)}
 
 
 def cpu_model() -> str:
@@ -62,11 +62,10 @@ def median_ns(seconds: list, n: int) -> float:
     return round(1e9 * statistics.median(seconds) / n, 2)
 
 
-def time_materialize(kernels: dict, spec: ArrivalSpec, n: int, repeats: int,
-                     seed: int) -> dict:
+def time_materialize(kernels: dict, spec: ArrivalSpec, n: int, repeats: int) -> dict:
     """ns per arrival of `materialize` under each named kernel, the kernels
     taking turns call by call, so that the machine's drift falls on each."""
-    stream = sim.ArrivalStream(seed, n, spec)
+    stream = sim.ArrivalStream(SEED, n, spec)
     seconds = {name: [] for name in kernels}
     for _ in range(repeats):
         for name, kernel in kernels.items():
@@ -77,8 +76,8 @@ def time_materialize(kernels: dict, spec: ArrivalSpec, n: int, repeats: int,
     return {name: median_ns(s, n) for name, s in seconds.items()}
 
 
-def time_match(kernel, n: int, repeats: int, seed: int) -> float:
-    arr = sim.materialize(sim.ArrivalStream(seed, n, laws()["uniform"]))
+def time_match(kernel, n: int, repeats: int) -> float:
+    arr = sim.materialize(sim.ArrivalStream(SEED, n, laws()["uniform"]))
     spent = [0.0]
 
     def timed(heaps, rule, log):
@@ -106,7 +105,6 @@ def main() -> None:
     ap.add_argument("--match-sizes", default="60000,1000000,4000000",
                     help="comma-separated arrival counts of the match loop")
     ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", default="out/bench")
     args = ap.parse_args()
     sizes = [int(float(s)) for s in args.match_sizes.split(",")]
@@ -119,16 +117,15 @@ def main() -> None:
         del kernels["c"]
     try:
         draw = {name: {"c": None, **time_materialize(kernels, spec, args.n_draw,
-                                                     args.repeats, args.seed)}
+                                                     args.repeats)}
                 for name, spec in laws().items()}
-        match = {str(n): compiled and time_match(compiled, n, args.repeats, args.seed)
-                 for n in sizes}
+        match = {str(n): compiled and time_match(compiled, n, args.repeats) for n in sizes}
     finally:
         book._loaded = loaded
     record = {
         "command": ["python", "scripts/bench.py", *sys.argv[1:]],
         "machine": machine(),
-        "seed": args.seed,
+        "seed": SEED,
         "repeats": args.repeats,
         "materialize_ns_per_arrival": {"n": args.n_draw, "laws": draw},
         "match_loop_ns_per_arrival": match,

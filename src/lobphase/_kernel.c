@@ -1,8 +1,9 @@
 /* Five passes of lobphase, compiled.
  *
  * draw splits a chunk of arrivals between the sides and prices each by its
- * side's built-in quantile, with the expression and tables of dist.py's
- * quantile objects, so its prices equal the numpy ones bit for bit.
+ * side's uniform or piecewise-linear quantile, with the expression and tables
+ * of dist.py's quantile objects, so its prices equal the numpy ones bit for
+ * bit.
  *
  * match, the arrival loop of match_arrivals, mirrors book._match_py step for
  * step: the same tests in the same order, on double heaps (bids negated), so
@@ -22,13 +23,13 @@
 #include <stdint.h>
 #include <string.h>
 
-/* A built-in price law's quantile: the fields of dist.py's quantile object. */
-enum { UNIFORM, PIECEWISE, TABLE };
+/* A uniform or piecewise-linear quantile: the fields of dist.py's object. */
+enum { UNIFORM, PIECEWISE };
 
 struct law {
-    long kind, n;                   /* n knots, or rows of the table */
+    long kind, n;                   /* n knots */
     double lo, width;               /* uniform */
-    const double *xs, *cdf;         /* the knots and the CDF there (table: xs, fs) */
+    const double *xs, *cdf;         /* the knots and the CDF there */
     const double *y0, *y_lin, *y_sq, *two_s, *slopes;    /* per segment, piecewise */
     const uint8_t *quadratic;
 };
@@ -63,30 +64,8 @@ static double piecewise(const struct law *q, double u) {
     return x > hi ? hi : x;
 }
 
-/* np.interp(u, fs, xs), step for step as numpy computes it */
-static double table(const struct law *q, double u) {
-    const double *fs = q->cdf, *xs = q->xs;
-    long n = q->n;
-    if (isnan(u)) return u;
-    if (u < fs[0]) return xs[0];
-    if (u > fs[n - 1]) return xs[n - 1];
-    long j = bisect_right(fs, n, u) - 1;
-    if (j == n - 1 || fs[j] == u) return xs[j];
-    double slope = (xs[j + 1] - xs[j]) / (fs[j + 1] - fs[j]);
-    double x = slope * (u - fs[j]) + xs[j];
-    if (isnan(x)) {
-        x = slope * (u - fs[j + 1]) + xs[j + 1];
-        if (isnan(x) && xs[j] == xs[j + 1]) x = xs[j];
-    }
-    return x;
-}
-
 static double quantile(const struct law *q, double u) {
-    switch (q->kind) {
-    case UNIFORM: return q->lo + u * q->width;
-    case PIECEWISE: return piecewise(q, u);
-    default: return table(q, u);
-    }
+    return q->kind == UNIFORM ? q->lo + u * q->width : piecewise(q, u);
 }
 
 /* Arrival i is a bid when side_u[i] < p_b and is priced at its side's

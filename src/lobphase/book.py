@@ -35,7 +35,6 @@ import stat
 import subprocess
 import sys
 import tempfile
-import weakref
 from array import array
 from bisect import bisect_right
 from contextlib import suppress
@@ -46,8 +45,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .dist import (ArrivalSpec, BinPartition, _PiecewiseQuantile, _TableQuantile,
-                   _UniformQuantile)
+from .dist import ArrivalSpec, BinPartition, _PiecewiseQuantile, _UniformQuantile
 
 __all__ = [
     "ORDINARY",
@@ -752,9 +750,9 @@ def _draw_py(spec: ArrivalSpec, side_u: np.ndarray, price_u: np.ndarray,
 
 
 class _Law(ctypes.Structure):
-    """`struct law` of `_kernel.c`: a built-in quantile's fields."""
+    """`struct law` of `_kernel.c`: a uniform or piecewise-linear quantile's fields."""
 
-    UNIFORM, PIECEWISE, TABLE = range(3)     # its kinds, as the C enum numbers them
+    UNIFORM, PIECEWISE = range(2)     # its kinds, as the C enum numbers them
     _p = ctypes.c_void_p
     _fields_ = [("kind", ctypes.c_long), ("n", ctypes.c_long), ("lo", ctypes.c_double),
                 ("width", ctypes.c_double), ("xs", _p), ("cdf", _p), ("y0", _p),
@@ -762,37 +760,32 @@ class _Law(ctypes.Structure):
                 ("quadratic", _p)]
 
 
-# built-in quantile -> its _Law: a memo, as building one takes microseconds
-_c_laws = weakref.WeakKeyDictionary()
-
-
 def _c_law(q) -> Optional[_Law]:
-    """The C form of the built-in quantile `q`, or None for any other callable.
+    """The C form of the uniform or piecewise-linear quantile `q`, or None for
+    any other callable.
 
-    Its pointers are into q's arrays, which it keeps alive.
+    Built once, as that takes microseconds, and kept on q, whose arrays its
+    pointers read.
     """
     kind = type(q)
-    if kind not in (_UniformQuantile, _PiecewiseQuantile, _TableQuantile):
+    if kind not in (_UniformQuantile, _PiecewiseQuantile):
         return None
-    law = _c_laws.get(q)
+    law = q.__dict__.get("_c_law")
     if law is None:
         if kind is _UniformQuantile:
-            law, arrays = _Law(_Law.UNIFORM, 0, q.lo, q.width), ()
-        elif kind is _PiecewiseQuantile:
+            law = _Law(_Law.UNIFORM, 0, q.lo, q.width)
+        else:
             arrays = q.xs, q.cum, q.y0, q.y_lin, q.y_sq, q.two_s, q.slopes, q.quadratic
             law = _Law(_Law.PIECEWISE, q.xs.size, 0.0, 0.0, *(a.ctypes.data for a in arrays))
-        else:
-            arrays = q.xs, q.fs
-            law = _Law(_Law.TABLE, q.xs.size, 0.0, 0.0, *(a.ctypes.data for a in arrays))
-        law.arrays = arrays
-        _c_laws[q] = law
+        q._c_law = law
     return law
 
 
 def _draw_c(fn, spec: ArrivalSpec, side_u: np.ndarray, price_u: np.ndarray,
             is_bid: np.ndarray, prices: np.ndarray) -> None:
     """`_draw_py` through the compiled `draw` of `_kernel.c`, where both laws
-    are built-in; `_draw_py` otherwise, so a wrapped quantile is called."""
+    are uniform or piecewise-linear built-ins; `_draw_py` otherwise, so a
+    table law and a wrapped or custom quantile are called."""
     laws = _c_law(spec.bid_dist.quantile), _c_law(spec.ask_dist.quantile)
     if None in laws:
         _draw_py(spec, side_u, price_u, is_bid, prices)

@@ -3,11 +3,11 @@
 A price law is a (density, cdf, quantile) triple on a closed support with a
 continuous, strictly increasing CDF.  Three builtins cover the cases needed in
 practice: uniform, piecewise-linear density, and tabulated CDF with monotone
-interpolation.  All callables accept scalars or numpy arrays; the builtins'
-quantiles are objects holding their tables, which the compiled arrival draw
-reads too (`book._draw_c`).  Bin partitions are built by `make_partition` and
-`union_refinement` and compared by `refines`; all three count cuts as one by
-the same rule, `_merged`.
+interpolation.  All callables accept scalars or numpy arrays; the uniform and
+piecewise-linear quantiles are objects holding their tables, which the
+compiled arrival draw reads too (`book._draw_c`).  Bin partitions are built
+by `make_partition` and `union_refinement` and compared by `refines`; all
+three count cuts as one by the same rule, `_merged`.
 """
 
 from __future__ import annotations
@@ -89,12 +89,21 @@ def uniform_dist(lo: float = 0.0, hi: float = 1.0) -> PriceDist:
                      kind="uniform")
 
 
-# The built-in laws' quantiles are objects that keep the tables they read, so
-# that the compiled draw applies the same expression to the same tables.  Only
-# these three types are drawn in C; any other quantile callable, a wrapped one
-# included, is called.
+# The uniform and piecewise-linear quantiles are objects that keep the tables
+# they read, so that the compiled draw applies the same expression to the same
+# tables.  Only these two types are drawn in C; any other quantile callable, a
+# table's or a wrapped one included, is called.
 
-class _UniformQuantile:
+class _Quantile:
+    """Immutable, so a deep copy is the object itself, as a function's is: the C
+    form that the compiled draw keeps on it (`book._c_law`) holds pointers,
+    which ctypes refuses to copy."""
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class _UniformQuantile(_Quantile):
     """u -> lo + u * width."""
 
     def __init__(self, lo: float, width: float):
@@ -103,11 +112,6 @@ class _UniformQuantile:
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         return self.lo + u * self.width
-
-
-def _check_unit(u: np.ndarray) -> None:
-    if np.any((u < 0) | (u > 1)):
-        raise ValueError("quantile argument outside [0, 1]")
 
 
 def _kinks(xs: np.ndarray, slopes: np.ndarray) -> tuple[float, ...]:
@@ -155,7 +159,7 @@ def piecewise_linear_dist(xs, ys) -> PriceDist:
                      knots=_kinks(xs, slopes))
 
 
-class _PiecewiseQuantile:
+class _PiecewiseQuantile(_Quantile):
     """The quantile of a piecewise-linear density: on segment i, from knot
     xs[i] with CDF cum[i], density y0[i] and slope slopes[i]."""
 
@@ -176,7 +180,8 @@ class _PiecewiseQuantile:
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        _check_unit(u)
+        if np.any((u < 0) | (u > 1)):
+            raise ValueError("quantile argument outside [0, 1]")
         xs, cum = self.xs, self.cum
         i = np.searchsorted(cum[1:-1], u, side="right")
         t = u - cum[i]
@@ -196,15 +201,15 @@ def cdf_table_dist(xs, cdf_values) -> PriceDist:
     0 to 1 (within 1e-9, then pinned exactly).  Density is the piecewise
     constant derivative.
     """
-    # contiguous copies of our own, as the compiled draw reads the quantile's
-    xs = np.array(xs, dtype=float)
-    fs = np.array(cdf_values, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    fs = np.asarray(cdf_values, dtype=float)
     if xs.size < 2 or xs.shape != fs.shape:
         raise ValueError("CDF table needs two equal-length columns, at least two rows")
     if not (np.all(np.diff(xs) > 0) and np.all(np.diff(fs) > 0)):
         raise ValueError("CDF table columns must be strictly increasing")
     if abs(fs[0]) > 1e-9 or abs(fs[-1] - 1.0) > 1e-9:
         raise ValueError("CDF table must run from 0 to 1")
+    fs = fs.copy()
     fs[0], fs[-1] = 0.0, 1.0
     slopes = np.diff(fs) / np.diff(xs)
 
@@ -217,20 +222,14 @@ def cdf_table_dist(xs, cdf_values) -> PriceDist:
     def cdf(x):
         return np.interp(np.asarray(x, dtype=float), xs, fs)
 
-    return PriceDist(density, cdf, _TableQuantile(xs, fs), (float(xs[0]), float(xs[-1])),
-                     kind="cdf_table", knots=_kinks(xs, slopes))
-
-
-class _TableQuantile:
-    """The quantile of a CDF table: u -> np.interp(u, fs, xs)."""
-
-    def __init__(self, xs: np.ndarray, fs: np.ndarray):
-        self.xs, self.fs = xs, fs
-
-    def __call__(self, u):
+    def quantile_fn(u):
         u = np.asarray(u, dtype=float)
-        _check_unit(u)
-        return np.interp(u, self.fs, self.xs)
+        if np.any((u < 0) | (u > 1)):
+            raise ValueError("quantile argument outside [0, 1]")
+        return np.interp(u, fs, xs)
+
+    return PriceDist(density, cdf, quantile_fn, (float(xs[0]), float(xs[-1])),
+                     kind="cdf_table", knots=_kinks(xs, slopes))
 
 
 # The key sets besides `kind` that a config law of each kind may carry.

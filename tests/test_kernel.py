@@ -14,6 +14,7 @@ its arrival draw the bytes of the numpy `_draw_py` on random laws of every
 built-in kind.
 """
 
+import copy
 import dataclasses
 import math
 import re
@@ -31,8 +32,8 @@ from lobphase import sim
 from lobphase.book import (EXECUTED, JOINED, ORDINARY, ORDINARY_BINNED, RESERVOIR,
                            STRICT_BINNED, BookInvariantError, BookState, MatchRule,
                            Order, apply_arrival, match_arrivals)
-from lobphase.dist import (ArrivalSpec, BinPartition, cdf_table_dist, make_partition,
-                           piecewise_linear_dist, uniform_dist)
+from lobphase.dist import (ArrivalSpec, BinPartition, make_partition, piecewise_linear_dist,
+                           uniform_dist)
 
 from helpers import reflected_arrivals
 
@@ -613,31 +614,20 @@ def piecewise_laws(draw):
 
 
 @st.composite
-def table_laws(draw):
-    n = draw(knot_counts)
-    fs = draw(increasing(n))
-    fs = (fs - fs[0]) / (fs[-1] - fs[0])
-    fs[-1] = 1.0
-    assume(np.all(np.diff(fs) > 0))
-    return cdf_table_dist(draw(increasing(n)), fs)
-
-
-@st.composite
 def uniform_laws(draw):
     lo, width = draw(st.floats(-100.0, 100.0)), draw(st.floats(1e-3, 50.0))
     return uniform_dist(lo, lo + width)
 
 
 def knot_draws(law) -> list:
-    """The CDF at each knot (the table's rows) and its two neighbouring floats,
-    each in [0, 1) as a uniform draw is."""
-    q = law.quantile
-    cdf = getattr(q, "cum", getattr(q, "fs", np.array([0.0, 1.0])))
+    """The CDF at each knot and its two neighbouring floats, each in [0, 1) as
+    a uniform draw is."""
+    cdf = getattr(law.quantile, "cum", np.array([0.0, 1.0]))
     near = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)))
     return near[(near >= 0.0) & (near < 1.0)].tolist()
 
 
-laws = st.one_of(piecewise_laws(), table_laws(), uniform_laws())
+laws = st.one_of(piecewise_laws(), uniform_laws())
 
 
 @st.composite
@@ -690,6 +680,17 @@ def test_c_draw_calls_a_wrapped_quantile(c_kernel):
         assert drawn(c_kernel, spec, side_u, price_u) == drawn(PYTHON_LOOP, spec, side_u,
                                                                price_u)
         assert calls and sum(calls) == 2 * ((side_u < 0.5) == (spec.bid_dist is wrapped)).sum()
+
+
+def test_c_draw_survives_a_deep_copy(c_kernel):
+    # the C form kept on a quantile cannot be copied; the copy is the quantile
+    tent = piecewise_linear_dist([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
+    spec = ArrivalSpec(tent, uniform_dist())
+    u = np.random.default_rng(4).random(100)
+    first = drawn(c_kernel, spec, u, u[::-1])
+    copied = copy.deepcopy(spec)
+    assert copied.bid_dist.quantile is tent.quantile
+    assert drawn(c_kernel, copied, u, u[::-1]) == first == drawn(PYTHON_LOOP, spec, u, u[::-1])
 
 
 def test_draw_rejects_bad_outputs(c_kernel):

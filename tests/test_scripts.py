@@ -48,7 +48,7 @@ def test_bench_records_both_layers(monkeypatch, tmp_path):
     assert record["machine"]["kernel"] == loaded.name
     assert set(record["machine"]) == {"cpu_model", "nproc", "python", "numpy", "kernel"}
     draw = record["materialize_ns_per_arrival"]["laws"]
-    assert set(draw) == {"uniform", "tent", "table"}
+    assert set(draw) == {"uniform", "tent"}
     compiled = loaded.name == "c"
     for row in draw.values():
         assert row["numpy"] > 0 and (row["c"] > 0 if compiled else row["c"] is None)
