@@ -98,9 +98,9 @@ def materialize(stream: ArrivalStream) -> Arrivals:
     Each chunk of `CHUNK` arrivals takes `CHUNK` uniforms from the side
     stream and `CHUNK` from the price stream, into two scratch buffers;
     Philox draws taken in chunks equal one whole draw bit for bit.  The
-    kernel's `draw` turns them into sides and prices: in C for the built-in
-    laws, and otherwise by calling each side's quantile once per chunk (see
-    `book._draw_py`); both give the same bytes.  Prices may repeat (53-bit
+    kernel's `draw` turns them into sides and prices: in C where both laws
+    are uniform or piecewise-linear, and otherwise by calling each side's
+    quantile once per chunk (see `book._draw_py`); both give the same bytes.  Prices may repeat (53-bit
     draws repeat at the birthday rate, about n**2 / 2**54 pairs in n draws);
     the book's tie rule says which ties it refuses.
     """
