@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Per-layer timings of the arrival draw and the match loop, as JSON.
 
-Two layers, each in ns per arrival, the median over --repeats calls in this
+Three layers, each in ns per arrival, the median over --repeats calls in this
 process:
 
 - `sim.materialize` on the uniform and tent laws (both sides on the law,
   p_b = 0.5), under the compiled kernel's `draw` and under the numpy draw
   `book._draw_py`, taking turns call by call;
+- the Philox uniforms alone, the side and the price stream a chunk at a time
+  as `materialize` draws them, under the compiled `uniforms` and under numpy's
+  generator (`book._uniforms_py`), taking turns call by call;
 - the compiled `match` loop alone: the kernel's `run` timed around each chunk
   of `book.match_chunks` on uniform arrivals, ordinary rule, empty book.
 
@@ -76,6 +79,22 @@ def time_materialize(kernels: dict, spec: ArrivalSpec, n: int, repeats: int) -> 
     return {name: median_ns(s, n) for name, s in seconds.items()}
 
 
+def time_uniforms(draws: dict, n: int, repeats: int) -> dict:
+    """ns per arrival of its side and price uniforms under each named draw,
+    the draws taking turns call by call."""
+    keys = [(SEED, sim.FIELD_TAGS[tag]) for tag in ("side", "price")]
+    out = np.empty(min(n, sim.CHUNK))
+    seconds = {name: [] for name in draws}
+    for _ in range(repeats):
+        for name, uniforms in draws.items():
+            t0 = time.perf_counter()
+            for lo in range(0, n, sim.CHUNK):
+                for key in keys:
+                    uniforms(key, lo, out[:min(sim.CHUNK, n - lo)])
+            seconds[name].append(time.perf_counter() - t0)
+    return {name: median_ns(s, n) for name, s in seconds.items()}
+
+
 def time_match(kernel, n: int, repeats: int) -> float:
     arr = sim.materialize(sim.ArrivalStream(SEED, n, laws()["uniform"]))
     spent = [0.0]
@@ -119,6 +138,9 @@ def main() -> None:
         draw = {name: {"c": None, **time_materialize(kernels, spec, args.n_draw,
                                                      args.repeats)}
                 for name, spec in laws().items()}
+        uniform_draws = {"c": compiled.uniforms} if compiled else {}
+        uniform_draws["numpy"] = book._uniforms_py
+        uniforms = {"c": None, **time_uniforms(uniform_draws, args.n_draw, args.repeats)}
         match = {str(n): compiled and time_match(compiled, n, args.repeats) for n in sizes}
     finally:
         book._loaded = loaded
@@ -128,6 +150,7 @@ def main() -> None:
         "seed": SEED,
         "repeats": args.repeats,
         "materialize_ns_per_arrival": {"n": args.n_draw, "laws": draw},
+        "uniforms_ns_per_arrival": {"n": args.n_draw, **uniforms},
         "match_loop_ns_per_arrival": match,
     }
     out = Path(args.out)
@@ -135,6 +158,7 @@ def main() -> None:
     (out / "bench.json").write_text(json.dumps(record, indent=2) + "\n")
     for name, row in draw.items():
         print(f"materialize {name:8s} c {row['c']} ns, numpy {row['numpy']} ns per arrival")
+    print(f"uniforms             c {uniforms['c']} ns, numpy {uniforms['numpy']} ns per arrival")
     for n, ns in match.items():
         print(f"match loop {n:>8s} arrivals: {ns} ns per arrival")
     print(f"wrote {out / 'bench.json'}")

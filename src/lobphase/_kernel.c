@@ -1,4 +1,8 @@
-/* Five passes of lobphase, compiled.
+/* Six passes of lobphase, compiled.
+ *
+ * uniforms writes a stretch of the uniform draws of one Philox4x64-10 stream,
+ * numpy's Philox bit for bit: output j is a function of the stream's key and
+ * j alone, so a chunk's draws need no generator state.
  *
  * draw splits a chunk of arrivals between the sides and prices each by its
  * side's uniform or piecewise-linear quantile, with the expression and tables
@@ -22,6 +26,69 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+/* Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
+ * easy as 1, 2, 3", SC 2011) with the Random123 constants numpy uses.  Its
+ * block for counter c and key k is ten rounds; before each round but the
+ * first, k moves on by the Weyl increments. */
+#define PHILOX_M0 0xD2E7470EE14C6C93ULL
+#define PHILOX_M1 0xCA5A826395121157ULL
+#define PHILOX_W0 0x9E3779B97F4A7C15ULL
+#define PHILOX_W1 0xBB67AE8584CAA73BULL
+
+/* the low word of a * b, its high word in *hi */
+#ifdef __SIZEOF_INT128__
+static inline uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi) {
+    unsigned __int128 p = (unsigned __int128)a * b;
+    *hi = (uint64_t)(p >> 64);
+    return (uint64_t)p;
+}
+#else
+static inline uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi) {
+    uint64_t a0 = a & 0xFFFFFFFFu, a1 = a >> 32, b0 = b & 0xFFFFFFFFu, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = (p00 >> 32) + (p01 & 0xFFFFFFFFu) + (p10 & 0xFFFFFFFFu);
+    *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    return a * b;
+}
+#endif
+
+/* The blocks for counters (c, 0, 0, 0) and (c + 1, 0, 0, 0) into w[0..3] and
+ * w[4..7], computed side by side so that their multiplies overlap. */
+static inline void philox_pair(uint64_t c, uint64_t k0, uint64_t k1, uint64_t w[8]) {
+    uint64_t x[8] = {c, 0, 0, 0, c + 1, 0, 0, 0};
+    _Pragma("GCC unroll 10")
+    for (int r = 0; r < 10; r++) {
+        if (r) { k0 += PHILOX_W0; k1 += PHILOX_W1; }
+        _Pragma("GCC unroll 2")
+        for (int b = 0; b < 8; b += 4) {
+            uint64_t hi0, hi1;
+            uint64_t lo0 = mulhilo(PHILOX_M0, x[b], &hi0);
+            uint64_t lo1 = mulhilo(PHILOX_M1, x[b + 2], &hi1);
+            uint64_t x1 = x[b + 1], x3 = x[b + 3];
+            x[b] = hi1 ^ x1 ^ k0;
+            x[b + 1] = lo1;
+            x[b + 2] = hi0 ^ x3 ^ k1;
+            x[b + 3] = lo0;
+        }
+    }
+    memcpy(w, x, sizeof x);
+}
+
+/* A raw word's double, as numpy's: its top 53 bits times 2^-53. */
+static inline double to_unit(uint64_t w) { return (double)(w >> 11) * 0x1.0p-53; }
+
+/* Draws first .. first + n - 1 of the uniform stream keyed (k0, k1) into out.
+ * numpy's Philox counts its counter up before each block, from 0, so draw j
+ * is word j % 4 of the block for counter (j / 4 + 1, 0, 0, 0). */
+void uniforms(long n, uint64_t k0, uint64_t k1, uint64_t first, double *out) {
+    uint64_t w[8];
+    long i = 0;
+    for (uint64_t c = first / 4 + 1, j = first % 4; i < n; c += 2, j = 0) {
+        philox_pair(c, k0, k1, w);
+        for (; j < 8 && i < n; j++) out[i++] = to_unit(w[j]);
+    }
+}
 
 /* A uniform or piecewise-linear quantile: the fields of dist.py's object. */
 enum { UNIFORM, PIECEWISE };

@@ -20,8 +20,9 @@ both loops are tested against.  The same library carries the other exports
 of `_EXPORTS`, each with a numpy pass as its reference and fallback: the
 binned recorder of `sim.run_arrivals` (`_binned_sums`), the five-bin book's
 region pass of `lyapunov.simulate_5bin` (`_five_bin_sums`), the refinement
-check's domination pass (`_refinement_maxima`) and the arrival draw of
-`sim.materialize` (`_draw_py`).
+check's domination pass (`_refinement_maxima`), and the two steps of
+`sim.materialize`'s arrival draw: the Philox uniforms of a chunk
+(`_uniforms_py`) and the sides and prices drawn from them (`_draw_py`).
 """
 
 from __future__ import annotations
@@ -802,6 +803,29 @@ def _draw_c(fn, spec: ArrivalSpec, side_u: np.ndarray, price_u: np.ndarray,
        ctypes.byref(laws[1]), is_bid.ctypes.data, prices.ctypes.data)
 
 
+def _uniforms_py(key: tuple[int, int], first: int, out: np.ndarray) -> np.ndarray:
+    """Draws first, first + 1, ... of the uniform stream of numpy's Philox keyed
+    `key` into `out`, and returns it.
+
+    Philox counts its counter up before each block of four words, so a
+    generator set to counter first // 4 makes draw first the word first % 4 of
+    its next block.  The reference for `uniforms` in `_kernel.c`, and its
+    fallback.
+    """
+    bg = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=[first // 4, 0, 0, 0])
+    bg.random_raw(first % 4)
+    return np.random.Generator(bg).random(out=out)
+
+
+def _uniforms_c(fn, key: tuple[int, int], first: int, out: np.ndarray) -> np.ndarray:
+    """`_uniforms_py` through the compiled `uniforms` of `_kernel.c`."""
+    # the C pass writes through it unchecked
+    if not (out.ndim == 1 and out.dtype == float and out.flags.c_contiguous):
+        raise ValueError("uniforms takes a contiguous 1-d float64 output")
+    fn(out.size, *key, first, out.ctypes.data)
+    return out
+
+
 class _Kernel(NamedTuple):
     name: str                # "c" or "python"
     run: Callable            # (heaps, rule, log) -> first opposite-best tie, or -1
@@ -809,12 +833,13 @@ class _Kernel(NamedTuple):
     five_bin: Callable       # (bins, changed_bid, sign, normals, K) -> FiveBinSums
     refinement: Callable     # (is_bid, bins, steps, nbins) -> (max_b, max_a)
     draw: Callable           # (spec, side_u, price_u, is_bid out, prices out) -> None
+    uniforms: Callable       # ((seed, tag), first, out) -> out
     library: Optional[Path]  # the compiled library, for the C kernel
 
 
-_EXPORTS = ("match", "binned", "five_bin", "refinement", "draw")
+_EXPORTS = ("match", "binned", "five_bin", "refinement", "draw", "uniforms")
 _PYTHON_KERNEL = _Kernel("python", _match_py, _binned_sums, _five_bin_sums,
-                         _refinement_maxima, _draw_py, None)
+                         _refinement_maxima, _draw_py, _uniforms_py, None)
 
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -896,7 +921,8 @@ def _load_kernel() -> _Kernel:
     try:
         library = _library()
         lib = ctypes.CDLL(str(library))
-        match, binned, five_bin, refinement, draw = (getattr(lib, e) for e in _EXPORTS)
+        match, binned, five_bin, refinement, draw, uniforms = (getattr(lib, e)
+                                                               for e in _EXPORTS)
     except (OSError, AttributeError, subprocess.SubprocessError):
         return _PYTHON_KERNEL
     p, n, d = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
@@ -906,11 +932,12 @@ def _load_kernel() -> _Kernel:
     five_bin.argtypes = [n, p, p, p, p, n, d, p, p, p, p, p, p, p]
     refinement.argtypes = [n, p, p, p, n, p, p, p, p]
     draw.argtypes = [n, p, p, d, p, p, p, p]
-    binned.restype = refinement.restype = draw.restype = None
+    uniforms.argtypes = [n, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64, p]
+    binned.restype = refinement.restype = draw.restype = uniforms.restype = None
     match.restype = five_bin.restype = n
     return _Kernel("c", partial(_match_c, match), partial(_binned_c, binned),
                    partial(_five_bin_c, five_bin), partial(_refinement_c, refinement),
-                   partial(_draw_c, draw), library)
+                   partial(_draw_c, draw), partial(_uniforms_c, uniforms), library)
 
 
 def _kernel() -> _Kernel:

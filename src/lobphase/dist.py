@@ -188,7 +188,11 @@ class _PiecewiseQuantile(_Quantile):
         if self.every_quadratic:
             d = self._root(i, t)
         else:
-            d, quad = np.asarray(t / self.y_lin[i]), self.quadratic[i]
+            # each quotient only where it is kept: a quadratic segment's
+            # subnormal density would overflow it
+            d, quad = np.empty_like(t), self.quadratic[i]
+            lin = ~quad
+            d[lin] = t[lin] / self.y_lin[i[lin]]
             if quad.any():
                 d[quad] = self._root(i[quad], t[quad])
         return np.clip(xs[i] + d, xs[0], xs[-1])

@@ -6,7 +6,9 @@ Randomness comes from counter-based Philox streams keyed by (seed, field tag),
 so the same seed always reproduces the same arrivals and coupled experiments
 can share one arrival stream across book variants bit-for-bit.  Arrivals are
 drawn, and runs matched and recorded, `CHUNK` arrivals at a time in reused
-buffers; every result equals that of one whole-run pass bit for bit.
+buffers; every result equals that of one whole-run pass bit for bit.  The
+side and price uniforms are drawn in C where the compiled kernel loads, from
+the seed and each chunk's first arrival, with numpy's bytes.
 """
 
 from __future__ import annotations
@@ -95,25 +97,27 @@ class Arrivals:
 def materialize(stream: ArrivalStream) -> Arrivals:
     """Draw the full arrival arrays for a stream (deterministic in the seed).
 
-    Each chunk of `CHUNK` arrivals takes `CHUNK` uniforms from the side
-    stream and `CHUNK` from the price stream, into two scratch buffers;
-    Philox draws taken in chunks equal one whole draw bit for bit.  The
-    kernel's `draw` turns them into sides and prices: in C where both laws
-    are uniform or piecewise-linear, and otherwise by calling each side's
-    quantile once per chunk (see `book._draw_py`); both give the same bytes.  Prices may repeat (53-bit
-    draws repeat at the birthday rate, about n**2 / 2**54 pairs in n draws);
-    the book's tie rule says which ties it refuses.
+    Arrival i's side and price come from draw i of the side stream and of
+    the price stream, `field_generator`'s uniforms.  Philox is counter-based,
+    so the kernel's `uniforms` writes a chunk's draws from the seed and the
+    chunk's first arrival alone, with no generator state: in C, or through
+    numpy (`book._uniforms_py`), with the same bytes.  The kernel's `draw`
+    turns them into sides and prices: in C where both laws are uniform or
+    piecewise-linear, and otherwise by calling each side's quantile once per
+    chunk (see `book._draw_py`); both give the same bytes.  Prices may repeat
+    (53-bit draws repeat at the birthday rate, about n**2 / 2**54 pairs in n
+    draws); the book's tie rule says which ties it refuses.
     """
     n = stream.n_events
     spec = stream.spec
-    side = field_generator(stream.seed, "side")
-    price = field_generator(stream.seed, "price")
+    kernel = _kernel()
+    side, price = ((stream.seed, FIELD_TAGS[tag]) for tag in ("side", "price"))
     is_bid, prices = np.empty(n, dtype=bool), np.empty(n)
     side_u, price_u = np.empty(min(n, CHUNK)), np.empty(min(n, CHUNK))
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
-        _kernel().draw(spec, side.random(out=side_u[:hi - lo]),
-                       price.random(out=price_u[:hi - lo]), is_bid[lo:hi], prices[lo:hi])
+        kernel.draw(spec, kernel.uniforms(side, lo, side_u[:hi - lo]),
+                    kernel.uniforms(price, lo, price_u[:hi - lo]), is_bid[lo:hi], prices[lo:hi])
     if stream.time_mode == EVENT_COUNT:
         # t_n = n/2 matches rate-1 bid and rate-1 ask arrivals in expectation.
         times = 0.5 * np.arange(1, n + 1, dtype=float)

@@ -197,6 +197,26 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_run_does_not_load_numpy_random():
+    # the compiled kernel draws the uniform and tent laws' arrivals, Philox
+    # uniforms included, so numpy.random, which numpy 2 loads on first use,
+    # stays unloaded (numpy 1 loads it with numpy)
+    src = Path(lobphase.__file__).resolve().parents[1]
+    code = ("import sys, numpy; bare = 'numpy.random' in sys.modules; "
+            "from lobphase import book, dist, sim; "
+            "tent = dist.piecewise_linear_dist([0, 0.5, 1], [0, 2, 0]); "
+            "[sim.run(book.MatchRule(book.ORDINARY), book.BookState(), "
+            "sim.ArrivalStream(1, 40_000, dist.ArrivalSpec(law, law)), 1_000) "
+            "for law in (dist.uniform_dist(), tent)]; "
+            "print(book.KERNEL, bare, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    kernel, bare, loaded = out.stdout.split()
+    if kernel != "c" or bare == "True":
+        pytest.skip(f"kernel {kernel}, numpy.random loaded by numpy itself: {bare}")
+    assert loaded == "False"
+
+
 @pytest.mark.parametrize("argv", [
     "bound3 --x 2 --y 0.5", "bound3 --x 0.6 --y 0.4", "lyapunov --eps 0.3",
     "check --suite lyapunov --eps 0.5", "couple --bins 3", "ode --tol -1", "ode --tol 0",

@@ -124,6 +124,14 @@ def test_quantile_equals_both_branch_expression(xs, ys):
         assert float(law.quantile(u)).hex() == float(reference(u)).hex()
 
 
+def test_quadratic_segment_from_a_subnormal_density_does_not_overflow():
+    # t / density overflows on the last segment, which is quadratic: no
+    # quotient may be taken there (pytest turns the warning into an error)
+    law = piecewise_linear_dist([0, 1, 2, 3], [0, 1e-320, 1e-320, 1])
+    top = np.nextafter(1.0, 0.0)
+    assert float(law.quantile(top)) == float(law.quantile(np.array([0.5, top]))[1]) == 3.0
+
+
 class TestTransform:
     def test_uniform_fixed_point(self, uniform_spec):
         out = transform_to_uniform_bid(uniform_spec)

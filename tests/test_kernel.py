@@ -9,17 +9,19 @@ Every input the replay rejects, the loop rejects too.  The C kernel must give
 the Python loop's arrays bit for bit and the same book, each side stored as a
 valid heap, and raise the same error on the same input; its binned-recorder and
 refinement passes must give the bytes and dtypes of the numpy `_binned_sums`
-and `_refinement_maxima` (the five-bin pass is tested in test_lyapunov.py), and
-its arrival draw the bytes of the numpy `_draw_py` on random laws of every
-built-in kind.
+and `_refinement_maxima` (the five-bin pass is tested in test_lyapunov.py), its
+arrival draw the bytes of the numpy `_draw_py` on random laws of every
+built-in kind, and its Philox uniforms the bytes of numpy's generator.
 """
 
 import copy
+import ctypes
 import dataclasses
 import math
 import re
 import subprocess
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -649,10 +651,7 @@ def draw_inputs(draw):
 
 def drawn(kernel, spec, side_u, price_u):
     is_bid, prices = np.empty(side_u.size, dtype=bool), np.empty(side_u.size)
-    # the numpy pass divides by the density for every price, also where the
-    # root replaces the quotient, and a subnormal density overflows it there
-    with np.errstate(over="ignore"):
-        kernel.draw(spec, side_u, price_u, is_bid, prices)
+    kernel.draw(spec, side_u, price_u, is_bid, prices)
     return is_bid.tobytes(), prices.tobytes()
 
 
@@ -701,6 +700,84 @@ def test_draw_rejects_bad_outputs(c_kernel):
                            (np.empty(4, dtype=bool), np.empty(8)[::2])):
         with pytest.raises(ValueError, match="draw"):
             c_kernel.draw(spec, u, u, is_bid, prices)
+
+
+# -- the Philox uniforms ------------------------------------------------------
+
+EDGE_SEEDS = [0, 2**63, 2**64 - 1]
+TAGS = sorted(sim.FIELD_TAGS)
+uniform_counts = st.sampled_from([0, *range(1, 10), sim.CHUNK + 1])
+
+
+def uniform_bytes(kernel, key, first, n):
+    return kernel.uniforms(key, first, np.empty(n)).tobytes()
+
+
+def sequential_bytes(seed, tag, first, n):
+    """Draws first .. first + n - 1 of the field's generator, drawn in order."""
+    gen = sim.field_generator(seed, tag)
+    gen.random(first)
+    return gen.random(n).tobytes()
+
+
+def assert_uniforms_agree(c_kernel, seed, tag, first, n):
+    key = (seed, sim.FIELD_TAGS[tag])
+    assert (uniform_bytes(c_kernel, key, first, n) == uniform_bytes(PYTHON_LOOP, key, first, n)
+            == sequential_bytes(seed, tag, first, n))
+
+
+def test_c_uniforms_at_edge_keys(c_kernel):
+    # every field's stream under the extreme seeds, from every word of two blocks
+    for seed in EDGE_SEEDS:
+        for tag in TAGS:
+            for first in range(8):
+                for n in (0, 1, 5, 9):
+                    assert_uniforms_agree(c_kernel, seed, tag, first, n)
+
+
+@given(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1), st.sampled_from(TAGS),
+       st.integers(0, 100), uniform_counts)
+@settings(max_examples=150, deadline=None)
+def test_c_uniforms_match_numpy(c_kernel, seed, tag, first, n):
+    assert_uniforms_agree(c_kernel, seed, tag, first, n)
+
+
+@given(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1), st.sampled_from(TAGS),
+       st.sampled_from([2**32, 2**40]).flatmap(lambda at: st.integers(at - 9, at + 9)),
+       uniform_counts)
+@settings(max_examples=60, deadline=None)
+def test_c_uniforms_far_into_the_stream(c_kernel, seed, tag, first, n):
+    # too far to draw in order: against the numpy generator set to the block
+    key = (seed, sim.FIELD_TAGS[tag])
+    assert uniform_bytes(c_kernel, key, first, n) == uniform_bytes(PYTHON_LOOP, key, first, n)
+
+
+def test_uniforms_rejects_bad_outputs(c_kernel):
+    for out in (np.empty(8, dtype=np.float32), np.empty((2, 4)), np.empty(16)[::2]):
+        with pytest.raises(ValueError, match="uniforms"):
+            c_kernel.uniforms((1, 1), 0, out)
+
+
+def test_portable_multiply_gives_the_same_uniforms(c_kernel, tmp_path):
+    # the 64 x 64 -> 128-bit multiply from 32-bit halves, for compilers without __int128
+    library = tmp_path / "kernel.so"
+    done = subprocess.run([book_module._CC, *book_module._FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-U__SIZEOF_INT128__", "-o", str(library),
+                           str(book_module._SOURCE)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    fn = ctypes.CDLL(str(library)).uniforms
+    fn.argtypes = [ctypes.c_long, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64,
+                   ctypes.c_void_p]
+    portable = c_kernel._replace(uniforms=partial(book_module._uniforms_c, fn))
+    rng = np.random.default_rng(5)
+    seeds = [*EDGE_SEEDS, *(int(s) for s in rng.integers(0, 2**64, 4, dtype=np.uint64))]
+    for seed in seeds:
+        for tag in TAGS:
+            for first in (0, 1, 2, 3, 2**40 + 3):
+                key = (seed, sim.FIELD_TAGS[tag])
+                assert (uniform_bytes(portable, key, first, sim.CHUNK + 1)
+                        == uniform_bytes(c_kernel, key, first, sim.CHUNK + 1))
 
 
 def coupling_reports(kernel):
@@ -764,7 +841,8 @@ def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, cc):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("export", ["match", "binned", "five_bin", "refinement", "draw"])
+@pytest.mark.parametrize("export", ["match", "binned", "five_bin", "refinement", "draw",
+                                    "uniforms"])
 def test_library_lacking_an_export_is_neither_cached_nor_loaded(monkeypatch, tmp_path,
                                                                export):
     # the source builds, but its library lacks one of its exports

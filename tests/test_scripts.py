@@ -52,4 +52,7 @@ def test_bench_records_both_layers(monkeypatch, tmp_path):
     compiled = loaded.name == "c"
     for row in draw.values():
         assert row["numpy"] > 0 and (row["c"] > 0 if compiled else row["c"] is None)
+    uniforms = record["uniforms_ns_per_arrival"]
+    assert set(uniforms) == {"n", "c", "numpy"} and uniforms["n"] == 1000
+    assert uniforms["numpy"] > 0 and (uniforms["c"] > 0 if compiled else uniforms["c"] is None)
     assert list(record["match_loop_ns_per_arrival"]) == ["500"]
