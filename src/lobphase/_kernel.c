@@ -369,14 +369,14 @@ static double gauge(const double *normals, long m, const int64_t *x) {
  * none).  The cell's visits count it and its dx_sum row adds the change to
  * x.  Where the state's gauge exceeds K, above[i] is set, and the cell's
  * visits_hi counts it and dgauge_sum and dgauge_sq add the gauge's change and
- * its square.  x starts at 0 and ends at the final state.  Returns -1, or the
- * first change whose state has b >= a, where the pass stops with x at that
- * state. */
+ * its square.  x and the sums carry over from the previous chunk of the run,
+ * all zeroed before the first; x ends at the state after the chunk.  Returns
+ * -1, or the first change whose state has b >= a, where the pass stops with x
+ * at that state. */
 long five_bin(long n, const int64_t *bins, const uint8_t *changed_bid, const int8_t *sign,
               const double *normals, long m, double K, int64_t *x, int64_t *visits,
               double *dx_sum, int64_t *visits_hi, double *dgauge_sum, double *dgauge_sq,
               uint8_t *above) {
-    x[0] = x[1] = x[2] = 0;
     double g = gauge(normals, m, x);
     for (long i = 0; i < n; i++) {
         int b = x[2] > 0 ? 4 : x[1] > 0 ? 3 : x[0] > 0 ? 2 : 1;

@@ -11,17 +11,18 @@ A resting order priced at its own side's reservoir sits behind it: the
 reservoir is met first.
 
 `match_chunks` is the event loop: it applies an arrival sequence a chunk at
-a time and yields each chunk's `EventLog`; `match_arrivals` runs it as one
-chunk and returns the whole log.  Its loop body is the C function in
-`_kernel.c`, compiled on first use and cached, or the Python loop
-`_match_py` where no compiler is available; `KERNEL` says which runs.
-`apply_arrival` applies one order at a time; it is the readable reference
-both loops are tested against.  The same library carries the other exports
-of `_EXPORTS`, each with a numpy pass as its reference and fallback: the
-binned recorder of `sim.run_arrivals` (`_binned_sums`), the five-bin book's
-region pass of `lyapunov.simulate_5bin` (`_five_bin_sums`), the refinement
-check's domination pass (`_refinement_maxima`), and the two steps of
-`sim.materialize`'s arrival draw: the Philox uniforms of a chunk
+a time and yields each chunk's `EventLog`, which `sim._fold` folds into a
+run's recorders; `match_arrivals` runs it as one chunk and returns the
+whole log.  Its loop body is the C function in `_kernel.c`, compiled on
+first use and cached, or the Python loop `_match_py` where no compiler is
+available; `KERNEL` says which runs.  `apply_arrival` applies one order at
+a time; it is the readable reference both loops are tested against.  The
+same library carries the other exports of `_EXPORTS`, each with a numpy
+pass as its reference and fallback: two recorders that carry their sums
+from chunk to chunk, the binned one (`_binned_sums`, into `BinnedSums`) and
+the five-bin book's region pass (`_five_bin_sums`, into `FiveBinSums`); the
+refinement check's domination pass (`_refinement_maxima`); and the two
+steps of `sim.materialize`'s arrival draw: the Philox uniforms of a chunk
 (`_uniforms_py`) and the sides and prices drawn from them (`_draw_py`).
 """
 
@@ -566,6 +567,12 @@ def _below(nbins: int, *bins: np.ndarray) -> bool:
     return all(not k.size or k.view(np.uint64).max() < nbins for k in bins)
 
 
+def _check_layout(sums: tuple, layout: tuple, name: str) -> None:
+    if any(a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous
+           for a, (dtype, shape) in zip(sums, layout)):
+        raise ValueError(f"sums must be contiguous arrays laid out as {name} gives")
+
+
 def _binned_c(fn, sums: BinnedSums, times: np.ndarray, t0: float, half: int,
               beta: np.ndarray, alpha: np.ndarray, beta_bin: np.ndarray,
               alpha_bin: np.ndarray, price_bin: np.ndarray, changed_bid: np.ndarray,
@@ -581,10 +588,7 @@ def _binned_c(fn, sums: BinnedSums, times: np.ndarray, t0: float, half: int,
                                           changed_bid, sign)):
         raise ValueError("binned inputs differ in length")
     # the C pass indexes with these bins and writes through these arrays unchecked
-    if any(a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous
-           for a, (dtype, shape) in zip(sums, BinnedSums.layout(nbins))):
-        raise ValueError(f"binned sums must be contiguous arrays laid out as "
-                         f"BinnedSums.layout({nbins}) gives")
+    _check_layout(sums, BinnedSums.layout(nbins), f"BinnedSums.layout({nbins})")
     if not (_below(nbins, beta_bin, alpha_bin, price_bin) and _below(nbins + 1, sums.pre + 1)):
         raise ValueError(f"binned bins outside 0..{nbins - 1}")
     fn(n, times.ctypes.data, t0, half, beta.ctypes.data, alpha.ctypes.data,
@@ -594,18 +598,25 @@ def _binned_c(fn, sums: BinnedSums, times: np.ndarray, t0: float, half: int,
 
 
 class FiveBinSums(NamedTuple):
-    """The five-bin region pass: per cell 6 b + a of `_five_bin_cells`, the
-    visits, the summed change of the state and, at states whose gauge exceeds
-    K, the visits and the summed change of the gauge and of its square; per
-    change, whether the gauge before it exceeds K; and the final state."""
+    """What the five-bin region pass carries from chunk to chunk of a run;
+    `five_bin` changes every array in place.  The sums are per cell 6 b + a
+    of `_five_bin_cells`, the cell of the state before a change."""
 
-    visits: np.ndarray
-    dx_sum: np.ndarray
-    visits_hi: np.ndarray
-    dgauge_sum: np.ndarray
-    dgauge_sq: np.ndarray
-    above: np.ndarray
-    final: np.ndarray
+    x: np.ndarray           # the signed middle-bin state before the next change
+    visits: np.ndarray      # changes per cell
+    dx_sum: np.ndarray      # their summed change of the state
+    visits_hi: np.ndarray   # changes from states whose gauge exceeds K
+    dgauge_sum: np.ndarray  # their summed change of the gauge
+    dgauge_sq: np.ndarray   # and of its square
+
+    @staticmethod
+    def layout() -> tuple:
+        i8, f8, cells = np.dtype(np.int64), np.dtype(float), (FIVE_BIN_CELLS,)
+        return (i8, (3,)), (i8, cells), (f8, (*cells, 3)), (i8, cells), (f8, cells), (f8, cells)
+
+    @classmethod
+    def zeros(cls) -> "FiveBinSums":
+        return cls(*(np.zeros(shape, dtype) for dtype, shape in cls.layout()))
 
 
 def _five_bin_cells(x: np.ndarray) -> np.ndarray:
@@ -623,20 +634,22 @@ def _five_bin_cells(x: np.ndarray) -> np.ndarray:
     return 6 * b + a
 
 
-def _five_bin_sums(bins: np.ndarray, changed_bid: np.ndarray, sign: np.ndarray,
-                   normals: np.ndarray, K: float) -> FiveBinSums:
-    """The region pass over the five-bin book's changes.
+def _five_bin_sums(sums: FiveBinSums, bins: np.ndarray, changed_bid: np.ndarray,
+                   sign: np.ndarray, normals: np.ndarray, K: float) -> np.ndarray:
+    """Fold one chunk of the five-bin book's changes into `sums`; return
+    whether the gauge before each change exceeds K.
 
-    The state is the signed order count of the middle bins 1..3, starting at
-    zero; change i moves bin bins[i], if a middle one, by sign[i] for a bid
-    and -sign[i] for an ask (with `EventLog.changes`'s changed_bid and sign).
-    The gauge of a state is the largest product with a row of `normals`
-    (m x 3).  The reference for `five_bin` in `_kernel.c` and the pass that
-    runs without a compiler.
+    The state is the signed order count of the middle bins 1..3, sums.x
+    before the first change; change i moves bin bins[i], if a middle one, by
+    sign[i] for a bid and -sign[i] for an ask (`EventLog`'s changed_bid and
+    sign).  The gauge of a state is the largest product with a row of
+    `normals` (m x 3).  The reference for `five_bin` in `_kernel.c` and the
+    pass that runs without a compiler.
     """
-    n = bins.size
+    n, cells = bins.size, FIVE_BIN_CELLS
     mid = (1 <= bins) & (bins <= 3)
     x = np.zeros((n + 1, 3), dtype=np.int64)
+    x[0] = sums.x
     x[1:][mid, bins[mid] - 1] = np.where(changed_bid, sign, -sign)[mid]
     np.cumsum(x, axis=0, out=x)
     cell = _five_bin_cells(x[:-1])
@@ -646,43 +659,36 @@ def _five_bin_sums(bins: np.ndarray, changed_bid: np.ndarray, sign: np.ndarray,
         np.maximum(g, a * x1 + b * x2 + c * x3, out=g)
     above = g[:-1] > K
     dg = np.diff(g)[above]
+    sums.visits[:] += np.bincount(cell, minlength=cells)
+    sums.visits_hi[:] += np.bincount(cell[above], minlength=cells)
+    for k in range(3):
+        sums.dx_sum[:, k] = _add_in_order(sums.dx_sum[:, k], (cell,), np.diff(x[:, k]))
+    sums.dgauge_sum[:] = _add_in_order(sums.dgauge_sum, (cell[above],), dg)
+    sums.dgauge_sq[:] = _add_in_order(sums.dgauge_sq, (cell[above],), dg * dg)
+    sums.x[:] = x[-1]
+    return above
 
-    def count(cells, weights=None):
-        # float sums even of no cells, where bincount gives int64 zeros
-        sums = np.bincount(cells, weights=weights, minlength=FIVE_BIN_CELLS)
-        return sums if weights is None else sums.astype(float)
 
-    dx_sum = np.stack([count(cell, np.diff(x[:, k])) for k in range(3)], axis=1)
-    return FiveBinSums(count(cell), dx_sum, count(cell[above]), count(cell[above], dg),
-                       count(cell[above], dg * dg), above, x[-1])
-
-
-def _five_bin_c(fn, bins: np.ndarray, changed_bid: np.ndarray, sign: np.ndarray,
-                normals: np.ndarray, K: float) -> FiveBinSums:
+def _five_bin_c(fn, sums: FiveBinSums, bins: np.ndarray, changed_bid: np.ndarray,
+                sign: np.ndarray, normals: np.ndarray, K: float) -> np.ndarray:
     """`_five_bin_sums` through the compiled `five_bin` of `_kernel.c`."""
-    bins = np.ascontiguousarray(bins, dtype=np.int64)
+    bins, sign = np.ascontiguousarray(bins, np.int64), np.ascontiguousarray(sign, np.int8)
     changed_bid = np.ascontiguousarray(changed_bid, dtype=bool)
-    sign = np.ascontiguousarray(sign, dtype=np.int8)
     normals = np.ascontiguousarray(normals, dtype=float)
     n = bins.size
     if not changed_bid.shape == sign.shape == bins.shape == (n,):
         raise ValueError("five-bin inputs differ in length")
     if normals.ndim != 2 or normals.shape[1] != 3:
         raise ValueError("five-bin normals must have shape (m, 3)")
-    # the C pass indexes with these bins unchecked
+    # the C pass indexes with these bins and writes through these arrays unchecked
+    _check_layout(sums, FiveBinSums.layout(), "FiveBinSums.layout()")
     if not _below(5, bins):
         raise ValueError("five-bin bins outside 0..4")
-    cells, i8 = FIVE_BIN_CELLS, np.int64
-    out = FiveBinSums(np.zeros(cells, i8), np.zeros((cells, 3)), np.zeros(cells, i8),
-                      np.zeros(cells), np.zeros(cells), np.empty(n, dtype=bool),
-                      np.empty(3, i8))
-    stop = fn(n, bins.ctypes.data, changed_bid.ctypes.data, sign.ctypes.data,
-              normals.ctypes.data, len(normals), float(K), out.final.ctypes.data,
-              out.visits.ctypes.data, out.dx_sum.ctypes.data, out.visits_hi.ctypes.data,
-              out.dgauge_sum.ctypes.data, out.dgauge_sq.ctypes.data, out.above.ctypes.data)
-    if stop >= 0:
-        raise ValueError(f"inconsistent sign pattern {tuple(out.final.tolist())}")
-    return out
+    above = np.empty(n, dtype=bool)
+    if fn(n, bins.ctypes.data, changed_bid.ctypes.data, sign.ctypes.data, normals.ctypes.data,
+          len(normals), float(K), *(a.ctypes.data for a in sums), above.ctypes.data) >= 0:
+        raise ValueError(f"inconsistent sign pattern {tuple(sums.x.tolist())}")
+    return above
 
 
 def _refinement_maxima(is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
@@ -830,7 +836,7 @@ class _Kernel(NamedTuple):
     name: str                # "c" or "python"
     run: Callable            # (heaps, rule, log) -> first opposite-best tie, or -1
     binned: Callable         # (sums, times, t0, half, beta, alpha, three bins, changes) -> None
-    five_bin: Callable       # (bins, changed_bid, sign, normals, K) -> FiveBinSums
+    five_bin: Callable       # (sums, bins, changed_bid, sign, normals, K) -> above K
     refinement: Callable     # (is_bid, bins, steps, nbins) -> (max_b, max_a)
     draw: Callable           # (spec, side_u, price_u, is_bid out, prices out) -> None
     uniforms: Callable       # ((seed, tag), first, out) -> out

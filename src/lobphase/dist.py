@@ -132,6 +132,8 @@ def piecewise_linear_dist(xs, ys) -> PriceDist:
         raise ValueError("knot abscissae must be strictly increasing, at least two")
     if np.any(ys < 0) or not np.any(ys > 0):
         raise ValueError("density knots must be nonnegative with positive mass")
+    if not 1e-300 < ys.max() < 1e300:     # the mass would under- or overflow
+        ys = ys / ys.max()
     total = float(np.trapezoid(ys, xs))
     ys = ys / total
     dx = np.diff(xs)

@@ -25,10 +25,9 @@ import numpy as np
 
 from .analytics import thresholds
 # apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
-from .book import (ORDINARY, ORDINARY_BINNED, BookState, MatchRule, _kernel, apply_arrival,
-                   match_arrivals, match_chunks)
+from .book import ORDINARY, ORDINARY_BINNED, BookState, MatchRule, apply_arrival
 from .dist import ArrivalSpec, BinPartition, make_partition
-from .sim import CHUNK, ArrivalStream, materialize, run_arrivals
+from .sim import ArrivalStream, _BandCount, _FiveBin, _fold, materialize, run_arrivals
 
 __all__ = [
     "REGIONS",
@@ -373,6 +372,7 @@ def simulate_5bin(eps: float, n_events: int, seed: int, K: float = 20.0,
     state (to compare with the exact enumeration), and the mean jump of the
     polytope gauge conditioned on starting above level K (the empirical
     drift-negativity evidence).  Also collects excursion lengths above K.
+    The run is folded chunk by chunk into the region pass, `sim._FiveBin`.
     """
     from .dist import uniform_dist
     if spec is None:
@@ -381,21 +381,20 @@ def simulate_5bin(eps: float, n_events: int, seed: int, K: float = 20.0,
     lo_mid = 0.5 * (0.2 + eps)          # inside bin 1
     hi_mid = 1.0 - lo_mid               # inside bin 5
     state = BookState(bid_reservoir=lo_mid, ask_reservoir=hi_mid)
-    arr = materialize(ArrivalStream(seed, n_events, spec))
-    log = match_arrivals(state, MatchRule(ORDINARY_BINNED, part), arr.is_bid, arr.prices)
-    # the signed middle-bin state: a join of a bid or the execution of an ask
-    # moves its bin up, mirrored for asks
-    sums = _kernel().five_bin(part.index(log.price), log.changed_bid, log.sign,
-                              _GAUGE_NORMALS, K)
+    region = _FiveBin(part, _GAUGE_NORMALS, K)
+    _fold(state, MatchRule(ORDINARY_BINNED, part),
+          materialize(ArrivalStream(seed, n_events, spec)), [region])
+    sums = region.sums
     stats = {code: RegionStats(int(sums.visits[c]), sums.dx_sum[c].copy(),
                                int(sums.visits_hi[c]), float(sums.dgauge_sum[c]),
                                float(sums.dgauge_sq[c]))
              for code, c in zip(REGIONS, _REGION_CELLS) if code != "000"}
-    edges = np.diff(np.concatenate(([0], sums.above.astype(np.int8), [0])))
-    excursions = (np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)).tolist()
+    # the excursions above K, the one open at the end of the run closed there
+    flips = np.array(region.flips + [n_events] * (len(region.flips) % 2), dtype=np.int64)
+    excursions = (flips[1::2] - flips[::2]).tolist()
     return FiveBinReport(eps=eps, n_events=n_events, K=K, seed=seed,
                          regions=stats, excursion_lengths=excursions,
-                         final_state=tuple(int(v) for v in sums.final))
+                         final_state=tuple(int(v) for v in sums.x))
 
 
 @dataclass(frozen=True)
@@ -421,7 +420,8 @@ def check_geometric_bound(x: float, y: float, spec: ArrivalSpec, n_events: int,
     arrive at rate F_b(y) - F_b(x) and depart at rate at least F_a(x), so
     their count is dominated by a geometric law with ratio rho; mirrored for
     asks.  Tested for m = 1..12 on every 50th arrival of the second half, with
-    3-sigma binomial slack.  The run is matched `CHUNK` arrivals at a time.
+    3-sigma binomial slack.  The counts are a band count folded chunk by
+    chunk and sampled as it goes (`sim._BandCount`).
     """
     if n_events < 1:
         raise ValueError(f"no samples: the tail test needs n_events >= 1, got {n_events}")
@@ -434,19 +434,11 @@ def check_geometric_bound(x: float, y: float, spec: ArrivalSpec, n_events: int,
     rho_b = (Fb(y) - Fb(x)) / Fa(x)
     rho_a = (Fa(y) - Fa(x)) / (1.0 - Fb(y))
 
-    state = BookState(bid_reservoir=x, ask_reservoir=y)
-    arr = materialize(ArrivalStream(seed, n_events, spec))
-    at = np.arange(n_events // 2, n_events, 50)
-    n = at.size
-    sb, sa = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    nb = na = 0     # the bids and asks inside (x, y) before the chunk
-    for lo, log in match_chunks(state, MatchRule(ORDINARY), arr.is_bid, arr.prices, CHUNK):
-        step = np.where((x < log.price) & (log.price < y), log.sign, 0)
-        cb = nb + np.cumsum(np.where(log.changed_bid, step, 0))
-        ca = na + np.cumsum(np.where(log.changed_bid, 0, step))
-        i, j = np.searchsorted(at, (lo, lo + step.size))
-        sb[i:j], sa[i:j] = cb[at[i:j] - lo], ca[at[i:j] - lo]
-        nb, na = int(cb[-1]), int(ca[-1])
+    inside = (float(np.nextafter(x, np.inf)), y)    # x < p < y, as a half-open band
+    band = _BandCount(inside, inside, at=np.arange(n_events // 2, n_events, 50))
+    _fold(BookState(bid_reservoir=x, ask_reservoir=y), MatchRule(ORDINARY),
+          materialize(ArrivalStream(seed, n_events, spec)), [band])
+    (sb, sa), n = band.samples, band.at.size
 
     def tail_table(samples, rho):
         rows, ok = [], True

@@ -1,6 +1,6 @@
-"""Seeded arrival streams, the event loop with trajectory recorders, and
-Monte-Carlo estimators for the phase-transition thresholds and occupation
-measures.
+"""Seeded arrival streams, the one fold of the event loop into trajectory
+recorders, and Monte-Carlo estimators for the phase-transition thresholds
+and occupation measures.
 
 Randomness comes from counter-based Philox streams keyed by (seed, field tag),
 so the same seed always reproduces the same arrivals and coupled experiments
@@ -20,7 +20,7 @@ import numpy as np
 
 # apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
 from .book import (EXECUTED, NEG_INF, POS_INF, RESERVOIR, BinnedSums, BookState, EventLog,
-                   MatchRule, _kernel, apply_arrival, match_chunks)
+                   FiveBinSums, MatchRule, _kernel, apply_arrival, match_chunks)
 from .dist import ArrivalSpec, BinPartition
 from .output import config_hash
 
@@ -197,9 +197,9 @@ def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
                  runmax_band: Optional[tuple[float, float]] = None) -> Trace:
     """Match pre-materialized arrivals on a copy of `initial` and record the run.
 
-    The run is matched `CHUNK` arrivals at a time, and each recorder folds
-    every chunk's event log into the trace, carrying its state to the next
-    chunk.  With `record_partition` the binned recorders run: occupation,
+    The run is folded (`_fold`) into the checkpoints and the recorders its
+    two options name, each carrying its state from chunk to chunk of the
+    trace.  With `record_partition` the binned recorders run: occupation,
     joint histogram and top shape of the best quotes' bins.  With
     `runmax_band=(lo, hi)` the running maximum counts resting bids priced at
     or above `lo` and asks priced below `hi`, and keeps its series.
@@ -222,16 +222,26 @@ def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
         recorders.append(_RunningMax(trace, runmax_band, times))
     if record_partition is not None:
         recorders.append(_Binned(trace, state, times))
-    for lo, log in match_chunks(state, rule, arr.is_bid, arr.prices, CHUNK):
-        if log.outcome.size:
-            for recorder in recorders:
-                recorder.fold(lo, log)
+    _fold(state, rule, arr, recorders)
     trace.final_bids, trace.final_asks = state.n_bids, state.n_asks
     return trace
 
 
-# Each recorder folds the chunks of one run into its trace, in order:
-# `fold(lo, log)` takes the log of arrivals lo, lo + 1, ...
+def _fold(state: BookState, rule: MatchRule, arr: Arrivals, recorders) -> None:
+    """Match `arr` on `state` `CHUNK` arrivals at a time and fold each chunk into
+    the recorders, in order: `fold(lo, log)` takes the log of arrivals lo,
+    lo + 1, ..., and each recorder carries its state to the next chunk."""
+    for lo, log in match_chunks(state, rule, arr.is_bid, arr.prices, CHUNK):
+        if log.outcome.size:
+            for recorder in recorders:
+                recorder.fold(lo, log)
+
+
+def _in_chunk(at: np.ndarray, lo: int, n: int) -> tuple[slice, np.ndarray]:
+    """Where the sorted event indices `at` that fall in events lo .. lo + n - 1
+    lie in `at`, and in the chunk."""
+    i, j = np.searchsorted(at, (lo, lo + n))
+    return slice(i, j), at[i:j] - lo
 
 
 class _Checkpoints:
@@ -241,11 +251,9 @@ class _Checkpoints:
         self.trace, self.cp = trace, cp
 
     def fold(self, lo: int, log: EventLog) -> None:
-        tr = self.trace
-        i, j = np.searchsorted(self.cp, (lo, lo + log.sign.size))
-        at = self.cp[i:j] - lo
-        tr.cp_bids[i:j], tr.cp_asks[i:j] = log.n_bids[at], log.n_asks[at]
-        tr.cp_beta[i:j], tr.cp_alpha[i:j] = log.beta[at], log.alpha[at]
+        tr, (i, at) = self.trace, _in_chunk(self.cp, lo, log.sign.size)
+        tr.cp_bids[i], tr.cp_asks[i] = log.n_bids[at], log.n_asks[at]
+        tr.cp_beta[i], tr.cp_alpha[i] = log.beta[at], log.alpha[at]
         executed = log.outcome == EXECUTED
         by_bid = int(np.count_nonzero(executed & log.is_bid))
         tr.ask_exec_by_bid += by_bid
@@ -253,20 +261,38 @@ class _Checkpoints:
         tr.reservoir_executions += int(np.count_nonzero(log.outcome == RESERVOIR))
 
 
-class _RunningMax:
-    """The count of resting orders in a price band, its running maximum, the
-    last event that raised the maximum, and the series (t, count, maximum)."""
+class _BandCount:
+    """The resting bids priced in [bids[0], bids[1]) and asks priced in
+    [asks[0], asks[1]): `counts` holds the two after each event of the chunk
+    last folded, and `samples` after the events at the sorted indices `at`."""
 
-    def __init__(self, trace: Trace, band: tuple[float, float], times: np.ndarray):
-        self.trace, self.times = trace, times
-        self.lo, self.hi = band
-        self.count = 0
-        trace.runmax_series = np.empty((times.size, 3)) if times.size else np.empty(0)
+    def __init__(self, bids: tuple[float, float], asks: tuple[float, float], at=()):
+        self.bands, self.last = (bids, asks), (0, 0)    # last: the counts before a chunk
+        self.at = np.asarray(at, dtype=np.int64)
+        self.samples = np.empty((2, self.at.size), dtype=np.int64)
 
     def fold(self, lo: int, log: EventLog) -> None:
-        tr = self.trace
-        in_band = np.where(log.changed_bid, log.price >= self.lo, log.price < self.hi)
-        count = self.count + np.cumsum(log.sign * in_band)
+        p, sides = log.price, (log.changed_bid, ~log.changed_bid)
+        self.counts = tuple(last + np.cumsum(log.sign * (side & (p0 <= p) & (p < p1)))
+                            for last, side, (p0, p1) in zip(self.last, sides, self.bands))
+        self.last = tuple(int(c[-1]) for c in self.counts)
+        i, at = _in_chunk(self.at, lo, log.sign.size)
+        self.samples[:, i] = [c[at] for c in self.counts]
+
+
+class _RunningMax(_BandCount):
+    """The count of resting bids priced at or above lo and asks priced below
+    hi, its running maximum, the last event that raised the maximum, and the
+    series (t, count, maximum)."""
+
+    def __init__(self, trace: Trace, band: tuple[float, float], times: np.ndarray):
+        super().__init__((band[0], POS_INF), (NEG_INF, band[1]))
+        self.trace, self.times = trace, times
+        trace.runmax_series = np.empty((times.size, 3))
+
+    def fold(self, lo: int, log: EventLog) -> None:
+        super().fold(lo, log)
+        tr, count = self.trace, self.counts[0] + self.counts[1]
         run_max = np.maximum.accumulate(np.maximum(count, tr.runmax_value))
         jumps = np.flatnonzero(count > np.concatenate(([tr.runmax_value], run_max[:-1])))
         if jumps.size:
@@ -274,7 +300,7 @@ class _RunningMax:
         series = tr.runmax_series[lo:lo + count.size]
         series[:, 0] = self.times[lo:lo + count.size]
         series[:, 1], series[:, 2] = count, run_max
-        self.count, tr.runmax_value = int(count[-1]), int(run_max[-1])
+        tr.runmax_value = int(run_max[-1])
 
 
 class _Binned:
@@ -310,6 +336,21 @@ class _Binned:
         tr, time = self.trace, self.sums.time
         tr.occupation_elapsed = time[0, :, 0].copy()
         tr.occupation_b, tr.occupation_a = time[1, :, 1:].copy(), time[2, :, 1:].copy()
+
+
+class _FiveBin:
+    """The five-bin book's region sums, and the changes at which its gauge (the
+    largest product with a row of `normals`) starts or stops exceeding K."""
+
+    def __init__(self, part: BinPartition, normals: np.ndarray, K: float):
+        self.part, self.normals, self.K = part, normals, K
+        self.sums, self.flips = FiveBinSums.zeros(), []
+
+    def fold(self, lo: int, log: EventLog) -> None:
+        above = _kernel().five_bin(self.sums, self.part.index(log.price), log.changed_bid,
+                                   log.sign, self.normals, self.K)
+        # after an odd count of flips the gauge exceeds K
+        self.flips += (lo + np.flatnonzero(np.diff(above, prepend=len(self.flips) % 2))).tolist()
 
 
 def estimate_kappa(trace: Trace, spec: ArrivalSpec) -> KappaEstimate:

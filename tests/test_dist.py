@@ -132,6 +132,17 @@ def test_quadratic_segment_from_a_subnormal_density_does_not_overflow():
     assert float(law.quantile(top)) == float(law.quantile(np.array([0.5, top]))[1]) == 3.0
 
 
+@pytest.mark.parametrize("scale", [5e-324, 1e-320, 1e308])
+def test_density_whose_mass_underflows_or_overflows_is_normalized(scale):
+    # the mass of [0, 5e-324] rounds to 0, that of [1e308, 1e308] on a width
+    # of 3 to inf: such a law is the same law as its rescaled densities
+    law = piecewise_linear_dist([0.0, 1.0, 3.0], [0.0, scale, scale])
+    same = piecewise_linear_dist([0.0, 1.0, 3.0], [0.0, 1.0, 1.0])
+    us = np.linspace(0.0, 1.0, 101)
+    assert law.quantile(us).tobytes() == same.quantile(us).tobytes()
+    assert law.density(us * 3).tobytes() == same.density(us * 3).tobytes()
+
+
 class TestTransform:
     def test_uniform_fixed_point(self, uniform_spec):
         out = transform_to_uniform_bid(uniform_spec)

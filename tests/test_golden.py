@@ -257,6 +257,24 @@ def test_chunked_golden_running_max(k_b, k_a, chunk, kernel, uniform_spec):
     assert runmax_digest(evidence) == digest
 
 
+# (eps, n) -> FIVE_BIN_GOLDEN's digest at K = 20 with the run shortened to n
+# arrivals, for seven-arrival chunks, recorded with the whole-run region pass
+SHORT_FIVE_BIN_GOLDEN = {
+    (0.01, 20_000): "88e2fcc2de54521fce75474751dced79d6b2ca3bbefbfc504187fd78d1fabe65",
+    (0.1, 20_000): "b42848e30871e9d973d8a5751c8eb7adbdfe2d1f197974d74764c1868e4add53",
+}
+
+
+@pytest.mark.parametrize("eps, n, K", sorted(FIVE_BIN_GOLDEN))
+@pytest.mark.parametrize("size", [7, 4096, WHOLE], ids=["7", "4096", "whole"])
+def test_chunked_golden_five_bin(eps, n, K, size, kernel, monkeypatch):
+    monkeypatch.setattr(sim, "CHUNK", size)
+    digest = FIVE_BIN_GOLDEN[eps, n, K]
+    if size == 7 and n > 20_000:
+        n, digest = 20_000, SHORT_FIVE_BIN_GOLDEN[eps, 20_000]
+    assert five_bin_digest(lyapunov.simulate_5bin(eps, n, seed=4, K=K)) == digest
+
+
 def first_of_a_chunk(chunk: int) -> int:
     """The first arrival of the third chunk, or of the only one."""
     return 0 if chunk == WHOLE else 2 * chunk

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from lobphase import book, lyapunov
+from lobphase import book, lyapunov, sim
 from lobphase.dist import ArrivalSpec, make_partition, uniform_dist
 from lobphase.lyapunov import (DRIFT_REGIONS, LEVEL_VERTICES,
                                NORMAL_BY_REGION, PUBLISHED_DRIFTS, certify_drift,
@@ -249,31 +249,68 @@ def as_bytes(sums):
     return [(a.dtype.str, a.shape, a.tobytes()) for a in sums]
 
 
+def five_bin_pass(five_bin, changes, K, splits=()):
+    """The bytes of the region pass's sums and of its `above` over a run's
+    changes, fed in pieces cut at `splits` with the sums carried between."""
+    sums = book.FiveBinSums.zeros()
+    cuts = [0, *splits, changes[0].size]
+    above = [five_bin(sums, *(c[lo:hi] for c in changes), lyapunov._GAUGE_NORMALS, K)
+             for lo, hi in zip(cuts, cuts[1:])]
+    return as_bytes([*sums, np.concatenate(above)])
+
+
 # K = -1 puts every state above K, K = 0 all but the origin, and 1e9 none
 @pytest.mark.parametrize("eps, n, seed", [(0.01, 50_000, 4), (0.1, 50_000, 11),
                                           (0.05, 257, 2), (0.01, 0, 1)])
 @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0, 20.0, 1e9])
 def test_c_five_bin_matches_numpy(c_kernel, eps, n, seed, K):
     changes = five_bin_changes(eps, n, seed)
-    got = c_kernel.five_bin(*changes, lyapunov._GAUGE_NORMALS, K)
-    want = book._five_bin_sums(*changes, lyapunov._GAUGE_NORMALS, K)
-    assert as_bytes(got) == as_bytes(want)
+    sums = book.FiveBinSums.zeros()
+    above = c_kernel.five_bin(sums, *changes, lyapunov._GAUGE_NORMALS, K)
+    assert five_bin_pass(c_kernel.five_bin, changes, K) == \
+        five_bin_pass(book._five_bin_sums, changes, K)
     if n and K == 1e9:
-        assert not got.above.any() and not got.visits_hi.any()
+        assert not above.any() and not sums.visits_hi.any()
     if n and K == -1.0:
-        assert got.above.all()
+        assert above.all()
+
+
+@pytest.mark.parametrize("eps, n, seed", [(0.01, 50_000, 4), (0.1, 20_000, 11), (0.05, 257, 2)])
+@pytest.mark.parametrize("K", [0.0, 1.0, 20.0])
+def test_five_bin_passes_carry_their_state_between_pieces(c_kernel, eps, n, seed, K):
+    # pieces of 1, 254, 2 and the rest (none at 257 events): the state, the
+    # sums and the gauge before each piece come from the pieces before it;
+    # the C pass over the whole run equals the numpy one, as tested above
+    changes = five_bin_changes(eps, n, seed)
+    whole = five_bin_pass(book._five_bin_sums, changes, K)
+    for five_bin in (c_kernel.five_bin, book._five_bin_sums):
+        assert five_bin_pass(five_bin, changes, K, splits=(1, 255, 257)) == whole
 
 
 def test_five_bin_rejects_bins_out_of_range(c_kernel):
     bins, changed_bid, sign = (np.array([2, 1, 3]), np.ones(3, dtype=bool),
                                np.ones(3, dtype=np.int8))
+    sums, normals = book.FiveBinSums.zeros(), lyapunov._GAUGE_NORMALS
     for bad in (bins - 3, bins + 2):
         with pytest.raises(ValueError, match="outside 0..4"):
-            c_kernel.five_bin(bad, changed_bid, sign, lyapunov._GAUGE_NORMALS, 0.0)
+            c_kernel.five_bin(sums, bad, changed_bid, sign, normals, 0.0)
     with pytest.raises(ValueError, match="length"):
-        c_kernel.five_bin(bins[:2], changed_bid, sign, lyapunov._GAUGE_NORMALS, 0.0)
+        c_kernel.five_bin(sums, bins[:2], changed_bid, sign, normals, 0.0)
     with pytest.raises(ValueError, match="shape"):
-        c_kernel.five_bin(bins, changed_bid, sign, lyapunov._GAUGE_NORMALS[:, :2], 0.0)
+        c_kernel.five_bin(sums, bins, changed_bid, sign, normals[:, :2], 0.0)
+
+
+def test_five_bin_rejects_sums_laid_out_otherwise(c_kernel):
+    changes = (np.array([2, 1, 3]), np.ones(3, dtype=bool), np.ones(3, dtype=np.int8))
+    good = book.FiveBinSums.zeros()
+    bad = [good._replace(dx_sum=good.dx_sum.astype(np.int64)),     # dtype
+           good._replace(x=np.zeros(2, dtype=np.int64)),            # shape
+           good._replace(dgauge_sq=np.zeros(2 * book.FIVE_BIN_CELLS)[::2])]   # strides
+    for sums in bad:
+        with pytest.raises(ValueError, match="laid out"):
+            c_kernel.five_bin(sums, *changes, lyapunov._GAUGE_NORMALS, 0.0)
+    c_kernel.five_bin(good, *changes, lyapunov._GAUGE_NORMALS, 0.0)
+    assert good.x.tolist() == [1, 1, 1]
 
 
 def test_both_five_bin_passes_reject_an_inconsistent_state(c_kernel):
@@ -283,7 +320,8 @@ def test_both_five_bin_passes_reject_an_inconsistent_state(c_kernel):
     sign = np.ones(3, dtype=np.int8)
     for five_bin in (c_kernel.five_bin, book._five_bin_sums):
         with pytest.raises(ValueError, match=re.escape("inconsistent sign pattern (0, -1, 1)")):
-            five_bin(bins, changed_bid, sign, lyapunov._GAUGE_NORMALS, 0.0)
+            five_bin(book.FiveBinSums.zeros(), bins, changed_bid, sign,
+                     lyapunov._GAUGE_NORMALS, 0.0)
 
 
 class TestGeometricBound:
@@ -307,7 +345,7 @@ class TestGeometricBound:
     def test_report_does_not_depend_on_the_chunk(self, uniform_spec, monkeypatch, chunk):
         # checkpoints every 50 arrivals fall on, after and before chunk edges
         want = check_geometric_bound(0.4, 0.6, uniform_spec, 20_001, seed=3)
-        monkeypatch.setattr(lyapunov, "CHUNK", chunk)
+        monkeypatch.setattr(sim, "CHUNK", chunk)
         assert check_geometric_bound(0.4, 0.6, uniform_spec, 20_001, seed=3) == want
 
     def test_precondition_violation_raises(self, uniform_spec):
@@ -322,8 +360,9 @@ class TestGeometricBound:
 
 class TestRunningMax:
     def test_empty_run(self, uniform_spec):
-        ev = running_max_evidence(uniform_spec, 0, seed=0)
+        ev = running_max_evidence(uniform_spec, 0, seed=0, series=True)
         assert ev.last_jump_index == -1 and ev.max_value == 0
+        assert ev.series.shape == (0, 3)
 
     def test_default_bins_bracket_thresholds(self, uniform_spec):
         ev = running_max_evidence(uniform_spec, 20_000, seed=1)
