@@ -15,7 +15,7 @@ from .analytics import (BinnedPi, VarpiSolution, kappa_uniform_exact,
                         solve_binned_pi, varpi_uniform_exact)
 from .book import (ORDINARY, ORDINARY_BINNED, STRICT_BINNED, ArrivalEffect,
                    BookInvariantError, BookState, MatchRule, Order,
-                   apply_arrival, match_arrivals)
+                   apply_arrival)
 from .dist import (ArrivalSpec, BinPartition, PriceDist, cdf_table_dist,
                    dist_from_config, make_partition, piecewise_linear_dist,
                    refines, transform_to_uniform_bid, uniform_dist)

@@ -9,7 +9,7 @@
  * of dist.py's quantile objects, so its prices equal the numpy ones bit for
  * bit.
  *
- * match, the arrival loop of match_arrivals, mirrors book._match_py step for
+ * match, the arrival loop of match_chunks, mirrors book._match_py step for
  * step: the same tests in the same order, on double heaps (bids negated), so
  * the event log's arrays equal the Python ones bit for bit and the final
  * heaps hold the same book, each a valid heap, though not in heapq's layout.

@@ -11,12 +11,12 @@ A resting order priced at its own side's reservoir sits behind it: the
 reservoir is met first.
 
 `match_chunks` is the event loop: it applies an arrival sequence a chunk at
-a time and yields each chunk's `EventLog`, which `sim._fold` folds into a
-run's recorders; `match_arrivals` runs it as one chunk and returns the
-whole log.  Its loop body is the C function in `_kernel.c`, compiled on
-first use and cached, or the Python loop `_match_py` where no compiler is
-available; `KERNEL` says which runs.  `apply_arrival` applies one order at
-a time; it is the readable reference both loops are tested against.  The
+a time and yields each chunk's `EventLog`, which `sim._fold`, its one
+caller in the package, folds into a run's recorders; no run keeps a
+whole-run log.  Its loop body is the C function in `_kernel.c`, compiled
+on first use and cached, or the Python loop `_match_py` where no compiler
+is available; `KERNEL` says which runs.  `apply_arrival` applies one order
+at a time; it is the readable reference both loops are tested against.  The
 same library carries the other exports of `_EXPORTS`, each with a numpy
 pass as its reference and fallback: two recorders that carry their sums
 from chunk to chunk, the binned one (`_binned_sums`, into `BinnedSums`) and
@@ -63,7 +63,6 @@ __all__ = [
     "EXECUTED",
     "RESERVOIR",
     "apply_arrival",
-    "match_arrivals",
     "match_chunks",
 ]
 
@@ -248,7 +247,7 @@ def _check_order(beta, alpha, rule: MatchRule, first: Optional[int] = None) -> N
 
 
 class EventLog(NamedTuple):
-    """What `match_arrivals` did: one entry per arrival, in arrival order.
+    """What `match_chunks` did to one chunk: one entry per arrival, in arrival order.
 
     Each event changes at most one resting order: a join adds the arrival
     (sign +1), an execution removes the opposite best order (sign -1) and a
@@ -272,17 +271,6 @@ class EventLog(NamedTuple):
 
 
 _LOG_DTYPES = (np.uint8, float, float, bool, float, np.int8, np.int64, np.int64)
-
-
-def match_arrivals(state: BookState, rule: MatchRule, is_bid, prices) -> EventLog:
-    """Apply a whole arrival sequence to `state` (mutated) under the rule.
-
-    Gives the same book and the same effects as one `apply_arrival` call per
-    arrival, and rejects every input that loop rejects with the same
-    `BookInvariantError` (see `match_chunks`, run here as one chunk).
-    """
-    [(_, log)] = match_chunks(state, rule, is_bid, prices, max(1, np.size(prices)))
-    return log
 
 
 class _Heaps:
@@ -954,7 +942,7 @@ def _kernel() -> _Kernel:
 
 
 def __getattr__(name: str):
-    # KERNEL ("c" or "python") names the loop match_arrivals runs, loading it on first use.
+    # KERNEL ("c" or "python") names the loop match_chunks runs, loading it on first use.
     if name == "KERNEL":
         return _kernel().name
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,11 +18,11 @@ from typing import Optional
 import numpy as np
 
 # apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
-from .book import (ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule, Order, _kernel,
-                   apply_arrival, match_arrivals)
+from .book import (ORDINARY_BINNED, STRICT_BINNED, BookState, EventLog, MatchRule, Order,
+                   _kernel, apply_arrival)
 from .dist import (ArrivalSpec, BinPartition, make_partition, refines,
                    union_refinement)
-from .sim import (ArrivalStream, Arrivals, KappaEstimate, estimate_kappa, materialize,
+from .sim import (ArrivalStream, Arrivals, KappaEstimate, _fold, estimate_kappa, materialize,
                   run_arrivals)
 
 __all__ = [
@@ -108,12 +108,20 @@ def _classify_single(diff: _Diff, extra_side: str):
     return None, None
 
 
-def _changes(book: BookState, rule: MatchRule, arr: Arrivals, lo: int = 0,
-             hi: int | None = None):
-    """(changed_bid, price, sign) of the `EventLog` of arrivals lo..hi applied to
-    `book` (mutated)."""
-    log = match_arrivals(book, rule, arr.is_bid[lo:hi], arr.prices[lo:hi])
-    return log.changed_bid, log.price, log.sign
+class _Changes(tuple):
+    """A run's arrays (changed_bid, price, sign), into which `fold` copies each chunk's."""
+
+    def fold(self, lo: int, log: EventLog) -> None:
+        for run, chunk in zip(self, (log.changed_bid, log.price, log.sign)):
+            run[lo:lo + chunk.size] = chunk
+
+
+def _changes(book: BookState, rule: MatchRule, arr: Arrivals, out: tuple | None = None):
+    """The `EventLog` fields (changed_bid, price, sign) of each arrival of `arr`
+    applied to `book` (mutated), folded into the arrays `out`, or new ones."""
+    out = _Changes(out or (np.empty(arr.n, dtype) for dtype in (bool, float, np.int8)))
+    _fold(book, rule, arr, [out])
+    return out
 
 
 def _no_reservoirs(book: BookState, check: str) -> None:
@@ -147,6 +155,7 @@ def check_extra_order(base: BookState, extra: Order, arrivals: Arrivals,
     the original price it never returns to an extra order at that price.
     """
     _no_reservoirs(base, "check_extra_order")
+    Edit(0, "add", extra.side, extra.price)     # refuses a bad side or price
     tilde = base.clone()
     tilde.insert(extra.side, extra.price)
     ch_base = _changes(base.clone(), rule, arrivals)
@@ -179,6 +188,12 @@ class Edit:
     side: str         # "bid" | "ask"
     price: float | None = None
 
+    def __post_init__(self):
+        if self.op not in ("add", "remove_best") or self.side not in ("bid", "ask"):
+            raise ValueError(f"an edit is 'add' or 'remove_best' on 'bid' or 'ask': {self}")
+        if self.op == "add" and (self.price is None or not np.isfinite(self.price)):
+            raise ValueError(f"an added order needs a finite price: {self}")
+
 
 def check_bounded_perturbation(base: BookState, edits: list[Edit], arrivals: Arrivals,
                                rule: MatchRule, M: int, seed: int = 0) -> CouplingReport:
@@ -188,8 +203,6 @@ def check_bounded_perturbation(base: BookState, edits: list[Edit], arrivals: Arr
     _no_reservoirs(base, "check_bounded_perturbation")
     n = arrivals.n
     report = CouplingReport("bounded_perturbation", seed, n)
-    if n == 0:
-        return report
     ch_base = _changes(base.clone(), rule, arrivals)
     # The tilde book runs in segments; an edit lands just before arrival
     # max(index, 0), and one at or after the last arrival never lands.
@@ -197,18 +210,17 @@ def check_bounded_perturbation(base: BookState, edits: list[Edit], arrivals: Arr
     pending = sorted(edits, key=lambda e: e.index)
     cuts = sorted({0, n} | {e.index for e in pending if 0 < e.index < n})
     edit_bumps: dict[int, list] = {}
-    pieces = []
+    ch_tilde = tuple(np.empty_like(a) for a in ch_base)
     for lo, hi in zip(cuts, cuts[1:]):
         for e in (e for e in pending if max(e.index, 0) == lo):
             if e.op == "add":
                 tilde.insert(e.side, e.price)
                 edit_bumps.setdefault(lo, []).append((e.side, e.price, +1))
-            elif e.op == "remove_best":
-                edit_bumps.setdefault(lo, []).append((e.side, tilde.pop_best(e.side), -1))
             else:
-                raise ValueError(f"unknown edit op {e.op!r}")
-        pieces.append(_changes(tilde, rule, arrivals, lo, hi))
-    ch_tilde = tuple(np.concatenate(parts) for parts in zip(*pieces))
+                edit_bumps.setdefault(lo, []).append((e.side, tilde.pop_best(e.side), -1))
+        segment = Arrivals(arrivals.is_bid[lo:hi], arrivals.prices[lo:hi],
+                           arrivals.times[lo:hi], arrivals.p_b)
+        _changes(tilde, rule, segment, tuple(a[lo:hi] for a in ch_tilde))
     points = np.union1d(np.flatnonzero(_differs(ch_tilde, ch_base)),
                         np.fromiter(edit_bumps, dtype=np.intp))
     diff = _Diff()

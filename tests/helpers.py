@@ -1,10 +1,26 @@
-"""Functions that only the tests use: the reflected arrival stream of the
-symmetry tests and the gauge of the published level polytope."""
+"""Functions that only the tests use: the whole-run event log of the
+differential tests, the reflected arrival stream of the symmetry tests and
+the gauge of the published level polytope."""
 
 from fractions import Fraction
 
+import numpy as np
+
+from lobphase.book import EventLog, match_chunks
 from lobphase.lyapunov import NORMALS
 from lobphase.sim import Arrivals
+
+
+def match_arrivals(state, rule, is_bid, prices) -> EventLog:
+    """Apply a whole arrival sequence to `state` (mutated) under the rule, and
+    return its log: `match_chunks` run as one chunk.
+
+    Gives the same book and the same effects as one `apply_arrival` call per
+    arrival, and rejects every input that loop rejects with the same
+    `BookInvariantError`.
+    """
+    [(_, log)] = match_chunks(state, rule, is_bid, prices, max(1, np.size(prices)))
+    return log
 
 
 def reflected_arrivals(arr: Arrivals) -> Arrivals:

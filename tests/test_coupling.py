@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lobphase import coupling, sim
+from lobphase import book, coupling, sim
 from lobphase.book import (ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookInvariantError,
-                           BookState, MatchRule, Order)
+                           BookState, MatchRule, Order, apply_arrival)
 from lobphase.coupling import Edit
 from lobphase.dist import make_partition
 
@@ -43,6 +43,11 @@ class TestExtraOrder:
                                        arrivals_10k, MatchRule(ORDINARY))
         assert r.passed
 
+    def test_side_other_than_bid_or_ask_rejected(self, arrivals_10k):
+        with pytest.raises(ValueError, match="'buy'"):
+            coupling.check_extra_order(BookState(), Order("buy", 0.9, -1), arrivals_10k,
+                                       MatchRule(ORDINARY))
+
 
 class TestBoundedPerturbation:
     def test_single_add_reduces_to_extra_order(self, arrivals_10k):
@@ -78,6 +83,20 @@ class TestBoundedPerturbation:
             coupling.check_bounded_perturbation(
                 BookState(), [Edit(0, "add", "bid", 0.4)], arrivals_10k,
                 MatchRule(ORDINARY), M=0)
+
+    @pytest.mark.parametrize("edit, refused", [
+        ((5000, "bogus", "bid", 0.4), "'bogus'"),
+        ((0, "add", "buy", 0.4), "'buy'"),
+        ((0, "remove_best", "buy"), "'buy'"),
+        ((0, "add", "bid", None), "finite price"),
+        ((0, "add", "bid", float("nan")), "finite price"),
+        ((0, "add", "ask", float("inf")), "finite price")])
+    def test_bad_edit_refused(self, edit, refused):
+        with pytest.raises(ValueError, match=refused):
+            Edit(*edit)
+
+    def test_remove_best_needs_no_price(self):
+        assert Edit(3, "remove_best", "ask").price is None
 
 
 class TestRefinement:
@@ -217,3 +236,86 @@ def test_report_rows_format(uniform_spec, arrivals_10k):
                                    arrivals_10k, MatchRule(ORDINARY), seed=17)
     rows = coupling.report_rows([r])
     assert rows == [("extra_order", 17, 10_000, 0, "")]
+
+
+@pytest.fixture(params=["c", "python"])
+def kernel(request, monkeypatch):
+    loaded = book._PYTHON_KERNEL if request.param == "python" else book._load_kernel()
+    if loaded.name != request.param:
+        pytest.skip("no C compiler: the compiled kernel cannot be built")
+    monkeypatch.setattr(book, "_loaded", loaded)
+
+
+@pytest.fixture(params=[7, 4096, 2**62])
+def chunk(request, monkeypatch):
+    monkeypatch.setattr(sim, "CHUNK", request.param)
+
+
+def violation_reports(spec):
+    """(violations, first index, details) of each of `TestViolationsReported`'s
+    three reports."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coupling, "_no_reservoirs", lambda book, check: None)
+        arr = sim.materialize(sim.ArrivalStream(1, 20_000, spec))
+        reports = [coupling.check_extra_order(BookState(bid_reservoir=0.3, ask_reservoir=0.7),
+                                              Order("bid", 0.5, -1), arr, MatchRule(ORDINARY))]
+        arr = sim.materialize(sim.ArrivalStream(4, 3_000, spec))
+        start = BookState(bids=[0.11, 0.31], asks=[0.61, 0.83], ask_reservoir=0.55)
+        reports += [coupling.check_refinement(make_partition(10, spec), make_partition(5, spec),
+                                              kind, arr, initial=start)
+                    for kind in (ORDINARY_BINNED, STRICT_BINNED)]
+    return [(r.violations, r.first_violation_index, r.details) for r in reports]
+
+
+@pytest.fixture(scope="module")
+def default_violations(uniform_spec):
+    """`violation_reports` at the default chunk, under the kernel that loads."""
+    return violation_reports(uniform_spec)
+
+
+def replay_changes(state, rule, arr, edits=()):
+    """(changed_bid, price, sign) lists of each arrival of `arr` applied to
+    `state` by `apply_arrival`, each edit applied just before its arrival."""
+    rows = []
+    for i, (bid, p) in enumerate(zip(arr.is_bid.tolist(), arr.prices.tolist())):
+        for e in (e for e in edits if e.index == i):
+            if e.op == "add":
+                state.insert(e.side, e.price)
+            else:
+                state.pop_best(e.side)
+        effect = apply_arrival(state, rule, Order("bid" if bid else "ask", p, i))
+        if effect.outcome == "joined":
+            rows.append((bid, p, 1))
+        elif effect.counterparty_is_reservoir:
+            rows.append((bid, p, 0))
+        else:
+            rows.append((not bid, effect.counterparty_price, -1))
+    return [list(column) for column in zip(*rows)]
+
+
+class TestChunkIndependence:
+    """The checks fold their books `sim.CHUNK` arrivals at a time; what they
+    report does not depend on that size, nor on the kernel."""
+
+    def test_violations_reported(self, uniform_spec, kernel, chunk, default_violations):
+        reports = violation_reports(uniform_spec)
+        assert reports == default_violations
+        assert [r[:2] for r in reports] == [(19_975, 25), (359, 5), (12, 94)]
+
+    def test_bounded_perturbation_changes(self, uniform_spec, kernel, chunk, monkeypatch):
+        # One edit lands inside the first chunk of 16,384, the other past it;
+        # on seed 17 the books act differently after each of them.
+        arr = sim.materialize(sim.ArrivalStream(17, 20_000, uniform_spec))
+        edits = [Edit(7, "add", "ask", 0.6), Edit(16_390, "remove_best", "ask")]
+        compared, differs = [], coupling._differs
+        monkeypatch.setattr(coupling, "_differs",
+                            lambda tilde, base: compared.append((tilde, base)) or
+                            differs(tilde, base))
+        r = coupling.check_bounded_perturbation(BookState(), edits, arr,
+                                                MatchRule(ORDINARY), M=2)
+        assert r.passed
+        [(tilde, base)] = compared
+        assert [a.tolist() for a in tilde] == replay_changes(BookState(), MatchRule(ORDINARY),
+                                                             arr, edits)
+        assert [a.tolist() for a in base] == replay_changes(BookState(), MatchRule(ORDINARY),
+                                                            arr)

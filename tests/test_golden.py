@@ -4,7 +4,7 @@ The digests were recorded with the per-event reference loop (one
 `apply_arrival` call per arrival).  Any change to the event loop, the
 recorders or the arrival draw that moves a single bit of a checkpoint,
 counter, occupation sum, histogram or series changes a digest.  Every run is
-checked under the kernel `match_arrivals` loads (the compiled one where a C
+checked under the kernel `book.KERNEL` names (the compiled one where a C
 compiler is available) and again under the Python loop and the numpy
 recorder passes, so the digests of the binned recorders and of the five-bin
 pass pin both of their implementations.
@@ -18,6 +18,8 @@ import pytest
 from lobphase import book, dist, lyapunov, sim
 from lobphase.book import ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule
 from lobphase.dist import make_partition
+
+from helpers import match_arrivals
 
 TRACE_FIELDS = ("cp_time", "cp_bids", "cp_asks", "cp_beta", "cp_alpha",
                 "bid_arrivals", "ask_arrivals", "bid_exec_by_ask", "ask_exec_by_bid",
@@ -295,8 +297,8 @@ def test_chunked_collision_names_the_global_arrival(chunk, kernel):
     arr = reservoir_collision(at)
     expected = f"arrival {at} at 0.5 collides with the opposite best quote"
     with pytest.raises(book.BookInvariantError) as whole:
-        book.match_arrivals(BookState(bid_reservoir=0.5), MatchRule(ORDINARY),
-                            arr.is_bid, arr.prices)
+        match_arrivals(BookState(bid_reservoir=0.5), MatchRule(ORDINARY), arr.is_bid,
+                       arr.prices)
     with pytest.raises(book.BookInvariantError) as chunked:
         sim.run_arrivals(MatchRule(ORDINARY), BookState(bid_reservoir=0.5), arr, 100)
     assert str(chunked.value) == str(whole.value) == expected
@@ -321,8 +323,8 @@ def test_chunked_crossed_book_names_the_global_arrival(chunk, kernel, monkeypatc
     monkeypatch.setattr(book, "_loaded", loop._replace(run=crossing))
     arr = sim.materialize(sim.ArrivalStream(2, 3 * 4096 + 5, uniform_spec))
     messages = []
-    for call in (lambda: book.match_arrivals(BookState(), MatchRule(ORDINARY), arr.is_bid,
-                                             arr.prices),
+    for call in (lambda: match_arrivals(BookState(), MatchRule(ORDINARY), arr.is_bid,
+                                        arr.prices),
                  lambda: sim.run_arrivals(MatchRule(ORDINARY), BookState(), arr, 100)):
         done = [0]
         with pytest.raises(book.BookInvariantError, match="out of order") as err:

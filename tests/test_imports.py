@@ -47,7 +47,7 @@ def test_finds_an_unused_import(tmp_path):
     module = tmp_path / "sim.py"
     module.write_text("from __future__ import annotations\n"
                       "import os, numpy as np\n"
-                      "from .book import BookState, apply_arrival, match_arrivals\n"
+                      "from .book import BookState, apply_arrival, match_chunks\n"
                       "__all__ = ['BookState']\n"
-                      "print(np.pi, match_arrivals)\n")
+                      "print(np.pi, match_chunks)\n")
     assert unused_imports(module) == ["os"]

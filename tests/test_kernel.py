@@ -1,6 +1,7 @@
-"""Differential tests: the event loop `match_arrivals` against `apply_arrival`,
-and its compiled kernel against the Python loop, the numpy top-shape and
-refinement passes and the numpy arrival draw.
+"""Differential tests: the event loop `match_chunks`, run as one chunk
+(`helpers.match_arrivals`), against `apply_arrival`, and its compiled kernel
+against the Python loop, the numpy top-shape and refinement passes and the
+numpy arrival draw.
 
 The loop must leave the same book and log the same effect for every arrival
 as a step-by-step replay through the reference, under all three rules, with
@@ -33,11 +34,11 @@ from lobphase import coupling
 from lobphase import sim
 from lobphase.book import (EXECUTED, JOINED, ORDINARY, ORDINARY_BINNED, RESERVOIR,
                            STRICT_BINNED, BookInvariantError, BookState, MatchRule,
-                           Order, apply_arrival, match_arrivals)
+                           Order, apply_arrival)
 from lobphase.dist import (ArrivalSpec, BinPartition, make_partition, piecewise_linear_dist,
                            uniform_dist)
 
-from helpers import reflected_arrivals
+from helpers import match_arrivals, reflected_arrivals
 
 TENTH_BINS = BinPartition((0.0, 1.0), np.round(np.arange(0.1, 0.95, 0.1), 10))
 EDGES = TENTH_BINS.boundaries.tolist()

@@ -15,7 +15,7 @@ from lobphase.lyapunov import (DRIFT_REGIONS, LEVEL_VERTICES,
                                verify_level_fixture)
 from lobphase.sim import ArrivalStream, materialize
 
-from helpers import polytope_gauge
+from helpers import match_arrivals, polytope_gauge
 
 
 def enum_table():
@@ -232,8 +232,8 @@ def five_bin_changes(eps, n, seed):
     lo_mid = 0.5 * (0.2 + eps)
     state = book.BookState(bid_reservoir=lo_mid, ask_reservoir=1.0 - lo_mid)
     arr = materialize(ArrivalStream(seed, n, ArrivalSpec(uniform_dist(), uniform_dist())))
-    log = book.match_arrivals(state, book.MatchRule(book.ORDINARY_BINNED, part), arr.is_bid,
-                              arr.prices)
+    log = match_arrivals(state, book.MatchRule(book.ORDINARY_BINNED, part), arr.is_bid,
+                         arr.prices)
     return part.index(log.price), log.changed_bid, log.sign
 
 

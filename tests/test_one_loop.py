@@ -1,12 +1,16 @@
 """One event loop: outside `book.py`, which defines it, exactly one function
-of the package calls `match_chunks`, and every simulation folds its
-recorders through that function.  `lyapunov.py` names neither `match_chunks`
-nor `match_arrivals`, so no simulation there runs a loop, or a whole-run
+of the package calls `match_chunks`, and every simulation and coupling check
+folds its recorders through that function.  No module of the package defines
+or names `match_arrivals`, the loop run as one chunk, which only the tests
+use (`tests/helpers.py`), and neither `lyapunov.py` nor `coupling.py` names a
+loop entry, so no simulation or check there runs a loop, or keeps a whole-run
 log, of its own.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 from test_imports import MODULES, SRC
 
@@ -33,7 +37,8 @@ def callers(path: Path, name: str) -> set[str]:
 
 
 def names_in(path: Path) -> set[str]:
-    """Every name, attribute and imported name in the module at `path`."""
+    """Every name, attribute, imported name, defined function or class and
+    string constant (an `__all__` entry, say) in the module at `path`."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
@@ -42,6 +47,10 @@ def names_in(path: Path) -> set[str]:
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names |= {a.name for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
     return names
 
 
@@ -50,8 +59,17 @@ def test_one_function_calls_match_chunks():
     assert found == {"sim._fold"}
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_defines_or_names_match_arrivals(path):
+    assert "match_arrivals" not in names_in(path)
+
+
 def test_lyapunov_names_no_event_loop():
     assert names_in(SRC / "lyapunov.py") & LOOPS == set()
+
+
+def test_coupling_names_no_event_loop():
+    assert names_in(SRC / "coupling.py") & LOOPS == set()
 
 
 def test_finds_calls_and_names(tmp_path):
@@ -64,4 +82,12 @@ def test_finds_calls_and_names(tmp_path):
                       "match_chunks()\n")
     assert callers(module, "match_chunks") == {"runs.inner", "runs.<module>"}
     assert callers(module, "match_arrivals") == set()
+    assert names_in(module) & LOOPS == LOOPS
+
+
+def test_finds_definitions_and_exports(tmp_path):
+    module = tmp_path / "book.py"
+    module.write_text('__all__ = ["match_chunks"]\n'
+                      "def match_arrivals():\n"
+                      '    """Runs match_chunks once."""\n')
     assert names_in(module) & LOOPS == LOOPS
