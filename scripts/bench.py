@@ -99,9 +99,9 @@ def time_match(kernel, n: int, repeats: int) -> float:
     arr = sim.materialize(sim.ArrivalStream(SEED, n, laws()["uniform"]))
     spent = [0.0]
 
-    def timed(heaps, rule, log):
+    def timed(state, rule, log):
         t0 = time.perf_counter()
-        tie = kernel.run(heaps, rule, log)
+        tie = kernel.run(state, rule, log)
         spent[0] += time.perf_counter() - t0
         return tie
 

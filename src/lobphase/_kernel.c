@@ -13,9 +13,9 @@
  * step: the same tests in the same order, on double heaps (bids negated), so
  * the event log's arrays equal the Python ones bit for bit and the final
  * heaps hold the same book, each a valid heap, though not in heapq's layout.
- * It runs one chunk of arrivals on heaps sized for the whole run, whose
- * lengths nb and na it updates.  bins is NULL for the ordinary rule, where
- * arrival i of the chunk has bin i+1.
+ * It runs one chunk on the book's own heap arrays, which have room for its
+ * arrivals, and updates their lengths nb and na in place.  bins is NULL for
+ * the ordinary rule, where arrival i of the chunk has bin i+1.
  *
  * binned is the binned recorder of book._binned_sums, five_bin the pass of
  * book._five_bin_sums and refinement the domination pass of

@@ -1,8 +1,9 @@
 """Order-book state machine for ordinary, ordinary-binned, and strict-binned matching.
 
-Resting orders are price heaps, optionally backed by reservoirs: an infinite
-supply of bids or asks at a fixed price.  Executing against a reservoir never
-depletes it, and reservoir orders never enter the finite counters.
+Resting orders are price heaps, each in a float64 array that both match
+loops change in place, optionally backed by reservoirs: an infinite supply of
+bids or asks at a fixed price.  Executing against a reservoir never depletes
+it, and reservoir orders never enter the finite counters.
 
 Prices must be finite, and they may repeat.  The one tie the book refuses is
 an arrival priced exactly at the opposite best quote, reservoir included
@@ -114,12 +115,11 @@ class ArrivalEffect(NamedTuple):
 
 
 class BookState:
-    """Mutable book: bid/ask price heaps plus optional infinite reservoirs.
+    """Mutable book: each side a binary min-heap of keys (prices, bids negated)
+    at the front of a float64 array, its length a C long that both match
+    loops update in place; plus optional infinite reservoirs."""
 
-    Bids are stored negated so both heaps are min-heaps.
-    """
-
-    __slots__ = ("_bid_heap", "_ask_heap", "bid_reservoir", "ask_reservoir")
+    __slots__ = ("_heaps", "_sizes", "_c_args", "bid_reservoir", "ask_reservoir")
 
     def __init__(self, bids=(), asks=(), bid_reservoir: float | None = None,
                  ask_reservoir: float | None = None):
@@ -128,68 +128,90 @@ class BookState:
                 raise ValueError("bid reservoir must sit below ask reservoir")
         self.bid_reservoir = bid_reservoir
         self.ask_reservoir = ask_reservoir
-        # a sorted list is a heap; + 0.0 turns -0.0 into 0.0
-        self._bid_heap = sorted(-(float(p) + 0.0) for p in bids)
-        self._ask_heap = sorted(float(p) + 0.0 for p in asks)
-        if not (np.isfinite(self._bid_heap).all() and np.isfinite(self._ask_heap).all()):
+        # a sorted array is a heap; + 0.0 turns -0.0 into 0.0
+        self._heaps = [np.sort(-(np.fromiter(bids, float) + 0.0)),
+                       np.sort(np.fromiter(asks, float) + 0.0)]
+        if not all(np.isfinite(h).all() for h in self._heaps):
             raise BookInvariantError("non-finite resting price")
+        self._sizes = tuple(ctypes.c_long(h.size) for h in self._heaps)
+        # the C loop's pointers for the match_chunks call under way
+        self._c_args = None
 
     # -- queries ---------------------------------------------------------
 
     @property
     def n_bids(self) -> int:
-        return len(self._bid_heap)
+        return self._sizes[0].value
 
     @property
     def n_asks(self) -> int:
-        return len(self._ask_heap)
+        return self._sizes[1].value
 
     def beta(self) -> float:
         """Highest bid including the reservoir; -inf when the side is empty."""
-        b = -self._bid_heap[0] if self._bid_heap else NEG_INF
+        b = -float(self._heaps[0][0]) if self.n_bids else NEG_INF
         r = self.bid_reservoir
         return b if r is None or b > r else r
 
     def alpha(self) -> float:
         """Lowest ask including the reservoir; +inf when the side is empty."""
-        a = self._ask_heap[0] if self._ask_heap else POS_INF
+        a = float(self._heaps[1][0]) if self.n_asks else POS_INF
         r = self.ask_reservoir
         return a if r is None or a < r else r
 
     def bids(self) -> list[float]:
-        return sorted(-p for p in self._bid_heap)
+        return np.sort(-self._heaps[0][:self.n_bids]).tolist()
 
     def asks(self) -> list[float]:
-        return sorted(self._ask_heap)
+        return np.sort(self._heaps[1][:self.n_asks]).tolist()
 
     def clone(self) -> "BookState":
-        c = BookState.__new__(BookState)
-        c.bid_reservoir = self.bid_reservoir
-        c.ask_reservoir = self.ask_reservoir
-        c._bid_heap = list(self._bid_heap)
-        c._ask_heap = list(self._ask_heap)
+        c = BookState(bid_reservoir=self.bid_reservoir, ask_reservoir=self.ask_reservoir)
+        c._heaps = [h[:n.value].copy() for h, n in zip(self._heaps, self._sizes)]
+        c._sizes = tuple(ctypes.c_long(n.value) for n in self._sizes)
         return c
 
     # -- mutations -------------------------------------------------------
+
+    def _reserve(self, extra: int) -> None:
+        """Room on each side for `extra` more orders: an array that lacks it
+        grows by `extra` or by as much as it held, whichever is more."""
+        for i, (heap, n) in enumerate(zip(self._heaps, self._sizes)):
+            if n.value + extra > heap.size:
+                # only the book is copied: the rest is first written by a loop
+                self._heaps[i] = np.empty(n.value + max(extra, heap.size))
+                self._heaps[i][:n.value] = heap[:n.value]
 
     def insert(self, side: str, price: float) -> None:
         """Add one resting order at a finite price, in O(log book); -0.0 rests as 0.0."""
         if not math.isfinite(price):
             raise BookInvariantError(f"non-finite price {price}")
-        price += 0.0
-        if side == "bid":
-            heapq.heappush(self._bid_heap, -price)
-        else:
-            heapq.heappush(self._ask_heap, price)
+        self._reserve(1)
+        i = 0 if side == "bid" else 1
+        heap, n = self._heaps[i], self._sizes[i]
+        key, pos = -(price + 0.0) if i == 0 else price + 0.0, n.value
+        n.value += 1
+        while pos and key < heap[(pos - 1) // 2]:   # sift the new key up from the end
+            heap[pos], pos = heap[(pos - 1) // 2], (pos - 1) // 2
+        heap[pos] = key
 
     def pop_best(self, side: str) -> float:
-        if side == "bid":
-            if not self._bid_heap:
-                raise BookInvariantError("pop from empty bid side")
-            return -heapq.heappop(self._bid_heap)
-        if not self._ask_heap:
-            raise BookInvariantError("pop from empty ask side")
-        return heapq.heappop(self._ask_heap)
+        """Remove the side's best order, in O(log book), and return its price."""
+        i = 0 if side == "bid" else 1
+        heap, n = self._heaps[i], self._sizes[i]
+        if not n.value:
+            raise BookInvariantError(f"pop from empty {('bid', 'ask')[i]} side")
+        best, last, pos, child = float(heap[0]), heap[n.value - 1], 0, 1
+        n.value -= 1
+        while child < n.value:      # sift the last key down from the root
+            if child + 1 < n.value and heap[child + 1] < heap[child]:
+                child += 1
+            if not heap[child] < last:
+                break
+            heap[pos] = heap[child]
+            pos, child = child, 2 * child + 1
+        heap[pos] = last
+        return -best if i == 0 else best
 
 
 def apply_arrival(state: BookState, rule: MatchRule, order: Order) -> ArrivalEffect:
@@ -258,8 +280,6 @@ class EventLog(NamedTuple):
 
     is_bid: np.ndarray
     prices: np.ndarray
-    beta0: float             # best quotes before the first event
-    alpha0: float
     outcome: np.ndarray      # uint8: JOINED, EXECUTED or RESERVOIR
     beta: np.ndarray         # best bid after the event (reservoir included)
     alpha: np.ndarray        # best ask after the event
@@ -273,46 +293,23 @@ class EventLog(NamedTuple):
 _LOG_DTYPES = (np.uint8, float, float, bool, float, np.int8, np.int64, np.int64)
 
 
-class _Heaps:
-    """A book's two heaps as float64 arrays (bids negated) with their lengths,
-    sized once for the resting orders plus every arrival of the side, and its
-    reservoirs (+-inf for none).  The Python loop moves the heaps into `lists`
-    (bids, asks) on its first chunk and keeps them there for the call; the C
-    loop keeps the pointers it passes in `c_args`."""
-
-    __slots__ = ("bids", "asks", "nb", "na", "rb", "ra", "lists", "c_args")
-
-    def __init__(self, state: BookState, n_bid: int, n_ask: int):
-        self.nb, self.na = ctypes.c_long(state.n_bids), ctypes.c_long(state.n_asks)
-        self.bids = np.empty(self.nb.value + n_bid)
-        self.asks = np.empty(self.na.value + n_ask)
-        self.bids[:self.nb.value], self.asks[:self.na.value] = state._bid_heap, state._ask_heap
-        self.rb = NEG_INF if state.bid_reservoir is None else state.bid_reservoir
-        self.ra = POS_INF if state.ask_reservoir is None else state.ask_reservoir
-        self.lists = self.c_args = None
-
-    def store(self, state: BookState) -> None:
-        bids, asks = self.lists or (self.bids[:self.nb.value].tolist(),
-                                    self.asks[:self.na.value].tolist())
-        state._bid_heap[:], state._ask_heap[:] = bids, asks
-
-
 def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
                  size: int) -> Iterator[tuple[int, EventLog]]:
     """Apply an arrival sequence to `state` `size` arrivals at a time; yield
     (index of the chunk's first arrival, the chunk's `EventLog`).
 
     The log's arrays from `outcome` on are buffers that the next chunk
-    overwrites, so a reader copies what it keeps.  `state` holds the
-    new book once the last chunk is read, or once a chunk fails.  Arrival
-    prices must be finite and the rule's ordering of the best quotes must
-    hold in the starting book; both are checked up front, before any event.
-    Prices may repeat, and -0.0 is read as 0.0, so that equal prices are
-    equal bytes and the order in which a loop meets them cannot show in the
-    log.  After each chunk, no arrival may have sat at the
-    opposite best quote (the loop returns the first that did), and the
-    ordering must hold after every event; both errors name the arrival by
-    its index in the whole sequence.  Zero arrivals give one empty chunk.
+    overwrites, so a reader copies what it keeps.  The loop changes `state`
+    in place: it holds the book up to the end of the last chunk run, a
+    failed one included.  Arrival prices must be finite and the rule's
+    ordering of the best quotes must hold in the starting book; both are
+    checked up front, before any event.  Prices may repeat, and -0.0 is read
+    as 0.0, so that equal prices are equal bytes and the order in which a
+    loop meets them cannot show in the log.  After each chunk, no arrival
+    may have sat at the opposite best quote (the loop returns the first that
+    did), and the ordering must hold after every event; both errors name the
+    arrival by its index in the whole sequence.  Zero arrivals give one
+    empty chunk.
     """
     is_bid = np.ascontiguousarray(is_bid, dtype=bool)
     prices = np.ascontiguousarray(prices, dtype=float)
@@ -321,41 +318,38 @@ def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
         raise BookInvariantError(f"arrival {i} at non-finite price {prices[i]}")
     if np.signbit(prices[prices == 0]).any():
         prices = prices + 0.0
-    beta0, alpha0 = state.beta(), state.alpha()
-    _check_order(beta0, alpha0, rule)
-    n, n_bid = prices.size, int(np.count_nonzero(is_bid))
+    _check_order(state.beta(), state.alpha(), rule)
+    n = prices.size
     buffers = [np.empty(min(size, n), dtype) for dtype in _LOG_DTYPES]
     run = _kernel().run
-    heaps = _Heaps(state, n_bid, n - n_bid)
-    try:
-        for lo in range(0, max(n, 1), size):
-            bid, px = is_bid[lo:lo + size], prices[lo:lo + size]
-            log = EventLog(bid, px, beta0, alpha0, *(b[:px.size] for b in buffers))
-            if not px.size:
-                yield lo, log
-                break
-            tie = run(heaps, rule, log)
-            if tie >= 0:
-                raise BookInvariantError(f"arrival {lo + tie} at {px[tie]} collides "
-                                         "with the opposite best quote")
-            _check_order(log.beta, log.alpha, rule, first=lo)
-            yield lo, log
-            beta0, alpha0 = float(log.beta[-1]), float(log.alpha[-1])
-    finally:
-        heaps.store(state)
+    state._c_args = None
+    for lo in range(0, max(n, 1), size):
+        bid, px = is_bid[lo:lo + size], prices[lo:lo + size]
+        log = EventLog(bid, px, *(b[:px.size] for b in buffers))
+        state._reserve(px.size)
+        tie = run(state, rule, log)
+        if tie >= 0:
+            raise BookInvariantError(f"arrival {lo + tie} at {px[tie]} collides "
+                                     "with the opposite best quote")
+        _check_order(log.beta, log.alpha, rule, first=lo)
+        yield lo, log
 
 
-def _match_py(heaps: _Heaps, rule: MatchRule, log: EventLog) -> int:
-    """The arrival loop in Python: fills the log's arrays, changes the heaps and
+def _reservoirs(state: BookState) -> tuple[float, float]:
+    """The book's reservoir prices, -inf and +inf for none."""
+    rb, ra = state.bid_reservoir, state.ask_reservoir
+    return NEG_INF if rb is None else rb, POS_INF if ra is None else ra
+
+
+def _match_py(state: BookState, rule: MatchRule, log: EventLog) -> int:
+    """The arrival loop in Python: fills the log's arrays, changes the book and
     returns the first arrival priced exactly at the opposite best quote, or -1.
 
+    It runs on `heapq` lists taken from the state's heaps and writes them back.
     The reference for `_kernel.c` and the loop that runs without a compiler.
     """
-    if heaps.lists is None:
-        heaps.lists = (heaps.bids[:heaps.nb.value].tolist(),
-                       heaps.asks[:heaps.na.value].tolist())
-    bids, asks = heaps.lists
-    rb, ra = heaps.rb, heaps.ra
+    bids, asks = (heap[:n.value].tolist() for heap, n in zip(state._heaps, state._sizes))
+    rb, ra = _reservoirs(state)
     beta = -bids[0] if bids and -bids[0] > rb else rb
     alpha = asks[0] if asks and asks[0] < ra else ra
     # Per event: the int8 bytes (outcome, changed_bid, sign) of its kind; beta,
@@ -419,30 +413,34 @@ def _match_py(heaps: _Heaps, rule: MatchRule, log: EventLog) -> int:
     log.outcome[:], log.changed_bid[:], log.sign[:] = small.T
     log.beta[:], log.alpha[:], log.price[:] = np.frombuffer(quotes).reshape(-1, 3).T
     log.n_bids[:], log.n_asks[:] = np.frombuffer(sizes, np.int64).reshape(-1, 2).T
+    for heap, n, keys in zip(state._heaps, state._sizes, (bids, asks)):
+        heap[:len(keys)], n.value = keys, len(keys)
     return tie
 
 
-def _match_c(fn, heaps: _Heaps, rule: MatchRule, log: EventLog) -> int:
-    """`_match_py` through the compiled `match` of `_kernel.c`, on the heaps in place.
+def _match_c(fn, state: BookState, rule: MatchRule, log: EventLog) -> int:
+    """`_match_py` through the compiled `match` of `_kernel.c`, on the state's heaps in place.
 
-    The pointers are taken once per `match_chunks` call, on its first chunk:
-    every chunk's log is a view of the same eight buffers, and each chunk's
-    arrivals follow the previous chunk's in the call's arrays.
+    The pointers but the heaps', which move when `match_chunks` grows them
+    for a chunk, are taken once per call, on its first chunk: every chunk's
+    log is a view of the same eight buffers, and each chunk's arrivals follow
+    the previous chunk's in the call's arrays.
     """
     n = log.prices.size
-    if heaps.c_args is None:
+    if state._c_args is None:
         cuts = np.empty(0) if rule.kind == ORDINARY else \
             np.ascontiguousarray(rule.partition.boundaries, dtype=float)
-        # the next chunk's is_bid and prices, then cuts, kept alive, and the
-        # arguments after bins, which stay the same for the call
-        heaps.c_args = [log.is_bid.ctypes.data, log.prices.ctypes.data, cuts, (
-            cuts.ctypes.data, cuts.size, rule.kind == STRICT_BINNED, heaps.rb, heaps.ra,
-            heaps.bids.ctypes.data, ctypes.byref(heaps.nb), heaps.asks.ctypes.data,
-            ctypes.byref(heaps.na), *(a.ctypes.data for a in log[4:]))]
-    args = heaps.c_args
+        # the next chunk's is_bid and prices, then cuts, kept alive, the
+        # arguments between bins and the heaps, and the log's buffers
+        state._c_args = [log.is_bid.ctypes.data, log.prices.ctypes.data, cuts,
+                         (cuts.ctypes.data, cuts.size, rule.kind == STRICT_BINNED,
+                          *_reservoirs(state)), [a.ctypes.data for a in log[2:]]]
+    args = state._c_args
     bins = None if rule.kind == ORDINARY else \
         np.ascontiguousarray(rule.partition.index(log.prices), dtype=np.int64)
-    tie = fn(n, args[0], args[1], None if bins is None else bins.ctypes.data, *args[3])
+    (bids, asks), (nb, na) = state._heaps, state._sizes
+    tie = fn(n, args[0], args[1], None if bins is None else bins.ctypes.data, *args[3],
+             bids.ctypes.data, nb, asks.ctypes.data, na, *args[4])
     args[0] += n * log.is_bid.itemsize
     args[1] += n * log.prices.itemsize
     return tie
@@ -822,7 +820,7 @@ def _uniforms_c(fn, key: tuple[int, int], first: int, out: np.ndarray) -> np.nda
 
 class _Kernel(NamedTuple):
     name: str                # "c" or "python"
-    run: Callable            # (heaps, rule, log) -> first opposite-best tie, or -1
+    run: Callable            # (state, rule, log) -> first opposite-best tie, or -1
     binned: Callable         # (sums, times, t0, half, beta, alpha, three bins, changes) -> None
     five_bin: Callable       # (sums, bins, changed_bid, sign, normals, K) -> above K
     refinement: Callable     # (is_bid, bins, steps, nbins) -> (max_b, max_a)

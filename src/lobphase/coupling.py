@@ -109,17 +109,24 @@ def _classify_single(diff: _Diff, extra_side: str):
 
 
 class _Changes(tuple):
-    """A run's arrays (changed_bid, price, sign), into which `fold` copies each chunk's."""
+    """A run's arrays (changed_bid, price, sign), into which `fold` copies each
+    chunk's; given a partition `bins` (`_changes` sets it), the middle one
+    holds each changed price's bin in it instead of the price."""
 
     def fold(self, lo: int, log: EventLog) -> None:
-        for run, chunk in zip(self, (log.changed_bid, log.price, log.sign)):
+        key = log.price if self.bins is None else self.bins.index(log.price)
+        for run, chunk in zip(self, (log.changed_bid, key, log.sign)):
             run[lo:lo + chunk.size] = chunk
 
 
-def _changes(book: BookState, rule: MatchRule, arr: Arrivals, out: tuple | None = None):
+def _changes(book: BookState, rule: MatchRule, arr: Arrivals, out: tuple | None = None,
+             bins: Optional[BinPartition] = None):
     """The `EventLog` fields (changed_bid, price, sign) of each arrival of `arr`
-    applied to `book` (mutated), folded into the arrays `out`, or new ones."""
-    out = _Changes(out or (np.empty(arr.n, dtype) for dtype in (bool, float, np.int8)))
+    applied to `book` (mutated), folded into the arrays `out`, or new ones;
+    with `bins`, each price's bin in that partition (int32) in its place."""
+    key = float if bins is None else np.int32
+    out = _Changes(out or (np.empty(arr.n, dtype) for dtype in (bool, key, np.int8)))
+    out.bins = bins
     _fold(book, rule, arr, [out])
     return out
 
@@ -249,11 +256,8 @@ def check_refinement(fine: BinPartition, coarse: BinPartition, kind: str, arriva
         raise ValueError("`fine` does not refine `coarse`")
     if initial is not None:
         _no_reservoirs(initial, "check_refinement")
-    books = []
-    for part in (fine, coarse):
-        is_bid, price, step = _changes(initial.clone() if initial else BookState(),
-                                       MatchRule(kind, part), arrivals)
-        books.append((is_bid, fine.index(price), step))
+    books = [_changes(initial.clone() if initial else BookState(), MatchRule(kind, part),
+                      arrivals, bins=fine) for part in (fine, coarse)]
     # d holds (coarse - fine) per fine bin; ordinary demands every prefix of
     # d over bids (from the bottom) and over asks (from the top) to be <= 0,
     # strict demands >= 0.  Only the points where the books change different
@@ -262,6 +266,7 @@ def check_refinement(fine: BinPartition, coarse: BinPartition, kind: str, arriva
     sign = 1 if kind == ORDINARY_BINNED else -1
     points = np.flatnonzero(_differs(*books))
     is_bid, bins, steps = (np.column_stack((f[points], c[points])) for f, c in zip(*books))
+    del books   # the books' whole-run arrays go before the pass makes its own
     max_b, max_a = _kernel().refinement(is_bid, bins, steps * np.array([-sign, sign]),
                                         fine.n_bins)
     stops = np.append(points[1:], arrivals.n)

@@ -319,7 +319,11 @@ class _Binned:
         self.t = 0.0    # the time of the last event folded
         trace.joint_hist, trace.top_shape_visits = self.sums.joint, self.sums.visits
         trace.top_shape_sums = self.sums.top
-        self._occupation()
+        # views of the cells the passes add to in place: cell 0 of a quote's row
+        # holds the time its side is empty, and of the elapsed row all the time
+        time = self.sums.time
+        trace.occupation_elapsed = time[0, :, 0]
+        trace.occupation_b, trace.occupation_a = time[1, :, 1:], time[2, :, 1:]
 
     def fold(self, lo: int, log: EventLog) -> None:
         tr, part = self.trace, self.trace.partition
@@ -328,14 +332,6 @@ class _Binned:
                          part.index(log.beta), part.index(log.alpha), part.index(log.price),
                          log.changed_bid, log.sign)
         self.t = times[-1]
-        self._occupation()
-
-    def _occupation(self) -> None:
-        # cell 0 of a quote's row holds the time its side is empty, and of the
-        # elapsed row all the time
-        tr, time = self.trace, self.sums.time
-        tr.occupation_elapsed = time[0, :, 0].copy()
-        tr.occupation_b, tr.occupation_a = time[1, :, 1:].copy(), time[2, :, 1:].copy()
 
 
 class _FiveBin:

@@ -228,3 +228,67 @@ class TestDeterminismAndTransform:
         plain = self._outcomes(prices, sides)
         squared = self._outcomes(prices, sides, transform=lambda p: p * p)
         assert plain == squared
+
+
+# -- the array heaps ---------------------------------------------------------
+
+heap_prices = st.sampled_from([0.0, -0.0, 0.25, 0.5, -1.5]) | st.floats(-2.0, 2.0)
+sides = st.sampled_from(["bid", "ask"])
+heap_ops = st.lists(st.one_of(
+    st.tuples(st.just("insert"), sides, heap_prices),
+    st.tuples(st.just("pop"), sides),
+    st.tuples(st.just("burst"), sides, st.integers(1, 150)),
+    st.tuples(st.just("clone"))), max_size=60)
+
+
+def stored_keys(state: BookState) -> list[np.ndarray]:
+    """Each side's keys as stored: the used front of its array."""
+    return [heap[:n.value] for heap, n in zip(state._heaps, state._sizes)]
+
+
+def assert_holds(state: BookState, model: dict, reservoirs) -> None:
+    """The book holds the model's orders, each side stored as a heap."""
+    for keys in stored_keys(state):
+        assert (keys[(np.arange(1, keys.size) - 1) // 2] <= keys[1:]).all()
+    assert (state.bids(), state.asks()) == (sorted(model["bid"]), sorted(model["ask"]))
+    assert not any(math.copysign(1.0, p) < 0 for p in state.bids() + state.asks() if p == 0)
+    assert (state.n_bids, state.n_asks) == (len(model["bid"]), len(model["ask"]))
+    rb, ra = reservoirs
+    assert state.beta() == max(model["bid"] + ([] if rb is None else [rb]), default=NEG_INF)
+    assert state.alpha() == min(model["ask"] + ([] if ra is None else [ra]), default=POS_INF)
+
+
+@given(st.lists(heap_prices, max_size=5), st.lists(heap_prices, max_size=5),
+       st.sampled_from([(None, None), (-0.5, None), (None, 0.75), (-0.0, 0.75)]), heap_ops)
+@settings(max_examples=100, deadline=None)
+def test_array_heaps_match_a_sorted_model(bids, asks, reservoirs, ops):
+    state = BookState(bids=bids, asks=asks, bid_reservoir=reservoirs[0],
+                      ask_reservoir=reservoirs[1])
+    model = {"bid": [p + 0.0 for p in bids], "ask": [p + 0.0 for p in asks]}
+    clones = []
+    assert_holds(state, model, reservoirs)
+    for op, *args in ops:
+        if op == "insert":
+            state.insert(*args)
+            model[args[0]].append(args[1] + 0.0)
+        elif op == "burst":     # distinct and repeated prices, growing the array
+            side, k = args
+            for p in np.round(np.linspace(-1.0, 1.0, k), 2).tolist()[::-1]:
+                state.insert(side, p)
+                model[side].append(p + 0.0)
+        elif op == "pop":
+            side = args[0]
+            if not model[side]:
+                with pytest.raises(BookInvariantError, match=f"pop from empty {side} side"):
+                    state.pop_best(side)
+                continue
+            want = max(model[side]) if side == "bid" else min(model[side])
+            model[side].remove(want)
+            assert state.pop_best(side) == want
+        else:
+            clones.append((state, {k: list(v) for k, v in model.items()}))
+            state = state.clone()
+        assert_holds(state, model, reservoirs)
+    # a clone shares nothing with its original
+    for old, old_model in clones:
+        assert_holds(old, old_model, reservoirs)

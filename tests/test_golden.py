@@ -312,8 +312,8 @@ def test_chunked_crossed_book_names_the_global_arrival(chunk, kernel, monkeypatc
     at = first_of_a_chunk(chunk)
     loop = book._kernel()
 
-    def crossing(heaps, rule, log):
-        tie = loop.run(heaps, rule, log)
+    def crossing(state, rule, log):
+        tie = loop.run(state, rule, log)
         start = done[0]
         done[0] += log.prices.size
         if start <= at < done[0]:

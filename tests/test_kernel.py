@@ -12,7 +12,8 @@ valid heap, and raise the same error on the same input; its binned-recorder and
 refinement passes must give the bytes and dtypes of the numpy `_binned_sums`
 and `_refinement_maxima` (the five-bin pass is tested in test_lyapunov.py), its
 arrival draw the bytes of the numpy `_draw_py` on random laws of every
-built-in kind, and its Philox uniforms the bytes of numpy's generator.
+built-in kind, and its Philox uniforms the bytes of numpy's generator.  Every
+export must be loaded with the signature of its C prototype.
 """
 
 import copy
@@ -229,10 +230,10 @@ def test_strict_book_crossed_inside_a_bin_is_accepted(is_bid, px):
 
 
 def test_empty_sequence():
-    log = match_arrivals(BookState(bids=[0.4]), RULES[STRICT_BINNED],
-                         np.zeros(0, dtype=bool), np.zeros(0))
+    state = BookState(bids=[0.4])
+    log = match_arrivals(state, RULES[STRICT_BINNED], np.zeros(0, dtype=bool), np.zeros(0))
     assert log.outcome.size == log.beta.size == 0
-    assert log.beta0 == 0.4 and log.alpha0 == math.inf
+    assert state.beta() == 0.4 and state.alpha() == math.inf
     assert all(getattr(log, name).size == 0 for name in LOG_FIELDS)
 
 
@@ -273,11 +274,16 @@ def run_on(kernel, rule, book, is_bid, px):
     return result, book_bytes(state)
 
 
+def stored_heaps(state):
+    """Both sides' keys as the state stores them: each heap's used front."""
+    return [heap[:n.value].tolist() for heap, n in zip(state._heaps, state._sizes)]
+
+
 def book_bytes(state):
-    """Both sides' sorted prices as bytes, once both stored lists are checked
+    """Both sides' sorted prices as bytes, once both stored sides are checked
     to be heaps: the C loop keeps each side's best orders apart from its heap,
     so it leaves the Python loop's book in another heap layout."""
-    assert is_heap(state._bid_heap) and is_heap(state._ask_heap)
+    assert all(is_heap(keys) for keys in stored_heaps(state))
     return np.array(state.bids()).tobytes(), np.array(state.asks()).tobytes()
 
 
@@ -337,6 +343,27 @@ def test_both_kernels_accept_a_strict_book_crossed_inside_a_bin(c_kernel, is_bid
     assert assert_kernels_agree(c_kernel, RULES[STRICT_BINNED],
                                 BookState(bids=[0.57], asks=[0.53]),
                                 np.array(is_bid, dtype=bool), np.array(px, dtype=float))
+
+
+@pytest.mark.parametrize("kernel", ["c", "python"])
+@pytest.mark.parametrize("at", [7, 10, 13])
+def test_failed_chunk_leaves_the_book_at_its_end(request, kernel, at):
+    # Bids below the bid reservoir at 0.5 and asks above it all join; the ask
+    # at exactly 0.5, arrival `at` in the chunk of arrivals 7..13, ties with
+    # it and joins too, and the loop runs on to the chunk's end.
+    loop = PYTHON_LOOP if kernel == "python" else request.getfixturevalue("c_kernel")
+    rng = np.random.default_rng(at)
+    is_bid = rng.random(30) < 0.5
+    px = np.where(is_bid, 0.5 * rng.random(30), 0.5 + 0.5 * rng.random(30))
+    is_bid[at], px[at] = False, 0.5
+    state = BookState(bids=[0.1], bid_reservoir=0.5)
+    with running(loop), pytest.raises(BookInvariantError, match=f"arrival {at} at 0.5"):
+        for _ in book_module.match_chunks(state, RULES[ORDINARY], is_bid, px, 7):
+            pass
+    bid, ask = is_bid[:14], ~is_bid[:14]
+    assert state.bids() == sorted([0.1, *px[:14][bid].tolist()])
+    assert state.asks() == sorted(px[:14][ask].tolist())
+    assert all(is_heap(keys) for keys in stored_heaps(state))
 
 
 WHOLE = 2**62       # one chunk, whatever the run's length
@@ -818,6 +845,36 @@ def test_c_refinement_reports_equal_numpy_pass(c_kernel, reservoir_books_accepte
     # every report field, details included, after the same C loop
     numpy_pass = c_kernel._replace(refinement=book_module._refinement_maxima)
     assert coupling_reports(c_kernel) == coupling_reports(numpy_pass)
+
+
+# An exported C function's prototype: what it returns, its name, its parameters
+EXPORTED = re.compile(r"^(void|long) (\w+)\(([^)]*)\)", re.M)
+C_SCALARS = {"long": ctypes.c_long, "double": ctypes.c_double, "int": ctypes.c_int,
+             "uint64_t": ctypes.c_uint64}
+
+
+def test_every_export_is_loaded_with_its_c_signature(c_kernel):
+    # ctypes believes argtypes: a parameter too many, too few or of another
+    # kind, say a length passed by value where C takes its address, corrupts
+    # memory without an error
+    prototypes = {name: (ret, params.split(",")) for ret, name, params
+                  in EXPORTED.findall(book_module._SOURCE.read_text())}
+    assert sorted(prototypes) == sorted(book_module._EXPORTS)
+    # the kernel's passes after its name, in the order of _EXPORTS, each the
+    # loaded function bound into its wrapper
+    for export, bound in zip(book_module._EXPORTS, c_kernel[1:]):
+        fn = bound.args[0]
+        ret, params = prototypes[export]
+        assert fn.restype is {"void": None, "long": ctypes.c_long}[ret], export
+        assert len(fn.argtypes) == len(params), export
+        for param, argtype in zip(params, fn.argtypes):
+            kind = param.replace("const ", "").split()[0]
+            if "*" not in param:
+                assert argtype is C_SCALARS[kind], (export, param)
+            elif kind == "long":
+                assert argtype is ctypes.POINTER(ctypes.c_long), (export, param)
+            else:
+                assert argtype is ctypes.c_void_p, (export, param)
 
 
 def test_kernel_compiles_without_warnings(c_kernel, tmp_path):
