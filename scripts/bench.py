@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the arrival draw and the match loop, as JSON.
+"""Per-layer timings of the arrival draw, the match loop, the bins of prices
+and the refinement check, as JSON.
 
-Three layers, each in ns per arrival, the median over --repeats calls in this
-process:
+Each figure is the median over --repeats calls in this process:
 
 - `sim.materialize` on the uniform and tent laws (both sides on the law,
   p_b = 0.5), under the compiled kernel's `draw` and under the numpy draw
@@ -11,7 +11,13 @@ process:
   as `materialize` draws them, under the compiled `uniforms` and under numpy's
   generator (`book._uniforms_py`), taking turns call by call;
 - the compiled `match` loop alone: the kernel's `run` timed around each chunk
-  of `book.match_chunks` on uniform arrivals, ordinary rule, empty book.
+  of `book.match_chunks` on uniform arrivals, ordinary rule, empty book;
+- `BinPartition.index` of one chunk of uniform prices, in ns per price, at
+  10, 100 and 200 bins (`make_partition` on uniform laws), under the
+  compiled kernel's `bins` and the numpy body, taking turns call by call;
+- `coupling.check_refinement` of the 100-bin partition against the 10-bin
+  one on --n-draw uniform arrivals, in seconds per call, under each
+  binned rule.
 
 The record also carries the machine (CPU model, nproc, Python, numpy and
 `book.KERNEL`).  Where no C compiler is available, the compiled columns are
@@ -31,9 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from lobphase import book, sim
-from lobphase.book import ORDINARY, BookState, MatchRule
-from lobphase.dist import ArrivalSpec, piecewise_linear_dist, uniform_dist
+from lobphase import book, coupling, sim
+from lobphase.book import ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule
+from lobphase.dist import ArrivalSpec, make_partition, piecewise_linear_dist, uniform_dist
 
 SEED = 1    # of every stream drawn
 
@@ -116,11 +122,41 @@ def time_match(kernel, n: int, repeats: int) -> float:
     return median_ns(seconds, n)
 
 
+def time_bins(kernels: dict, n_bins: int, repeats: int) -> dict:
+    """ns per price of one chunk's bins under each named kernel's `bins`,
+    the kernels taking turns call by call."""
+    spec = laws()["uniform"]
+    part = make_partition(n_bins, spec)
+    prices = sim.materialize(sim.ArrivalStream(SEED, sim.CHUNK, spec)).prices
+    seconds = {name: [] for name in kernels}
+    for _ in range(repeats):
+        for name, kernel in kernels.items():
+            t0 = time.perf_counter()
+            kernel.bins(part, prices)
+            seconds[name].append(time.perf_counter() - t0)
+    return {name: median_ns(s, prices.size) for name, s in seconds.items()}
+
+
+def time_refinement(kernel, n: int, repeats: int) -> dict:
+    """Seconds per `check_refinement` call, 100 against 10 bins, per rule."""
+    book._loaded = kernel
+    spec = laws()["uniform"]
+    fine, coarse = make_partition(100, spec), make_partition(10, spec)
+    arr = sim.materialize(sim.ArrivalStream(SEED, n, spec))
+    seconds = {kind: [] for kind in (ORDINARY_BINNED, STRICT_BINNED)}
+    for _ in range(repeats):
+        for kind, s in seconds.items():
+            t0 = time.perf_counter()
+            coupling.check_refinement(fine, coarse, kind, arr, seed=SEED)
+            s.append(time.perf_counter() - t0)
+    return {kind: round(statistics.median(s), 4) for kind, s in seconds.items()}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--n-draw", type=int, default=1_000_000,
-                    help="arrivals per materialize call")
+                    help="arrivals per materialize and check_refinement call")
     ap.add_argument("--match-sizes", default="60000,1000000,4000000",
                     help="comma-separated arrival counts of the match loop")
     ap.add_argument("--repeats", type=int, default=7)
@@ -142,6 +178,11 @@ def main() -> None:
         uniform_draws["numpy"] = book._uniforms_py
         uniforms = {"c": None, **time_uniforms(uniform_draws, args.n_draw, args.repeats)}
         match = {str(n): compiled and time_match(compiled, n, args.repeats) for n in sizes}
+        bin_kernels = {"c": compiled, "numpy": book._PYTHON_KERNEL} if compiled else \
+            {"numpy": book._PYTHON_KERNEL}
+        bins = {str(k): {"c": None, **time_bins(bin_kernels, k, args.repeats)}
+                for k in (10, 100, 200)}
+        refinement = time_refinement(loaded, args.n_draw, args.repeats)
     finally:
         book._loaded = loaded
     record = {
@@ -152,6 +193,8 @@ def main() -> None:
         "materialize_ns_per_arrival": {"n": args.n_draw, "laws": draw},
         "uniforms_ns_per_arrival": {"n": args.n_draw, **uniforms},
         "match_loop_ns_per_arrival": match,
+        "bins_ns_per_price": {"n": sim.CHUNK, "bins": bins},
+        "check_refinement_s": {"n": args.n_draw, "kernel": loaded.name, **refinement},
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -161,6 +204,10 @@ def main() -> None:
     print(f"uniforms             c {uniforms['c']} ns, numpy {uniforms['numpy']} ns per arrival")
     for n, ns in match.items():
         print(f"match loop {n:>8s} arrivals: {ns} ns per arrival")
+    for k, row in bins.items():
+        print(f"bins {k:>3s} bins         c {row['c']} ns, numpy {row['numpy']} ns per price")
+    for kind, sec in refinement.items():
+        print(f"check_refinement {kind}: {sec} s on {args.n_draw} arrivals")
     print(f"wrote {out / 'bench.json'}")
 
 

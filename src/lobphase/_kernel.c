@@ -1,4 +1,4 @@
-/* Six passes of lobphase, compiled.
+/* Seven passes of lobphase, compiled.
  *
  * uniforms writes a stretch of the uniform draws of one Philox4x64-10 stream,
  * numpy's Philox bit for bit: output j is a function of the stream's key and
@@ -9,12 +9,15 @@
  * of dist.py's quantile objects, so its prices equal the numpy ones bit for
  * bit.
  *
+ * bins looks prices up in a bin partition's table as dist.py's
+ * BinPartition.index does, so its bins equal the numpy ones.
+ *
  * match, the arrival loop of match_chunks, mirrors book._match_py step for
  * step: the same tests in the same order, on double heaps (bids negated), so
  * the event log's arrays equal the Python ones bit for bit and the final
  * heaps hold the same book, each a valid heap, though not in heapq's layout.
  * It runs one chunk on the book's own heap arrays, which have room for its
- * arrivals, and updates their lengths nb and na in place.  bins is NULL for
+ * arrivals, and updates their lengths nb and na in place.  part is NULL for
  * the ordinary rule, where arrival i of the chunk has bin i+1.
  *
  * binned is the binned recorder of book._binned_sums, five_bin the pass of
@@ -238,31 +241,65 @@ static long close_side(struct side *s) {
     return s->n;
 }
 
-/* bisect_right(cuts, x), or -1 for an empty side's quote */
-static int64_t bin_of(const double *cuts, long ncuts, double x, double empty) {
-    return x == empty ? -1 : bisect_right(cuts, ncuts, x);
+/* A bin partition's lookup table: the fields of dist.py's BinPartition.  A
+ * price's cell is its clip to [lo, hi], less lo, times scale, with NaN in
+ * cell nan_cell; table holds the bin of each cell's least float, and upper
+ * the cut above each bin, NaN above the last. */
+struct partition {
+    double lo, hi, scale, nan_cell;
+    const int64_t *table;
+    const double *upper;
+};
+
+/* BinPartition.index of x: its cell's bin, stepped up past the cuts of the
+ * cell at or below x.  The clip keeps NaN, as np.clip does, and may keep -0.0
+ * where np.clip gives 0.0, which falls in the same cell; t < nan_cell ? t :
+ * nan_cell is np.fmin(t, nan_cell).  Most cells hold at most one cut, so the
+ * first step is taken without a branch. */
+static int64_t lookup(const struct partition *q, double x) {
+    double t = x < q->lo ? q->lo : x;
+    t = t > q->hi ? q->hi : t;
+    t = (t - q->lo) * q->scale;
+    int64_t k = q->table[(long)(t < q->nan_cell ? t : q->nan_cell)];
+    k += x >= q->upper[k];
+    while (x >= q->upper[k]) k++;
+    return k;
+}
+
+/* out[i] = the bin of x[i] in the partition */
+void bins(long n, const double *x, const struct partition *part, int64_t *out) {
+    for (long i = 0; i < n; i++) out[i] = lookup(part, x[i]);
+}
+
+/* The bin of a best quote: -1 for an empty side's, and 0 under the ordinary
+ * rule, whose arrivals have bins from 1 on. */
+static int64_t quote_bin(const struct partition *part, double x, double empty) {
+    return x == empty ? -1 : part ? lookup(part, x) : 0;
 }
 
 /* Event i's log: its outcome, the best quotes after it, the side, price and
  * sign (+1 joined, -1 executed, 0 reservoir) of the resting order it changes,
  * and the heap lengths after it.  Returns the first arrival priced exactly at
- * the opposite best quote, or -1; the loop runs on past it. */
-long match(long n, const uint8_t *is_bid, const double *prices, const int64_t *bins,
-           const double *cuts, long ncuts, int strict, double rb, double ra,
+ * the opposite best quote, or -1, and sets *bad to the first event after
+ * which the best quotes are out of the rule's order, or -1: beta >= alpha,
+ * or under the strict rule the bid's bin above the ask's, both sides held.
+ * The loop runs on past both. */
+long match(long n, const uint8_t *is_bid, const double *prices,
+           const struct partition *part, int strict, double rb, double ra,
            double *bids, long *nb, double *asks, long *na,
            uint8_t *outcome, double *beta_out, double *alpha_out, uint8_t *changed_bid,
-           double *price, int8_t *sign, int64_t *n_bids, int64_t *n_asks) {
+           double *price, int8_t *sign, int64_t *n_bids, int64_t *n_asks, long *bad) {
     struct side b, a;
     open_side(&b, bids, *nb);
     open_side(&a, asks, *na);
     double beta = size(&b) && -best(&b) > rb ? -best(&b) : rb;
     double alpha = size(&a) && best(&a) < ra ? best(&a) : ra;
-    int64_t bbin = bin_of(cuts, ncuts, beta, -INFINITY);
-    int64_t abin = bin_of(cuts, ncuts, alpha, INFINITY);
-    long tie = -1;
+    int64_t bbin = quote_bin(part, beta, -INFINITY);
+    int64_t abin = quote_bin(part, alpha, INFINITY);
+    long tie = -1, first_bad = -1;
     for (long i = 0; i < n; i++) {
         double p = prices[i];
-        int64_t k = bins ? bins[i] : i + 1;
+        int64_t k = part ? lookup(part, p) : i + 1;
         uint8_t bid = is_bid[i];
         if (tie < 0 && p == (bid ? alpha : beta)) tie = i;
         changed_bid[i] = bid;
@@ -275,7 +312,7 @@ long match(long n, const uint8_t *is_bid, const double *prices, const int64_t *b
                     changed_bid[i] = 0; price[i] = alpha;
                     take(&a);
                     alpha = size(&a) && best(&a) < ra ? best(&a) : ra;
-                    abin = bin_of(cuts, ncuts, alpha, INFINITY);
+                    abin = quote_bin(part, alpha, INFINITY);
                     outcome[i] = 1; sign[i] = -1;
                 }
             } else {
@@ -290,7 +327,7 @@ long match(long n, const uint8_t *is_bid, const double *prices, const int64_t *b
                 changed_bid[i] = 1; price[i] = beta;
                 take(&b);
                 beta = size(&b) && -best(&b) > rb ? -best(&b) : rb;
-                bbin = bin_of(cuts, ncuts, beta, -INFINITY);
+                bbin = quote_bin(part, beta, -INFINITY);
                 outcome[i] = 1; sign[i] = -1;
             }
         } else {
@@ -298,6 +335,8 @@ long match(long n, const uint8_t *is_bid, const double *prices, const int64_t *b
             if (p < alpha) { alpha = p; abin = k; }
             outcome[i] = 0; sign[i] = 1;
         }
+        if (first_bad < 0 && (strict ? bbin > abin && abin >= 0 : !(beta < alpha)))
+            first_bad = i;
         beta_out[i] = beta;
         alpha_out[i] = alpha;
         n_bids[i] = size(&b);
@@ -305,6 +344,7 @@ long match(long n, const uint8_t *is_bid, const double *prices, const int64_t *b
     }
     *nb = close_side(&b);
     *na = close_side(&a);
+    *bad = first_bad;
     return tie;
 }
 

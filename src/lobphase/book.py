@@ -22,9 +22,10 @@ same library carries the other exports of `_EXPORTS`, each with a numpy
 pass as its reference and fallback: two recorders that carry their sums
 from chunk to chunk, the binned one (`_binned_sums`, into `BinnedSums`) and
 the five-bin book's region pass (`_five_bin_sums`, into `FiveBinSums`); the
-refinement check's domination pass (`_refinement_maxima`); and the two
-steps of `sim.materialize`'s arrival draw: the Philox uniforms of a chunk
-(`_uniforms_py`) and the sides and prices drawn from them (`_draw_py`).
+refinement check's domination pass (`_refinement_maxima`); the two steps of
+`sim.materialize`'s arrival draw: the Philox uniforms of a chunk
+(`_uniforms_py`) and the sides and prices drawn from them (`_draw_py`); and
+the bins of an array of prices (`BinPartition.index`).
 """
 
 from __future__ import annotations
@@ -251,21 +252,21 @@ def apply_arrival(state: BookState, rule: MatchRule, order: Order) -> ArrivalEff
     return eff
 
 
-def _check_order(beta, alpha, rule: MatchRule, first: Optional[int] = None) -> None:
-    """The rule's ordering of best quotes: of one book (scalars), or after each
-    event of a chunk whose first arrival is arrival `first` (arrays)."""
-    b, a = np.atleast_1d(beta), np.atleast_1d(alpha)
+def _check_order(beta: float, alpha: float, rule: MatchRule) -> None:
+    """The rule's ordering of one book's best quotes: beta < alpha, or, as the
+    strict rule lets prices cross inside one bin, bin(beta) <= bin(alpha)
+    where both sides hold orders.  Both loops check it after every event."""
     if rule.kind == STRICT_BINNED:
-        # The strict rule lets prices cross inside one bin, so the ordering
-        # holds at bin granularity only.
         part = rule.partition
-        bad = (b != NEG_INF) & (a != POS_INF) & (part.index(b) > part.index(a))
+        bad = beta != NEG_INF and alpha != POS_INF and part.index(beta) > part.index(alpha)
     else:
-        bad = ~(b < a)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise BookInvariantError(f"best quotes out of order: beta={b[i]}, alpha={a[i]}"
-                                 + ("" if first is None else f" after arrival {first + i}"))
+        bad = not beta < alpha
+    if bad:
+        raise BookInvariantError(_out_of_order(beta, alpha))
+
+
+def _out_of_order(beta: float, alpha: float) -> str:
+    return f"best quotes out of order: beta={beta}, alpha={alpha}"
 
 
 class EventLog(NamedTuple):
@@ -306,10 +307,10 @@ def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
     checked up front, before any event.  Prices may repeat, and -0.0 is read
     as 0.0, so that equal prices are equal bytes and the order in which a
     loop meets them cannot show in the log.  After each chunk, no arrival
-    may have sat at the opposite best quote (the loop returns the first that
-    did), and the ordering must hold after every event; both errors name the
-    arrival by its index in the whole sequence.  Zero arrivals give one
-    empty chunk.
+    may have sat at the opposite best quote, and the ordering must hold
+    after every event: the loop returns the first arrival to break each, and
+    the tie is reported first.  Both errors name the arrival by its index in
+    the whole sequence.  Zero arrivals give one empty chunk.
     """
     is_bid = np.ascontiguousarray(is_bid, dtype=bool)
     prices = np.ascontiguousarray(prices, dtype=float)
@@ -327,11 +328,13 @@ def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
         bid, px = is_bid[lo:lo + size], prices[lo:lo + size]
         log = EventLog(bid, px, *(b[:px.size] for b in buffers))
         state._reserve(px.size)
-        tie = run(state, rule, log)
+        tie, bad = run(state, rule, log)
         if tie >= 0:
             raise BookInvariantError(f"arrival {lo + tie} at {px[tie]} collides "
                                      "with the opposite best quote")
-        _check_order(log.beta, log.alpha, rule, first=lo)
+        if bad >= 0:
+            raise BookInvariantError(_out_of_order(log.beta[bad], log.alpha[bad])
+                                     + f" after arrival {lo + bad}")
         yield lo, log
 
 
@@ -341,9 +344,11 @@ def _reservoirs(state: BookState) -> tuple[float, float]:
     return NEG_INF if rb is None else rb, POS_INF if ra is None else ra
 
 
-def _match_py(state: BookState, rule: MatchRule, log: EventLog) -> int:
+def _match_py(state: BookState, rule: MatchRule, log: EventLog) -> tuple[int, int]:
     """The arrival loop in Python: fills the log's arrays, changes the book and
-    returns the first arrival priced exactly at the opposite best quote, or -1.
+    returns the first arrival priced exactly at the opposite best quote and
+    the first after which the best quotes break `_check_order`, each -1 for
+    none.
 
     It runs on `heapq` lists taken from the state's heaps and writes them back.
     The reference for `_kernel.c` and the loop that runs without a compiler.
@@ -360,7 +365,7 @@ def _match_py(state: BookState, rule: MatchRule, log: EventLog) -> int:
     hit_ask, hit_bid = bytes((EXECUTED, 0, 255)), bytes((EXECUTED, 1, 255))
     res_bid, res_ask = bytes((RESERVOIR, 1, 0)), bytes((RESERVOIR, 0, 0))
     push, pop = heapq.heappush, heapq.heappop
-    tie = -1
+    tie = bad = -1
     # The bins of the best quotes (-1 for an empty side) ride along with
     # them.  A same-bin arrival executes under the ordinary binned rule and
     # never executes under the strict one; the ordinary rule is the ordinary
@@ -404,6 +409,8 @@ def _match_py(state: BookState, rule: MatchRule, log: EventLog) -> int:
             if p < alpha:
                 alpha, abin = p, k
             put(join_ask)
+        if bad < 0 and ((bbin > abin >= 0) if strict else not beta < alpha):
+            bad = len(codes) // 3 - 1
         put_quote(beta)
         put_quote(alpha)
         put_quote(p)
@@ -415,35 +422,33 @@ def _match_py(state: BookState, rule: MatchRule, log: EventLog) -> int:
     log.n_bids[:], log.n_asks[:] = np.frombuffer(sizes, np.int64).reshape(-1, 2).T
     for heap, n, keys in zip(state._heaps, state._sizes, (bids, asks)):
         heap[:len(keys)], n.value = keys, len(keys)
-    return tie
+    return tie, bad
 
 
-def _match_c(fn, state: BookState, rule: MatchRule, log: EventLog) -> int:
+def _match_c(fn, state: BookState, rule: MatchRule, log: EventLog) -> tuple[int, int]:
     """`_match_py` through the compiled `match` of `_kernel.c`, on the state's heaps in place.
 
     The pointers but the heaps', which move when `match_chunks` grows them
     for a chunk, are taken once per call, on its first chunk: every chunk's
     log is a view of the same eight buffers, and each chunk's arrivals follow
-    the previous chunk's in the call's arrays.
+    the previous chunk's in the call's arrays.  The loop bins the arrivals
+    and the best quotes itself, in the partition's table (`_c_partition`).
     """
     n = log.prices.size
     if state._c_args is None:
-        cuts = np.empty(0) if rule.kind == ORDINARY else \
-            np.ascontiguousarray(rule.partition.boundaries, dtype=float)
-        # the next chunk's is_bid and prices, then cuts, kept alive, the
-        # arguments between bins and the heaps, and the log's buffers
-        state._c_args = [log.is_bid.ctypes.data, log.prices.ctypes.data, cuts,
-                         (cuts.ctypes.data, cuts.size, rule.kind == STRICT_BINNED,
-                          *_reservoirs(state)), [a.ctypes.data for a in log[2:]]]
+        part = None if rule.kind == ORDINARY else ctypes.addressof(_c_partition(rule.partition))
+        # the next chunk's is_bid and prices, the arguments between them and
+        # the heaps, the log's buffers, and the first order violation
+        state._c_args = [log.is_bid.ctypes.data, log.prices.ctypes.data,
+                         (part, rule.kind == STRICT_BINNED, *_reservoirs(state)),
+                         [a.ctypes.data for a in log[2:]], ctypes.c_long()]
     args = state._c_args
-    bins = None if rule.kind == ORDINARY else \
-        np.ascontiguousarray(rule.partition.index(log.prices), dtype=np.int64)
     (bids, asks), (nb, na) = state._heaps, state._sizes
-    tie = fn(n, args[0], args[1], None if bins is None else bins.ctypes.data, *args[3],
-             bids.ctypes.data, nb, asks.ctypes.data, na, *args[4])
+    tie = fn(n, args[0], args[1], *args[2], bids.ctypes.data, nb, asks.ctypes.data, na,
+             *args[3], args[4])
     args[0] += n * log.is_bid.itemsize
     args[1] += n * log.prices.itemsize
-    return tie
+    return tie, args[4].value
 
 
 BLOCK = 256   # events per block in the numpy events x bins passes
@@ -818,20 +823,55 @@ def _uniforms_c(fn, key: tuple[int, int], first: int, out: np.ndarray) -> np.nda
     return out
 
 
+class _Partition(ctypes.Structure):
+    """`struct partition` of `_kernel.c`: a `BinPartition`'s lookup table."""
+
+    _p = ctypes.c_void_p
+    _fields_ = [("lo", ctypes.c_double), ("hi", ctypes.c_double), ("scale", ctypes.c_double),
+                ("nan_cell", ctypes.c_double), ("table", _p), ("upper", _p)]
+
+
+def _c_partition(part: BinPartition) -> _Partition:
+    """The C form of `part`'s lookup table.
+
+    Built once, and kept on `part`, whose arrays its pointers read.
+    """
+    c = part.__dict__.get("_c_partition")
+    if c is None:
+        if part._table.dtype != np.int64:
+            raise ValueError("the compiled bins read an int64 lookup table")
+        c = _Partition(*part.support, part._scale, part._nan_cell, part._table.ctypes.data,
+                       part._upper.ctypes.data)
+        object.__setattr__(part, "_c_partition", c)
+    return c
+
+
+def _bins_c(fn, part: BinPartition, prices) -> np.ndarray:
+    """`BinPartition.index` of an array of prices, through the compiled `bins`
+    of `_kernel.c`."""
+    x = np.ascontiguousarray(prices, dtype=float)
+    out = np.empty(x.shape, dtype=np.intp)
+    fn(x.size, x.ctypes.data, ctypes.byref(_c_partition(part)), out.ctypes.data)
+    return out
+
+
 class _Kernel(NamedTuple):
     name: str                # "c" or "python"
-    run: Callable            # (state, rule, log) -> first opposite-best tie, or -1
+    run: Callable            # (state, rule, log) -> (first opposite-best tie, first
+                             # order violation), each -1 for none
     binned: Callable         # (sums, times, t0, half, beta, alpha, three bins, changes) -> None
     five_bin: Callable       # (sums, bins, changed_bid, sign, normals, K) -> above K
     refinement: Callable     # (is_bid, bins, steps, nbins) -> (max_b, max_a)
     draw: Callable           # (spec, side_u, price_u, is_bid out, prices out) -> None
     uniforms: Callable       # ((seed, tag), first, out) -> out
+    bins: Callable           # (partition, prices) -> bin of each price
     library: Optional[Path]  # the compiled library, for the C kernel
 
 
-_EXPORTS = ("match", "binned", "five_bin", "refinement", "draw", "uniforms")
+_EXPORTS = ("match", "binned", "five_bin", "refinement", "draw", "uniforms", "bins")
 _PYTHON_KERNEL = _Kernel("python", _match_py, _binned_sums, _five_bin_sums,
-                         _refinement_maxima, _draw_py, _uniforms_py, None)
+                         _refinement_maxima, _draw_py, _uniforms_py, BinPartition.index,
+                         None)
 
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -913,23 +953,26 @@ def _load_kernel() -> _Kernel:
     try:
         library = _library()
         lib = ctypes.CDLL(str(library))
-        match, binned, five_bin, refinement, draw, uniforms = (getattr(lib, e)
-                                                               for e in _EXPORTS)
+        match, binned, five_bin, refinement, draw, uniforms, bins = (getattr(lib, e)
+                                                                     for e in _EXPORTS)
     except (OSError, AttributeError, subprocess.SubprocessError):
         return _PYTHON_KERNEL
     p, n, d = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    match.argtypes = [n, p, p, p, p, n, ctypes.c_int, d, d, p, ctypes.POINTER(n), p,
-                      ctypes.POINTER(n), *[p] * len(_LOG_DTYPES)]
+    match.argtypes = [n, p, p, p, ctypes.c_int, d, d, p, ctypes.POINTER(n), p,
+                      ctypes.POINTER(n), *[p] * len(_LOG_DTYPES), ctypes.POINTER(n)]
     binned.argtypes = [n, p, d, n, p, p, p, p, p, p, p, n, n, p, p, p, p, p, p]
     five_bin.argtypes = [n, p, p, p, p, n, d, p, p, p, p, p, p, p]
     refinement.argtypes = [n, p, p, p, n, p, p, p, p]
     draw.argtypes = [n, p, p, d, p, p, p, p]
     uniforms.argtypes = [n, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64, p]
+    bins.argtypes = [n, p, p, p]
     binned.restype = refinement.restype = draw.restype = uniforms.restype = None
+    bins.restype = None
     match.restype = five_bin.restype = n
     return _Kernel("c", partial(_match_c, match), partial(_binned_c, binned),
                    partial(_five_bin_c, five_bin), partial(_refinement_c, refinement),
-                   partial(_draw_c, draw), partial(_uniforms_c, uniforms), library)
+                   partial(_draw_c, draw), partial(_uniforms_c, uniforms),
+                   partial(_bins_c, bins), library)
 
 
 def _kernel() -> _Kernel:

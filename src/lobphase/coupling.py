@@ -114,7 +114,7 @@ class _Changes(tuple):
     holds each changed price's bin in it instead of the price."""
 
     def fold(self, lo: int, log: EventLog) -> None:
-        key = log.price if self.bins is None else self.bins.index(log.price)
+        key = log.price if self.bins is None else _kernel().bins(self.bins, log.price)
         for run, chunk in zip(self, (log.changed_bid, key, log.sign)):
             run[lo:lo + chunk.size] = chunk
 

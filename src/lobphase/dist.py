@@ -367,6 +367,11 @@ class BinPartition:
         # the cut above each bin; NaN above the last, which no price reaches
         object.__setattr__(self, "_upper", np.append(b, np.nan))
 
+    def __reduce__(self):
+        # rebuilt from its fields: the compiled lookup's C form that
+        # `book._c_partition` keeps on it holds pointers, which do not copy
+        return BinPartition, (self.support, self.boundaries)
+
     @property
     def n_bins(self) -> int:
         return self.boundaries.size + 1
@@ -437,15 +442,20 @@ def make_partition(n_bins: int, spec: ArrivalSpec) -> BinPartition:
 
 
 def refines(fine: BinPartition, coarse: BinPartition) -> bool:
-    """True iff every cut of `coarse` merges into a cut of `fine` (`_merged`'s rule)."""
-    return union_refinement(fine, coarse).n_bins == fine.n_bins
+    """True iff every cut of `coarse` merges into a cut of `fine` (`_merged`'s
+    rule): the union of their cuts has as many as `fine`'s."""
+    return _union_cuts(fine, coarse).size == fine.boundaries.size
 
 
 def union_refinement(a: BinPartition, b: BinPartition) -> BinPartition:
     """Coarsest partition refining both arguments (boundary-set union)."""
+    return BinPartition(a.support, _union_cuts(a, b))
+
+
+def _union_cuts(a: BinPartition, b: BinPartition) -> np.ndarray:
     if not np.allclose(a.support, b.support, atol=BOUNDARY_MERGE_TOL):
         raise ValueError("partitions live on different supports")
-    return BinPartition(a.support, _merged(np.concatenate([a.boundaries, b.boundaries])))
+    return _merged(np.concatenate([a.boundaries, b.boundaries]))
 
 
 def _merged(cuts: np.ndarray) -> np.ndarray:

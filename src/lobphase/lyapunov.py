@@ -504,7 +504,8 @@ def running_max_evidence(spec: ArrivalSpec, n_events: int, seed: int,
                          materialize(ArrivalStream(seed, n_events, spec)),
                          record_every=max(1, n_events // 10), seed=seed,
                          runmax_band=_band_prices(part, k_b, k_a))
-    frac = trace.runmax_last_jump / n_events if n_events else 0.0
+    # 0 where the count never rose, as in a run without arrivals
+    frac = max(trace.runmax_last_jump, 0) / max(n_events, 1)
     return RunMaxEvidence(k_b=k_b, k_a=k_a, n_events=n_events, seed=seed,
                           last_jump_index=trace.runmax_last_jump,
                           last_jump_fraction=frac, max_value=trace.runmax_value,

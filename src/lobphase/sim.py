@@ -120,7 +120,8 @@ def materialize(stream: ArrivalStream) -> Arrivals:
                     kernel.uniforms(price, lo, price_u[:hi - lo]), is_bid[lo:hi], prices[lo:hi])
     if stream.time_mode == EVENT_COUNT:
         # t_n = n/2 matches rate-1 bid and rate-1 ask arrivals in expectation.
-        times = 0.5 * np.arange(1, n + 1, dtype=float)
+        times = np.arange(1, n + 1, dtype=float)
+        times *= 0.5
     else:
         # Exponential(0.5) gaps, summed in order from the carried time as
         # one cumsum over the run would.
@@ -326,11 +327,11 @@ class _Binned:
         trace.occupation_b, trace.occupation_a = time[1, :, 1:], time[2, :, 1:]
 
     def fold(self, lo: int, log: EventLog) -> None:
-        tr, part = self.trace, self.trace.partition
+        tr, part, kernel = self.trace, self.trace.partition, _kernel()
         times = self.times[lo:lo + log.price.size]
-        _kernel().binned(self.sums, times, self.t, tr.n_events // 2 - lo, log.beta, log.alpha,
-                         part.index(log.beta), part.index(log.alpha), part.index(log.price),
-                         log.changed_bid, log.sign)
+        kernel.binned(self.sums, times, self.t, tr.n_events // 2 - lo, log.beta, log.alpha,
+                      *(kernel.bins(part, x) for x in (log.beta, log.alpha, log.price)),
+                      log.changed_bid, log.sign)
         self.t = times[-1]
 
 
@@ -343,8 +344,9 @@ class _FiveBin:
         self.sums, self.flips = FiveBinSums.zeros(), []
 
     def fold(self, lo: int, log: EventLog) -> None:
-        above = _kernel().five_bin(self.sums, self.part.index(log.price), log.changed_bid,
-                                   log.sign, self.normals, self.K)
+        kernel = _kernel()
+        above = kernel.five_bin(self.sums, kernel.bins(self.part, log.price), log.changed_bid,
+                                log.sign, self.normals, self.K)
         # after an odd count of flips the gauge exceeds K
         self.flips += (lo + np.flatnonzero(np.diff(above, prepend=len(self.flips) % 2))).tolist()
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from lobphase.dist import (ArrivalSpec, BinPartition, PriceDist, cdf_table_dist,
-                           dist_from_config, make_partition, piecewise_linear_dist,
-                           refines, transform_to_uniform_bid,
+from lobphase.dist import (BOUNDARY_MERGE_TOL, ArrivalSpec, BinPartition, PriceDist,
+                           cdf_table_dist, dist_from_config, make_partition,
+                           piecewise_linear_dist, refines, transform_to_uniform_bid,
                            uniform_dist, union_refinement)
 
 
@@ -331,6 +331,35 @@ class TestRefines:
         b = BinPartition((0, 1), np.array([0.21, 0.77]))
         u = union_refinement(a, b)
         assert refines(u, a) and refines(u, b)
+
+
+# offsets that merge a cut into its neighbour and ones that keep it apart
+MERGE_OFFSETS = [0.0, 0.4 * BOUNDARY_MERGE_TOL, -0.9 * BOUNDARY_MERGE_TOL,
+                 BOUNDARY_MERGE_TOL, 3 * BOUNDARY_MERGE_TOL, -1e-6]
+
+
+@st.composite
+def partition_pairs(draw):
+    """Two partitions of [0, 1]: `fine`, whose cuts may lie within the merge
+    tolerance of each other, and `coarse`, drawn from fine's cuts, each moved
+    by one of MERGE_OFFSETS, and cuts of its own."""
+    def partition(cuts):
+        b = np.unique(cuts)
+        return BinPartition((0.0, 1.0), b[(0.0 < b) & (b < 1.0)])
+
+    base = draw(st.lists(st.floats(0.01, 0.99), max_size=12))
+    twins = [c + draw(st.sampled_from(MERGE_OFFSETS)) for c in base[:draw(st.integers(0, 3))]]
+    fine = partition(base + twins)
+    kept = [c + draw(st.sampled_from(MERGE_OFFSETS)) for c in fine.boundaries.tolist()
+            if draw(st.booleans())]
+    return fine, partition(kept + draw(st.lists(st.floats(0.01, 0.99), max_size=2)))
+
+
+@given(partition_pairs())
+@settings(max_examples=300, deadline=None)
+def test_refines_counts_the_union_of_cuts(pair):
+    fine, coarse = pair
+    assert refines(fine, coarse) == (union_refinement(fine, coarse).n_bins == fine.n_bins)
 
 
 class TestConfig:

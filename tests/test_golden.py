@@ -307,18 +307,19 @@ def test_chunked_collision_names_the_global_arrival(chunk, kernel):
 def test_chunked_crossed_book_names_the_global_arrival(chunk, kernel, monkeypatch,
                                                        uniform_spec):
     # A loop that reports the book crossed after arrival `at`, the first of a
-    # chunk: the order check after each chunk must name it by its index in
-    # the whole run.
+    # chunk: the order error raised after that chunk must name it by its
+    # index in the whole run.
     at = first_of_a_chunk(chunk)
     loop = book._kernel()
 
     def crossing(state, rule, log):
-        tie = loop.run(state, rule, log)
+        tie, bad = loop.run(state, rule, log)
         start = done[0]
         done[0] += log.prices.size
         if start <= at < done[0]:
             log.beta[at - start] = log.alpha[at - start]
-        return tie
+            bad = at - start
+        return tie, bad
 
     monkeypatch.setattr(book, "_loaded", loop._replace(run=crossing))
     arr = sim.materialize(sim.ArrivalStream(2, 3 * 4096 + 5, uniform_spec))

@@ -12,8 +12,10 @@ valid heap, and raise the same error on the same input; its binned-recorder and
 refinement passes must give the bytes and dtypes of the numpy `_binned_sums`
 and `_refinement_maxima` (the five-bin pass is tested in test_lyapunov.py), its
 arrival draw the bytes of the numpy `_draw_py` on random laws of every
-built-in kind, and its Philox uniforms the bytes of numpy's generator.  Every
-export must be loaded with the signature of its C prototype.
+built-in kind, its Philox uniforms the bytes of numpy's generator, and its
+bins those of `BinPartition.index`; both loops must report the same first
+violation of the quote order, from any starting book.  Every export must be
+loaded with the signature of its C prototype.
 """
 
 import copy
@@ -37,7 +39,7 @@ from lobphase.book import (EXECUTED, JOINED, ORDINARY, ORDINARY_BINNED, RESERVOI
                            STRICT_BINNED, BookInvariantError, BookState, MatchRule,
                            Order, apply_arrival)
 from lobphase.dist import (ArrivalSpec, BinPartition, make_partition, piecewise_linear_dist,
-                           uniform_dist)
+                           uniform_dist, union_refinement)
 
 from helpers import match_arrivals, reflected_arrivals
 
@@ -343,6 +345,45 @@ def test_both_kernels_accept_a_strict_book_crossed_inside_a_bin(c_kernel, is_bid
     assert assert_kernels_agree(c_kernel, RULES[STRICT_BINNED],
                                 BookState(bids=[0.57], asks=[0.53]),
                                 np.array(is_bid, dtype=bool), np.array(px, dtype=float))
+
+
+def run_straight(kernel, rule, book, is_bid, px):
+    """One chunk passed to the kernel's `run` with no check of the starting
+    book: its (tie, first order violation), log rows and final book."""
+    state = book.clone()
+    is_bid, px = np.array(is_bid, dtype=bool), np.array(px, dtype=float)
+    log = book_module.EventLog(is_bid, px, *(np.empty(px.size, dtype)
+                                             for dtype in book_module._LOG_DTYPES))
+    state._reserve(px.size)
+    state._c_args = None
+    return kernel.run(state, rule, log), kernel_rows(log), book_bytes(state)
+
+
+# A crossed starting book, which match_chunks refuses up front, given straight
+# to `run`, and the (tie, first order violation) each rule must report.
+CROSSED_STARTS = [
+    # a bid that joins deep leaves the book crossed after event 0, by price
+    # and by bin (6 over 4)
+    (BookState(bids=[0.65], asks=[0.45]), [True, False, True], [0.1, 0.95, 0.05],
+     {ORDINARY: (-1, 0), ORDINARY_BINNED: (-1, 0), STRICT_BINNED: (-1, 0)}),
+    # event 0 executes the crossing ask, so the book is in order after it;
+    # the bid at the best ask 0.7, event 3, joins at that price under the
+    # ordinary rule and crosses it again, executes under the ordinary binned
+    # rule and joins in the ask's bin under the strict one
+    (BookState(bids=[0.6], asks=[0.4, 0.7]), [True, False, True, True, False],
+     [0.65, 0.95, 0.2, 0.7, 0.99],
+     {ORDINARY: (3, 3), ORDINARY_BINNED: (3, -1), STRICT_BINNED: (3, -1)}),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(RULES))
+@pytest.mark.parametrize("book, is_bid, px, first", CROSSED_STARTS)
+def test_both_kernels_report_the_first_order_violation(c_kernel, kind, book, is_bid, px,
+                                                        first):
+    got = run_straight(c_kernel, RULES[kind], book, is_bid, px)
+    want = run_straight(PYTHON_LOOP, RULES[kind], book, is_bid, px)
+    assert got == want
+    assert got[0] == first[kind]
 
 
 @pytest.mark.parametrize("kernel", ["c", "python"])
@@ -847,6 +888,60 @@ def test_c_refinement_reports_equal_numpy_pass(c_kernel, reservoir_books_accepte
     assert coupling_reports(c_kernel) == coupling_reports(numpy_pass)
 
 
+# -- the bins of prices ---------------------------------------------------------
+
+TENT = piecewise_linear_dist([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
+TENT_SPEC = ArrivalSpec(TENT, TENT)
+UNIFORM_SPEC = ArrivalSpec(uniform_dist(), uniform_dist())
+TINY = np.nextafter(0.0, 1.0)
+# zeros of both signs, subnormals, the infinities, NaN and prices far outside
+BIN_SPECIAL = np.array([0.0, -0.0, TINY, -TINY, 2.2e-308, -2.2e-308, np.inf, -np.inf, np.nan,
+                        -1.0, 2.0, -1e308, 1e308])
+
+
+@st.composite
+def bin_partitions(draw):
+    kind = draw(st.sampled_from(["one_bin", "tent", "union", "support"]))
+    if kind == "one_bin":
+        lo = draw(st.floats(-10.0, 10.0))
+        return BinPartition((lo, lo + draw(st.floats(1e-3, 10.0))))
+    if kind == "tent":
+        return make_partition(draw(st.integers(2, 200)), TENT_SPEC)
+    cuts = draw(st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=30))
+    if kind == "union":
+        # cuts within the merge tolerance of the uniform law's fall into one
+        n = draw(st.integers(2, 100))
+        near = [k / n + d for k in range(1, n, 7) for d in (3e-13, -3e-13)]
+        return union_refinement(make_partition(n, UNIFORM_SPEC),
+                                BinPartition((0.0, 1.0), np.unique(cuts + near)))
+    lo, width = draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-2, 1e3))
+    b = np.unique(lo + width * np.array(cuts))
+    return BinPartition((lo, lo + width), b[(lo < b) & (b < lo + width)])
+
+
+@given(bin_partitions(), st.lists(st.floats(), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_c_bins_match_numpy(c_kernel, part, drawn):
+    b, (lo, hi) = part.boundaries, part.support
+    ends = np.array([lo, hi])
+    prices = np.concatenate((b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), ends,
+                             np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+                             BIN_SPECIAL, drawn))
+    for x in (prices, prices[::-2], np.stack((prices, prices[::-1])), prices[:0]):
+        got, want = c_kernel.bins(part, x), PYTHON_LOOP.bins(part, x)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_c_bins_survive_a_copy(c_kernel):
+    # the C form kept on a partition cannot be copied; a copy builds its own
+    part = make_partition(10, UNIFORM_SPEC)
+    x = np.random.default_rng(5).random(100)
+    first = c_kernel.bins(part, x)
+    for copied in (copy.copy(part), copy.deepcopy(part)):
+        assert "_c_partition" not in copied.__dict__
+        assert np.array_equal(c_kernel.bins(copied, x), first)
+
+
 # An exported C function's prototype: what it returns, its name, its parameters
 EXPORTED = re.compile(r"^(void|long) (\w+)\(([^)]*)\)", re.M)
 C_SCALARS = {"long": ctypes.c_long, "double": ctypes.c_double, "int": ctypes.c_int,
@@ -893,14 +988,16 @@ def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, cc):
     monkeypatch.setattr(book_module, "_CC", cc)
     kernel = book_module._load_kernel()
     assert kernel == PYTHON_LOOP
-    assert (kernel.run, kernel.binned, kernel.five_bin, kernel.refinement, kernel.draw) == (
+    assert (kernel.run, kernel.binned, kernel.five_bin, kernel.refinement, kernel.draw,
+            kernel.uniforms, kernel.bins) == (
         book_module._match_py, book_module._binned_sums, book_module._five_bin_sums,
-        book_module._refinement_maxima, book_module._draw_py)
+        book_module._refinement_maxima, book_module._draw_py, book_module._uniforms_py,
+        BinPartition.index)
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("export", ["match", "binned", "five_bin", "refinement", "draw",
-                                    "uniforms"])
+                                    "uniforms", "bins"])
 def test_library_lacking_an_export_is_neither_cached_nor_loaded(monkeypatch, tmp_path,
                                                                export):
     # the source builds, but its library lacks one of its exports

@@ -364,6 +364,12 @@ class TestRunningMax:
         assert ev.last_jump_index == -1 and ev.max_value == 0
         assert ev.series.shape == (0, 3)
 
+    def test_band_that_never_fills_reports_fraction_zero(self, uniform_spec):
+        # no bin lies above bin 99 or below bin 0: the count never rises
+        ev = running_max_evidence(uniform_spec, 2_000, seed=0, k_b=99, k_a=0)
+        assert ev.last_jump_index == -1 and ev.max_value == 0
+        assert ev.last_jump_fraction == 0.0
+
     def test_default_bins_bracket_thresholds(self, uniform_spec):
         ev = running_max_evidence(uniform_spec, 20_000, seed=1)
         assert (ev.k_b, ev.k_a) == (21, 78)
