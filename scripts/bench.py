@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the arrival draw, the match loop, the bins of prices
-and the refinement check, as JSON.
+"""Per-layer timings of the arrival draw, the match loop, the bins of prices,
+the refinement check, the recorders and the trace CSVs, as JSON.
 
 Each figure is the median over --repeats calls in this process:
 
@@ -17,7 +17,13 @@ Each figure is the median over --repeats calls in this process:
   compiled kernel's `bins` and the numpy body, taking turns call by call;
 - `coupling.check_refinement` of the 100-bin partition against the 10-bin
   one on --n-draw uniform arrivals, in seconds per call, under each
-  binned rule.
+  binned rule;
+- each recorder fold of the recurrence drivers (`sim._Checkpoints`,
+  `_Binned`, `_FiveBin`, `_BandCount` and `_RunningMax`) over the chunk logs
+  of one --n-fold-arrival run, in ns per arrival, under the compiled kernel
+  and under the numpy reference passes, taking turns run by run;
+- `sim.write_trace_csvs` of a --n-fold-arrival `sim.run` trace recorded on
+  100 bins, as `lobphase simulate --bins 100` writes it.
 
 The record also carries the machine (CPU model, nproc, Python, numpy and
 `book.KERNEL`).  Where no C compiler is available, the compiled columns are
@@ -32,12 +38,13 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from lobphase import book, coupling, sim
+from lobphase import book, coupling, lyapunov, sim
 from lobphase.book import ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule
 from lobphase.dist import ArrivalSpec, make_partition, piecewise_linear_dist, uniform_dist
 
@@ -152,6 +159,84 @@ def time_refinement(kernel, n: int, repeats: int) -> dict:
     return {kind: round(statistics.median(s), 4) for kind, s in seconds.items()}
 
 
+def chunk_logs(rule: MatchRule, state: BookState, arr: sim.Arrivals) -> list:
+    """Copies of the chunk logs of one run, as `sim._fold` hands them on."""
+    return [(lo, book.EventLog(*(np.array(a) for a in log)))
+            for lo, log in book.match_chunks(state, rule, arr.is_bid, arr.prices, sim.CHUNK)]
+
+
+def recorders(n: int) -> dict:
+    """Each recorder of the recurrence drivers on uniform arrivals: a maker of
+    a fresh one and the chunk logs it folds.  The checkpoints, the binned
+    recorders (100 bins) and the running max (bins 21 and 78) fold an empty
+    book's run, as `simulate` and `running_max_evidence` do; the five-bin
+    recorder (eps = 0.01, K = 20) and the band count (the band (0.4, 0.6),
+    sampled every 50 events of the second half) fold reservoir books, as
+    `simulate_5bin` and `check_geometric_bound` do."""
+    spec = laws()["uniform"]
+    arr = sim.materialize(sim.ArrivalStream(SEED, n, spec))
+    part, five = make_partition(100, spec), lyapunov.five_bin_partition(0.01)
+    plain = chunk_logs(MatchRule(ORDINARY), BookState(), arr)
+    lo_mid = 0.5 * (0.2 + 0.01)     # inside bin 1, as simulate_5bin's bid reservoir
+    every = max(1, n // 100)
+    cp = np.arange(every - 1, n, every)
+
+    def trace(**options) -> sim.Trace:
+        return sim.Trace(SEED, n, arr.p_b, every, arr.times[cp], np.empty(cp.size, np.int64),
+                         np.empty(cp.size, np.int64), np.empty(cp.size), np.empty(cp.size),
+                         **options)
+
+    inside = (float(np.nextafter(0.4, np.inf)), 0.6)
+    return {
+        "_Checkpoints": (lambda: sim._Checkpoints(trace(), cp), plain),
+        "_Binned": (lambda: sim._Binned(trace(partition=part), BookState(), arr.times), plain),
+        "_FiveBin": (lambda: sim._FiveBin(five, lyapunov._GAUGE_NORMALS, 20.0),
+                     chunk_logs(MatchRule(ORDINARY_BINNED, five),
+                                BookState(bid_reservoir=lo_mid, ask_reservoir=1 - lo_mid),
+                                arr)),
+        "_BandCount": (lambda: sim._BandCount(inside, inside, at=np.arange(n // 2, n, 50)),
+                       chunk_logs(MatchRule(ORDINARY),
+                                  BookState(bid_reservoir=0.4, ask_reservoir=0.6), arr)),
+        "_RunningMax": (lambda: sim._RunningMax(trace(), lyapunov._band_prices(part, 21, 78),
+                                                arr.times), plain),
+    }
+
+
+def time_folds(kernels: dict, n: int, repeats: int) -> dict:
+    """ns per arrival of each recorder's fold over its run's chunk logs, a
+    fresh recorder per run, under each named kernel, the kernels taking
+    turns run by run."""
+    out = {}
+    for name, (make, logs) in recorders(n).items():
+        seconds = {k: [] for k in kernels}
+        for _ in range(repeats):
+            for k, kernel in kernels.items():
+                book._loaded = kernel
+                recorder = make()
+                t0 = time.perf_counter()
+                for lo, log in logs:
+                    recorder.fold(lo, log)
+                seconds[k].append(time.perf_counter() - t0)
+        out[name] = {"c": None, **{k: median_ns(s, n) for k, s in seconds.items()}}
+    return out
+
+
+def time_csvs(n: int, repeats: int) -> dict:
+    """ns per arrival and ms per call of `write_trace_csvs` on the trace that
+    `lobphase simulate --n <n> --bins 100` writes."""
+    spec = laws()["uniform"]
+    trace = sim.run(MatchRule(ORDINARY), BookState(), sim.ArrivalStream(SEED, n, spec),
+                    max(1, n // 100), record_partition=make_partition(100, spec))
+    seconds = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            sim.write_trace_csvs(trace, tmp, {"n": n, "seed": SEED, "bins": 100})
+            seconds.append(time.perf_counter() - t0)
+    return {"ns_per_arrival": median_ns(seconds, n),
+            "ms_per_call": round(1e3 * statistics.median(seconds), 3)}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -159,6 +244,8 @@ def main() -> None:
                     help="arrivals per materialize and check_refinement call")
     ap.add_argument("--match-sizes", default="60000,1000000,4000000",
                     help="comma-separated arrival counts of the match loop")
+    ap.add_argument("--n-fold", type=int, default=40_000,
+                    help="arrivals of the runs the recorders fold and the trace CSVs hold")
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--out", default="out/bench")
     args = ap.parse_args()
@@ -183,6 +270,9 @@ def main() -> None:
         bins = {str(k): {"c": None, **time_bins(bin_kernels, k, args.repeats)}
                 for k in (10, 100, 200)}
         refinement = time_refinement(loaded, args.n_draw, args.repeats)
+        folds = time_folds(bin_kernels, args.n_fold, args.repeats)
+        book._loaded = loaded
+        csvs = time_csvs(args.n_fold, args.repeats)
     finally:
         book._loaded = loaded
     record = {
@@ -195,6 +285,8 @@ def main() -> None:
         "match_loop_ns_per_arrival": match,
         "bins_ns_per_price": {"n": sim.CHUNK, "bins": bins},
         "check_refinement_s": {"n": args.n_draw, "kernel": loaded.name, **refinement},
+        "recorder_folds_ns_per_arrival": {"n": args.n_fold, "folds": folds},
+        "write_trace_csvs": {"n": args.n_fold, "bins": 100, "kernel": loaded.name, **csvs},
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -208,6 +300,10 @@ def main() -> None:
         print(f"bins {k:>3s} bins         c {row['c']} ns, numpy {row['numpy']} ns per price")
     for kind, sec in refinement.items():
         print(f"check_refinement {kind}: {sec} s on {args.n_draw} arrivals")
+    for name, row in folds.items():
+        print(f"fold {name:13s}       c {row['c']} ns, numpy {row['numpy']} ns per arrival")
+    print(f"write_trace_csvs: {csvs['ns_per_arrival']} ns per arrival, "
+          f"{csvs['ms_per_call']} ms per call on {args.n_fold} arrivals")
     print(f"wrote {out / 'bench.json'}")
 
 

@@ -1,4 +1,4 @@
-/* Seven passes of lobphase, compiled.
+/* Eight passes of lobphase, compiled.
  *
  * uniforms writes a stretch of the uniform draws of one Philox4x64-10 stream,
  * numpy's Philox bit for bit: output j is a function of the stream's key and
@@ -25,6 +25,10 @@
  * book._refinement_maxima.  Every float sum is added to in the order the
  * numpy pass adds to it, and the build forbids contracting a*b + c into one
  * fused multiply-add, so the sums equal the numpy ones bit for bit.
+ *
+ * band is the band count of book._band_counts: the resting bids and asks of
+ * two price bands, the running maximum of their sum and its series, in one
+ * pass over a chunk's changes, with integer counts equal to the numpy ones.
  */
 #include <math.h>
 #include <stdint.h>
@@ -365,38 +369,53 @@ void binned(long n, const double *times, double t, long half, const double *beta
             const double *alpha, const int64_t *beta_bin, const int64_t *alpha_bin,
             const int64_t *price_bin, const uint8_t *changed_bid, const int8_t *sign,
             long nbins, long max_offset, int64_t *pre, double *time, int64_t *joint,
-            int64_t *visits, int64_t *counts, int64_t *sums) {
-    long row = nbins + 1;
+            int64_t *visits, int64_t *restrict counts, int64_t *restrict sums) {
+    long row = nbins + 1, i = 0;
     int64_t pre_b = pre[0], pre_a = pre[1];
-    for (long i = 0; i < n; i++) {
-        double dt = times[i] - t, *cells = i < half ? time : time + row;
-        cells[0] += dt;
-        cells[2 * row + pre_b + 1] += dt;
-        cells[4 * row + pre_a + 1] += dt;
-        t = times[i];
-        int64_t b = beta[i] == -INFINITY ? -1 : beta_bin[i];
-        int64_t a = alpha[i] == INFINITY ? -1 : alpha_bin[i];
-        if (b >= 0) {
+    /* the run's two halves: events before `half`, then the rest */
+    for (double *cells = time; cells <= time + row; cells += row) {
+        long end = cells == time ? (half < 0 ? 0 : half < n ? half : n) : n;
+        /* the half's elapsed time in a local, adding as the cell would */
+        double elapsed = cells[0];
+        for (; i < end; i++) {
+            double dt = times[i] - t;
+            elapsed += dt;
+            cells[2 * row + pre_b + 1] += dt;
+            cells[4 * row + pre_a + 1] += dt;
+            t = times[i];
+            int64_t b = beta[i] == -INFINITY ? -1 : beta_bin[i];
+            int64_t a = alpha[i] == INFINITY ? -1 : alpha_bin[i];
+            /* an ask adds 0, with no branch on the side */
+            counts[price_bin[i]] += sign[i] * changed_bid[i];
+            pre_b = b;
+            pre_a = a;
+            if (b < 0) continue;
             visits[b]++;
             if (a >= 0) joint[b * nbins + a]++;
+            /* bins b, b - 1, ..., b - top, two at a time, which the compiler
+             * turns into one vector add */
+            long top = b < max_offset ? b : max_offset, j = 0;
+            int64_t *out = sums + b * (max_offset + 1);
+            const int64_t *at_b = counts + b;
+            for (; j < top; j += 2) {
+                out[j] += at_b[-j];
+                out[j + 1] += at_b[-j - 1];
+            }
+            if (j == top) out[j] += at_b[-j];
         }
-        if (changed_bid[i]) counts[price_bin[i]] += sign[i];
-        for (long j = 0; j <= max_offset && j <= b; j++)
-            sums[b * (max_offset + 1) + j] += counts[b - j];
-        pre_b = b;
-        pre_a = a;
+        cells[0] = elapsed;
     }
     pre[0] = pre_b;
     pre[1] = pre_a;
 }
 
 /* The largest of the m products <x, normals[j]>: the polytope gauge. */
-static double gauge(const double *normals, long m, const int64_t *x) {
+static inline double gauge(const double *normals, long m, const int64_t *x) {
     double g = -INFINITY;
     for (long j = 0; j < m; j++) {
         const double *v = normals + 3 * j;
         double s = v[0] * (double)x[0] + v[1] * (double)x[1] + v[2] * (double)x[2];
-        if (s > g) g = s;
+        g = s > g ? s : g;      /* a select, not a branch on which normal wins */
     }
     return g;
 }
@@ -417,20 +436,33 @@ long five_bin(long n, const int64_t *bins, const uint8_t *changed_bid, const int
               const double *normals, long m, double K, int64_t *x, int64_t *visits,
               double *dx_sum, int64_t *visits_hi, double *dgauge_sum, double *dgauge_sq,
               uint8_t *above) {
-    double g = gauge(normals, m, x);
+    /* the state in locals, which no store through the sums' pointers can change */
+    int64_t y[3] = {x[0], x[1], x[2]};
+    double g = gauge(normals, m, y);
+    long stop = -1;
     for (long i = 0; i < n; i++) {
-        int b = x[2] > 0 ? 4 : x[1] > 0 ? 3 : x[0] > 0 ? 2 : 1;
-        int a = x[0] < 0 ? 2 : x[1] < 0 ? 3 : x[2] < 0 ? 4 : 5;
-        if (b >= a) return i;
+        /* looked up by the signs, with no branch on them, as the signs of a
+         * state near 0 come and go: the highest middle bin holding bids and
+         * the lowest holding asks, of the masks of bins 1..3 that do */
+        static const long highest[8] = {1, 2, 3, 3, 4, 4, 4, 4};
+        static const long lowest[8] = {5, 2, 3, 2, 4, 2, 3, 2};
+        long b = highest[(y[0] > 0) | (y[1] > 0) << 1 | (y[2] > 0) << 2];
+        long a = lowest[(y[0] < 0) | (y[1] < 0) << 1 | (y[2] < 0) << 2];
+        if (b >= a) {
+            stop = i;
+            break;
+        }
         long cell = 6 * b + a;
         int64_t k = bins[i];
         visits[cell]++;
+        /* a change outside the middle bins, or by 0, leaves the state, so its gauge */
+        double next = g;
         if (1 <= k && k <= 3) {
-            int64_t dx = changed_bid[i] ? sign[i] : -sign[i];
-            x[k - 1] += dx;
+            int64_t dx = sign[i] * (2 * (int64_t)changed_bid[i] - 1);    /* asks count down */
+            y[k - 1] += dx;
             dx_sum[3 * cell + k - 1] += (double)dx;
+            if (dx) next = gauge(normals, m, y);
         }
-        double next = gauge(normals, m, x);
         above[i] = g > K;
         if (above[i]) {
             double dg = next - g;
@@ -440,7 +472,50 @@ long five_bin(long n, const int64_t *bins, const uint8_t *changed_bid, const int
         }
         g = next;
     }
-    return -1;
+    memcpy(x, y, sizeof y);
+    return stop;
+}
+
+/* The two band counts: of the resting bids priced in [bands[0], bands[1])
+ * and of the asks priced in [bands[2], bands[3]).  Change i moves the count
+ * of its side (changed_bid[i]) by sign[i] where its price lies in that
+ * side's band.  last holds the two counts and the running maximum of their
+ * sum before the chunk, and gets them after it.  Where counts is not NULL,
+ * counts[i] and counts[n + i] get the two counts after change i; where
+ * series is not NULL, its row i gets (times[i], their sum, the running
+ * maximum after it).
+ * Returns the last change whose sum exceeds the maximum before it, or -1. */
+long band(long n, const uint8_t *changed_bid, const double *price, const int8_t *sign,
+          const double *bands, int64_t *last, int64_t *restrict counts, const double *times,
+          double *restrict series) {
+    int64_t bid = last[0], ask = last[1], top = last[2];
+    long jump = -1;
+    /* without a branch on the side or the band, which a random change would mispredict */
+    for (long i = 0; i < n; i++) {
+        double p = price[i];
+        int64_t is_bid = changed_bid[i];
+        const double *side = bands + 2 - 2 * is_bid;
+        int64_t step = ((side[0] <= p) & (p < side[1])) * sign[i];
+        bid += step & -is_bid;
+        ask += step & (is_bid - 1);
+        if (counts) {
+            counts[i] = bid;
+            counts[n + i] = ask;
+        }
+        if (bid + ask > top) {
+            top = bid + ask;
+            jump = i;
+        }
+        if (series) {
+            series[3 * i] = times[i];
+            series[3 * i + 1] = (double)(bid + ask);
+            series[3 * i + 2] = (double)top;
+        }
+    }
+    last[0] = bid;
+    last[1] = ask;
+    last[2] = top;
+    return jump;
 }
 
 /* Point i carries two changes, 2i and 2i + 1: change j moves the bid count

@@ -24,8 +24,10 @@ from chunk to chunk, the binned one (`_binned_sums`, into `BinnedSums`) and
 the five-bin book's region pass (`_five_bin_sums`, into `FiveBinSums`); the
 refinement check's domination pass (`_refinement_maxima`); the two steps of
 `sim.materialize`'s arrival draw: the Philox uniforms of a chunk
-(`_uniforms_py`) and the sides and prices drawn from them (`_draw_py`); and
-the bins of an array of prices (`BinPartition.index`).
+(`_uniforms_py`) and the sides and prices drawn from them (`_draw_py`); the
+bins of an array of prices (`BinPartition.index`); and the band count of
+resting orders in two price bands with its running maximum (`_band_counts`,
+carried in `BandSums`).
 """
 
 from __future__ import annotations
@@ -252,16 +254,19 @@ def apply_arrival(state: BookState, rule: MatchRule, order: Order) -> ArrivalEff
     return eff
 
 
-def _check_order(beta: float, alpha: float, rule: MatchRule) -> None:
+def _in_order(beta: float, alpha: float, rule: MatchRule) -> bool:
     """The rule's ordering of one book's best quotes: beta < alpha, or, as the
     strict rule lets prices cross inside one bin, bin(beta) <= bin(alpha)
-    where both sides hold orders.  Both loops check it after every event."""
+    where both sides hold orders.  The C loop checks it after every event, the
+    Python loop after each event that can break it."""
     if rule.kind == STRICT_BINNED:
         part = rule.partition
-        bad = beta != NEG_INF and alpha != POS_INF and part.index(beta) > part.index(alpha)
-    else:
-        bad = not beta < alpha
-    if bad:
+        return beta == NEG_INF or alpha == POS_INF or part.index(beta) <= part.index(alpha)
+    return beta < alpha
+
+
+def _check_order(beta: float, alpha: float, rule: MatchRule) -> None:
+    if not _in_order(beta, alpha, rule):
         raise BookInvariantError(_out_of_order(beta, alpha))
 
 
@@ -395,6 +400,8 @@ def _match_py(state: BookState, rule: MatchRule, log: EventLog) -> tuple[int, in
                 push(bids, -p)
                 if p > beta:
                     beta, bbin = p, k
+                    if bad < 0 and ((bbin > abin >= 0) if strict else not beta < alpha):
+                        bad = len(codes) // 3
                 put(join_bid)
         elif (p < beta and k != bbin) if strict else (p < beta or k == bbin):
             if beta == rb:
@@ -408,14 +415,19 @@ def _match_py(state: BookState, rule: MatchRule, log: EventLog) -> tuple[int, in
             push(asks, p)
             if p < alpha:
                 alpha, abin = p, k
+                if bad < 0 and ((bbin > abin >= 0) if strict else not beta < alpha):
+                    bad = len(codes) // 3
             put(join_ask)
-        if bad < 0 and ((bbin > abin >= 0) if strict else not beta < alpha):
-            bad = len(codes) // 3 - 1
         put_quote(beta)
         put_quote(alpha)
         put_quote(p)
         put_size(len(bids))
         put_size(len(asks))
+    # In a book in the rule's order only a join that improves a quote can break
+    # it, as an execution only widens the spread; a starting book out of
+    # order shows after event 0.
+    if quotes and not _in_order(quotes[0], quotes[1], rule):
+        bad = 0
     small = np.frombuffer(codes, np.int8).reshape(-1, 3)
     log.outcome[:], log.changed_bid[:], log.sign[:] = small.T
     log.beta[:], log.alpha[:], log.price[:] = np.frombuffer(quotes).reshape(-1, 3).T
@@ -731,6 +743,80 @@ def _refinement_c(fn, is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
     return max_b, max_a
 
 
+class BandSums(NamedTuple):
+    """What the band count carries from chunk to chunk of a run; `band`
+    changes `last` in place."""
+
+    bands: np.ndarray   # float64 (4,): the bid band [lo, hi), then the ask band
+    last: np.ndarray    # int64 (3,): the bid and ask counts before the next change,
+                        # and the running maximum of their sum
+
+    @classmethod
+    def zeros(cls, bids: tuple[float, float], asks: tuple[float, float]) -> "BandSums":
+        return cls(np.array([*bids, *asks], dtype=float), np.zeros(3, dtype=np.int64))
+
+
+def _band_counts(sums: BandSums, changed_bid: np.ndarray, price: np.ndarray,
+                 sign: np.ndarray, counts: Optional[np.ndarray] = None,
+                 series: Optional[np.ndarray] = None,
+                 times: Optional[np.ndarray] = None) -> int:
+    """Fold one chunk of a run's changes into the two band counts; return the
+    last change whose sum of the two exceeds the running maximum before it,
+    or -1.
+
+    A change (`EventLog`'s changed_bid, price and sign) moves the count of
+    its side by its sign where its price lies in that side's band.  Where
+    `counts` (2 x n) is given, its column i gets the bid and ask counts after
+    change i; where `series` (n x 3) is given, its row i gets (times[i], their
+    sum, its running maximum).  The reference for `band` in `_kernel.c` and the pass
+    that runs without a compiler.
+    """
+    n = price.size
+    steps = np.empty((2, n), dtype=np.int64) if counts is None else counts
+    for step, last, side, (p0, p1) in zip(steps, sums.last, (changed_bid, ~changed_bid),
+                                          sums.bands.reshape(2, 2)):
+        np.cumsum(sign * (side & (p0 <= price) & (price < p1)), dtype=np.int64, out=step)
+        step += last
+    if not n:
+        return -1
+    count, top = steps[0] + steps[1], sums.last[2]
+    if series is not None:
+        series[:, 0], series[:, 1] = times, count
+        series[:, 2] = np.maximum.accumulate(np.maximum(count, top))
+    # the maximum's last rise is at the first change whose sum is the chunk's largest
+    jump = int(np.argmax(count))
+    if count[jump] > top:
+        top = count[jump]
+    else:
+        jump = -1
+    sums.last[:] = *steps[:, -1], top
+    return jump
+
+
+def _band_c(fn, sums: BandSums, changed_bid: np.ndarray, price: np.ndarray,
+            sign: np.ndarray, counts: Optional[np.ndarray] = None,
+            series: Optional[np.ndarray] = None, times: Optional[np.ndarray] = None) -> int:
+    """`_band_counts` through the compiled `band` of `_kernel.c`."""
+    changed_bid = np.ascontiguousarray(changed_bid, dtype=bool)
+    price = np.ascontiguousarray(price, dtype=float)
+    sign = np.ascontiguousarray(sign, dtype=np.int8)
+    n = price.size
+    if not changed_bid.shape == sign.shape == price.shape == (n,):
+        raise ValueError("band inputs differ in length")
+    # the C pass writes through these unchecked
+    _check_layout(sums, ((np.dtype(float), (4,)), (np.dtype(np.int64), (3,))),
+                  "BandSums.zeros")
+    if counts is not None:
+        _check_layout((counts,), ((np.dtype(np.int64), (2, n)),), "band's (2, n) int64 counts")
+    if series is not None:
+        times = np.ascontiguousarray(times, dtype=float)
+        _check_layout((series, times), ((np.dtype(float), (n, 3)), (np.dtype(float), (n,))),
+                      "band's (n, 3) float64 series of n times")
+    return fn(n, changed_bid.ctypes.data, price.ctypes.data, sign.ctypes.data,
+              sums.bands.ctypes.data, sums.last.ctypes.data,
+              *(None if a is None else a.ctypes.data for a in (counts, times, series)))
+
+
 def _draw_py(spec: ArrivalSpec, side_u: np.ndarray, price_u: np.ndarray,
              is_bid: np.ndarray, prices: np.ndarray) -> None:
     """One chunk of arrivals from its two uniform draws: arrival i is a bid when
@@ -865,13 +951,15 @@ class _Kernel(NamedTuple):
     draw: Callable           # (spec, side_u, price_u, is_bid out, prices out) -> None
     uniforms: Callable       # ((seed, tag), first, out) -> out
     bins: Callable           # (partition, prices) -> bin of each price
+    band: Callable           # (sums, changed_bid, price, sign[, counts, series, times]) ->
+                             # last jump of the running maximum
     library: Optional[Path]  # the compiled library, for the C kernel
 
 
-_EXPORTS = ("match", "binned", "five_bin", "refinement", "draw", "uniforms", "bins")
+_EXPORTS = ("match", "binned", "five_bin", "refinement", "draw", "uniforms", "bins", "band")
 _PYTHON_KERNEL = _Kernel("python", _match_py, _binned_sums, _five_bin_sums,
                          _refinement_maxima, _draw_py, _uniforms_py, BinPartition.index,
-                         None)
+                         _band_counts, None)
 
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -953,8 +1041,8 @@ def _load_kernel() -> _Kernel:
     try:
         library = _library()
         lib = ctypes.CDLL(str(library))
-        match, binned, five_bin, refinement, draw, uniforms, bins = (getattr(lib, e)
-                                                                     for e in _EXPORTS)
+        match, binned, five_bin, refinement, draw, uniforms, bins, band = (
+            getattr(lib, e) for e in _EXPORTS)
     except (OSError, AttributeError, subprocess.SubprocessError):
         return _PYTHON_KERNEL
     p, n, d = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
@@ -966,13 +1054,14 @@ def _load_kernel() -> _Kernel:
     draw.argtypes = [n, p, p, d, p, p, p, p]
     uniforms.argtypes = [n, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64, p]
     bins.argtypes = [n, p, p, p]
+    band.argtypes = [n, p, p, p, p, p, p, p, p]
     binned.restype = refinement.restype = draw.restype = uniforms.restype = None
     bins.restype = None
-    match.restype = five_bin.restype = n
+    match.restype = five_bin.restype = band.restype = n
     return _Kernel("c", partial(_match_c, match), partial(_binned_c, binned),
                    partial(_five_bin_c, five_bin), partial(_refinement_c, refinement),
                    partial(_draw_c, draw), partial(_uniforms_c, uniforms),
-                   partial(_bins_c, bins), library)
+                   partial(_bins_c, bins), partial(_band_c, band), library)
 
 
 def _kernel() -> _Kernel:

@@ -453,7 +453,7 @@ def union_refinement(a: BinPartition, b: BinPartition) -> BinPartition:
 
 
 def _union_cuts(a: BinPartition, b: BinPartition) -> np.ndarray:
-    if not np.allclose(a.support, b.support, atol=BOUNDARY_MERGE_TOL):
+    if not np.allclose(a.support, b.support, rtol=0.0, atol=BOUNDARY_MERGE_TOL):
         raise ValueError("partitions live on different supports")
     return _merged(np.concatenate([a.boundaries, b.boundaries]))
 

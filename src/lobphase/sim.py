@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 # apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
-from .book import (EXECUTED, NEG_INF, POS_INF, RESERVOIR, BinnedSums, BookState, EventLog,
-                   FiveBinSums, MatchRule, _kernel, apply_arrival, match_chunks)
+from .book import (EXECUTED, NEG_INF, POS_INF, RESERVOIR, BandSums, BinnedSums, BookState,
+                   EventLog, FiveBinSums, MatchRule, _kernel, apply_arrival, match_chunks)
 from .dist import ArrivalSpec, BinPartition
 from .output import config_hash
 
@@ -264,21 +264,22 @@ class _Checkpoints:
 
 class _BandCount:
     """The resting bids priced in [bids[0], bids[1]) and asks priced in
-    [asks[0], asks[1]): `counts` holds the two after each event of the chunk
-    last folded, and `samples` after the events at the sorted indices `at`."""
+    [asks[0], asks[1]), folded by the kernel's `band`: `samples` holds the
+    two after the events at the sorted indices `at`."""
 
     def __init__(self, bids: tuple[float, float], asks: tuple[float, float], at=()):
-        self.bands, self.last = (bids, asks), (0, 0)    # last: the counts before a chunk
+        self.sums = BandSums.zeros(bids, asks)
         self.at = np.asarray(at, dtype=np.int64)
         self.samples = np.empty((2, self.at.size), dtype=np.int64)
+        self.counts = np.empty((2, 0), dtype=np.int64)     # a chunk's, reused by the next
 
     def fold(self, lo: int, log: EventLog) -> None:
-        p, sides = log.price, (log.changed_bid, ~log.changed_bid)
-        self.counts = tuple(last + np.cumsum(log.sign * (side & (p0 <= p) & (p < p1)))
-                            for last, side, (p0, p1) in zip(self.last, sides, self.bands))
-        self.last = tuple(int(c[-1]) for c in self.counts)
-        i, at = _in_chunk(self.at, lo, log.sign.size)
-        self.samples[:, i] = [c[at] for c in self.counts]
+        n = log.sign.size
+        if self.counts.shape[1] != n:
+            self.counts = np.empty((2, n), dtype=np.int64)
+        _kernel().band(self.sums, log.changed_bid, log.price, log.sign, self.counts)
+        i, at = _in_chunk(self.at, lo, n)
+        self.samples[:, i] = self.counts[:, at]
 
 
 class _RunningMax(_BandCount):
@@ -292,16 +293,12 @@ class _RunningMax(_BandCount):
         trace.runmax_series = np.empty((times.size, 3))
 
     def fold(self, lo: int, log: EventLog) -> None:
-        super().fold(lo, log)
-        tr, count = self.trace, self.counts[0] + self.counts[1]
-        run_max = np.maximum.accumulate(np.maximum(count, tr.runmax_value))
-        jumps = np.flatnonzero(count > np.concatenate(([tr.runmax_value], run_max[:-1])))
-        if jumps.size:
-            tr.runmax_last_jump = lo + int(jumps[-1])
-        series = tr.runmax_series[lo:lo + count.size]
-        series[:, 0] = self.times[lo:lo + count.size]
-        series[:, 1], series[:, 2] = count, run_max
-        tr.runmax_value = int(run_max[-1])
+        tr, hi = self.trace, lo + log.sign.size
+        jump = _kernel().band(self.sums, log.changed_bid, log.price, log.sign,
+                              series=tr.runmax_series[lo:hi], times=self.times[lo:hi])
+        if jump >= 0:
+            tr.runmax_last_jump = lo + jump
+        tr.runmax_value = int(self.sums.last[2])
 
 
 class _Binned:
@@ -347,8 +344,11 @@ class _FiveBin:
         kernel = _kernel()
         above = kernel.five_bin(self.sums, kernel.bins(self.part, log.price), log.changed_bid,
                                 log.sign, self.normals, self.K)
+        # a flip is a change on the other side of K than the change before it;
         # after an odd count of flips the gauge exceeds K
-        self.flips += (lo + np.flatnonzero(np.diff(above, prepend=len(self.flips) % 2))).tolist()
+        if above[0] != len(self.flips) % 2:
+            self.flips.append(lo)
+        self.flips += (lo + 1 + np.flatnonzero(above[1:] != above[:-1])).tolist()
 
 
 def estimate_kappa(trace: Trace, spec: ArrivalSpec) -> KappaEstimate:
@@ -397,12 +397,12 @@ def empirical_pi(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
 
 def write_trace_csvs(trace: Trace, outdir, cfg: dict) -> list:
     """Emit checkpoint/occupation/joint/top-shape CSVs for one trace."""
-    from .output import write_csv  # local import keeps module load light
+    from .output import csv_rows, write_csv  # local import keeps module load light
     meta = {"seed": trace.seed, "config": config_hash(cfg)}
     written = []
     written.append(write_csv(
         f"{outdir}/checkpoints.csv", ["T", "B_inf", "A_inf", "beta", "alpha"],
-        zip(trace.cp_time, trace.cp_bids, trace.cp_asks, trace.cp_beta, trace.cp_alpha),
+        csv_rows(trace.cp_time, trace.cp_bids, trace.cp_asks, trace.cp_beta, trace.cp_alpha),
         meta))
     if trace.partition is None:
         return written
@@ -411,16 +411,17 @@ def write_trace_csvs(trace: Trace, outdir, cfg: dict) -> list:
         edges = trace.partition.edges
         written.append(write_csv(
             f"{outdir}/occupation.csv", ["bin_lo", "bin_hi", "pi_b", "pi_a"],
-            zip(edges[:-1], edges[1:], pi_b, pi_a), meta))
+            csv_rows(edges[:-1], edges[1:], pi_b, pi_a), meta))
     i, j = np.nonzero(trace.joint_hist)     # row-major, as the cells are laid out
-    rows = zip(i.tolist(), j.tolist(), trace.joint_hist[i, j].tolist())
     written.append(write_csv(
-        f"{outdir}/joint.csv", ["bin_beta", "bin_alpha", "mass"], rows, meta))
+        f"{outdir}/joint.csv", ["bin_beta", "bin_alpha", "mass"],
+        csv_rows(i, j, trace.joint_hist[i, j]), meta))
     visits = trace.top_shape_visits
     hi_bins = visits.size // 2  # condition on the best bid sitting in the upper half
     sel = np.arange(visits.size) >= hi_bins
     tot = max(1, int(visits[sel].sum()))
     means = trace.top_shape_sums[sel].sum(axis=0) / tot
     written.append(write_csv(
-        f"{outdir}/top_shape.csv", ["offset", "mean_bids"], enumerate(means), meta))
+        f"{outdir}/top_shape.csv", ["offset", "mean_bids"],
+        csv_rows(np.arange(means.size), means), meta))
     return written

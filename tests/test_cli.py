@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import lobphase
+from lobphase import book
 from lobphase.cli import RunConfig, main
 
 
@@ -95,6 +97,34 @@ class TestSimulateCommand:
         assert "kappa_b_hat" in out
         assert "kernel: c\n" in out or "kernel: python\n" in out
         assert "kernel" not in json.loads((tmp_path / "summary.json").read_text())
+
+    # (argv) -> sha256 of the four CSV files, each name then its bytes, that
+    # `simulate ... --out run` writes, recorded before the rows were formatted
+    # from Python scalars; the short run's checkpoints hold -inf and inf quotes
+    CSV_GOLDEN = {
+        ("--n", "20000", "--bins", "20", "--seed", "7"):
+            "bd89dc60e9109f9500b5f649dfb324f99a4ff698b68889f9fbe23037dbcaa68f",
+        ("--n", "12", "--bins", "20", "--seed", "3"):
+            "71eb36d3e1f198d5d85d80a31f30d8354d88e68d5e9384d454cd37900d37bc2d",
+    }
+
+    @pytest.mark.parametrize("argv", list(CSV_GOLDEN), ids=["20000", "12"])
+    @pytest.mark.parametrize("python_loop", [False, True], ids=["loaded", "python"])
+    def test_csv_bytes(self, capsys, tmp_path, monkeypatch, argv, python_loop):
+        # a relative --out, as the config hash on each file's first line covers it
+        monkeypatch.chdir(tmp_path)
+        if python_loop:
+            monkeypatch.setattr(book, "_loaded", book._PYTHON_KERNEL)
+        code, _, _ = run_cli(capsys, "simulate", *argv, "--out", "run")
+        assert code == 0
+        digest = hashlib.sha256()
+        for name in ("checkpoints.csv", "occupation.csv", "joint.csv", "top_shape.csv"):
+            digest.update(name.encode())
+            digest.update((tmp_path / "run" / name).read_bytes())
+        assert digest.hexdigest() == self.CSV_GOLDEN[argv]
+        if argv[1] == "12":
+            fields = (tmp_path / "run" / "checkpoints.csv").read_text().replace("\n", ",")
+            assert {"-inf", "inf"} <= set(fields.split(","))
 
     def test_calls_in_one_process_share_no_options(self, capsys, tmp_path):
         # the parser is built once per process; a flag of one call must not

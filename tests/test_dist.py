@@ -326,6 +326,15 @@ class TestRefines:
         with pytest.raises(ValueError, match="supports"):
             refines(fine, BinPartition((0, 2), np.array([0.5])))
 
+    def test_supports_apart_by_more_than_the_tolerance_raise(self):
+        # 5e-6 apart: within allclose's default relative tolerance, far outside
+        # BOUNDARY_MERGE_TOL
+        a = BinPartition((0, 1), [0.5])
+        b = BinPartition((0, 1.000005), [1.0000001])
+        for check in (union_refinement, refines):
+            with pytest.raises(ValueError, match="partitions live on different supports"):
+                check(a, b)
+
     def test_union_refines_both(self, uniform_spec):
         a = make_partition(6, uniform_spec)
         b = BinPartition((0, 1), np.array([0.21, 0.77]))

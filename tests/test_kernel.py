@@ -12,8 +12,9 @@ valid heap, and raise the same error on the same input; its binned-recorder and
 refinement passes must give the bytes and dtypes of the numpy `_binned_sums`
 and `_refinement_maxima` (the five-bin pass is tested in test_lyapunov.py), its
 arrival draw the bytes of the numpy `_draw_py` on random laws of every
-built-in kind, its Philox uniforms the bytes of numpy's generator, and its
-bins those of `BinPartition.index`; both loops must report the same first
+built-in kind, its Philox uniforms the bytes of numpy's generator, its bins
+those of `BinPartition.index` and its band counts those of `_band_counts`;
+both loops must report the same first
 violation of the quote order, from any starting book.  Every export must be
 loaded with the signature of its C prototype.
 """
@@ -942,6 +943,90 @@ def test_c_bins_survive_a_copy(c_kernel):
         assert np.array_equal(c_kernel.bins(copied, x), first)
 
 
+# -- the band counts --------------------------------------------------------------
+
+BAND_ENDS = [-np.inf, np.inf, -0.0, 0.0, 0.25, 0.5, 1.0]
+
+
+@st.composite
+def band_runs(draw):
+    """(bids, asks, changed_bid, price, sign): two bands, either end of each
+    possibly infinite, and a run's changes, many priced on or next to a
+    band's finite ends or at -0.0."""
+    ends = draw(st.lists(st.one_of(st.sampled_from(BAND_ENDS), st.floats(-1.0, 2.0)),
+                         min_size=4, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 700))
+    finite = np.array([e for e in ends if math.isfinite(e)] + [0.0, -0.0])
+    special = np.concatenate((finite, np.nextafter(finite, -np.inf),
+                              np.nextafter(finite, np.inf)))
+    price = np.where(rng.random(n) < 0.6, rng.choice(special, n), rng.random(n))
+    sign = rng.integers(-1, 2, n).astype(np.int8)
+    return (ends[0], ends[1]), (ends[2], ends[3]), rng.random(n) < 0.5, price, sign
+
+
+def fold_band(kernel, bids, asks, changed_bid, price, sign, cut, outputs):
+    """Fold a run's changes into a band count in pieces of `cut` changes, with
+    an empty piece first and last, writing the `outputs` named ("counts",
+    "series"); return each piece's last jump as an index of the run (-1 for
+    none), the counts, the series and the carried sums."""
+    sums, n = book_module.BandSums.zeros(bids, asks), price.size
+    out = {"counts": np.full((2, n), -7, dtype=np.int64), "series": np.full((n, 3), np.nan)}
+    times, jumps = np.arange(n) * 0.5, []
+    edges = [0, 0, *range(cut, n, cut), n, n]
+    for lo, hi in zip(edges, edges[1:]):
+        given = {}
+        if "counts" in outputs:
+            given["counts"] = np.full((2, hi - lo), -7, dtype=np.int64)
+        if "series" in outputs:
+            given["series"], given["times"] = out["series"][lo:hi], times[lo:hi]
+        jump = kernel.band(sums, changed_bid[lo:hi], price[lo:hi], sign[lo:hi], **given)
+        jumps.append(jump if jump < 0 else lo + jump)
+        if "counts" in outputs:
+            out["counts"][:, lo:hi] = given["counts"]
+    return jumps, out["counts"], out["series"], sums
+
+
+BAND_OUTPUTS = (("counts",), ("series",), ("counts", "series"))
+
+
+@given(band_runs())
+@settings(max_examples=60, deadline=None)
+def test_c_band_matches_numpy(c_kernel, run):
+    # byte for byte, on pieces of 1, 255 and 257 changes and the whole run,
+    # into either output or both; the counts carried between pieces give the
+    # whole run's
+    whole = fold_band(PYTHON_LOOP, *run, WHOLE, BAND_OUTPUTS[-1])
+    for cut in (1, 255, 257, WHOLE):
+        for outputs in BAND_OUTPUTS:
+            got, want = (fold_band(k, *run, cut, outputs) for k in (c_kernel, PYTHON_LOOP))
+            assert got[0] == want[0] and as_bytes(got[1:3]) == as_bytes(want[1:3])
+            assert as_bytes(got[3]) == as_bytes(want[3]) == as_bytes(whole[3])
+            assert max(got[0]) == max(whole[0])
+            for k, name in ((1, "counts"), (2, "series")):
+                if name in outputs:
+                    assert got[k].tobytes() == whole[k].tobytes()
+
+
+def test_band_rejects_bad_inputs(c_kernel):
+    sums = book_module.BandSums.zeros((0.0, 1.0), (0.0, 1.0))
+    ok = (np.zeros(3, dtype=bool), np.zeros(3), np.zeros(3, dtype=np.int8))
+    with pytest.raises(ValueError, match="length"):
+        c_kernel.band(sums, ok[0], ok[1][:2], ok[2])
+    for field, bad in (("bands", sums.bands[:3]), ("last", sums.last.astype(np.int32))):
+        with pytest.raises(ValueError, match="contiguous arrays"):
+            c_kernel.band(sums._replace(**{field: bad}), *ok)
+    for counts in (np.zeros((2, 2), np.int64), np.zeros((2, 3)), np.zeros((3, 2), np.int64),
+                   np.zeros((2, 6), np.int64)[:, ::2]):
+        with pytest.raises(ValueError, match="counts"):
+            c_kernel.band(sums, *ok, counts)
+    for series, times in ((np.zeros((2, 3)), ok[1]), (np.zeros((3, 3))[:, ::-1], ok[1]),
+                          (np.zeros((3, 3)), np.zeros(2)), (np.zeros((3, 3), np.float32), ok[1])):
+        with pytest.raises(ValueError, match="series"):
+            c_kernel.band(sums, *ok, series=series, times=times)
+    assert not sums.last.any()
+
+
 # An exported C function's prototype: what it returns, its name, its parameters
 EXPORTED = re.compile(r"^(void|long) (\w+)\(([^)]*)\)", re.M)
 C_SCALARS = {"long": ctypes.c_long, "double": ctypes.c_double, "int": ctypes.c_int,
@@ -989,15 +1074,15 @@ def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, cc):
     kernel = book_module._load_kernel()
     assert kernel == PYTHON_LOOP
     assert (kernel.run, kernel.binned, kernel.five_bin, kernel.refinement, kernel.draw,
-            kernel.uniforms, kernel.bins) == (
+            kernel.uniforms, kernel.bins, kernel.band) == (
         book_module._match_py, book_module._binned_sums, book_module._five_bin_sums,
         book_module._refinement_maxima, book_module._draw_py, book_module._uniforms_py,
-        BinPartition.index)
+        BinPartition.index, book_module._band_counts)
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("export", ["match", "binned", "five_bin", "refinement", "draw",
-                                    "uniforms", "bins"])
+                                    "uniforms", "bins", "band"])
 def test_library_lacking_an_export_is_neither_cached_nor_loaded(monkeypatch, tmp_path,
                                                                export):
     # the source builds, but its library lacks one of its exports
