@@ -20,9 +20,9 @@ Each figure is the median over --repeats calls in this process:
   binned rule;
 - each recorder fold of the recurrence drivers (`sim._Checkpoints`,
   `_Binned`, `_FiveBin`, `_BandCount` and `_RunningMax`) over the chunk logs
-  of one --n-fold-arrival run, in ns per arrival, under the compiled kernel
+  of one N_FOLD-arrival run, in ns per arrival, under the compiled kernel
   and under the numpy reference passes, taking turns run by run;
-- `sim.write_trace_csvs` of a --n-fold-arrival `sim.run` trace recorded on
+- `sim.write_trace_csvs` of an N_FOLD-arrival `sim.run` trace recorded on
   100 bins, as `lobphase simulate --bins 100` writes it.
 
 The record also carries the machine (CPU model, nproc, Python, numpy and
@@ -49,6 +49,7 @@ from lobphase.book import ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookState, M
 from lobphase.dist import ArrivalSpec, make_partition, piecewise_linear_dist, uniform_dist
 
 SEED = 1    # of every stream drawn
+N_FOLD = 40_000     # arrivals of the runs the recorders fold and the trace CSVs hold
 
 
 def laws() -> dict:
@@ -244,8 +245,6 @@ def main() -> None:
                     help="arrivals per materialize and check_refinement call")
     ap.add_argument("--match-sizes", default="60000,1000000,4000000",
                     help="comma-separated arrival counts of the match loop")
-    ap.add_argument("--n-fold", type=int, default=40_000,
-                    help="arrivals of the runs the recorders fold and the trace CSVs hold")
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--out", default="out/bench")
     args = ap.parse_args()
@@ -270,9 +269,9 @@ def main() -> None:
         bins = {str(k): {"c": None, **time_bins(bin_kernels, k, args.repeats)}
                 for k in (10, 100, 200)}
         refinement = time_refinement(loaded, args.n_draw, args.repeats)
-        folds = time_folds(bin_kernels, args.n_fold, args.repeats)
+        folds = time_folds(bin_kernels, N_FOLD, args.repeats)
         book._loaded = loaded
-        csvs = time_csvs(args.n_fold, args.repeats)
+        csvs = time_csvs(N_FOLD, args.repeats)
     finally:
         book._loaded = loaded
     record = {
@@ -285,8 +284,8 @@ def main() -> None:
         "match_loop_ns_per_arrival": match,
         "bins_ns_per_price": {"n": sim.CHUNK, "bins": bins},
         "check_refinement_s": {"n": args.n_draw, "kernel": loaded.name, **refinement},
-        "recorder_folds_ns_per_arrival": {"n": args.n_fold, "folds": folds},
-        "write_trace_csvs": {"n": args.n_fold, "bins": 100, "kernel": loaded.name, **csvs},
+        "recorder_folds_ns_per_arrival": {"n": N_FOLD, "folds": folds},
+        "write_trace_csvs": {"n": N_FOLD, "bins": 100, "kernel": loaded.name, **csvs},
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -303,7 +302,7 @@ def main() -> None:
     for name, row in folds.items():
         print(f"fold {name:13s}       c {row['c']} ns, numpy {row['numpy']} ns per arrival")
     print(f"write_trace_csvs: {csvs['ns_per_arrival']} ns per arrival, "
-          f"{csvs['ms_per_call']} ms per call on {args.n_fold} arrivals")
+          f"{csvs['ms_per_call']} ms per call on {N_FOLD} arrivals")
     print(f"wrote {out / 'bench.json'}")
 
 

@@ -476,6 +476,42 @@ long five_bin(long n, const int64_t *bins, const uint8_t *changed_bid, const int
     return stop;
 }
 
+/* Point i carries two changes, 2i and 2i + 1: change j moves the bid count
+ * (is_bid[j]) or the ask count of bin bins[j] by steps[j].  After both, the
+ * largest prefix sum of the bid counts from bin 0 up goes to max_b[i], and of
+ * the ask counts from bin nbins - 1 down to max_a[i]; a side that neither
+ * change touched keeps its last maximum.  bid and ask (nbins each) start
+ * zeroed, so each maximum starts at 0. */
+void refinement(long n, const uint8_t *is_bid, const int64_t *bins, const int64_t *steps,
+                long nbins, int64_t *bid, int64_t *ask, int64_t *max_b, int64_t *max_a) {
+    int64_t best_b = 0, best_a = 0;
+    for (long i = 0; i < n; i++) {
+        int moved_b = 0, moved_a = 0;
+        for (long j = 2 * i; j < 2 * i + 2; j++) {
+            if (is_bid[j]) { bid[bins[j]] += steps[j]; moved_b = 1; }
+            else { ask[bins[j]] += steps[j]; moved_a = 1; }
+        }
+        if (moved_b) {
+            int64_t s = 0;
+            best_b = INT64_MIN;
+            for (long k = 0; k < nbins; k++) {
+                s += bid[k];
+                if (s > best_b) best_b = s;
+            }
+        }
+        if (moved_a) {
+            int64_t s = 0;
+            best_a = INT64_MIN;
+            for (long k = nbins - 1; k >= 0; k--) {
+                s += ask[k];
+                if (s > best_a) best_a = s;
+            }
+        }
+        max_b[i] = best_b;
+        max_a[i] = best_a;
+    }
+}
+
 /* The two band counts: of the resting bids priced in [bands[0], bands[1])
  * and of the asks priced in [bands[2], bands[3]).  Change i moves the count
  * of its side (changed_bid[i]) by sign[i] where its price lies in that
@@ -516,40 +552,4 @@ long band(long n, const uint8_t *changed_bid, const double *price, const int8_t 
     last[1] = ask;
     last[2] = top;
     return jump;
-}
-
-/* Point i carries two changes, 2i and 2i + 1: change j moves the bid count
- * (is_bid[j]) or the ask count of bin bins[j] by steps[j].  After both, the
- * largest prefix sum of the bid counts from bin 0 up goes to max_b[i], and of
- * the ask counts from bin nbins - 1 down to max_a[i]; a side that neither
- * change touched keeps its last maximum.  bid and ask (nbins each) start
- * zeroed, so each maximum starts at 0. */
-void refinement(long n, const uint8_t *is_bid, const int64_t *bins, const int64_t *steps,
-                long nbins, int64_t *bid, int64_t *ask, int64_t *max_b, int64_t *max_a) {
-    int64_t best_b = 0, best_a = 0;
-    for (long i = 0; i < n; i++) {
-        int moved_b = 0, moved_a = 0;
-        for (long j = 2 * i; j < 2 * i + 2; j++) {
-            if (is_bid[j]) { bid[bins[j]] += steps[j]; moved_b = 1; }
-            else { ask[bins[j]] += steps[j]; moved_a = 1; }
-        }
-        if (moved_b) {
-            int64_t s = 0;
-            best_b = INT64_MIN;
-            for (long k = 0; k < nbins; k++) {
-                s += bid[k];
-                if (s > best_b) best_b = s;
-            }
-        }
-        if (moved_a) {
-            int64_t s = 0;
-            best_a = INT64_MIN;
-            for (long k = nbins - 1; k >= 0; k--) {
-                s += ask[k];
-                if (s > best_a) best_a = s;
-            }
-        }
-        max_b[i] = best_b;
-        max_a[i] = best_a;
-    }
 }

@@ -15,8 +15,7 @@ def config_hash(cfg: dict) -> str:
 
 def write_csv(path, header: list[str], rows, meta: dict | None = None) -> Path:
     """Write `header` and `rows` as csv.writer writes them, after a comment line
-    of `meta`.  `rows` is an iterable of rows, or a str of rows already in
-    csv.writer's form, as `csv_rows` gives them."""
+    of `meta`.  `rows` is an iterable of rows, or a `CsvRows` of numpy columns."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -24,26 +23,37 @@ def write_csv(path, header: list[str], rows, meta: dict | None = None) -> Path:
             fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
         w = csv.writer(fh)
         w.writerow(header)
-        if isinstance(rows, str):
-            fh.write(rows)
+        if isinstance(rows, CsvRows):
+            fh.writelines(rows)
         else:
             w.writerows(rows)
     return path
 
 
-def csv_rows(*columns) -> str:
-    """The rows zip(*columns) of numpy columns of numbers as csv.writer writes
-    them, formatted in one pass.
+class CsvRows:
+    """The rows zip(*columns) of numpy columns of numbers, which iterate as
+    strings of at most BLOCK rows in csv.writer's form, so a long file is
+    formatted in bounded memory.
 
     Each field is the str of its Python scalar, which equals that of the
     numpy scalar (inf, -inf and nan included), and csv.writer quotes no
     number, so the bytes are those of csv.writer's rows.
     """
-    n, k = len(columns[0]), len(columns)
-    fields = [None] * (n * k)
-    for at, column in enumerate(columns):     # row by row, interleaved
-        fields[at::k] = column.tolist()
-    return ((",".join(["%s"] * k) + "\r\n") * n) % tuple(fields)
+
+    BLOCK = 4096
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __iter__(self):
+        n, k = len(self.columns[0]), len(self.columns)
+        line = ",".join(["%s"] * k) + "\r\n"
+        for lo in range(0, n, self.BLOCK):
+            hi = min(n, lo + self.BLOCK)
+            fields = [None] * ((hi - lo) * k)
+            for at, column in enumerate(self.columns):     # row by row, interleaved
+                fields[at::k] = column[lo:hi].tolist()
+            yield (line * (hi - lo)) % tuple(fields)
 
 
 def write_json(path, payload: dict) -> Path:

@@ -397,12 +397,12 @@ def empirical_pi(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
 
 def write_trace_csvs(trace: Trace, outdir, cfg: dict) -> list:
     """Emit checkpoint/occupation/joint/top-shape CSVs for one trace."""
-    from .output import csv_rows, write_csv  # local import keeps module load light
+    from .output import CsvRows, write_csv  # local import keeps module load light
     meta = {"seed": trace.seed, "config": config_hash(cfg)}
     written = []
     written.append(write_csv(
         f"{outdir}/checkpoints.csv", ["T", "B_inf", "A_inf", "beta", "alpha"],
-        csv_rows(trace.cp_time, trace.cp_bids, trace.cp_asks, trace.cp_beta, trace.cp_alpha),
+        CsvRows(trace.cp_time, trace.cp_bids, trace.cp_asks, trace.cp_beta, trace.cp_alpha),
         meta))
     if trace.partition is None:
         return written
@@ -411,11 +411,11 @@ def write_trace_csvs(trace: Trace, outdir, cfg: dict) -> list:
         edges = trace.partition.edges
         written.append(write_csv(
             f"{outdir}/occupation.csv", ["bin_lo", "bin_hi", "pi_b", "pi_a"],
-            csv_rows(edges[:-1], edges[1:], pi_b, pi_a), meta))
+            CsvRows(edges[:-1], edges[1:], pi_b, pi_a), meta))
     i, j = np.nonzero(trace.joint_hist)     # row-major, as the cells are laid out
     written.append(write_csv(
         f"{outdir}/joint.csv", ["bin_beta", "bin_alpha", "mass"],
-        csv_rows(i, j, trace.joint_hist[i, j]), meta))
+        CsvRows(i, j, trace.joint_hist[i, j]), meta))
     visits = trace.top_shape_visits
     hi_bins = visits.size // 2  # condition on the best bid sitting in the upper half
     sel = np.arange(visits.size) >= hi_bins
@@ -423,5 +423,5 @@ def write_trace_csvs(trace: Trace, outdir, cfg: dict) -> list:
     means = trace.top_shape_sums[sel].sum(axis=0) / tot
     written.append(write_csv(
         f"{outdir}/top_shape.csv", ["offset", "mean_bids"],
-        csv_rows(np.arange(means.size), means), meta))
+        CsvRows(np.arange(means.size), means), meta))
     return written

@@ -4,13 +4,16 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lobphase
 from lobphase import book
 from lobphase.cli import RunConfig, main
+from lobphase.output import CsvRows, write_csv
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +128,26 @@ class TestSimulateCommand:
         if argv[1] == "12":
             fields = (tmp_path / "run" / "checkpoints.csv").read_text().replace("\n", ",")
             assert {"-inf", "inf"} <= set(fields.split(","))
+
+    def test_long_csv_is_written_in_bounded_memory(self, tmp_path, monkeypatch):
+        # the bytes of csv.writer across block edges, formatted a block at a
+        # time, so ten times the rows peak at about the same memory: all
+        # 10,001 rows at once would add about 2 MB
+        monkeypatch.setattr(CsvRows, "BLOCK", 100)
+        peaks = []
+        for n in (1_001, 10_001):
+            t = np.arange(n) * 0.5
+            beta = np.where(np.arange(n) % 7, np.linspace(-1, 1, n), -np.inf)
+            columns = (t, np.arange(n) % 50, np.arange(n) % 31, beta, np.full(n, np.inf))
+            write_csv(tmp_path / "rows.csv", list("TBAba"), zip(*columns))
+            tracemalloc.start()
+            try:
+                write_csv(tmp_path / "blocks.csv", list("TBAba"), CsvRows(*columns))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert peaks[1] < peaks[0] + 50_000
 
     def test_calls_in_one_process_share_no_options(self, capsys, tmp_path):
         # the parser is built once per process; a flag of one call must not

@@ -43,7 +43,7 @@ def test_bench_records_both_layers(monkeypatch, tmp_path):
     monkeypatch.setattr(sim, "CHUNK", 300)
     loaded = book._kernel()
     run_script(monkeypatch, "bench.py", "--n-draw", "1000", "--match-sizes", "500",
-               "--n-fold", "1000", "--repeats", "1", "--out", str(tmp_path))
+               "--repeats", "1", "--out", str(tmp_path))
     assert book._kernel() is loaded
     record = json.loads((tmp_path / "bench.json").read_text())
     assert record["machine"]["kernel"] == loaded.name
@@ -65,10 +65,10 @@ def test_bench_records_both_layers(monkeypatch, tmp_path):
     assert refinement["n"] == 1000 and refinement["kernel"] == loaded.name
     assert refinement[book.ORDINARY_BINNED] > 0 and refinement[book.STRICT_BINNED] > 0
     folds = record["recorder_folds_ns_per_arrival"]
-    assert folds["n"] == 1000 and set(folds["folds"]) == {
+    assert folds["n"] == 40_000 and set(folds["folds"]) == {
         "_Checkpoints", "_Binned", "_FiveBin", "_BandCount", "_RunningMax"}
     for row in folds["folds"].values():
         assert row["numpy"] > 0 and (row["c"] > 0 if compiled else row["c"] is None)
     csvs = record["write_trace_csvs"]
-    assert (csvs["n"], csvs["bins"], csvs["kernel"]) == (1000, 100, loaded.name)
+    assert (csvs["n"], csvs["bins"], csvs["kernel"]) == (40_000, 100, loaded.name)
     assert csvs["ns_per_arrival"] > 0 and csvs["ms_per_call"] > 0
