@@ -23,7 +23,10 @@ Each figure is the median over --repeats calls in this process:
   of one N_FOLD-arrival run, in ns per arrival, under the compiled kernel
   and under the numpy reference passes, taking turns run by run;
 - `sim.write_trace_csvs` of an N_FOLD-arrival `sim.run` trace recorded on
-  100 bins, as `lobphase simulate --bins 100` writes it.
+  100 bins, as `lobphase simulate --bins 100` writes it;
+- the peak RSS of `sim.run_arrivals` and of each coupling check on --n-draw
+  uniform arrivals, each in a fresh process, in MB after the draw and at the
+  end (one run, not a median).
 
 The record also carries the machine (CPU model, nproc, Python, numpy and
 `book.KERNEL`).  Where no C compiler is available, the compiled columns are
@@ -37,6 +40,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -238,11 +242,63 @@ def time_csvs(n: int, repeats: int) -> dict:
             "ms_per_call": round(1e3 * statistics.median(seconds), 3)}
 
 
+# One driver on n uniform arrivals in a fresh process: prints its peak RSS in
+# MB after the draw and at the end, as JSON.  It reads the process's own
+# VmHWM where Linux gives it: a child's ru_maxrss starts from the peak of the
+# process that spawned it.
+RSS_CHILD = """
+import json, resource, sys
+from lobphase import coupling, sim
+from lobphase.book import ORDINARY, ORDINARY_BINNED, BookState, MatchRule, Order
+from lobphase.coupling import Edit
+from lobphase.dist import ArrivalSpec, make_partition, uniform_dist
+
+driver, seed, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+spec = ArrivalSpec(uniform_dist(), uniform_dist())
+rule = MatchRule(ORDINARY)
+arr = sim.materialize(sim.ArrivalStream(seed, n, spec))
+def mb():
+    try:
+        with open("/proc/self/status") as fh:
+            kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(kb / 1024, 1)
+drawn = mb()
+if driver == "run_arrivals":
+    sim.run_arrivals(rule, BookState(), arr, 0)
+elif driver == "check_extra_order":
+    coupling.check_extra_order(BookState(), Order("bid", 0.5, -1), arr, rule)
+elif driver == "check_bounded_perturbation":
+    coupling.check_bounded_perturbation(
+        BookState(), [Edit(0, "add", "bid", 0.5), Edit(n // 2, "remove_best", "ask")],
+        arr, rule, M=2)
+else:
+    coupling.check_refinement(make_partition(100, spec), make_partition(10, spec),
+                              ORDINARY_BINNED, arr)
+print(json.dumps({"after_draw": drawn, "end": mb()}))
+"""
+RSS_DRIVERS = ("run_arrivals", "check_extra_order", "check_bounded_perturbation",
+               "check_refinement")
+
+
+def peak_rss(n: int) -> dict:
+    """MB of peak RSS after the draw and at the end of each driver on n uniform
+    arrivals, each run in a fresh process on the lobphase imported here."""
+    src = str(Path(book.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return {driver: json.loads(subprocess.run(
+        [sys.executable, "-c", RSS_CHILD, driver, str(SEED), str(n)], env=env, check=True,
+        capture_output=True, text=True).stdout) for driver in RSS_DRIVERS}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--n-draw", type=int, default=1_000_000,
-                    help="arrivals per materialize and check_refinement call")
+                    help="arrivals per materialize and check_refinement call, and of "
+                         "each driver whose peak RSS is taken")
     ap.add_argument("--match-sizes", default="60000,1000000,4000000",
                     help="comma-separated arrival counts of the match loop")
     ap.add_argument("--repeats", type=int, default=7)
@@ -272,6 +328,7 @@ def main() -> None:
         folds = time_folds(bin_kernels, N_FOLD, args.repeats)
         book._loaded = loaded
         csvs = time_csvs(N_FOLD, args.repeats)
+        rss = peak_rss(args.n_draw)
     finally:
         book._loaded = loaded
     record = {
@@ -286,6 +343,7 @@ def main() -> None:
         "check_refinement_s": {"n": args.n_draw, "kernel": loaded.name, **refinement},
         "recorder_folds_ns_per_arrival": {"n": N_FOLD, "folds": folds},
         "write_trace_csvs": {"n": N_FOLD, "bins": 100, "kernel": loaded.name, **csvs},
+        "peak_rss_mb": {"n": args.n_draw, "drivers": rss},
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -303,6 +361,9 @@ def main() -> None:
         print(f"fold {name:13s}       c {row['c']} ns, numpy {row['numpy']} ns per arrival")
     print(f"write_trace_csvs: {csvs['ns_per_arrival']} ns per arrival, "
           f"{csvs['ms_per_call']} ms per call on {N_FOLD} arrivals")
+    for driver, row in rss.items():
+        print(f"peak RSS {driver:26s} {row['after_draw']} MB after the draw, "
+              f"{row['end']} MB at the end on {args.n_draw} arrivals")
     print(f"wrote {out / 'bench.json'}")
 
 

@@ -480,13 +480,14 @@ long five_bin(long n, const int64_t *bins, const uint8_t *changed_bid, const int
  * (is_bid[j]) or the ask count of bin bins[j] by steps[j].  After both, the
  * largest prefix sum of the bid counts from bin 0 up goes to max_b[i], and of
  * the ask counts from bin nbins - 1 down to max_a[i]; a side that neither
- * change touched keeps its last maximum.  bid and ask (nbins each) start
- * zeroed, so each maximum starts at 0. */
+ * change touched keeps its last maximum.  bid and ask (nbins each) hold the
+ * counts carried from the last call, and get them after the last point; the
+ * first point takes both maxima from them. */
 void refinement(long n, const uint8_t *is_bid, const int64_t *bins, const int64_t *steps,
                 long nbins, int64_t *bid, int64_t *ask, int64_t *max_b, int64_t *max_a) {
     int64_t best_b = 0, best_a = 0;
     for (long i = 0; i < n; i++) {
-        int moved_b = 0, moved_a = 0;
+        int moved_b = i == 0, moved_a = i == 0;
         for (long j = 2 * i; j < 2 * i + 2; j++) {
             if (is_bid[j]) { bid[bins[j]] += steps[j]; moved_b = 1; }
             else { ask[bins[j]] += steps[j]; moved_a = 1; }

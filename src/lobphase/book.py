@@ -695,20 +695,20 @@ def _five_bin_c(fn, sums: FiveBinSums, bins: np.ndarray, changed_bid: np.ndarray
 
 
 def _refinement_maxima(is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
-                       nbins: int) -> tuple[np.ndarray, np.ndarray]:
+                       counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest bottom-up bid and top-down ask prefix sums of per-bin counts, per point.
 
     Row i of the (n, 2) inputs is point i's two changes: change j moves the
     bid count (is_bid[i, j]) or the ask count of bin bins[i, j] by
     steps[i, j].  After both, max_b[i] is the largest prefix sum of the bid
-    counts from bin 0 up and max_a[i] that of the ask counts from bin
-    nbins - 1 down; the counts start at zero.  The reference for
-    `refinement` in `_kernel.c` and the pass that runs without a compiler.
+    counts from bin 0 up and max_a[i] that of the ask counts from the top bin
+    down.  The counts start at `counts` (bids, asks), which gets them after
+    the last point.  The reference for `refinement` in `_kernel.c` and the
+    pass that runs without a compiler.
     """
-    n = is_bid.shape[0]
+    n, nbins = is_bid.shape[0], counts.shape[1]
     max_b, max_a = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    prefix_b = np.zeros(nbins, dtype=np.int64)
-    prefix_a = np.zeros(nbins, dtype=np.int64)
+    prefix_b, prefix_a = np.cumsum(counts[0]), np.cumsum(counts[1, ::-1])
     for lo in range(0, n, BLOCK):
         bid, k, v = is_bid[lo:lo + BLOCK], bins[lo:lo + BLOCK], steps[lo:lo + BLOCK]
         rows = np.broadcast_to(np.arange(bid.shape[0])[:, None], bid.shape)
@@ -722,21 +722,23 @@ def _refinement_maxima(is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
             p += carry
         prefix_b, prefix_a = pb[-1].copy(), pa[-1].copy()
         max_b[lo:lo + BLOCK], max_a[lo:lo + BLOCK] = pb.max(axis=1), pa.max(axis=1)
+    np.add.at(counts, (np.where(is_bid, 0, 1), bins), steps)
     return max_b, max_a
 
 
 def _refinement_c(fn, is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
-                  nbins: int) -> tuple[np.ndarray, np.ndarray]:
+                  counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_refinement_maxima` through the compiled `refinement` of `_kernel.c`."""
     is_bid = np.ascontiguousarray(is_bid, dtype=bool)
     bins, steps = (np.ascontiguousarray(a, dtype=np.int64) for a in (bins, steps))
-    n = len(is_bid)
+    n, nbins = len(is_bid), counts.shape[1]
     if not is_bid.shape == bins.shape == steps.shape == (n, 2):
         raise ValueError("refinement inputs must have one shape (n, 2)")
-    # the C pass indexes with these bins unchecked
+    # the C pass indexes with these bins unchecked, and adds to the counts in place
     if n and not (0 <= bins.min() and bins.max() < nbins):
         raise ValueError(f"refinement bins outside 0..{nbins - 1}")
-    counts = np.zeros((2, nbins), dtype=np.int64)
+    if counts.dtype != np.int64 or counts.shape[0] != 2 or not counts.flags.carray:
+        raise ValueError("refinement counts must be writable C-ordered int64, shape (2, nbins)")
     max_b, max_a = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     fn(n, is_bid.ctypes.data, bins.ctypes.data, steps.ctypes.data, nbins,
        counts[0].ctypes.data, counts[1].ctypes.data, max_b.ctypes.data, max_a.ctypes.data)
@@ -947,7 +949,7 @@ class _Kernel(NamedTuple):
                              # order violation), each -1 for none
     binned: Callable         # (sums, times, t0, half, beta, alpha, three bins, changes) -> None
     five_bin: Callable       # (sums, bins, changed_bid, sign, normals, K) -> above K
-    refinement: Callable     # (is_bid, bins, steps, nbins) -> (max_b, max_a)
+    refinement: Callable     # (is_bid, bins, steps, counts) -> (max_b, max_a)
     draw: Callable           # (spec, side_u, price_u, is_bid out, prices out) -> None
     uniforms: Callable       # ((seed, tag), first, out) -> out
     bins: Callable           # (partition, prices) -> bin of each price

@@ -6,6 +6,9 @@ almost-sure statements, so one violation on any seed is a failure, not noise.
 The relation depends only on the difference between the books, which
 changes only at the arrivals where the books act differently; each check
 evaluates it there and holds the verdict until the next such arrival.
+The books run in lockstep, a chunk at a time (`sim._fold`): each check
+compares the chunk's logs and carries its difference, and the verdict still
+open at the chunk's end, to the next chunk, so it holds no whole-run array.
 The laws hold for finite books: a starting book with a reservoir is rejected
 with ValueError.
 """
@@ -68,89 +71,78 @@ def report_rows(reports) -> list[tuple]:
             for r in reports]
 
 
-class _Diff:
-    """Signed multiset difference (perturbed minus base), kept incrementally."""
-
-    __slots__ = ("bids", "asks")
-
-    def __init__(self):
-        self.bids: dict[float, int] = {}
-        self.asks: dict[float, int] = {}
-
-    def bump(self, side: str, price: float, delta: int) -> None:
-        d = self.bids if side == "bid" else self.asks
-        new = d.get(price, 0) + delta
-        if new:
-            d[price] = new
-        else:
-            d.pop(price, None)
-
-    def apply(self, changes, i: int, sign: int) -> None:
-        """Event i of one book's `_changes`; sign +1 perturbed, -1 base."""
-        is_bid, price, step = changes
-        if step[i]:
-            self.bump("bid" if is_bid[i] else "ask", float(price[i]), sign * int(step[i]))
-
-    def size(self) -> int:
-        return sum(map(abs, [*self.bids.values(), *self.asks.values()]))
-
-    def as_tuple(self):
-        return (tuple(sorted(self.bids.items())), tuple(sorted(self.asks.items())))
-
-
-def _classify_single(diff: _Diff, extra_side: str):
-    """For the one-extra-order coupling: 'extra' / 'missing' / None (invalid)."""
-    own, other = (diff.bids, diff.asks) if extra_side == "bid" else (diff.asks, diff.bids)
-    if not other and list(own.values()) == [1]:
-        return "extra", next(iter(own))
-    if not own and list(other.values()) == [-1]:
-        return "missing", next(iter(other))
-    return None, None
-
-
-class _Changes(tuple):
-    """A run's arrays (changed_bid, price, sign), into which `fold` copies each
-    chunk's; given a partition `bins` (`_changes` sets it), the middle one
-    holds each changed price's bin in it instead of the price."""
-
-    def fold(self, lo: int, log: EventLog) -> None:
-        key = log.price if self.bins is None else _kernel().bins(self.bins, log.price)
-        for run, chunk in zip(self, (log.changed_bid, key, log.sign)):
-            run[lo:lo + chunk.size] = chunk
-
-
-def _changes(book: BookState, rule: MatchRule, arr: Arrivals, out: tuple | None = None,
-             bins: Optional[BinPartition] = None):
-    """The `EventLog` fields (changed_bid, price, sign) of each arrival of `arr`
-    applied to `book` (mutated), folded into the arrays `out`, or new ones;
-    with `bins`, each price's bin in that partition (int32) in its place."""
-    key = float if bins is None else np.int32
-    out = _Changes(out or (np.empty(arr.n, dtype) for dtype in (bool, key, np.int8)))
-    out.bins = bins
-    _fold(book, rule, arr, [out])
-    return out
-
-
 def _no_reservoirs(book: BookState, check: str) -> None:
-    """The coupling laws are stated for finite books; reservoirs break them.
-
-    An arrival that one book matches against a finite order can hit a
-    reservoir in the other, which removes nothing there, so the difference
-    between the books can vanish or grow in ways the laws rule out.
-    """
+    """The coupling laws are stated for finite books: an arrival that one book
+    matches against a finite order can hit a reservoir in the other, which
+    removes nothing there; that breaks them."""
     if book.bid_reservoir is not None or book.ask_reservoir is not None:
         raise ValueError(f"{check} applies to books without reservoirs")
 
 
 def _differs(a, b) -> np.ndarray:
-    """Events at which two books add or remove different resting orders."""
+    """Events at which two books add or remove different resting orders, given
+    each book's (changed_bid, key, sign) of a chunk, the key a price or a bin."""
     (side_a, key_a, sign_a), (side_b, key_b, sign_b) = a, b
     return (sign_a != sign_b) | ((sign_a != 0) & ((side_a != side_b) | (key_a != key_b)))
 
 
-def _runs(points: np.ndarray, n: int):
-    """(point, next point or n) pairs: the stretch over which a verdict holds."""
-    return zip(points.tolist(), np.append(points[1:], n).tolist())
+class _Verdicts:
+    """A check's verdicts at its points, the arrivals where the books act
+    differently.  Each holds up to the next point, perhaps in a later chunk:
+    the last failure stays open until then, or until `judge([n])` at the end."""
+
+    def __init__(self, report: CouplingReport):
+        self.report, self.open = report, None
+
+    def judge(self, at: np.ndarray, failures=()) -> None:
+        """Verdicts at the sorted points `at`: (r, expected, observed) for each
+        failing point at[r], in order, and a pass at every other."""
+        if self.open and at.size:
+            self.report.record(self.open[0], int(at[0]), *self.open[1:])
+            self.open = None
+        for r, expected, observed in failures:
+            if r + 1 < at.size:
+                self.report.record(int(at[r]), int(at[r + 1]), expected, observed)
+            else:
+                self.open = (int(at[r]), expected, observed)
+
+
+class _Difference(_Verdicts):
+    """The books' difference (tilde minus base) as signed order counts per
+    price, moved at each point by both books' changes and then judged by
+    `law`, which gives (expected, observed) for a failure.  `offset` is the
+    index of the first arrival folded; `landed` makes that arrival a point,
+    as an edit just landed before it."""
+
+    offset, landed = 0, False
+
+    def __init__(self, report: CouplingReport, law):
+        super().__init__(report)
+        self.law, self.bids, self.asks = law, {}, {}
+
+    def bump(self, side: str, price: float, delta: int) -> None:
+        d = self.bids if side == "bid" else self.asks
+        d[price] = d.get(price, 0) + delta
+        if not d[price]:
+            del d[price]
+
+    def size(self) -> int:
+        return sum(map(abs, [*self.bids.values(), *self.asks.values()]))
+
+    def fold(self, lo: int, tilde: EventLog, base: EventLog) -> None:
+        tilde, base = ((log.changed_bid, log.price, log.sign) for log in (tilde, base))
+        differs = _differs(tilde, base)
+        differs[0] |= self.landed
+        self.landed = False
+        points, failures = np.flatnonzero(differs), []
+        for r, i in enumerate(points.tolist()):
+            for (is_bid, price, step), sign in ((tilde, +1), (base, -1)):
+                if step[i]:
+                    self.bump("bid" if is_bid[i] else "ask", float(price[i]), sign * int(step[i]))
+            failure = self.law(self)
+            if failure:
+                failures.append((r, *failure))
+        self.judge(self.offset + lo + points, failures)
 
 
 def check_extra_order(base: BookState, extra: Order, arrivals: Arrivals,
@@ -162,28 +154,22 @@ def check_extra_order(base: BookState, extra: Order, arrivals: Arrivals,
     the original price it never returns to an extra order at that price.
     """
     _no_reservoirs(base, "check_extra_order")
-    Edit(0, "add", extra.side, extra.price)     # refuses a bad side or price
-    tilde = base.clone()
-    tilde.insert(extra.side, extra.price)
-    ch_base = _changes(base.clone(), rule, arrivals)
-    ch_tilde = _changes(tilde, rule, arrivals)
-    diff = _Diff()
-    diff.bump(extra.side, extra.price, +1)
-    report = CouplingReport("extra_order", seed, arrivals.n)
     left_original = False
-    for i, stop in _runs(np.flatnonzero(_differs(ch_tilde, ch_base)), arrivals.n):
-        diff.apply(ch_tilde, i, +1)
-        diff.apply(ch_base, i, -1)
-        kind, price = _classify_single(diff, extra.side)
-        if kind is None:
-            report.record(i, stop, "single extra/missing order", repr(diff.as_tuple()))
-            continue
-        if kind != "extra" or price != extra.price:
+
+    def law(diff: _Difference):
+        nonlocal left_original
+        own, other = (diff.bids, diff.asks) if extra.side == "bid" else (diff.asks, diff.bids)
+        extra_at = next(iter(own)) if not other and list(own.values()) == [1] else None
+        if extra_at is None and (own or list(other.values()) != [-1]):
+            return "single extra/missing order", repr((tuple(sorted(diff.bids.items())),
+                                                        tuple(sorted(diff.asks.items()))))
+        if extra_at != extra.price:
             left_original = True
         elif left_original:
-            report.record(i, stop, "never back to the original extra order",
-                          f"extra {extra.side} at {price}")
-    return report
+            return "never back to the original extra order", f"extra {extra.side} at {extra_at}"
+
+    return _coupled(base, [Edit(0, "add", extra.side, extra.price)], arrivals, rule,
+                    _Difference(CouplingReport("extra_order", seed, arrivals.n), law))
 
 
 @dataclass(frozen=True)
@@ -208,37 +194,34 @@ def check_bounded_perturbation(base: BookState, edits: list[Edit], arrivals: Arr
     if len(edits) > M:
         raise ValueError(f"{len(edits)} edits exceed the stated bound M={M}")
     _no_reservoirs(base, "check_bounded_perturbation")
+    return _coupled(base, edits, arrivals, rule, _Difference(
+        CouplingReport("bounded_perturbation", seed, arrivals.n),
+        lambda diff: diff.size() > M and (f"diff size <= {M}", f"size {diff.size()}")))
+
+
+def _coupled(base: BookState, edits: list[Edit], arrivals: Arrivals, rule: MatchRule,
+             check: _Difference) -> CouplingReport:
+    """Fold `base` and a copy that `edits` change (the tilde book) into `check`, both
+    in segments cut at the edits.  An edit lands on the tilde book just before
+    arrival max(index, 0), and one at or after the last arrival never lands."""
     n = arrivals.n
-    report = CouplingReport("bounded_perturbation", seed, n)
-    ch_base = _changes(base.clone(), rule, arrivals)
-    # The tilde book runs in segments; an edit lands just before arrival
-    # max(index, 0), and one at or after the last arrival never lands.
     tilde = base.clone()
+    books = [(tilde, rule), (base.clone(), rule)]
     pending = sorted(edits, key=lambda e: e.index)
     cuts = sorted({0, n} | {e.index for e in pending if 0 < e.index < n})
-    edit_bumps: dict[int, list] = {}
-    ch_tilde = tuple(np.empty_like(a) for a in ch_base)
     for lo, hi in zip(cuts, cuts[1:]):
         for e in (e for e in pending if max(e.index, 0) == lo):
+            check.landed = True
             if e.op == "add":
                 tilde.insert(e.side, e.price)
-                edit_bumps.setdefault(lo, []).append((e.side, e.price, +1))
+                check.bump(e.side, e.price, +1)
             else:
-                edit_bumps.setdefault(lo, []).append((e.side, tilde.pop_best(e.side), -1))
-        segment = Arrivals(arrivals.is_bid[lo:hi], arrivals.prices[lo:hi],
-                           arrivals.times[lo:hi], arrivals.p_b)
-        _changes(tilde, rule, segment, tuple(a[lo:hi] for a in ch_tilde))
-    points = np.union1d(np.flatnonzero(_differs(ch_tilde, ch_base)),
-                        np.fromiter(edit_bumps, dtype=np.intp))
-    diff = _Diff()
-    for i, stop in _runs(points, n):
-        for side, price, delta in edit_bumps.get(i, ()):
-            diff.bump(side, price, delta)
-        diff.apply(ch_tilde, i, +1)
-        diff.apply(ch_base, i, -1)
-        if diff.size() > M:
-            report.record(i, stop, f"diff size <= {M}", f"size {diff.size()}")
-    return report
+                check.bump(e.side, tilde.pop_best(e.side), -1)
+        check.offset = lo
+        _fold(books, Arrivals(arrivals.is_bid[lo:hi], arrivals.prices[lo:hi],
+                              arrivals.times[lo:hi], arrivals.p_b), [check])
+    check.judge(np.array([n]))
+    return check.report
 
 
 def check_refinement(fine: BinPartition, coarse: BinPartition, kind: str, arrivals: Arrivals,
@@ -256,26 +239,36 @@ def check_refinement(fine: BinPartition, coarse: BinPartition, kind: str, arriva
         raise ValueError("`fine` does not refine `coarse`")
     if initial is not None:
         _no_reservoirs(initial, "check_refinement")
-    books = [_changes(initial.clone() if initial else BookState(), MatchRule(kind, part),
-                      arrivals, bins=fine) for part in (fine, coarse)]
-    # d holds (coarse - fine) per fine bin; ordinary demands every prefix of
-    # d over bids (from the bottom) and over asks (from the top) to be <= 0,
-    # strict demands >= 0.  Only the points where the books change different
-    # fine bins move d; each moves it by both books' changes, weighted so that
-    # a positive prefix of sign * d is a violation.
-    sign = 1 if kind == ORDINARY_BINNED else -1
-    points = np.flatnonzero(_differs(*books))
-    is_bid, bins, steps = (np.column_stack((f[points], c[points])) for f, c in zip(*books))
-    del books   # the books' whole-run arrays go before the pass makes its own
-    max_b, max_a = _kernel().refinement(is_bid, bins, steps * np.array([-sign, sign]),
-                                        fine.n_bins)
-    stops = np.append(points[1:], arrivals.n)
     name = f"refinement_{'ordinary' if kind == ORDINARY_BINNED else 'strict'}"
-    report = CouplingReport(name, seed, arrivals.n)
-    for r in np.flatnonzero((max_b > 0) | (max_a > 0)):
-        report.record(int(points[r]), int(stops[r]), "coarse/fine count domination",
-                      f"max prefix excess bid={int(max_b[r])} ask={int(max_a[r])}")
-    return report
+    check = _Refinement(CouplingReport(name, seed, arrivals.n), fine,
+                        1 if kind == ORDINARY_BINNED else -1)
+    _fold([(initial.clone() if initial else BookState(), MatchRule(kind, part))
+           for part in (fine, coarse)], arrivals, [check])
+    check.judge(np.array([arrivals.n]))
+    return check.report
+
+
+class _Refinement(_Verdicts):
+    """`counts` holds d = (coarse - fine) per fine bin: ordinary demands every
+    prefix of d over bids (from the bottom) and over asks (from the top) to be
+    <= 0, strict >= 0.  A point, where the books change different fine bins,
+    moves d by both changes, weighted so that a positive prefix is a violation."""
+
+    def __init__(self, report: CouplingReport, fine: BinPartition, sign: int):
+        super().__init__(report)
+        self.fine, self.weights = fine, np.array([-sign, sign])
+        self.counts = np.zeros((2, fine.n_bins), dtype=np.int64)
+
+    def fold(self, lo: int, fine: EventLog, coarse: EventLog) -> None:
+        kernel = _kernel()
+        books = [(log.changed_bid, kernel.bins(self.fine, log.price), log.sign)
+                 for log in (fine, coarse)]
+        points = np.flatnonzero(_differs(*books))
+        is_bid, bins, steps = (np.column_stack((f[points], c[points])) for f, c in zip(*books))
+        max_b, max_a = kernel.refinement(is_bid, bins, steps * self.weights, self.counts)
+        self.judge(lo + points, [(r, "coarse/fine count domination",
+                                  f"max prefix excess bid={int(max_b[r])} ask={int(max_a[r])}")
+                                 for r in np.flatnonzero((max_b > 0) | (max_a > 0)).tolist()])
 
 
 @dataclass(frozen=True)

@@ -382,7 +382,7 @@ def simulate_5bin(eps: float, n_events: int, seed: int, K: float = 20.0,
     hi_mid = 1.0 - lo_mid               # inside bin 5
     state = BookState(bid_reservoir=lo_mid, ask_reservoir=hi_mid)
     region = _FiveBin(part, _GAUGE_NORMALS, K)
-    _fold(state, MatchRule(ORDINARY_BINNED, part),
+    _fold([(state, MatchRule(ORDINARY_BINNED, part))],
           materialize(ArrivalStream(seed, n_events, spec)), [region])
     sums = region.sums
     stats = {code: RegionStats(int(sums.visits[c]), sums.dx_sum[c].copy(),
@@ -436,7 +436,7 @@ def check_geometric_bound(x: float, y: float, spec: ArrivalSpec, n_events: int,
 
     inside = (float(np.nextafter(x, np.inf)), y)    # x < p < y, as a half-open band
     band = _BandCount(inside, inside, at=np.arange(n_events // 2, n_events, 50))
-    _fold(BookState(bid_reservoir=x, ask_reservoir=y), MatchRule(ORDINARY),
+    _fold([(BookState(bid_reservoir=x, ask_reservoir=y), MatchRule(ORDINARY))],
           materialize(ArrivalStream(seed, n_events, spec)), [band])
     (sb, sa), n = band.samples, band.at.size
 

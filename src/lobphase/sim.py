@@ -41,9 +41,9 @@ __all__ = [
 EVENT_COUNT = "event_count"
 POISSON = "poisson"
 
-# Arrivals drawn, matched and recorded at a time.  A chunk's temporaries
-# (128 KiB per float64 array) are reused from the allocator's free lists
-# instead of being mapped and faulted in afresh for every pass over a run.
+# Arrivals drawn, matched and recorded at a time (shared among coupled books).
+# A chunk's temporaries (128 KiB per float64 array) are reused from the free
+# lists instead of being mapped and faulted in afresh for every pass.
 CHUNK = 16_384
 
 # Field tags for the splittable generator: one independent Philox stream per
@@ -223,19 +223,23 @@ def run_arrivals(rule: MatchRule, initial: BookState, arr: Arrivals,
         recorders.append(_RunningMax(trace, runmax_band, times))
     if record_partition is not None:
         recorders.append(_Binned(trace, state, times))
-    _fold(state, rule, arr, recorders)
+    _fold([(state, rule)], arr, recorders)
     trace.final_bids, trace.final_asks = state.n_bids, state.n_asks
     return trace
 
 
-def _fold(state: BookState, rule: MatchRule, arr: Arrivals, recorders) -> None:
-    """Match `arr` on `state` `CHUNK` arrivals at a time and fold each chunk into
-    the recorders, in order: `fold(lo, log)` takes the log of arrivals lo,
-    lo + 1, ..., and each recorder carries its state to the next chunk."""
-    for lo, log in match_chunks(state, rule, arr.is_bid, arr.prices, CHUNK):
-        if log.outcome.size:
+def _fold(books: list[tuple[BookState, MatchRule]], arr: Arrivals, recorders) -> None:
+    """Match `arr` on each (state, rule) book in lockstep, `CHUNK // len(books)`
+    arrivals at a time (the books' logs fill one chunk's room), and fold each
+    chunk into the recorders, in order: `fold(lo, *logs)` takes each book's
+    log of arrivals lo, lo + 1, ..., and each recorder carries its state on."""
+    loops = (match_chunks(state, rule, arr.is_bid, arr.prices, max(1, CHUNK // len(books)))
+             for state, rule in books)
+    for chunks in zip(*loops):
+        lo, logs = chunks[0][0], [log for _, log in chunks]
+        if logs[0].outcome.size:
             for recorder in recorders:
-                recorder.fold(lo, log)
+                recorder.fold(lo, *logs)
 
 
 def _in_chunk(at: np.ndarray, lo: int, n: int) -> tuple[slice, np.ndarray]:

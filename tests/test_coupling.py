@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,12 @@ class TestBoundedPerturbation:
             coupling.check_bounded_perturbation(BookState(), edits, arr,
                                                 MatchRule(ORDINARY), M=3)
 
+    def test_zero_arrivals_base_case(self, uniform_spec):
+        empty = sim.materialize(sim.ArrivalStream(0, 0, uniform_spec))
+        r = coupling.check_bounded_perturbation(BookState(), [Edit(0, "add", "bid", 0.5)],
+                                                empty, MatchRule(ORDINARY), M=1)
+        assert r.passed and r.n_events == 0 and r.details == []
+
     def test_edit_count_over_m_rejected(self, arrivals_10k):
         with pytest.raises(ValueError):
             coupling.check_bounded_perturbation(
@@ -113,6 +121,14 @@ class TestRefinement:
                                          arrivals_10k).passed
         assert coupling.check_refinement(part, part, STRICT_BINNED,
                                          arrivals_10k).passed
+
+    @pytest.mark.parametrize("kind", [ORDINARY_BINNED, STRICT_BINNED])
+    def test_zero_arrivals_base_case(self, uniform_spec, kind):
+        empty = sim.materialize(sim.ArrivalStream(0, 0, uniform_spec))
+        r = coupling.check_refinement(make_partition(10, uniform_spec),
+                                      make_partition(5, uniform_spec), kind, empty,
+                                      initial=BookState(bids=[0.11], asks=[0.83]))
+        assert r.passed and r.n_events == 0 and r.details == []
 
     def test_non_refinement_rejected(self, uniform_spec, arrivals_10k):
         fine = make_partition(9, uniform_spec)
@@ -251,9 +267,26 @@ def chunk(request, monkeypatch):
     monkeypatch.setattr(sim, "CHUNK", request.param)
 
 
+class _CountedAsOne(list):
+    """Edits that report their count as one, so that the check holds four
+    edits to M = 1: no reservoir book broke the bound at M = len(edits) in a
+    search of 400 random books, edits and seeds."""
+
+    def __len__(self):
+        return 1
+
+
+# The perturbation pin's edits: before the first arrival, inside a chunk of 7
+# (and of 3, its share for each of two books), on a boundary of both, and past
+# the last arrival (never applied).
+PINNED_EDITS = _CountedAsOne([Edit(-3, "add", "bid", 0.5), Edit(10, "remove_best", "bid"),
+                              Edit(21, "remove_best", "ask"), Edit(3_005, "add", "bid", 0.4)])
+
+
 def violation_reports(spec):
     """(violations, first index, details) of each of `TestViolationsReported`'s
-    three reports."""
+    three reports, and of the bounded perturbation of a reservoir book by
+    `PINNED_EDITS` at M = 1."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coupling, "_no_reservoirs", lambda book, check: None)
         arr = sim.materialize(sim.ArrivalStream(1, 20_000, spec))
@@ -264,6 +297,10 @@ def violation_reports(spec):
         reports += [coupling.check_refinement(make_partition(10, spec), make_partition(5, spec),
                                               kind, arr, initial=start)
                     for kind in (ORDINARY_BINNED, STRICT_BINNED)]
+        start = BookState(bids=[0.11, 0.31], asks=[0.61, 0.83], bid_reservoir=0.3,
+                          ask_reservoir=0.7)
+        reports.append(coupling.check_bounded_perturbation(start, PINNED_EDITS, arr,
+                                                           MatchRule(ORDINARY), M=1))
     return [(r.violations, r.first_violation_index, r.details) for r in reports]
 
 
@@ -300,22 +337,63 @@ class TestChunkIndependence:
     def test_violations_reported(self, uniform_spec, kernel, chunk, default_violations):
         reports = violation_reports(uniform_spec)
         assert reports == default_violations
-        assert [r[:2] for r in reports] == [(19_975, 25), (359, 5), (12, 94)]
+        assert [r[:2] for r in reports] == [(19_975, 25), (359, 5), (12, 94), (29, 10)]
+        # one stretch over arrivals 10 .. 38, through boundaries of chunks of 7
+        # and 3, the difference growing at the edit at 21
+        assert reports[3][2] == [(i, "diff size <= 1", f"size {2 if i < 21 else 3}")
+                                 for i in range(10, 30)]
 
     def test_bounded_perturbation_changes(self, uniform_spec, kernel, chunk, monkeypatch):
-        # One edit lands inside the first chunk of 16,384, the other past it;
+        # One edit lands early, the other past the first 16,384 arrivals;
         # on seed 17 the books act differently after each of them.
         arr = sim.materialize(sim.ArrivalStream(17, 20_000, uniform_spec))
         edits = [Edit(7, "add", "ask", 0.6), Edit(16_390, "remove_best", "ask")]
         compared, differs = [], coupling._differs
         monkeypatch.setattr(coupling, "_differs",
-                            lambda tilde, base: compared.append((tilde, base)) or
+                            lambda tilde, base: compared.append(
+                                [[a.copy() for a in book] for book in (tilde, base)]) or
                             differs(tilde, base))
         r = coupling.check_bounded_perturbation(BookState(), edits, arr,
                                                 MatchRule(ORDINARY), M=2)
         assert r.passed
-        [(tilde, base)] = compared
-        assert [a.tolist() for a in tilde] == replay_changes(BookState(), MatchRule(ORDINARY),
-                                                             arr, edits)
-        assert [a.tolist() for a in base] == replay_changes(BookState(), MatchRule(ORDINARY),
-                                                            arr)
+        # one call per chunk of each segment, the segments cut at the edits
+        assert len(compared) >= 3
+        tilde, base = ([np.concatenate(a).tolist() for a in zip(*books)]
+                       for books in zip(*compared))
+        assert tilde == replay_changes(BookState(), MatchRule(ORDINARY), arr, edits)
+        assert base == replay_changes(BookState(), MatchRule(ORDINARY), arr)
+
+
+def traced_peak(run) -> int:
+    """Bytes at the traced peak of `run()`, run once before untraced so that
+    the kernel and the allocator's caches are in place."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checks_peak_near_a_single_run(uniform_spec):
+    # The books fold chunk by chunk in lockstep, as one run folds its
+    # recorders: no check holds an array as long as the run.  The checks
+    # peak at 1.2-1.3 times the run under the compiled loop, and at 1.1
+    # under the Python loop; arrays of 10 bytes per arrival and book took
+    # them to 3.0-4.4 times.
+    arr = sim.materialize(sim.ArrivalStream(1, 400_000, uniform_spec))
+    rule = MatchRule(ORDINARY)
+    single = traced_peak(lambda: sim.run_arrivals(rule, BookState(), arr, 0))
+    checks = {
+        "extra_order": lambda: coupling.check_extra_order(BookState(), Order("bid", 0.5, -1),
+                                                          arr, rule),
+        "bounded_perturbation": lambda: coupling.check_bounded_perturbation(
+            BookState(), [Edit(0, "add", "bid", 0.5), Edit(200_000, "remove_best", "ask")],
+            arr, rule, M=2),
+        "refinement": lambda: coupling.check_refinement(
+            make_partition(100, uniform_spec), make_partition(10, uniform_spec),
+            ORDINARY_BINNED, arr),
+    }
+    ratios = {name: traced_peak(check) / single for name, check in checks.items()}
+    assert max(ratios.values()) < 1.5, ratios

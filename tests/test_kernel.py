@@ -629,35 +629,61 @@ def test_binned_rejects_bins_out_of_range(c_kernel):
 
 @st.composite
 def refinement_points(draw):
-    """(is_bid, bins, steps, nbins): two changes per point, as check_refinement passes them.
+    """(is_bid, bins, steps, counts): two changes per point, as check_refinement
+    passes them, and the counts carried from an earlier chunk.
 
-    Steps in {-1, 0} keep every prefix sum at or below 0 (no violation);
-    steps in {-1, 0, 1} give violations on most runs.
+    Steps in {-1, 0} from zero counts keep every prefix sum at or below 0 (no
+    violation); steps in {-1, 0, 1}, or counts that start nonzero, give
+    violations on most runs.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nbins, n = draw(st.integers(2, 200)), draw(st.integers(0, 700))
     top = draw(st.sampled_from([0, 1]))
+    carried = draw(st.sampled_from([0, 3]))
     return (rng.random((n, 2)) < 0.5, rng.integers(0, nbins, (n, 2)),
-            rng.integers(-1, top + 1, (n, 2)), nbins)
+            rng.integers(-1, top + 1, (n, 2)), rng.integers(-carried, carried + 1, (2, nbins)))
 
 
 @given(refinement_points())
 @settings(max_examples=300, deadline=None)
 def test_c_refinement_matches_numpy(c_kernel, points):
-    # up to 700 points, so the numpy pass carries its prefix sums across blocks
-    assert as_bytes(c_kernel.refinement(*points)) == \
-        as_bytes(book_module._refinement_maxima(*points))
+    # up to 700 points, so the numpy pass carries its prefix sums across blocks;
+    # both leave the counts after the last point
+    *changes, counts = points
+    c_counts, numpy_counts = counts.copy(), counts.copy()
+    assert as_bytes(c_kernel.refinement(*changes, c_counts)) == \
+        as_bytes(book_module._refinement_maxima(*changes, numpy_counts))
+    assert as_bytes(c_counts) == as_bytes(numpy_counts)
+
+
+def test_refinement_carries_its_counts(c_kernel):
+    # a pass split anywhere, its counts carried, gives the maxima of the whole
+    rng = np.random.default_rng(3)
+    is_bid, bins, steps = rng.random((50, 2)) < 0.5, rng.integers(0, 6, (50, 2)), \
+        rng.integers(-1, 2, (50, 2))
+    for kernel in (c_kernel.refinement, book_module._refinement_maxima):
+        whole = kernel(is_bid, bins, steps, np.zeros((2, 6), dtype=np.int64))
+        counts = np.zeros((2, 6), dtype=np.int64)
+        parts = [kernel(is_bid[a:b], bins[a:b], steps[a:b], counts)
+                 for a, b in ((0, 1), (1, 20), (20, 20), (20, 50))]
+        assert as_bytes(tuple(np.concatenate(m) for m in zip(*parts))) == as_bytes(whole)
 
 
 def test_refinement_rejects_bins_out_of_range(c_kernel):
     ok = np.zeros((3, 2), dtype=np.int64)
     is_bid = ok.astype(bool)
+    counts = np.zeros((2, 4), dtype=np.int64)
     for bins in (ok - 1, ok + 4):
         with pytest.raises(ValueError, match="outside 0..3"):
-            c_kernel.refinement(is_bid, bins, ok, 4)
+            c_kernel.refinement(is_bid, bins, ok, counts)
     for bad in (ok[:2], ok[:, :1], ok.ravel()):
         with pytest.raises(ValueError, match="shape"):
-            c_kernel.refinement(is_bid, bad, ok, 4)
+            c_kernel.refinement(is_bid, bad, ok, counts)
+    frozen = counts.copy()
+    frozen.flags.writeable = False
+    for bad in (counts.astype(np.int32), counts[:1], np.zeros((4, 2), np.int64).T, frozen):
+        with pytest.raises(ValueError, match="counts"):
+            c_kernel.refinement(is_bid, ok, ok, bad)
 
 
 # -- the arrival draw ---------------------------------------------------------

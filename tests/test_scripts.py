@@ -72,3 +72,8 @@ def test_bench_records_both_layers(monkeypatch, tmp_path):
     csvs = record["write_trace_csvs"]
     assert (csvs["n"], csvs["bins"], csvs["kernel"]) == (40_000, 100, loaded.name)
     assert csvs["ns_per_arrival"] > 0 and csvs["ms_per_call"] > 0
+    rss = record["peak_rss_mb"]
+    assert rss["n"] == 1000 and list(rss["drivers"]) == [
+        "run_arrivals", "check_extra_order", "check_bounded_perturbation", "check_refinement"]
+    for row in rss["drivers"].values():
+        assert 0 < row["after_draw"] <= row["end"]
