@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the arrival draw, the match loop, the bins of prices,
-the refinement check, the recorders and the trace CSVs, as JSON.
+"""Per-layer timings of the arrival draw, the match loop, the refinement
+check, the recorders and the trace CSVs, as JSON.
 
 Each figure is the median over --repeats calls in this process:
 
@@ -12,9 +12,6 @@ Each figure is the median over --repeats calls in this process:
   generator (`book._uniforms_py`), taking turns call by call;
 - the compiled `match` loop alone: the kernel's `run` timed around each chunk
   of `book.match_chunks` on uniform arrivals, ordinary rule, empty book;
-- `BinPartition.index` of one chunk of uniform prices, in ns per price, at
-  10, 100 and 200 bins (`make_partition` on uniform laws), under the
-  compiled kernel's `bins` and the numpy body, taking turns call by call;
 - `coupling.check_refinement` of the 100-bin partition against the 10-bin
   one on --n-draw uniform arrivals, in seconds per call, under each
   binned rule;
@@ -132,21 +129,6 @@ def time_match(kernel, n: int, repeats: int) -> float:
             pass
         seconds.append(spent[0])
     return median_ns(seconds, n)
-
-
-def time_bins(kernels: dict, n_bins: int, repeats: int) -> dict:
-    """ns per price of one chunk's bins under each named kernel's `bins`,
-    the kernels taking turns call by call."""
-    spec = laws()["uniform"]
-    part = make_partition(n_bins, spec)
-    prices = sim.materialize(sim.ArrivalStream(SEED, sim.CHUNK, spec)).prices
-    seconds = {name: [] for name in kernels}
-    for _ in range(repeats):
-        for name, kernel in kernels.items():
-            t0 = time.perf_counter()
-            kernel.bins(part, prices)
-            seconds[name].append(time.perf_counter() - t0)
-    return {name: median_ns(s, prices.size) for name, s in seconds.items()}
 
 
 def time_refinement(kernel, n: int, repeats: int) -> dict:
@@ -320,12 +302,10 @@ def main() -> None:
         uniform_draws["numpy"] = book._uniforms_py
         uniforms = {"c": None, **time_uniforms(uniform_draws, args.n_draw, args.repeats)}
         match = {str(n): compiled and time_match(compiled, n, args.repeats) for n in sizes}
-        bin_kernels = {"c": compiled, "numpy": book._PYTHON_KERNEL} if compiled else \
+        fold_kernels = {"c": compiled, "numpy": book._PYTHON_KERNEL} if compiled else \
             {"numpy": book._PYTHON_KERNEL}
-        bins = {str(k): {"c": None, **time_bins(bin_kernels, k, args.repeats)}
-                for k in (10, 100, 200)}
         refinement = time_refinement(loaded, args.n_draw, args.repeats)
-        folds = time_folds(bin_kernels, N_FOLD, args.repeats)
+        folds = time_folds(fold_kernels, N_FOLD, args.repeats)
         book._loaded = loaded
         csvs = time_csvs(N_FOLD, args.repeats)
         rss = peak_rss(args.n_draw)
@@ -339,7 +319,6 @@ def main() -> None:
         "materialize_ns_per_arrival": {"n": args.n_draw, "laws": draw},
         "uniforms_ns_per_arrival": {"n": args.n_draw, **uniforms},
         "match_loop_ns_per_arrival": match,
-        "bins_ns_per_price": {"n": sim.CHUNK, "bins": bins},
         "check_refinement_s": {"n": args.n_draw, "kernel": loaded.name, **refinement},
         "recorder_folds_ns_per_arrival": {"n": N_FOLD, "folds": folds},
         "write_trace_csvs": {"n": N_FOLD, "bins": 100, "kernel": loaded.name, **csvs},
@@ -353,8 +332,6 @@ def main() -> None:
     print(f"uniforms             c {uniforms['c']} ns, numpy {uniforms['numpy']} ns per arrival")
     for n, ns in match.items():
         print(f"match loop {n:>8s} arrivals: {ns} ns per arrival")
-    for k, row in bins.items():
-        print(f"bins {k:>3s} bins         c {row['c']} ns, numpy {row['numpy']} ns per price")
     for kind, sec in refinement.items():
         print(f"check_refinement {kind}: {sec} s on {args.n_draw} arrivals")
     for name, row in folds.items():

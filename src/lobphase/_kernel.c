@@ -1,4 +1,4 @@
-/* Eight passes of lobphase, compiled.
+/* Seven passes of lobphase, compiled.
  *
  * uniforms writes a stretch of the uniform draws of one Philox4x64-10 stream,
  * numpy's Philox bit for bit: output j is a function of the stream's key and
@@ -8,9 +8,6 @@
  * side's uniform or piecewise-linear quantile, with the expression and tables
  * of dist.py's quantile objects, so its prices equal the numpy ones bit for
  * bit.
- *
- * bins looks prices up in a bin partition's table as dist.py's
- * BinPartition.index does, so its bins equal the numpy ones.
  *
  * match, the arrival loop of match_chunks, mirrors book._match_py step for
  * step: the same tests in the same order, on double heaps (bids negated), so
@@ -22,9 +19,11 @@
  *
  * binned is the binned recorder of book._binned_sums, five_bin the pass of
  * book._five_bin_sums and refinement the domination pass of
- * book._refinement_maxima.  Every float sum is added to in the order the
- * numpy pass adds to it, and the build forbids contracting a*b + c into one
- * fused multiply-add, so the sums equal the numpy ones bit for bit.
+ * book._refinement_maxima.  Each bins the prices it reads itself, in a bin
+ * partition's table, as dist.py's BinPartition.index does.  Every float sum
+ * is added to in the order the numpy pass adds to it, and the build forbids
+ * contracting a*b + c into one fused multiply-add, so the sums equal the
+ * numpy ones bit for bit.
  *
  * band is the band count of book._band_counts: the resting bids and asks of
  * two price bands, the running maximum of their sum and its series, in one
@@ -270,28 +269,23 @@ static int64_t lookup(const struct partition *q, double x) {
     return k;
 }
 
-/* out[i] = the bin of x[i] in the partition */
-void bins(long n, const double *x, const struct partition *part, int64_t *out) {
-    for (long i = 0; i < n; i++) out[i] = lookup(part, x[i]);
-}
-
 /* The bin of a best quote: -1 for an empty side's, and 0 under the ordinary
- * rule, whose arrivals have bins from 1 on. */
+ * rule (part NULL), whose arrivals have bins from 1 on. */
 static int64_t quote_bin(const struct partition *part, double x, double empty) {
     return x == empty ? -1 : part ? lookup(part, x) : 0;
 }
 
-/* Event i's log: its outcome, the best quotes after it, the side, price and
- * sign (+1 joined, -1 executed, 0 reservoir) of the resting order it changes,
- * and the heap lengths after it.  Returns the first arrival priced exactly at
- * the opposite best quote, or -1, and sets *bad to the first event after
- * which the best quotes are out of the rule's order, or -1: beta >= alpha,
- * or under the strict rule the bid's bin above the ask's, both sides held.
- * The loop runs on past both. */
+/* Event i's log: the best quotes after it, the side, price and sign (+1
+ * joined, -1 executed, 0 executed against a reservoir) of the resting order
+ * it changes, and the heap lengths after it.  Returns the first arrival
+ * priced exactly at the opposite best quote, or -1, and sets *bad to the
+ * first event after which the best quotes are out of the rule's order, or
+ * -1: beta >= alpha, or under the strict rule the bid's bin above the ask's,
+ * both sides held.  The loop runs on past both. */
 long match(long n, const uint8_t *is_bid, const double *prices,
            const struct partition *part, int strict, double rb, double ra,
            double *bids, long *nb, double *asks, long *na,
-           uint8_t *outcome, double *beta_out, double *alpha_out, uint8_t *changed_bid,
+           double *beta_out, double *alpha_out, uint8_t *changed_bid,
            double *price, int8_t *sign, int64_t *n_bids, int64_t *n_asks, long *bad) {
     struct side b, a;
     open_side(&b, bids, *nb);
@@ -311,33 +305,33 @@ long match(long n, const uint8_t *is_bid, const double *prices,
         if (bid) {
             if (strict ? (p > alpha && k != abin) : (p > alpha || k == abin)) {
                 if (alpha == ra) {
-                    outcome[i] = 2; sign[i] = 0;
+                    sign[i] = 0;
                 } else {
                     changed_bid[i] = 0; price[i] = alpha;
                     take(&a);
                     alpha = size(&a) && best(&a) < ra ? best(&a) : ra;
                     abin = quote_bin(part, alpha, INFINITY);
-                    outcome[i] = 1; sign[i] = -1;
+                    sign[i] = -1;
                 }
             } else {
                 join(&b, -p);
                 if (p > beta) { beta = p; bbin = k; }
-                outcome[i] = 0; sign[i] = 1;
+                sign[i] = 1;
             }
         } else if (strict ? (p < beta && k != bbin) : (p < beta || k == bbin)) {
             if (beta == rb) {
-                outcome[i] = 2; sign[i] = 0;
+                sign[i] = 0;
             } else {
                 changed_bid[i] = 1; price[i] = beta;
                 take(&b);
                 beta = size(&b) && -best(&b) > rb ? -best(&b) : rb;
                 bbin = quote_bin(part, beta, -INFINITY);
-                outcome[i] = 1; sign[i] = -1;
+                sign[i] = -1;
             }
         } else {
             join(&a, p);
             if (p < alpha) { alpha = p; abin = k; }
-            outcome[i] = 0; sign[i] = 1;
+            sign[i] = 1;
         }
         if (first_bad < 0 && (strict ? bbin > abin && abin >= 0 : !(beta < alpha)))
             first_bad = i;
@@ -352,24 +346,25 @@ long match(long n, const uint8_t *is_bid, const double *prices,
     return tie;
 }
 
-/* One chunk of the binned recorder.  Event i ends the interval dt = times[i]
- * - t, t the time of the event before it (t0 for the first), spent in the
- * state before it, whose best bid and ask lie in bins pre[0] and pre[1] (-1
- * for an empty side).  dt goes to the cells (half of the run, bin + 1) of the
- * elapsed row (cell 0), the best-bid row and the best-ask row of time (3 x 2 x
- * (nbins + 1)), the second half from event `half` on.  After the event the
- * best bid and ask lie in bins b and a: beta_bin[i] and alpha_bin[i], or -1
- * where beta[i] = -inf or alpha[i] = +inf.  visits[b] counts it when the bid
- * side holds orders and joint[b][a] when both do.  A change of a bid moves
- * the resting-bid count of bin price_bin[i] by sign[i]; then sums[b][j] adds
- * counts[b - j] for j = 0..min(max_offset, b).  pre, time, joint, visits,
- * counts and sums carry over from the previous chunk of the run, all zeroed
- * before the first but pre. */
-void binned(long n, const double *times, double t, long half, const double *beta,
-            const double *alpha, const int64_t *beta_bin, const int64_t *alpha_bin,
-            const int64_t *price_bin, const uint8_t *changed_bid, const int8_t *sign,
-            long nbins, long max_offset, int64_t *pre, double *time, int64_t *joint,
-            int64_t *visits, int64_t *restrict counts, int64_t *restrict sums) {
+/* One chunk of the binned recorder, over the nbins bins of part.  Event i
+ * ends the interval dt = times[i] - t, t the time of the event before it (t0
+ * for the first), spent in the state before it, whose best bid and ask lie in
+ * bins pre[0] and pre[1] (-1 for an empty side).  dt goes to the cells (half
+ * of the run, bin + 1) of the elapsed row (cell 0), the best-bid row and the
+ * best-ask row of time (3 x 2 x (nbins + 1)), the second half from event
+ * `half` on.  After the event the best bid and ask lie in bins b and a, the
+ * bins of beta[i] and alpha[i], or -1 where beta[i] = -inf or alpha[i] =
+ * +inf.  visits[b] counts it when the bid side holds orders and joint[b][a]
+ * when both do.  A change of a bid moves the resting-bid count of the bin of
+ * price[i] by sign[i]; then sums[b][j] adds counts[b - j] for j =
+ * 0..min(max_offset, b).  pre, time, joint, visits, counts and sums carry
+ * over from the previous chunk of the run, all zeroed before the first but
+ * pre. */
+void binned(long n, const struct partition *part, const double *times, double t, long half,
+            const double *beta, const double *alpha, const uint8_t *changed_bid,
+            const double *price, const int8_t *sign, long nbins, long max_offset,
+            int64_t *pre, double *time, int64_t *joint, int64_t *visits,
+            int64_t *restrict counts, int64_t *restrict sums) {
     long row = nbins + 1, i = 0;
     int64_t pre_b = pre[0], pre_a = pre[1];
     /* the run's two halves: events before `half`, then the rest */
@@ -383,10 +378,10 @@ void binned(long n, const double *times, double t, long half, const double *beta
             cells[2 * row + pre_b + 1] += dt;
             cells[4 * row + pre_a + 1] += dt;
             t = times[i];
-            int64_t b = beta[i] == -INFINITY ? -1 : beta_bin[i];
-            int64_t a = alpha[i] == INFINITY ? -1 : alpha_bin[i];
+            int64_t b = quote_bin(part, beta[i], -INFINITY);
+            int64_t a = quote_bin(part, alpha[i], INFINITY);
             /* an ask adds 0, with no branch on the side */
-            counts[price_bin[i]] += sign[i] * changed_bid[i];
+            counts[lookup(part, price[i])] += sign[i] * changed_bid[i];
             pre_b = b;
             pre_a = a;
             if (b < 0) continue;
@@ -421,8 +416,8 @@ static inline double gauge(const double *normals, long m, const int64_t *x) {
 }
 
 /* The five-bin book's state x is the signed order count (bids positive) of
- * its middle bins 1..3; change i moves bin bins[i], if a middle one, by
- * sign[i] for a bid and -sign[i] for an ask.  The state before each change
+ * the middle bins 1..3 of part; change i moves the bin of price[i], if a
+ * middle one, by sign[i] for a bid and -sign[i] for an ask.  The state before each change
  * lies in cell 6 b + a, b the highest bin holding bids (1, the bid
  * reservoir's, if no middle bin does) and a the lowest holding asks (5 if
  * none).  The cell's visits count it and its dx_sum row adds the change to
@@ -432,14 +427,17 @@ static inline double gauge(const double *normals, long m, const int64_t *x) {
  * all zeroed before the first; x ends at the state after the chunk.  Returns
  * -1, or the first change whose state has b >= a, where the pass stops with x
  * at that state. */
-long five_bin(long n, const int64_t *bins, const uint8_t *changed_bid, const int8_t *sign,
-              const double *normals, long m, double K, int64_t *x, int64_t *visits,
-              double *dx_sum, int64_t *visits_hi, double *dgauge_sum, double *dgauge_sq,
-              uint8_t *above) {
+long five_bin(long n, const struct partition *part, const uint8_t *changed_bid,
+              const double *price, const int8_t *sign, const double *normals, long m,
+              double K, int64_t *x, int64_t *visits, double *dx_sum, int64_t *visits_hi,
+              double *dgauge_sum, double *dgauge_sq, uint8_t *above) {
     /* the state in locals, which no store through the sums' pointers can change */
     int64_t y[3] = {x[0], x[1], x[2]};
     double g = gauge(normals, m, y);
     long stop = -1;
+    /* each change's bin is looked up an iteration ahead, so the branch on it
+     * does not wait for the lookup */
+    int64_t next_k = n ? lookup(part, price[0]) : 0;
     for (long i = 0; i < n; i++) {
         /* looked up by the signs, with no branch on them, as the signs of a
          * state near 0 come and go: the highest middle bin holding bids and
@@ -453,7 +451,8 @@ long five_bin(long n, const int64_t *bins, const uint8_t *changed_bid, const int
             break;
         }
         long cell = 6 * b + a;
-        int64_t k = bins[i];
+        int64_t k = next_k;
+        if (i + 1 < n) next_k = lookup(part, price[i + 1]);
         visits[cell]++;
         /* a change outside the middle bins, or by 0, leaves the state, so its gauge */
         double next = g;
@@ -476,21 +475,38 @@ long five_bin(long n, const int64_t *bins, const uint8_t *changed_bid, const int
     return stop;
 }
 
-/* Point i carries two changes, 2i and 2i + 1: change j moves the bid count
- * (is_bid[j]) or the ask count of bin bins[j] by steps[j].  After both, the
- * largest prefix sum of the bid counts from bin 0 up goes to max_b[i], and of
- * the ask counts from bin nbins - 1 down to max_a[i]; a side that neither
+/* Event i is a point where the fine and the coarse book change different
+ * resting orders, as book._differs tells, on the bins of part (nbins of
+ * them): their signs differ, or both change an order but on other sides or
+ * in other bins.  At the j-th point, its event goes to points[j]; the fine
+ * book's change moves the bid or ask count of its bin by -rule_sign times its
+ * sign and the coarse book's by rule_sign times its sign.  After both, the
+ * largest prefix sum of the bid counts from bin 0 up goes to max_b[j], and of
+ * the ask counts from bin nbins - 1 down to max_a[j]; a side that neither
  * change touched keeps its last maximum.  bid and ask (nbins each) hold the
  * counts carried from the last call, and get them after the last point; the
- * first point takes both maxima from them. */
-void refinement(long n, const uint8_t *is_bid, const int64_t *bins, const int64_t *steps,
-                long nbins, int64_t *bid, int64_t *ask, int64_t *max_b, int64_t *max_a) {
+ * first point takes both maxima from them.  Returns the count of points. */
+long refinement(long n, const struct partition *part, const uint8_t *fine_bid,
+                const double *fine_price, const int8_t *fine_sign, const uint8_t *coarse_bid,
+                const double *coarse_price, const int8_t *coarse_sign, long rule_sign,
+                long nbins, int64_t *bid, int64_t *ask, int64_t *points, int64_t *max_b,
+                int64_t *max_a) {
     int64_t best_b = 0, best_a = 0;
+    long found = 0;
     for (long i = 0; i < n; i++) {
-        int moved_b = i == 0, moved_a = i == 0;
-        for (long j = 2 * i; j < 2 * i + 2; j++) {
-            if (is_bid[j]) { bid[bins[j]] += steps[j]; moved_b = 1; }
-            else { ask[bins[j]] += steps[j]; moved_a = 1; }
+        int64_t sf = fine_sign[i], sc = coarse_sign[i];
+        uint8_t side[2] = {fine_bid[i], coarse_bid[i]};
+        /* equal prices share a bin, so most events need no lookup */
+        if (sf == sc && (!sf || (side[0] == side[1] && fine_price[i] == coarse_price[i])))
+            continue;
+        int64_t bin[2] = {lookup(part, fine_price[i]), lookup(part, coarse_price[i])};
+        if (sf == sc && side[0] == side[1] && bin[0] == bin[1])
+            continue;
+        int64_t step[2] = {-rule_sign * sf, rule_sign * sc};
+        int moved_b = found == 0, moved_a = found == 0;
+        for (int j = 0; j < 2; j++) {
+            if (side[j]) { bid[bin[j]] += step[j]; moved_b = 1; }
+            else { ask[bin[j]] += step[j]; moved_a = 1; }
         }
         if (moved_b) {
             int64_t s = 0;
@@ -508,9 +524,11 @@ void refinement(long n, const uint8_t *is_bid, const int64_t *bins, const int64_
                 if (s > best_a) best_a = s;
             }
         }
-        max_b[i] = best_b;
-        max_a[i] = best_a;
+        points[found] = i;
+        max_b[found] = best_b;
+        max_a[found++] = best_a;
     }
+    return found;
 }
 
 /* The two band counts: of the resting bids priced in [bands[0], bands[1])

@@ -24,10 +24,10 @@ from chunk to chunk, the binned one (`_binned_sums`, into `BinnedSums`) and
 the five-bin book's region pass (`_five_bin_sums`, into `FiveBinSums`); the
 refinement check's domination pass (`_refinement_maxima`); the two steps of
 `sim.materialize`'s arrival draw: the Philox uniforms of a chunk
-(`_uniforms_py`) and the sides and prices drawn from them (`_draw_py`); the
-bins of an array of prices (`BinPartition.index`); and the band count of
-resting orders in two price bands with its running maximum (`_band_counts`,
-carried in `BandSums`).
+(`_uniforms_py`) and the sides and prices drawn from them (`_draw_py`); and
+the band count of resting orders in two price bands with its running maximum
+(`_band_counts`, carried in `BandSums`).  The three passes that read bins look
+up the log's prices in a `BinPartition` themselves.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ __all__ = [
     "ArrivalEffect",
     "BookState",
     "EventLog",
-    "JOINED",
-    "EXECUTED",
-    "RESERVOIR",
     "apply_arrival",
     "match_chunks",
 ]
@@ -77,11 +74,6 @@ _KINDS = (ORDINARY, ORDINARY_BINNED, STRICT_BINNED)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
-
-# EventLog outcome codes
-JOINED = 0        # the arrival rests in the book
-EXECUTED = 1      # it executed against the opposite best resting order
-RESERVOIR = 2     # it executed against the opposite reservoir
 
 
 class BookInvariantError(AssertionError):
@@ -280,13 +272,12 @@ class EventLog(NamedTuple):
     Each event changes at most one resting order: a join adds the arrival
     (sign +1), an execution removes the opposite best order (sign -1) and a
     reservoir execution changes nothing (sign 0, with the arrival's side and
-    price).  The fields from `outcome` on are what the loop writes, in the
+    price).  The fields from `beta` on are what the loop writes, in the
     order of the arguments of `_kernel.c`'s `match`.
     """
 
     is_bid: np.ndarray
     prices: np.ndarray
-    outcome: np.ndarray      # uint8: JOINED, EXECUTED or RESERVOIR
     beta: np.ndarray         # best bid after the event (reservoir included)
     alpha: np.ndarray        # best ask after the event
     changed_bid: np.ndarray  # bool: the order the event changes is a bid
@@ -296,7 +287,7 @@ class EventLog(NamedTuple):
     n_asks: np.ndarray       # int64: resting asks after the event
 
 
-_LOG_DTYPES = (np.uint8, float, float, bool, float, np.int8, np.int64, np.int64)
+_LOG_DTYPES = (float, float, bool, float, np.int8, np.int64, np.int64)
 
 
 def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
@@ -304,7 +295,7 @@ def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
     """Apply an arrival sequence to `state` `size` arrivals at a time; yield
     (index of the chunk's first arrival, the chunk's `EventLog`).
 
-    The log's arrays from `outcome` on are buffers that the next chunk
+    The log's arrays from `beta` on are buffers that the next chunk
     overwrites, so a reader copies what it keeps.  The loop changes `state`
     in place: it holds the book up to the end of the last chunk run, a
     failed one included.  Arrival prices must be finite and the rule's
@@ -362,13 +353,13 @@ def _match_py(state: BookState, rule: MatchRule, log: EventLog) -> tuple[int, in
     rb, ra = _reservoirs(state)
     beta = -bids[0] if bids and -bids[0] > rb else rb
     alpha = asks[0] if asks and asks[0] < ra else ra
-    # Per event: the int8 bytes (outcome, changed_bid, sign) of its kind; beta,
-    # alpha and the changed order's price; n_bids and n_asks.
+    # Per event: the int8 bytes (changed_bid, sign) of its kind; beta, alpha
+    # and the changed order's price; n_bids and n_asks.
     codes, quotes, sizes = bytearray(), array("d"), array("q")
     put, put_quote, put_size = codes.extend, quotes.append, sizes.append
-    join_bid, join_ask = bytes((JOINED, 1, 1)), bytes((JOINED, 0, 1))
-    hit_ask, hit_bid = bytes((EXECUTED, 0, 255)), bytes((EXECUTED, 1, 255))
-    res_bid, res_ask = bytes((RESERVOIR, 1, 0)), bytes((RESERVOIR, 0, 0))
+    join_bid, join_ask = bytes((1, 1)), bytes((0, 1))
+    hit_ask, hit_bid = bytes((0, 255)), bytes((1, 255))
+    res_bid, res_ask = bytes((1, 0)), bytes((0, 0))
     push, pop = heapq.heappush, heapq.heappop
     tie = bad = -1
     # The bins of the best quotes (-1 for an empty side) ride along with
@@ -386,7 +377,7 @@ def _match_py(state: BookState, rule: MatchRule, log: EventLog) -> tuple[int, in
     # p ends each event as the price of the order it changes
     for bid, p, k in zip(memoryview(log.is_bid), memoryview(log.prices), bins):
         if p == (alpha if bid else beta) and tie < 0:
-            tie = len(codes) // 3     # this arrival's index
+            tie = len(codes) // 2     # this arrival's index
         if bid:
             if (p > alpha and k != abin) if strict else (p > alpha or k == abin):
                 if alpha == ra:
@@ -401,7 +392,7 @@ def _match_py(state: BookState, rule: MatchRule, log: EventLog) -> tuple[int, in
                 if p > beta:
                     beta, bbin = p, k
                     if bad < 0 and ((bbin > abin >= 0) if strict else not beta < alpha):
-                        bad = len(codes) // 3
+                        bad = len(codes) // 2
                 put(join_bid)
         elif (p < beta and k != bbin) if strict else (p < beta or k == bbin):
             if beta == rb:
@@ -416,7 +407,7 @@ def _match_py(state: BookState, rule: MatchRule, log: EventLog) -> tuple[int, in
             if p < alpha:
                 alpha, abin = p, k
                 if bad < 0 and ((bbin > abin >= 0) if strict else not beta < alpha):
-                    bad = len(codes) // 3
+                    bad = len(codes) // 2
             put(join_ask)
         put_quote(beta)
         put_quote(alpha)
@@ -428,8 +419,7 @@ def _match_py(state: BookState, rule: MatchRule, log: EventLog) -> tuple[int, in
     # order shows after event 0.
     if quotes and not _in_order(quotes[0], quotes[1], rule):
         bad = 0
-    small = np.frombuffer(codes, np.int8).reshape(-1, 3)
-    log.outcome[:], log.changed_bid[:], log.sign[:] = small.T
+    log.changed_bid[:], log.sign[:] = np.frombuffer(codes, np.int8).reshape(-1, 2).T
     log.beta[:], log.alpha[:], log.price[:] = np.frombuffer(quotes).reshape(-1, 3).T
     log.n_bids[:], log.n_asks[:] = np.frombuffer(sizes, np.int64).reshape(-1, 2).T
     for heap, n, keys in zip(state._heaps, state._sizes, (bids, asks)):
@@ -442,7 +432,7 @@ def _match_c(fn, state: BookState, rule: MatchRule, log: EventLog) -> tuple[int,
 
     The pointers but the heaps', which move when `match_chunks` grows them
     for a chunk, are taken once per call, on its first chunk: every chunk's
-    log is a view of the same eight buffers, and each chunk's arrivals follow
+    log is a view of the same seven buffers, and each chunk's arrivals follow
     the previous chunk's in the call's arrays.  The loop bins the arrivals
     and the best quotes itself, in the partition's table (`_c_partition`).
     """
@@ -493,26 +483,24 @@ class BinnedSums(NamedTuple):
         return sums
 
 
-def _binned_sums(sums: BinnedSums, times: np.ndarray, t0: float, half: int,
-                 beta: np.ndarray, alpha: np.ndarray, beta_bin: np.ndarray,
-                 alpha_bin: np.ndarray, price_bin: np.ndarray, changed_bid: np.ndarray,
-                 sign: np.ndarray) -> None:
-    """Fold one chunk of a run's events into `sums`.
+def _binned_sums(sums: BinnedSums, part: BinPartition, times: np.ndarray, t0: float,
+                 half: int, beta: np.ndarray, alpha: np.ndarray, changed_bid: np.ndarray,
+                 price: np.ndarray, sign: np.ndarray) -> None:
+    """Fold one chunk of a run's events into `sums`, over the bins of `part`.
 
     Event i ends the interval from the previous event's time (t0 for the
     first) to times[i], spent in the state before it, which sums.pre holds
     for the first event; events from `half` on fall in the run's second half.
-    After event i the best quotes are beta[i] and alpha[i] in bins
-    beta_bin[i] and alpha_bin[i] (-1 where a side is empty), and the resting
-    order it changes lies in bin price_bin[i] with (changed_bid, sign) of
-    `EventLog.changes`.  The reference for `binned` in `_kernel.c` and the
-    pass that runs without a compiler.
+    After event i the best quotes are beta[i] and alpha[i], in their bins or
+    -1 where a side is empty, and the resting order it changes is
+    (changed_bid[i], price[i], sign[i]) of `EventLog`.  The reference for
+    `binned` in `_kernel.c` and the pass that runs without a compiler.
     """
     nbins, k = sums.visits.size, times.size
     if not k:
         return
-    b = np.where(beta == NEG_INF, -1, beta_bin)
-    a = np.where(alpha == POS_INF, -1, alpha_bin)
+    b = np.where(beta == NEG_INF, -1, part.index(beta))
+    a = np.where(alpha == POS_INF, -1, part.index(alpha))
     dt = np.diff(times, prepend=t0)
     row = (np.arange(k) >= half) * (nbins + 1)
     pre_b = np.concatenate((sums.pre[:1], b[:-1])) + 1
@@ -524,7 +512,7 @@ def _binned_sums(sums: BinnedSums, times: np.ndarray, t0: float, half: int,
     joint += np.bincount(b[both] * nbins + a[both],
                          minlength=nbins * nbins).reshape(nbins, nbins)
     visits += np.bincount(b[b >= 0], minlength=nbins)
-    _top_shape_sums(b, price_bin, sign * changed_bid, sums.counts, sums.top)
+    _top_shape_sums(b, part.index(price), sign * changed_bid, sums.counts, sums.top)
     sums.pre[:] = b[-1], a[-1]
 
 
@@ -564,40 +552,31 @@ def _top_shape_sums(beta_bin: np.ndarray, bid_bin: np.ndarray, bid_step: np.ndar
             np.add.at(sums[:, j], b[ok], state[rows[ok], b[ok] - j])
 
 
-def _below(nbins: int, *bins: np.ndarray) -> bool:
-    """Whether every bin in the int64 arrays `bins` lies in 0..nbins-1."""
-    # viewed as unsigned, a negative bin is larger than any bin count
-    return all(not k.size or k.view(np.uint64).max() < nbins for k in bins)
-
-
 def _check_layout(sums: tuple, layout: tuple, name: str) -> None:
     if any(a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous
            for a, (dtype, shape) in zip(sums, layout)):
         raise ValueError(f"sums must be contiguous arrays laid out as {name} gives")
 
 
-def _binned_c(fn, sums: BinnedSums, times: np.ndarray, t0: float, half: int,
-              beta: np.ndarray, alpha: np.ndarray, beta_bin: np.ndarray,
-              alpha_bin: np.ndarray, price_bin: np.ndarray, changed_bid: np.ndarray,
-              sign: np.ndarray) -> None:
+def _binned_c(fn, sums: BinnedSums, part: BinPartition, times: np.ndarray, t0: float,
+              half: int, beta: np.ndarray, alpha: np.ndarray, changed_bid: np.ndarray,
+              price: np.ndarray, sign: np.ndarray) -> None:
     """`_binned_sums` through the compiled `binned` of `_kernel.c`."""
-    times, beta, alpha = (np.ascontiguousarray(a, dtype=float) for a in (times, beta, alpha))
-    beta_bin, alpha_bin, price_bin = (np.ascontiguousarray(a, dtype=np.int64)
-                                      for a in (beta_bin, alpha_bin, price_bin))
+    times, beta, alpha, price = (np.ascontiguousarray(a, dtype=float)
+                                 for a in (times, beta, alpha, price))
     changed_bid = np.ascontiguousarray(changed_bid, dtype=bool)
     sign = np.ascontiguousarray(sign, dtype=np.int8)
-    n, nbins = times.size, sums.visits.size
-    if not all(a.shape == (n,) for a in (beta, alpha, beta_bin, alpha_bin, price_bin,
-                                          changed_bid, sign)):
+    n, nbins = times.size, part.n_bins
+    if not all(a.shape == (n,) for a in (beta, alpha, changed_bid, price, sign)):
         raise ValueError("binned inputs differ in length")
-    # the C pass indexes with these bins and writes through these arrays unchecked
+    # the C pass indexes these arrays with the partition's bins and the carried
+    # ones, and writes through them unchecked
     _check_layout(sums, BinnedSums.layout(nbins), f"BinnedSums.layout({nbins})")
-    if not (_below(nbins, beta_bin, alpha_bin, price_bin) and _below(nbins + 1, sums.pre + 1)):
-        raise ValueError(f"binned bins outside 0..{nbins - 1}")
-    fn(n, times.ctypes.data, t0, half, beta.ctypes.data, alpha.ctypes.data,
-       beta_bin.ctypes.data, alpha_bin.ctypes.data, price_bin.ctypes.data,
-       changed_bid.ctypes.data, sign.ctypes.data, nbins, TOP_MAX_OFFSET,
-       *(a.ctypes.data for a in sums))
+    if not ((-1 <= sums.pre) & (sums.pre < nbins)).all():
+        raise ValueError(f"binned pre bins outside -1..{nbins - 1}")
+    fn(n, ctypes.byref(_c_partition(part)), times.ctypes.data, t0, half, beta.ctypes.data,
+       alpha.ctypes.data, changed_bid.ctypes.data, price.ctypes.data, sign.ctypes.data,
+       nbins, TOP_MAX_OFFSET, *(a.ctypes.data for a in sums))
 
 
 class FiveBinSums(NamedTuple):
@@ -637,18 +616,20 @@ def _five_bin_cells(x: np.ndarray) -> np.ndarray:
     return 6 * b + a
 
 
-def _five_bin_sums(sums: FiveBinSums, bins: np.ndarray, changed_bid: np.ndarray,
-                   sign: np.ndarray, normals: np.ndarray, K: float) -> np.ndarray:
+def _five_bin_sums(sums: FiveBinSums, part: BinPartition, changed_bid: np.ndarray,
+                   price: np.ndarray, sign: np.ndarray, normals: np.ndarray,
+                   K: float) -> np.ndarray:
     """Fold one chunk of the five-bin book's changes into `sums`; return
     whether the gauge before each change exceeds K.
 
-    The state is the signed order count of the middle bins 1..3, sums.x
-    before the first change; change i moves bin bins[i], if a middle one, by
-    sign[i] for a bid and -sign[i] for an ask (`EventLog`'s changed_bid and
-    sign).  The gauge of a state is the largest product with a row of
-    `normals` (m x 3).  The reference for `five_bin` in `_kernel.c` and the
-    pass that runs without a compiler.
+    The state is the signed order count of the middle bins 1..3 of `part`,
+    sums.x before the first change; change i (`EventLog`'s changed_bid, price
+    and sign) moves the bin of price[i], if a middle one, by sign[i] for a bid
+    and -sign[i] for an ask.  The gauge of a state is the largest product
+    with a row of `normals` (m x 3).  The reference for `five_bin` in
+    `_kernel.c` and the pass that runs without a compiler.
     """
+    bins = part.index(price)
     n, cells = bins.size, FIVE_BIN_CELLS
     mid = (1 <= bins) & (bins <= 3)
     x = np.zeros((n + 1, 3), dtype=np.int64)
@@ -672,41 +653,56 @@ def _five_bin_sums(sums: FiveBinSums, bins: np.ndarray, changed_bid: np.ndarray,
     return above
 
 
-def _five_bin_c(fn, sums: FiveBinSums, bins: np.ndarray, changed_bid: np.ndarray,
-                sign: np.ndarray, normals: np.ndarray, K: float) -> np.ndarray:
+def _five_bin_c(fn, sums: FiveBinSums, part: BinPartition, changed_bid: np.ndarray,
+                price: np.ndarray, sign: np.ndarray, normals: np.ndarray,
+                K: float) -> np.ndarray:
     """`_five_bin_sums` through the compiled `five_bin` of `_kernel.c`."""
-    bins, sign = np.ascontiguousarray(bins, np.int64), np.ascontiguousarray(sign, np.int8)
+    price, sign = np.ascontiguousarray(price, float), np.ascontiguousarray(sign, np.int8)
     changed_bid = np.ascontiguousarray(changed_bid, dtype=bool)
     normals = np.ascontiguousarray(normals, dtype=float)
-    n = bins.size
-    if not changed_bid.shape == sign.shape == bins.shape == (n,):
+    n = price.size
+    if not changed_bid.shape == sign.shape == price.shape == (n,):
         raise ValueError("five-bin inputs differ in length")
     if normals.ndim != 2 or normals.shape[1] != 3:
         raise ValueError("five-bin normals must have shape (m, 3)")
-    # the C pass indexes with these bins and writes through these arrays unchecked
+    # the C pass writes through these arrays unchecked
     _check_layout(sums, FiveBinSums.layout(), "FiveBinSums.layout()")
-    if not _below(5, bins):
-        raise ValueError("five-bin bins outside 0..4")
     above = np.empty(n, dtype=bool)
-    if fn(n, bins.ctypes.data, changed_bid.ctypes.data, sign.ctypes.data, normals.ctypes.data,
-          len(normals), float(K), *(a.ctypes.data for a in sums), above.ctypes.data) >= 0:
+    if fn(n, ctypes.byref(_c_partition(part)), changed_bid.ctypes.data, price.ctypes.data,
+          sign.ctypes.data, normals.ctypes.data, len(normals), float(K),
+          *(a.ctypes.data for a in sums), above.ctypes.data) >= 0:
         raise ValueError(f"inconsistent sign pattern {tuple(sums.x.tolist())}")
     return above
 
 
-def _refinement_maxima(is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
-                       counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest bottom-up bid and top-down ask prefix sums of per-bin counts, per point.
+def _differs(a, b) -> np.ndarray:
+    """Events at which two books add or remove different resting orders, given
+    each book's (changed_bid, key, sign) of a chunk, the key a price or a bin."""
+    (side_a, key_a, sign_a), (side_b, key_b, sign_b) = a, b
+    return (sign_a != sign_b) | ((sign_a != 0) & ((side_a != side_b) | (key_a != key_b)))
 
-    Row i of the (n, 2) inputs is point i's two changes: change j moves the
-    bid count (is_bid[i, j]) or the ask count of bin bins[i, j] by
-    steps[i, j].  After both, max_b[i] is the largest prefix sum of the bid
-    counts from bin 0 up and max_a[i] that of the ask counts from the top bin
+
+def _refinement_maxima(part: BinPartition, fine: tuple, coarse: tuple, sign: int,
+                       counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One chunk of the refinement check's domination pass: its points, and the
+    largest bottom-up bid and top-down ask prefix sums of per-bin counts at each.
+
+    `fine` and `coarse` are the two books' (changed_bid, price, sign) of the
+    chunk's events (`EventLog`).  The points are the events at which the books
+    change different resting orders in the bins of the fine partition `part`
+    (`_differs`).  At a point the fine book's change moves the bid or ask
+    count of its bin by -sign times its sign, and the coarse book's by sign
+    times its sign.  After both, max_b is the largest prefix sum of the bid
+    counts from bin 0 up and max_a that of the ask counts from the top bin
     down.  The counts start at `counts` (bids, asks), which gets them after
-    the last point.  The reference for `refinement` in `_kernel.c` and the
-    pass that runs without a compiler.
+    the last point.  Returns (points, max_b, max_a).  The reference for
+    `refinement` in `_kernel.c` and the pass that runs without a compiler.
     """
-    n, nbins = is_bid.shape[0], counts.shape[1]
+    books = [(side, part.index(price), step) for side, price, step in (fine, coarse)]
+    points = np.flatnonzero(_differs(*books))
+    is_bid, bins, steps = (np.column_stack((f[points], c[points])) for f, c in zip(*books))
+    steps = steps * np.array([-sign, sign])
+    n, nbins = points.size, counts.shape[1]
     max_b, max_a = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     prefix_b, prefix_a = np.cumsum(counts[0]), np.cumsum(counts[1, ::-1])
     for lo in range(0, n, BLOCK):
@@ -723,26 +719,26 @@ def _refinement_maxima(is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
         prefix_b, prefix_a = pb[-1].copy(), pa[-1].copy()
         max_b[lo:lo + BLOCK], max_a[lo:lo + BLOCK] = pb.max(axis=1), pa.max(axis=1)
     np.add.at(counts, (np.where(is_bid, 0, 1), bins), steps)
-    return max_b, max_a
+    return points, max_b, max_a
 
 
-def _refinement_c(fn, is_bid: np.ndarray, bins: np.ndarray, steps: np.ndarray,
-                  counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _refinement_c(fn, part: BinPartition, fine: tuple, coarse: tuple, sign: int,
+                  counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_refinement_maxima` through the compiled `refinement` of `_kernel.c`."""
-    is_bid = np.ascontiguousarray(is_bid, dtype=bool)
-    bins, steps = (np.ascontiguousarray(a, dtype=np.int64) for a in (bins, steps))
-    n, nbins = len(is_bid), counts.shape[1]
-    if not is_bid.shape == bins.shape == steps.shape == (n, 2):
-        raise ValueError("refinement inputs must have one shape (n, 2)")
-    # the C pass indexes with these bins unchecked, and adds to the counts in place
-    if n and not (0 <= bins.min() and bins.max() < nbins):
-        raise ValueError(f"refinement bins outside 0..{nbins - 1}")
-    if counts.dtype != np.int64 or counts.shape[0] != 2 or not counts.flags.carray:
-        raise ValueError("refinement counts must be writable C-ordered int64, shape (2, nbins)")
-    max_b, max_a = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    fn(n, is_bid.ctypes.data, bins.ctypes.data, steps.ctypes.data, nbins,
-       counts[0].ctypes.data, counts[1].ctypes.data, max_b.ctypes.data, max_a.ctypes.data)
-    return max_b, max_a
+    books = [(np.ascontiguousarray(side, dtype=bool), np.ascontiguousarray(price, dtype=float),
+              np.ascontiguousarray(step, dtype=np.int8)) for side, price, step in (fine, coarse)]
+    n, nbins = books[0][1].size, part.n_bins
+    if not all(a.shape == (n,) for book in books for a in book):
+        raise ValueError("refinement inputs differ in length")
+    # the C pass indexes the counts with the partition's bins, and adds to them in place
+    if counts.dtype != np.int64 or counts.shape != (2, nbins) or not counts.flags.carray:
+        raise ValueError("refinement counts must be writable C-ordered int64, "
+                         f"shape (2, {nbins})")
+    points, max_b, max_a = (np.empty(n, dtype=np.int64) for _ in range(3))
+    found = fn(n, ctypes.byref(_c_partition(part)),
+               *(a.ctypes.data for book in books for a in book), int(sign), nbins,
+               *(a.ctypes.data for a in (counts[0], counts[1], points, max_b, max_a)))
+    return points[:found], max_b[:found], max_a[:found]
 
 
 class BandSums(NamedTuple):
@@ -934,34 +930,24 @@ def _c_partition(part: BinPartition) -> _Partition:
     return c
 
 
-def _bins_c(fn, part: BinPartition, prices) -> np.ndarray:
-    """`BinPartition.index` of an array of prices, through the compiled `bins`
-    of `_kernel.c`."""
-    x = np.ascontiguousarray(prices, dtype=float)
-    out = np.empty(x.shape, dtype=np.intp)
-    fn(x.size, x.ctypes.data, ctypes.byref(_c_partition(part)), out.ctypes.data)
-    return out
-
-
 class _Kernel(NamedTuple):
     name: str                # "c" or "python"
     run: Callable            # (state, rule, log) -> (first opposite-best tie, first
                              # order violation), each -1 for none
-    binned: Callable         # (sums, times, t0, half, beta, alpha, three bins, changes) -> None
-    five_bin: Callable       # (sums, bins, changed_bid, sign, normals, K) -> above K
-    refinement: Callable     # (is_bid, bins, steps, counts) -> (max_b, max_a)
+    binned: Callable         # (sums, partition, times, t0, half, beta, alpha, changes) -> None
+    five_bin: Callable       # (sums, partition, changes, normals, K) -> above K
+    refinement: Callable     # (partition, fine changes, coarse changes, sign, counts) ->
+                             # (points, max_b, max_a)
     draw: Callable           # (spec, side_u, price_u, is_bid out, prices out) -> None
     uniforms: Callable       # ((seed, tag), first, out) -> out
-    bins: Callable           # (partition, prices) -> bin of each price
     band: Callable           # (sums, changed_bid, price, sign[, counts, series, times]) ->
                              # last jump of the running maximum
     library: Optional[Path]  # the compiled library, for the C kernel
 
 
-_EXPORTS = ("match", "binned", "five_bin", "refinement", "draw", "uniforms", "bins", "band")
+_EXPORTS = ("match", "binned", "five_bin", "refinement", "draw", "uniforms", "band")
 _PYTHON_KERNEL = _Kernel("python", _match_py, _binned_sums, _five_bin_sums,
-                         _refinement_maxima, _draw_py, _uniforms_py, BinPartition.index,
-                         _band_counts, None)
+                         _refinement_maxima, _draw_py, _uniforms_py, _band_counts, None)
 
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -1043,27 +1029,25 @@ def _load_kernel() -> _Kernel:
     try:
         library = _library()
         lib = ctypes.CDLL(str(library))
-        match, binned, five_bin, refinement, draw, uniforms, bins, band = (
+        match, binned, five_bin, refinement, draw, uniforms, band = (
             getattr(lib, e) for e in _EXPORTS)
     except (OSError, AttributeError, subprocess.SubprocessError):
         return _PYTHON_KERNEL
     p, n, d = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     match.argtypes = [n, p, p, p, ctypes.c_int, d, d, p, ctypes.POINTER(n), p,
                       ctypes.POINTER(n), *[p] * len(_LOG_DTYPES), ctypes.POINTER(n)]
-    binned.argtypes = [n, p, d, n, p, p, p, p, p, p, p, n, n, p, p, p, p, p, p]
-    five_bin.argtypes = [n, p, p, p, p, n, d, p, p, p, p, p, p, p]
-    refinement.argtypes = [n, p, p, p, n, p, p, p, p]
+    binned.argtypes = [n, p, p, d, n, p, p, p, p, p, n, n, p, p, p, p, p, p]
+    five_bin.argtypes = [n, p, p, p, p, p, n, d, p, p, p, p, p, p, p]
+    refinement.argtypes = [n, p, p, p, p, p, p, p, n, n, p, p, p, p, p]
     draw.argtypes = [n, p, p, d, p, p, p, p]
     uniforms.argtypes = [n, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64, p]
-    bins.argtypes = [n, p, p, p]
     band.argtypes = [n, p, p, p, p, p, p, p, p]
-    binned.restype = refinement.restype = draw.restype = uniforms.restype = None
-    bins.restype = None
-    match.restype = five_bin.restype = band.restype = n
+    binned.restype = draw.restype = uniforms.restype = None
+    match.restype = five_bin.restype = refinement.restype = band.restype = n
     return _Kernel("c", partial(_match_c, match), partial(_binned_c, binned),
                    partial(_five_bin_c, five_bin), partial(_refinement_c, refinement),
                    partial(_draw_c, draw), partial(_uniforms_c, uniforms),
-                   partial(_bins_c, bins), partial(_band_c, band), library)
+                   partial(_band_c, band), library)
 
 
 def _kernel() -> _Kernel:

@@ -26,7 +26,7 @@ import numpy as np
 from . import analytics, book, coupling, lyapunov, sim
 from .book import (ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookInvariantError,
                    BookState, MatchRule, Order)
-from .dist import ArrivalSpec, dist_from_config, make_partition
+from .dist import ArrivalSpec, dist_from_config, make_partition, union_refinement
 from .output import config_hash, write_csv, write_json
 
 EXIT_OK = 0
@@ -272,8 +272,9 @@ def cmd_check(cfg: RunConfig) -> int:
     if cfg.suite in ("coupling", "all"):
         if cfg.n < 1:
             raise ConfigError(f"the coupling suite needs --n >= 1 arrivals, got {cfg.n}")
-        fine = make_partition(max(cfg.bins, 10), spec)
+        # the fine partition holds every cut of the coarse one, whatever --bins
         coarse = make_partition(max(cfg.bins // 10, 2), spec)
+        fine = union_refinement(make_partition(max(cfg.bins, 10), spec), coarse)
         rows = []
         for s in seeds:
             arr = sim.materialize(sim.ArrivalStream(s, cfg.n, spec))

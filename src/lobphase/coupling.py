@@ -22,7 +22,7 @@ import numpy as np
 
 # apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
 from .book import (ORDINARY_BINNED, STRICT_BINNED, BookState, EventLog, MatchRule, Order,
-                   _kernel, apply_arrival)
+                   _differs, _kernel, apply_arrival)
 from .dist import (ArrivalSpec, BinPartition, make_partition, refines,
                    union_refinement)
 from .sim import (ArrivalStream, Arrivals, KappaEstimate, _fold, estimate_kappa, materialize,
@@ -77,13 +77,6 @@ def _no_reservoirs(book: BookState, check: str) -> None:
     removes nothing there; that breaks them."""
     if book.bid_reservoir is not None or book.ask_reservoir is not None:
         raise ValueError(f"{check} applies to books without reservoirs")
-
-
-def _differs(a, b) -> np.ndarray:
-    """Events at which two books add or remove different resting orders, given
-    each book's (changed_bid, key, sign) of a chunk, the key a price or a bin."""
-    (side_a, key_a, sign_a), (side_b, key_b, sign_b) = a, b
-    return (sign_a != sign_b) | ((sign_a != 0) & ((side_a != side_b) | (key_a != key_b)))
 
 
 class _Verdicts:
@@ -252,20 +245,18 @@ class _Refinement(_Verdicts):
     """`counts` holds d = (coarse - fine) per fine bin: ordinary demands every
     prefix of d over bids (from the bottom) and over asks (from the top) to be
     <= 0, strict >= 0.  A point, where the books change different fine bins,
-    moves d by both changes, weighted so that a positive prefix is a violation."""
+    moves d by both changes, weighted by `sign` so that a positive prefix is a
+    violation (the kernel's `refinement`)."""
 
     def __init__(self, report: CouplingReport, fine: BinPartition, sign: int):
         super().__init__(report)
-        self.fine, self.weights = fine, np.array([-sign, sign])
+        self.fine, self.sign = fine, sign
         self.counts = np.zeros((2, fine.n_bins), dtype=np.int64)
 
     def fold(self, lo: int, fine: EventLog, coarse: EventLog) -> None:
-        kernel = _kernel()
-        books = [(log.changed_bid, kernel.bins(self.fine, log.price), log.sign)
-                 for log in (fine, coarse)]
-        points = np.flatnonzero(_differs(*books))
-        is_bid, bins, steps = (np.column_stack((f[points], c[points])) for f, c in zip(*books))
-        max_b, max_a = kernel.refinement(is_bid, bins, steps * self.weights, self.counts)
+        points, max_b, max_a = _kernel().refinement(
+            self.fine, *((log.changed_bid, log.price, log.sign) for log in (fine, coarse)),
+            self.sign, self.counts)
         self.judge(lo + points, [(r, "coarse/fine count domination",
                                   f"max prefix excess bid={int(max_b[r])} ask={int(max_a[r])}")
                                  for r in np.flatnonzero((max_b > 0) | (max_a > 0)).tolist()])

@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 # apply_arrival is not called here; perfbench/tracer.py wraps it by this name.
-from .book import (EXECUTED, NEG_INF, POS_INF, RESERVOIR, BandSums, BinnedSums, BookState,
-                   EventLog, FiveBinSums, MatchRule, _kernel, apply_arrival, match_chunks)
+from .book import (NEG_INF, POS_INF, BandSums, BinnedSums, BookState, EventLog, FiveBinSums,
+                   MatchRule, _kernel, apply_arrival, match_chunks)
 from .dist import ArrivalSpec, BinPartition
 from .output import config_hash
 
@@ -237,7 +237,7 @@ def _fold(books: list[tuple[BookState, MatchRule]], arr: Arrivals, recorders) ->
              for state, rule in books)
     for chunks in zip(*loops):
         lo, logs = chunks[0][0], [log for _, log in chunks]
-        if logs[0].outcome.size:
+        if logs[0].sign.size:
             for recorder in recorders:
                 recorder.fold(lo, *logs)
 
@@ -259,11 +259,13 @@ class _Checkpoints:
         tr, (i, at) = self.trace, _in_chunk(self.cp, lo, log.sign.size)
         tr.cp_bids[i], tr.cp_asks[i] = log.n_bids[at], log.n_asks[at]
         tr.cp_beta[i], tr.cp_alpha[i] = log.beta[at], log.alpha[at]
-        executed = log.outcome == EXECUTED
+        # an execution removes a resting order (sign -1); one against a
+        # reservoir changes none (sign 0)
+        executed = log.sign == -1
         by_bid = int(np.count_nonzero(executed & log.is_bid))
         tr.ask_exec_by_bid += by_bid
         tr.bid_exec_by_ask += int(np.count_nonzero(executed)) - by_bid
-        tr.reservoir_executions += int(np.count_nonzero(log.outcome == RESERVOIR))
+        tr.reservoir_executions += int(np.count_nonzero(log.sign == 0))
 
 
 class _BandCount:
@@ -328,11 +330,9 @@ class _Binned:
         trace.occupation_b, trace.occupation_a = time[1, :, 1:], time[2, :, 1:]
 
     def fold(self, lo: int, log: EventLog) -> None:
-        tr, part, kernel = self.trace, self.trace.partition, _kernel()
-        times = self.times[lo:lo + log.price.size]
-        kernel.binned(self.sums, times, self.t, tr.n_events // 2 - lo, log.beta, log.alpha,
-                      *(kernel.bins(part, x) for x in (log.beta, log.alpha, log.price)),
-                      log.changed_bid, log.sign)
+        tr, times = self.trace, self.times[lo:lo + log.price.size]
+        _kernel().binned(self.sums, tr.partition, times, self.t, tr.n_events // 2 - lo,
+                         log.beta, log.alpha, log.changed_bid, log.price, log.sign)
         self.t = times[-1]
 
 
@@ -345,9 +345,8 @@ class _FiveBin:
         self.sums, self.flips = FiveBinSums.zeros(), []
 
     def fold(self, lo: int, log: EventLog) -> None:
-        kernel = _kernel()
-        above = kernel.five_bin(self.sums, kernel.bins(self.part, log.price), log.changed_bid,
-                                log.sign, self.normals, self.K)
+        above = _kernel().five_bin(self.sums, self.part, log.changed_bid, log.price, log.sign,
+                                   self.normals, self.K)
         # a flip is a change on the other side of K than the change before it;
         # after an odd count of flips the gauge exceeds K
         if above[0] != len(self.flips) % 2:

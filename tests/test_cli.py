@@ -483,6 +483,18 @@ class TestCheckCommand:
         assert out.count("PASS") >= 8
         assert (tmp_path / "coupling_reports.csv").exists()
 
+    @pytest.mark.parametrize("bins", ["15", "25"])
+    def test_coupling_suite_on_bins_not_a_multiple_of_ten(self, capsys, tmp_path, bins):
+        # 15 or 25 bins over 2 coarse ones, whose cut no 15- or 25-bin
+        # partition has: the fine partition takes it in
+        code, out, err = run_cli(capsys, "check", "--suite", "coupling", "--bins", bins,
+                                 "--n", "2000", "--out", str(tmp_path))
+        assert code == 0, err
+        assert out.count("PASS") == 4 and "FAIL" not in out
+        lines = (tmp_path / "coupling_reports.csv").read_text().splitlines()
+        # the comment line, the header and one row per check
+        assert lines[0].startswith("# ") and len(lines) == 2 + 4
+
 
 class TestOtherCommands:
     def test_bound3_exact(self, capsys):

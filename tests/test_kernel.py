@@ -10,11 +10,12 @@ Every input the replay rejects, the loop rejects too.  The C kernel must give
 the Python loop's arrays bit for bit and the same book, each side stored as a
 valid heap, and raise the same error on the same input; its binned-recorder and
 refinement passes must give the bytes and dtypes of the numpy `_binned_sums`
-and `_refinement_maxima` (the five-bin pass is tested in test_lyapunov.py), its
-arrival draw the bytes of the numpy `_draw_py` on random laws of every
-built-in kind, its Philox uniforms the bytes of numpy's generator, its bins
-those of `BinPartition.index` and its band counts those of `_band_counts`;
-both loops must report the same first
+and `_refinement_maxima` (the five-bin pass is tested in test_lyapunov.py),
+and those two and the five-bin pass must bin the prices they read as
+`BinPartition.index` does, at every edge of any partition; its arrival draw
+the bytes of the numpy `_draw_py` on random laws of every built-in kind, its
+Philox uniforms the bytes of numpy's generator and its band counts those of
+`_band_counts`; both loops must report the same first
 violation of the quote order, from any starting book.  Every export must be
 loaded with the signature of its C prototype.
 """
@@ -36,9 +37,8 @@ from hypothesis import strategies as st
 from lobphase import book as book_module
 from lobphase import coupling
 from lobphase import sim
-from lobphase.book import (EXECUTED, JOINED, ORDINARY, ORDINARY_BINNED, RESERVOIR,
-                           STRICT_BINNED, BookInvariantError, BookState, MatchRule,
-                           Order, apply_arrival)
+from lobphase.book import (ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookInvariantError,
+                           BookState, MatchRule, Order, apply_arrival)
 from lobphase.dist import (ArrivalSpec, BinPartition, make_partition, piecewise_linear_dist,
                            uniform_dist, union_refinement)
 
@@ -53,8 +53,8 @@ prices = st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1.0))
 
 
 def replay(state, rule, is_bid, px):
-    """Reference log: (outcome code, beta, alpha, changed side, changed price, sign,
-    resting bids, resting asks).
+    """Reference log: (beta, alpha, changed side, changed price, sign, resting
+    bids, resting asks).
 
     The book must start in the rule's order of the best quotes.
     """
@@ -64,18 +64,18 @@ def replay(state, rule, is_bid, px):
         side = "bid" if bid else "ask"
         eff = apply_arrival(state, rule, Order(side, float(p), i))
         if eff.outcome == "joined":
-            code, changed_bid, price, sign = JOINED, bid, float(p), 1
+            changed_bid, price, sign = bid, float(p), 1
         elif eff.counterparty_is_reservoir:
-            code, changed_bid, price, sign = RESERVOIR, bid, float(p), 0
+            changed_bid, price, sign = bid, float(p), 0
         else:
-            code, changed_bid, price, sign = EXECUTED, not bid, eff.counterparty_price, -1
-        rows.append((code, eff.new_beta, eff.new_alpha, changed_bid, price, sign,
+            changed_bid, price, sign = not bid, eff.counterparty_price, -1
+        rows.append((eff.new_beta, eff.new_alpha, changed_bid, price, sign,
                      state.n_bids, state.n_asks))
     return rows
 
 
 # The arrays the loop writes, as the columns of replay's rows
-LOG_FIELDS = ("outcome", "beta", "alpha", "changed_bid", "price", "sign", "n_bids", "n_asks")
+LOG_FIELDS = ("beta", "alpha", "changed_bid", "price", "sign", "n_bids", "n_asks")
 
 
 def kernel_rows(log):
@@ -162,7 +162,7 @@ def test_segments_continue_the_book():
     log = match_arrivals(whole, RULES[ORDINARY_BINNED], is_bid, px)
     logs = [match_arrivals(parts, RULES[ORDINARY_BINNED], is_bid[lo:lo + 500],
                            px[lo:lo + 500]) for lo in range(0, 2000, 500)]
-    assert np.array_equal(log.outcome, np.concatenate([g.outcome for g in logs]))
+    assert np.array_equal(log.sign, np.concatenate([g.sign for g in logs]))
     assert np.array_equal(log.beta, np.concatenate([g.beta for g in logs]))
     assert (whole.bids(), whole.asks()) == (parts.bids(), parts.asks())
 
@@ -235,7 +235,7 @@ def test_strict_book_crossed_inside_a_bin_is_accepted(is_bid, px):
 def test_empty_sequence():
     state = BookState(bids=[0.4])
     log = match_arrivals(state, RULES[STRICT_BINNED], np.zeros(0, dtype=bool), np.zeros(0))
-    assert log.outcome.size == log.beta.size == 0
+    assert log.sign.size == log.beta.size == 0
     assert state.beta() == 0.4 and state.alpha() == math.inf
     assert all(getattr(log, name).size == 0 for name in LOG_FIELDS)
 
@@ -491,12 +491,12 @@ def test_coarse_law_runs_as_the_replay(request, monkeypatch, kernel, chunk, kind
     loop = PYTHON_LOOP if kernel == "python" else request.getfixturevalue("c_kernel")
     with running(loop):
         trace = sim.run_arrivals(RULES[kind], book, arr, 1)
-    outcome, beta, alpha, _, _, _, n_bids, n_asks = (np.array(c) for c in zip(*rows))
+    beta, alpha, _, _, sign, n_bids, n_asks = (np.array(c) for c in zip(*rows))
     assert trace.cp_beta.tolist() == beta.tolist()
     assert trace.cp_alpha.tolist() == alpha.tolist()
     assert trace.cp_bids.tolist() == n_bids.tolist()
     assert trace.cp_asks.tolist() == n_asks.tolist()
-    assert trace.reservoir_executions == np.count_nonzero(outcome == RESERVOIR)
+    assert trace.reservoir_executions == np.count_nonzero(sign == 0)
 
 
 BINNED_FIELDS = ("occupation_b", "occupation_a", "occupation_elapsed", "joint_hist",
@@ -587,13 +587,16 @@ def test_c_top_shape_long_runs(c_kernel, kind, regime):
         assert visits.sum() > 0 and not visits[book_module.TOP_MAX_OFFSET:].any()
 
 
+QUARTERS = BinPartition((0.0, 1.0), [0.25, 0.5, 0.75])
+
+
 def binned_call(kernel, sums=None, **replaced):
     """One call of a kernel's binned pass on three events in empty books over
     four bins, with the arguments named in `replaced` replaced."""
-    ok = np.zeros(3, dtype=np.int64)
-    args = dict(times=np.array([0.5, 1.0, 1.5]), t0=0.0, half=1, beta=np.full(3, -np.inf),
-                alpha=np.full(3, np.inf), beta_bin=ok, alpha_bin=ok, price_bin=ok,
-                changed_bid=ok.astype(bool), sign=ok.astype(np.int8))
+    args = dict(part=QUARTERS, times=np.array([0.5, 1.0, 1.5]), t0=0.0, half=1,
+                beta=np.full(3, -np.inf), alpha=np.full(3, np.inf),
+                changed_bid=np.zeros(3, dtype=bool), price=np.full(3, 0.1),
+                sign=np.zeros(3, dtype=np.int8))
     args.update(replaced)
     if sums is None:
         sums = book_module.BinnedSums.zeros(4, -1, -1)
@@ -601,89 +604,110 @@ def binned_call(kernel, sums=None, **replaced):
     return sums
 
 
-def test_binned_rejects_bins_out_of_range(c_kernel):
-    ok = np.zeros(3, dtype=np.int64)
-    for name in ("beta_bin", "alpha_bin", "price_bin"):
-        for bad in (ok - 1, ok + 4):
-            with pytest.raises(ValueError, match="outside 0..3"):
-                binned_call(c_kernel, **{name: bad})
+def test_binned_rejects_bad_inputs(c_kernel):
+    # the pass indexes the sums with the partition's bins: sums for another
+    # bin count are refused, as are carried bins outside them
+    for nbins in (3, 5):
+        with pytest.raises(ValueError, match=re.escape("BinnedSums.layout(4)")):
+            binned_call(c_kernel, sums=book_module.BinnedSums.zeros(nbins, -1, -1))
     for pre in ((-2, 0), (0, 4)):
         sums = book_module.BinnedSums.zeros(4, *pre)
-        with pytest.raises(ValueError, match="outside 0..3"):
+        with pytest.raises(ValueError, match="outside -1..3"):
             binned_call(c_kernel, sums=sums)
     with pytest.raises(ValueError, match="length"):
-        binned_call(c_kernel, price_bin=ok[:2])
+        binned_call(c_kernel, price=np.full(2, 0.1))
     good = book_module.BinnedSums.zeros(4, -1, -1)
     for field, bad in (("counts", good.counts.astype(np.int32)), ("top", good.top[:3]),
                        ("joint", np.zeros((4, 8), dtype=np.int64)[:, ::2]),
                        ("time", good.time.astype(np.float32))):
         with pytest.raises(ValueError, match="contiguous arrays"):
             binned_call(c_kernel, sums=good._replace(**{field: bad}))
-    # in range, both passes give the same sums
-    sums = [binned_call(k, beta=np.array([0.3, -np.inf, 0.6]), beta_bin=np.array([1, 3, 2]),
-                        price_bin=np.array([1, 0, 2]), changed_bid=np.ones(3, dtype=bool),
+    # accepted, both passes give the same sums
+    sums = [binned_call(k, beta=np.array([0.3, -np.inf, 0.6]), price=np.array([0.3, 0.1, 0.6]),
+                        changed_bid=np.ones(3, dtype=bool),
                         sign=np.array([1, -1, 1], dtype=np.int8))
             for k in (c_kernel, PYTHON_LOOP)]
     assert as_bytes(sums[0]) == as_bytes(sums[1])
 
 
-@st.composite
-def refinement_points(draw):
-    """(is_bid, bins, steps, counts): two changes per point, as check_refinement
-    passes them, and the counts carried from an earlier chunk.
+def refinement_chunk(rng, nbins, n):
+    """(part, fine, coarse): a partition of [0, 1] into `nbins` bins and the two
+    books' (changed_bid, price, sign) of an n-event chunk, as check_refinement
+    passes them.
 
-    Steps in {-1, 0} from zero counts keep every prefix sum at or below 0 (no
-    violation); steps in {-1, 0, 1}, or counts that start nonzero, give
-    violations on most runs.
+    The coarse book repeats the fine book's change at about a third of the
+    events (no point), changes the same order at its neighbouring float at
+    another third (a point only where a cut lies between), and an order of
+    its own at the rest.
     """
+    cuts = np.sort(rng.choice(np.arange(1, 1000), nbins - 1, replace=False)) / 1000
+
+    def changes():
+        return rng.random(n) < 0.5, rng.random(n), rng.integers(-1, 2, n).astype(np.int8)
+
+    fine, own = changes(), changes()
+    kind = rng.integers(0, 3, n)
+    near = np.nextafter(fine[1], np.where(rng.random(n) < 0.5, -np.inf, np.inf))
+    coarse = (np.where(kind < 2, fine[0], own[0]),
+              np.select([kind == 0, kind == 1], [fine[1], near], own[1]),
+              np.where(kind < 2, fine[2], own[2]))
+    return BinPartition((0.0, 1.0), cuts), fine, coarse
+
+
+@st.composite
+def refinement_chunks(draw):
+    """(part, fine, coarse, sign, counts): a `refinement_chunk`, the rule's sign
+    and the counts carried from an earlier chunk, zero or not."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nbins, n = draw(st.integers(2, 200)), draw(st.integers(0, 700))
-    top = draw(st.sampled_from([0, 1]))
     carried = draw(st.sampled_from([0, 3]))
-    return (rng.random((n, 2)) < 0.5, rng.integers(0, nbins, (n, 2)),
-            rng.integers(-1, top + 1, (n, 2)), rng.integers(-carried, carried + 1, (2, nbins)))
+    return (*refinement_chunk(rng, nbins, n), draw(st.sampled_from([1, -1])),
+            rng.integers(-carried, carried + 1, (2, nbins)))
 
 
-@given(refinement_points())
+@given(refinement_chunks())
 @settings(max_examples=300, deadline=None)
-def test_c_refinement_matches_numpy(c_kernel, points):
-    # up to 700 points, so the numpy pass carries its prefix sums across blocks;
-    # both leave the counts after the last point
-    *changes, counts = points
+def test_c_refinement_matches_numpy(c_kernel, chunk):
+    # up to 700 events, so the numpy pass carries its prefix sums across blocks
+    # of points; both leave the counts after the last point
+    *args, counts = chunk
     c_counts, numpy_counts = counts.copy(), counts.copy()
-    assert as_bytes(c_kernel.refinement(*changes, c_counts)) == \
-        as_bytes(book_module._refinement_maxima(*changes, numpy_counts))
+    assert as_bytes(c_kernel.refinement(*args, c_counts)) == \
+        as_bytes(book_module._refinement_maxima(*args, numpy_counts))
     assert as_bytes(c_counts) == as_bytes(numpy_counts)
 
 
 def test_refinement_carries_its_counts(c_kernel):
-    # a pass split anywhere, its counts carried, gives the maxima of the whole
-    rng = np.random.default_rng(3)
-    is_bid, bins, steps = rng.random((50, 2)) < 0.5, rng.integers(0, 6, (50, 2)), \
-        rng.integers(-1, 2, (50, 2))
+    # a pass split anywhere, its counts carried, gives the points and maxima
+    # of the whole
+    part, fine, coarse = refinement_chunk(np.random.default_rng(3), 6, 50)
     for kernel in (c_kernel.refinement, book_module._refinement_maxima):
-        whole = kernel(is_bid, bins, steps, np.zeros((2, 6), dtype=np.int64))
-        counts = np.zeros((2, 6), dtype=np.int64)
-        parts = [kernel(is_bid[a:b], bins[a:b], steps[a:b], counts)
-                 for a, b in ((0, 1), (1, 20), (20, 20), (20, 50))]
+        whole = kernel(part, fine, coarse, -1, np.zeros((2, 6), dtype=np.int64))
+        assert whole[0].size > 10
+        counts, parts = np.zeros((2, 6), dtype=np.int64), []
+        for a, b in ((0, 1), (1, 20), (20, 20), (20, 50)):
+            points, max_b, max_a = kernel(part, *(tuple(x[a:b] for x in book)
+                                                  for book in (fine, coarse)), -1, counts)
+            parts.append((points + a, max_b, max_a))
         assert as_bytes(tuple(np.concatenate(m) for m in zip(*parts))) == as_bytes(whole)
 
 
-def test_refinement_rejects_bins_out_of_range(c_kernel):
-    ok = np.zeros((3, 2), dtype=np.int64)
-    is_bid = ok.astype(bool)
+def test_refinement_rejects_bad_inputs(c_kernel):
+    changes = (np.zeros(3, dtype=bool), np.full(3, 0.1), np.zeros(3, dtype=np.int8))
     counts = np.zeros((2, 4), dtype=np.int64)
-    for bins in (ok - 1, ok + 4):
-        with pytest.raises(ValueError, match="outside 0..3"):
-            c_kernel.refinement(is_bid, bins, ok, counts)
-    for bad in (ok[:2], ok[:, :1], ok.ravel()):
-        with pytest.raises(ValueError, match="shape"):
-            c_kernel.refinement(is_bid, bad, ok, counts)
+    for bad in ((changes[0][:2], *changes[1:]), (changes[0], changes[1][:2], changes[2]),
+                (changes[0], changes[1].reshape(3, 1), changes[2])):
+        with pytest.raises(ValueError, match="length"):
+            c_kernel.refinement(QUARTERS, changes, bad, 1, counts)
+    # the pass indexes the counts with the partition's bins: counts for another
+    # bin count are refused, as are counts of another dtype or layout
     frozen = counts.copy()
     frozen.flags.writeable = False
-    for bad in (counts.astype(np.int32), counts[:1], np.zeros((4, 2), np.int64).T, frozen):
-        with pytest.raises(ValueError, match="counts"):
-            c_kernel.refinement(is_bid, ok, ok, bad)
+    for bad in (np.zeros((2, 3), np.int64), np.zeros((2, 5), np.int64), counts.astype(np.int32),
+                counts[:1], np.zeros((4, 2), np.int64).T, frozen):
+        with pytest.raises(ValueError, match=re.escape("counts must be writable C-ordered "
+                                                       "int64, shape (2, 4)")):
+            c_kernel.refinement(QUARTERS, changes, changes, 1, bad)
 
 
 # -- the arrival draw ---------------------------------------------------------
@@ -915,7 +939,7 @@ def test_c_refinement_reports_equal_numpy_pass(c_kernel, reservoir_books_accepte
     assert coupling_reports(c_kernel) == coupling_reports(numpy_pass)
 
 
-# -- the bins of prices ---------------------------------------------------------
+# -- the bins the passes look up ----------------------------------------------
 
 TENT = piecewise_linear_dist([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
 TENT_SPEC = ArrivalSpec(TENT, TENT)
@@ -946,27 +970,85 @@ def bin_partitions(draw):
     return BinPartition((lo, lo + width), b[(lo < b) & (b < lo + width)])
 
 
-@given(bin_partitions(), st.lists(st.floats(), max_size=40))
-@settings(max_examples=300, deadline=None)
-def test_c_bins_match_numpy(c_kernel, part, drawn):
+def edge_prices(part, drawn):
+    """The cuts of `part` and the ends of its support, each with its two
+    neighbouring floats, BIN_SPECIAL and the prices `drawn`."""
     b, (lo, hi) = part.boundaries, part.support
     ends = np.array([lo, hi])
-    prices = np.concatenate((b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), ends,
-                             np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
-                             BIN_SPECIAL, drawn))
-    for x in (prices, prices[::-2], np.stack((prices, prices[::-1])), prices[:0]):
-        got, want = c_kernel.bins(part, x), PYTHON_LOOP.bins(part, x)
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    return np.concatenate((b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), ends,
+                           np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+                           BIN_SPECIAL, drawn))
 
 
-def test_c_bins_survive_a_copy(c_kernel):
-    # the C form kept on a partition cannot be copied; a copy builds its own
-    part = make_partition(10, UNIFORM_SPEC)
-    x = np.random.default_rng(5).random(100)
-    first = c_kernel.bins(part, x)
+def assert_c_bins_as_numpy(c_kernel, run, part):
+    """run(kernel, part) as bytes is the same under the C kernel and numpy, on
+    `part` and on a copy and a deep copy made after the C kernel used it: the
+    C form kept on a partition is not copied, and each copy builds its own."""
+    want = run(PYTHON_LOOP, part)
+    assert run(c_kernel, part) == want
     for copied in (copy.copy(part), copy.deepcopy(part)):
         assert "_c_partition" not in copied.__dict__
-        assert np.array_equal(c_kernel.bins(copied, x), first)
+        assert run(c_kernel, copied) == want
+
+
+edge_cases = given(bin_partitions(), st.lists(st.floats(), max_size=40),
+                   st.integers(0, 2**32 - 1))
+
+
+@edge_cases
+@settings(max_examples=150, deadline=None)
+def test_c_binned_bins_edge_prices_as_numpy(c_kernel, part, drawn, seed):
+    # every price of interest as a best bid, a best ask and a changed order;
+    # a -inf bid or a +inf ask is an empty side, the other infinities are bins
+    rng = np.random.default_rng(seed)
+    x = edge_prices(part, drawn)
+    n = x.size
+    args = (0.5 * np.arange(1, n + 1), 0.0, n // 2, x, rng.permutation(x),
+            rng.random(n) < 0.5, rng.permutation(x), rng.integers(-1, 2, n).astype(np.int8))
+
+    def binned(kernel, p):
+        sums = book_module.BinnedSums.zeros(p.n_bins, -1, -1)
+        kernel.binned(sums, p, *args)
+        return as_bytes(sums)
+
+    assert_c_bins_as_numpy(c_kernel, binned, part)
+
+
+@edge_cases
+@settings(max_examples=150, deadline=None)
+def test_c_five_bin_bins_edge_prices_as_numpy(c_kernel, part, drawn, seed):
+    # changes that never lower the state (a bid added or an ask removed, or
+    # none), so it stays consistent whichever bins they land in
+    rng = np.random.default_rng(seed)
+    x = edge_prices(part, drawn)
+    changed_bid = rng.random(x.size) < 0.5
+    step = rng.integers(0, 2, x.size)
+    sign = np.where(changed_bid, step, -step).astype(np.int8)
+    normals = np.array([[1.0, 1.0, 1.0], [-1.0, 0.5, 2.0]])
+
+    def five_bin(kernel, p):
+        sums = book_module.FiveBinSums.zeros()
+        above = kernel.five_bin(sums, p, changed_bid, x, sign, normals, 1.0)
+        return as_bytes((*sums, above))
+
+    assert_c_bins_as_numpy(c_kernel, five_bin, part)
+
+
+@edge_cases
+@settings(max_examples=150, deadline=None)
+def test_c_refinement_bins_edge_prices_as_numpy(c_kernel, part, drawn, seed):
+    # both books change an order on one side with one sign at each price of
+    # interest, in another order: the points are where the bins differ
+    rng = np.random.default_rng(seed)
+    x = edge_prices(part, drawn)
+    side, step = rng.random(x.size) < 0.5, rng.choice([-1, 1], x.size).astype(np.int8)
+    books = (side, x, step), (side, rng.permutation(x), step)
+
+    def refinement(kernel, p):
+        counts = np.zeros((2, p.n_bins), dtype=np.int64)
+        return as_bytes((*kernel.refinement(p, *books, 1, counts), counts))
+
+    assert_c_bins_as_numpy(c_kernel, refinement, part)
 
 
 # -- the band counts --------------------------------------------------------------
@@ -1100,15 +1182,15 @@ def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, cc):
     kernel = book_module._load_kernel()
     assert kernel == PYTHON_LOOP
     assert (kernel.run, kernel.binned, kernel.five_bin, kernel.refinement, kernel.draw,
-            kernel.uniforms, kernel.bins, kernel.band) == (
+            kernel.uniforms, kernel.band) == (
         book_module._match_py, book_module._binned_sums, book_module._five_bin_sums,
         book_module._refinement_maxima, book_module._draw_py, book_module._uniforms_py,
-        BinPartition.index, book_module._band_counts)
+        book_module._band_counts)
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("export", ["match", "binned", "five_bin", "refinement", "draw",
-                                    "uniforms", "bins", "band"])
+                                    "uniforms", "band"])
 def test_library_lacking_an_export_is_neither_cached_nor_loaded(monkeypatch, tmp_path,
                                                                export):
     # the source builds, but its library lacks one of its exports
@@ -1220,7 +1302,7 @@ def test_built_library_is_reused(monkeypatch, tmp_path):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_reflection_symmetry(request, kernel, kind, seed, uniform_spec):
     # x -> 1 - x with sides swapped, on an uneven partition and its mirror
-    # image, maps the run to its mirror image: same outcomes, beta <-> 1 - alpha.
+    # image, maps the run to its mirror image: same signs, beta <-> 1 - alpha.
     rng = np.random.default_rng(seed)
     cuts = np.sort(rng.uniform(0.02, 0.98, 15))
     part, mirror = BinPartition((0.0, 1.0), cuts), BinPartition((0.0, 1.0), 1.0 - cuts[::-1])
@@ -1233,7 +1315,7 @@ def test_reflection_symmetry(request, kernel, kind, seed, uniform_spec):
     with running(loop):
         log = match_arrivals(book, MatchRule(kind, part), arr.is_bid, arr.prices)
         log_r = match_arrivals(book_r, MatchRule(kind, mirror), refl.is_bid, refl.prices)
-    assert np.array_equal(log.outcome, log_r.outcome)
+    assert np.array_equal(log.sign, log_r.sign)
     assert np.array_equal(log_r.beta, 1.0 - log.alpha)
     assert np.array_equal(log_r.alpha, 1.0 - log.beta)
     assert (book_r.bids(), book_r.asks()) == (sorted(1.0 - p for p in book.asks()),

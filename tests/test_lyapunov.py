@@ -227,14 +227,15 @@ class TestFiveBinSimulation:
 
 
 def five_bin_changes(eps, n, seed):
-    """(bins, changed_bid, sign) of simulate_5bin's run, as it passes them."""
+    """The partition and the (changed_bid, price, sign) of simulate_5bin's run,
+    as it passes them."""
     part = lyapunov.five_bin_partition(eps)
     lo_mid = 0.5 * (0.2 + eps)
     state = book.BookState(bid_reservoir=lo_mid, ask_reservoir=1.0 - lo_mid)
     arr = materialize(ArrivalStream(seed, n, ArrivalSpec(uniform_dist(), uniform_dist())))
     log = match_arrivals(state, book.MatchRule(book.ORDINARY_BINNED, part), arr.is_bid,
                          arr.prices)
-    return part.index(log.price), log.changed_bid, log.sign
+    return part, (log.changed_bid, log.price, log.sign)
 
 
 @pytest.fixture(scope="module")
@@ -249,12 +250,12 @@ def as_bytes(sums):
     return [(a.dtype.str, a.shape, a.tobytes()) for a in sums]
 
 
-def five_bin_pass(five_bin, changes, K, splits=()):
+def five_bin_pass(five_bin, part, changes, K, splits=()):
     """The bytes of the region pass's sums and of its `above` over a run's
     changes, fed in pieces cut at `splits` with the sums carried between."""
     sums = book.FiveBinSums.zeros()
     cuts = [0, *splits, changes[0].size]
-    above = [five_bin(sums, *(c[lo:hi] for c in changes), lyapunov._GAUGE_NORMALS, K)
+    above = [five_bin(sums, part, *(c[lo:hi] for c in changes), lyapunov._GAUGE_NORMALS, K)
              for lo, hi in zip(cuts, cuts[1:])]
     return as_bytes([*sums, np.concatenate(above)])
 
@@ -264,11 +265,11 @@ def five_bin_pass(five_bin, changes, K, splits=()):
                                           (0.05, 257, 2), (0.01, 0, 1)])
 @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0, 20.0, 1e9])
 def test_c_five_bin_matches_numpy(c_kernel, eps, n, seed, K):
-    changes = five_bin_changes(eps, n, seed)
+    part, changes = five_bin_changes(eps, n, seed)
     sums = book.FiveBinSums.zeros()
-    above = c_kernel.five_bin(sums, *changes, lyapunov._GAUGE_NORMALS, K)
-    assert five_bin_pass(c_kernel.five_bin, changes, K) == \
-        five_bin_pass(book._five_bin_sums, changes, K)
+    above = c_kernel.five_bin(sums, part, *changes, lyapunov._GAUGE_NORMALS, K)
+    assert five_bin_pass(c_kernel.five_bin, part, changes, K) == \
+        five_bin_pass(book._five_bin_sums, part, changes, K)
     if n and K == 1e9:
         assert not above.any() and not sums.visits_hi.any()
     if n and K == -1.0:
@@ -281,27 +282,33 @@ def test_five_bin_passes_carry_their_state_between_pieces(c_kernel, eps, n, seed
     # pieces of 1, 254, 2 and the rest (none at 257 events): the state, the
     # sums and the gauge before each piece come from the pieces before it;
     # the C pass over the whole run equals the numpy one, as tested above
-    changes = five_bin_changes(eps, n, seed)
-    whole = five_bin_pass(book._five_bin_sums, changes, K)
+    part, changes = five_bin_changes(eps, n, seed)
+    whole = five_bin_pass(book._five_bin_sums, part, changes, K)
     for five_bin in (c_kernel.five_bin, book._five_bin_sums):
-        assert five_bin_pass(five_bin, changes, K, splits=(1, 255, 257)) == whole
+        assert five_bin_pass(five_bin, part, changes, K, splits=(1, 255, 257)) == whole
 
 
-def test_five_bin_rejects_bins_out_of_range(c_kernel):
-    bins, changed_bid, sign = (np.array([2, 1, 3]), np.ones(3, dtype=bool),
-                               np.ones(3, dtype=np.int8))
+FIVE_BINS = lyapunov.five_bin_partition(0.05)
+
+
+def in_bins(*bins):
+    """A price inside each of the five-bin partition's `bins`."""
+    edges = FIVE_BINS.edges
+    return np.array([0.5 * (edges[k] + edges[k + 1]) for k in bins])
+
+
+def test_five_bin_rejects_bad_inputs(c_kernel):
+    changed_bid, price, sign = (np.ones(3, dtype=bool), in_bins(2, 1, 3),
+                                np.ones(3, dtype=np.int8))
     sums, normals = book.FiveBinSums.zeros(), lyapunov._GAUGE_NORMALS
-    for bad in (bins - 3, bins + 2):
-        with pytest.raises(ValueError, match="outside 0..4"):
-            c_kernel.five_bin(sums, bad, changed_bid, sign, normals, 0.0)
     with pytest.raises(ValueError, match="length"):
-        c_kernel.five_bin(sums, bins[:2], changed_bid, sign, normals, 0.0)
+        c_kernel.five_bin(sums, FIVE_BINS, changed_bid, price[:2], sign, normals, 0.0)
     with pytest.raises(ValueError, match="shape"):
-        c_kernel.five_bin(sums, bins, changed_bid, sign, normals[:, :2], 0.0)
+        c_kernel.five_bin(sums, FIVE_BINS, changed_bid, price, sign, normals[:, :2], 0.0)
 
 
 def test_five_bin_rejects_sums_laid_out_otherwise(c_kernel):
-    changes = (np.array([2, 1, 3]), np.ones(3, dtype=bool), np.ones(3, dtype=np.int8))
+    changes = (FIVE_BINS, np.ones(3, dtype=bool), in_bins(2, 1, 3), np.ones(3, dtype=np.int8))
     good = book.FiveBinSums.zeros()
     bad = [good._replace(dx_sum=good.dx_sum.astype(np.int64)),     # dtype
            good._replace(x=np.zeros(2, dtype=np.int64)),            # shape
@@ -316,11 +323,11 @@ def test_five_bin_rejects_sums_laid_out_otherwise(c_kernel):
 def test_both_five_bin_passes_reject_an_inconsistent_state(c_kernel):
     # a bid joins bin 3, then an ask joins bin 2 below it: the third change
     # starts from bids above asks
-    bins, changed_bid = np.array([3, 2, 1]), np.array([True, False, True])
+    changed_bid, price = np.array([True, False, True]), in_bins(3, 2, 1)
     sign = np.ones(3, dtype=np.int8)
     for five_bin in (c_kernel.five_bin, book._five_bin_sums):
         with pytest.raises(ValueError, match=re.escape("inconsistent sign pattern (0, -1, 1)")):
-            five_bin(book.FiveBinSums.zeros(), bins, changed_bid, sign,
+            five_bin(book.FiveBinSums.zeros(), FIVE_BINS, changed_bid, price, sign,
                      lyapunov._GAUGE_NORMALS, 0.0)
 
 
