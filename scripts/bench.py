@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Per-layer timings of the arrival draw, the match loop, the refinement
-check, the recorders and the trace CSVs, as JSON.
+check, the recorders, the trace CSVs and the analytic routes, as JSON.
 
 Each figure is the median over --repeats calls in this process:
 
@@ -14,20 +14,31 @@ Each figure is the median over --repeats calls in this process:
   of `book.match_chunks` on uniform arrivals, ordinary rule, empty book;
 - `coupling.check_refinement` of the 100-bin partition against the 10-bin
   one on --n-draw uniform arrivals, in seconds per call, under each
-  binned rule;
+  binned rule, with the compiled refinement pass and with the numpy one
+  (`book._PYTHON_KERNEL`'s), taking turns call by call;
 - each recorder fold of the recurrence drivers (`sim._Checkpoints`,
   `_Binned`, `_FiveBin`, `_BandCount` and `_RunningMax`) over the chunk logs
   of one N_FOLD-arrival run, in ns per arrival, under the compiled kernel
   and under the numpy reference passes, taking turns run by run;
 - `sim.write_trace_csvs` of an N_FOLD-arrival `sim.run` trace recorded on
   100 bins, as `lobphase simulate --bins 100` writes it;
+- the analytic routes, in ms per call: `analytics.shoot_kappa` on the
+  uniform, tent and 17-row uniform-table laws (`n_scan=64`, `tol=1e-10`),
+  `integrate_varpi` on the table law from its threshold with `grid_n=64`,
+  `finiteness_lower_bound` and `solve_binned_pi` at 100 bins on the
+  uniform law, and `lyapunov.certify_drift` of the published table at
+  eps = 1/100;
 - the peak RSS of `sim.run_arrivals` and of each coupling check on --n-draw
   uniform arrivals, each in a fresh process, in MB after the draw and at the
   end (one run, not a median).
 
-The record also carries the machine (CPU model, nproc, Python, numpy and
-`book.KERNEL`).  Where no C compiler is available, the compiled columns are
-null.  Run from the repository root:
+Around each timed layer, `perfbench/gauge.py`'s fixed computation is timed
+once before and once after, and its wall seconds are recorded under
+`gauge_wall_s`: a layer whose gauge also ran slow ran on a slow machine,
+not on slower code.  The record also carries the machine (CPU model, nproc,
+Python, numpy, the BLAS threads and `book.KERNEL`); the script runs with
+one BLAS thread, as the benchmark does.  Where no C compiler is available, the
+compiled columns are null.  Run from the repository root:
 
     PYTHONPATH=src python scripts/bench.py --out out/bench
 """
@@ -41,13 +52,23 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
+
+# One BLAS thread, set before numpy loads, as perfbench/run.py sets it: with
+# one thread per core, the balance solve's lstsq took 2 ms or 60-380 ms from
+# one process to the next on a 2-vCPU machine.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
-from lobphase import book, coupling, lyapunov, sim
+from lobphase import analytics, book, coupling, lyapunov, sim
 from lobphase.book import ORDINARY, ORDINARY_BINNED, STRICT_BINNED, BookState, MatchRule
-from lobphase.dist import ArrivalSpec, make_partition, piecewise_linear_dist, uniform_dist
+from lobphase.dist import (ArrivalSpec, cdf_table_dist, make_partition, piecewise_linear_dist,
+                           uniform_dist)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from gauge import time_gauge
 
 SEED = 1    # of every stream drawn
 N_FOLD = 40_000     # arrivals of the runs the recorders fold and the trace CSVs hold
@@ -73,7 +94,7 @@ def cpu_model() -> str:
 def machine() -> dict:
     return {"cpu_model": cpu_model(), "nproc": os.cpu_count(),
             "python": platform.python_version(), "numpy": np.__version__,
-            "kernel": book.KERNEL}
+            "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]), "kernel": book.KERNEL}
 
 
 def median_ns(seconds: list, n: int) -> float:
@@ -131,19 +152,22 @@ def time_match(kernel, n: int, repeats: int) -> float:
     return median_ns(seconds, n)
 
 
-def time_refinement(kernel, n: int, repeats: int) -> dict:
-    """Seconds per `check_refinement` call, 100 against 10 bins, per rule."""
-    book._loaded = kernel
+def time_refinement(kernels: dict, n: int, repeats: int) -> dict:
+    """Seconds per `check_refinement` call, 100 against 10 bins, per rule and
+    named kernel, the kernels taking turns call by call."""
     spec = laws()["uniform"]
     fine, coarse = make_partition(100, spec), make_partition(10, spec)
     arr = sim.materialize(sim.ArrivalStream(SEED, n, spec))
-    seconds = {kind: [] for kind in (ORDINARY_BINNED, STRICT_BINNED)}
+    seconds = {kind: {k: [] for k in kernels} for kind in (ORDINARY_BINNED, STRICT_BINNED)}
     for _ in range(repeats):
-        for kind, s in seconds.items():
-            t0 = time.perf_counter()
-            coupling.check_refinement(fine, coarse, kind, arr, seed=SEED)
-            s.append(time.perf_counter() - t0)
-    return {kind: round(statistics.median(s), 4) for kind, s in seconds.items()}
+        for kind, per_kernel in seconds.items():
+            for k, s in per_kernel.items():
+                book._loaded = kernels[k]
+                t0 = time.perf_counter()
+                coupling.check_refinement(fine, coarse, kind, arr, seed=SEED)
+                s.append(time.perf_counter() - t0)
+    return {kind: {"c": None, **{k: round(statistics.median(s), 4) for k, s in per.items()}}
+            for kind, per in seconds.items()}
 
 
 def chunk_logs(rule: MatchRule, state: BookState, arr: sim.Arrivals) -> list:
@@ -224,6 +248,50 @@ def time_csvs(n: int, repeats: int) -> dict:
             "ms_per_call": round(1e3 * statistics.median(seconds), 3)}
 
 
+def analytic_calls() -> dict:
+    """The analytic routes, each a call with no argument; the table law is the
+    uniform law as a 17-row CDF table."""
+    xs = np.linspace(0.0, 1.0, 17)
+    uniform, table = laws()["uniform"], ArrivalSpec(cdf_table_dist(xs, xs), cdf_table_dist(xs, xs))
+    kappa_b, kappa_a = analytics.kappa_uniform_exact()
+    part = make_partition(100, uniform)
+    fb = float(uniform.bid_dist.cdf(kappa_b))
+    return {
+        **{f"shoot_kappa/{name}": (lambda s=spec: analytics.shoot_kappa(s, tol=1e-10, n_scan=64))
+           for name, spec in (*laws().items(), ("table", table))},
+        "integrate_varpi/table": lambda: analytics.integrate_varpi(table, kappa_b, grid_n=64),
+        "finiteness_lower_bound": lambda: analytics.finiteness_lower_bound(uniform),
+        "solve_binned_pi": lambda: analytics.solve_binned_pi(
+            uniform, part, part.index(kappa_b), part.index(kappa_a), fb),
+        "certify_drift": lambda: lyapunov.certify_drift(Fraction(1, 100)),
+    }
+
+
+def time_analytics(repeats: int) -> dict:
+    """ms per call of each analytic route after one warm-up call, the routes
+    taking turns."""
+    calls = analytic_calls()
+    for call in calls.values():
+        call()
+    seconds = {name: [] for name in calls}
+    for _ in range(repeats):
+        for name, call in calls.items():
+            t0 = time.perf_counter()
+            call()
+            seconds[name].append(time.perf_counter() - t0)
+    return {name: round(1e3 * statistics.median(s), 3) for name, s in seconds.items()}
+
+
+def gauged(gauges: dict, name: str, layer, *args):
+    """`layer(*args)`, with the gauge's wall seconds just before and just after
+    it noted under `name`."""
+    before = time_gauge()[0]
+    try:
+        return layer(*args)
+    finally:
+        gauges[name] = [round(before, 4), round(time_gauge()[0], 4)]
+
+
 # One driver on n uniform arrivals in a fresh process: prints its peak RSS in
 # MB after the draw and at the end, as JSON.  It reads the process's own
 # VmHWM where Linux gives it: a child's ru_maxrss starts from the peak of the
@@ -294,20 +362,29 @@ def main() -> None:
     kernels = {"c": compiled, "numpy": loaded._replace(draw=book._PYTHON_KERNEL.draw)}
     if compiled is None:
         del kernels["c"]
+    gauges = {}
     try:
-        draw = {name: {"c": None, **time_materialize(kernels, spec, args.n_draw,
-                                                     args.repeats)}
+        draw = {name: {"c": None, **gauged(gauges, f"materialize/{name}", time_materialize,
+                                           kernels, spec, args.n_draw, args.repeats)}
                 for name, spec in laws().items()}
         uniform_draws = {"c": compiled.uniforms} if compiled else {}
         uniform_draws["numpy"] = book._uniforms_py
-        uniforms = {"c": None, **time_uniforms(uniform_draws, args.n_draw, args.repeats)}
-        match = {str(n): compiled and time_match(compiled, n, args.repeats) for n in sizes}
+        uniforms = {"c": None, **gauged(gauges, "uniforms", time_uniforms, uniform_draws,
+                                        args.n_draw, args.repeats)}
+        match = {str(n): compiled and gauged(gauges, f"match_loop/{n}", time_match, compiled,
+                                             n, args.repeats) for n in sizes}
         fold_kernels = {"c": compiled, "numpy": book._PYTHON_KERNEL} if compiled else \
             {"numpy": book._PYTHON_KERNEL}
-        refinement = time_refinement(loaded, args.n_draw, args.repeats)
-        folds = time_folds(fold_kernels, N_FOLD, args.repeats)
+        # the loaded match loop under the compiled and the numpy refinement pass
+        refinement_kernels = {k: loaded._replace(refinement=kernel.refinement)
+                              for k, kernel in fold_kernels.items()}
+        refinement = gauged(gauges, "check_refinement", time_refinement, refinement_kernels,
+                            args.n_draw, args.repeats)
+        folds = gauged(gauges, "recorder_folds", time_folds, fold_kernels, N_FOLD,
+                       args.repeats)
         book._loaded = loaded
-        csvs = time_csvs(N_FOLD, args.repeats)
+        csvs = gauged(gauges, "write_trace_csvs", time_csvs, N_FOLD, args.repeats)
+        analytic = gauged(gauges, "analytics", time_analytics, args.repeats)
         rss = peak_rss(args.n_draw)
     finally:
         book._loaded = loaded
@@ -319,9 +396,11 @@ def main() -> None:
         "materialize_ns_per_arrival": {"n": args.n_draw, "laws": draw},
         "uniforms_ns_per_arrival": {"n": args.n_draw, **uniforms},
         "match_loop_ns_per_arrival": match,
-        "check_refinement_s": {"n": args.n_draw, "kernel": loaded.name, **refinement},
+        "check_refinement_s": {"n": args.n_draw, "match_kernel": loaded.name, **refinement},
         "recorder_folds_ns_per_arrival": {"n": N_FOLD, "folds": folds},
         "write_trace_csvs": {"n": N_FOLD, "bins": 100, "kernel": loaded.name, **csvs},
+        "analytics_ms_per_call": analytic,
+        "gauge_wall_s": gauges,
         "peak_rss_mb": {"n": args.n_draw, "drivers": rss},
     }
     out = Path(args.out)
@@ -332,12 +411,15 @@ def main() -> None:
     print(f"uniforms             c {uniforms['c']} ns, numpy {uniforms['numpy']} ns per arrival")
     for n, ns in match.items():
         print(f"match loop {n:>8s} arrivals: {ns} ns per arrival")
-    for kind, sec in refinement.items():
-        print(f"check_refinement {kind}: {sec} s on {args.n_draw} arrivals")
+    for kind, row in refinement.items():
+        print(f"check_refinement {kind}: c {row['c']} s, numpy {row['numpy']} s on "
+              f"{args.n_draw} arrivals")
     for name, row in folds.items():
         print(f"fold {name:13s}       c {row['c']} ns, numpy {row['numpy']} ns per arrival")
     print(f"write_trace_csvs: {csvs['ns_per_arrival']} ns per arrival, "
           f"{csvs['ms_per_call']} ms per call on {N_FOLD} arrivals")
+    for name, ms in analytic.items():
+        print(f"{name:26s} {ms} ms per call")
     for driver, row in rss.items():
         print(f"peak RSS {driver:26s} {row['after_draw']} MB after the draw, "
               f"{row['end']} MB at the end on {args.n_draw} arrivals")

@@ -33,6 +33,7 @@ functions taking a spec raise ValueError for any `p_b` but 0.5.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -94,8 +95,10 @@ def lambert_w_of_inv_e() -> float:
     return w
 
 
+@functools.cache
 def kappa_uniform_exact() -> tuple[float, float]:
-    """Exact thresholds for uniform arrivals on [0, 1]: (w/(w+1), 1 - w/(w+1))."""
+    """Exact thresholds for uniform arrivals on [0, 1]: (w/(w+1), 1 - w/(w+1)),
+    with the fixed point solved once per process."""
     w = lambert_w_of_inv_e()
     kappa = w / (w + 1.0)
     return kappa, 1.0 - kappa
@@ -122,6 +125,11 @@ def _check_equal_rates(spec: ArrivalSpec) -> None:
                          "rates only (p_b = 0.5)")
 
 
+def _check_grid_n(grid_n: int) -> None:
+    if grid_n < 2:
+        raise ValueError(f"grid_n={grid_n}: the grid needs at least 2 points, both ends")
+
+
 def _check_coefficients(spec: ArrivalSpec, lo: float, hi: float, n_probe: int = 513):
     xs = np.linspace(lo, hi, n_probe)[1:-1]
     fa = np.asarray(spec.ask_dist.density(xs), dtype=float)
@@ -140,6 +148,9 @@ _GAUSS = (0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0,
           np.array([5.0, 8.0, 5.0]) / 18.0)
 _LOBATTO = (0.5 + np.array([-0.5, -0.1 * math.sqrt(5.0), 0.1 * math.sqrt(5.0), 0.5]),
             np.array([1.0, 5.0, 5.0, 1.0]) / 12.0)
+# Each rule's moment weights w_i (t_i - 1/2)^j, j = 0, 1, 2.
+_GAUSS_MOMENTS, _LOBATTO_MOMENTS = ([weights * (nodes - 0.5) ** j for j in range(3)]
+                                    for nodes, weights in (_GAUSS, _LOBATTO))
 _INITIAL_PANELS = 8
 _MAX_PANELS = 1 << 16
 # |z| below which cosh(sqrt z) and sinh(sqrt z) / sqrt z are summed as series:
@@ -157,18 +168,21 @@ def _bracket(x, y):
                      2.0 * (c1 * a2 - a1 * c2)])
 
 
-def _omega(c_u, c_v, h, rule):
-    """Sixth-order Magnus exponent of A = [[0, c_u], [c_v, 0]] over each panel.
+def _moments(c_u, c_v, h, moments):
+    """Moments B_j = h sum_i w_i (t_i - 1/2)^j A_i of A = [[0, c_u], [c_v, 0]]
+    over each panel, as (3, 3) + h.shape: j, then (a, b, c).
 
-    `c_u` and `c_v` hold the coefficients at `rule`'s nodes (last axis), `h`
-    the panel widths.  The rule gives the moments B_j = h sum_i w_i
-    (t_i - 1/2)^j A_i, and the combination of them in Blanes, Casas, Oteo &
-    Ros (Phys. Rep. 470, 2009) is Omega to O(h^7).
+    `c_u` and `c_v` hold the coefficients at a rule's nodes (last axis), `h`
+    the panel widths and `moments` the rule's moment weights.
     """
-    nodes, weights = rule
-    s = nodes - 0.5
-    B0, B1, B2 = (np.array([np.zeros_like(h), h * (c_u @ (weights * s ** j)),
-                            h * (c_v @ (weights * s ** j))]) for j in range(3))
+    return np.array([[np.zeros_like(h), h * (c_u @ m), h * (c_v @ m)] for m in moments])
+
+
+def _omega(B):
+    """Sixth-order Magnus exponent over each panel from its moments `B`: the
+    combination in Blanes, Casas, Oteo & Ros (Phys. Rep. 470, 2009), Omega to
+    O(h^7)."""
+    B0, B1, B2 = B
     a1, a2, a3 = 2.25 * B0 - 15.0 * B2, 12.0 * B1, 180.0 * B2 - 15.0 * B0
     c1 = _bracket(a1, a2)
     c2 = _bracket(a1, 2.0 * a3 + c1) / -60.0
@@ -183,13 +197,13 @@ def _expm(w):
     """
     a, b, c = w
     z = a * a + b * c
-    r = np.sqrt(np.abs(z))
-    small = np.abs(z) < _SERIES_Z
-    r_safe = np.where(small, 1.0, r)
-    big_c = np.where(z > 0, np.cosh(r_safe), np.cos(r_safe))
-    big_s = np.where(z > 0, np.sinh(r_safe), np.sin(r_safe)) / r_safe
-    C = np.where(small, np.polyval(_COSH_TERMS, z), big_c)
-    S = np.where(small, np.polyval(_SINHC_TERMS, z), big_s)
+    C, S = np.polyval(_COSH_TERMS, z), np.polyval(_SINHC_TERMS, z)
+    big = np.abs(z) >= _SERIES_Z
+    if big.any():       # the closed form, only where some entry needs it
+        zb = z[big]
+        r = np.sqrt(np.abs(zb))
+        C[big] = np.where(zb > 0, np.cosh(r), np.cos(r))
+        S[big] = np.where(zb > 0, np.sinh(r), np.sin(r)) / r
     return np.stack([np.stack([C + S * a, S * b], -1),
                      np.stack([S * c, C - S * a], -1)], -2)
 
@@ -203,8 +217,9 @@ def _integrate_adaptive(spec: ArrivalSpec, lo: float, hi: float, rtol: float,
     density jumps sit on panel ends.  The coefficients
     c_u = -f_a / (1 - F_b) and c_v = f_b / F_a depend on x alone, so each
     round of refinement reads them at the Gauss and Lobatto nodes of every
-    pending panel with one law call per callable, and bisects the panels where
-    the two Omega estimates differ by more than atol + rtol * max|Omega|.  A
+    pending panel with one law call per callable, combines both rules'
+    moments into Omega in one pass, and bisects the panels where the two
+    Omega estimates differ by more than atol + rtol * max|Omega|.  A
     panel's error is thus bounded in proportion to its length, and Phi's
     relative error by about rtol times the integral of |c_u| + |c_v|.  The
     Lobatto rule samples both panel ends (one float inside them, to read a
@@ -237,8 +252,9 @@ def _integrate_adaptive(spec: ArrivalSpec, lo: float, hi: float, rtol: float,
         x_lob[:, 0], x_lob[:, -1] = np.nextafter(left, right), np.nextafter(right, left)
         c_u, c_v = coefficients(
             np.concatenate([left[:, None] + h[:, None] * _GAUSS[0], x_lob], -1))
-        w = _omega(c_u[:, :n_gauss], c_v[:, :n_gauss], h, _GAUSS)
-        w_lob = _omega(c_u[:, n_gauss:], c_v[:, n_gauss:], h, _LOBATTO)
+        w, w_lob = np.split(_omega(np.concatenate([
+            _moments(c_u[:, :n_gauss], c_v[:, :n_gauss], h, _GAUSS_MOMENTS),
+            _moments(c_u[:, n_gauss:], c_v[:, n_gauss:], h, _LOBATTO_MOMENTS)], -1)), 2, -1)
         ok = np.max(np.abs(w - w_lob), 0) <= atol + rtol * np.max(np.abs(w), 0)
         done_left.append(left[ok])
         done_omega.append(w[:, ok])
@@ -268,7 +284,7 @@ def _integrate_adaptive(spec: ArrivalSpec, lo: float, hi: float, rtol: float,
         a = starts[k]
         h = x - a
         c_u, c_v = coefficients(a[..., None] + h[..., None] * _GAUSS[0])
-        return _expm(_omega(c_u, c_v, h, _GAUSS)) @ at_starts[k]
+        return _expm(_omega(_moments(c_u, c_v, h, _GAUSS_MOMENTS))) @ at_starts[k]
 
     return phi
 
@@ -285,6 +301,7 @@ def integrate_varpi(spec: ArrivalSpec, kappa_b: float, grid_n: int = 1000,
     the panels around each jump until it no longer matters at the tolerance.
     """
     _check_equal_rates(spec)
+    _check_grid_n(grid_n)
     fb_level = float(spec.bid_dist.cdf(kappa_b))
     if not 0.0 < fb_level < 0.5:
         raise ValueError(f"F_b(kappa_b)={fb_level:.4g} outside (0, 1/2)")
@@ -391,6 +408,7 @@ def shoot_kappa(spec: ArrivalSpec, tol: float = 1e-10, grid_n: int = 1000,
     from it too.
     """
     _check_equal_rates(spec)
+    _check_grid_n(grid_n)
     if fb_lower is None:
         fb_lower = finiteness_lower_bound(spec)
         if fb_lower is None or fb_lower <= 0:
@@ -568,7 +586,12 @@ def finiteness_lower_bound(spec: ArrivalSpec) -> float | None:
     Each pair's bound is `lower_bound_3bin`'s, exactly: with X = p/q and
     Y = r/s read as their decimal literals, it is
     (2p(q-p)s - (s-r)q^2) / (q((q-2p)s + rq)), and the largest is picked by
-    cross-multiplying these integers.
+    cross-multiplying these integers.  Only the pairs whose bound in float64
+    lies within 1e-9 of the largest float bound are compared so.  A kept pair
+    has X <= 0.49 and X < Y, so the denominator (1 - X) + (Y - X) exceeds
+    1/2; each literal is within half an ulp of its float, so the float bound
+    is within about 1e-15 of the exact one, and no pair that could be the
+    exact maximum is left out.
     """
     _check_equal_rates(spec)
     X = np.linspace(0.02, 0.49, 199)
@@ -577,8 +600,11 @@ def finiteness_lower_bound(spec: ArrivalSpec) -> float | None:
     Yb = np.asarray(spec.bid_dist.cdf(y), dtype=float)
     Fa_x = np.asarray(spec.ask_dist.cdf(x), dtype=float)
     keep = (x < y) & (np.abs(Yb - (1.0 - Fa_x)) <= 1e-6) & (X < Yb) & (Yb < 1.0)
+    X, Yb = X[keep], Yb[keep]
+    bound = (2.0 * X * (1.0 - X) - (1.0 - Yb)) / ((1.0 - X) + (Yb - X))
+    near = bound >= bound.max(initial=-np.inf) - 1e-9
     best = None
-    for a, b in zip(X[keep].tolist(), Yb[keep].tolist()):
+    for a, b in zip(X[near].tolist(), Yb[near].tolist()):
         p, q = Decimal(repr(a)).as_integer_ratio()
         r, s = Decimal(repr(b)).as_integer_ratio()
         num, den = 2 * p * (q - p) * s - (s - r) * q * q, q * ((q - 2 * p) * s + r * q)

@@ -75,7 +75,8 @@ class RunConfig:
     suite: str = "all"
     x: float = _opt(0.4, "lower cut for bounds")
     y: float = _opt(0.6, "upper cut for bounds")
-    tol: float = _opt(1e-10, "shooting tolerance on u_end")
+    tol: float = _opt(1e-10, "the threshold search stops once |u_end| <= tol at the "
+                             "returned level; it does not bound the error in kappa_b")
     time_mode: str = sim.EVENT_COUNT
 
     @classmethod

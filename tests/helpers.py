@@ -1,11 +1,14 @@
 """Functions that only the tests use: the whole-run event log of the
-differential tests, the reflected arrival stream of the symmetry tests and
-the gauge of the published level polytope."""
+differential tests, the reflected arrival stream of the symmetry tests, the
+gauge of the published level polytope and the exact certificate scan of
+every kept level."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
+from lobphase.analytics import _check_equal_rates
 from lobphase.book import EventLog, match_chunks
 from lobphase.lyapunov import NORMALS
 from lobphase.sim import Arrivals
@@ -38,3 +41,24 @@ def polytope_gauge(x) -> Fraction:
     exactly on the polytope boundary."""
     xv = tuple(Fraction(c) for c in x)
     return max(sum(a * b for a, b in zip(xv, v)) for v in NORMALS.values())
+
+
+def finiteness_exact_scan(spec) -> float | None:
+    """`analytics.finiteness_lower_bound` with every kept level compared in
+    exact integer arithmetic, not only those near the float maximum: the
+    reference the filtered scan must equal."""
+    _check_equal_rates(spec)
+    X = np.linspace(0.02, 0.49, 199)
+    x = np.asarray(spec.bid_dist.quantile(X), dtype=float)
+    y = np.asarray(spec.ask_dist.quantile(1.0 - X), dtype=float)
+    Yb = np.asarray(spec.bid_dist.cdf(y), dtype=float)
+    Fa_x = np.asarray(spec.ask_dist.cdf(x), dtype=float)
+    keep = (x < y) & (np.abs(Yb - (1.0 - Fa_x)) <= 1e-6) & (X < Yb) & (Yb < 1.0)
+    best = None
+    for a, b in zip(X[keep].tolist(), Yb[keep].tolist()):
+        p, q = Decimal(repr(a)).as_integer_ratio()
+        r, s = Decimal(repr(b)).as_integer_ratio()
+        num, den = 2 * p * (q - p) * s - (s - r) * q * q, q * ((q - 2 * p) * s + r * q)
+        if best is None or num * best[1] > best[0] * den:
+            best = num, den
+    return None if best is None else float(Fraction(*best))

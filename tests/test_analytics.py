@@ -4,8 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.special import lambertw
+
+from helpers import finiteness_exact_scan
 
 from lobphase import analytics
 from lobphase.analytics import (InfeasibleBalanceError, ShootingError,
@@ -129,6 +134,17 @@ class TestIntegrateVarpi:
         with pytest.raises(ValueError):
             integrate_varpi(uniform_spec, 0.75)
 
+    @pytest.mark.parametrize("grid_n", [1, 0, -3])
+    def test_rejects_a_grid_without_both_ends(self, uniform_spec, grid_n):
+        # grid_n=1 returned u_end = 1.0, the value at the start, and 0 raised
+        # IndexError
+        with pytest.raises(ValueError, match=f"grid_n={grid_n}"):
+            integrate_varpi(uniform_spec, 0.2, grid_n=grid_n)
+
+    def test_two_points_are_the_ends(self, uniform_spec):
+        grid, u, v, u_end = integrate_varpi(uniform_spec, 0.2, grid_n=2)
+        assert grid.size == 2 and u[0] == 1.0 and u_end == u[-1] != 1.0
+
 
 class TestShooting:
     def test_uniform_matches_closed_form(self, uniform_spec):
@@ -202,6 +218,18 @@ class TestShooting:
         gap = piecewise_linear_dist([0, 0.4, 0.45, 0.55, 0.6, 1], [1, 1, 0, 0, 1, 1])
         with pytest.raises(analytics.SingularCoefficientError):
             shoot_kappa(ArrivalSpec(gap, gap), fb_lower=0.1)
+
+    @pytest.mark.parametrize("grid_n", [1, 0, -3])
+    def test_rejects_a_grid_without_both_ends(self, uniform_spec, grid_n):
+        # grid_n=1 returned kappa_a == kappa_b == 0.2178...
+        with pytest.raises(ValueError, match=f"grid_n={grid_n}"):
+            shoot_kappa(uniform_spec, grid_n=grid_n)
+
+    def test_two_points_are_the_thresholds(self, uniform_spec):
+        sol = shoot_kappa(uniform_spec, grid_n=2)
+        ref = shoot_kappa(uniform_spec)
+        assert (sol.kappa_b, sol.kappa_a) == (ref.kappa_b, ref.kappa_a)
+        assert sol.grid.size == 2
 
     def test_no_certificate_raises(self):
         tri = piecewise_linear_dist([0.0, 1.0], [0.0, 2.0])
@@ -356,6 +384,24 @@ class TestMagnusIntegrator:
         spec, calls = counting_spec(scan_spec(name)[0])
         analytics._dense_scan(spec, scan_spec(name)[1], 64)
         assert len(calls) <= 80
+
+    @pytest.mark.parametrize("z_scale", [0.01, 3.0, 40.0])
+    def test_expm_matches_scipy(self, rng, z_scale):
+        # the series (|z| < 1/4) and both closed forms, cosh and cos
+        w = rng.normal(size=(3, 200)) * math.sqrt(z_scale)
+        a, b, c = w
+        want = expm(np.moveaxis(np.array([[a, b], [c, -a]]), -1, 0))
+        err = np.max(np.abs(analytics._expm(w) - want), (1, 2))
+        assert np.max(err / np.maximum(1.0, np.max(np.abs(want), (1, 2)))) <= 1e-11
+
+    def test_expm_entry_does_not_depend_on_its_neighbours(self, rng):
+        # entries of each branch, alone and mixed in one array, give the same bits
+        w = rng.normal(size=(3, 60)) * np.repeat([0.05, 1.0, 6.0], 20)
+        z = w[0] ** 2 + w[1] * w[2]
+        assert np.any(np.abs(z) < 0.25) and np.any(z >= 0.25) and np.any(z <= -0.25)
+        mixed = analytics._expm(w)
+        for i in range(w.shape[1]):
+            assert np.array_equal(mixed[i], analytics._expm(w[:, i:i + 1])[0])
 
     def test_unreachable_tolerance_is_singular(self, uniform_spec):
         with pytest.raises(analytics.SingularCoefficientError, match="cannot reach"):
@@ -556,6 +602,30 @@ def reference_finiteness(spec: ArrivalSpec) -> float | None:
     return best
 
 
+@st.composite
+def piecewise_laws(draw):
+    """A law on [0, 1] with 2-8 knots: a piecewise-linear density or a CDF table."""
+    n = draw(st.integers(1, 7))
+    widths = np.array(draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n)))
+    xs = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+    xs[-1] = 1.0
+    if draw(st.booleans()):
+        ys = draw(st.lists(st.floats(0.0, 4.0), min_size=n + 1, max_size=n + 1))
+        ys[draw(st.integers(0, n))] += 0.5      # positive mass
+        return piecewise_linear_dist(xs, ys)
+    masses = np.array(draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n)))
+    return cdf_table_dist(xs, np.concatenate([[0.0], np.cumsum(masses) / masses.sum()]))
+
+
+def reflected(law):
+    """The law of 1 - X for X on `law` over [0, 1]."""
+    return dataclasses.replace(
+        law, kind="custom", density=lambda x: law.density(1.0 - np.asarray(x, dtype=float)),
+        cdf=lambda x: 1.0 - law.cdf(1.0 - np.asarray(x, dtype=float)),
+        quantile=lambda u: 1.0 - law.quantile(1.0 - np.asarray(u, dtype=float)),
+        knots=tuple(1.0 - k for k in law.knots[::-1]))
+
+
 class TestFinitenessLowerBound:
     @pytest.mark.parametrize("name", ["uniform", "tent", "table", "asymmetric",
                                       "asymmetric_uniformized", "uniform_inner",
@@ -570,7 +640,19 @@ class TestFinitenessLowerBound:
                                piecewise_linear_dist([0, 1], [1.2, 0.8]))
         else:
             spec = scan_spec(name)[0]
-        assert finiteness_lower_bound(spec) == reference_finiteness(spec)
+        # "asymmetric" keeps no level: all three give None
+        assert (finiteness_lower_bound(spec) == reference_finiteness(spec)
+                == finiteness_exact_scan(spec))
+
+    @given(bid=piecewise_laws(), ask=piecewise_laws(),
+           pairing=st.sampled_from(["same", "reflected", "independent"]))
+    @settings(max_examples=150, deadline=None)
+    def test_filter_equals_exact_scan(self, bid, ask, pairing):
+        # the float filter keeps the exact maximum: comparing only the
+        # candidates gives what comparing every kept level does, None included
+        ask = {"same": bid, "reflected": reflected(bid), "independent": ask}[pairing]
+        spec = ArrivalSpec(bid, ask)
+        assert finiteness_lower_bound(spec) == finiteness_exact_scan(spec)
 
 
 class TestLowerBound3Bin:

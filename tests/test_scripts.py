@@ -38,16 +38,18 @@ def test_script_writes_its_outputs(monkeypatch, tmp_path, name, argv, files):
 
 
 def test_bench_records_both_layers(monkeypatch, tmp_path):
-    # the match loop and the recorder folds over several chunks, and the loaded
-    # kernel restored after
+    # the match loop and the recorder folds over several chunks, the analytic
+    # routes and the gauge, and the loaded kernel restored after
     monkeypatch.setattr(sim, "CHUNK", 300)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")     # the script sets it; restored after
     loaded = book._kernel()
     run_script(monkeypatch, "bench.py", "--n-draw", "1000", "--match-sizes", "500",
                "--repeats", "1", "--out", str(tmp_path))
     assert book._kernel() is loaded
     record = json.loads((tmp_path / "bench.json").read_text())
     assert record["machine"]["kernel"] == loaded.name
-    assert set(record["machine"]) == {"cpu_model", "nproc", "python", "numpy", "kernel"}
+    assert set(record["machine"]) == {"cpu_model", "nproc", "python", "numpy", "blas_threads",
+                                      "kernel"}
     draw = record["materialize_ns_per_arrival"]["laws"]
     assert set(draw) == {"uniform", "tent"}
     compiled = loaded.name == "c"
@@ -58,8 +60,10 @@ def test_bench_records_both_layers(monkeypatch, tmp_path):
     assert uniforms["numpy"] > 0 and (uniforms["c"] > 0 if compiled else uniforms["c"] is None)
     assert list(record["match_loop_ns_per_arrival"]) == ["500"]
     refinement = record["check_refinement_s"]
-    assert refinement["n"] == 1000 and refinement["kernel"] == loaded.name
-    assert refinement[book.ORDINARY_BINNED] > 0 and refinement[book.STRICT_BINNED] > 0
+    assert refinement["n"] == 1000 and refinement["match_kernel"] == loaded.name
+    for kind in (book.ORDINARY_BINNED, book.STRICT_BINNED):
+        row = refinement[kind]
+        assert row["numpy"] > 0 and (row["c"] > 0 if compiled else row["c"] is None)
     folds = record["recorder_folds_ns_per_arrival"]
     assert folds["n"] == 40_000 and set(folds["folds"]) == {
         "_Checkpoints", "_Binned", "_FiveBin", "_BandCount", "_RunningMax"}
@@ -68,6 +72,16 @@ def test_bench_records_both_layers(monkeypatch, tmp_path):
     csvs = record["write_trace_csvs"]
     assert (csvs["n"], csvs["bins"], csvs["kernel"]) == (40_000, 100, loaded.name)
     assert csvs["ns_per_arrival"] > 0 and csvs["ms_per_call"] > 0
+    assert list(record["analytics_ms_per_call"]) == [
+        "shoot_kappa/uniform", "shoot_kappa/tent", "shoot_kappa/table", "integrate_varpi/table",
+        "finiteness_lower_bound", "solve_binned_pi", "certify_drift"]
+    assert all(ms > 0 for ms in record["analytics_ms_per_call"].values())
+    # a gauge reading before and after each timed layer
+    assert list(record["gauge_wall_s"]) == [
+        "materialize/uniform", "materialize/tent", "uniforms",
+        *["match_loop/500"] * compiled, "check_refinement", "recorder_folds",
+        "write_trace_csvs", "analytics"]
+    assert all(len(g) == 2 and min(g) > 0 for g in record["gauge_wall_s"].values())
     rss = record["peak_rss_mb"]
     assert rss["n"] == 1000 and list(rss["drivers"]) == [
         "run_arrivals", "check_extra_order", "check_bounded_perturbation", "check_refinement"]
