@@ -10,8 +10,6 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.special import lambertw
 
-from helpers import finiteness_exact_scan
-
 from lobphase import analytics
 from lobphase.analytics import (InfeasibleBalanceError, ShootingError,
                                 finiteness_lower_bound,
@@ -23,6 +21,8 @@ from lobphase.dist import (ArrivalSpec, cdf_table_dist, make_partition,
                            piecewise_linear_dist, transform_to_uniform_bid,
                            uniform_dist)
 from lobphase.lyapunov import running_max_evidence
+
+from helpers import finiteness_exact_scan
 
 
 def uniform_table_spec() -> ArrivalSpec:
@@ -386,17 +386,17 @@ class TestMagnusIntegrator:
         assert len(calls) <= 80
 
     @pytest.mark.parametrize("z_scale", [0.01, 3.0, 40.0])
-    def test_expm_matches_scipy(self, rng, z_scale):
+    def test_expm_matches_scipy(self, z_scale):
         # the series (|z| < 1/4) and both closed forms, cosh and cos
-        w = rng.normal(size=(3, 200)) * math.sqrt(z_scale)
+        w = np.random.default_rng(5).normal(size=(3, 200)) * math.sqrt(z_scale)
         a, b, c = w
         want = expm(np.moveaxis(np.array([[a, b], [c, -a]]), -1, 0))
         err = np.max(np.abs(analytics._expm(w) - want), (1, 2))
         assert np.max(err / np.maximum(1.0, np.max(np.abs(want), (1, 2)))) <= 1e-11
 
-    def test_expm_entry_does_not_depend_on_its_neighbours(self, rng):
+    def test_expm_entry_does_not_depend_on_its_neighbours(self):
         # entries of each branch, alone and mixed in one array, give the same bits
-        w = rng.normal(size=(3, 60)) * np.repeat([0.05, 1.0, 6.0], 20)
+        w = np.random.default_rng(6).normal(size=(3, 60)) * np.repeat([0.05, 1.0, 6.0], 20)
         z = w[0] ** 2 + w[1] * w[2]
         assert np.any(np.abs(z) < 0.25) and np.any(z >= 0.25) and np.any(z <= -0.25)
         mixed = analytics._expm(w)
