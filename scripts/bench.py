@@ -26,8 +26,10 @@ Each figure is the median over --repeats calls in this process:
   uniform, tent and 17-row uniform-table laws (`n_scan=64`, `tol=1e-10`),
   `integrate_varpi` on the table law from its threshold with `grid_n=64`,
   `finiteness_lower_bound` and `solve_binned_pi` at 100 bins on the
-  uniform law, and `lyapunov.certify_drift` of the published table at
-  eps = 1/100;
+  uniform law, `lyapunov.certify_drift` of the published table at
+  eps = 1/100 and of the enumerated table at eps = 3/25, the nine
+  `enumerated_drift_affine` calls that build that table, one
+  `verify_level_fixture` and one `analytics.varpi_uniform_exact` of a float;
 - the peak RSS of `sim.run_arrivals` and of each coupling check on --n-draw
   uniform arrivals, each in a fresh process, in MB after the draw and at the
   end (one run, not a median).
@@ -256,6 +258,7 @@ def analytic_calls() -> dict:
     kappa_b, kappa_a = analytics.kappa_uniform_exact()
     part = make_partition(100, uniform)
     fb = float(uniform.bid_dist.cdf(kappa_b))
+    enumerated = {c: lyapunov.enumerated_drift_affine(c) for c in lyapunov.DRIFT_REGIONS}
     return {
         **{f"shoot_kappa/{name}": (lambda s=spec: analytics.shoot_kappa(s, tol=1e-10, n_scan=64))
            for name, spec in (*laws().items(), ("table", table))},
@@ -264,6 +267,12 @@ def analytic_calls() -> dict:
         "solve_binned_pi": lambda: analytics.solve_binned_pi(
             uniform, part, part.index(kappa_b), part.index(kappa_a), fb),
         "certify_drift": lambda: lyapunov.certify_drift(Fraction(1, 100)),
+        "certify_drift/enumerated": lambda: lyapunov.certify_drift(Fraction(3, 25),
+                                                                   drifts=enumerated),
+        "enumerated_drift_affine/nine": lambda: [lyapunov.enumerated_drift_affine(c)
+                                                 for c in lyapunov.DRIFT_REGIONS],
+        "verify_level_fixture": lyapunov.verify_level_fixture,
+        "varpi_uniform_exact/scalar": lambda: analytics.varpi_uniform_exact(0.3),
     }
 
 
@@ -279,7 +288,7 @@ def time_analytics(repeats: int) -> dict:
             t0 = time.perf_counter()
             call()
             seconds[name].append(time.perf_counter() - t0)
-    return {name: round(1e3 * statistics.median(s), 3) for name, s in seconds.items()}
+    return {name: round(1e3 * statistics.median(s), 4) for name, s in seconds.items()}
 
 
 def gauged(gauges: dict, name: str, layer, *args):
@@ -419,7 +428,7 @@ def main() -> None:
     print(f"write_trace_csvs: {csvs['ns_per_arrival']} ns per arrival, "
           f"{csvs['ms_per_call']} ms per call on {N_FOLD} arrivals")
     for name, ms in analytic.items():
-        print(f"{name:26s} {ms} ms per call")
+        print(f"{name:28s} {ms} ms per call")
     for driver, row in rss.items():
         print(f"peak RSS {driver:26s} {row['after_draw']} MB after the draw, "
               f"{row['end']} MB at the end on {args.n_draw} arrivals")

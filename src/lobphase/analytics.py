@@ -111,11 +111,16 @@ def varpi_uniform_exact(x) -> float | np.ndarray:
     endpoints give 1/kappa and 0.
     """
     kappa, kappa_a = kappa_uniform_exact()
-    arr = np.asarray(x, dtype=float)
-    if np.any((arr < kappa - 1e-12) | (arr > kappa_a + 1e-12)):
+    if isinstance(x, float):    # a Python or numpy float skips the array round trip
+        outside = x < kappa - 1e-12 or x > kappa_a + 1e-12
+        arr = min(max(x, kappa), kappa_a)
+    else:
+        arr = np.asarray(x, dtype=float)
+        outside = np.any((arr < kappa - 1e-12) | (arr > kappa_a + 1e-12))
+        arr = np.clip(arr, kappa, kappa_a)
+    if outside:
         raise ValueError(f"argument outside [{kappa:.6f}, {kappa_a:.6f}]")
-    arr = np.clip(arr, kappa, kappa_a)
-    val = (1.0 - kappa) * (1.0 / arr + np.log((1.0 - arr) / arr))
+    val = (1.0 - kappa) * (1.0 / arr + np.log((1.0 - arr) / arr))   # math.log may round apart
     return float(val) if np.ndim(x) == 0 else val
 
 
@@ -555,26 +560,30 @@ def solve_binned_pi(spec: ArrivalSpec, partition: BinPartition, k_b: int, k_a: i
                     residual=residual)
 
 
-def _as_fraction(x) -> Fraction:
-    # Floats are read as the decimal literal they print as, so that e.g. 0.4
-    # means 2/5 and bound arithmetic stays exact.
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+def _ratio(x) -> tuple[int, int]:
+    """x as (numerator, denominator); a float is read as the decimal literal it
+    prints as, so that e.g. 0.4 means 2/5 and bound arithmetic stays exact."""
+    if isinstance(x, float) and math.isfinite(x):
+        return Decimal(repr(x)).as_integer_ratio()
+    return Fraction(str(x) if isinstance(x, float) else x).as_integer_ratio()
+
+
+def _bound_3bin(p: int, q: int, r: int, s: int) -> tuple[int, int]:
+    """`lower_bound_3bin` at X = p/q and Y = r/s as (num, den), den > 0:
+    (2p(q-p)s - (s-r)q^2) / (q((q-2p)s + rq))."""
+    return 2 * p * (q - p) * s - (s - r) * q * q, q * ((q - 2 * p) * s + r * q)
 
 
 def lower_bound_3bin(X, Y) -> Fraction:
     """Exact lower bound (2X(1-X) - (1-Y)) / ((1-X) + (Y-X)) on the bid-threshold mass.
 
     A positive value certifies that the thresholds are finite.  Computed in
-    exact rational arithmetic; see _as_fraction for how floats are read.
+    exact integer arithmetic; see _ratio for how floats are read.
     """
-    Xf, Yf = _as_fraction(X), _as_fraction(Y)
-    if not 0 < Xf < Yf < 1:
+    (p, q), (r, s) = _ratio(X), _ratio(Y)
+    if not (0 < p and p * s < r * q and r < s):      # 0 < X < Y < 1
         raise ValueError(f"need 0 < X < Y < 1, got X={X}, Y={Y}")
-    num = 2 * Xf * (1 - Xf) - (1 - Yf)
-    den = (1 - Xf) + (Yf - Xf)
-    return num / den
+    return Fraction(*_bound_3bin(p, q, r, s))
 
 
 def finiteness_lower_bound(spec: ArrivalSpec) -> float | None:
@@ -583,15 +592,13 @@ def finiteness_lower_bound(spec: ArrivalSpec) -> float | None:
     Scans 199 levels X = F_b(x) in [0.02, 0.49], solving y from
     F_b(x) = 1 - F_a(y) and keeping pairs that also satisfy the mirrored
     condition F_b(y) = 1 - F_a(x) to within 1e-6.  One law call per array.
-    Each pair's bound is `lower_bound_3bin`'s, exactly: with X = p/q and
-    Y = r/s read as their decimal literals, it is
-    (2p(q-p)s - (s-r)q^2) / (q((q-2p)s + rq)), and the largest is picked by
-    cross-multiplying these integers.  Only the pairs whose bound in float64
-    lies within 1e-9 of the largest float bound are compared so.  A kept pair
-    has X <= 0.49 and X < Y, so the denominator (1 - X) + (Y - X) exceeds
-    1/2; each literal is within half an ulp of its float, so the float bound
-    is within about 1e-15 of the exact one, and no pair that could be the
-    exact maximum is left out.
+    Each pair's bound is `lower_bound_3bin`'s, exactly, as the integers of
+    `_bound_3bin`, and the largest is picked by cross-multiplying them.  Only
+    the pairs whose bound in float64 lies within 1e-9 of the largest float
+    bound are compared so.  A kept pair has X <= 0.49 and X < Y, so the
+    denominator (1 - X) + (Y - X) exceeds 1/2; each literal is within half
+    an ulp of its float, so the float bound is within about 1e-15 of the
+    exact one, and no pair that could be the exact maximum is left out.
     """
     _check_equal_rates(spec)
     X = np.linspace(0.02, 0.49, 199)
@@ -605,9 +612,7 @@ def finiteness_lower_bound(spec: ArrivalSpec) -> float | None:
     near = bound >= bound.max(initial=-np.inf) - 1e-9
     best = None
     for a, b in zip(X[near].tolist(), Yb[near].tolist()):
-        p, q = Decimal(repr(a)).as_integer_ratio()
-        r, s = Decimal(repr(b)).as_integer_ratio()
-        num, den = 2 * p * (q - p) * s - (s - r) * q * q, q * ((q - 2 * p) * s + r * q)
+        num, den = _bound_3bin(*_ratio(a), *_ratio(b))
         if best is None or num * best[1] > best[0] * den:
             best = num, den
     return None if best is None else float(Fraction(*best))

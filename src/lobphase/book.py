@@ -114,7 +114,7 @@ class BookState:
     at the front of a float64 array, its length a C long that both match
     loops update in place; plus optional infinite reservoirs."""
 
-    __slots__ = ("_heaps", "_sizes", "_c_args", "bid_reservoir", "ask_reservoir")
+    __slots__ = ("_heaps", "_sizes", "_c_args", "_lists", "bid_reservoir", "ask_reservoir")
 
     def __init__(self, bids=(), asks=(), bid_reservoir: float | None = None,
                  ask_reservoir: float | None = None):
@@ -129,8 +129,8 @@ class BookState:
         if not all(np.isfinite(h).all() for h in self._heaps):
             raise BookInvariantError("non-finite resting price")
         self._sizes = tuple(ctypes.c_long(h.size) for h in self._heaps)
-        # the C loop's pointers for the match_chunks call under way
-        self._c_args = None
+        # the C loop's pointers, or the Python loop's heapq lists, of the match_chunks call
+        self._c_args = self._lists = None
 
     # -- queries ---------------------------------------------------------
 
@@ -167,6 +167,12 @@ class BookState:
         return c
 
     # -- mutations -------------------------------------------------------
+
+    def _store(self) -> None:
+        """Write the Python loop's heapq lists, if they hold the book, into the heap arrays."""
+        lists, self._lists = self._lists, None
+        for i, keys in enumerate(lists or ()):
+            self._heaps[i], self._sizes[i].value = np.array(keys, dtype=float), len(keys)
 
     def _reserve(self, extra: int) -> None:
         """Room on each side for `extra` more orders: an array that lacks it
@@ -297,16 +303,17 @@ def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
 
     The log's arrays from `beta` on are buffers that the next chunk
     overwrites, so a reader copies what it keeps.  The loop changes `state`
-    in place: it holds the book up to the end of the last chunk run, a
-    failed one included.  Arrival prices must be finite and the rule's
-    ordering of the best quotes must hold in the starting book; both are
-    checked up front, before any event.  Prices may repeat, and -0.0 is read
-    as 0.0, so that equal prices are equal bytes and the order in which a
-    loop meets them cannot show in the log.  After each chunk, no arrival
-    may have sat at the opposite best quote, and the ordering must hold
-    after every event: the loop returns the first arrival to break each, and
-    the tie is reported first.  Both errors name the arrival by its index in
-    the whole sequence.  Zero arrivals give one empty chunk.
+    in place: once the generator ends, raises or is closed, the state holds
+    the book up to the end of the last chunk run, a failed one included.
+    Arrival prices must be finite and the rule's ordering of the best quotes
+    must hold in the starting book; both are checked up front, before any
+    event.  Prices may repeat, and -0.0 is read as 0.0, so that equal prices
+    are equal bytes and the order in which a loop meets them cannot show in
+    the log.  After each chunk, no arrival may have sat at the opposite best
+    quote, and the ordering must hold after every event: the loop returns
+    the first arrival to break each, and the tie is reported first.  Both
+    errors name the arrival by its index in the whole sequence.  Zero
+    arrivals give one empty chunk.
     """
     is_bid = np.ascontiguousarray(is_bid, dtype=bool)
     prices = np.ascontiguousarray(prices, dtype=float)
@@ -315,23 +322,27 @@ def match_chunks(state: BookState, rule: MatchRule, is_bid, prices,
         raise BookInvariantError(f"arrival {i} at non-finite price {prices[i]}")
     if np.signbit(prices[prices == 0]).any():
         prices = prices + 0.0
+    state._store()      # a Python loop left suspended may still hold the book
     _check_order(state.beta(), state.alpha(), rule)
     n = prices.size
     buffers = [np.empty(min(size, n), dtype) for dtype in _LOG_DTYPES]
     run = _kernel().run
     state._c_args = None
-    for lo in range(0, max(n, 1), size):
-        bid, px = is_bid[lo:lo + size], prices[lo:lo + size]
-        log = EventLog(bid, px, *(b[:px.size] for b in buffers))
-        state._reserve(px.size)
-        tie, bad = run(state, rule, log)
-        if tie >= 0:
-            raise BookInvariantError(f"arrival {lo + tie} at {px[tie]} collides "
-                                     "with the opposite best quote")
-        if bad >= 0:
-            raise BookInvariantError(_out_of_order(log.beta[bad], log.alpha[bad])
-                                     + f" after arrival {lo + bad}")
-        yield lo, log
+    try:
+        for lo in range(0, max(n, 1), size):
+            bid, px = is_bid[lo:lo + size], prices[lo:lo + size]
+            log = EventLog(bid, px, *(b[:px.size] for b in buffers))
+            state._reserve(px.size)
+            tie, bad = run(state, rule, log)
+            if tie >= 0:
+                raise BookInvariantError(f"arrival {lo + tie} at {px[tie]} collides "
+                                         "with the opposite best quote")
+            if bad >= 0:
+                raise BookInvariantError(_out_of_order(log.beta[bad], log.alpha[bad])
+                                         + f" after arrival {lo + bad}")
+            yield lo, log
+    finally:
+        state._store()
 
 
 def _reservoirs(state: BookState) -> tuple[float, float]:
@@ -346,10 +357,12 @@ def _match_py(state: BookState, rule: MatchRule, log: EventLog) -> tuple[int, in
     the first after which the best quotes break `_check_order`, each -1 for
     none.
 
-    It runs on `heapq` lists taken from the state's heaps and writes them back.
+    It runs on `heapq` lists of the heaps, kept in `state._lists` until `match_chunks` ends.
     The reference for `_kernel.c` and the loop that runs without a compiler.
     """
-    bids, asks = (heap[:n.value].tolist() for heap, n in zip(state._heaps, state._sizes))
+    if state._lists is None:
+        state._lists = [heap[:n.value].tolist() for heap, n in zip(state._heaps, state._sizes)]
+    bids, asks = state._lists
     rb, ra = _reservoirs(state)
     beta = -bids[0] if bids and -bids[0] > rb else rb
     alpha = asks[0] if asks and asks[0] < ra else ra
@@ -422,8 +435,6 @@ def _match_py(state: BookState, rule: MatchRule, log: EventLog) -> tuple[int, in
     log.changed_bid[:], log.sign[:] = np.frombuffer(codes, np.int8).reshape(-1, 2).T
     log.beta[:], log.alpha[:], log.price[:] = np.frombuffer(quotes).reshape(-1, 3).T
     log.n_bids[:], log.n_asks[:] = np.frombuffer(sizes, np.int64).reshape(-1, 2).T
-    for heap, n, keys in zip(state._heaps, state._sizes, (bids, asks)):
-        heap[:len(keys)], n.value = keys, len(keys)
     return tie, bad
 
 

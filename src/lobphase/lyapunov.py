@@ -89,27 +89,15 @@ PUBLISHED_DRIFTS: dict[str, AffineVec] = {
 }
 
 # Published outer normals; regions sharing a face share a vector.
-_V_PPP = (F(1), F(1), F(1))
-_V_PPM = (F(1), F(1), F(-1))
-_V_PMM = (F(1), F(-1), F(-1))
-_V_MMM = (F(-1), F(-1), F(-1))
-_V_PP0 = (F(4, 3), F(1), F(2, 3))
-_V_P0M = (F(1), F(-4, 5), F(-9, 5))
-_V_0MM = (F(-2), F(-3), F(-4))
-
 NORMALS: dict[str, tuple[Fraction, Fraction, Fraction]] = {
-    "+++": _V_PPP, "++-": _V_PPM, "+--": _V_PMM, "---": _V_MMM,
-    "++0": _V_PP0, "+0-": _V_P0M, "0--": _V_0MM,
-}
+    code: tuple(map(F, v)) for code, v in (
+        ("+++", (1, 1, 1)), ("++-", (1, 1, -1)), ("+--", (1, -1, -1)), ("---", (-1, -1, -1)),
+        ("++0", ("4/3", 1, "2/3")), ("+0-", (1, "-4/5", "-9/5")), ("0--", (-2, -3, -4)))}
 NORMAL_BY_REGION: dict[str, tuple[Fraction, Fraction, Fraction]] = {
-    **NORMALS, "+00": _V_PP0, "00-": _V_0MM,
-}
+    **NORMALS, "+00": NORMALS["++0"], "00-": NORMALS["0--"]}
 
-# Bin masses, affine in eps.
-_BIN_MASS: tuple[Affine, ...] = (
-    (F(1, 5), F(1)), (F(1, 5), F(-1)), (F(1, 5), F(0)),
-    (F(1, 5), F(-1)), (F(1, 5), F(1)),
-)
+# Bin masses times 5, affine in eps: (1 + 5 eps, 1 - 5 eps, 1, 1 - 5 eps, 1 + 5 eps).
+_BIN_MASS5 = ((1, 5), (1, -5), (1, 0), (1, -5), (1, 5))
 
 
 def region_bins(code: str) -> tuple[int, int]:
@@ -126,10 +114,39 @@ def compatible(region_drift: str, region_normal: str) -> bool:
     return all(n == "0" or d == n for d, n in zip(region_drift, region_normal))
 
 
-def _affine_dot(vec: AffineVec, normal) -> Affine:
-    c0 = sum(v[0] * n for v, n in zip(vec, normal))
-    c1 = sum(v[1] * n for v, n in zip(vec, normal))
-    return (c0, c1)
+# The exact layer computes on integers: a table is scaled once (this module's
+# at import) to integers over one denominator; only returned values are Fractions.
+
+def _ints(table: dict) -> tuple[int, dict]:
+    """(d, {key: the row times d, as ints}) for a table of rows of ints or
+    Fractions, d the least common denominator."""
+    d = math.lcm(*(c.denominator for row in table.values() for c in row))
+    return d, {k: [c.numerator * (d // c.denominator) for c in row] for k, row in table.items()}
+
+
+# The compatible (drift region, normal region) pairs, in the certificate's order.
+_PAIRS = tuple((d, n) for n in DRIFT_REGIONS for d in DRIFT_REGIONS if compatible(d, n))
+
+
+def _products(drifts, normals) -> tuple[int, dict]:
+    """(d, {compatible pair: (c0, c1)}), integers with <drift, normal> = (c0 + c1 eps) / d,
+    from tables of the nine drift regions in ints or Fractions; a table left
+    None is the published one."""
+    if drifts is None and normals is None:
+        return _PUBLISHED
+    drifts = PUBLISHED_DRIFTS if drifts is None else drifts
+    normals = NORMAL_BY_REGION if normals is None else normals
+    # each drift as its three constants, then its three slopes
+    dd, dv = _ints({r: sum(zip(*drifts[r]), ()) for r in DRIFT_REGIONS})
+    dn, nv = _ints({r: normals[r] for r in DRIFT_REGIONS})
+    products = {}
+    for dr, nr in _PAIRS:
+        (a0, a1, a2, b0, b1, b2), (x, y, z) = dv[dr], nv[nr]
+        products[dr, nr] = (a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z)
+    return dd * dn, products
+
+
+_PUBLISHED = _products(PUBLISHED_DRIFTS, NORMAL_BY_REGION)
 
 
 def drift_dot(region_drift: str, region_normal: str, eps,
@@ -140,10 +157,10 @@ def drift_dot(region_drift: str, region_normal: str, eps,
         raise ValueError("the empty region has no outer normal")
     if not compatible(region_drift, region_normal):
         raise ValueError(f"regions {region_drift} and {region_normal} are incompatible")
-    drifts = PUBLISHED_DRIFTS if drifts is None else drifts
-    normals = NORMAL_BY_REGION if normals is None else normals
-    c0, c1 = _affine_dot(drifts[region_drift], normals[region_normal])
-    return c0 + c1 * F(eps)
+    d, products = _products(drifts, normals)
+    c0, c1 = products[region_drift, region_normal]
+    eps = F(eps)
+    return F(c0 * eps.denominator + c1 * eps.numerator, d * eps.denominator)
 
 
 def enumerated_drift_affine(code: str) -> AffineVec:
@@ -157,28 +174,15 @@ def enumerated_drift_affine(code: str) -> AffineVec:
     divide by two for the per-arrival expectation.
     """
     b, a = _REGION_BA[code]
-    coords = [(F(0), F(0)), (F(0), F(0)), (F(0), F(0))]
-
-    def add(bin_no: int, sign: int, mass: Affine):
-        if 2 <= bin_no <= 4:
-            c0, c1 = coords[bin_no - 2]
-            coords[bin_no - 2] = (c0 + sign * mass[0], c1 + sign * mass[1])
-
-    for j in range(1, 6):
-        mass = _BIN_MASS[j - 1]
-        # arriving bid in bin j
-        if j >= a:
-            if a <= 4:
-                add(a, +1, mass)      # executes the lowest ask
-        else:
-            add(j, +1, mass)          # joins as a bid
-        # arriving ask in bin j
-        if j <= b:
-            if b >= 2:
-                add(b, -1, mass)      # executes the highest bid
-        else:
-            add(j, -1, mass)          # joins as an ask
-    return tuple(coords)  # type: ignore[return-value]
+    coords = [[0, 0], [0, 0], [0, 0]]     # (c0, c1) of bins 2..4, times 5
+    for j, (m0, m1) in enumerate(_BIN_MASS5, start=1):
+        # a bid arriving in bin j executes the lowest ask, in bin a, if j >= a,
+        # and joins bin j if not; an ask mirrors it with bin b
+        for bin_no, sign in ((a if j >= a else j, +1), (b if j <= b else j, -1)):
+            if 2 <= bin_no <= 4:
+                coords[bin_no - 2][0] += sign * m0
+                coords[bin_no - 2][1] += sign * m1
+    return tuple((F(c0, 5), F(c1, 5)) for c0, c1 in coords)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,7 @@ class DriftCertificate:
     entries: list   # (drift region, normal region, value@0, value@eps_max, slope)
     passed: bool
     failures: list
-    eps_star: Optional[Fraction]   # smallest eps at which some product reaches 0
+    eps_star: Optional[Fraction]   # least root of the products negative at 0 that rise
     min_margin_at_zero: Fraction   # largest (closest to 0) product at eps = 0
 
     def render_text(self) -> str:
@@ -207,44 +211,40 @@ def certify_drift(eps_max, drifts: dict[str, AffineVec] | None = None,
                   normals: dict | None = None) -> DriftCertificate:
     """Exact negativity check of every compatible <drift, normal> pair.
 
-    Each product is affine in eps, so strict negativity on [0, eps_max] holds
-    iff it holds at both endpoints.  Also reports the smallest eps at which
-    any product vanishes (the admissible upper limit for this table).
+    Each product is affine in eps, c0 + c1 eps, so strict negativity on
+    [0, eps_max] holds iff it holds at both endpoints.  `eps_star` is the
+    least root -c0/c1 of the products negative at 0 that rise (c0 < 0 < c1),
+    None if none rises.  A product not negative at 0 gives no root even if
+    it falls through zero later, so the enumerated table, whose eleven such
+    products all fall (the last through zero at 2/35), gets None.
     """
     eps_max = F(eps_max)
     if not 0 <= eps_max < F(1, 5):
         raise ValueError("eps_max must lie in [0, 1/5)")
-    drifts = PUBLISHED_DRIFTS if drifts is None else drifts
-    normals = NORMAL_BY_REGION if normals is None else normals
+    d, products = _products(drifts, normals)
+    e, m = eps_max.numerator, eps_max.denominator
     entries, failures = [], []
-    eps_star: Optional[Fraction] = None
-    min_margin = None
-    for region_n in DRIFT_REGIONS:
-        for region_d in DRIFT_REGIONS:
-            if not compatible(region_d, region_n):
-                continue
-            c0, c1 = _affine_dot(drifts[region_d], normals[region_n])
-            v0 = c0
-            v1 = c0 + c1 * eps_max
-            entries.append((region_d, region_n, v0, v1, c1))
-            if v0 >= 0 or v1 >= 0:
-                failures.append((region_d, region_n, v0, v1))
-            if c1 > 0 and c0 < 0:
-                root = -c0 / c1
-                if eps_star is None or root < eps_star:
-                    eps_star = root
-            if min_margin is None or v0 > min_margin:
-                min_margin = v0
+    root = top = None       # eps_star as (numerator, denominator); the largest c0
+    for (region_d, region_n), (c0, c1) in products.items():
+        c = c0 * m + c1 * e     # the product at eps_max, times d m
+        v0, v1 = F(c0, d), F(c, d * m)
+        entries.append((region_d, region_n, v0, v1, F(c1, d)))
+        if c0 >= 0 or c >= 0:
+            failures.append((region_d, region_n, v0, v1))
+        if c0 < 0 < c1 and (root is None or -c0 * root[1] < root[0] * c1):
+            root = (-c0, c1)
+        if top is None or c0 > top:
+            top = c0
     return DriftCertificate(eps_max=eps_max, entries=entries,
                             passed=not failures, failures=failures,
-                            eps_star=eps_star, min_margin_at_zero=min_margin)
+                            eps_star=None if root is None else F(*root),
+                            min_margin_at_zero=F(top, d))
 
 
 # ---------------------------------------------------------------------------
 # Level-set fixture
 
-_SEVEN_NORMALS = tuple(NORMALS.items())  # seven distinct labeled vectors
-_GAUGE_NORMALS = np.array([[float(c) for c in v] for _, v in _SEVEN_NORMALS])
+_GAUGE_NORMALS = np.array([[float(c) for c in v] for v in NORMALS.values()])
 
 
 LEVEL_VERTICES: tuple[tuple[Fraction, Fraction, Fraction], ...] = tuple(
@@ -256,6 +256,11 @@ LEVEL_VERTICES: tuple[tuple[Fraction, Fraction, Fraction], ...] = tuple(
         ("11/26", "-6/13", "-3/26"), ("2/5", "-3/5", "0"),
         ("0", "-1/3", "0"), ("-1/2", "0", "0"), ("0", "0", "-1/4"),
     ])
+
+# <vertex, normal> is an integer product / _UNIT, for vertices by id and the seven normals.
+_VD, _VERTEX_INTS = _ints(dict(enumerate(LEVEL_VERTICES, 1)))
+_ND, _NORMAL_INTS = _ints(NORMALS)
+_UNIT = _VD * _ND
 
 # Faces as printed: 1-indexed vertex id lists.
 LEVEL_FACES: tuple[tuple[int, ...], ...] = (
@@ -286,20 +291,14 @@ def verify_level_fixture() -> FixtureReport:
     """
     vertex_values = []
     vertex_attains: dict[int, tuple[str, ...]] = {}
-    for vid, vert in enumerate(LEVEL_VERTICES, start=1):
-        attains = []
-        for label, v in _SEVEN_NORMALS:
-            val = sum(a * b for a, b in zip(vert, v))
-            vertex_values.append((vid, label, val))
-            if val == 1:
-                attains.append(label)
-        vertex_attains[vid] = tuple(attains)
+    for vid, (x, y, z) in _VERTEX_INTS.items():
+        vals = {label: x * a + y * b + z * c for label, (a, b, c) in _NORMAL_INTS.items()}
+        vertex_values += [(vid, label, F(val, _UNIT)) for label, val in vals.items()]
+        vertex_attains[vid] = tuple(label for label, val in vals.items() if val == _UNIT)
     face_normals: dict[int, tuple[str, ...]] = {}
     discrepancies: list[str] = []
     for fi, face in enumerate(LEVEL_FACES):
-        common = set(l for l, _ in _SEVEN_NORMALS)
-        for vid in face:
-            common &= set(vertex_attains[vid])
+        common = set(NORMALS).intersection(*(vertex_attains[vid] for vid in face))
         face_normals[fi] = tuple(sorted(common))
         if len(common) != 1:
             discrepancies.append(

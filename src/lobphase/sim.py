@@ -233,13 +233,17 @@ def _fold(books: list[tuple[BookState, MatchRule]], arr: Arrivals, recorders) ->
     arrivals at a time (the books' logs fill one chunk's room), and fold each
     chunk into the recorders, in order: `fold(lo, *logs)` takes each book's
     log of arrivals lo, lo + 1, ..., and each recorder carries its state on."""
-    loops = (match_chunks(state, rule, arr.is_bid, arr.prices, max(1, CHUNK // len(books)))
-             for state, rule in books)
-    for chunks in zip(*loops):
-        lo, logs = chunks[0][0], [log for _, log in chunks]
-        if logs[0].sign.size:
-            for recorder in recorders:
-                recorder.fold(lo, *logs)
+    loops = [match_chunks(state, rule, arr.is_bid, arr.prices, max(1, CHUNK // len(books)))
+             for state, rule in books]
+    try:
+        for chunks in zip(*loops):
+            lo, logs = chunks[0][0], [log for _, log in chunks]
+            if logs[0].sign.size:
+                for recorder in recorders:
+                    recorder.fold(lo, *logs)
+    finally:
+        for loop in loops:      # zip leaves all but the first suspended: store their books
+            loop.close()
 
 
 def _in_chunk(at: np.ndarray, lo: int, n: int) -> tuple[slice, np.ndarray]:

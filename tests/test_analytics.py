@@ -112,6 +112,30 @@ class TestVarpiClosedForm:
         with pytest.raises(ValueError):
             varpi_uniform_exact(0.1)
 
+    def test_scalar_equals_the_array_call_bit_for_bit(self):
+        # both ends, the 1e-12 clip zone on either side of each, and the inside
+        kb, ka = kappa_uniform_exact()
+        grid = np.concatenate([np.linspace(kb, ka, 257),
+                               [kb - 1e-12, kb - 5e-13, np.nextafter(kb, 0.0),
+                                np.nextafter(kb, 1.0), kb + 1e-12,
+                                ka - 1e-12, np.nextafter(ka, 0.0), np.nextafter(ka, 1.0),
+                                ka + 5e-13, ka + 1e-12, 0.5]])
+        whole = varpi_uniform_exact(grid)
+        for x, want in zip(grid.tolist(), whole.tolist()):
+            for scalar in (x, np.float64(x)):
+                got = varpi_uniform_exact(scalar)
+                assert type(got) is float and got.hex() == want.hex(), (x, got, want)
+
+    def test_scalar_nan_and_domain(self):
+        kb, ka = kappa_uniform_exact()
+        for nan in (math.nan, np.float64("nan")):
+            assert math.isnan(varpi_uniform_exact(nan))
+        assert math.isnan(varpi_uniform_exact(np.array([math.nan]))[0])
+        for bad in (kb - 2e-12, ka + 2e-12, 0.0, 1.0, -math.inf, math.inf):
+            for x in (bad, np.float64(bad), np.array([bad])):
+                with pytest.raises(ValueError):
+                    varpi_uniform_exact(x)
+
 
 class TestIntegrateVarpi:
     def test_initial_values(self, uniform_spec):
@@ -678,6 +702,15 @@ class TestLowerBound3Bin:
     def test_domain(self):
         with pytest.raises(ValueError):
             lower_bound_3bin(0.6, 0.4)
+
+    @pytest.mark.parametrize("X, Y", [(0.0, 0.5), (0.5, 0.5), (0.4, 1.0), (-0.1, 0.5),
+                                      ("1/2", "2/5"), (math.inf, 0.6), (0.4, math.inf),
+                                      (math.nan, 0.6), (0.4, np.float64(math.nan))])
+    def test_domain_edges_and_non_finite_floats(self, X, Y):
+        # every argument off 0 < X < Y < 1 raises ValueError, which the CLI
+        # turns into exit 2, non-finite floats included
+        with pytest.raises(ValueError):
+            lower_bound_3bin(X, Y)
 
     def test_uniform_certificate_value(self, uniform_spec):
         # best symmetric pair is X=1/3, giving 1/9

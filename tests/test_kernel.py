@@ -20,6 +20,7 @@ violation of the quote order, from any starting book.  Every export must be
 loaded with the signature of its C prototype.
 """
 
+import contextlib
 import copy
 import ctypes
 import dataclasses
@@ -350,14 +351,17 @@ def test_both_kernels_accept_a_strict_book_crossed_inside_a_bin(c_kernel, is_bid
 
 def run_straight(kernel, rule, book, is_bid, px):
     """One chunk passed to the kernel's `run` with no check of the starting
-    book: its (tie, first order violation), log rows and final book."""
+    book: its (tie, first order violation), log rows and final book.  The
+    state is set up and stored as `match_chunks` does around its chunks."""
     state = book.clone()
     is_bid, px = np.array(is_bid, dtype=bool), np.array(px, dtype=float)
     log = book_module.EventLog(is_bid, px, *(np.empty(px.size, dtype)
                                              for dtype in book_module._LOG_DTYPES))
     state._reserve(px.size)
     state._c_args = None
-    return kernel.run(state, rule, log), kernel_rows(log), book_bytes(state)
+    found = kernel.run(state, rule, log)
+    state._store()
+    return found, kernel_rows(log), book_bytes(state)
 
 
 # A crossed starting book, which match_chunks refuses up front, given straight
@@ -406,6 +410,44 @@ def test_failed_chunk_leaves_the_book_at_its_end(request, kernel, at):
     assert state.bids() == sorted([0.1, *px[:14][bid].tolist()])
     assert state.asks() == sorted(px[:14][ask].tolist())
     assert all(is_heap(keys) for keys in stored_heaps(state))
+
+
+class StopAt:
+    """A recorder that raises when it is given the chunk starting at `lo`."""
+
+    def __init__(self, lo):
+        self.lo = lo
+
+    def fold(self, lo, *logs):
+        if lo == self.lo:
+            raise RuntimeError(f"recorder stopped at {lo}")
+
+
+@pytest.mark.parametrize("kernel", ["c", "python"])
+@pytest.mark.parametrize("stop", [None, 14])
+def test_fold_leaves_every_book_at_its_end(request, monkeypatch, kernel, stop):
+    # `sim._fold` zips its books' loops, which leaves all but the first
+    # suspended after their last chunk, and a recorder may raise between
+    # chunks.  Either way, each state's heap arrays, read straight, must hold
+    # its book up to the end of the last chunk every book ran.
+    loop = PYTHON_LOOP if kernel == "python" else request.getfixturevalue("c_kernel")
+    monkeypatch.setattr(sim, "CHUNK", 21)           # 7 arrivals a chunk for 3 books
+    rng = np.random.default_rng(5)
+    arr = sim.Arrivals(rng.random(40) < 0.5, rng.random(40), np.arange(40.0), 0.5)
+    books = [(BookState(bids=[0.05], asks=[0.95]), RULES[kind]) for kind in sorted(RULES)]
+    # `raised` keeps the traceback alive, and with it `_fold`'s frame and its
+    # loops, while the books are read
+    with running(loop), pytest.raises(RuntimeError) if stop else \
+            contextlib.nullcontext() as raised:
+        sim._fold(books, arr, [StopAt(stop)])
+    end = 40 if stop is None else stop + 7
+    for state, rule in books:
+        want = BookState(bids=[0.05], asks=[0.95])
+        for i in range(end):
+            apply_arrival(want, rule, Order("bid" if arr.is_bid[i] else "ask", arr.prices[i]))
+        bids, asks = stored_heaps(state)
+        assert sorted(-k for k in bids) == want.bids() and sorted(asks) == want.asks()
+        assert all(is_heap(keys) for keys in (bids, asks))
 
 
 WHOLE = 2**62       # one chunk, whatever the run's length

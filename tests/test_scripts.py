@@ -74,7 +74,8 @@ def test_bench_records_both_layers(monkeypatch, tmp_path):
     assert csvs["ns_per_arrival"] > 0 and csvs["ms_per_call"] > 0
     assert list(record["analytics_ms_per_call"]) == [
         "shoot_kappa/uniform", "shoot_kappa/tent", "shoot_kappa/table", "integrate_varpi/table",
-        "finiteness_lower_bound", "solve_binned_pi", "certify_drift"]
+        "finiteness_lower_bound", "solve_binned_pi", "certify_drift", "certify_drift/enumerated",
+        "enumerated_drift_affine/nine", "verify_level_fixture", "varpi_uniform_exact/scalar"]
     assert all(ms > 0 for ms in record["analytics_ms_per_call"].values())
     # a gauge reading before and after each timed layer
     assert list(record["gauge_wall_s"]) == [
